@@ -394,7 +394,9 @@ def suite_solver(cfg: SuiteConfig) -> list:
         "solver-shooting", "shooting recovers the closed form",
         computed=sup_s, expected=0.0,
         tolerance=cfg.tol("solver-shooting", 1e-4), provenance="derived",
-        extra={"param": shot.param, "iterations": len(shot.trace)}))
+        extra={"param": shot.param, "iterations": len(shot.trace),
+               "fallback_runs": shot.fallback_runs,
+               "forced_steps": shot.forced_steps}))
     env = max(abs(shot.result.at(float(y))[1] * math.exp(2.0 * float(y)) - 6.0)
               for y in np.linspace(5.0, 7.0, 40))
     checks.append(make_check(
@@ -616,6 +618,8 @@ def main(argv=None) -> int:
             report.write_json(args.out_log, {
                 "schema_version": report.SCHEMA_VERSION,
                 "parameter": shot.param,
+                "fallback_runs": shot.fallback_runs,
+                "forced_steps": shot.forced_steps,
                 "trace": [{"param": p, "outcome": o, "y": yy}
                           for p, o, yy in shot.trace],
             })

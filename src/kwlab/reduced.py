@@ -13,9 +13,11 @@ On top of the system sit
   * a Frobenius-style series matcher at the y = 0 pole (b ~ 1/y forced, the
     connection coefficient a(0) = 1 forced, the quadratic coefficient of a
     left free -- the single shooting parameter),
-  * an adaptive initial-value integrator with blow-up detection, and
-  * a bisection shooting solver selecting the decaying trajectory
-    (a, b) -> (0, 0), which recovers the closed-form reference solution.
+  * an adaptive Dormand-Prince stepper with blow-up detection that advances
+    a batch of trajectories ("lanes") together; a single initial-value run
+    is its one-lane case, and
+  * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0) by
+    k-section over lanes, which recovers the closed-form reference solution.
 """
 
 from __future__ import annotations
@@ -34,10 +36,20 @@ _MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 class BlowUpError(RuntimeError):
-    def __init__(self, y_blow: float, state):
-        super().__init__(f"state blew up near y = {y_blow:.6g}")
+    """The state crossed BLOWUP_THRESHOLD near ``y_blow``; or, when
+    ``nonfinite``, even the smallest step from ``y_blow`` produced a NaN,
+    which leaves no sign to read off, and ``state`` is the last finite one.
+    ``forced_steps`` counts the steps of the run that were accepted only
+    because the step size had reached its floor."""
+
+    def __init__(self, y_blow: float, state, forced_steps: int = 0,
+                 nonfinite: bool = False):
         self.y_blow = y_blow
         self.state = tuple(float(s) for s in state)
+        self.forced_steps = forced_steps
+        self.nonfinite = nonfinite
+        what = "became non-finite" if self.nonfinite else "blew up"
+        super().__init__(f"state {what} near y = {y_blow:.6g}")
 
 
 def _scalar_residual(conv: GeometryConventions, a, b, da, db):
@@ -68,11 +80,33 @@ class ReducedSystem:
     conv: GeometryConventions
     coeffs_a: tuple  # Fractions, monomial order as in _MONOMIALS
     coeffs_b: tuple
+    # the same coefficients as floats, converted once, and stacked as a
+    # longdouble (2, 6) matrix for lane arrays
+    float_a: tuple = field(init=False, repr=False, compare=False)
+    float_b: tuple = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def rhs(self, a: float, b: float):
+    def __post_init__(self):
+        self.float_a = tuple(float(c) for c in self.coeffs_a)
+        self.float_b = tuple(float(c) for c in self.coeffs_b)
+        self._matrix = np.array([self.float_a, self.float_b],
+                                dtype=np.longdouble)
+
+    def rhs(self, a, b):
+        """(a', b') at scalars or, elementwise, at longdouble lane arrays."""
+        if isinstance(a, np.ndarray) and a.dtype == np.longdouble:
+            # numpy's longdouble matmul has no BLAS kernel: it sums c*m from 0
+            # in monomial order, the float expression of the scalar branch
+            mono = np.empty((6,) + a.shape, dtype=np.longdouble)
+            mono[0], mono[1], mono[2] = 1.0, a, b
+            np.multiply(a, a, out=mono[3])
+            np.multiply(a, b, out=mono[4])
+            np.multiply(b, b, out=mono[5])
+            da, db = self._matrix @ mono
+            return da, db
         mono = (1.0, a, b, a * a, a * b, b * b)
-        da = sum(float(c) * m for c, m in zip(self.coeffs_a, mono))
-        db = sum(float(c) * m for c, m in zip(self.coeffs_b, mono))
+        da = sum(c * m for c, m in zip(self.float_a, mono))
+        db = sum(c * m for c, m in zip(self.float_b, mono))
         return da, db
 
     def rhs_residual(self, a, b, da, db) -> float:
@@ -81,12 +115,12 @@ class ReducedSystem:
         return max(abs(da - fa), abs(db - fb))
 
     def jacobian(self, a: float, b: float):
-        ca, cb = self.coeffs_a, self.coeffs_b
+        ca, cb = self.float_a, self.float_b
         j = np.empty((2, 2))
-        j[0, 0] = float(ca[1]) + 2 * float(ca[3]) * a + float(ca[4]) * b
-        j[0, 1] = float(ca[2]) + float(ca[4]) * a + 2 * float(ca[5]) * b
-        j[1, 0] = float(cb[1]) + 2 * float(cb[3]) * a + float(cb[4]) * b
-        j[1, 1] = float(cb[2]) + float(cb[4]) * a + 2 * float(cb[5]) * b
+        j[0, 0] = ca[1] + 2 * ca[3] * a + ca[4] * b
+        j[0, 1] = ca[2] + ca[4] * a + 2 * ca[5] * b
+        j[1, 0] = cb[1] + 2 * cb[3] * a + cb[4] * b
+        j[1, 1] = cb[2] + cb[4] * a + 2 * cb[5] * b
         return j
 
     def is_stationary(self, a: float, b: float, tol: float = 1e-12) -> bool:
@@ -356,68 +390,148 @@ class IvpResult:
     ys: np.ndarray
     states: np.ndarray  # shape (n, 2), float view of the accepted knots
     dense: object
+    forced_steps: int = 0  # steps accepted only at the step-size floor
 
     def at(self, y):
         return self.dense(y)
 
 
+def _weights(row):
+    """A Butcher row without its zero entries: (stage indices, weights);
+    the indices are a slice where they are contiguous."""
+    idx = [j for j, c in enumerate(row) if c != 0.0]
+    w = np.array([row[j] for j in idx], dtype=np.longdouble)
+    if idx == list(range(idx[0], idx[-1] + 1)):
+        idx = slice(idx[0], idx[-1] + 1)
+    return idx, w
+
+
+_DP_STAGES = tuple(_weights(row) for row in _DP_A[1:])
+_DP_W5 = _weights(_DP_B5)
+_DP_W4 = _weights(_DP_B4)
+_H_FLOOR = 1e-12  # a step this small is accepted whatever its (non-NaN) error
+
+# how a lane leaves the stepper
+_REACHED, _BLOWN, _NONFINITE = "reached", "blow", "non-finite"
+
+
+def _combine(ks, weights):
+    """sum_j w_j k_j over the listed stages, for every lane at once."""
+    idx, w = weights
+    return (w @ ks[idx].reshape(len(w), -1)).reshape(ks.shape[1:])
+
+
+@dataclass
+class _LaneRun:
+    ys: np.ndarray  # per lane, where it left the batch
+    states: np.ndarray  # shape (2, k), longdouble, the state it left with
+    status: list  # _REACHED, _BLOWN or _NONFINITE per lane
+    forced: np.ndarray  # per lane, steps accepted only at the step floor
+
+
+def _dp_lanes(sys: ReducedSystem, y0: float, states, y1: float, rtol: float,
+              atol: float, max_step: float, knots=None) -> _LaneRun:
+    """Advance k lanes (``states`` of shape (2, k)) from y0 towards y1 with the
+    Dormand-Prince 5(4) pair, each lane with its own y and step size.
+
+    All live lanes advance in one array step and the system is evaluated only
+    through ``sys.rhs`` on the lane arrays: once to start and once per stage.
+    A lane leaves the batch when it reaches y1, when its state crosses
+    BLOWUP_THRESHOLD, or, as non-finite, when a step still produces a NaN at
+    the step-size floor (a NaN error norm rejects the step and shrinks it
+    like a large error).  Per lane the arithmetic is that of a single
+    trajectory, so a lane's result does not depend on its batch.  ``knots``
+    (three lists, one-lane runs only) collects the accepted y, states and
+    derivatives for dense output.
+    """
+    ld = np.longdouble
+    s = np.array(states, dtype=ld)
+    k = s.shape[1]
+    y_end = ld(y1)
+    y = np.full(k, ld(y0))
+    h = ld(1e-3)
+    if y_end > ld(y0):
+        h = min(ld(max_step), (y_end - ld(y0)) / 10)
+    h = np.full(k, max(h, ld(1e-6)))
+    ks = np.empty((7,) + s.shape, dtype=ld)
+    ks[0, 0], ks[0, 1] = sys.rhs(s[0], s[1])
+
+    def keep_knot():
+        knots[0].append(y[0])
+        knots[1].append(s[:, 0].copy())
+        knots[2].append(ks[0, :, 0].copy())
+
+    if knots is not None:
+        keep_knot()
+
+    out = _LaneRun(np.empty(k), np.empty((2, k), dtype=ld), [_REACHED] * k,
+                   np.zeros(k, dtype=int))
+    lanes = np.arange(k)  # batch index of each live lane
+    live = y < y_end
+    while True:
+        if not live.all():
+            gone = lanes[~live]
+            out.ys[gone] = y[~live]
+            out.states[:, gone] = s[:, ~live]
+            lanes, y, h, s, ks = (lanes[live], y[live], h[live], s[:, live],
+                                  ks[:, :, live])
+        if not lanes.size:
+            return out
+        h = np.minimum(np.minimum(h, y_end - y), ld(max_step))
+        for stage, weights in enumerate(_DP_STAGES, start=1):
+            t = s + h * _combine(ks, weights)
+            ks[stage, 0], ks[stage, 1] = sys.rhs(t[0], t[1])
+        s5 = s + h * _combine(ks, _DP_W5)
+        s4 = s + h * _combine(ks, _DP_W4)
+        err = s5 - s4
+        scale = ld(atol) + ld(rtol) * np.maximum(np.abs(s), np.abs(s5))
+        q = (err / scale) ** 2
+        err_norm = np.sqrt((q[0] + q[1]) / 2).astype(float)  # mean over (a, b)
+        nan = np.isnan(err_norm)
+        floor = h <= ld(_H_FLOOR)
+        small = err_norm <= 1.0
+        accept = small | (floor & ~nan)
+        nonfinite = floor & nan
+        out.forced[lanes[accept & ~small]] += 1
+        y = np.where(accept, y + h, y)
+        s = np.where(accept, s5, s)
+        ks[0] = np.where(accept, ks[6], ks[0])  # first-same-as-last
+        if knots is not None and accept[0]:
+            keep_knot()
+        # Python's float ** per lane: numpy's vectorised power may round
+        # differently, and the step sequence must not depend on the batch
+        factor = [0.9 * e ** -0.2 if e > 0 else 5.0 if e == 0 else 0.2
+                  for e in err_norm.tolist()]
+        h = h * np.array([min(5.0, max(0.2, f)) for f in factor], dtype=ld)
+
+        sf = s.astype(float)
+        blown = np.abs(sf[0]) + np.abs(sf[1]) > BLOWUP_THRESHOLD
+        for mask, status in ((blown, _BLOWN), (nonfinite, _NONFINITE)):
+            for lane in lanes[mask]:
+                out.status[lane] = status
+        live = ~(blown | nonfinite) & (y < y_end)
+
+
 def integrate_ivp(sys: ReducedSystem, y0: float, state, y1: float,
                   rtol: float = 1e-15, atol: float = 1e-18,
                   max_step: float = 0.25) -> IvpResult:
-    """Adaptive extended-precision integration of the reduced system;
-    raises BlowUpError when the state norm crosses the blow-up threshold."""
+    """Adaptive extended-precision integration of the reduced system (the
+    one-lane case of the Dormand-Prince stepper); raises BlowUpError when the
+    state norm crosses the blow-up threshold or a step produces a NaN."""
     if y0 <= 0 or y1 <= 0:
         raise ValueError("integration endpoints must be positive")
-    ld = np.longdouble
-    s = np.array([ld(state[0]), ld(state[1])])
+    s = np.array([[state[0]], [state[1]]], dtype=np.longdouble)
     if not np.all(np.isfinite(s.astype(float))):
         raise ValueError("initial state must be finite")
-
-    def f(v):
-        da, db = sys.rhs(v[0], v[1])
-        return np.array([da, db])
-
-    y = ld(y0)
-    y_end = ld(y1)
-    h = min(ld(max_step), (y_end - y) / 10) if y_end > y else ld(1e-3)
-    h = max(h, ld(1e-6))
-    knots_y = [y]
-    knots_s = [s.copy()]
-    k1 = f(s)
-    knots_d = [k1.copy()]
-    ks = [None] * 7
-
-    while y < y_end:
-        h = min(h, y_end - y, ld(max_step))
-        ks[0] = k1
-        for stage in range(1, 7):
-            acc = s * 0
-            for j, aij in enumerate(_DP_A[stage]):
-                if aij != 0.0:
-                    acc = acc + ld(aij) * ks[j]
-            ks[stage] = f(s + h * acc)
-        s5 = s + h * sum(ld(b) * ks[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-        s4 = s + h * sum(ld(b) * ks[j] for j, b in enumerate(_DP_B4) if b != 0.0)
-        err = s5 - s4
-        scale = ld(atol) + ld(rtol) * np.maximum(np.abs(s), np.abs(s5))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if err_norm <= 1.0 or h <= ld(1e-12):
-            y = y + h
-            s = s5
-            k1 = ks[6]  # first-same-as-last
-            knots_y.append(y)
-            knots_s.append(s.copy())
-            knots_d.append(k1.copy())
-            if abs(float(s[0])) + abs(float(s[1])) > BLOWUP_THRESHOLD:
-                raise BlowUpError(float(y), s.astype(float))
-            if not np.all(np.isfinite(s.astype(float))):
-                raise BlowUpError(float(y), np.array([np.inf, np.inf]))
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
-        h = h * ld(min(5.0, max(0.2, factor)))
-
+    knots_y, knots_s, knots_d = knots = ([], [], [])
+    run = _dp_lanes(sys, y0, s, y1, rtol, atol, max_step, knots)
+    forced = int(run.forced[0])
+    if run.status[0] != _REACHED:
+        raise BlowUpError(float(run.ys[0]), run.states[:, 0], forced,
+                          nonfinite=run.status[0] == _NONFINITE)
     dense = _HermiteDense(knots_y, np.array(knots_s), np.array(knots_d))
     return IvpResult(np.asarray(knots_y, dtype=float),
-                     np.asarray(knots_s, dtype=float), dense)
+                     np.asarray(knots_s, dtype=float), dense, forced)
 
 
 @dataclass
@@ -426,41 +540,76 @@ class ShootResult:
     result: IvpResult
     trace: list
     expansion: IndicialExpansion
+    # final runs that blew up before y_end and were integrated again to
+    # FALLBACK_Y_END instead
+    fallback_runs: int = 0
+    # steps accepted only at the step-size floor, over every run of the shot
+    forced_steps: int = 0
 
 
-def _classify(sys: ReducedSystem, expansion_order: int, param: float, y0: float,
-              y_end: float):
-    """(outcome, payload): 'decayed' or the sign of b at blow-up."""
+SHOOT_LANES = 15  # interior points classified per k-section pass
+FALLBACK_Y_END = 12.0
+
+
+def _series_state(sys: ReducedSystem, expansion_order: int, param: float,
+                  y0: float):
     exp = indicial_expand(sys, expansion_order,
                           free_param=Fraction(param).limit_denominator(10**15))
-    state = exp.state(y0)
-    try:
-        res = integrate_ivp(sys, y0, state, y_end, rtol=1e-13, atol=1e-16)
-    except BlowUpError as e:
-        return ("blow", 1.0 if e.state[1] > 0 else -1.0, e.y_blow)
-    final = res.states[-1]
-    if abs(final[0]) + abs(final[1]) < 1e-3:
-        return ("decayed", 0.0, y_end)
-    return ("blow", 1.0 if final[1] > 0 else -1.0, y_end)
+    return exp, exp.state(y0)
+
+
+def _classify_lanes(sys: ReducedSystem, expansion_order: int, params,
+                    y0: float, y_end: float):
+    """One batched run; per parameter (outcome, payload, y): 'decayed',
+    'blow' with the sign of b as payload, or 'non-finite' (no sign).
+    Returns the outcomes and the run's forced-step count."""
+    states = [_series_state(sys, expansion_order, p, y0)[1] for p in params]
+    run = _dp_lanes(sys, y0, np.array(states).T, y_end, rtol=1e-13,
+                    atol=1e-16, max_step=0.25)
+    outcomes = []
+    for lane, status in enumerate(run.status):
+        a, b = (float(x) for x in run.states[:, lane])
+        sign = 1.0 if b > 0 else -1.0
+        if status == _NONFINITE:
+            outcomes.append((_NONFINITE, 0.0, float(run.ys[lane])))
+        elif status == _BLOWN:
+            outcomes.append(("blow", sign, float(run.ys[lane])))
+        elif abs(a) + abs(b) < 1e-3:
+            outcomes.append(("decayed", 0.0, y_end))
+        else:
+            outcomes.append(("blow", sign, y_end))
+    return outcomes, int(run.forced.sum())
 
 
 def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
                     bracket=(-1.0, -0.3), expansion_order: int = 6,
                     y_end: float = 20.0, param_tol: float = 1e-14) -> ShootResult:
-    """Bisect the free series coefficient until the trajectory decays to the
-    stationary point (0, 0) instead of blowing up.
+    """Narrow the bracket on the free series coefficient by k-section over
+    lanes until the trajectory decays to the stationary point (0, 0) instead
+    of blowing up.
 
     Trajectories straddling the decaying one blow up with opposite signs of
-    b, which is the bisection predicate.
+    b, which is the predicate.  Each pass classifies SHOOT_LANES equally
+    spaced interior points in one batched run and keeps the sub-interval
+    where the sign changes, so the bracket shrinks (SHOOT_LANES + 1)-fold.
+    A lane that turns non-finite has no sign and raises.
     """
     if y0 > 0.2:
         raise ValueError("series initial data is only trusted for y0 <= 0.2")
     lo, hi = bracket
     trace = []
-    out_lo = _classify(sys, expansion_order, lo, y0, y_end)
-    out_hi = _classify(sys, expansion_order, hi, y0, y_end)
-    trace.append((lo, out_lo[0], out_lo[1]))
-    trace.append((hi, out_hi[0], out_hi[1]))
+
+    def classify(params):
+        outcomes, forced = _classify_lanes(sys, expansion_order, params, y0,
+                                           y_end)
+        for p, out in zip(params, outcomes):
+            trace.append((p, out[0], out[1]))
+            if out[0] == _NONFINITE:
+                raise ValueError(f"shooting run at parameter {p!r} turned "
+                                 f"non-finite near y = {out[2]:.6g}")
+        return outcomes, forced
+
+    (out_lo, out_hi), forced = classify((lo, hi))
     if out_lo[0] == "blow" and out_hi[0] == "blow" and out_lo[1] == out_hi[1]:
         raise ValueError("decay manifold not bracketed")
 
@@ -468,24 +617,33 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
         mid = 0.5 * (lo + hi)
         if hi - lo < param_tol * max(1.0, abs(mid)):
             break
-        out = _classify(sys, expansion_order, mid, y0, y_end)
-        trace.append((mid, out[0], out[1]))
-        if out[0] == "decayed":
-            lo = hi = mid
+        width = hi - lo
+        params = [lo + width * (i / (SHOOT_LANES + 1))
+                  for i in range(1, SHOOT_LANES + 1)]
+        outcomes, n = classify(params)
+        forced += n
+        before = (lo, hi)
+        for p, out in zip(params, outcomes):
+            if out[0] == "decayed":
+                lo = hi = p
+                break
+            if out[1] != out_lo[1]:
+                hi = p
+                break
+            lo = p
+        if lo == hi or (lo, hi) == before:
             break
-        if out[1] == out_lo[1]:
-            lo = mid
-            out_lo = out
-        else:
-            hi = mid
 
     param = 0.5 * (lo + hi)
-    exp = indicial_expand(sys, expansion_order,
-                          free_param=Fraction(param).limit_denominator(10**15))
-    state = exp.state(y0)
+    exp, state = _series_state(sys, expansion_order, param, y0)
+    fallback = 0
     try:
         res = integrate_ivp(sys, y0, state, y_end, rtol=1e-13, atol=1e-16)
-    except BlowUpError:
+    except BlowUpError as e:
         # located parameter is machine-accurate; integrate on the safe range
-        res = integrate_ivp(sys, y0, state, 12.0, rtol=1e-13, atol=1e-16)
-    return ShootResult(param=param, result=res, trace=trace, expansion=exp)
+        fallback, forced = 1, forced + e.forced_steps
+        res = integrate_ivp(sys, y0, state, FALLBACK_Y_END, rtol=1e-13,
+                            atol=1e-16)
+    return ShootResult(param=param, result=res, trace=trace, expansion=exp,
+                       fallback_runs=fallback,
+                       forced_steps=forced + res.forced_steps)

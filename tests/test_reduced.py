@@ -15,13 +15,18 @@ from kwlab.profiles import (
     pole_scalars_extended,
 )
 from kwlab.quadrature import QuadratureSpec, l2_norm_sq
+from kwlab import reduced
 from kwlab.reduced import (
     BlowUpError,
+    ReducedSystem,
     derive_reduced_system,
     indicial_expand,
     integrate_ivp,
     shoot_for_decay,
 )
+
+# decaying parameter located at y0 = 0.1 by the shooting solver
+ROOT = -0.6666666782307307
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +222,127 @@ def test_shot_profile_energy_consistency(conv, shot, quad_spec):
     got, _ = l2_norm_sq(density_fn(conv, field, ("F_sq",)), spec)
     want, _ = l2_norm_sq(density_fn(conv, model, ("F_sq",)), spec)
     assert abs(got - want) / want <= 1e-3
+
+
+def _one_lane_outcome(system, param, y0=0.1, y_end=20.0):
+    """Classification of one parameter from a single integrate_ivp run."""
+    exp = indicial_expand(system, 6,
+                          free_param=Fraction(param).limit_denominator(10**15))
+    try:
+        res = integrate_ivp(system, y0, exp.state(y0), y_end, rtol=1e-13,
+                            atol=1e-16)
+    except BlowUpError as e:
+        assert not e.nonfinite
+        return ("blow", 1.0 if e.state[1] > 0 else -1.0, e.y_blow)
+    a, b = res.states[-1]
+    if abs(a) + abs(b) < 1e-3:
+        return ("decayed", 0.0, y_end)
+    return ("blow", 1.0 if b > 0 else -1.0, y_end)
+
+
+def test_batched_outcomes_match_one_lane_runs(system, shot):
+    lo, hi = -1.0, -0.3
+    interior = [lo + (hi - lo) * (i / 16) for i in range(1, 16)]
+    near_root = [ROOT + d for d in np.linspace(-1e-13, 1e-13, 7)]
+    params = [lo, hi] + interior + near_root
+    batched, forced = reduced._classify_lanes(system, 6, params, 0.1, 20.0)
+    assert forced == 0
+    for p, got in zip(params, batched):
+        assert got == _one_lane_outcome(system, p), p
+    # the first k-section pass of the shot classifies the same points
+    assert [t[0] for t in shot.trace[2:17]] == interior
+    assert [t[1:] for t in shot.trace[2:17]] == [o[:2] for o in batched[2:17]]
+    # both signs occur close to the root
+    assert {o[1] for o in batched[-7:]} == {-1.0, 1.0}
+
+
+def test_rhs_lanes_match_scalar_and_exact(system):
+    rng = np.random.default_rng(5)
+    a = (rng.normal(size=200) * np.logspace(-9, 7, 200)).astype(np.longdouble)
+    b = (rng.normal(size=200) * np.logspace(7, -9, 200)).astype(np.longdouble)
+    da, db = system.rhs(a, b)
+    for i in range(a.size):
+        sa, sb = system.rhs(a[i], b[i])
+        assert da[i] == sa and db[i] == sb
+
+    # at dyadic rationals every step of the float evaluation is exact
+    def exact(coeffs, x, y):
+        return sum(c * x**p * y**q
+                   for c, (p, q) in zip(coeffs, reduced._MONOMIALS))
+
+    xs = [Fraction(i, 8) for i in range(-12, 13, 3)]
+    ys = [Fraction(j, 16) for j in range(-20, 21, 5)]
+    grid = [(x, y) for x in xs for y in ys]
+    la = np.array([float(x) for x, _ in grid], dtype=np.longdouble)
+    lb = np.array([float(y) for _, y in grid], dtype=np.longdouble)
+    da, db = system.rhs(la, lb)
+    for i, (x, y) in enumerate(grid):
+        want = (exact(system.coeffs_a, x, y), exact(system.coeffs_b, x, y))
+        assert (Fraction(*da[i].as_integer_ratio()),
+                Fraction(*db[i].as_integer_ratio())) == want
+        assert system.rhs(float(x), float(y)) == (float(want[0]),
+                                                  float(want[1]))
+
+
+def test_shooting_locates_parameter(shot):
+    assert abs(shot.param - ROOT) <= 1e-13
+    # each k-section pass narrows the bracket 16-fold: 2 ends + 12 passes
+    assert len(shot.trace) == 2 + 12 * reduced.SHOOT_LANES
+    # the machine-accurate parameter still blows up before y = 20, so the
+    # final run is integrated again on the safe range, and says so
+    assert shot.fallback_runs == 1
+    assert shot.forced_steps == 0
+    assert shot.result.ys[-1] == reduced.FALLBACK_Y_END
+
+
+def test_nan_state_is_nonfinite_without_sign(system, monkeypatch):
+    rhs = ReducedSystem.rhs
+
+    def poisoned(self, a, b):
+        da, db = rhs(self, a, b)
+        return np.where(a < 0.5, np.nan, da), db
+
+    monkeypatch.setattr(ReducedSystem, "rhs", poisoned)
+    a0, b0, _, _ = pole_scalars_extended(0.1)
+    with pytest.raises(BlowUpError, match="non-finite") as exc:
+        integrate_ivp(system, 0.1, (a0, b0), 10.0)
+    # the closed form passes a = 0.5 near y = 1.03
+    assert exc.value.nonfinite and 0.8 < exc.value.y_blow < 1.1
+    assert all(math.isfinite(x) for x in exc.value.state)
+    outcomes, _ = reduced._classify_lanes(system, 6, [ROOT, -2.0 / 3.0],
+                                          0.1, 20.0)
+    assert [o[:2] for o in outcomes] == [("non-finite", 0.0)] * 2
+    with pytest.raises(ValueError, match="non-finite"):
+        shoot_for_decay(system, y0=0.1)
+
+
+def test_ivp_rhs_call_contract(system, monkeypatch):
+    # one rhs call to start and six per attempted step: the traced benchmark
+    # (perfbench/tracing.py) derives attempted steps from this count
+    calls = []
+    rhs = ReducedSystem.rhs
+
+    def counted(self, a, b):
+        calls.append(np.shape(a))
+        return rhs(self, a, b)
+
+    monkeypatch.setattr(ReducedSystem, "rhs", counted)
+    # zero error from a stationary start: every attempted step is accepted
+    res = integrate_ivp(system, 0.5, (2.0, 0.0), 6.0)
+    assert len(calls) == 1 + 6 * (len(res.ys) - 1)
+    assert set(calls) == {(1,)}
+
+    # this run rejects steps, so there are more attempted than accepted ones
+    calls.clear()
+    res = integrate_ivp(system, 1.0, (1.5, 0.5), 3.0, rtol=1e-12, atol=1e-14)
+    assert (len(calls) - 1) % 6 == 0
+    assert (len(calls) - 1) // 6 > len(res.ys) - 1
+    assert res.forced_steps == 0
+
+    # with the step floor above every step size nothing is rejected, and
+    # the steps accepted despite their error are counted
+    monkeypatch.setattr(reduced, "_H_FLOOR", 1.0)
+    calls.clear()
+    res = integrate_ivp(system, 1.0, (1.5, 0.5), 3.0, rtol=1e-12, atol=1e-14)
+    assert len(calls) == 1 + 6 * (len(res.ys) - 1)
+    assert res.forced_steps > 0
