@@ -39,6 +39,7 @@ from .profiles import (
     pole_scalars_extended,
     scaled_matrix_profile,
 )
+from .quadrature import exp_nodes
 from .report import make_check, write_checks_json, write_csv, write_energy_json
 
 _I3 = np.eye(3)
@@ -51,12 +52,18 @@ def _active_conventions(cfg: SuiteConfig):
 
 def _guard(checks: list, check_id: str, fn):
     """Run one check producer; an exception fails that check and the suite
-    moves on."""
+    moves on.  The report keeps the message; the exception type and the
+    line that raised go to stderr."""
     try:
         out = fn()
     except Exception as e:
+        import traceback  # only on failure: it adds to every run's memory
+
         checks.append(make_check(check_id, f"check raised: {e}", computed=None,
                                  ok=False))
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        print(f"{check_id}: {type(e).__name__} raised at "
+              f"{where.filename}:{where.lineno}: {e}", file=sys.stderr)
         return
     if isinstance(out, list):
         checks.extend(out)
@@ -254,14 +261,14 @@ def suite_energy(cfg: SuiteConfig) -> list:
     def envelope():
         env_ok = True
         envelope_k = 0.0
+        fit = np.linspace(1.0, 5.0, 50)
+        grid = np.linspace(1.0, cfg.y_max, 200)
         for key in ("F_sq", "S_sq"):
             dens = energy.density_fn(conv, model, (key,))
-            k_const = max(dens(float(y)) * math.exp(4.0 * float(y))
-                          for y in np.linspace(1.0, 5.0, 50)) * 1.5
+            k_const = float(np.max(dens(fit) * exp_nodes(4.0 * fit))) * 1.5
             envelope_k = max(envelope_k, k_const)
-            for y in np.linspace(1.0, cfg.y_max, 200):
-                if dens(float(y)) > k_const * math.exp(-4.0 * float(y)):
-                    env_ok = False
+            if np.any(dens(grid) > k_const * exp_nodes(-4.0 * grid)):
+                env_ok = False
         return make_check(
             "c-model-envelope",
             "model energy densities under the exponential envelope for y >= 1",
@@ -272,7 +279,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
 
         q_val, q_err = energy.topological_charge(
             conv, scaled_matrix_profile(pole_a, _I3), spec)
-        a0, a1 = pole_scalars(1e-8)[0], pole_scalars(cfg.y_max)[0]
+        a0, a1 = (float(pole_scalars(y)[0]) for y in (1e-8, cfg.y_max))
         oracle = -1.5 * ((a1**3 / 3 - a1**2) - (a0**3 / 3 - a0**2))
         out = [make_check(
             "charge-model", "topological charge against the antiderivative oracle",
@@ -450,18 +457,17 @@ def emit_plotdata(target: str, cfg: SuiteConfig, out_dir: str):
     model = nahm_pole_invariant_solution()
     os.makedirs(out_dir, exist_ok=True)
     if target == "profiles":
-        rows = []
-        for y in np.geomspace(1e-3, 12.0, 400):
-            a, b, _, _ = pole_scalars(float(y))
-            rows.append([repr(float(y)), repr(a), repr(b)])
+        ys = np.geomspace(1e-3, 12.0, 400)
+        a, b, _, _ = pole_scalars(ys)
+        rows = [[repr(float(x)) for x in row] for row in zip(ys, a, b)]
         write_csv(os.path.join(out_dir, "profiles.csv"), ["y", "a", "b"], rows)
         return ["profiles.csv"]
     if target == "integrands":
         keys = ("F_sq", "nabla_bar_sq", "S_sq", "phi_sq")
-        rows = []
-        for y in np.geomspace(1e-3, 12.0, 400):
-            d = energy.densities(conv, model, float(y))
-            rows.append([repr(float(y))] + [repr(float(d[k])) for k in keys])
+        ys = np.geomspace(1e-3, 12.0, 400)
+        d = energy.densities(conv, model, ys, keys)
+        rows = [[repr(float(x)) for x in row]
+                for row in zip(ys, *(d[k] for k in keys))]
         write_csv(os.path.join(out_dir, "integrands.csv"), ["y", *keys], rows)
         return ["integrands.csv"]
     if target == "eps-sweep":
@@ -620,8 +626,8 @@ def main(argv=None) -> int:
                 "parameter": shot.param,
                 "fallback_runs": shot.fallback_runs,
                 "forced_steps": shot.forced_steps,
-                "trace": [{"param": p, "outcome": o, "y": yy}
-                          for p, o, yy in shot.trace],
+                "trace": [{"param": p, "outcome": o, "sign": sign, "y": yy}
+                          for p, o, sign, yy in shot.trace],
             })
             print(f"wrote {args.out_profile}, {args.out_log}")
             return 0

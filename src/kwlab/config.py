@@ -12,28 +12,36 @@ from dataclasses import dataclass, field
 
 from .quadrature import TAIL_MODES, QuadratureSpec
 
-# known check-id prefixes for tolerance overrides
-KNOWN_CHECK_PREFIXES = (
-    "calibrate",
-    "ricci",
-    "flat-star-orientation",
-    "su2-",
-    "residual-",
-    "scale-invariance-flat",
-    "profile-scaling-rate",
-    "taubes-",
-    "eigen-table",
-    "star-table",
+# every check id the suites emit; a tolerance override must name one of them
+KNOWN_CHECK_IDS = frozenset((
+    # algebra
+    "su2-bracket", "su2-inner", "su2-rotation", "su2-jacobi",
+    # models
+    "calibrate", "ricci", "residual-invariant-model-alt", "residual-nahm-pole",
+    "residual-nahm-singular", "scale-invariance-flat", "profile-scaling-rate",
+    "taubes-combination",
+    # decomposition
     "decomposition-suite",
-    "projection-battery",
-    "energy-",
-    "c-model-",
-    "charge-",
-    "perturbation-chain",
-    "theorem-bound",
-    "solver-",
-    "integrating-factor",
-)
+    *(f"eigen-table-v{i}-{k}" for i, dim in ((1, 1), (2, 3), (3, 5))
+      for k in range(dim)),
+    *(f"star-table-{name}" for name in (
+        "mu1", "mu2", "mu3", "nu1", "nu2", "nu3", "nu12", "nu13",
+        "nu1-sign", "nu2-sign", "nu3-sign", "nu12-sign", "nu13-sign",
+        "mu12-perp", "mu13-perp", "mu21-perp", "mu23-perp", "mu31-perp",
+        "mu32-perp", "nu-diag-bracket-v1", "te-decomposition",
+        "mu1-v1-magnitude", "nu1-v1-magnitude", "nu12-v1-magnitude")),
+    *(f"star-table-nu-bracket-{a}{b}-perp" for a in range(5) for b in range(5)
+      if a != b and {a, b} != {3, 4}),
+    # energy
+    "energy-first-order-balance", "energy-square-completion",
+    "energy-bulk-boundary-balance", "energy-cutoff-limit", "energy-route-match",
+    "energy-weighted-bound", "c-model-stability", "c-model-envelope",
+    "charge-model", "charge-model-alt", "perturbation-chain", "theorem-bound",
+    # solver
+    "solver-closure", "solver-stationary", "solver-jacobian",
+    "solver-closed-form-residual", "solver-ivp-match", "solver-indicial",
+    "solver-shooting", "solver-decay-envelope", "solver-flow-translate",
+))
 
 SUITES = ("algebra", "models", "decomposition", "energy", "solver", "all")
 
@@ -64,7 +72,7 @@ class SuiteConfig:
         if self.tail_mode not in TAIL_MODES:
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
         for cid, tol in self.tol_overrides.items():
-            if not any(cid.startswith(p) for p in KNOWN_CHECK_PREFIXES):
+            if cid not in KNOWN_CHECK_IDS:
                 raise ValueError(f"unknown check id in tolerance override: {cid!r}")
             if not tol > 0:
                 raise ValueError(f"tolerance for {cid!r} must be positive")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .profiles import (
 from .quadrature import (
     VOL_S3,
     QuadratureSpec,
+    exp_nodes,
     integrate_halfline,
     integrate_interval,
     integrate_smooth_from_zero,
@@ -70,59 +72,109 @@ IDENTITY_IDS = (
 # pointwise densities
 # ---------------------------------------------------------------------------
 
-def field_matrices(conv: GeometryConventions, field: InvariantField, y: float):
-    a, da = field.connection.eval(y)
-    p, dp = field.higgs.eval(y)
-    a = np.asarray(a, dtype=float)
-    da = np.asarray(da, dtype=float)
-    p = np.asarray(p, dtype=float)
-    dp = np.asarray(dp, dtype=float)
-    t_f = -conv.c * a + 0.5 * wedge_bracket_matrix(a, a)
-    s_mat = dp + 0.5 * wedge_bracket_matrix(p, p)
-    return {"a": a, "da": da, "p": p, "dp": dp, "T_F": t_f, "N_F": da, "S": s_mat}
+def _matrix_first(m):
+    """(..., 3, 3) -> (3, 3, ...) as float64: m[i][a] is then entry (i, a) at
+    every node, which is how the forms kernels index matrices."""
+    return np.moveaxis(np.asarray(m, dtype=float), (-2, -1), (0, 1))
 
 
-def _nabla_bar_sq(conv: GeometryConventions, a, p) -> float:
+class _FieldAt:
+    """Coefficient matrices of a field at y (a node or an array of nodes),
+    matrix axes first.  Each is formed on first use, so a density reads only
+    the profiles and brackets it needs."""
+
+    def __init__(self, conv: GeometryConventions, field: InvariantField, y):
+        self.c = conv.c
+        self._field = field
+        self._y = y
+
+    @cached_property
+    def _connection(self):
+        return [_matrix_first(m) for m in self._field.connection.eval(self._y)]
+
+    @cached_property
+    def _higgs(self):
+        return [_matrix_first(m) for m in self._field.higgs.eval(self._y)]
+
+    a = property(lambda self: self._connection[0])
+    n_f = property(lambda self: self._connection[1])  # normal curvature = a'
+    p = property(lambda self: self._higgs[0])
+    dp = property(lambda self: self._higgs[1])
+
+    @cached_property
+    def t_f(self):  # tangential curvature
+        return -self.c * self.a + 0.5 * wedge_bracket_matrix(self.a, self.a)
+
+    @cached_property
+    def phi2(self):
+        return 0.5 * wedge_bracket_matrix(self.p, self.p)
+
+
+def _nabla_bar_sq(m: _FieldAt):
     """|tangential covariant derivative of phi|^2 from the frame connection."""
+    a, p = m.a, m.p
     total = 0.0
-    half_c = 0.5 * conv.c
+    half_c = 0.5 * m.c
     for ai in range(3):
         for b in range(3):
             vec = cross3(a[:, ai], p[:, b])
             for i, j, k, s in EPS_TABLE:
                 if i == ai and j == b:
                     vec = vec - half_c * s * p[:, k]
-            total += 0.5 * float(np.dot(vec, vec))
+            # np.vecdot runs np.dot's BLAS kernel (fused multiply-adds) at
+            # each node; a plain sum of products rounds differently
+            total += 0.5 * np.vecdot(vec, vec, axis=0)
     return total
 
 
-def densities(conv: GeometryConventions, field: InvariantField, y: float) -> dict:
-    m = field_matrices(conv, field, y)
-    t_f, n_f, p, dp, s_mat = m["T_F"], m["N_F"], m["p"], m["dp"], m["S"]
-    phi2 = 0.5 * wedge_bracket_matrix(p, p)
-    d = {
-        "F_sq": 0.5 * (frob_inner(t_f, t_f) + frob_inner(n_f, n_f)),
-        "nabla_bar_sq": _nabla_bar_sq(conv, m["a"], p),
-        "S_sq": 0.5 * frob_inner(s_mat, s_mat),
-        "phi_sq": 0.5 * frob_inner(p, p),
-        "dyphi_sq": 0.5 * frob_inner(dp, dp),
-        "phi2_sq": 0.5 * frob_inner(phi2, phi2),
-    }
-    fm = t_f - phi2
-    d["F_minus_phi2_sq"] = 0.5 * (frob_inner(fm, fm) + frob_inner(n_f, n_f))
-    t_dphi = -conv.c * p + wedge_bracket_matrix(m["a"], p)
-    d["dAphi_sq"] = 0.5 * (frob_inner(t_dphi, t_dphi) + frob_inner(dp, dp))
-    div = sum(cross3(m["a"][:, col], p[:, col]) for col in range(3))
-    d["dAstar_sq"] = 0.5 * float(np.dot(div, div))
-    d["charge_density"] = -0.5 * frob_inner(n_f, t_f)
-    return d
+def _f_minus_phi2_sq(m: _FieldAt):
+    fm = m.t_f - m.phi2
+    return 0.5 * (frob_inner(fm, fm) + frob_inner(m.n_f, m.n_f))
+
+
+def _d_a_phi_sq(m: _FieldAt):
+    t_dphi = -m.c * m.p + wedge_bracket_matrix(m.a, m.p)
+    return 0.5 * (frob_inner(t_dphi, t_dphi) + frob_inner(m.dp, m.dp))
+
+
+def _d_a_star_sq(m: _FieldAt):
+    div = sum(cross3(m.a[:, col], m.p[:, col]) for col in range(3))
+    return 0.5 * np.vecdot(div, div, axis=0)
+
+
+def _s_sq(m: _FieldAt):
+    s_mat = m.dp + m.phi2
+    return 0.5 * frob_inner(s_mat, s_mat)
+
+
+_DENSITIES = {
+    "F_sq": lambda m: 0.5 * (frob_inner(m.t_f, m.t_f) + frob_inner(m.n_f, m.n_f)),
+    "nabla_bar_sq": _nabla_bar_sq,
+    "S_sq": _s_sq,
+    "phi_sq": lambda m: 0.5 * frob_inner(m.p, m.p),
+    "dyphi_sq": lambda m: 0.5 * frob_inner(m.dp, m.dp),
+    "phi2_sq": lambda m: 0.5 * frob_inner(m.phi2, m.phi2),
+    "F_minus_phi2_sq": _f_minus_phi2_sq,
+    "dAphi_sq": _d_a_phi_sq,
+    "dAstar_sq": _d_a_star_sq,
+    "charge_density": lambda m: -0.5 * frob_inner(m.n_f, m.t_f),
+}
+DENSITY_KEYS = tuple(_DENSITIES)
+
+
+def densities(conv: GeometryConventions, field: InvariantField, y,
+              keys=DENSITY_KEYS) -> dict:
+    """The named pointwise densities at y (a node or an array of nodes)."""
+    m = _FieldAt(conv, field, y)
+    return {k: _DENSITIES[k](m) for k in keys}
 
 
 def density_fn(conv, field, keys):
-    """Sum of the named densities as a scalar function of y."""
+    """Sum of the named densities as a function of y (a node or an array of
+    nodes)."""
     def f(y):
-        d = densities(conv, field, y)
-        return float(sum(d[k] for k in keys))
+        d = densities(conv, field, y, keys)
+        return sum(d[k] for k in keys)
 
     return f
 
@@ -138,9 +190,9 @@ def boundary_terms(conv: GeometryConventions, field: InvariantField, eps: float)
         cubic term  (2/3) int_{S^3} tr phi^3      -> 2 pi^2 det p(eps)
         mixed term  -2  int_{S^3} tr(phi ^ F_A)   -> -2 pi^2 <p, T_F>(eps).
     """
-    m = field_matrices(conv, field, eps)
-    cubic = 2.0 * math.pi**2 * float(det3(m["p"]))
-    mixed = -2.0 * math.pi**2 * float(frob_inner(m["p"], m["T_F"]))
+    m = _FieldAt(conv, field, eps)
+    cubic = 2.0 * math.pi**2 * float(det3(m.p))
+    mixed = -2.0 * math.pi**2 * float(frob_inner(m.p, m.t_f))
     return cubic, mixed
 
 
@@ -164,10 +216,9 @@ def c_model(conv: GeometryConventions, spec: QuadratureSpec):
 def c_decay(grid_max: float = 25.0) -> float:
     """Envelope constant: sup_{y >= 1} |phi_model| e^{2y}, slightly inflated
     so |phi_model| <= c_decay e^{-2y} holds pointwise on y > 1."""
-    sup = 0.0
-    for y in np.linspace(1.0, grid_max, 400):
-        _, b, _, _ = pole_scalars(float(y))
-        sup = max(sup, math.sqrt(OMEGA_NORM_SQ) * b * math.exp(2.0 * float(y)))
+    ys = np.linspace(1.0, grid_max, 400)
+    b = pole_scalars(ys)[1]
+    sup = float(np.max(math.sqrt(OMEGA_NORM_SQ) * b * exp_nodes(2.0 * ys)))
     return sup * (1.0 + 1e-9)
 
 
@@ -177,10 +228,8 @@ def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile,
     integrand is a total derivative, which tests use as the oracle."""
     field = InvariantField(a_profile, scaled_matrix_profile(lambda jy: jy * 0, _I3))
 
-    def dens(y):
-        return densities(conv, field, y)["charge_density"]
-
-    return integrate_smooth_from_zero(dens, spec)
+    return integrate_smooth_from_zero(
+        density_fn(conv, field, ("charge_density",)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +248,12 @@ def _rho_terms(conv, field, spec):
     """Deviation terms of the constant-route identity for phi = phi_model + rho:
     (-4 int tr(phi_model ^ *rho), 2 int |rho|^2, error).  Requires the
     deviation to vanish at the boundary."""
-    def rho_mat(y):
-        p = np.asarray(field.higgs.eval(y)[0], dtype=float)
+    def rho_mat(y):  # matrix axes first
+        p = _matrix_first(field.higgs.eval(y)[0])
         _, b, _, _ = pole_scalars(y)
-        return p - b * _I3
+        return p - np.multiply.outer(_I3, b)
 
-    probe = max(abs(float(x)) for x in rho_mat(1e-6).reshape(9))
+    probe = float(np.max(np.abs(rho_mat(1e-6))))
     if probe > 1e-3:
         raise ValueError("deviation from the reference solution must vanish at y=0")
 
@@ -212,11 +261,11 @@ def _rho_terms(conv, field, spec):
         _, b, _, _ = pole_scalars(y)
         r = rho_mat(y)
         # -4 tr(phi_model ^ *rho) integrand = +4 <phi_model, rho>
-        return 4.0 * b * 0.5 * float(np.trace(r))
+        return 4.0 * b * 0.5 * (r[0][0] + r[1][1] + r[2][2])
 
     def rho_sq(y):
         r = rho_mat(y)
-        return 0.5 * float(frob_inner(r, r))
+        return 0.5 * frob_inner(r, r)
 
     cross, cross_err = l2_norm_sq(cross_dens, spec, from_zero=True)
     rsq, rsq_err = l2_norm_sq(rho_sq, spec, from_zero=True)
@@ -378,6 +427,12 @@ def eps_sweep_rows(conv, field, eps_list, spec: QuadratureSpec):
 # integrating factor and the perturbation chain
 # ---------------------------------------------------------------------------
 
+def _pow2(x):
+    """x ** 2 by libm pow, as Python squares a float.  numpy's x ** 2 is
+    x * x, which differs from it in the last bit for about 0.1 % of inputs."""
+    return np.float_power(x, 2)
+
+
 def integrating_factor(h_fn, alpha_fn, y: float, y_max: float = 40.0) -> float:
     """f(y) = exp(-2 int_y^inf h + int_0^y alpha), the positive weight that
     turns d_y + 2h + alpha into f^{-1} d_y f on V1 profiles."""
@@ -412,11 +467,12 @@ class SyntheticPerturbation:
         if abs(qfar) > 1e-6:
             raise ValueError("perturbation must decay toward infinity")
 
-    def q(self, y: float):
+    def q(self, y):
+        """(q, q') at y, a node or an array of nodes."""
         from .jets import Jet2
 
-        j = self.q_fn(Jet2.var(float(y)))
-        return float(j.f), float(j.d1)
+        j = self.q_fn(Jet2.var(np.asarray(y, dtype=float)))
+        return j.f, j.d1
 
     def field(self) -> InvariantField:
         from .profiles import pole_a, pole_b
@@ -479,20 +535,21 @@ def perturbation_chain(conv: GeometryConventions, pert: SyntheticPerturbation,
         return gamma * pert.q(y)[1]
 
     def g_of(y):  # f^{-1} d_y (f alpha) = alpha' + 2 h alpha + alpha^2
-        return dalpha(y) + 2.0 * h_of(y) * alpha(y) + alpha(y) ** 2
+        return dalpha(y) + 2.0 * h_of(y) * alpha(y) + _pow2(alpha(y))
 
     def s_full_norm(y):  # |d_y phi + *3 phi^2| of the perturbed field
         _, b_, _, db_ = pole_scalars(y)
         q, dq = pert.q(y)
-        p = b_ * _I3 + q * m
-        dp = db_ * _I3 + dq * m
+        outer = np.multiply.outer  # matrix axes first
+        p = outer(_I3, b_) + outer(m, q)
+        dp = outer(_I3, db_) + outer(m, dq)
         s = dp + 0.5 * wedge_bracket_matrix(p, p)
-        return math.sqrt(0.5 * frob_inner(s, s))
+        return np.sqrt(0.5 * frob_inner(s, s))
 
     # |c|, where c * omega is *3 d_y rho1 + [phi_model, rho1] + (rho ^ rho)^(1);
     # its norm is |c| * w_abs, so it enters the chain as |c| * w_sq
     def mid_norm(y):
-        return abs(dalpha(y) + 2.0 * h_of(y) * alpha(y) + q_of(y) ** 2 * w1)
+        return abs(dalpha(y) + 2.0 * h_of(y) * alpha(y) + _pow2(q_of(y)) * w1)
 
     def near(f):
         return V * integrate_interval(f, 0.0, 1.0, panels=32)[0]
@@ -501,30 +558,30 @@ def perturbation_chain(conv: GeometryConventions, pert: SyntheticPerturbation,
     line1 = near(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
     line2 = near(lambda y: 2.0 * h_of(y) * abs(alpha(y)) * w_sq)
     b1 = V * abs(alpha(1.0)) * w_sq
-    rho1_sq_near = near(lambda y: alpha(y) ** 2 * w_sq)
+    rho1_sq_near = near(lambda y: _pow2(alpha(y)) * w_sq)
     wd_int = near(lambda y: (sgn * dalpha(y) + 2.0 * h_of(y) * abs(alpha(y))
-                             + sgn * alpha(y) ** 2) * w_sq)
+                             + sgn * _pow2(alpha(y))) * w_sq)
     line3 = wd_int + rho1_sq_near - b1
     line4 = wd_int + rho1_sq_near
     line5 = near(lambda y: abs(g_of(y)) * w_sq) + rho1_sq_near
-    rho23_near = near(lambda y: 0.5 * q_of(y) ** 2 * (n2 + n3))
+    rho23_near = near(lambda y: 0.5 * _pow2(q_of(y)) * (n2 + n3))
     mid_l1 = near(lambda y: mid_norm(y) * w_sq)
     line6 = mid_l1 + rho23_near + rho1_sq_near
 
-    min_slack_pointwise = min(
-        mid_norm(y) * w_sq + 0.5 * q_of(y) ** 2 * (n2 + n3) - abs(g_of(y)) * w_sq
-        for y in (float(t) for t in np.linspace(1e-4, 1.0, 200))
-    )
+    ys = np.linspace(1e-4, 1.0, 200)
+    min_slack_pointwise = float(np.min(
+        mid_norm(ys) * w_sq + 0.5 * _pow2(q_of(ys)) * (n2 + n3) - abs(g_of(ys)) * w_sq
+    ))
 
     # model-constant split and the Young step
     s_model_sq_near = V * integrate_interval(
-        lambda y: (pole_scalars(y)[3] + pole_scalars(y)[1] ** 2) ** 2 * w_sq,
+        lambda y: _pow2(pole_scalars(y)[3] + _pow2(pole_scalars(y)[1])) * w_sq,
         0.0, 1.0, panels=32,
     )[0]
     c24a = w_abs * math.sqrt(V * 1.0) * math.sqrt(s_model_sq_near)
     c24b = 0.5 * V * w_sq
     s_full_l1 = near(lambda y: s_full_norm(y) * w_abs)
-    s_full_sq_near = near(lambda y: s_full_norm(y) ** 2)
+    s_full_sq_near = near(lambda y: _pow2(s_full_norm(y)))
     line7 = c24a + s_full_l1 + rho23_near + rho1_sq_near
     line8 = c24a + c24b + 0.5 * s_full_sq_near + rho23_near + rho1_sq_near
 
@@ -540,19 +597,17 @@ def perturbation_chain(conv: GeometryConventions, pert: SyntheticPerturbation,
         return V * integrate_halfline(f, far_spec, geometric_head=False)[0]
 
     far_tr = far(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
-    far_rho1 = far(lambda y: alpha(y) ** 2 * w_sq)
+    far_rho1 = far(lambda y: _pow2(alpha(y)) * w_sq)
     step_far_rhs = c19 + 0.5 * far_rho1
-    env_slack = min(
-        c2 * math.exp(-2.0 * float(y)) - w_abs * h_of(float(y))
-        for y in np.linspace(1.0, 12.0, 60)
-    )
+    ys = np.linspace(1.0, 12.0, 60)
+    env_slack = float(np.min(c2 * exp_nodes(-2.0 * ys) - w_abs * h_of(ys)))
 
     # assembled final inequality
     c1 = c19 + c24a + c24b
     lhs_total = line1 + far_tr
-    rho_sq_total = (near(lambda y: q_of(y) ** 2 * (n1 + n2 + n3))
-                    + far(lambda y: q_of(y) ** 2 * (n1 + n2 + n3)))
-    s_full_sq = s_full_sq_near + far(lambda y: s_full_norm(y) ** 2)
+    rho_sq_total = (near(lambda y: _pow2(q_of(y)) * (n1 + n2 + n3))
+                    + far(lambda y: _pow2(q_of(y)) * (n1 + n2 + n3)))
+    s_full_sq = s_full_sq_near + far(lambda y: _pow2(s_full_norm(y)))
     rhs_total = c1 + rho_sq_total + 0.5 * s_full_sq
 
     tol = 1e-9 * max(1.0, abs(line5))
@@ -603,7 +658,7 @@ def energy_bound_constant(conv: GeometryConventions, spec: QuadratureSpec) -> di
     w_abs = math.sqrt(OMEGA_NORM_SQ)
 
     s_model_sq_near = VOL_S3 * integrate_interval(
-        lambda y: (pole_scalars(y)[3] + pole_scalars(y)[1] ** 2) ** 2 * OMEGA_NORM_SQ,
+        lambda y: _pow2(pole_scalars(y)[3] + _pow2(pole_scalars(y)[1])) * OMEGA_NORM_SQ,
         0.0, 1.0, panels=32,
     )[0]
     c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_model_sq_near)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +33,10 @@ from .jets import Jet2
 
 @dataclass
 class MatrixProfile:
-    """Sum of scalar-profile * constant-matrix terms; eval -> (value, d/dy)."""
+    """Sum of scalar-profile * constant-matrix terms; eval -> (value, d/dy).
+
+    y is a node or an array of nodes; value and d/dy have shape
+    y.shape + (3, 3)."""
 
     terms: list  # [(scalar_fn taking Jet2, 3x3 matrix), ...]
 
@@ -44,8 +46,8 @@ class MatrixProfile:
         der = None
         for fn, mat in self.terms:
             j = fn(jy)
-            v = j.f * mat
-            d = j.d1 * mat
+            v = j.f[..., None, None] * mat
+            d = j.d1[..., None, None] * mat
             val = v if val is None else val + v
             der = d if der is None else der + d
         return val, der
@@ -165,15 +167,13 @@ def nahm_pole_invariant_solution_alt() -> InvariantField:
     )
 
 
-@lru_cache(maxsize=1 << 17)
-def pole_scalars(y: float):
-    """(a, b, a', b') of the reference solution at y, as floats.
-
-    Cached: quadrature nodes recur across the many energy integrals."""
+def pole_scalars(y):
+    """(a, b, a', b') of the reference solution at y (a node or an array of
+    nodes), evaluated in extended precision and rounded to float64."""
     jy = Jet2.var(np.longdouble(y))
     ja = pole_a(jy)
     jb = pole_b(jy)
-    return float(ja.f), float(jb.f), float(ja.d1), float(jb.d1)
+    return tuple(np.asarray(x, dtype=float)[()] for x in (ja.f, jb.f, ja.d1, jb.d1))
 
 
 def pole_scalars_extended(y: float):

@@ -60,20 +60,6 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def _panel_integral(f, lo: float, hi: float, nodes: int) -> float:
-    x, w = _gl_nodes(nodes)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    total = 0.0
-    for xi, wi in zip(x, w):
-        y = mid + half * xi
-        v = f(y)
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite integrand at y={y}")
-        total += wi * v
-    return half * total
-
-
 def _edges_geometric(lo: float, hi: float, panels: int):
     return np.geomspace(lo, hi, panels + 1)
 
@@ -82,9 +68,40 @@ def _edges_uniform(lo: float, hi: float, panels: int):
     return np.linspace(lo, hi, panels + 1)
 
 
+_MATH_EXP = np.frompyfunc(math.exp, 1, 1)
+_MATH_LOG = np.frompyfunc(math.log, 1, 1)
+
+
+def _values(f, y):
+    """f on the node array y as floats of y's shape; f may return a constant."""
+    return np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
+
+
+def exp_nodes(x):
+    """math.exp of every node of x.  np.exp differs from math.exp in the last
+    bit for some inputs, so envelope constants keep their scalar values."""
+    return _MATH_EXP(x).astype(float)
+
+
 def integrate_panels(f, edges, nodes: int) -> float:
-    return sum(_panel_integral(f, float(a), float(b), nodes)
-               for a, b in zip(edges[:-1], edges[1:]))
+    """Gauss-Legendre rule with `nodes` points on each panel between
+    consecutive `edges`.  f is called once, on the 1-D array of every node
+    of every panel.  Each panel sums its nodes in order; the panel totals
+    are then added one after another."""
+    x, w = _gl_nodes(nodes)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    y = mid[:, None] + half[:, None] * x
+    v = _values(f, y.ravel()).reshape(y.shape)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise ValueError(f"non-finite integrand at y={y[bad][0]}")
+    total = np.zeros(len(mid))
+    for k in range(nodes):
+        total = total + w[k] * v[:, k]
+    # builtin sum adds left to right; np.sum would sum pairwise
+    return float(sum(half * total))
 
 
 def _tail(f, spec: QuadratureSpec):
@@ -94,22 +111,24 @@ def _tail(f, spec: QuadratureSpec):
         t_max = math.exp(-spec.y_max)
 
         def g(t):
-            return f(-math.log(t)) / t
+            return _values(f, -_MATH_LOG(t).astype(float)) / t
 
         edges = _edges_geometric(t_max * 1e-12, t_max, max(4, spec.panels // 4))
         val = integrate_panels(g, edges, spec.nodes_per_panel)
         # remainder below the smallest t-node, bounded by the envelope
-        k = abs(f(spec.y_max + 27.6)) * math.exp(rate * (spec.y_max + 27.6))
-        err = 1.5 * k * math.exp(-rate * (spec.y_max + 27.6)) / rate
+        y_far = spec.y_max + 27.6
+        k = abs(float(_values(f, np.array([y_far]))[0])) * math.exp(rate * y_far)
+        err = 1.5 * k * math.exp(-rate * y_far) / rate
         return val, err
     # truncate_bound: estimate the envelope constant from samples, x1.5 safety
     ys = np.linspace(max(spec.y_split, spec.y_max - 5.0), spec.y_max, 16)
-    k = max(abs(f(float(y))) * math.exp(rate * float(y)) for y in ys)
+    k = float(np.max(np.abs(_values(f, ys)) * exp_nodes(rate * ys)))
     return 0.0, 1.5 * k * math.exp(-rate * spec.y_max) / rate
 
 
 def integrate_halfline(f, spec: QuadratureSpec, geometric_head: bool = True):
-    """int_{eps}^{inf} f(y) dy with the panel layout described above."""
+    """int_{eps}^{inf} f(y) dy with the panel layout described above; f
+    takes an array of nodes and returns the integrand at each."""
     def run(panels: int) -> float:
         head_edges = (
             _edges_geometric(spec.eps, spec.y_split, panels)

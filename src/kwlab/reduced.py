@@ -538,7 +538,7 @@ def integrate_ivp(sys: ReducedSystem, y0: float, state, y1: float,
 class ShootResult:
     param: float
     result: IvpResult
-    trace: list
+    trace: list  # (param, outcome, sign of b, y where the run ended) per run
     expansion: IndicialExpansion
     # final runs that blew up before y_end and were integrated again to
     # FALLBACK_Y_END instead
@@ -603,7 +603,7 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
         outcomes, forced = _classify_lanes(sys, expansion_order, params, y0,
                                            y_end)
         for p, out in zip(params, outcomes):
-            trace.append((p, out[0], out[1]))
+            trace.append((p, *out))
             if out[0] == _NONFINITE:
                 raise ValueError(f"shooting run at parameter {p!r} turned "
                                  f"non-finite near y = {out[2]:.6g}")

@@ -16,7 +16,7 @@ import pytest
 from conftest import record_acceptance
 from kwlab import decomp, energy, halfspace, reduced
 from kwlab.cli import run_suite
-from kwlab.config import build_config, load_config
+from kwlab.config import KNOWN_CHECK_IDS, build_config, load_config
 from kwlab.forms import calibrate, kw_residual_norm
 from kwlab.profiles import (
     higgs_scale_check,
@@ -252,3 +252,8 @@ def test_criterion_12_determinism_and_interfaces(full_run, acceptance_cfg):
            deterministic and passed and fast and negative,
            f"byte-identical JSON, exit 0, {full_run['elapsed']:.0f}s < 300s, "
            f"negative control exits 1 on check 'calibrate'")
+
+
+def test_check_registry_matches_report(full_run):
+    # tolerance overrides accept exactly the ids the full suite emits
+    assert KNOWN_CHECK_IDS == set(full_run["by_id"])

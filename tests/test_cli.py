@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from kwlab import energy
 from kwlab.cli import build_parser, emit_plotdata, main
 from kwlab.config import SuiteConfig, build_config, parse_config_text
 from kwlab.report import CheckReport, checks_to_json, make_check, write_checks_json
@@ -113,7 +114,29 @@ def test_verify_negative_control(tmp_path):
 def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--suite", "not-a-suite"]) == 2
     assert main(["verify", "--tol", "no-such-check=1e-3"]) == 2
+    assert main(["verify", "--tol", "energy-typo=1"]) == 2
     assert main(["verify", "--tol", "malformed"]) == 2
+
+
+def test_guard_reports_exception_detail(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(energy, "c_model", boom)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "energy", "--n-pert", "1",
+                 "--out", str(out)]) == 1
+    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    entry = by_id["c-model-stability"]
+    # the report keeps only the message ...
+    assert entry["status"] == "fail"
+    assert entry["detail"] == "check raised: boom"
+    assert entry["computed"] is None and entry["extra"] == {}
+    # ... and stderr names the type and the raising line
+    code = boom.__code__
+    where = f"{code.co_filename}:{code.co_firstlineno + 1}"
+    err = capsys.readouterr().err
+    assert f"c-model-stability: ZeroDivisionError raised at {where}: boom" in err
 
 
 def test_io_error_exit_three(tmp_path):
@@ -180,6 +203,10 @@ def test_solve_command(tmp_path):
     payload = json.loads(log.read_text())
     assert abs(payload["parameter"] + 2.0 / 3.0) < 1e-4
     assert payload["trace"][0]["outcome"] in ("blow", "decayed")
+    for entry in payload["trace"]:
+        assert set(entry) == {"param", "outcome", "sign", "y"}
+        assert entry["sign"] in (-1.0, 0.0, 1.0)
+        assert 0.1 <= entry["y"] <= 20.0
 
 
 def test_energy_command(tmp_path):

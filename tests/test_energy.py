@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kwlab.energy import (
+    DENSITY_KEYS,
     SyntheticPerturbation,
     boundary_terms,
     c_decay,
@@ -23,15 +24,18 @@ from kwlab.energy import (
     theorem_bound_report,
     topological_charge,
 )
+from kwlab.forms import EPS_TABLE, cross3, frob_inner, wedge_bracket_matrix
+from kwlab.jets import Jet2
 from kwlab.profiles import (
     InvariantField,
     nahm_pole_invariant_solution,
+    nahm_pole_invariant_solution_alt,
     pole_a,
     pole_a_alt,
     pole_scalars,
     scaled_matrix_profile,
 )
-from kwlab.quadrature import VOL_S3, l2_norm_sq
+from kwlab.quadrature import VOL_S3, integrate_panels, l2_norm_sq
 
 I3 = np.eye(3)
 
@@ -63,6 +67,108 @@ def test_model_densities_positive_and_bounded_at_pole(conv, model):
         assert 0 <= d[key] < 10.0
     # the Higgs norm itself carries the 1/y^2 divergence
     assert d["phi_sq"] > 1e9
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: one node at a time, the way the densities were first
+# written; the array engine must reproduce it bit for bit
+# ---------------------------------------------------------------------------
+
+def _scalar_eval(profile, y):
+    jy = Jet2.var(np.longdouble(y))
+    val = der = None
+    for fn, mat in profile.terms:
+        j = fn(jy)
+        v, d = j.f * mat, j.d1 * mat
+        val = v if val is None else val + v
+        der = d if der is None else der + d
+    return np.asarray(val, dtype=float), np.asarray(der, dtype=float)
+
+
+def _scalar_densities(conv, field, y):
+    a, da = _scalar_eval(field.connection, y)
+    p, dp = _scalar_eval(field.higgs, y)
+    t_f = -conv.c * a + 0.5 * wedge_bracket_matrix(a, a)
+    n_f = da
+    s_mat = dp + 0.5 * wedge_bracket_matrix(p, p)
+    nabla = 0.0
+    half_c = 0.5 * conv.c
+    for ai in range(3):
+        for b in range(3):
+            vec = cross3(a[:, ai], p[:, b])
+            for i, j, k, s in EPS_TABLE:
+                if i == ai and j == b:
+                    vec = vec - half_c * s * p[:, k]
+            nabla += 0.5 * float(np.dot(vec, vec))
+    phi2 = 0.5 * wedge_bracket_matrix(p, p)
+    fm = t_f - phi2
+    t_dphi = -conv.c * p + wedge_bracket_matrix(a, p)
+    div = sum(cross3(a[:, col], p[:, col]) for col in range(3))
+    return {
+        "F_sq": 0.5 * (frob_inner(t_f, t_f) + frob_inner(n_f, n_f)),
+        "nabla_bar_sq": nabla,
+        "S_sq": 0.5 * frob_inner(s_mat, s_mat),
+        "phi_sq": 0.5 * frob_inner(p, p),
+        "dyphi_sq": 0.5 * frob_inner(dp, dp),
+        "phi2_sq": 0.5 * frob_inner(phi2, phi2),
+        "F_minus_phi2_sq": 0.5 * (frob_inner(fm, fm) + frob_inner(n_f, n_f)),
+        "dAphi_sq": 0.5 * (frob_inner(t_dphi, t_dphi) + frob_inner(dp, dp)),
+        "dAstar_sq": 0.5 * float(np.dot(div, div)),
+        "charge_density": -0.5 * frob_inner(n_f, t_f),
+    }
+
+
+def _scalar_panel_sum(values, edges, nodes):
+    """Panel by panel, node by node: sum_panels half * sum_k w_k f(y_k)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    out = 0.0
+    for panel, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        half = 0.5 * (float(hi) - float(lo))
+        total = 0.0
+        for k in range(nodes):
+            total += w[k] * values[panel * nodes + k]
+        out += half * total
+    return out
+
+
+def _panel_nodes(edges, nodes):
+    x, _ = np.polynomial.legendre.leggauss(nodes)
+    return np.array([0.5 * (float(lo) + float(hi)) + 0.5 * (float(hi) - float(lo)) * xi
+                     for lo, hi in zip(edges[:-1], edges[1:]) for xi in x])
+
+
+_LAYOUTS = {
+    "geometric": np.geomspace(1e-3, 1.0, 49),
+    "uniform": np.linspace(1.0, 30.0, 49),
+    "from-zero": np.linspace(0.0, 1.0, 49),
+}
+_FIELDS = {
+    "model": nahm_pole_invariant_solution,
+    "companion": nahm_pole_invariant_solution_alt,
+    "perturbed": lambda: random_perturbation(np.random.default_rng(42)).field(),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("field_name", sorted(_FIELDS))
+def test_array_densities_match_scalar_reference(conv, field_name, layout):
+    field = _FIELDS[field_name]()
+    edges = _LAYOUTS[layout]
+    ys = _panel_nodes(edges, 16)
+    ref = [_scalar_densities(conv, field, float(y)) for y in ys]
+    got = densities(conv, field, ys)
+    assert tuple(got) == DENSITY_KEYS and len(DENSITY_KEYS) == 10
+    for key in DENSITY_KEYS:
+        want = [d[key] for d in ref]
+        assert got[key].tolist() == want, key
+        assert (integrate_panels(density_fn(conv, field, (key,)), edges, 16)
+                == _scalar_panel_sum(want, edges, 16)), key
+    keys = ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq")
+    summed = [sum(d[k] for k in keys) for d in ref]
+    assert (integrate_panels(density_fn(conv, field, keys), edges, 16)
+            == _scalar_panel_sum(summed, edges, 16))
+    # only the keys asked for are computed
+    assert set(densities(conv, field, ys, ("phi_sq",))) == {"phi_sq"}
 
 
 def test_identity_checks_on_model(conv, quad_spec, model):
@@ -168,8 +274,8 @@ def test_weighted_derivative_identity_fd():
         lam = float(rng.uniform(0.5, 1.5))
         amp = float(rng.uniform(0.2, 1.0))
         h_fn = lambda y: pole_scalars(y)[1]
-        alpha = lambda y: amp * y * math.exp(-lam * y)
-        dalpha = lambda y: amp * (1 - lam * y) * math.exp(-lam * y)
+        alpha = lambda y: amp * y * np.exp(-lam * y)
+        dalpha = lambda y: amp * (1 - lam * y) * np.exp(-lam * y)
         for y in (0.4, 0.9, 1.7):
             lhs = dalpha(y) + 2 * h_fn(y) * alpha(y) + alpha(y) * alpha(y)
             h = 1e-5

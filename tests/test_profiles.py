@@ -48,6 +48,18 @@ def test_profile_derivative_matches_finite_differences():
         assert np.allclose(np.asarray(der, float), fd, rtol=1e-7, atol=1e-9)
 
 
+def test_array_evaluation_matches_each_node():
+    ys = np.geomspace(1e-3, 20.0, 50)
+    model = nahm_pole_invariant_solution()
+    val, der = model.higgs.eval(ys)
+    assert val.shape == der.shape == (50, 3, 3)
+    stacked = pole_scalars(ys)
+    for i, y in enumerate(ys):
+        v, d = model.higgs.eval(float(y))
+        assert np.array_equal(val[i], v) and np.array_equal(der[i], d)
+        assert [x[i] for x in stacked] == list(pole_scalars(float(y)))
+
+
 def test_scaling_limit_rate():
     out = higgs_scale_check()
     assert abs(out["slope"] - 2.0) <= 0.1

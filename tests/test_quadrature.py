@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from kwlab.quadrature import (
@@ -9,6 +10,7 @@ from kwlab.quadrature import (
     QuadratureSpec,
     integrate_halfline,
     integrate_interval,
+    integrate_panels,
     integrate_smooth_from_zero,
     l2_norm_sq,
 )
@@ -43,15 +45,27 @@ def test_constant_on_unit_interval():
     assert math.isclose(VOL_S3 * val, 3 * math.pi**2, rel_tol=1e-14)
 
 
+def test_integrand_called_once_on_every_node():
+    shapes = []
+
+    def f(y):
+        shapes.append(y.shape)
+        return 3.0 * y * y
+
+    val = integrate_panels(f, [0.0, 0.5, 1.0, 2.0], 8)
+    assert shapes == [(24,)]
+    assert math.isclose(val, 8.0, rel_tol=1e-14)
+
+
 def test_exponential_envelope_oracle():
     spec = QuadratureSpec(eps=1e-6, y_split=1.0, y_max=30.0)
-    val, err = integrate_smooth_from_zero(lambda y: math.exp(-4 * y), spec)
+    val, err = integrate_smooth_from_zero(lambda y: np.exp(-4 * y), spec)
     assert abs(val - 0.25) <= 1e-10 * 0.25
     assert err < 1e-8
 
 
 def test_tail_modes_agree():
-    f = lambda y: math.exp(-4 * y) * (1 + y)
+    f = lambda y: np.exp(-4 * y) * (1 + y)
     a = integrate_smooth_from_zero(f, QuadratureSpec(
         eps=1e-6, y_max=20.0, tail_mode="truncate_bound"))[0]
     b = integrate_smooth_from_zero(f, QuadratureSpec(
@@ -60,7 +74,7 @@ def test_tail_modes_agree():
 
 
 def test_truncate_bound_covers_remainder():
-    f = lambda y: math.exp(-4 * y)
+    f = lambda y: np.exp(-4 * y)
     spec = QuadratureSpec(eps=1e-6, y_max=8.0)  # visible tail
     val, err = integrate_smooth_from_zero(f, spec)
     remainder = 0.25 - val
@@ -69,7 +83,7 @@ def test_truncate_bound_covers_remainder():
 
 def test_refinement_shrinks_error_estimate():
     # smooth integrand with the contractual exponential envelope
-    f = lambda y: math.exp(-4 * y) * (1.0 + 10.0 * y * y) / (1.0 + y)
+    f = lambda y: np.exp(-4 * y) * (1.0 + 10.0 * y * y) / (1.0 + y)
     coarse = QuadratureSpec(eps=1e-3, y_split=2.0, y_max=12.0,
                             panels=3, nodes_per_panel=2)
     fine = coarse.refined()
@@ -82,7 +96,7 @@ def test_non_finite_sample_reported():
     spec = QuadratureSpec(eps=1e-2)
 
     def bad(y):
-        return float("nan") if y > 2.0 else 1.0
+        return np.where(y > 2.0, float("nan"), 1.0)
 
     with pytest.raises(ValueError, match="non-finite integrand at y="):
         integrate_halfline(bad, spec)

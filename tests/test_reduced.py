@@ -251,7 +251,7 @@ def test_batched_outcomes_match_one_lane_runs(system, shot):
         assert got == _one_lane_outcome(system, p), p
     # the first k-section pass of the shot classifies the same points
     assert [t[0] for t in shot.trace[2:17]] == interior
-    assert [t[1:] for t in shot.trace[2:17]] == [o[:2] for o in batched[2:17]]
+    assert [t[1:] for t in shot.trace[2:17]] == batched[2:17]
     # both signs occur close to the root
     assert {o[1] for o in batched[-7:]} == {-1.0, 1.0}
 
