@@ -36,7 +36,6 @@ from .profiles import (
     nahm_pole_invariant_solution,
     nahm_pole_invariant_solution_alt,
     pole_scalars,
-    pole_scalars_extended,
     scaled_matrix_profile,
 )
 from .quadrature import exp_nodes
@@ -92,10 +91,10 @@ def suite_algebra(cfg: SuiteConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for _ in range(100):
-        axis = su2.su2(*rng.normal(size=3))
+        axis = rng.normal(size=3)
         angle = float(rng.uniform(0, 2 * math.pi))
-        u = su2.su2(*rng.normal(size=3))
-        v = su2.su2(*rng.normal(size=3))
+        u = rng.normal(size=3)
+        v = rng.normal(size=3)
         ru, rv = (su2.ad_rotate(axis, angle, w) for w in (u, v))
         worst = max(worst, abs(su2.norm(ru) - su2.norm(u)))
         worst = max(worst, su2.norm(
@@ -108,8 +107,8 @@ def suite_algebra(cfg: SuiteConfig) -> list:
     jac_worst = Fraction(0)
     rngj = np.random.default_rng(cfg.seed + 1)
     for _ in range(50):
-        u, v, w = (su2.su2(*(Fraction(int(x)) for x in rngj.integers(-9, 10, 3)))
-                   for _ in range(3))
+        u, v, w = (np.array([Fraction(int(x)) for x in rngj.integers(-9, 10, 3)],
+                            dtype=object) for _ in range(3))
         s = (su2.bracket(u, su2.bracket(v, w)) + su2.bracket(v, su2.bracket(w, u))
              + su2.bracket(w, su2.bracket(u, v)))
         jac_worst = max(jac_worst, su2.norm_sq(s))
@@ -128,7 +127,7 @@ def suite_models(cfg: SuiteConfig) -> list:
     conv = _active_conventions(cfg)
     model = nahm_pole_invariant_solution()
     grid = np.geomspace(1e-3, 30.0, 300)
-    worst = max(kw_residual_norm(conv, model, float(y)) for y in grid)
+    worst = float(np.max(kw_residual_norm(conv, model, grid)))
     checks.append(make_check(
         "calibrate", "unique calibrated convention annihilates the "
         "reference solution residual",
@@ -136,10 +135,8 @@ def suite_models(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("calibrate", 1e-10), provenance="reference",
         extra={"conventions": (conv.c, conv.s1, conv.s2)}))
     checks.append(ricci_check(conv))
-    worst_alt = max(
-        kw_residual_norm(conv, nahm_pole_invariant_solution_alt(), float(y))
-        for y in grid
-    )
+    worst_alt = float(np.max(
+        kw_residual_norm(conv, nahm_pole_invariant_solution_alt(), grid)))
     checks.append(make_check(
         "residual-invariant-model-alt",
         "companion solution solves the same system",
@@ -231,10 +228,22 @@ def suite_energy(cfg: SuiteConfig) -> list:
     spec = cfg.quadrature()
     model = nahm_pole_invariant_solution()
     checks = []
+    # a failed build fails, through _guard, only the checks that read consts
+    try:
+        consts, consts_error = energy.bound_constants(conv, spec), None
+    except Exception as e:
+        consts, consts_error = None, e
+
+    def constants():
+        if consts_error is not None:
+            raise consts_error
+        return consts
 
     def ident_check(ident):
         def run():
-            rep = energy.check_energy_identity(conv, ident, model, cfg.eps, spec)
+            rep = energy.check_energy_identity(
+                conv, ident, model, cfg.eps, spec,
+                constants() if ident in energy.CONSTANTS_IDENTITIES else None)
             if rep.expected is not None:
                 rep.tolerance = cfg.tol(rep.check_id, rep.tolerance)
                 rep.status = ("pass"
@@ -300,7 +309,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         n_fail = 0
         for _ in range(cfg.n_pert):
             pert = energy.random_perturbation(rng)
-            rep = energy.perturbation_chain(conv, pert, spec)
+            rep = energy.perturbation_chain(conv, pert, spec, constants())
             if rep.status != "pass":
                 n_fail += 1
             if worst_min_slack is None or rep.computed < worst_min_slack:
@@ -312,7 +321,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
             extra={"n_pert": cfg.n_pert, "failures": n_fail})
 
     def bound():
-        tb = energy.theorem_bound_report(conv, model, spec)
+        tb = energy.theorem_bound_report(conv, model, spec, constants())
         f_sq = tb.get("curvature_l2_sq").value
         slack = tb.get("bound_slack").value
         other = (tb.get("tangential_gradient_l2_sq").value
@@ -360,7 +369,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
 
     grid = np.geomspace(1e-3, 30.0, 300)
     worst = max(
-        float(sysr.rhs_residual(*pole_scalars_extended(float(y)))) for y in grid
+        float(sysr.rhs_residual(*pole_scalars(float(y), np.longdouble))) for y in grid
     )
     checks.append(make_check(
         "solver-closed-form-residual",
@@ -369,7 +378,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("solver-closed-form-residual", 1e-10),
         provenance="derived"))
 
-    a0, b0, _, _ = pole_scalars_extended(0.1)
+    a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
     res = reduced.integrate_ivp(sysr, 0.1, (a0, b0), 10.0)
     sup = 0.0
     for y in np.linspace(0.1, 10.0, 500):
@@ -413,7 +422,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("solver-decay-envelope", 0.05), provenance="derived"))
 
     # autonomy: integrating translated data gives the translated trajectory
-    a1, b1, _, _ = pole_scalars_extended(0.4)
+    a1, b1, _, _ = pole_scalars(0.4, np.longdouble)
     trans = reduced.integrate_ivp(sysr, 0.1, (a1, b1), 6.0)
     sup_t = 0.0
     for y in np.linspace(0.1, 6.0, 200):
@@ -595,7 +604,8 @@ def main(argv=None) -> int:
             spec = cfg.quadrature()
             field = (nahm_pole_invariant_solution() if args.model == "he"
                      else nahm_pole_invariant_solution_alt())
-            rep = energy.theorem_bound_report(conv, field, spec)
+            consts = energy.bound_constants(conv, spec)
+            rep = energy.theorem_bound_report(conv, field, spec, consts)
             cm, cm_err, _ = energy.c_model(conv, spec)
             rep.add("c_model", cm, cm_err, "model curvature constant")
             q, q_err = energy.topological_charge(conv, field.connection, spec)

@@ -23,19 +23,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import (
-    InvariantOneForm,
-    OMEGA,
-    half_of,
-    wedge_bracket_matrix,
-)
+import numpy as np
+
+from .forms import OMEGA, half_of, one_form_norm_sq, wedge_bracket_matrix
 from .report import CheckReport, make_check
 
 F0, F1 = Fraction(0), Fraction(1)
 
 
-def _form(rows) -> InvariantOneForm:
-    return InvariantOneForm.from_rows([[Fraction(x) for x in r] for r in rows])
+def _form(rows):
+    """Exact coefficient matrix of a 1-form."""
+    return np.array([[Fraction(x) for x in r] for r in rows], dtype=object)
 
 
 MU = (
@@ -59,10 +57,6 @@ class DecompBasis:
     v3: tuple
 
     @property
-    def all_vectors(self):
-        return self.v1 + self.v2 + self.v3
-
-    @property
     def eigenvalues(self):
         return (2, 1, -1)
 
@@ -71,25 +65,23 @@ def basis() -> DecompBasis:
     return DecompBasis(v1=(OMEGA,), v2=MU, v3=NU + (NU_12, NU_13))
 
 
-def project(i: int, v: InvariantOneForm) -> InvariantOneForm:
+def project(i: int, m):
     """Orthogonal projection onto V^i: trace part, antisymmetric part, or
     traceless symmetric part of the coefficient matrix."""
-    m = v.m
     if i == 1:
         tr = (m[0][0] + m[1][1] + m[2][2]) / 3
-        return InvariantOneForm(OMEGA.m * tr)
+        return OMEGA * tr
     if i == 2:
-        return InvariantOneForm(half_of(m - m.T))
+        return half_of(m - m.T)
     if i == 3:
         tr = (m[0][0] + m[1][1] + m[2][2]) / 3
-        return InvariantOneForm(half_of(m + m.T) - OMEGA.m * tr)
+        return half_of(m + m.T) - OMEGA * tr
     raise ValueError("projection index must be 1, 2 or 3")
 
 
-def omega_bracket(v: InvariantOneForm) -> InvariantOneForm:
+def omega_bracket(v):
     """*3 [omega, v] as a 1-form; equals tr(v) I - v^T on coefficients."""
-    wb = wedge_bracket_matrix(OMEGA.m, v.m)
-    return InvariantOneForm(wb)
+    return wedge_bracket_matrix(OMEGA, v)
 
 
 def omega_bracket_eigencheck() -> list:
@@ -99,8 +91,7 @@ def omega_bracket_eigencheck() -> list:
     for i, (vecs, lam) in enumerate(zip((bas.v1, bas.v2, bas.v3), bas.eigenvalues), 1):
         for k, v in enumerate(vecs):
             got = omega_bracket(v)
-            want = v.m * Fraction(lam)
-            exact = all(got.m[r][c] == want[r][c] for r in range(3) for c in range(3))
+            exact = _eq(got, v * Fraction(lam))
             out.append(
                 make_check(
                     f"eigen-table-v{i}-{k}",
@@ -114,24 +105,24 @@ def omega_bracket_eigencheck() -> list:
     return out
 
 
-def star_vv(v: InvariantOneForm) -> InvariantOneForm:
+def star_vv(v):
     """*3 (v ^ v) as a 1-form (the adjugate/cofactor quadratic)."""
-    return InvariantOneForm(half_of(wedge_bracket_matrix(v.m, v.m)))
+    return half_of(wedge_bracket_matrix(v, v))
 
 
-def star_bracket(u: InvariantOneForm, v: InvariantOneForm) -> InvariantOneForm:
+def star_bracket(u, v):
     """*3 [u, v] as a 1-form."""
-    return InvariantOneForm(wedge_bracket_matrix(u.m, v.m))
+    return wedge_bracket_matrix(u, v)
 
 
 def _coeff_form(i, a, sign=F1):
     rows = [[F0] * 3 for _ in range(3)]
     rows[i][a] = Fraction(sign)
-    return InvariantOneForm.from_rows(rows)
+    return _form(rows)
 
 
-def _eq(u: InvariantOneForm, v: InvariantOneForm) -> bool:
-    return all(u.m[r][c] == v.m[r][c] for r in range(3) for c in range(3))
+def _eq(u, v) -> bool:
+    return all(u[r][c] == v[r][c] for r in range(3) for c in range(3))
 
 
 def appendix_star_table() -> list:
@@ -197,7 +188,7 @@ def appendix_star_table() -> list:
             expect(
                 f"star-table-mu{a + 1}{b + 1}-perp",
                 got,
-                InvariantOneForm(OMEGA.m * F0),
+                OMEGA * F0,
                 "*3[mu_i, mu_j] is orthogonal to V1 for i != j",
             )
     # cross brackets of *orthogonal* symmetric basis pairs are perpendicular
@@ -213,7 +204,7 @@ def appendix_star_table() -> list:
             expect(
                 f"star-table-nu-bracket-{a}{b}-perp",
                 got,
-                InvariantOneForm(OMEGA.m * F0),
+                OMEGA * F0,
                 "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs",
             )
     diag_part = project(1, star_bracket(NU_12, NU_13))
@@ -222,8 +213,7 @@ def appendix_star_table() -> list:
             "star-table-nu-diag-bracket-v1",
             "V1 part of *3[nu_12, nu_13] (non-orthogonal pair), engine value "
             "-(1/3) omega",
-            computed=1.0 if _eq(diag_part, InvariantOneForm(OMEGA.m * Fraction(-1, 3)))
-            else 0.0,
+            computed=1.0 if _eq(diag_part, OMEGA * Fraction(-1, 3)) else 0.0,
             expected=1.0,
             tolerance=0.0,
             provenance="derived",
@@ -232,7 +222,7 @@ def appendix_star_table() -> list:
 
     # resolution of a diagonal coefficient form in the omega/nu basis
     lhs = _coeff_form(0, 0)
-    rhs = InvariantOneForm((OMEGA.m + NU_12.m + NU_13.m) * Fraction(1, 3))
+    rhs = (OMEGA + NU_12 + NU_13) * Fraction(1, 3)
     expect(
         "star-table-te-decomposition",
         lhs,
@@ -243,7 +233,7 @@ def appendix_star_table() -> list:
     # projection magnitudes used by the quadratic-projection equalities
     for name, v in (("mu1", MU[0]), ("nu1", NU[0]), ("nu12", NU_12)):
         pr = project(1, star_vv(v))
-        mag_sq = pr.norm_sq()  # should be |omega/3|^2 = 1/6
+        mag_sq = one_form_norm_sq(pr)  # should be |omega/3|^2 = 1/6
         checks.append(
             make_check(
                 f"star-table-{name}-v1-magnitude",
@@ -257,21 +247,21 @@ def appendix_star_table() -> list:
     return checks
 
 
-def lemma_quadratic_projection(v: InvariantOneForm) -> CheckReport:
+def lemma_quadratic_projection(v) -> CheckReport:
     """Quadratic projection bound: the V1 part of *3(v^v) deviates from
     *3(v1 ^ v1) by at most (|v2|^2 + |v3|^2)/sqrt(6), with exact equality of
     magnitudes on pure V2 or pure V3 input.  All comparisons are made on
     squared quantities so the test stays rational."""
     v1, v2, v3 = (project(i, v) for i in (1, 2, 3))
     lhs_form = project(1, star_vv(v)) - star_vv(v1)
-    lhs_sq = lhs_form.norm_sq()          # |(*3(v^v))^(1) - *3(v1^v1)|^2
-    n2 = v2.norm_sq()
-    n3 = v3.norm_sq()
+    lhs_sq = one_form_norm_sq(lhs_form)  # |(*3(v^v))^(1) - *3(v1^v1)|^2
+    n2 = one_form_norm_sq(v2)
+    n3 = one_form_norm_sq(v3)
     bound_sq_times6 = (n2 + n3) ** 2     # (rhs * sqrt(6))^2
     lhs_sq_times6 = 6 * lhs_sq
 
-    pure2 = all(x == 0 for x in (v1.norm_sq(), n3))
-    pure3 = all(x == 0 for x in (v1.norm_sq(), n2))
+    pure2 = all(x == 0 for x in (one_form_norm_sq(v1), n3))
+    pure3 = all(x == 0 for x in (one_form_norm_sq(v1), n2))
     if pure2 or pure3:
         ok = lhs_sq_times6 == (n2 + n3) ** 2
         kind = "equality (pure component)"
@@ -294,20 +284,18 @@ def lemma_quadratic_projection(v: InvariantOneForm) -> CheckReport:
     )
 
 
-def random_form(rng: random.Random, kind: str = "mixed") -> InvariantOneForm:
+def random_form(rng: random.Random, kind: str = "mixed"):
     """Small random rational coefficient form of the requested type."""
     def frac():
         return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
 
     if kind == "mixed":
-        return InvariantOneForm.from_rows([[frac() for _ in range(3)] for _ in range(3)])
+        return _form([[frac() for _ in range(3)] for _ in range(3)])
     if kind == "pure2":
-        f = MU[0].m * frac() + MU[1].m * frac() + MU[2].m * frac()
-        return InvariantOneForm(f)
+        return MU[0] * frac() + MU[1] * frac() + MU[2] * frac()
     if kind == "pure3":
-        f = sum((b.m * frac() for b in (NU[0], NU[1], NU[2], NU_12, NU_13)),
-                start=OMEGA.m * F0)
-        return InvariantOneForm(f)
+        return sum((b * frac() for b in (NU[0], NU[1], NU[2], NU_12, NU_13)),
+                   start=OMEGA * F0)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -345,12 +333,15 @@ def quadratic_projection_slack_sq(v_rows) -> tuple:
     return lhs_scaled_sq, bound_scaled_sq
 
 
-def decomposition_suite(seed: int, n: int, battery_stride: int = 10) -> CheckReport:
+BATTERY_STRIDE = 10  # vectors per run of the full Fraction battery
+
+
+def decomposition_suite(seed: int, n: int) -> CheckReport:
     """Monte-Carlo harness for the isotypic splitting.
 
     Every vector goes through the engine's wedge bracket and the exact
     quadratic-projection comparison (equality on pure types, bound on mixed
-    vectors); every ``battery_stride``-th vector additionally runs the full
+    vectors); every BATTERY_STRIDE-th vector additionally runs the full
     Fraction-arithmetic battery of projections, Pythagoras, idempotence,
     orthogonality and the eigen relation.
     """
@@ -376,14 +367,14 @@ def decomposition_suite(seed: int, n: int, battery_stride: int = 10) -> CheckRep
         if worst_slack_sq is None or slack < worst_slack_sq:
             worst_slack_sq = slack
 
-        if k % battery_stride:
+        if k % BATTERY_STRIDE:
             continue
-        v = InvariantOneForm.from_rows([[Fraction(x) for x in row] for row in rows])
+        v = _form(rows)
         parts = [project(i, v) for i in (1, 2, 3)]
         if not _eq(parts[0] + parts[1] + parts[2], v):
             return make_check("decomposition-suite", "projection completeness failed",
                               computed=float(k), ok=False)
-        if v.norm_sq() != sum(p.norm_sq() for p in parts):
+        if one_form_norm_sq(v) != sum(one_form_norm_sq(p) for p in parts):
             return make_check("decomposition-suite", "Pythagoras failed",
                               computed=float(k), ok=False)
         for i in (1, 2, 3):
@@ -391,7 +382,7 @@ def decomposition_suite(seed: int, n: int, battery_stride: int = 10) -> CheckRep
                 return make_check("decomposition-suite", "idempotence failed",
                                   computed=float(k), ok=False)
             for j in (1, 2, 3):
-                if i != j and project(j, parts[i - 1]).norm_sq() != 0:
+                if i != j and one_form_norm_sq(project(j, parts[i - 1])) != 0:
                     return make_check("decomposition-suite", "orthogonality failed",
                                       computed=float(k), ok=False)
             lam = (2, 1, -1)[i - 1]
@@ -407,7 +398,7 @@ def decomposition_suite(seed: int, n: int, battery_stride: int = 10) -> CheckRep
         "decomposition-suite",
         f"{n} seeded vectors through the engine wedge bracket and the "
         "quadratic projection claim, full battery every "
-        f"{battery_stride} vectors",
+        f"{BATTERY_STRIDE} vectors",
         computed=float(worst_slack_sq),
         ok=worst_slack_sq >= 0,
         provenance="derived",

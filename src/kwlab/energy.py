@@ -23,7 +23,7 @@ and reports them with full provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,6 @@ import numpy as np
 from .forms import (
     EPS_TABLE,
     GeometryConventions,
-    cross3,
     det3,
     frob_inner,
     kw_residual_norm,
@@ -54,9 +53,12 @@ from .quadrature import (
     l2_norm_sq,
 )
 from .report import CheckReport, EnergyReport, make_check
+from .su2 import bracket
 
 OMEGA_NORM_SQ = 1.5
 _I3 = np.eye(3)
+
+CUTOFF_EPS = (1e-2, 1e-3, 1e-4)  # cutoffs of the reference solution's sweep
 
 IDENTITY_IDS = (
     "first-order-balance",
@@ -66,6 +68,8 @@ IDENTITY_IDS = (
     "route-match",
     "weighted-bound",
 )
+# the identities that read BoundConstants
+CONSTANTS_IDENTITIES = ("cutoff-limit", "route-match", "weighted-bound")
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +121,7 @@ def _nabla_bar_sq(m: _FieldAt):
     half_c = 0.5 * m.c
     for ai in range(3):
         for b in range(3):
-            vec = cross3(a[:, ai], p[:, b])
+            vec = bracket(a[:, ai], p[:, b])
             for i, j, k, s in EPS_TABLE:
                 if i == ai and j == b:
                     vec = vec - half_c * s * p[:, k]
@@ -138,7 +142,7 @@ def _d_a_phi_sq(m: _FieldAt):
 
 
 def _d_a_star_sq(m: _FieldAt):
-    div = sum(cross3(m.a[:, col], m.p[:, col]) for col in range(3))
+    div = sum(bracket(m.a[:, col], m.p[:, col]) for col in range(3))
     return 0.5 * np.vecdot(div, div, axis=0)
 
 
@@ -238,8 +242,8 @@ def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile,
 
 def _require_solution(conv, field, eps=1e-3, tol=1e-8):
     grid = np.geomspace(max(eps, 1e-3), 10.0, 24)
-    worst = max(kw_residual_norm(conv, field, float(y)) for y in grid)
-    if worst > tol:
+    worst = np.max(kw_residual_norm(conv, field, grid))
+    if not worst <= tol:
         raise ValueError("not a solution: identity chain does not apply")
     return worst
 
@@ -295,7 +299,11 @@ def _neville_to_zero(xs, ys):
 
 def check_energy_identity(conv: GeometryConventions, ident: str,
                           field: InvariantField, eps: float,
-                          spec: QuadratureSpec) -> CheckReport:
+                          spec: QuadratureSpec,
+                          consts: BoundConstants | None) -> CheckReport:
+    """One identity of the energy bookkeeping on a solution field.  Only the
+    CONSTANTS_IDENTITIES read consts: cutoff-limit and route-match the
+    reference solution's cutoff sweep, weighted-bound the constant C."""
     if ident not in IDENTITY_IDS:
         raise ValueError(f"unknown identity id {ident!r}")
     _require_solution(conv, field, eps)
@@ -346,36 +354,28 @@ def check_energy_identity(conv: GeometryConventions, ident: str,
         )
 
     if ident == "cutoff-limit":
-        eps_list = (1e-2, 1e-3, 1e-4)
-        combos, summands = [], []
-        for e in eps_list:
-            bulk, mixed, combo, _ = cutoff_combination(conv, field, e, spec)
-            combos.append(combo)
-            summands.append((bulk, mixed))
+        combos = [row[2] for row in consts.cutoff]
         inc1 = abs(combos[1] - combos[0])
         inc2 = abs(combos[2] - combos[1])
         ratio = inc2 / max(inc1, 1e-30)
-        limit = _neville_to_zero(eps_list, combos)
         slopes = []
         for comp in range(2):
-            vals = [abs(s[comp]) for s in summands]
-            slopes.append(float(np.polyfit(np.log10(eps_list), np.log10(vals), 1)[0]))
+            vals = [abs(row[comp]) for row in consts.cutoff]
+            slopes.append(float(np.polyfit(np.log10(CUTOFF_EPS), np.log10(vals), 1)[0]))
         ok = (0.02 <= ratio <= 0.5) and all(abs(s + 1.0) <= 0.05 for s in slopes)
         return make_check(
             "energy-cutoff-limit",
             "divergence cancellation: the combination is Cauchy in eps while "
             "each summand grows like 1/eps",
             computed=ratio, ok=bool(ok),
-            extra={"eps": list(eps_list), "combos": combos,
-                   "limit": limit, "summand_slopes": slopes},
+            extra={"eps": list(CUTOFF_EPS), "combos": combos,
+                   "limit": consts.cutoff_limit, "summand_slopes": slopes},
         )
 
     if ident == "route-match":
         # the cutoff-limit constant belongs to the reference solution; the
         # deviation terms carry a general solution's route onto it
-        model = nahm_pole_invariant_solution()
-        rep = check_energy_identity(conv, "cutoff-limit", model, eps, spec)
-        limit = rep.extra["limit"]
+        limit = consts.cutoff_limit
         direct, err = l2_norm_sq(
             density_fn(conv, field, ("F_sq", "nabla_bar_sq", "S_sq")), spec,
             from_zero=True,
@@ -396,7 +396,7 @@ def check_energy_identity(conv: GeometryConventions, ident: str,
         )
         s_sq, e2 = l2_norm_sq(density_fn(conv, field, ("S_sq",)), spec, from_zero=True)
         lhs += 0.5 * s_sq
-        bound = energy_bound_constant(conv, spec)["C"]
+        bound = consts.C
         return make_check(
             "energy-weighted-bound",
             "weighted energy with half coefficient on the completed square "
@@ -431,20 +431,6 @@ def _pow2(x):
     """x ** 2 by libm pow, as Python squares a float.  numpy's x ** 2 is
     x * x, which differs from it in the last bit for about 0.1 % of inputs."""
     return np.float_power(x, 2)
-
-
-def integrating_factor(h_fn, alpha_fn, y: float, y_max: float = 40.0) -> float:
-    """f(y) = exp(-2 int_y^inf h + int_0^y alpha), the positive weight that
-    turns d_y + 2h + alpha into f^{-1} d_y f on V1 profiles."""
-    h_far = h_fn(y_max)
-    if not math.isfinite(h_far) or abs(h_far) > 1e-8:
-        raise ValueError("h-integral toward infinity does not converge")
-    a_near = alpha_fn(1e-9)
-    if not math.isfinite(a_near) or abs(a_near) > 1e6:
-        raise ValueError("alpha-integral at zero does not converge")
-    tail, _ = integrate_interval(h_fn, y, y_max, panels=48, nodes=16)
-    head, _ = integrate_interval(alpha_fn, 0.0, y, panels=24, nodes=16)
-    return math.exp(-2.0 * tail + head)
 
 
 @dataclass
@@ -501,7 +487,7 @@ def random_perturbation(rng: np.random.Generator) -> SyntheticPerturbation:
 
 
 def perturbation_chain(conv: GeometryConventions, pert: SyntheticPerturbation,
-                       spec: QuadratureSpec) -> CheckReport:
+                       spec: QuadratureSpec, consts: BoundConstants) -> CheckReport:
     """Every intermediate inequality of the weighted-bound chain on the
     synthetic field phi = phi_model + rho, with engine constants; reports the
     slack of each step.  All slacks must be >= 0 up to quadrature noise and
@@ -574,24 +560,15 @@ def perturbation_chain(conv: GeometryConventions, pert: SyntheticPerturbation,
     ))
 
     # model-constant split and the Young step
-    s_model_sq_near = V * integrate_interval(
-        lambda y: _pow2(pole_scalars(y)[3] + _pow2(pole_scalars(y)[1])) * w_sq,
-        0.0, 1.0, panels=32,
-    )[0]
-    c24a = w_abs * math.sqrt(V * 1.0) * math.sqrt(s_model_sq_near)
-    c24b = 0.5 * V * w_sq
+    c24a, c24b = consts.c24a, consts.c24b
     s_full_l1 = near(lambda y: s_full_norm(y) * w_abs)
     s_full_sq_near = near(lambda y: _pow2(s_full_norm(y)))
     line7 = c24a + s_full_l1 + rho23_near + rho1_sq_near
     line8 = c24a + c24b + 0.5 * s_full_sq_near + rho23_near + rho1_sq_near
 
     # far part (y > 1)
-    c2 = c_decay()
-    c19 = 0.5 * V * c2 * c2 * math.exp(-4.0)
-    far_spec = QuadratureSpec(eps=1.0, y_split=2.0, y_max=spec.y_max,
-                              panels=spec.panels,
-                              nodes_per_panel=spec.nodes_per_panel,
-                              tail_mode=spec.tail_mode)
+    c2, c19 = consts.c_decay, consts.c19
+    far_spec = replace(spec, eps=1.0, y_split=2.0)
 
     def far(f):
         return V * integrate_halfline(f, far_spec, geometric_head=False)[0]
@@ -603,7 +580,7 @@ def perturbation_chain(conv: GeometryConventions, pert: SyntheticPerturbation,
     env_slack = float(np.min(c2 * exp_nodes(-2.0 * ys) - w_abs * h_of(ys)))
 
     # assembled final inequality
-    c1 = c19 + c24a + c24b
+    c1 = consts.c_pert
     lhs_total = line1 + far_tr
     rho_sq_total = (near(lambda y: _pow2(q_of(y)) * (n1 + n2 + n3))
                     + far(lambda y: _pow2(q_of(y)) * (n1 + n2 + n3)))
@@ -644,13 +621,31 @@ def perturbation_chain(conv: GeometryConventions, pert: SyntheticPerturbation,
 # assembled bound
 # ---------------------------------------------------------------------------
 
-def energy_bound_constant(conv: GeometryConventions, spec: QuadratureSpec) -> dict:
+@dataclass(frozen=True)
+class BoundConstants:
+    """Engine constants of the curvature-energy bound, with the reference
+    solution's cutoff sweep.  `bound_constants` builds them once per run,
+    and the checks that use them take this value."""
+
+    c_decay: float
+    c19: float
+    c24a: float
+    c24b: float
+    c_pert: float         # c19 + c24a + c24b
+    c_limit: float        # direct full-line energy of the reference solution
+    c_limit_error: float
+    C: float              # c_limit + 2 c_pert
+    cutoff: tuple         # (bulk, mixed, combination) at each of CUTOFF_EPS
+    cutoff_limit: float   # the combinations extrapolated to eps = 0
+
+
+def bound_constants(conv: GeometryConventions, spec: QuadratureSpec) -> BoundConstants:
     """Engine constants of the curvature-energy bound: the cutoff-limit
     constant of the model, the perturbation constant, and their combination
-    C = c_limit + 2 c_pert."""
-    field = nahm_pole_invariant_solution()
+    C = c_limit + 2 c_pert; and the model's cutoff sweep."""
+    model = nahm_pole_invariant_solution()
     direct, err = l2_norm_sq(
-        density_fn(conv, field, ("F_sq", "nabla_bar_sq", "S_sq")), spec,
+        density_fn(conv, model, ("F_sq", "nabla_bar_sq", "S_sq")), spec,
         from_zero=True,
     )
     c2 = c_decay()
@@ -664,20 +659,17 @@ def energy_bound_constant(conv: GeometryConventions, spec: QuadratureSpec) -> di
     c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_model_sq_near)
     c24b = 0.5 * VOL_S3 * OMEGA_NORM_SQ
     c_pert = c19 + c24a + c24b
-    return {
-        "c_limit": direct,
-        "c_limit_error": err,
-        "c_pert": c_pert,
-        "c19": c19,
-        "c24a": c24a,
-        "c24b": c24b,
-        "c_decay": c2,
-        "C": direct + 2.0 * c_pert,
-    }
+    cutoff = tuple(cutoff_combination(conv, model, e, spec)[:3] for e in CUTOFF_EPS)
+    return BoundConstants(
+        c_decay=c2, c19=c19, c24a=c24a, c24b=c24b, c_pert=c_pert,
+        c_limit=direct, c_limit_error=err, C=direct + 2.0 * c_pert,
+        cutoff=cutoff,
+        cutoff_limit=_neville_to_zero(CUTOFF_EPS, [row[2] for row in cutoff]),
+    )
 
 
 def theorem_bound_report(conv: GeometryConventions, field: InvariantField,
-                         spec: QuadratureSpec) -> EnergyReport:
+                         spec: QuadratureSpec, consts: BoundConstants) -> EnergyReport:
     """Full accounting of the curvature-energy bound for one solution."""
     _require_solution(conv, field)
     rep = EnergyReport(entries=[])
@@ -692,7 +684,6 @@ def theorem_bound_report(conv: GeometryConventions, field: InvariantField,
         cross, rho_sq, rho_err = 0.0, 0.0, 0.0
         route_note = ("field is not a boundary-vanishing deviation of the "
                       "reference solution; route terms omitted")
-    consts = energy_bound_constant(conv, spec)
 
     rep.add("curvature_l2_sq", f_sq, f_err, "Yang-Mills energy of the field")
     rep.add("tangential_gradient_l2_sq", g_sq, g_err)
@@ -700,13 +691,13 @@ def theorem_bound_report(conv: GeometryConventions, field: InvariantField,
     rep.add("deviation_cross_term", cross, rho_err,
             "mixed term against the reference Higgs field (sign indefinite)")
     rep.add("deviation_l2_sq", rho_sq, 0.0)
-    rep.add("c_limit", consts["c_limit"], consts["c_limit_error"],
+    rep.add("c_limit", consts.c_limit, consts.c_limit_error,
             "cutoff-limit constant of the reference solution")
-    rep.add("c_pert", consts["c_pert"], 0.0,
+    rep.add("c_pert", consts.c_pert, 0.0,
             "perturbation constant c19 + c24a + c24b (engine normalisation)")
-    rep.add("c_decay", consts["c_decay"], 0.0, "envelope constant, y > 1")
-    rep.add("bound_constant", consts["C"], 0.0, "C = c_limit + 2 c_pert")
-    rep.add("bound_slack", consts["C"] - f_sq, 0.0,
+    rep.add("c_decay", consts.c_decay, 0.0, "envelope constant, y > 1")
+    rep.add("bound_constant", consts.C, 0.0, "C = c_limit + 2 c_pert")
+    rep.add("bound_slack", consts.C - f_sq, 0.0,
             "must be positive: curvature energy below the bound")
     rep.add("route_total", f_sq + g_sq + s_sq + cross + rho_sq, 0.0, route_note)
     rep.add("weighted_total", f_sq + g_sq + 0.5 * s_sq, 0.0,

@@ -1,10 +1,11 @@
 """Left-invariant su(2)-valued exterior calculus on S^3 x R+.
 
-A tangential invariant 1-form  sum_{i,a} c_ia t_i (x) e_a  is stored as the
-3x3 coefficient matrix c over the orthonormal invariant coframe {e_a}; the
-identity matrix is omega = sum_i t_i e_i.  Invariant tangential 2-forms are
-stored through the matrix of their *3-dual 1-form (hat{e}_1 = e2^e3 cyclic),
-normal 2-forms through the matrix of dy^e_a coefficients.
+A tangential invariant 1-form  sum_{i,a} c_ia t_i (x) e_a  is its 3x3
+coefficient matrix c over the orthonormal invariant coframe {e_a}; the
+identity matrix is omega = sum_i t_i e_i.  A tangential 2-form is the matrix
+of its *3-dual 1-form (hat{e}_1 = e2^e3 cyclic), a normal 2-form the matrix
+of its dy^e_a coefficients.  Matrices may be stacked along a trailing node
+axis, (3, 3, n), and are then read entry by entry at every node.
 
 Geometry enters through three discrete constants:
 
@@ -12,14 +13,15 @@ Geometry enters through three discrete constants:
     *(e_b ^ e_c)    = s1 * dy ^ e_a
     *(dy ^ e_a)     = s2 * e_b ^ e_c
 
-with *3 fixed cyclically on S^3 ( *3(e_b^e_c) = e_a ).  None of the three
-constants is chosen by hand: ``calibrate`` searches the finite set
-c_struct in {+-1, +-2}, s1, s2 in {+-1} for the unique choice that makes the
-Ricci curvature of the frame equal 2g exactly and annihilates the
-Kapustin-Witten residual of the closed-form reference solution.
+with *3 fixed cyclically on S^3 ( *3(e_b^e_c) = e_a ).  The 3d and 4d Hodge
+stars act only inside ``kw_residual``, as these constants.  None of them is
+chosen by hand: ``calibrate`` searches the finite set c_struct in {+-1, +-2},
+s1, s2 in {+-1} for the unique choice that makes the Ricci curvature of the
+frame equal 2g exactly and annihilates the Kapustin-Witten residual of the
+closed-form reference solution.
 
-The gauge A_y = 0 is assumed throughout; Higgs fields may carry a dy
-component phi_y, supplied as a y-profile of su(2) coefficients.
+The gauge A_y = 0 is assumed throughout.  A Higgs component phi_y along dy
+enters only the maximum-principle combination ``taubes_lhs``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .report import CheckReport, make_check
+from .su2 import bracket
 
 # nonzero entries of the permutation symbol: (i, j, k, sign)
 EPS_TABLE = (
@@ -48,10 +51,6 @@ def _is_exact(m) -> bool:
     )
 
 
-def _as_matrix(rows, exact: bool):
-    return np.array(rows, dtype=object if exact else None)
-
-
 def wedge_bracket_matrix(u, v):
     """Coefficient matrix of the bracket-wedge [u ^ v] of two tangential
     1-forms, expressed in the (t_m, hat{e}_c) basis:
@@ -61,19 +60,7 @@ def wedge_bracket_matrix(u, v):
         for a, b, c, sab in EPS_TABLE:
             rows[m][c] = rows[m][c] + sij * sab * u[i][a] * v[j][b]
     exact = _is_exact(u) or _is_exact(v)
-    return _as_matrix(rows, exact)
-
-
-def cross3(u, v):
-    """Coefficient cross product = su(2) bracket on coefficient vectors."""
-    return np.array(
-        [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ],
-        dtype=object if (getattr(u, "dtype", None) == object or getattr(v, "dtype", None) == object) else None,
-    )
+    return np.array(rows, dtype=object if exact else None)
 
 
 def half_of(m):
@@ -105,62 +92,8 @@ def det3(m):
     )
 
 
-@dataclass(frozen=True)
-class InvariantOneForm:
-    """Tangential invariant 1-form, coefficient matrix over (t_i, e_a)."""
-
-    m: np.ndarray
-
-    @staticmethod
-    def from_rows(rows, exact=True):
-        return InvariantOneForm(_as_matrix(rows, exact))
-
-    def __add__(self, o):
-        return InvariantOneForm(self.m + o.m)
-
-    def __sub__(self, o):
-        return InvariantOneForm(self.m - o.m)
-
-    def __mul__(self, s):
-        return InvariantOneForm(self.m * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return InvariantOneForm(-self.m)
-
-    def norm_sq(self):
-        return one_form_norm_sq(self.m)
-
-
-@dataclass(frozen=True)
-class InvariantTwoForm:
-    """Invariant 2-form: tangential part (matrix of the *3-dual 1-form) plus
-    normal part (matrix of dy ^ e_a coefficients)."""
-
-    t: np.ndarray
-    n: np.ndarray
-
-    def norm_sq(self):
-        return half_of_scalar(frob_inner(self.t, self.t) + frob_inner(self.n, self.n))
-
-    def __add__(self, o):
-        return InvariantTwoForm(self.t + o.t, self.n + o.n)
-
-    def __sub__(self, o):
-        return InvariantTwoForm(self.t - o.t, self.n - o.n)
-
-
-OMEGA = InvariantOneForm.from_rows(
-    [[Fraction(1), Fraction(0), Fraction(0)],
-     [Fraction(0), Fraction(1), Fraction(0)],
-     [Fraction(0), Fraction(0), Fraction(1)]]
-)
-
-
-def zero_matrix(exact=True):
-    z = Fraction(0) if exact else 0.0
-    return _as_matrix([[z] * 3 for _ in range(3)], exact)
+OMEGA = np.array([[Fraction(int(i == a)) for a in range(3)] for i in range(3)],
+                 dtype=object)
 
 
 @dataclass(frozen=True)
@@ -175,38 +108,6 @@ class GeometryConventions:
         return GeometryConventions(self.c, -self.s1, -self.s2)
 
 
-def hodge3(two: InvariantTwoForm) -> InvariantOneForm:
-    """*3 of a tangential invariant 2-form; an isometry, involutive."""
-    if any(two.n[i][a] != 0 for i in range(3) for a in range(3)):
-        raise ValueError("hodge3 defined on tangential 2-forms only")
-    return InvariantOneForm(two.t)
-
-
-def hodge3_one_form(u: InvariantOneForm) -> InvariantTwoForm:
-    return InvariantTwoForm(u.m, zero_matrix(_is_exact(u.m)))
-
-
-def star4(conv: GeometryConventions, two: InvariantTwoForm) -> InvariantTwoForm:
-    return InvariantTwoForm(two.n * conv.s2, two.t * conv.s1)
-
-
-def coframe_d(conv: GeometryConventions, u: InvariantOneForm) -> InvariantTwoForm:
-    """Exterior derivative of a constant-coefficient tangential 1-form."""
-    return InvariantTwoForm(u.m * (-conv.c), zero_matrix(_is_exact(u.m)))
-
-
-def wedge_bracket(u: InvariantOneForm, v: InvariantOneForm) -> InvariantTwoForm:
-    """[u ^ v] = u^v + v^u for su(2)-valued 1-forms; symmetric and bilinear."""
-    wb = wedge_bracket_matrix(u.m, v.m)
-    return InvariantTwoForm(wb, zero_matrix(_is_exact(wb)))
-
-
-def wedge_square(u: InvariantOneForm) -> InvariantTwoForm:
-    """u ^ u = (1/2)[u ^ u]."""
-    return InvariantTwoForm(half_of(wedge_bracket_matrix(u.m, u.m)),
-                            zero_matrix(_is_exact(u.m)))
-
-
 # ---------------------------------------------------------------------------
 # curvature / residual engine on y-profiles
 # ---------------------------------------------------------------------------
@@ -217,55 +118,45 @@ def curvature_matrices(conv: GeometryConventions, a, da):
     return t, da
 
 
-def curvature(conv: GeometryConventions, a_profile, y) -> InvariantTwoForm:
-    a, da = a_profile.eval(y)
-    t, n = curvature_matrices(conv, a, da)
-    return InvariantTwoForm(t, n)
-
-
 def kw_residual(conv: GeometryConventions, field, y):
-    """Pointwise Kapustin-Witten residual of an invariant field (A_y = 0).
+    """Kapustin-Witten residual of an invariant field (A_y = 0) at y, a node
+    or an array of nodes.
 
-    Returns (first-equation residual as an InvariantTwoForm, norm of the
-    second-equation residual |d_A * phi|).
+    Returns (res_t, res_n, res2): the tangential and normal matrices of the
+    first equation's residual 2-form, matrix axes first, and the norm
+    |d_A * phi| of the second equation's residual.  Each node gets the float
+    of a one-node evaluation.
     """
-    if y <= 0:
+    if field.higgs_y is not None:
+        raise ValueError("kw_residual does not take a phi_y component")
+    if np.any(np.asarray(y) <= 0):
         raise ValueError("boundary evaluation")
-    a, da = field.connection.eval(y)
-    p, dp = field.higgs.eval(y)
+    a, da = (np.moveaxis(m, (-2, -1), (0, 1)) for m in field.connection.eval(y))
+    p, dp = (np.moveaxis(m, (-2, -1), (0, 1)) for m in field.higgs.eval(y))
 
     t_f, n_f = curvature_matrices(conv, a, da)
     t_dphi = p * (-conv.c) + wedge_bracket_matrix(a, p)
-    n_dphi = dp
     t_phi2 = half_of(wedge_bracket_matrix(p, p))
-    n_phi2 = None
-
-    dw = None
-    if field.higgs_y is not None:
-        w, dw, _ = field.higgs_y.eval(y)
-        extra_dphi = np.empty((3, 3), dtype=object)
-        n_phi2 = np.empty((3, 3), dtype=object)
-        for col in range(3):
-            extra_dphi[:, col] = cross3(w, a[:, col])
-            n_phi2[:, col] = cross3(w, p[:, col])
-        n_dphi = n_dphi + extra_dphi
-
-    res_t = t_f - t_phi2 - n_dphi * conv.s2
+    res_t = t_f - t_phi2 - dp * conv.s2
     res_n = n_f - t_dphi * conv.s1
-    if n_phi2 is not None:
-        res_n = res_n - n_phi2
 
-    div = sum(cross3(a[:, col], p[:, col]) for col in range(3))
-    if dw is not None:
-        div = div + dw
+    div = sum(bracket(a[:, col], p[:, col]) for col in range(3))
     res2_sq = half_of_scalar(sum(c * c for c in div))
-    res2 = float(res2_sq) ** 0.5
-    return InvariantTwoForm(res_t, res_n), res2
+    return res_t, res_n, _sqrt(res2_sq)
 
 
-def kw_residual_norm(conv: GeometryConventions, field, y) -> float:
-    two, res2 = kw_residual(conv, field, y)
-    return float(float(two.norm_sq()) ** 0.5 + res2)
+def _sqrt(x):
+    """x ** 0.5 in float64 as Python takes it of a float: libm pow, which
+    np.sqrt does not always match."""
+    return np.float_power(np.asarray(x, dtype=float), 0.5)[()]
+
+
+def kw_residual_norm(conv: GeometryConventions, field, y):
+    """Norm of the first-equation residual plus that of the second, at y (a
+    node or an array of nodes)."""
+    res_t, res_n, res2 = kw_residual(conv, field, y)
+    norm_sq = half_of_scalar(frob_inner(res_t, res_t) + frob_inner(res_n, res_n))
+    return _sqrt(norm_sq) + res2
 
 
 def taubes_lhs(conv: GeometryConventions, field, y) -> float:
@@ -291,10 +182,10 @@ def taubes_lhs(conv: GeometryConventions, field, y) -> float:
     lap = -0.5 * float(np.dot(dw, dw) + np.dot(w, ddw))
     dy_term = 0.5 * float(np.dot(dw, dw))
     nabla = sum(
-        0.5 * float(np.dot(c, c)) for c in (cross3(af[:, k], w) for k in range(3))
+        0.5 * float(np.dot(c, c)) for c in (bracket(af[:, k], w) for k in range(3))
     )
     brk = sum(
-        float(np.dot(c, c)) for c in (cross3(w, pf[:, k]) for k in range(3))
+        float(np.dot(c, c)) for c in (bracket(w, pf[:, k]) for k in range(3))
     )
     return lap + dy_term + nabla + brk
 
@@ -303,10 +194,11 @@ def taubes_lhs(conv: GeometryConventions, field, y) -> float:
 # Ricci curvature of the frame (exact, from the structure constant)
 # ---------------------------------------------------------------------------
 
-def ricci_tensor(conv: GeometryConventions):
+def ricci_tensor(c: int):
     """Ricci tensor of the invariant metric, computed from the frame bracket
-    [E_a, E_b] = c_struct eps_abc E_c through the Koszul formula; exact."""
-    c = Fraction(conv.c)
+    [E_a, E_b] = c eps_abc E_c through the Koszul formula; exact.  It
+    depends on the structure constant alone."""
+    c = Fraction(c)
     eps = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     for i, j, k, s in EPS_TABLE:
         eps[i][j][k] = Fraction(s)
@@ -327,14 +219,14 @@ def ricci_tensor(conv: GeometryConventions):
     return np.array(ric, dtype=object)
 
 
+def _is_twice_metric(ric) -> bool:
+    return all(ric[i][j] == (2 if i == j else 0) for i in range(3) for j in range(3))
+
+
 def ricci_check(conv: GeometryConventions) -> CheckReport:
     """Assert Ric = 2g and report the ratio Ric(phi,phi)/|phi|^2 for phi = omega."""
-    ric = ricci_tensor(conv)
-    target = np.array(
-        [[Fraction(2) if i == j else Fraction(0) for j in range(3)] for i in range(3)],
-        dtype=object,
-    )
-    exact = all(ric[i][j] == target[i][j] for i in range(3) for j in range(3))
+    ric = ricci_tensor(conv.c)
+    exact = _is_twice_metric(ric)
     # ratio Ric(phi,phi)/|phi|^2 for phi = omega: sum_a Ric_aa <t_a,t_a> / (3/2)
     num = sum(ric[a][a] * Fraction(1, 2) for a in range(3))
     ratio = float(num / Fraction(3, 2))
@@ -363,7 +255,10 @@ CONVENTION_SET = tuple(
 )
 
 
-def calibrate(residual_tol: float = 1e-10, force: bool = False) -> GeometryConventions:
+CALIBRATION_TOL = 1e-10  # worst residual of the reference solution
+
+
+def calibrate(force: bool = False) -> GeometryConventions:
     """Search the finite convention set for the unique (c_struct, s1, s2)
     with exact Ric = 2g and vanishing residual on the reference solution."""
     global _CALIBRATED
@@ -373,18 +268,10 @@ def calibrate(residual_tol: float = 1e-10, force: bool = False) -> GeometryConve
 
     field = nahm_pole_invariant_solution()
     grid = np.geomspace(1e-3, 20.0, 40)
-    winners = []
-    for conv in CONVENTION_SET:
-        ric = ricci_tensor(conv)
-        if any(
-            ric[i][j] != (Fraction(2) if i == j else Fraction(0))
-            for i in range(3)
-            for j in range(3)
-        ):
-            continue
-        worst = max(kw_residual_norm(conv, field, float(y)) for y in grid)
-        if worst < residual_tol:
-            winners.append(conv)
+    ricci_ok = {c: _is_twice_metric(ricci_tensor(c))
+                for c in dict.fromkeys(conv.c for conv in CONVENTION_SET)}
+    winners = [conv for conv in CONVENTION_SET if ricci_ok[conv.c]
+               and np.max(kw_residual_norm(conv, field, grid)) < CALIBRATION_TOL]
     if len(winners) != 1:
         raise RuntimeError(
             f"calibration must single out one convention, found {winners}"

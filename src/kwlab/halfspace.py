@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import Dual4
+from .su2 import bracket
 
 # orientation sign of the flat 4d star relative to dx1^dx2^dx3^dy; the value
 # -1 (volume dy^dx1^dx2^dx3) is the one that annihilates the Nahm pole field
@@ -169,12 +170,6 @@ _STAR_PAIRS = {
 _PAIRS = tuple(sorted({k for k in _STAR_PAIRS}))
 
 
-def _cross(u, v):
-    return np.array(
-        [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-    )
-
-
 def kw_residual_flat(fld: FlatModelField, p: HalfspacePoint,
                      star_sign: int = FLAT_STAR_SIGN):
     """Pointwise residual norms (eq1, eq2) of the flat-chart system.
@@ -193,15 +188,15 @@ def kw_residual_flat(fld: FlatModelField, p: HalfspacePoint,
     phiphi = {}
     for mu, nu in _PAIRS:
         F[(mu, nu)] = (
-            dA[:, nu, mu] - dA[:, mu, nu] + _cross(A[:, mu], A[:, nu])
+            dA[:, nu, mu] - dA[:, mu, nu] + bracket(A[:, mu], A[:, nu])
         )
         dphi2[(mu, nu)] = (
             dphi[:, nu, mu]
             - dphi[:, mu, nu]
-            + _cross(A[:, mu], phi[:, nu])
-            - _cross(A[:, nu], phi[:, mu])
+            + bracket(A[:, mu], phi[:, nu])
+            - bracket(A[:, nu], phi[:, mu])
         )
-        phiphi[(mu, nu)] = _cross(phi[:, mu], phi[:, nu])
+        phiphi[(mu, nu)] = bracket(phi[:, mu], phi[:, nu])
 
     res1_sq = 0.0
     for mu, nu in _PAIRS:
@@ -209,7 +204,7 @@ def kw_residual_flat(fld: FlatModelField, p: HalfspacePoint,
         r = F[(mu, nu)] - phiphi[(mu, nu)] - star_sign * sgn * dphi2[(tm, tn)]
         res1_sq += 0.5 * float(np.dot(r, r))
 
-    div = sum(dphi[:, a, a] + _cross(A[:, a], phi[:, a]) for a in range(3))
+    div = sum(dphi[:, a, a] + bracket(A[:, a], phi[:, a]) for a in range(3))
     res2_sq = 0.5 * float(np.dot(div, div))
     return math.sqrt(res1_sq), math.sqrt(res2_sq)
 

@@ -163,7 +163,3 @@ def sqrt(x):
         r = np.sqrt(x.f)
         return Dual4(r, x.g / (2 * r))
     return np.sqrt(x)
-
-
-def value(x):
-    return x.f if isinstance(x, (Jet2, Dual4)) else x

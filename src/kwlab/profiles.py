@@ -73,10 +73,6 @@ class VectorProfile:
         return w, dw, ddw
 
 
-def constant_matrix_profile(mat) -> MatrixProfile:
-    return MatrixProfile([(lambda jy: jy * 0 + 1, np.asarray(mat, dtype=float))])
-
-
 def scaled_matrix_profile(fn, mat) -> MatrixProfile:
     return MatrixProfile([(fn, np.asarray(mat, dtype=float))])
 
@@ -167,22 +163,15 @@ def nahm_pole_invariant_solution_alt() -> InvariantField:
     )
 
 
-def pole_scalars(y):
+def pole_scalars(y, dtype=float):
     """(a, b, a', b') of the reference solution at y (a node or an array of
-    nodes), evaluated in extended precision and rounded to float64."""
+    nodes), evaluated in extended precision and rounded to dtype.  Residual
+    checks take np.longdouble: near the pole their cancellations exceed
+    float64 resolution."""
     jy = Jet2.var(np.longdouble(y))
     ja = pole_a(jy)
     jb = pole_b(jy)
-    return tuple(np.asarray(x, dtype=float)[()] for x in (ja.f, jb.f, ja.d1, jb.d1))
-
-
-def pole_scalars_extended(y: float):
-    """Same as pole_scalars but in extended precision, for residual checks
-    whose cancellations exceed float64 resolution near the pole."""
-    jy = Jet2.var(np.longdouble(y))
-    ja = pole_a(jy)
-    jb = pole_b(jy)
-    return ja.f, jb.f, ja.d1, jb.d1
+    return tuple(np.asarray(x, dtype=dtype)[()] for x in (ja.f, jb.f, ja.d1, jb.d1))
 
 
 def higgs_scale_check(scales=(1e-1, 1e-2, 1e-3)) -> dict:

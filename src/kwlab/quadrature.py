@@ -14,7 +14,7 @@ panel-doubling comparison with the tail remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 VOL_S3 = 2.0 * math.pi**2
 
 TAIL_MODES = ("truncate_bound", "exp_substitution")
+TAIL_RATE = 4.0  # exponential envelope rate used for the tail bound
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class QuadratureSpec:
     panels: int = 24
     nodes_per_panel: int = 16
     tail_mode: str = "truncate_bound"
-    tail_rate: float = 4.0  # exponential envelope rate used for the tail bound
 
     def __post_init__(self):
         if not (0 < self.eps < self.y_split < self.y_max):
@@ -42,16 +42,11 @@ class QuadratureSpec:
         if self.tail_mode not in TAIL_MODES:
             raise ValueError(f"tail_mode must be one of {TAIL_MODES}")
 
-    def refined(self, factor: int = 2) -> "QuadratureSpec":
-        return QuadratureSpec(
-            self.eps, self.y_split, self.y_max,
-            self.panels * factor, self.nodes_per_panel,
-            self.tail_mode, self.tail_rate,
-        )
+    def refined(self) -> "QuadratureSpec":
+        return replace(self, panels=self.panels * 2)
 
     def with_eps(self, eps: float) -> "QuadratureSpec":
-        return QuadratureSpec(eps, self.y_split, self.y_max, self.panels,
-                              self.nodes_per_panel, self.tail_mode, self.tail_rate)
+        return replace(self, eps=eps)
 
 
 @lru_cache(maxsize=32)
@@ -106,7 +101,7 @@ def integrate_panels(f, edges, nodes: int) -> float:
 
 def _tail(f, spec: QuadratureSpec):
     """(tail value, tail error bound) for the integral beyond y_max."""
-    rate = spec.tail_rate
+    rate = TAIL_RATE
     if spec.tail_mode == "exp_substitution":
         t_max = math.exp(-spec.y_max)
 
@@ -126,48 +121,44 @@ def _tail(f, spec: QuadratureSpec):
     return 0.0, 1.5 * k * math.exp(-rate * spec.y_max) / rate
 
 
+def _doubled(f, layout, panels: int, nodes: int):
+    """(fine, |fine - coarse|) for the rule on layout(2 * panels) against
+    layout(panels).  layout(p) gives the edge arrays of consecutive parts,
+    each with p panels; their integrals are added in that order."""
+    def run(p: int) -> float:
+        return sum(integrate_panels(f, edges, nodes) for edges in layout(p))
+
+    coarse = run(panels)
+    fine = run(panels * 2)
+    return fine, abs(fine - coarse)
+
+
+def _halfline(f, spec: QuadratureSpec, lo: float, head_edges):
+    """Head [lo, y_split] laid out by head_edges, uniform body up to y_max,
+    and the tail beyond it."""
+    fine, err = _doubled(
+        f, lambda p: (head_edges(lo, spec.y_split, p),
+                      _edges_uniform(spec.y_split, spec.y_max, p)),
+        spec.panels, spec.nodes_per_panel)
+    tail_val, tail_err = _tail(f, spec)
+    return fine + tail_val, err + tail_err
+
+
 def integrate_halfline(f, spec: QuadratureSpec, geometric_head: bool = True):
     """int_{eps}^{inf} f(y) dy with the panel layout described above; f
     takes an array of nodes and returns the integrand at each."""
-    def run(panels: int) -> float:
-        head_edges = (
-            _edges_geometric(spec.eps, spec.y_split, panels)
-            if geometric_head
-            else _edges_uniform(spec.eps, spec.y_split, panels)
-        )
-        body_edges = _edges_uniform(spec.y_split, spec.y_max, panels)
-        return (integrate_panels(f, head_edges, spec.nodes_per_panel)
-                + integrate_panels(f, body_edges, spec.nodes_per_panel))
-
-    coarse = run(spec.panels)
-    fine = run(spec.panels * 2)
-    tail_val, tail_err = _tail(f, spec)
-    value = fine + tail_val
-    err = abs(fine - coarse) + tail_err
-    return value, err
+    return _halfline(f, spec, spec.eps,
+                     _edges_geometric if geometric_head else _edges_uniform)
 
 
 def integrate_smooth_from_zero(f, spec: QuadratureSpec):
     """int_0^inf f dy for integrands continuous at y = 0 (uniform head)."""
-    def run(panels: int) -> float:
-        head = _edges_uniform(0.0, spec.y_split, panels)
-        body = _edges_uniform(spec.y_split, spec.y_max, panels)
-        return (integrate_panels(f, head, spec.nodes_per_panel)
-                + integrate_panels(f, body, spec.nodes_per_panel))
-
-    coarse = run(spec.panels)
-    fine = run(spec.panels * 2)
-    tail_val, tail_err = _tail(f, spec)
-    return fine + tail_val, abs(fine - coarse) + tail_err
+    return _halfline(f, spec, 0.0, _edges_uniform)
 
 
-def integrate_interval(f, lo: float, hi: float, panels: int = 16,
-                       nodes: int = 16, geometric: bool = False):
+def integrate_interval(f, lo: float, hi: float, panels: int = 16, nodes: int = 16):
     """int_lo^hi f dy with a doubling-based error estimate."""
-    mk = _edges_geometric if geometric else _edges_uniform
-    coarse = integrate_panels(f, mk(lo, hi, panels), nodes)
-    fine = integrate_panels(f, mk(lo, hi, panels * 2), nodes)
-    return fine, abs(fine - coarse)
+    return _doubled(f, lambda p: (_edges_uniform(lo, hi, p),), panels, nodes)
 
 
 def l2_norm_sq(density, spec: QuadratureSpec, from_zero: bool = False):

@@ -9,91 +9,67 @@ so that <t_i, t_j> = delta_ij / 2 and |t_i|^2 = 1/2.  This normalisation is
 what makes |omega|^2 = 3/2 for omega = sum_i t_i e_i and |mu_i| = 1 for the
 antisymmetric basis of the middle isotypic component.
 
-Coefficients may be exact (Fraction / int) for identity tests or floats for
+An element is its coefficient array along the first axis: a length-3 tuple
+or array, or a (3, n) stack of n elements.  Coefficients may be exact
+(Fraction / int, in object arrays) for identity tests or floats for
 numerics; all operations preserve the input arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 
-@dataclass(frozen=True)
-class Su2Element:
-    """A Lie-algebra value c1*t1 + c2*t2 + c3*t3, stored as its coefficients."""
-
-    coeffs: tuple
-
-    def __add__(self, other: "Su2Element") -> "Su2Element":
-        return Su2Element(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Su2Element") -> "Su2Element":
-        return Su2Element(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Su2Element":
-        return Su2Element(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, s) -> "Su2Element":
-        return Su2Element(tuple(a * s for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+T1, T2, T3 = (np.array([Fraction(int(i == k)) for i in range(3)], dtype=object)
+              for k in range(3))
+ZERO = np.array([Fraction(0)] * 3, dtype=object)
 
 
-T1 = Su2Element((Fraction(1), Fraction(0), Fraction(0)))
-T2 = Su2Element((Fraction(0), Fraction(1), Fraction(0)))
-T3 = Su2Element((Fraction(0), Fraction(0), Fraction(1)))
-ZERO = Su2Element((Fraction(0), Fraction(0), Fraction(0)))
-
-
-def su2(c1, c2, c3) -> Su2Element:
-    return Su2Element((c1, c2, c3))
-
-
-def bracket(u: Su2Element, v: Su2Element) -> Su2Element:
-    """Lie bracket [u, v]; exact when the inputs are exact."""
-    a, b = u.coeffs, v.coeffs
-    return Su2Element(
-        (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
+def bracket(u, v):
+    """Lie bracket [u, v], the cross product along the first axis; object
+    input gives object output, and exact input an exact result."""
+    exact = getattr(u, "dtype", None) == object or getattr(v, "dtype", None) == object
+    return np.array(
+        [
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        ],
+        dtype=object if exact else None,
     )
 
 
-def inner(u: Su2Element, v: Su2Element):
+def inner(u, v):
     """Invariant inner product, normalised so <t_i, t_j> = delta_ij / 2."""
-    s = sum(a * b for a, b in zip(u.coeffs, v.coeffs))
+    # a left-to-right sum of products: np.dot rounds floats differently
+    s = sum(a * b for a, b in zip(u, v))
     if isinstance(s, (int, Fraction)):
         return Fraction(s, 2) if isinstance(s, int) else s / 2
     return s / 2
 
 
-def norm_sq(u: Su2Element):
+def norm_sq(u):
     return inner(u, u)
 
 
-def norm(u: Su2Element) -> float:
+def norm(u) -> float:
     return math.sqrt(float(norm_sq(u)))
 
 
-def ad_rotate(axis: Su2Element, angle: float, u: Su2Element) -> Su2Element:
+def ad_rotate(axis, angle: float, u):
     """Adjoint rotation of u about the given axis (Rodrigues formula).
 
     The adjoint action of SU(2) on su(2) is the SO(3) rotation of the
     coefficient vector; it preserves both bracket and inner product.
     """
-    ax = [float(c) for c in axis.coeffs]
+    ax = [float(c) for c in axis]
     nrm = math.sqrt(sum(c * c for c in ax))
     if nrm == 0.0:
         raise ValueError("degenerate rotation axis")
     n = [c / nrm for c in ax]
-    uc = [float(c) for c in u.coeffs]
+    uc = [float(c) for c in u]
     c, s = math.cos(angle), math.sin(angle)
     ndotu = sum(a * b for a, b in zip(n, uc))
     ncross = [
@@ -101,6 +77,6 @@ def ad_rotate(axis: Su2Element, angle: float, u: Su2Element) -> Su2Element:
         n[2] * uc[0] - n[0] * uc[2],
         n[0] * uc[1] - n[1] * uc[0],
     ]
-    return Su2Element(
-        tuple(c * uc[k] + s * ncross[k] + (1 - c) * ndotu * n[k] for k in range(3))
+    return np.array(
+        [c * uc[k] + s * ncross[k] + (1 - c) * ndotu * n[k] for k in range(3)]
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kwlab.energy import bound_constants
 from kwlab.forms import calibrate
 from kwlab.quadrature import QuadratureSpec
 
@@ -31,6 +32,11 @@ def conv():
 @pytest.fixture(scope="session")
 def quad_spec():
     return QuadratureSpec()
+
+
+@pytest.fixture(scope="session")
+def consts(conv, quad_spec):
+    return bound_constants(conv, quad_spec)
 
 
 @pytest.fixture(scope="session")

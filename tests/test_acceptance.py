@@ -79,8 +79,7 @@ def test_criterion_01_model_residuals(conv):
         worst_sing = max(worst_sing, halfspace.kw_residual_flat_combined(sing, p))
         n += 1
     model = nahm_pole_invariant_solution()
-    worst_inv = max(kw_residual_norm(conv, model, float(y))
-                    for y in np.geomspace(1e-3, 30.0, 300))
+    worst_inv = np.max(kw_residual_norm(conv, model, np.geomspace(1e-3, 30.0, 300)))
     elapsed = time.time() - t0
     ok = (worst_pole < 1e-12 and worst_sing < 1e-10 and worst_inv < 1e-10
           and elapsed < 10.0)
@@ -113,7 +112,7 @@ def test_criterion_03_decomposition_suite():
 def test_criterion_04_energy_balance(conv, quad_spec):
     model = nahm_pole_invariant_solution()
     rep = energy.check_energy_identity(conv, "bulk-boundary-balance", model,
-                                       0.05, quad_spec)
+                                       0.05, quad_spec, None)
     ok = rep.status == "pass" and rep.computed <= 1e-6 and (
         "quad_error" in rep.extra)
     _check("criterion-04 bulk/boundary balance at eps=0.05", ok,
@@ -121,17 +120,17 @@ def test_criterion_04_energy_balance(conv, quad_spec):
            f"error budget {rep.extra['quad_error']:.2e}")
 
 
-def test_criterion_05_cutoff_limit(conv, quad_spec):
+def test_criterion_05_cutoff_limit(conv, quad_spec, consts):
     model = nahm_pole_invariant_solution()
     rep = energy.check_energy_identity(conv, "cutoff-limit", model, 0.05,
-                                       quad_spec)
+                                       quad_spec, consts)
     combos = rep.extra["combos"]
     inc1 = abs(combos[1] - combos[0])
     inc2 = abs(combos[2] - combos[1])
     cauchy_linear = 0.05 <= inc2 / inc1 <= 0.2
     slopes_ok = all(abs(s + 1.0) <= 0.05 for s in rep.extra["summand_slopes"])
     route = energy.check_energy_identity(conv, "route-match", model, 0.05,
-                                         quad_spec)
+                                         quad_spec, consts)
     ok = rep.status == "pass" and cauchy_linear and slopes_ok and \
         route.computed <= 1e-6
     _check("criterion-05 divergence cancellation / constant routes", ok,
@@ -157,16 +156,16 @@ def test_criterion_06_model_constant(conv, quad_spec):
            f"{abs(val - val2) / val:.2e}, envelope ok")
 
 
-def test_criterion_07_bound_instance(conv, quad_spec):
+def test_criterion_07_bound_instance(conv, quad_spec, consts):
     model = nahm_pole_invariant_solution()
-    rep = energy.theorem_bound_report(conv, model, quad_spec)
+    rep = energy.theorem_bound_report(conv, model, quad_spec, consts)
     f_sq = rep.get("curvature_l2_sq").value
     c_limit = rep.get("c_limit").value
     other = (rep.get("tangential_gradient_l2_sq").value
              + rep.get("completed_square_l2_sq").value)
     slack = c_limit - f_sq
     weighted = energy.check_energy_identity(conv, "weighted-bound", model,
-                                            0.05, quad_spec)
+                                            0.05, quad_spec, consts)
     ok = (slack > 0 and abs(slack - other) <= 1e-6 * c_limit
           and weighted.status == "pass")
     _check("criterion-07 curvature-energy bound instance", ok,

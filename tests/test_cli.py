@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +139,38 @@ def test_guard_reports_exception_detail(tmp_path, monkeypatch, capsys):
     where = f"{code.co_filename}:{code.co_firstlineno + 1}"
     err = capsys.readouterr().err
     assert f"c-model-stability: ZeroDivisionError raised at {where}: boom" in err
+
+
+def test_failed_constants_fail_only_their_checks(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("no constants")
+
+    monkeypatch.setattr(energy, "bound_constants", boom)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "energy", "--n-pert", "1",
+                 "--out", str(out)]) == 1
+    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    failed = {"energy-cutoff-limit", "energy-route-match", "energy-weighted-bound",
+              "perturbation-chain", "theorem-bound"}
+    for cid in failed:
+        assert by_id[cid]["detail"] == "check raised: no constants"
+    assert {cid for cid, c in by_id.items() if c["status"] == "fail"} == failed
+    assert len(by_id) == 12
+
+
+def test_benchmark_trace_hooks_resolve(tmp_path):
+    # the benchmark's traced run finds its hooks by name; a renamed function
+    # would leave its per-layer metrics silently at zero
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "tracing.py"),
+         str(tmp_path / "dump.json"), "--", "verify", "--suite", "algebra",
+         "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "tracing: not found" not in proc.stderr
+    assert json.loads((tmp_path / "dump.json").read_text())["spans"]
 
 
 def test_io_error_exit_three(tmp_path):

@@ -13,7 +13,6 @@ from kwlab.decomp import (
     NU,
     NU_12,
     NU_13,
-    InvariantOneForm,
     appendix_star_table,
     basis,
     decomposition_suite,
@@ -27,35 +26,39 @@ from kwlab.decomp import (
     star_vv,
     _random_int_matrix,
 )
-from kwlab.forms import OMEGA
+from kwlab.forms import OMEGA, one_form_norm_sq
 
 
 def _eq(u, v):
-    return all(u.m[i][a] == v.m[i][a] for i in range(3) for a in range(3))
+    return all(u[i][a] == v[i][a] for i in range(3) for a in range(3))
+
+
+def _exact(rows):
+    return np.array(rows, dtype=object)
 
 
 def test_basis_dimensions_and_norms():
     b = basis()
     assert (len(b.v1), len(b.v2), len(b.v3)) == (1, 3, 5)
-    assert OMEGA.norm_sq() == Fraction(3, 2)
+    assert one_form_norm_sq(OMEGA) == Fraction(3, 2)
     for mu in MU:
-        assert mu.norm_sq() == 1
+        assert one_form_norm_sq(mu) == 1
     for nu in NU + (NU_12, NU_13):
-        assert nu.norm_sq() == 1
+        assert one_form_norm_sq(nu) == 1
     # mutual orthogonality of the three summands on all basis pairs
     for v2 in b.v2:
-        assert sum(OMEGA.m[i][a] * v2.m[i][a]
+        assert sum(OMEGA[i][a] * v2[i][a]
                    for i in range(3) for a in range(3)) == 0
         for v3 in b.v3:
-            assert sum(v2.m[i][a] * v3.m[i][a]
+            assert sum(v2[i][a] * v3[i][a]
                        for i in range(3) for a in range(3)) == 0
 
 
 def test_projection_examples():
     assert _eq(project(1, OMEGA), OMEGA)
-    assert project(2, OMEGA).norm_sq() == 0
+    assert one_form_norm_sq(project(2, OMEGA)) == 0
     assert _eq(project(2, MU[0]), MU[0])
-    assert project(1, MU[0]).norm_sq() == 0
+    assert one_form_norm_sq(project(1, MU[0])) == 0
     with pytest.raises(ValueError):
         project(4, OMEGA)
 
@@ -67,7 +70,7 @@ def _gram_project(i, v):
     n = len(vecs)
     gram = [[Fraction(0)] * n for _ in range(n)]
     rhs = [Fraction(0)] * n
-    inner = lambda x, y: sum(x.m[r][c] * y.m[r][c]
+    inner = lambda x, y: sum(x[r][c] * y[r][c]
                              for r in range(3) for c in range(3))
     for p in range(n):
         rhs[p] = Fraction(inner(vecs[p], v))
@@ -85,10 +88,10 @@ def _gram_project(i, v):
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     coeffs = [m[r][n] for r in range(n)]
-    out = vecs[0].m * coeffs[0]
+    out = vecs[0] * coeffs[0]
     for c, vec in zip(coeffs[1:], vecs[1:]):
-        out = out + vec.m * c
-    return InvariantOneForm(out)
+        out = out + vec * c
+    return out
 
 
 def test_projection_against_gram_oracle():
@@ -97,7 +100,8 @@ def test_projection_against_gram_oracle():
         v = random_form(rng, "mixed")
         for i in (1, 2, 3):
             assert _eq(project(i, v), _gram_project(i, v))
-        assert v.norm_sq() == sum(project(i, v).norm_sq() for i in (1, 2, 3))
+        assert one_form_norm_sq(v) == sum(one_form_norm_sq(project(i, v))
+                                          for i in (1, 2, 3))
 
 
 def test_eigencheck_table():
@@ -107,9 +111,9 @@ def test_eigencheck_table():
 
 
 def test_eigen_examples():
-    assert _eq(omega_bracket(OMEGA), InvariantOneForm(OMEGA.m * Fraction(2)))
+    assert _eq(omega_bracket(OMEGA), OMEGA * Fraction(2))
     assert _eq(omega_bracket(MU[1]), MU[1])
-    assert _eq(omega_bracket(NU_12), InvariantOneForm(NU_12.m * Fraction(-1)))
+    assert _eq(omega_bracket(NU_12), NU_12 * Fraction(-1))
 
 
 def test_appendix_star_table_all_pass():
@@ -122,13 +126,12 @@ def test_appendix_star_table_all_pass():
 
 
 def test_star_table_values():
-    t1e1 = InvariantOneForm.from_rows(
-        [[Fraction(1), 0, 0], [0, 0, 0], [0, 0, 0]])
+    t1e1 = _exact([[Fraction(1), 0, 0], [0, 0, 0], [0, 0, 0]])
     assert _eq(star_vv(MU[0]), t1e1)
     # resolution of t1 e1 in the omega / diagonal basis
-    res = InvariantOneForm((OMEGA.m + NU_12.m + NU_13.m) * Fraction(1, 3))
+    res = (OMEGA + NU_12 + NU_13) * Fraction(1, 3)
     assert _eq(t1e1, res)
-    assert project(1, star_bracket(MU[0], MU[1])).norm_sq() == 0
+    assert one_form_norm_sq(project(1, star_bracket(MU[0], MU[1]))) == 0
 
 
 def test_quadratic_projection_pure_examples():
@@ -144,8 +147,7 @@ def test_quadratic_projection_pure_examples():
 
 
 def test_quadratic_projection_mixed_coefficients():
-    v = InvariantOneForm(MU[0].m * Fraction(3) + MU[1].m * Fraction(-2)
-                         + MU[2].m * Fraction(1))
+    v = MU[0] * Fraction(3) + MU[1] * Fraction(-2) + MU[2] * Fraction(1)
     rep = lemma_quadratic_projection(v)
     # |v|^2 = 14, equality: 6 lhs^2 = 14^2
     assert Fraction(rep.extra["lhs_sq_times6"]) == 196
@@ -157,7 +159,7 @@ def test_fast_path_matches_fraction_path():
     for k in range(150):
         rows = _random_int_matrix(rng, ("pure2", "pure3", "mixed")[k % 3])
         l6, b6 = quadratic_projection_slack_sq(rows)
-        v = InvariantOneForm.from_rows([[Fraction(x) for x in r] for r in rows])
+        v = _exact([[Fraction(x) for x in r] for r in rows])
         full = lemma_quadratic_projection(v)
         assert Fraction(full.extra["lhs_sq_times6"]) * 36 == l6
         assert Fraction(full.extra["bound_sq_times6"]) * 36 == b6
@@ -165,12 +167,11 @@ def test_fast_path_matches_fraction_path():
 
 def test_projection_commutes_with_omega_bracket(rng):
     for _ in range(30):
-        m = rng.normal(size=(3, 3))
-        v = InvariantOneForm(m)
+        v = rng.normal(size=(3, 3))
         for i in (1, 2, 3):
             left = omega_bracket(project(i, v))
             right = project(i, omega_bracket(v))
-            diff = np.max(np.abs(np.asarray(left.m - right.m, float)))
+            diff = np.max(np.abs(np.asarray(left - right, float)))
             assert diff <= 1e-14
 
 
@@ -188,10 +189,9 @@ rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 @given(st.lists(rational, min_size=9, max_size=9))
 @settings(max_examples=120, deadline=None)
 def test_completeness_and_bound_property(coeffs):
-    v = InvariantOneForm.from_rows(
-        [coeffs[0:3], coeffs[3:6], coeffs[6:9]])
+    v = _exact([coeffs[0:3], coeffs[3:6], coeffs[6:9]])
     parts = [project(i, v) for i in (1, 2, 3)]
     assert _eq(parts[0] + parts[1] + parts[2], v)
-    assert v.norm_sq() == sum(p.norm_sq() for p in parts)
+    assert one_form_norm_sq(v) == sum(one_form_norm_sq(p) for p in parts)
     rep = lemma_quadratic_projection(v)
     assert rep.passed

@@ -15,16 +15,14 @@ from kwlab.energy import (
     cutoff_combination,
     densities,
     density_fn,
-    energy_bound_constant,
     eps_sweep_rows,
     exp_decay_perturbation,
-    integrating_factor,
     perturbation_chain,
     random_perturbation,
     theorem_bound_report,
     topological_charge,
 )
-from kwlab.forms import EPS_TABLE, cross3, frob_inner, wedge_bracket_matrix
+from kwlab.forms import EPS_TABLE, frob_inner, wedge_bracket_matrix
 from kwlab.jets import Jet2
 from kwlab.profiles import (
     InvariantField,
@@ -35,7 +33,8 @@ from kwlab.profiles import (
     pole_scalars,
     scaled_matrix_profile,
 )
-from kwlab.quadrature import VOL_S3, integrate_panels, l2_norm_sq
+from kwlab.quadrature import VOL_S3, integrate_interval, integrate_panels, l2_norm_sq
+from kwlab.su2 import bracket
 
 I3 = np.eye(3)
 
@@ -95,7 +94,7 @@ def _scalar_densities(conv, field, y):
     half_c = 0.5 * conv.c
     for ai in range(3):
         for b in range(3):
-            vec = cross3(a[:, ai], p[:, b])
+            vec = bracket(a[:, ai], p[:, b])
             for i, j, k, s in EPS_TABLE:
                 if i == ai and j == b:
                     vec = vec - half_c * s * p[:, k]
@@ -103,7 +102,7 @@ def _scalar_densities(conv, field, y):
     phi2 = 0.5 * wedge_bracket_matrix(p, p)
     fm = t_f - phi2
     t_dphi = -conv.c * p + wedge_bracket_matrix(a, p)
-    div = sum(cross3(a[:, col], p[:, col]) for col in range(3))
+    div = sum(bracket(a[:, col], p[:, col]) for col in range(3))
     return {
         "F_sq": 0.5 * (frob_inner(t_f, t_f) + frob_inner(n_f, n_f)),
         "nabla_bar_sq": nabla,
@@ -174,7 +173,7 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
 def test_identity_checks_on_model(conv, quad_spec, model):
     for ident in ("first-order-balance", "square-completion",
                   "bulk-boundary-balance"):
-        rep = check_energy_identity(conv, ident, model, 0.05, quad_spec)
+        rep = check_energy_identity(conv, ident, model, 0.05, quad_spec, None)
         assert rep.status == "pass", rep
         assert rep.computed <= 1e-6
         assert rep.extra["quad_error"] < 1e-6
@@ -186,13 +185,14 @@ def test_identity_rejects_non_solutions(conv, quad_spec):
         scaled_matrix_profile(lambda jy: 1 / jy, I3),
     )
     with pytest.raises(ValueError, match="not a solution"):
-        check_energy_identity(conv, "bulk-boundary-balance", bad, 0.05, quad_spec)
+        check_energy_identity(conv, "bulk-boundary-balance", bad, 0.05, quad_spec,
+                              None)
     with pytest.raises(ValueError, match="unknown identity"):
-        check_energy_identity(conv, "nope", bad, 0.05, quad_spec)
+        check_energy_identity(conv, "nope", bad, 0.05, quad_spec, None)
 
 
-def test_cutoff_limit_and_route(conv, quad_spec, model):
-    rep = check_energy_identity(conv, "cutoff-limit", model, 0.05, quad_spec)
+def test_cutoff_limit_and_route(conv, quad_spec, model, consts):
+    rep = check_energy_identity(conv, "cutoff-limit", model, 0.05, quad_spec, consts)
     assert rep.status == "pass"
     combos = rep.extra["combos"]
     inc1 = abs(combos[1] - combos[0])
@@ -201,8 +201,11 @@ def test_cutoff_limit_and_route(conv, quad_spec, model):
     for slope in rep.extra["summand_slopes"]:
         assert abs(slope + 1.0) <= 0.05
 
-    route = check_energy_identity(conv, "route-match", model, 0.05, quad_spec)
+    route = check_energy_identity(conv, "route-match", model, 0.05, quad_spec, consts)
     assert route.status == "pass" and route.computed <= 1e-6
+    # the sweep in consts is the model's cutoff combination at each cutoff
+    for eps, row in zip(rep.extra["eps"], consts.cutoff):
+        assert cutoff_combination(conv, model, eps, quad_spec)[:3] == row
 
 
 def test_divergence_cancellation_monotone(conv, quad_spec, model):
@@ -257,14 +260,12 @@ def test_charge_oracles(conv, quad_spec):
     assert abs(zero_charge) < 1e-12
 
 
-def test_integrating_factor_basics():
-    assert integrating_factor(lambda y: 0.0, lambda y: 0.0, 0.9) == 1.0
-    f_inf = integrating_factor(lambda y: pole_scalars(y)[1], lambda y: 0.0, 25.0)
-    assert math.isclose(f_inf, 1.0, rel_tol=1e-8)
-    with pytest.raises(ValueError, match="toward infinity"):
-        integrating_factor(lambda y: 1.0, lambda y: 0.0, 1.0)
-    with pytest.raises(ValueError, match="at zero"):
-        integrating_factor(lambda y: math.exp(-2 * y), lambda y: 1.0 / y, 1.0)
+def _integrating_factor(h_fn, alpha_fn, y: float, y_max: float = 40.0) -> float:
+    """f(y) = exp(-2 int_y^inf h + int_0^y alpha), the positive weight that
+    turns d_y + 2h + alpha into f^{-1} d_y f on V1 profiles."""
+    tail, _ = integrate_interval(h_fn, y, y_max, panels=48, nodes=16)
+    head, _ = integrate_interval(alpha_fn, 0.0, y, panels=24, nodes=16)
+    return math.exp(-2.0 * tail + head)
 
 
 def test_weighted_derivative_identity_fd():
@@ -279,7 +280,7 @@ def test_weighted_derivative_identity_fd():
         for y in (0.4, 0.9, 1.7):
             lhs = dalpha(y) + 2 * h_fn(y) * alpha(y) + alpha(y) * alpha(y)
             h = 1e-5
-            f_of = lambda t: integrating_factor(h_fn, alpha, t)
+            f_of = lambda t: _integrating_factor(h_fn, alpha, t)
             rhs = (f_of(y + h) * alpha(y + h)
                    - f_of(y - h) * alpha(y - h)) / (2 * h) / f_of(y)
             # note: alpha multiplies itself in lhs because rho1 = alpha omega
@@ -296,9 +297,9 @@ def test_synthetic_perturbation_validation():
     assert abs(q0) < 1e-6 and abs(dq0 - 0.3) < 1e-5
 
 
-def test_chain_pure_v1_spec_case(conv, quad_spec):
+def test_chain_pure_v1_spec_case(conv, quad_spec, consts):
     pert = exp_decay_perturbation(1.0, 1.0, I3, "pure-v1")
-    rep = perturbation_chain(conv, pert, quad_spec)
+    rep = perturbation_chain(conv, pert, quad_spec, consts)
     assert rep.status == "pass"
     steps = rep.extra["steps"]
     assert steps["quadratic_projection_integrated"] == 0.0  # no V2/V3 part
@@ -307,26 +308,26 @@ def test_chain_pure_v1_spec_case(conv, quad_spec):
     assert steps["final"] > 0.0
 
 
-def test_chain_mixed_direction_spec_case(conv, quad_spec):
+def test_chain_mixed_direction_spec_case(conv, quad_spec, consts):
     m = np.zeros((3, 3))
     m[1, 2], m[2, 1] = 1.0, -1.0        # antisymmetric part
     m[2, 0], m[0, 2] = 1.0, 1.0        # symmetric traceless part
     pert = exp_decay_perturbation(1.0, 1.0, m, "mu1-plus-nu2")
-    rep = perturbation_chain(conv, pert, quad_spec)
+    rep = perturbation_chain(conv, pert, quad_spec, consts)
     assert rep.status == "pass"
     assert rep.extra["steps"]["quadratic_projection_pointwise_min"] >= 0.0
 
 
-def test_chain_seeded(conv, quad_spec):
+def test_chain_seeded(conv, quad_spec, consts):
     rng = np.random.default_rng(42)
     for _ in range(8):
         pert = random_perturbation(rng)
-        rep = perturbation_chain(conv, pert, quad_spec)
+        rep = perturbation_chain(conv, pert, quad_spec, consts)
         assert rep.status == "pass", rep.extra["steps"]
 
 
-def test_theorem_bound_report(conv, quad_spec, model):
-    rep = theorem_bound_report(conv, model, quad_spec)
+def test_theorem_bound_report(conv, quad_spec, model, consts):
+    rep = theorem_bound_report(conv, model, quad_spec, consts)
     f_sq = rep.get("curvature_l2_sq").value
     c_limit = rep.get("c_limit").value
     bound = rep.get("bound_constant").value
@@ -341,18 +342,18 @@ def test_theorem_bound_report(conv, quad_spec, model):
     assert rep.get("route_total").value == pytest.approx(c_limit, rel=1e-9)
 
 
-def test_theorem_bound_flat_endpoint(conv, quad_spec):
+def test_theorem_bound_flat_endpoint(conv, quad_spec, consts):
     flat = InvariantField(
         scaled_matrix_profile(lambda jy: jy * 0 + 2.0, I3),
         scaled_matrix_profile(lambda jy: jy * 0, I3),
     )
-    rep = theorem_bound_report(conv, flat, quad_spec)
+    rep = theorem_bound_report(conv, flat, quad_spec, consts)
     assert rep.get("curvature_l2_sq").value <= 1e-20
     assert rep.get("bound_constant").value > 0
 
 
-def test_weighted_bound_identity(conv, quad_spec, model):
-    rep = check_energy_identity(conv, "weighted-bound", model, 0.05, quad_spec)
+def test_weighted_bound_identity(conv, quad_spec, model, consts):
+    rep = check_energy_identity(conv, "weighted-bound", model, 0.05, quad_spec, consts)
     assert rep.status == "pass"
     assert rep.extra["lhs"] <= rep.extra["bound"]
 
@@ -364,10 +365,9 @@ def test_eps_sweep_rows(conv, quad_spec, model):
         assert abs(gap) <= 1e-6 * abs(rhs)
 
 
-def test_engine_constants_reported(conv, quad_spec):
-    consts = energy_bound_constant(conv, quad_spec)
-    assert consts["C"] == consts["c_limit"] + 2 * consts["c_pert"]
-    assert consts["c_pert"] == pytest.approx(
-        consts["c19"] + consts["c24a"] + consts["c24b"])
+def test_engine_constants_reported(consts):
+    assert consts.C == consts.c_limit + 2 * consts.c_pert
+    assert consts.c_pert == pytest.approx(consts.c19 + consts.c24a + consts.c24b)
+    assert consts.c_decay == c_decay()
     # engine normalisation: the Young constant is (3/4) vol(S^3)
-    assert math.isclose(consts["c24b"], 0.75 * VOL_S3, rel_tol=1e-15)
+    assert math.isclose(consts.c24b, 0.75 * VOL_S3, rel_tol=1e-15)

@@ -7,25 +7,21 @@ import numpy as np
 import pytest
 
 from kwlab import jets
+from kwlab.decomp import omega_bracket, star_vv
 from kwlab.forms import (
     CONVENTION_SET,
     EPS_TABLE,
-    GeometryConventions,
-    InvariantOneForm,
     OMEGA,
-    coframe_d,
-    curvature,
-    hodge3,
-    hodge3_one_form,
+    GeometryConventions,
+    curvature_matrices,
+    frob_inner,
     kw_residual,
     kw_residual_norm,
+    one_form_norm_sq,
     ricci_check,
     ricci_tensor,
-    star4,
     taubes_lhs,
-    wedge_bracket,
-    wedge_square,
-    zero_matrix,
+    wedge_bracket_matrix,
 )
 from kwlab.profiles import (
     InvariantField,
@@ -35,11 +31,15 @@ from kwlab.profiles import (
     nahm_pole_invariant_solution_alt,
     scaled_matrix_profile,
 )
-from kwlab.su2 import ad_rotate, su2
+from kwlab.su2 import ad_rotate, bracket
 
 I3 = np.eye(3)
-MU1 = InvariantOneForm.from_rows(
-    [[0, 0, 0], [0, 0, 1], [0, -1, 0]]).m * Fraction(1)
+MU1 = np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=object) * Fraction(1)
+ZERO = OMEGA * 0
+
+
+def _exact_eq(u, v):
+    return all(u[i][a] == v[i][a] for i in range(3) for a in range(3))
 
 
 def test_calibration_unique_golden(conv):
@@ -51,127 +51,113 @@ def test_calibration_rejects_other_conventions(conv):
     for cand in CONVENTION_SET:
         if cand == conv:
             continue
-        ric = ricci_tensor(cand)
+        ric = ricci_tensor(cand.c)
         ric_ok = all(ric[i][j] == (Fraction(2) if i == j else 0)
                      for i in range(3) for j in range(3))
         if not ric_ok:
             continue
-        worst = max(kw_residual_norm(cand, model, float(y))
-                    for y in np.geomspace(1e-2, 5.0, 12))
+        worst = np.max(kw_residual_norm(cand, model, np.geomspace(1e-2, 5.0, 12)))
         assert worst > 1e-2
 
 
+def _coframe_d(conv, u):
+    """d of a constant-coefficient 1-form: the linear part of the tangential
+    curvature, which is what curvature_matrices adds to the quadratic part."""
+    t, _ = curvature_matrices(conv, u, ZERO)
+    return t - star_vv(u)
+
+
 def test_coframe_d_linearity_and_omega(conv):
-    zero = InvariantOneForm(zero_matrix())
-    dz = coframe_d(conv, zero)
-    assert all(dz.t[i][a] == 0 for i in range(3) for a in range(3))
+    assert _exact_eq(_coframe_d(conv, ZERO), ZERO)
+    u = MU1 * 3 + OMEGA * Fraction(1, 2)
+    assert _exact_eq(_coframe_d(conv, u), _coframe_d(conv, MU1) * 3
+                     + _coframe_d(conv, OMEGA) * Fraction(1, 2))
 
     # d omega = -c (omega ^ omega): compare through the wedge square
-    dom = coframe_d(conv, OMEGA)
-    sq = wedge_square(OMEGA)
-    assert all(dom.t[i][a] == -conv.c * sq.t[i][a]
-               for i in range(3) for a in range(3))
+    assert _exact_eq(_coframe_d(conv, OMEGA), star_vv(OMEGA) * -conv.c)
 
 
 def test_coframe_d_mu_has_no_omega_pairing(conv):
-    mu1 = InvariantOneForm(MU1)
-    dmu = coframe_d(conv, mu1)
-    pairing = sum(hodge3(dmu).m[i][i] for i in range(3))
-    assert pairing == 0
+    dmu = _coframe_d(conv, MU1)
+    assert sum(dmu[i][i] for i in range(3)) == 0
     # consistent with the eigen relation *3[omega, mu1] = mu1
-    br = wedge_bracket(OMEGA, mu1)
-    assert all(hodge3(br).m[i][a] == mu1.m[i][a]
-               for i in range(3) for a in range(3))
+    assert _exact_eq(omega_bracket(MU1), MU1)
 
 
 def test_wedge_bracket_symmetric_bilinear():
-    u = InvariantOneForm.from_rows([[1, 2, 0], [0, -1, 3], [2, 0, 1]])
-    v = InvariantOneForm.from_rows([[0, 1, 1], [1, 0, -2], [0, 4, 0]])
-    uv = wedge_bracket(u, v)
-    vu = wedge_bracket(v, u)
-    assert all(uv.t[i][a] == vu.t[i][a] for i in range(3) for a in range(3))
-    zero = InvariantOneForm(zero_matrix())
-    z = wedge_bracket(u, zero)
-    assert all(z.t[i][a] == 0 for i in range(3) for a in range(3))
+    u = np.array([[1, 2, 0], [0, -1, 3], [2, 0, 1]], dtype=object)
+    v = np.array([[0, 1, 1], [1, 0, -2], [0, 4, 0]], dtype=object)
+    assert _exact_eq(wedge_bracket_matrix(u, v), wedge_bracket_matrix(v, u))
+    assert _exact_eq(wedge_bracket_matrix(u, v + v * 2),
+                     wedge_bracket_matrix(u, v) * 3)
+    assert _exact_eq(wedge_bracket_matrix(u, ZERO), ZERO)
     # wedge(u, u) = half the bracket wedge
-    sq = wedge_square(u)
-    assert all(2 * sq.t[i][a] == wedge_bracket(u, u).t[i][a]
-               for i in range(3) for a in range(3))
+    assert _exact_eq(star_vv(u) * 2, wedge_bracket_matrix(u, u))
 
 
 def test_star_eigen_examples(conv):
-    got = hodge3(wedge_square(OMEGA))
-    assert all(got.m[i][a] == OMEGA.m[i][a] for i in range(3) for a in range(3))
-    mu1 = InvariantOneForm(MU1)
-    got2 = hodge3(wedge_bracket(OMEGA, mu1))
-    assert all(got2.m[i][a] == mu1.m[i][a] for i in range(3) for a in range(3))
+    assert _exact_eq(star_vv(OMEGA), OMEGA)
+    assert _exact_eq(wedge_bracket_matrix(OMEGA, MU1), MU1)
 
 
-def test_hodge3_isometry_and_involution(rng):
-    for _ in range(30):
-        u = InvariantOneForm(rng.normal(size=(3, 3)))
-        two = hodge3_one_form(u)
-        back = hodge3(two)
-        assert np.allclose(np.asarray(back.m, float), np.asarray(u.m, float))
-        assert math.isclose(float(two.norm_sq()), float(u.norm_sq()),
-                            rel_tol=1e-15)
-
-
-def test_star4_involution(conv, rng):
-    from kwlab.forms import InvariantTwoForm
-
-    two = InvariantTwoForm(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-    again = star4(conv, star4(conv, two))
-    assert np.allclose(np.asarray(again.t, float), np.asarray(two.t, float))
-    assert np.allclose(np.asarray(again.n, float), np.asarray(two.n, float))
+def test_star4_involution(conv):
+    # kw_residual applies *(e_b ^ e_c) = s1 dy ^ e_a and *(dy ^ e_a) =
+    # s2 e_b ^ e_c, so the 4d star squares to s1 s2, which must be 1
+    for c in (conv, conv.flipped()):
+        assert c.s1 * c.s2 == 1
 
 
 def test_curvature_examples(conv):
+    def curvature_norm_sq(profile, y):
+        t, n = curvature_matrices(conv, *profile.eval(y))
+        return one_form_norm_sq(t) + one_form_norm_sq(n)
+
     zero_prof = scaled_matrix_profile(lambda jy: jy * 0, I3)
-    f = curvature(conv, zero_prof, 1.0)
-    assert float(f.norm_sq()) == 0.0
+    assert float(curvature_norm_sq(zero_prof, 1.0)) == 0.0
 
     flat2 = scaled_matrix_profile(lambda jy: jy * 0 + 2, I3)
-    f2 = curvature(conv, flat2, 0.7)
-    assert float(f2.norm_sq()) < 1e-28
+    assert float(curvature_norm_sq(flat2, 0.7)) < 1e-28
 
     # the dy ^ omega coefficient of the model curvature
     from kwlab.profiles import pole_a
 
     prof = scaled_matrix_profile(pole_a, I3)
     for y in (0.2, 1.0, 3.0):
-        fm = curvature(conv, prof, y)
+        t, n = curvature_matrices(conv, *prof.eval(y))
         u = math.exp(2 * y)
         d = u * u + 4 * u + 1
         want = 12 * (u - u**3) / d**2
-        assert math.isclose(float(fm.n[0][0]), want, rel_tol=1e-12)
+        assert math.isclose(float(n[0][0]), want, rel_tol=1e-12)
         # displayed quadratic coefficient a^2 differs from the engine's
         # a^2 - 2a by the coframe-derivative part; both are reported
         a = 6 * u / d
-        assert math.isclose(float(fm.t[0][0]), a * a - 2 * a, rel_tol=1e-12)
+        assert math.isclose(float(t[0][0]), a * a - 2 * a, rel_tol=1e-12)
 
 
 def test_residual_zero_field_and_boundary_error(conv):
     zero_prof = scaled_matrix_profile(lambda jy: jy * 0, I3)
     field = InvariantField(zero_prof, zero_prof)
-    two, r2 = kw_residual(conv, field, 1.0)
-    assert float(two.norm_sq()) == 0.0 and r2 == 0.0
+    res_t, res_n, r2 = kw_residual(conv, field, 1.0)
+    assert frob_inner(res_t, res_t) + frob_inner(res_n, res_n) == 0.0 and r2 == 0.0
     with pytest.raises(ValueError, match="boundary evaluation"):
         kw_residual(conv, field, 0.0)
+    with pytest.raises(ValueError, match="boundary evaluation"):
+        kw_residual_norm(conv, field, np.array([1.0, 0.0]))
+    # phi_y is not part of the residual: a field that carries it is refused
+    with_y = InvariantField(zero_prof, zero_prof,
+                            VectorProfile([(lambda jy: jy * 0, (0, 0, 1.0))]))
+    with pytest.raises(ValueError, match="phi_y"):
+        kw_residual(conv, with_y, 1.0)
 
 
 def test_residual_model_grid(conv):
     model = nahm_pole_invariant_solution()
-    worst = max(kw_residual_norm(conv, model, float(y))
-                for y in np.geomspace(1e-3, 30, 300))
-    assert worst < 1e-10
+    assert np.max(kw_residual_norm(conv, model, np.geomspace(1e-3, 30, 300))) < 1e-10
 
 
 def test_residual_alt_model(conv):
     alt = nahm_pole_invariant_solution_alt()
-    worst = max(kw_residual_norm(conv, alt, float(y))
-                for y in np.geomspace(1e-3, 30, 300))
-    assert worst < 1e-10
+    assert np.max(kw_residual_norm(conv, alt, np.geomspace(1e-3, 30, 300))) < 1e-10
 
 
 def _random_smooth_field(rng):
@@ -203,16 +189,44 @@ class _FDProfile:
         return v, (vp - vm) / (2 * self.h)
 
 
+def _scalar_residual_norm(conv, field, y):
+    """One node at a time, the way the residual was first written; the
+    array engine must reproduce it bit for bit."""
+    a, da = field.connection.eval(y)
+    p, dp = field.higgs.eval(y)
+    t_f = a * (-conv.c) + wedge_bracket_matrix(a, a) * 0.5
+    res_t = t_f - wedge_bracket_matrix(p, p) * 0.5 - dp * conv.s2
+    res_n = da - (p * (-conv.c) + wedge_bracket_matrix(a, p)) * conv.s1
+    div = sum(bracket(a[:, col], p[:, col]) for col in range(3))
+    res2 = float(sum(c * c for c in div) / 2) ** 0.5
+    norm_sq = (frob_inner(res_t, res_t) + frob_inner(res_n, res_n)) / 2
+    return float(norm_sq) ** 0.5 + res2
+
+
+def test_array_residuals_match_scalar_reference(rng):
+    model = nahm_pole_invariant_solution()
+    fields = [model, nahm_pole_invariant_solution_alt(),
+              _random_smooth_field(rng), _random_smooth_field(rng),
+              model.rotated(np.linalg.qr(rng.normal(size=(3, 3)))[0])]
+    grids = (np.geomspace(1e-3, 20.0, 40), np.geomspace(0.05, 10.0, 24))
+    for field in fields:
+        for conv in CONVENTION_SET:
+            for grid in grids:
+                want = [_scalar_residual_norm(conv, field, float(y)) for y in grid]
+                assert kw_residual_norm(conv, field, grid).tolist() == want
+                assert kw_residual_norm(conv, field, float(grid[3])) == want[3]
+
+
 def test_residual_derivatives_match_finite_differences(conv, rng):
     for _ in range(5):
         field = _random_smooth_field(rng)
         fd_field = InvariantField(_FDProfile(field.connection),
                                   _FDProfile(field.higgs))
         for y in (0.4, 1.1, 2.3):
-            exact, r2a = kw_residual(conv, field, y)
-            fd, r2b = kw_residual(conv, fd_field, y)
-            diff = (np.max(np.abs(np.asarray(exact.t - fd.t, float)))
-                    + np.max(np.abs(np.asarray(exact.n - fd.n, float))))
+            exact_t, exact_n, r2a = kw_residual(conv, field, y)
+            fd_t, fd_n, r2b = kw_residual(conv, fd_field, y)
+            diff = (np.max(np.abs(np.asarray(exact_t - fd_t, float)))
+                    + np.max(np.abs(np.asarray(exact_n - fd_n, float))))
             assert diff < 1e-6
             assert abs(r2a - r2b) < 1e-6
 
@@ -221,16 +235,13 @@ def test_residual_gauge_covariance(conv, rng):
     model = nahm_pole_invariant_solution()
     field = _random_smooth_field(rng)
     for fld in (model, field):
-        base = [kw_residual_norm(conv, fld, y) for y in (0.3, 1.0, 2.5)]
+        ys = np.array([0.3, 1.0, 2.5])
+        base = kw_residual_norm(conv, fld, ys)
         # rotation matrix from the adjoint action on basis coefficients
-        axis, angle = su2(0.3, -0.5, 0.8), 1.234
-        rot = np.array([
-            [float(c) for c in ad_rotate(axis, angle, su2(*row)).coeffs]
-            for row in I3
-        ]).T
-        rotated = fld.rotated(rot)
-        after = [kw_residual_norm(conv, rotated, y) for y in (0.3, 1.0, 2.5)]
-        assert all(abs(x - y) <= 1e-12 for x, y in zip(base, after))
+        axis, angle = (0.3, -0.5, 0.8), 1.234
+        rot = np.array([ad_rotate(axis, angle, row) for row in I3]).T
+        after = kw_residual_norm(conv, fld.rotated(rot), ys)
+        assert np.all(np.abs(base - after) <= 1e-12)
 
 
 def test_ricci_check_calibrated_and_flat(conv):
@@ -240,7 +251,7 @@ def test_ricci_check_calibrated_and_flat(conv):
     rep0 = ricci_check(flat)
     assert rep0.status == "fail" and rep0.computed == 0.0
     # Ricci is a multiple of the metric: same ratio on any direction
-    ric = ricci_tensor(conv)
+    ric = ricci_tensor(conv.c)
     assert all(ric[i][i] == Fraction(2) for i in range(3))
     assert all(ric[i][j] == 0 for i in range(3) for j in range(3) if i != j)
 

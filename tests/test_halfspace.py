@@ -184,12 +184,9 @@ def test_perturbed_pole_field_matches_finite_differences():
 def test_residual_gauge_covariance_flat():
     # constant adjoint rotations act on the su(2) coefficient index and
     # leave both residual norms unchanged, also away from solutions
-    from kwlab.su2 import ad_rotate, su2
+    from kwlab.su2 import ad_rotate
 
-    rot = np.array([
-        [float(c) for c in ad_rotate(su2(0.2, -0.7, 0.4), 0.93, su2(*row)).coeffs]
-        for row in np.eye(3)
-    ]).T
+    rot = np.array([ad_rotate((0.2, -0.7, 0.4), 0.93, row) for row in np.eye(3)]).T
 
     base = nahm_singular_field()
 

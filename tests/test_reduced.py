@@ -12,7 +12,6 @@ from kwlab.profiles import (
     InvariantField,
     nahm_pole_invariant_solution,
     pole_scalars,
-    pole_scalars_extended,
 )
 from kwlab.quadrature import QuadratureSpec, l2_norm_sq
 from kwlab import reduced
@@ -71,7 +70,7 @@ def test_jacobian_saddle(system):
 
 def test_closed_form_satisfies_system(system):
     worst = max(
-        float(system.rhs_residual(*pole_scalars_extended(float(y))))
+        float(system.rhs_residual(*pole_scalars(float(y), np.longdouble)))
         for y in np.geomspace(1e-3, 30.0, 300)
     )
     assert worst <= 1e-10
@@ -133,7 +132,7 @@ def test_indicial_rejects_wrong_constant(system):
 
 
 def test_ivp_tracks_closed_form(system):
-    a0, b0, _, _ = pole_scalars_extended(0.1)
+    a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
     res = integrate_ivp(system, 0.1, (a0, b0), 10.0)
     sup = 0.0
     for y in np.linspace(0.1, 10.0, 500):
@@ -196,7 +195,7 @@ def test_shooting_rejects_bad_bracket(system):
 
 
 def test_flow_translation_property(system):
-    a0, b0, _, _ = pole_scalars_extended(0.35)
+    a0, b0, _, _ = pole_scalars(0.35, np.longdouble)
     res = integrate_ivp(system, 0.05, (a0, b0), 5.0)
     sup = 0.0
     for y in np.linspace(0.05, 5.0, 150):
@@ -303,7 +302,7 @@ def test_nan_state_is_nonfinite_without_sign(system, monkeypatch):
         return np.where(a < 0.5, np.nan, da), db
 
     monkeypatch.setattr(ReducedSystem, "rhs", poisoned)
-    a0, b0, _, _ = pole_scalars_extended(0.1)
+    a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
     with pytest.raises(BlowUpError, match="non-finite") as exc:
         integrate_ivp(system, 0.1, (a0, b0), 10.0)
     # the closed form passes a = 0.5 near y = 1.03
