@@ -345,6 +345,23 @@ def suite_energy(cfg: SuiteConfig) -> list:
     return checks
 
 
+def _closed_form_gap(res, ys, shift: float = 0.0) -> float:
+    """Largest deviation of an initial-value run from the closed form,
+    translated by ``shift``, over the nodes ys."""
+    a, b = res.at(ys)
+    ae, be, _, _ = pole_scalars(ys + shift)
+    return float(max(np.max(np.abs(a - ae)), np.max(np.abs(b - be))))
+
+
+def _shot_counts(shot) -> dict:
+    """Runs and outcome of a shot, for the check extra and the solve log."""
+    return {"classifications": len(shot.trace),
+            "coarse_passes": shot.coarse_passes,
+            "falsi_runs": shot.falsi_runs,
+            "abs_u_final": abs(shot.u_final),
+            "forced_steps": shot.forced_steps}
+
+
 def suite_solver(cfg: SuiteConfig) -> list:
     conv = _active_conventions(cfg)
     checks = []
@@ -380,14 +397,10 @@ def suite_solver(cfg: SuiteConfig) -> list:
 
     a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
     res = reduced.integrate_ivp(sysr, 0.1, (a0, b0), 10.0)
-    sup = 0.0
-    for y in np.linspace(0.1, 10.0, 500):
-        a, b = res.at(float(y))
-        ae, be, _, _ = pole_scalars(float(y))
-        sup = max(sup, abs(a - ae), abs(b - be))
     checks.append(make_check(
         "solver-ivp-match", "initial-value run tracks the closed form",
-        computed=sup, expected=0.0,
+        computed=_closed_form_gap(res, np.linspace(0.1, 10.0, 500)),
+        expected=0.0,
         tolerance=cfg.tol("solver-ivp-match", 1e-6), provenance="derived"))
 
     exp = reduced.indicial_expand(sysr, 6, free_param=Fraction(-2, 3))
@@ -400,21 +413,34 @@ def suite_solver(cfg: SuiteConfig) -> list:
         extra={"b": {str(k): str(v) for k, v in sorted(exp.b_coeffs.items())},
                "a": {str(k): str(v) for k, v in sorted(exp.a_coeffs.items())}}))
 
-    shot = reduced.shoot_for_decay(sysr, y0=0.1)
-    sup_s = 0.0
-    for y in np.linspace(0.1, 8.0, 400):
-        a, b = shot.result.at(float(y))
-        ae, be, _, _ = pole_scalars(float(y))
-        sup_s = max(sup_s, abs(a - ae), abs(b - be))
+    order, y0 = 6, 0.1
+    shot = reduced.shoot_for_decay(sysr, y0=y0, expansion_order=order)
     checks.append(make_check(
         "solver-shooting", "shooting recovers the closed form",
-        computed=sup_s, expected=0.0,
+        computed=_closed_form_gap(shot.result, np.linspace(y0, 8.0, 400)),
+        expected=0.0,
         tolerance=cfg.tol("solver-shooting", 1e-4), provenance="derived",
-        extra={"param": shot.param, "iterations": len(shot.trace),
-               "fallback_runs": shot.fallback_runs,
-               "forced_steps": shot.forced_steps}))
-    env = max(abs(shot.result.at(float(y))[1] * math.exp(2.0 * float(y)) - 6.0)
-              for y in np.linspace(5.0, 7.0, 40))
+        extra={"param": shot.param, **_shot_counts(shot)}))
+    # The order-N series neglects a_m y^m, a_m the first nonzero coefficient
+    # above N.  Near the pole the free coefficient scales the growing mode
+    # y^2 of a (a perturbation of b decays like y^-2), so the neglected term
+    # moves the located coefficient by about a_m y0^(m - 2).
+    tail = reduced.indicial_expand(sysr, order + 2,
+                                   free_param=Fraction(-2, 3)).a_coeffs
+    m = next(k for k in (order + 1, order + 2) if tail[k])
+    bound = 2.0 * abs(float(tail[m])) * y0 ** (m - 2)
+    checks.append(make_check(
+        "solver-series-parameter",
+        f"located coefficient within 2 |a_{m}| y0^{m - 2} of a2 = -2/3: "
+        f"the first term a_{m} y^{m} that the order-{order} series neglects, "
+        "moved onto the free y^2 mode, with a factor 2 for higher orders",
+        computed=shot.param, expected=-2.0 / 3.0,
+        tolerance=cfg.tol("solver-series-parameter", bound),
+        provenance="derived",
+        extra={"order": order, "y0": y0, "a_neglected": str(tail[m])}))
+    ys = np.linspace(5.0, 7.0, 40)
+    env = float(np.max(np.abs(shot.result.at(ys)[1] * exp_nodes(2.0 * ys)
+                              - 6.0)))
     checks.append(make_check(
         "solver-decay-envelope",
         "recovered Higgs scalar keeps the exponential envelope constant",
@@ -424,14 +450,10 @@ def suite_solver(cfg: SuiteConfig) -> list:
     # autonomy: integrating translated data gives the translated trajectory
     a1, b1, _, _ = pole_scalars(0.4, np.longdouble)
     trans = reduced.integrate_ivp(sysr, 0.1, (a1, b1), 6.0)
-    sup_t = 0.0
-    for y in np.linspace(0.1, 6.0, 200):
-        a, b = trans.at(float(y))
-        ae, be, _, _ = pole_scalars(float(y) + 0.3)
-        sup_t = max(sup_t, abs(a - ae), abs(b - be))
     checks.append(make_check(
         "solver-flow-translate", "autonomous flow property",
-        computed=sup_t, expected=0.0,
+        computed=_closed_form_gap(trans, np.linspace(0.1, 6.0, 200), 0.3),
+        expected=0.0,
         tolerance=cfg.tol("solver-flow-translate", 1e-8), provenance="derived"))
     return checks
 
@@ -626,16 +648,13 @@ def main(argv=None) -> int:
             sysr = reduced.derive_reduced_system(conv)
             shot = reduced.shoot_for_decay(sysr, y0=args.y0)
             ys = np.linspace(args.y0, 10.0, 500)
-            rows = []
-            for y in ys:
-                a, b = shot.result.at(float(y))
-                rows.append([repr(float(y)), repr(a), repr(b)])
-            write_csv(args.out_profile, ["y", "a", "b"], rows)
+            a, b = shot.result.at(ys)
+            write_csv(args.out_profile, ["y", "a", "b"],
+                      [[repr(float(x)) for x in row] for row in zip(ys, a, b)])
             report.write_json(args.out_log, {
                 "schema_version": report.SCHEMA_VERSION,
                 "parameter": shot.param,
-                "fallback_runs": shot.fallback_runs,
-                "forced_steps": shot.forced_steps,
+                **_shot_counts(shot),
                 "trace": [{"param": p, "outcome": o, "sign": sign, "y": yy}
                           for p, o, sign, yy in shot.trace],
             })

@@ -40,7 +40,8 @@ KNOWN_CHECK_IDS = frozenset((
     # solver
     "solver-closure", "solver-stationary", "solver-jacobian",
     "solver-closed-form-residual", "solver-ivp-match", "solver-indicial",
-    "solver-shooting", "solver-decay-envelope", "solver-flow-translate",
+    "solver-shooting", "solver-series-parameter", "solver-decay-envelope",
+    "solver-flow-translate",
 ))
 
 SUITES = ("algebra", "models", "decomposition", "energy", "solver", "all")
@@ -80,6 +81,9 @@ class SuiteConfig:
             raise ValueError("n must be >= 1")
         if self.n_pert < 1:
             raise ValueError("n_pert must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        self.quadrature()  # raises on a bad eps, y range or panel layout
 
     def quadrature(self) -> QuadratureSpec:
         return QuadratureSpec(

@@ -35,8 +35,8 @@ class QuadratureSpec:
     tail_mode: str = "truncate_bound"
 
     def __post_init__(self):
-        if not (0 < self.eps < self.y_split < self.y_max):
-            raise ValueError("need 0 < eps < y_split < y_max")
+        if not (0 < self.eps < self.y_split < self.y_max < math.inf):
+            raise ValueError("need 0 < eps < y_split < y_max < inf")
         if self.panels < 1 or self.nodes_per_panel < 2:
             raise ValueError("need panels >= 1 and nodes_per_panel >= 2")
         if self.tail_mode not in TAIL_MODES:

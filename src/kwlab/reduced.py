@@ -12,18 +12,22 @@ convention error elsewhere would surface here as a closure failure.
 On top of the system sit
   * a Frobenius-style series matcher at the y = 0 pole (b ~ 1/y forced, the
     connection coefficient a(0) = 1 forced, the quadratic coefficient of a
-    left free -- the single shooting parameter),
+    left free -- the single shooting parameter, which may stay symbolic),
   * an adaptive Dormand-Prince stepper with blow-up detection that advances
     a batch of trajectories ("lanes") together; a single initial-value run
     is its one-lane case, and
-  * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0) by
-    k-section over lanes, which recovers the closed-form reference solution.
+  * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0):
+    a sign k-section over lanes until the bracket reaches the smooth regime
+    of the unstable mode, then regula falsi on it, which recovers the
+    closed-form reference solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -196,20 +200,90 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
 # series expansion at the pole
 # ---------------------------------------------------------------------------
 
+class _Poly:
+    """Polynomial in the free coefficient p with exact Fraction coefficients,
+    lowest degree first.  Matching the pole series with p itself as the free
+    coefficient gives every series coefficient as such a polynomial."""
+
+    def __init__(self, coeffs):
+        c = [Fraction(x) for x in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        self.c = tuple(c)
+
+    @staticmethod
+    def of(x) -> "_Poly":
+        return x if isinstance(x, _Poly) else _Poly((x,))
+
+    def __add__(self, other):
+        return _Poly([x + y for x, y in
+                      zip_longest(self.c, _Poly.of(other).c, fillvalue=0)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly([-x for x in self.c])
+
+    def __sub__(self, other):
+        return self + -_Poly.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        v = _Poly.of(other).c
+        out = [Fraction(0)] * max(len(self.c) + len(v) - 1, 0)
+        for i, x in enumerate(self.c):
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        d = _Poly.of(other).c
+        if len(d) != 1:
+            raise ValueError("series matching divides by a non-constant")
+        return _Poly([x / d[0] for x in self.c])
+
+    def __eq__(self, other):
+        return self.c == _Poly.of(other).c
+
+    def __call__(self, p: Fraction) -> Fraction:
+        out = Fraction(0)
+        for x in reversed(self.c):
+            out = out * p + x
+        return out
+
+
+FREE_PARAM = _Poly((0, 1))  # the free coefficient p, left symbolic
+
+
 @dataclass
 class IndicialExpansion:
     """Truncated pole expansion b = 1/y + sum b_k y^k, a = 1 + sum a_k y^k.
 
     The matcher forces b_{-1} = 1 (simple pole), a_0 = 1 (any other constant
     feeds a 1/y term into a', i.e. a logarithm), and leaves the quadratic
-    coefficient of a free; ``free_param`` records the value used.
+    coefficient of a free; ``free_param`` records the value used.  Matched
+    with ``FREE_PARAM`` the coefficients are polynomials in it, and ``at``
+    sets it to a value.
     """
 
     order: int
-    free_param: Fraction
-    a_coeffs: dict  # power -> Fraction, starting at 0
-    b_coeffs: dict  # power -> Fraction, starting at -1
-    forced: dict = field(default_factory=dict)
+    free_param: object
+    a_coeffs: dict  # power -> Fraction (or _Poly), starting at 0
+    b_coeffs: dict  # power -> Fraction (or _Poly), starting at -1
+
+    def at(self, p) -> "IndicialExpansion":
+        p = Fraction(p)
+
+        def subst(coeffs):
+            return {k: c(p) if isinstance(c, _Poly) else c
+                    for k, c in coeffs.items()}
+
+        return IndicialExpansion(self.order, p, subst(self.a_coeffs),
+                                 subst(self.b_coeffs))
 
     def state(self, y: float):
         a = sum(float(c) * y**k for k, c in self.a_coeffs.items())
@@ -257,13 +331,13 @@ def indicial_expand(sys: ReducedSystem, order: int,
     """Match the pole series order by order; raises on inconsistency.
     Pinning a0 to anything but the forced value (1 for the calibrated
     system) fails at order -1: the constant would feed a 1/y term into a',
-    i.e. a logarithm."""
-    if order > 6:
-        raise ValueError("expansion order limited to 6")
-    free_param = Fraction(free_param)
+    i.e. a logarithm.  ``free_param`` is a rational or ``FREE_PARAM``."""
+    if order > 8:
+        raise ValueError("expansion order limited to 8")
+    if not isinstance(free_param, _Poly):
+        free_param = Fraction(free_param)
     a_c = {}
     b_c = {-1: Fraction(pole)}
-    forced = {}
 
     # consistency at the pole: b' = f2 demands -pole = pole^2 * f2-coefficient
     f2_bb = sys.coeffs_b[5]
@@ -293,7 +367,6 @@ def indicial_expand(sys: ReducedSystem, order: int,
         if coef_a == 0:
             if k + 1 == 2:
                 a_c[2] = free_param
-                forced["a2"] = "free (shooting parameter)"
                 if res_a != 0:
                     raise ValueError(f"series matching inconsistent at order {k}")
             elif res_a != 0:
@@ -309,7 +382,6 @@ def indicial_expand(sys: ReducedSystem, order: int,
                     "would generate a logarithm)"
                 )
             a_c[k + 1] = solved
-            forced[f"a{k + 1}"] = str(solved)
 
         b_trial = dict(b_c)
         b_trial[k + 1] = Fraction(0)
@@ -327,10 +399,9 @@ def indicial_expand(sys: ReducedSystem, order: int,
             b_c[k + 1] = Fraction(0)
         else:
             b_c[k + 1] = -res_b / coef_b
-            forced[f"b{k + 1}"] = str(b_c[k + 1])
 
     return IndicialExpansion(order=order, free_param=free_param,
-                             a_coeffs=a_c, b_coeffs=b_c, forced=forced)
+                             a_coeffs=a_c, b_coeffs=b_c)
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +437,24 @@ class _HermiteDense:
         self.derivs = derivs
 
     def __call__(self, y):
+        """(a, b) at y; at an array of y, float arrays of a and b, each
+        entry bit-identical to the call at that node alone."""
         ys = self.ys
-        if y <= ys[0]:
-            i = 0
-        elif y >= ys[-1]:
-            i = len(ys) - 2
-        else:
-            i = int(np.searchsorted(ys, y) - 1)
-        h = ys[i + 1] - ys[i]
-        t = (np.longdouble(y) - ys[i]) / h
+        yl = np.asarray(y, dtype=np.longdouble)
+        i = np.clip(np.searchsorted(ys, yl) - 1, 0, len(ys) - 2)
+        # node values as columns, against the (a, b) rows of the knots
+        h = (ys[i + 1] - ys[i])[..., None]
+        t = (yl[..., None] - ys[i][..., None]) / h
         s0, s1 = self.states[i], self.states[i + 1]
         d0, d1 = self.derivs[i] * h, self.derivs[i + 1] * h
         h00 = (1 + 2 * t) * (1 - t) ** 2
         h10 = t * (1 - t) ** 2
         h01 = t * t * (3 - 2 * t)
         h11 = t * t * (t - 1)
-        out = h00 * s0 + h10 * d0 + h01 * s1 + h11 * d1
-        return float(out[0]), float(out[1])
+        out = (h00 * s0 + h10 * d0 + h01 * s1 + h11 * d1).astype(float)
+        if out.ndim == 1:
+            return float(out[0]), float(out[1])
+        return out[..., 0], out[..., 1]
 
 
 @dataclass
@@ -430,23 +502,25 @@ class _LaneRun:
 
 
 def _dp_lanes(sys: ReducedSystem, y0: float, states, y1: float, rtol: float,
-              atol: float, max_step: float, knots=None) -> _LaneRun:
+              atol: float, max_step: float, knots=None,
+              blowup=BLOWUP_THRESHOLD) -> _LaneRun:
     """Advance k lanes (``states`` of shape (2, k)) from y0 towards y1 with the
     Dormand-Prince 5(4) pair, each lane with its own y and step size.
 
     All live lanes advance in one array step and the system is evaluated only
     through ``sys.rhs`` on the lane arrays: once to start and once per stage.
-    A lane leaves the batch when it reaches y1, when its state crosses
-    BLOWUP_THRESHOLD, or, as non-finite, when a step still produces a NaN at
-    the step-size floor (a NaN error norm rejects the step and shrinks it
-    like a large error).  Per lane the arithmetic is that of a single
-    trajectory, so a lane's result does not depend on its batch.  ``knots``
-    (three lists, one-lane runs only) collects the accepted y, states and
-    derivatives for dense output.
+    A lane leaves the batch when it reaches y1, when its |a| + |b| crosses
+    ``blowup`` (a number, or one per lane), or, as non-finite, when a step
+    still produces a NaN at the step-size floor (a NaN error norm rejects the
+    step and shrinks it like a large error).  Per lane the arithmetic is
+    that of a single trajectory, so a lane's result does not depend on its
+    batch.  ``knots`` (three lists, one-lane runs only) collects the
+    accepted y, states and derivatives for dense output.
     """
     ld = np.longdouble
     s = np.array(states, dtype=ld)
     k = s.shape[1]
+    limit = np.broadcast_to(np.asarray(blowup, dtype=float), (k,))
     y_end = ld(y1)
     y = np.full(k, ld(y0))
     h = ld(1e-3)
@@ -505,7 +579,7 @@ def _dp_lanes(sys: ReducedSystem, y0: float, states, y1: float, rtol: float,
         h = h * np.array([min(5.0, max(0.2, f)) for f in factor], dtype=ld)
 
         sf = s.astype(float)
-        blown = np.abs(sf[0]) + np.abs(sf[1]) > BLOWUP_THRESHOLD
+        blown = np.abs(sf[0]) + np.abs(sf[1]) > limit[lanes]
         for mask, status in ((blown, _BLOWN), (nonfinite, _NONFINITE)):
             for lane in lanes[mask]:
                 out.status[lane] = status
@@ -538,112 +612,150 @@ def integrate_ivp(sys: ReducedSystem, y0: float, state, y1: float,
 class ShootResult:
     param: float
     result: IvpResult
-    trace: list  # (param, outcome, sign of b, y where the run ended) per run
-    expansion: IndicialExpansion
-    # final runs that blew up before y_end and were integrated again to
-    # FALLBACK_Y_END instead
-    fallback_runs: int = 0
+    trace: list  # (param, outcome, sign, y where the run ended) per run
+    coarse_passes: int  # batched sign runs, the bracket ends' run included
+    falsi_runs: int  # one-lane regula falsi runs on U
+    u_final: float  # U at the returned parameter
     # steps accepted only at the step-size floor, over every run of the shot
     forced_steps: int = 0
 
 
-SHOOT_LANES = 15  # interior points classified per k-section pass
-FALLBACK_Y_END = 12.0
+SHOOT_LANES = 15  # interior points classified per coarse pass
+SHOOT_Y = 8.0  # where the unstable-mode functional U is read
+_U_SCALE = math.exp(-2.0 * SHOOT_Y)
+# A shooting run counts as blown up once |a| + |b| exceeds this multiple of
+# its initial value.  By then the quadratic part (a' = 2ab, b' = a^2 - b^2)
+# dominates; its blow-up rays attract the direction of the state, so the
+# sign of b is settled long before BLOWUP_THRESHOLD.
+SHOOT_BLOWUP = 100.0
 
 
-def _series_state(sys: ReducedSystem, expansion_order: int, param: float,
-                  y0: float):
-    exp = indicial_expand(sys, expansion_order,
-                          free_param=Fraction(param).limit_denominator(10**15))
-    return exp, exp.state(y0)
-
-
-def _classify_lanes(sys: ReducedSystem, expansion_order: int, params,
-                    y0: float, y_end: float):
-    """One batched run; per parameter (outcome, payload, y): 'decayed',
-    'blow' with the sign of b as payload, or 'non-finite' (no sign).
-    Returns the outcomes and the run's forced-step count."""
-    states = [_series_state(sys, expansion_order, p, y0)[1] for p in params]
-    run = _dp_lanes(sys, y0, np.array(states).T, y_end, rtol=1e-13,
-                    atol=1e-16, max_step=0.25)
+def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float):
+    """One batched run from the (2, k) initial ``states``; per lane
+    (outcome, sign, y, U): 'blow' with the sign of b at blow-up, 'reached'
+    with U = (a - b)(y_end) e^{-2 y_end} and sign -sign(U), or 'non-finite'
+    (no sign); y is where the lane's run ended and U is None unless the
+    lane reached y_end.  Returns the outcomes and the run's forced-step
+    count."""
+    states = np.asarray(states)
+    run = _dp_lanes(sys, y0, states, y_end, rtol=1e-13, atol=1e-16,
+                    max_step=0.25,
+                    blowup=SHOOT_BLOWUP * np.abs(states).sum(0))
     outcomes = []
     for lane, status in enumerate(run.status):
-        a, b = (float(x) for x in run.states[:, lane])
-        sign = 1.0 if b > 0 else -1.0
+        y = float(run.ys[lane])
         if status == _NONFINITE:
-            outcomes.append((_NONFINITE, 0.0, float(run.ys[lane])))
+            outcomes.append((_NONFINITE, 0.0, y, None))
         elif status == _BLOWN:
-            outcomes.append(("blow", sign, float(run.ys[lane])))
-        elif abs(a) + abs(b) < 1e-3:
-            outcomes.append(("decayed", 0.0, y_end))
+            b = float(run.states[1, lane])
+            outcomes.append((_BLOWN, 1.0 if b > 0 else -1.0, y, None))
         else:
-            outcomes.append(("blow", sign, y_end))
+            u = float(run.states[0, lane] - run.states[1, lane]) * _U_SCALE
+            outcomes.append((_REACHED, 1.0 if u < 0 else -1.0, y, u))
     return outcomes, int(run.forced.sum())
 
 
 def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
                     bracket=(-1.0, -0.3), expansion_order: int = 6,
-                    y_end: float = 20.0, param_tol: float = 1e-14) -> ShootResult:
-    """Narrow the bracket on the free series coefficient by k-section over
-    lanes until the trajectory decays to the stationary point (0, 0) instead
-    of blowing up.
+                    y_end: float = 12.0) -> ShootResult:
+    """Locate the free series coefficient p whose trajectory decays to the
+    stationary point (0, 0), and integrate that trajectory to ``y_end``.
 
-    Trajectories straddling the decaying one blow up with opposite signs of
-    b, which is the predicate.  Each pass classifies SHOOT_LANES equally
-    spaced interior points in one batched run and keeps the sub-interval
-    where the sign changes, so the bracket shrinks (SHOOT_LANES + 1)-fold.
-    A lane that turns non-finite has no sign and raises.
+    Linearised at (0, 0) the system is a' = -2b, b' = -2a, so a - b is the
+    unstable mode, and the trajectories on either side of the decaying one
+    blow up with opposite signs of b.  The search has two phases, each run
+    to SHOOT_Y:
+
+    * coarse: while a bracket end blows up before SHOOT_Y, one batched run
+      classifies SHOOT_LANES equally spaced interior points by their sign
+      (b's at blow-up, which a run declares at SHOOT_BLOWUP times its
+      initial size, or -sign(U) for a lane that reaches SHOOT_Y) and keeps
+      the sub-interval where it changes, a (SHOOT_LANES + 1)-fold narrowing;
+    * fine: once both ends reach SHOOT_Y, Illinois regula falsi (Dowell and
+      Jarratt, BIT 1971) on the smooth U(p) = (a - b)(SHOOT_Y) e^{-2 SHOOT_Y},
+      one one-lane run per step.  The series state is formed in float64, so
+      U is piecewise constant in p; the falsi stops once both ends give the
+      same initial state or the next point is not strictly inside, and
+      returns the end with the smaller |U|.
+
+    The pole series is matched once with p symbolic and evaluated per p.
+    A run that turns non-finite has no sign and raises, as does a falsi run
+    that blows up before SHOOT_Y.
     """
-    if y0 > 0.2:
-        raise ValueError("series initial data is only trusted for y0 <= 0.2")
-    lo, hi = bracket
+    if not (math.isfinite(y0) and 0 < y0 <= 0.2):
+        raise ValueError("series initial data is only trusted for "
+                         f"0 < y0 <= 0.2, got {y0!r}")
+    series = indicial_expand(sys, expansion_order, free_param=FREE_PARAM)
     trace = []
+    forced = 0
+
+    def state(p):
+        return series.at(p).state(y0)
 
     def classify(params):
-        outcomes, forced = _classify_lanes(sys, expansion_order, params, y0,
-                                           y_end)
+        nonlocal forced
+        outcomes, n = _classify_lanes(
+            sys, np.array([state(p) for p in params]).T, y0, SHOOT_Y)
+        forced += n
         for p, out in zip(params, outcomes):
-            trace.append((p, *out))
+            trace.append((p, *out[:3]))
             if out[0] == _NONFINITE:
                 raise ValueError(f"shooting run at parameter {p!r} turned "
                                  f"non-finite near y = {out[2]:.6g}")
-        return outcomes, forced
+        return outcomes
 
-    (out_lo, out_hi), forced = classify((lo, hi))
-    if out_lo[0] == "blow" and out_hi[0] == "blow" and out_lo[1] == out_hi[1]:
+    lo, hi = bracket
+    out_lo, out_hi = classify((lo, hi))
+    if out_lo[1] == out_hi[1]:
         raise ValueError("decay manifold not bracketed")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < param_tol * max(1.0, abs(mid)):
-            break
+    coarse = 1
+    while _BLOWN in (out_lo[0], out_hi[0]):
         width = hi - lo
         params = [lo + width * (i / (SHOOT_LANES + 1))
                   for i in range(1, SHOOT_LANES + 1)]
-        outcomes, n = classify(params)
-        forced += n
         before = (lo, hi)
-        for p, out in zip(params, outcomes):
-            if out[0] == "decayed":
-                lo = hi = p
-                break
+        coarse += 1
+        for p, out in zip(params, classify(params)):
             if out[1] != out_lo[1]:
-                hi = p
+                hi, out_hi = p, out
                 break
-            lo = p
-        if lo == hi or (lo, hi) == before:
-            break
+            lo, out_lo = p, out
+        if (lo, hi) == before:
+            raise ValueError("coarse shooting phase stalled at parameter "
+                             f"bracket [{lo!r}, {hi!r}]")
 
-    param = 0.5 * (lo + hi)
-    exp, state = _series_state(sys, expansion_order, param, y0)
-    fallback = 0
-    try:
-        res = integrate_ivp(sys, y0, state, y_end, rtol=1e-13, atol=1e-16)
-    except BlowUpError as e:
-        # located parameter is machine-accurate; integrate on the safe range
-        fallback, forced = 1, forced + e.forced_steps
-        res = integrate_ivp(sys, y0, state, FALLBACK_Y_END, rtol=1e-13,
-                            atol=1e-16)
-    return ShootResult(param=param, result=res, trace=trace, expansion=exp,
-                       fallback_runs=fallback,
-                       forced_steps=forced + res.forced_steps)
+    # Illinois regula falsi; u_* are the true U, f_* the weighted ones
+    u_lo, u_hi = out_lo[3], out_hi[3]
+    f_lo, f_hi = u_lo, u_hi
+    kept = 0  # which end the last step kept: -1 lo, +1 hi
+    falsi = 0
+    while state(lo) != state(hi):
+        p = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < p < hi:
+            break
+        # a point with an end's initial state has that end's U: no run
+        u = {state(lo): u_lo, state(hi): u_hi}.get(state(p))
+        if u is None:
+            (out,) = classify([p])
+            falsi += 1
+            if out[0] != _REACHED:
+                raise ValueError(
+                    f"regula falsi run at parameter {p!r} blew up near "
+                    f"y = {out[2]:.6g}, before y = {SHOOT_Y}")
+            u = out[3]
+        if (u < 0) == (u_lo < 0):
+            lo, u_lo, f_lo = p, u, u
+            if kept == 1:
+                f_hi /= 2
+            kept = 1
+        else:
+            hi, u_hi, f_hi = p, u, u
+            if kept == -1:
+                f_lo /= 2
+            kept = -1
+    param, u_final = (lo, u_lo) if abs(u_lo) <= abs(u_hi) else (hi, u_hi)
+
+    res = integrate_ivp(sys, y0, state(param), y_end, rtol=1e-13, atol=1e-16)
+    return ShootResult(param=param, result=res, trace=trace,
+                       coarse_passes=coarse, falsi_runs=falsi,
+                       u_final=u_final, forced_steps=forced + res.forced_steps)

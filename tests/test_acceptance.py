@@ -186,6 +186,7 @@ def test_criterion_09_solver(conv, full_run):
     by_id = full_run["by_id"]
     ivp = by_id["solver-ivp-match"]
     shootc = by_id["solver-shooting"]
+    seriesc = by_id["solver-series-parameter"]
     jac = by_id["solver-jacobian"]
     sysr = reduced.derive_reduced_system(conv)
     exp = reduced.indicial_expand(sysr, 6, free_param=Fraction(-2, 3))
@@ -193,11 +194,12 @@ def test_criterion_09_solver(conv, full_run):
                     and exp.b_coeffs[0] == 0 and exp.b_coeffs[2] == 0)
     ok = (ivp.status == "pass" and ivp.computed <= 1e-6
           and shootc.status == "pass" and shootc.computed <= 1e-4
-          and series_exact
+          and seriesc.status == "pass" and series_exact
           and abs(jac.computed + 2.0) <= 1e-8)
     _check("criterion-09 reduced solver", ok,
            f"ivp {ivp.computed:.2e}, shooting {shootc.computed:.2e}, "
-           f"series exact, jacobian {jac.computed:+.10f}")
+           f"a2 {seriesc.computed:+.10f}, series exact, "
+           f"jacobian {jac.computed:+.10f}")
 
 
 def test_criterion_10_charge(conv, quad_spec):

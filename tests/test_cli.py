@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from kwlab import energy
-from kwlab.cli import build_parser, emit_plotdata, main
+from kwlab import energy, reduced
+from kwlab.cli import build_parser, emit_plotdata, main, suite_solver
 from kwlab.config import SuiteConfig, build_config, parse_config_text
 from kwlab.report import CheckReport, checks_to_json, make_check, write_checks_json
 
@@ -113,11 +113,50 @@ def test_verify_negative_control(tmp_path):
     assert by_id["calibrate"]["status"] == "fail"
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--suite", "not-a-suite"]) == 2
     assert main(["verify", "--tol", "no-such-check=1e-3"]) == 2
     assert main(["verify", "--tol", "energy-typo=1"]) == 2
     assert main(["verify", "--tol", "malformed"]) == 2
+    capsys.readouterr()
+    # shooting from a y0 the pole series cannot serve
+    outputs = ["--out-profile", str(tmp_path / "p.csv"),
+               "--out-log", str(tmp_path / "l.json")]
+    for y0 in ("0", "-0.1", "nan"):
+        assert main(["solve", "--y0", y0, *outputs]) == 2
+        assert "series initial data" in capsys.readouterr().err
+    # quadrature layouts and seeds are checked when the config is built,
+    # whichever suite runs
+    cfg = tmp_path / "bad.cfg"
+    for line, message in (("panels = 0", "panels >= 1"),
+                          ("nodes_per_panel = 1", "nodes_per_panel >= 2"),
+                          ("eps = -1", "0 < eps"), ("eps = nan", "0 < eps"),
+                          ("y_max = 0.5", "y_split < y_max"),
+                          ("y_split = inf", "y_split < y_max"),
+                          ("y_max = inf", "y_max < inf"),
+                          ("seed = -1", "seed must be >= 0")):
+        cfg.write_text(line + "\n")
+        assert main(["verify", "--suite", "algebra",
+                     "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["verify", "--suite", "algebra", "--seed", "-3"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "l.json").exists()
+
+
+def test_series_parameter_gate_is_live(monkeypatch):
+    # a pole series one order short of the stated one moves the located
+    # coefficient by about a_6 y0^4, far outside the order-6 bound, while
+    # the profile comparison of solver-shooting still passes
+    shoot = reduced.shoot_for_decay
+
+    def short_series(sysr, y0, expansion_order):
+        return shoot(sysr, y0=y0, expansion_order=expansion_order - 1)
+
+    monkeypatch.setattr(reduced, "shoot_for_decay", short_series)
+    by_id = {c.check_id: c for c in suite_solver(SuiteConfig(suite="solver"))}
+    assert by_id["solver-series-parameter"].status == "fail"
+    assert by_id["solver-shooting"].status == "pass"
 
 
 def test_guard_reports_exception_detail(tmp_path, monkeypatch, capsys):

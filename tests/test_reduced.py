@@ -113,6 +113,28 @@ def test_indicial_series_against_closed_form(system):
         assert abs(b_ser - b) < 20 * y**6 + 1e-12
 
 
+def test_indicial_order_eight_matches_closed_form(system):
+    # Taylor coefficients of the closed form (mpmath, 40 digits): the first
+    # terms the order-6 series neglects
+    exp = indicial_expand(system, 8, free_param=Fraction(-2, 3))
+    assert exp.a_coeffs[8] == Fraction(-34, 2835)
+    assert exp.b_coeffs[7] == Fraction(-403, 14175)
+    assert exp.a_coeffs[7] == exp.b_coeffs[8] == 0
+
+
+def test_symbolic_series_matches_rational_matching(system):
+    series = indicial_expand(system, 6, free_param=reduced.FREE_PARAM)
+    for p in (Fraction(-2, 3), Fraction(0), Fraction(5, 7), Fraction(-1),
+              Fraction(-0.6666666782307249)):
+        want = indicial_expand(system, 6, free_param=p)
+        got = series.at(p)
+        assert got.a_coeffs == want.a_coeffs
+        assert got.b_coeffs == want.b_coeffs
+        assert all(type(c) is Fraction
+                   for c in (*got.a_coeffs.values(), *got.b_coeffs.values()))
+        assert got.state(0.1) == want.state(0.1)
+
+
 def test_indicial_zero_parameter_is_cotangent(system):
     # a == 1 collapses the system to b' = -1 - b^2, i.e. b = cot y
     exp = indicial_expand(system, 6, free_param=Fraction(0))
@@ -140,6 +162,36 @@ def test_ivp_tracks_closed_form(system):
         ae, be, _, _ = pole_scalars(float(y))
         sup = max(sup, abs(a - ae), abs(b - be))
     assert sup <= 1e-6
+
+
+def _hermite_reference(dense, y):
+    """The cubic Hermite interpolant at one node, one scalar at a time."""
+    ys = dense.ys
+    if y <= ys[0]:
+        i = 0
+    elif y >= ys[-1]:
+        i = len(ys) - 2
+    else:
+        i = int(np.searchsorted(ys, y) - 1)
+    h = ys[i + 1] - ys[i]
+    t = (np.longdouble(y) - ys[i]) / h
+    d0, d1 = dense.derivs[i] * h, dense.derivs[i + 1] * h
+    out = ((1 + 2 * t) * (1 - t) ** 2 * dense.states[i] + t * (1 - t) ** 2 * d0
+           + t * t * (3 - 2 * t) * dense.states[i + 1] + t * t * (t - 1) * d1)
+    return float(out[0]), float(out[1])
+
+
+def test_dense_output_on_arrays_matches_scalar_calls(system):
+    a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
+    res = integrate_ivp(system, 0.1, (a0, b0), 10.0)
+    # off the range, inside it, and exactly on the knots
+    ys = np.concatenate([np.linspace(0.0, 12.0, 997), res.ys])
+    a, b = res.at(ys)
+    assert a.shape == b.shape == ys.shape
+    for y, ai, bi in zip(ys, a, b):
+        sa, sb = res.at(float(y))
+        assert type(sa) is float and (sa, sb) == (ai, bi)
+        assert (sa, sb) == _hermite_reference(res.dense, float(y))
 
 
 def test_ivp_stationary_start(system):
@@ -190,8 +242,9 @@ def test_shooting_recovers_model(shot):
 def test_shooting_rejects_bad_bracket(system):
     with pytest.raises(ValueError, match="not bracketed"):
         shoot_for_decay(system, y0=0.1, bracket=(-0.2, -0.1))
-    with pytest.raises(ValueError, match="series initial data"):
-        shoot_for_decay(system, y0=0.5)
+    for y0 in (0.5, 0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="series initial data"):
+            shoot_for_decay(system, y0=y0)
 
 
 def test_flow_translation_property(system):
@@ -223,35 +276,45 @@ def test_shot_profile_energy_consistency(conv, shot, quad_spec):
     assert abs(got - want) / want <= 1e-3
 
 
-def _one_lane_outcome(system, param, y0=0.1, y_end=20.0):
-    """Classification of one parameter from a single integrate_ivp run."""
-    exp = indicial_expand(system, 6,
-                          free_param=Fraction(param).limit_denominator(10**15))
+def _series_states(system, params, y0=0.1):
+    series = indicial_expand(system, 6, free_param=reduced.FREE_PARAM)
+    return [series.at(p).state(y0) for p in params]
+
+
+def _one_lane_outcome(system, state, y0=0.1):
+    """(outcome, sign, U) of one initial state from a single integrate_ivp
+    run to SHOOT_Y, which stops only at BLOWUP_THRESHOLD."""
     try:
-        res = integrate_ivp(system, y0, exp.state(y0), y_end, rtol=1e-13,
+        res = integrate_ivp(system, y0, state, reduced.SHOOT_Y, rtol=1e-13,
                             atol=1e-16)
     except BlowUpError as e:
         assert not e.nonfinite
-        return ("blow", 1.0 if e.state[1] > 0 else -1.0, e.y_blow)
-    a, b = res.states[-1]
-    if abs(a) + abs(b) < 1e-3:
-        return ("decayed", 0.0, y_end)
-    return ("blow", 1.0 if b > 0 else -1.0, y_end)
+        return ("blow", 1.0 if e.state[1] > 0 else -1.0, None)
+    a, b = res.dense.states[-1]
+    u = float(a - b) * math.exp(-2.0 * reduced.SHOOT_Y)
+    return ("reached", 1.0 if u < 0 else -1.0, u)
 
 
 def test_batched_outcomes_match_one_lane_runs(system, shot):
     lo, hi = -1.0, -0.3
     interior = [lo + (hi - lo) * (i / 16) for i in range(1, 16)]
-    near_root = [ROOT + d for d in np.linspace(-1e-13, 1e-13, 7)]
+    near_root = [ROOT + d for d in (-1e-7, -1e-9, -1e-13, 0.0, 1e-13, 1e-9,
+                                    1e-7)]
     params = [lo, hi] + interior + near_root
-    batched, forced = reduced._classify_lanes(system, 6, params, 0.1, 20.0)
+    states = _series_states(system, params)
+    batched, forced = reduced._classify_lanes(system, np.array(states).T, 0.1,
+                                              reduced.SHOOT_Y)
     assert forced == 0
-    for p, got in zip(params, batched):
-        assert got == _one_lane_outcome(system, p), p
-    # the first k-section pass of the shot classifies the same points
+    # same U bits as a lane run alone, and, although a shooting lane stops
+    # at SHOOT_BLOWUP times its initial size, the status and sign of a run
+    # that goes on to BLOWUP_THRESHOLD
+    for p, state, got in zip(params, states, batched):
+        assert (got[0], got[1], got[3]) == _one_lane_outcome(system, state), p
+    # the first coarse pass of the shot classifies the same points
     assert [t[0] for t in shot.trace[2:17]] == interior
-    assert [t[1:] for t in shot.trace[2:17]] == batched[2:17]
-    # both signs occur close to the root
+    assert [t[1:] for t in shot.trace[2:17]] == [o[:3] for o in batched[2:17]]
+    # close to the root every lane reaches SHOOT_Y, with both signs of U
+    assert {o[0] for o in batched[-7:]} == {"reached"}
     assert {o[1] for o in batched[-7:]} == {-1.0, 1.0}
 
 
@@ -285,13 +348,27 @@ def test_rhs_lanes_match_scalar_and_exact(system):
 
 def test_shooting_locates_parameter(shot):
     assert abs(shot.param - ROOT) <= 1e-13
-    # each k-section pass narrows the bracket 16-fold: 2 ends + 12 passes
-    assert len(shot.trace) == 2 + 12 * reduced.SHOOT_LANES
-    # the machine-accurate parameter still blows up before y = 20, so the
-    # final run is integrated again on the safe range, and says so
-    assert shot.fallback_runs == 1
+    # the bracket ends, then 16-fold sign passes until both ends reach
+    # SHOOT_Y, then one-lane regula falsi runs on U
+    assert shot.coarse_passes == 6
+    assert 1 <= shot.falsi_runs <= 8
+    coarse_lanes = (shot.coarse_passes - 1) * reduced.SHOOT_LANES
+    assert len(shot.trace) == 2 + coarse_lanes + shot.falsi_runs
+    falsi = shot.trace[-shot.falsi_runs:]
+    assert {(t[1], t[3]) for t in falsi} == {("reached", reduced.SHOOT_Y)}
+    assert abs(shot.u_final) < 1e-16
     assert shot.forced_steps == 0
-    assert shot.result.ys[-1] == reduced.FALLBACK_Y_END
+    # one final run, straight to the trusted end
+    assert shot.result.ys[-1] == 12.0
+
+
+def test_shot_keeps_the_initial_state(system, shot):
+    # a sign-only search with runs to y = 20 lands on -0.6666666782307249;
+    # the series state is formed in float64, and the falsi returns a
+    # parameter with the same initial state, so the same trajectory
+    exp = indicial_expand(system, 6,
+                          free_param=Fraction(-0.6666666782307249))
+    assert tuple(shot.result.states[0]) == exp.state(0.1)
 
 
 def test_nan_state_is_nonfinite_without_sign(system, monkeypatch):
@@ -308,8 +385,9 @@ def test_nan_state_is_nonfinite_without_sign(system, monkeypatch):
     # the closed form passes a = 0.5 near y = 1.03
     assert exc.value.nonfinite and 0.8 < exc.value.y_blow < 1.1
     assert all(math.isfinite(x) for x in exc.value.state)
-    outcomes, _ = reduced._classify_lanes(system, 6, [ROOT, -2.0 / 3.0],
-                                          0.1, 20.0)
+    states = _series_states(system, [ROOT, -2.0 / 3.0])
+    outcomes, _ = reduced._classify_lanes(system, np.array(states).T, 0.1,
+                                          reduced.SHOOT_Y)
     assert [o[:2] for o in outcomes] == [("non-finite", 0.0)] * 2
     with pytest.raises(ValueError, match="non-finite"):
         shoot_for_decay(system, y0=0.1)
