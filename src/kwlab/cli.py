@@ -421,23 +421,22 @@ def suite_solver(cfg: SuiteConfig) -> list:
         expected=0.0,
         tolerance=cfg.tol("solver-shooting", 1e-4), provenance="derived",
         extra={"param": shot.param, **_shot_counts(shot)}))
-    # The order-N series neglects a_m y^m, a_m the first nonzero coefficient
-    # above N.  Near the pole the free coefficient scales the growing mode
-    # y^2 of a (a perturbation of b decays like y^-2), so the neglected term
-    # moves the located coefficient by about a_m y0^(m - 2).
-    tail = reduced.indicial_expand(sysr, order + 2,
-                                   free_param=Fraction(-2, 3)).a_coeffs
-    m = next(k for k in (order + 1, order + 2) if tail[k])
-    bound = 2.0 * abs(float(tail[m])) * y0 ** (m - 2)
+    # The order-6 series neglects a_8 y^8 (a_7 = 0).  Near the pole the free
+    # coefficient scales the growing mode y^2 of a (a perturbation of b
+    # decays like y^-2), so the neglected term moves the located coefficient
+    # by about a_8 y0^6.
+    a8 = reduced.indicial_expand(sysr, 8,
+                                 free_param=Fraction(-2, 3)).a_coeffs[8]
     checks.append(make_check(
         "solver-series-parameter",
-        f"located coefficient within 2 |a_{m}| y0^{m - 2} of a2 = -2/3: "
-        f"the first term a_{m} y^{m} that the order-{order} series neglects, "
-        "moved onto the free y^2 mode, with a factor 2 for higher orders",
+        "located coefficient within 2 |a_8| y0^6 of a2 = -2/3: the first "
+        "term a_8 y^8 that the order-6 series neglects, moved onto the free "
+        "y^2 mode, with a factor 2 for higher orders",
         computed=shot.param, expected=-2.0 / 3.0,
-        tolerance=cfg.tol("solver-series-parameter", bound),
+        tolerance=cfg.tol("solver-series-parameter",
+                          2.0 * abs(float(a8)) * y0 ** 6),
         provenance="derived",
-        extra={"order": order, "y0": y0, "a_neglected": str(tail[m])}))
+        extra={"order": order, "y0": y0, "a_neglected": str(a8)}))
     ys = np.linspace(5.0, 7.0, 40)
     env = float(np.max(np.abs(shot.result.at(ys)[1] * exp_nodes(2.0 * ys)
                               - 6.0)))

@@ -12,7 +12,8 @@ convention error elsewhere would surface here as a closure failure.
 On top of the system sit
   * a Frobenius-style series matcher at the y = 0 pole (b ~ 1/y forced, the
     connection coefficient a(0) = 1 forced, the quadratic coefficient of a
-    left free -- the single shooting parameter, which may stay symbolic),
+    left free -- the single shooting parameter; its coefficients are exact
+    polynomials in that parameter),
   * an adaptive Dormand-Prince stepper with blow-up detection that advances
     a batch of trajectories ("lanes") together; a single initial-value run
     is its one-lane case, and
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 
 import numpy as np
 
@@ -200,95 +200,69 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
 # series expansion at the pole
 # ---------------------------------------------------------------------------
 
-class _Poly:
-    """Polynomial in the free coefficient p with exact Fraction coefficients,
-    lowest degree first.  Matching the pole series with p itself as the free
-    coefficient gives every series coefficient as such a polynomial."""
-
-    def __init__(self, coeffs):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
-
-    @staticmethod
-    def of(x) -> "_Poly":
-        return x if isinstance(x, _Poly) else _Poly((x,))
-
-    def __add__(self, other):
-        return _Poly([x + y for x, y in
-                      zip_longest(self.c, _Poly.of(other).c, fillvalue=0)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Poly([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + -_Poly.of(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        v = _Poly.of(other).c
-        out = [Fraction(0)] * max(len(self.c) + len(v) - 1, 0)
-        for i, x in enumerate(self.c):
-            for j, y in enumerate(v):
-                out[i + j] += x * y
-        return _Poly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        d = _Poly.of(other).c
-        if len(d) != 1:
-            raise ValueError("series matching divides by a non-constant")
-        return _Poly([x / d[0] for x in self.c])
-
-    def __eq__(self, other):
-        return self.c == _Poly.of(other).c
-
-    def __call__(self, p: Fraction) -> Fraction:
-        out = Fraction(0)
-        for x in reversed(self.c):
-            out = out * p + x
-        return out
-
-
-FREE_PARAM = _Poly((0, 1))  # the free coefficient p, left symbolic
-
-
 @dataclass
 class IndicialExpansion:
     """Truncated pole expansion b = 1/y + sum b_k y^k, a = 1 + sum a_k y^k.
 
     The matcher forces b_{-1} = 1 (simple pole), a_0 = 1 (any other constant
     feeds a 1/y term into a', i.e. a logarithm), and leaves the quadratic
-    coefficient of a free; ``free_param`` records the value used.  Matched
-    with ``FREE_PARAM`` the coefficients are polynomials in it, and ``at``
-    sets it to a value.
+    coefficient of a free; ``free_param`` records the value used.
     """
 
     order: int
-    free_param: object
-    a_coeffs: dict  # power -> Fraction (or _Poly), starting at 0
-    b_coeffs: dict  # power -> Fraction (or _Poly), starting at -1
-
-    def at(self, p) -> "IndicialExpansion":
-        p = Fraction(p)
-
-        def subst(coeffs):
-            return {k: c(p) if isinstance(c, _Poly) else c
-                    for k, c in coeffs.items()}
-
-        return IndicialExpansion(self.order, p, subst(self.a_coeffs),
-                                 subst(self.b_coeffs))
+    free_param: Fraction
+    a_coeffs: dict  # power -> Fraction, starting at 0
+    b_coeffs: dict  # power -> Fraction, starting at -1
 
     def state(self, y: float):
         a = sum(float(c) * y**k for k, c in self.a_coeffs.items())
         b = sum(float(c) * y**k for k, c in self.b_coeffs.items())
         return a, b
+
+
+@dataclass(frozen=True)
+class PoleSeries:
+    """The pole series with its free coefficient p open: each coefficient is
+    an exact-Fraction polynomial in p, stored in Newton form on the nodes
+    p = 0, 1, ..., order."""
+
+    order: int
+    a_polys: dict  # power, as in IndicialExpansion -> Newton coefficients
+    b_polys: dict
+
+    def at(self, p) -> IndicialExpansion:
+        p = Fraction(p)
+
+        def value(c):
+            out = c[-1]
+            for node in range(len(c) - 2, -1, -1):
+                out = out * (p - node) + c[node]
+            return out
+
+        return IndicialExpansion(
+            self.order, p, {k: value(c) for k, c in self.a_polys.items()},
+            {k: value(c) for k, c in self.b_polys.items()})
+
+
+def pole_series(sys: ReducedSystem, order: int) -> PoleSeries:
+    """Match the series once per node and interpolate.  p enters only as the
+    coefficient of y^2 in a, so the coefficient of y^k has degree at most
+    k / 2 in p, and order + 1 nodes determine it exactly."""
+    nodes = [indicial_expand(sys, order, free_param=Fraction(n))
+             for n in range(order + 1)]
+
+    def newton(values):
+        # divided differences; nodes i and i - j are j apart
+        c = list(values)
+        for j in range(1, len(c)):
+            for i in range(len(c) - 1, j - 1, -1):
+                c[i] = (c[i] - c[i - 1]) / j
+        return tuple(c)
+
+    return PoleSeries(
+        order, {k: newton([e.a_coeffs[k] for e in nodes])
+                for k in nodes[0].a_coeffs},
+        {k: newton([e.b_coeffs[k] for e in nodes]) for k in nodes[0].b_coeffs})
 
 
 def _series_mul(u: dict, v: dict, kmin: int, kmax: int) -> dict:
@@ -331,11 +305,10 @@ def indicial_expand(sys: ReducedSystem, order: int,
     """Match the pole series order by order; raises on inconsistency.
     Pinning a0 to anything but the forced value (1 for the calibrated
     system) fails at order -1: the constant would feed a 1/y term into a',
-    i.e. a logarithm.  ``free_param`` is a rational or ``FREE_PARAM``."""
+    i.e. a logarithm."""
     if order > 8:
         raise ValueError("expansion order limited to 8")
-    if not isinstance(free_param, _Poly):
-        free_param = Fraction(free_param)
+    free_param = Fraction(free_param)
     a_c = {}
     b_c = {-1: Fraction(pole)}
 
@@ -678,14 +651,14 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
       same initial state or the next point is not strictly inside, and
       returns the end with the smaller |U|.
 
-    The pole series is matched once with p symbolic and evaluated per p.
+    The pole series is built once, as polynomials in p, and evaluated per p.
     A run that turns non-finite has no sign and raises, as does a falsi run
     that blows up before SHOOT_Y.
     """
     if not (math.isfinite(y0) and 0 < y0 <= 0.2):
         raise ValueError("series initial data is only trusted for "
                          f"0 < y0 <= 0.2, got {y0!r}")
-    series = indicial_expand(sys, expansion_order, free_param=FREE_PARAM)
+    series = pole_series(sys, expansion_order)
     trace = []
     forced = 0
 

@@ -122,14 +122,15 @@ def test_indicial_order_eight_matches_closed_form(system):
     assert exp.a_coeffs[7] == exp.b_coeffs[8] == 0
 
 
-def test_symbolic_series_matches_rational_matching(system):
-    series = indicial_expand(system, 6, free_param=reduced.FREE_PARAM)
-    for p in (Fraction(-2, 3), Fraction(0), Fraction(5, 7), Fraction(-1),
-              Fraction(-0.6666666782307249)):
-        want = indicial_expand(system, 6, free_param=p)
+@pytest.mark.parametrize("order", [6, 8])
+def test_pole_series_matches_rational_matching(system, order):
+    series = reduced.pole_series(system, order)
+    # off the interpolation nodes 0, 1, ..., order, and on one of them
+    for p in (Fraction(-2, 3), Fraction(2), Fraction(5, 7), Fraction(-1),
+              Fraction(-0.6666666782307249), Fraction(10**9 + 1, 3)):
+        want = indicial_expand(system, order, free_param=p)
         got = series.at(p)
-        assert got.a_coeffs == want.a_coeffs
-        assert got.b_coeffs == want.b_coeffs
+        assert got == want
         assert all(type(c) is Fraction
                    for c in (*got.a_coeffs.values(), *got.b_coeffs.values()))
         assert got.state(0.1) == want.state(0.1)
@@ -277,7 +278,7 @@ def test_shot_profile_energy_consistency(conv, shot, quad_spec):
 
 
 def _series_states(system, params, y0=0.1):
-    series = indicial_expand(system, 6, free_param=reduced.FREE_PARAM)
+    series = reduced.pole_series(system, 6)
     return [series.at(p).state(y0) for p in params]
 
 
@@ -298,23 +299,32 @@ def _one_lane_outcome(system, state, y0=0.1):
 def test_batched_outcomes_match_one_lane_runs(system, shot):
     lo, hi = -1.0, -0.3
     interior = [lo + (hi - lo) * (i / 16) for i in range(1, 16)]
-    near_root = [ROOT + d for d in (-1e-7, -1e-9, -1e-13, 0.0, 1e-13, 1e-9,
-                                    1e-7)]
-    params = [lo, hi] + interior + near_root
+    wider = [ROOT + d for d in (-1e-7, -1e-9, 1e-9, 1e-7)]
+    near_root = [ROOT + d for d in np.linspace(-1e-13, 1e-13, 7)]
+    params = [lo, hi] + interior + wider + near_root
     states = _series_states(system, params)
     batched, forced = reduced._classify_lanes(system, np.array(states).T, 0.1,
                                               reduced.SHOOT_Y)
     assert forced == 0
-    # same U bits as a lane run alone, and, although a shooting lane stops
-    # at SHOOT_BLOWUP times its initial size, the status and sign of a run
-    # that goes on to BLOWUP_THRESHOLD
     for p, state, got in zip(params, states, batched):
+        # where a lane blew up: as where the lane blows up run alone at the
+        # same threshold (a lane that reaches SHOOT_Y ends there)
+        if got[0] == "blow":
+            alone, _ = reduced._classify_lanes(
+                system, np.array([state]).T, 0.1, reduced.SHOOT_Y)
+            assert alone == [got], p
+        else:
+            assert got[2] == reduced.SHOOT_Y, p
+        # although a shooting lane stops at SHOOT_BLOWUP times its initial
+        # size, the status and sign of a run that goes on to
+        # BLOWUP_THRESHOLD, and the same U bits
         assert (got[0], got[1], got[3]) == _one_lane_outcome(system, state), p
     # the first coarse pass of the shot classifies the same points
     assert [t[0] for t in shot.trace[2:17]] == interior
     assert [t[1:] for t in shot.trace[2:17]] == [o[:3] for o in batched[2:17]]
-    # close to the root every lane reaches SHOOT_Y, with both signs of U
-    assert {o[0] for o in batched[-7:]} == {"reached"}
+    # within 1e-7 of the root every lane reaches SHOOT_Y, and within 1e-13
+    # of it U takes both signs
+    assert {o[0] for o in batched[-11:]} == {"reached"}
     assert {o[1] for o in batched[-7:]} == {-1.0, 1.0}
 
 
