@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .quadrature import TAIL_MODES, QuadratureSpec
+from .quadrature import QuadratureSpec
 
 # every check id the suites emit; a tolerance override must name one of them
 KNOWN_CHECK_IDS = frozenset((
@@ -61,7 +61,6 @@ class SuiteConfig:
     y_max: float = 30.0
     panels: int = 24
     nodes_per_panel: int = 16
-    tail_mode: str = "truncate_bound"
     out: str | None = None
     json_out: bool = False
     flip_star_sign: bool = False
@@ -70,8 +69,6 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
-        if self.tail_mode not in TAIL_MODES:
-            raise ValueError(f"unknown tail mode {self.tail_mode!r}")
         for cid, tol in self.tol_overrides.items():
             if cid not in KNOWN_CHECK_IDS:
                 raise ValueError(f"unknown check id in tolerance override: {cid!r}")
@@ -83,7 +80,9 @@ class SuiteConfig:
             raise ValueError("n_pert must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.quadrature()  # raises on a bad eps, y range or panel layout
+        # raises on a bad y range or panel layout, and on a bad eps: the
+        # energy identities integrate from eps itself, not the clamped value
+        self.quadrature().with_eps(self.eps)
 
     def quadrature(self) -> QuadratureSpec:
         return QuadratureSpec(
@@ -92,7 +91,6 @@ class SuiteConfig:
             y_max=self.y_max,
             panels=self.panels,
             nodes_per_panel=self.nodes_per_panel,
-            tail_mode=self.tail_mode,
         )
 
     def tol(self, check_id: str, default: float) -> float:
@@ -109,7 +107,6 @@ _KEY_TYPES = {
     "y_max": float,
     "panels": int,
     "nodes_per_panel": int,
-    "tail_mode": str,
     "out": str,
     "json_out": "bool",
     "flip_star_sign": "bool",

@@ -245,8 +245,6 @@ def ricci_check(conv: GeometryConventions) -> CheckReport:
 # calibration
 # ---------------------------------------------------------------------------
 
-_CALIBRATED: GeometryConventions | None = None
-
 CONVENTION_SET = tuple(
     GeometryConventions(c, s1, s2)
     for c in (1, -1, 2, -2)
@@ -258,12 +256,9 @@ CONVENTION_SET = tuple(
 CALIBRATION_TOL = 1e-10  # worst residual of the reference solution
 
 
-def calibrate(force: bool = False) -> GeometryConventions:
+def calibrate() -> GeometryConventions:
     """Search the finite convention set for the unique (c_struct, s1, s2)
     with exact Ric = 2g and vanishing residual on the reference solution."""
-    global _CALIBRATED
-    if _CALIBRATED is not None and not force:
-        return _CALIBRATED
     from .profiles import nahm_pole_invariant_solution
 
     field = nahm_pole_invariant_solution()
@@ -276,5 +271,4 @@ def calibrate(force: bool = False) -> GeometryConventions:
         raise RuntimeError(
             f"calibration must single out one convention, found {winners}"
         )
-    _CALIBRATED = winners[0]
-    return _CALIBRATED
+    return winners[0]

@@ -4,8 +4,7 @@ An invariant configuration on S^3 x R+ is a triple of profiles: a 3x3
 connection coefficient matrix a(y) (gauge A_y = 0), a 3x3 tangential Higgs
 matrix p(y), and optionally an su(2)-valued phi_y(y).  Profiles are sums of
 scalar functions times constant matrices, evaluated through second-order
-jets so that first (and second, for phi_y) derivatives are exact; sampled
-data is accessed through not-a-knot cubic splines.
+jets so that first (and second, for phi_y) derivatives are exact.
 
 The closed-form reference solution has scalar profiles
 
@@ -22,7 +21,6 @@ float64 rounding alone would contaminate at the 1e-10 level.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,21 +73,6 @@ class VectorProfile:
 
 def scaled_matrix_profile(fn, mat) -> MatrixProfile:
     return MatrixProfile([(fn, np.asarray(mat, dtype=float))])
-
-
-class SplineMatrixProfile:
-    """Grid-sampled matrix profile with C^2 access (not-a-knot cubic spline)."""
-
-    def __init__(self, ys, mats):
-        from scipy.interpolate import CubicSpline
-
-        mats = np.asarray(mats, dtype=float)  # (n, 3, 3)
-        self._spl = CubicSpline(np.asarray(ys, dtype=float), mats, axis=0,
-                                bc_type="not-a-knot")
-        self._dspl = self._spl.derivative()
-
-    def eval(self, y, dtype=float):
-        return self._spl(y), self._dspl(y)
 
 
 @dataclass
@@ -187,48 +170,3 @@ def higgs_scale_check(scales=(1e-1, 1e-2, 1e-3)) -> dict:
     le = np.log10(np.asarray(errs))
     slope = float(np.polyfit(ls, le, 1)[0])
     return {"scales": list(scales), "errors": errs, "slope": slope}
-
-
-# ---------------------------------------------------------------------------
-# CSV exchange: blocks "# profile NAME", header y,c11..c33 (row-major)
-# ---------------------------------------------------------------------------
-
-MATRIX_HEADER = ["y"] + [f"c{i}{a}" for i in range(1, 4) for a in range(1, 4)]
-
-
-def write_profiles_csv(path: str, ys, blocks: dict):
-    """Write named matrix-profile samples; one block per profile."""
-    ys = np.asarray(ys, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for name, mats in blocks.items():
-            fh.write(f"# profile {name}\n")
-            w.writerow(MATRIX_HEADER)
-            for y, m in zip(ys, np.asarray(mats, dtype=float)):
-                w.writerow([repr(float(y))] + [repr(float(x)) for x in m.reshape(9)])
-
-
-def read_profiles_csv(path: str) -> dict:
-    """Read profile blocks back as SplineMatrixProfile objects."""
-    blocks: dict[str, list] = {}
-    name = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# profile"):
-                name = line.split("# profile", 1)[1].strip()
-                blocks[name] = []
-                continue
-            if line.startswith("y,"):
-                continue
-            if name is None:
-                raise ValueError("profile CSV must start with a '# profile NAME' line")
-            vals = [float(x) for x in line.split(",")]
-            blocks[name].append(vals)
-    out = {}
-    for name, rows in blocks.items():
-        arr = np.asarray(rows, dtype=float)
-        out[name] = SplineMatrixProfile(arr[:, 0], arr[:, 1:].reshape(-1, 3, 3))
-    return out

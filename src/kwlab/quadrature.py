@@ -4,8 +4,8 @@ Integrals over S^3 x {y > eps} of invariant densities reduce to
 vol(S^3) * int f(y) dy with vol(S^3) = 2 pi^2.  The y-axis is split into a
 geometric panel ladder on [eps, y_split] (profiles behave like powers of y
 near the pole), uniform panels on [y_split, y_max], and an exponential tail
-treated either by a certified truncation bound (densities of the reference
-solution fall off like e^{-4y}) or by the substitution t = e^{-y}.
+beyond y_max, left out of the value and covered by a truncation bound
+(densities of the reference solution fall off like e^{-4y}).
 
 Every integral returns (value, error_estimate); the estimate combines a
 panel-doubling comparison with the tail remainder.
@@ -21,7 +21,6 @@ import numpy as np
 
 VOL_S3 = 2.0 * math.pi**2
 
-TAIL_MODES = ("truncate_bound", "exp_substitution")
 TAIL_RATE = 4.0  # exponential envelope rate used for the tail bound
 
 
@@ -32,15 +31,12 @@ class QuadratureSpec:
     y_max: float = 30.0
     panels: int = 24
     nodes_per_panel: int = 16
-    tail_mode: str = "truncate_bound"
 
     def __post_init__(self):
         if not (0 < self.eps < self.y_split < self.y_max < math.inf):
             raise ValueError("need 0 < eps < y_split < y_max < inf")
         if self.panels < 1 or self.nodes_per_panel < 2:
             raise ValueError("need panels >= 1 and nodes_per_panel >= 2")
-        if self.tail_mode not in TAIL_MODES:
-            raise ValueError(f"tail_mode must be one of {TAIL_MODES}")
 
     def refined(self) -> "QuadratureSpec":
         return replace(self, panels=self.panels * 2)
@@ -64,7 +60,6 @@ def _edges_uniform(lo: float, hi: float, panels: int):
 
 
 _MATH_EXP = np.frompyfunc(math.exp, 1, 1)
-_MATH_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 def _values(f, y):
@@ -99,26 +94,13 @@ def integrate_panels(f, edges, nodes: int) -> float:
     return float(sum(half * total))
 
 
-def _tail(f, spec: QuadratureSpec):
-    """(tail value, tail error bound) for the integral beyond y_max."""
+def _tail(f, spec: QuadratureSpec) -> float:
+    """Bound on the integral beyond y_max, which the value leaves out: the
+    envelope constant is estimated from samples, with a x1.5 safety."""
     rate = TAIL_RATE
-    if spec.tail_mode == "exp_substitution":
-        t_max = math.exp(-spec.y_max)
-
-        def g(t):
-            return _values(f, -_MATH_LOG(t).astype(float)) / t
-
-        edges = _edges_geometric(t_max * 1e-12, t_max, max(4, spec.panels // 4))
-        val = integrate_panels(g, edges, spec.nodes_per_panel)
-        # remainder below the smallest t-node, bounded by the envelope
-        y_far = spec.y_max + 27.6
-        k = abs(float(_values(f, np.array([y_far]))[0])) * math.exp(rate * y_far)
-        err = 1.5 * k * math.exp(-rate * y_far) / rate
-        return val, err
-    # truncate_bound: estimate the envelope constant from samples, x1.5 safety
     ys = np.linspace(max(spec.y_split, spec.y_max - 5.0), spec.y_max, 16)
     k = float(np.max(np.abs(_values(f, ys)) * exp_nodes(rate * ys)))
-    return 0.0, 1.5 * k * math.exp(-rate * spec.y_max) / rate
+    return 1.5 * k * math.exp(-rate * spec.y_max) / rate
 
 
 def _doubled(f, layout, panels: int, nodes: int):
@@ -135,13 +117,12 @@ def _doubled(f, layout, panels: int, nodes: int):
 
 def _halfline(f, spec: QuadratureSpec, lo: float, head_edges):
     """Head [lo, y_split] laid out by head_edges, uniform body up to y_max,
-    and the tail beyond it."""
+    and the tail bound beyond it."""
     fine, err = _doubled(
         f, lambda p: (head_edges(lo, spec.y_split, p),
                       _edges_uniform(spec.y_split, spec.y_max, p)),
         spec.panels, spec.nodes_per_panel)
-    tail_val, tail_err = _tail(f, spec)
-    return fine + tail_val, err + tail_err
+    return fine, err + _tail(f, spec)
 
 
 def integrate_halfline(f, spec: QuadratureSpec, geometric_head: bool = True):

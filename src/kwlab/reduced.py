@@ -300,8 +300,8 @@ def _series_d(u: dict) -> dict:
 
 
 def indicial_expand(sys: ReducedSystem, order: int,
-                    free_param=Fraction(-2, 3), pin_a0=None,
-                    pole=Fraction(1)) -> IndicialExpansion:
+                    free_param=Fraction(-2, 3),
+                    pin_a0=None) -> IndicialExpansion:
     """Match the pole series order by order; raises on inconsistency.
     Pinning a0 to anything but the forced value (1 for the calibrated
     system) fails at order -1: the constant would feed a 1/y term into a',
@@ -310,11 +310,10 @@ def indicial_expand(sys: ReducedSystem, order: int,
         raise ValueError("expansion order limited to 8")
     free_param = Fraction(free_param)
     a_c = {}
-    b_c = {-1: Fraction(pole)}
+    b_c = {-1: Fraction(1)}
 
-    # consistency at the pole: b' = f2 demands -pole = pole^2 * f2-coefficient
-    f2_bb = sys.coeffs_b[5]
-    if -pole != f2_bb * pole * pole:
+    # consistency at the pole: b' = f2 demands -1 = the b^2 coefficient of f2
+    if sys.coeffs_b[5] != -1:
         raise ValueError("series matching inconsistent at order -2 (pole weight)")
 
     kmax = order
@@ -385,8 +384,8 @@ def indicial_expand(sys: ReducedSystem, order: int,
 # delegated: the decaying trajectory is a saddle connection, so errors made
 # near the pole are amplified by e^{2y} downstream, and meeting a 1e-6
 # sup-norm over [0.1, 10] requires carrying the state in extended precision,
-# which library integrators do not offer.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# which library integrators do not offer.  The system is autonomous, so the
+# stage nodes c_i never enter.
 _DP_A = (
     (),
     (1 / 5,),

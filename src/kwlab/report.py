@@ -11,6 +11,7 @@ atomic writes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -115,7 +116,7 @@ def _atomic_write(path: str, text: str):
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-report-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -138,12 +139,11 @@ def write_checks_json(path: str, checks: list, meta: dict | None = None):
 
 
 def write_energy_json(path: str, rep: EnergyReport, meta: dict | None = None):
-    payload = {
+    write_json(path, {
         "schema_version": SCHEMA_VERSION,
         "meta": meta or {},
         "entries": [asdict(e) for e in rep.entries],
-    }
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    })
 
 
 def write_json(path: str, payload: dict):
@@ -151,16 +151,8 @@ def write_json(path: str, payload: dict):
 
 
 def write_csv(path: str, header: list, rows: list):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-csv-")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _atomic_write(path, buf.getvalue())

@@ -89,7 +89,7 @@ def test_criterion_01_model_residuals(conv):
 
 
 def test_criterion_02_calibration_unique():
-    conv = calibrate(force=True)  # raises unless exactly one convention passes
+    conv = calibrate()  # raises unless exactly one convention passes
     _check("criterion-02 convention calibration", (conv.c, conv.s1, conv.s2)
            == (2, 1, 1), f"locked golden value {(conv.c, conv.s1, conv.s2)}")
 

@@ -1,5 +1,6 @@
 """CLI contract: config parsing, determinism, exit codes, file interfaces."""
 
+import ast
 import json
 import os
 import subprocess
@@ -134,13 +135,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           ("y_max = 0.5", "y_split < y_max"),
                           ("y_split = inf", "y_split < y_max"),
                           ("y_max = inf", "y_max < inf"),
-                          ("seed = -1", "seed must be >= 0")):
+                          ("seed = -1", "seed must be >= 0"),
+                          ("eps = 5", "0 < eps")):
         cfg.write_text(line + "\n")
         assert main(["verify", "--suite", "algebra",
                      "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
     assert main(["verify", "--suite", "algebra", "--seed", "-3"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+    # the energy identities integrate from eps itself, so it must fit the
+    # quadrature layout even though the shared spec clamps it to 1e-3
+    for eps in ("1.0", "inf"):
+        assert main(["verify", "--suite", "energy", "--eps", eps]) == 2
+        assert "0 < eps" in capsys.readouterr().err
     assert not (tmp_path / "l.json").exists()
 
 
@@ -210,6 +217,26 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "tracing: not found" not in proc.stderr
     assert json.loads((tmp_path / "dump.json").read_text())["spans"]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the one declared runtime dependency; an import anywhere in the
+    # package, a lazy one inside a function included, must not need more
+    allowed = set(sys.stdlib_module_names) | {"numpy", "kwlab"}
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "kwlab")
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update((name, a.name.split(".")[0]) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((name, node.module.split(".")[0]))
+    assert found, "no imports parsed"
+    assert sorted(f for f in found if f[1] not in allowed) == []
 
 
 def test_io_error_exit_three(tmp_path):

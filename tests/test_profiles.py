@@ -1,4 +1,4 @@
-"""Profiles: jet evaluation, splines, CSV exchange, scaling limit."""
+"""Profiles: jet evaluation, array evaluation, scaling limit."""
 
 import math
 
@@ -7,12 +7,9 @@ import numpy as np
 from kwlab import jets
 from kwlab.jets import Jet2
 from kwlab.profiles import (
-    SplineMatrixProfile,
     higgs_scale_check,
     nahm_pole_invariant_solution,
     pole_scalars,
-    read_profiles_csv,
-    write_profiles_csv,
 )
 
 
@@ -65,34 +62,3 @@ def test_scaling_limit_rate():
     assert abs(out["slope"] - 2.0) <= 0.1
     # relative error at s is s^2/3 to leading order
     assert math.isclose(out["errors"][0], 1e-2 / 3, rel_tol=0.05)
-
-
-def test_spline_profile_c2_access():
-    ys = np.linspace(0.05, 5.0, 120)
-    mats = np.stack([np.eye(3) * (1.0 / y) for y in ys])
-    spl = SplineMatrixProfile(ys, mats)
-    v, d = spl.eval(1.0)
-    assert math.isclose(float(v[0, 0]), 1.0, rel_tol=1e-6)
-    assert math.isclose(float(d[0, 0]), -1.0, rel_tol=1e-4)
-
-
-def test_profiles_csv_roundtrip(tmp_path):
-    ys = np.linspace(0.1, 3.0, 60)
-    blocks = {
-        "connection": [np.eye(3) * pole_scalars(float(y))[0] for y in ys],
-        "higgs": [np.eye(3) * pole_scalars(float(y))[1] for y in ys],
-    }
-    path = tmp_path / "profiles.csv"
-    write_profiles_csv(str(path), ys, blocks)
-    head = path.read_text().splitlines()
-    assert head[0] == "# profile connection"
-    assert head[1].startswith("y,c11,c12,c13,c21")
-
-    back = read_profiles_csv(str(path))
-    assert set(back) == {"connection", "higgs"}
-    v, d = back["higgs"].eval(1.0)  # between nodes: spline interpolation error
-    want = pole_scalars(1.0)[1]
-    assert math.isclose(float(v[0, 0]), want, rel_tol=1e-5)
-    node = float(ys[20])
-    v_node, _ = back["higgs"].eval(node)
-    assert math.isclose(float(v_node[0, 0]), pole_scalars(node)[1], rel_tol=1e-12)

@@ -21,8 +21,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(eps=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(eps=2.0, y_split=1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tail_mode="nope")
 
 
 def test_vol_s3():
@@ -62,15 +60,6 @@ def test_exponential_envelope_oracle():
     val, err = integrate_smooth_from_zero(lambda y: np.exp(-4 * y), spec)
     assert abs(val - 0.25) <= 1e-10 * 0.25
     assert err < 1e-8
-
-
-def test_tail_modes_agree():
-    f = lambda y: np.exp(-4 * y) * (1 + y)
-    a = integrate_smooth_from_zero(f, QuadratureSpec(
-        eps=1e-6, y_max=20.0, tail_mode="truncate_bound"))[0]
-    b = integrate_smooth_from_zero(f, QuadratureSpec(
-        eps=1e-6, y_max=20.0, tail_mode="exp_substitution"))[0]
-    assert math.isclose(a, b, rel_tol=1e-9)
 
 
 def test_truncate_bound_covers_remainder():

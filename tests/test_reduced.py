@@ -8,7 +8,6 @@ import pytest
 
 from kwlab.energy import density_fn
 from kwlab.profiles import (
-    SplineMatrixProfile,
     InvariantField,
     nahm_pole_invariant_solution,
     pole_scalars,
@@ -259,22 +258,33 @@ def test_flow_translation_property(system):
     assert sup <= 1e-8
 
 
-def test_shot_profile_energy_consistency(conv, shot, quad_spec):
-    # feed the recovered profile into the energy engine: curvature energy
-    # within 1e-3 relative of the closed-form value on the common range
-    ys = np.linspace(0.1, 12.0, 800)
-    mats_a, mats_b = [], []
-    for y in ys:
-        a, b = shot.result.at(float(y))
-        mats_a.append(a * np.eye(3))
-        mats_b.append(b * np.eye(3))
-    field = InvariantField(SplineMatrixProfile(ys, mats_a),
-                           SplineMatrixProfile(ys, mats_b))
+class _ShotProfile:
+    """One scalar of the shot's dense output times the identity, with the
+    system's right-hand side at that state as its derivative."""
+
+    def __init__(self, system, result, index):
+        self.system, self.result, self.index = system, result, index
+
+    def eval(self, y):
+        state = self.result.at(y)
+        value = state[self.index]
+        deriv = self.system.rhs(*state)[self.index]
+        eye = np.eye(3)
+        return (np.asarray(value)[..., None, None] * eye,
+                np.asarray(deriv)[..., None, None] * eye)
+
+
+def test_shot_profile_energy_consistency(conv, system, shot):
+    # feed the solver's own trajectory into the energy engine: curvature
+    # energy within 1e-10 relative of the closed-form value on the common
+    # range
+    field = InvariantField(_ShotProfile(system, shot.result, 0),
+                           _ShotProfile(system, shot.result, 1))
     model = nahm_pole_invariant_solution()
     spec = QuadratureSpec(eps=0.1, y_split=1.0, y_max=12.0)
     got, _ = l2_norm_sq(density_fn(conv, field, ("F_sq",)), spec)
     want, _ = l2_norm_sq(density_fn(conv, model, ("F_sq",)), spec)
-    assert abs(got - want) / want <= 1e-3
+    assert abs(got - want) / want <= 1e-10
 
 
 def _series_states(system, params, y0=0.1):
