@@ -632,7 +632,7 @@ def main(argv=None) -> int:
             q, q_err = energy.topological_charge(conv, field.connection, spec)
             rep.add("topological_charge", q, q_err)
             path = cfg.out or "energy-report.json"
-            write_energy_json(path, rep, {"model": args.model, "eps": cfg.eps})
+            write_energy_json(path, rep, {"model": args.model, "eps": spec.eps})
             sweep = energy.eps_sweep_rows(conv, field, (1e-1, 1e-2, 1e-3), spec)
             sweep_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                       "identity-sweep.csv")

@@ -6,15 +6,19 @@ matrices (spanned by mu_1, mu_2, mu_3) and the traceless symmetric matrices
 (spanned by nu_1, nu_2, nu_3, nu_12, nu_13).  The operator *3[omega, . ] is
 scalar on each piece with eigenvalues (2, 1, -1), in that order.
 
-Everything here runs in exact rational arithmetic: projections are the
-trace / antisymmetric / symmetric-traceless parts, equality claims are
-compared after squaring so no irrational number is ever formed, and the
-Monte-Carlo suite draws small random Fractions.  The displayed star table
-for the nu basis vectors is reproduced up to a global sign (the engine
+The tables run in exact rational arithmetic: projections are the trace /
+antisymmetric / symmetric-traceless parts, and equality claims are compared
+after squaring so no irrational number is ever formed.  The displayed star
+table for the nu basis vectors is reproduced up to a global sign (the engine
 orientation that yields eigenvalues (2, 1, -1) gives *3(nu ^ nu) = -t_i e_i);
 the sign is recorded and the orientation-free consequences (orthogonality to
 V1, the projection magnitudes behind the quadratic-projection equalities)
 are asserted exactly.
+
+The seeded suite draws small integer vectors and checks them a block at a
+time as int64 stacks: for integer v, 6 times each projection is an integer
+matrix, so every claim is an exact integer comparison after a fixed scaling,
+under the overflow bound stated above ENTRY_BOUND.
 """
 
 from __future__ import annotations
@@ -50,45 +54,53 @@ NU_12 = _form([[1, 0, 0], [0, -1, 0], [0, 0, 0]])  # t1 e1 - t2 e2
 NU_13 = _form([[1, 0, 0], [0, 0, 0], [0, 0, -1]])  # t1 e1 - t3 e3
 
 
+EIGENVALUES = (2, 1, -1)  # of *3[omega, . ] on V1, V2, V3
+_I3 = np.eye(3, dtype=np.int64)  # omega's coefficients as integers
+
+
 @dataclass(frozen=True)
 class DecompBasis:
     v1: tuple
     v2: tuple
     v3: tuple
 
-    @property
-    def eigenvalues(self):
-        return (2, 1, -1)
-
 
 def basis() -> DecompBasis:
     return DecompBasis(v1=(OMEGA,), v2=MU, v3=NU + (NU_12, NU_13))
 
 
+def project6(i: int, m):
+    """6 times the orthogonal projection onto V^i, on a (3, 3) matrix or a
+    (3, 3, n) stack; integer on integer input."""
+    tr = np.zeros_like(m)
+    tr[[0, 1, 2], [0, 1, 2]] = m[0][0] + m[1][1] + m[2][2]
+    if i == 1:
+        return 2 * tr
+    mt = m.swapaxes(0, 1)
+    if i == 2:
+        return 3 * (m - mt)
+    if i == 3:
+        return 3 * (m + mt) - 2 * tr
+    raise ValueError("projection index must be 1, 2 or 3")
+
+
 def project(i: int, m):
     """Orthogonal projection onto V^i: trace part, antisymmetric part, or
     traceless symmetric part of the coefficient matrix."""
-    if i == 1:
-        tr = (m[0][0] + m[1][1] + m[2][2]) / 3
-        return OMEGA * tr
-    if i == 2:
-        return half_of(m - m.T)
-    if i == 3:
-        tr = (m[0][0] + m[1][1] + m[2][2]) / 3
-        return half_of(m + m.T) - OMEGA * tr
-    raise ValueError("projection index must be 1, 2 or 3")
+    p = project6(i, m)
+    return p * Fraction(1, 6) if p.dtype == object else p / 6
 
 
 def omega_bracket(v):
     """*3 [omega, v] as a 1-form; equals tr(v) I - v^T on coefficients."""
-    return wedge_bracket_matrix(OMEGA, v)
+    return wedge_bracket_matrix(_I3, v)
 
 
 def omega_bracket_eigencheck() -> list:
     """Exact eigenvalue table of *3[omega, . ] on all nine basis vectors."""
     bas = basis()
     out = []
-    for i, (vecs, lam) in enumerate(zip((bas.v1, bas.v2, bas.v3), bas.eigenvalues), 1):
+    for i, (vecs, lam) in enumerate(zip((bas.v1, bas.v2, bas.v3), EIGENVALUES), 1):
         for k, v in enumerate(vecs):
             got = omega_bracket(v)
             exact = _eq(got, v * Fraction(lam))
@@ -247,58 +259,6 @@ def appendix_star_table() -> list:
     return checks
 
 
-def lemma_quadratic_projection(v) -> CheckReport:
-    """Quadratic projection bound: the V1 part of *3(v^v) deviates from
-    *3(v1 ^ v1) by at most (|v2|^2 + |v3|^2)/sqrt(6), with exact equality of
-    magnitudes on pure V2 or pure V3 input.  All comparisons are made on
-    squared quantities so the test stays rational."""
-    v1, v2, v3 = (project(i, v) for i in (1, 2, 3))
-    lhs_form = project(1, star_vv(v)) - star_vv(v1)
-    lhs_sq = one_form_norm_sq(lhs_form)  # |(*3(v^v))^(1) - *3(v1^v1)|^2
-    n2 = one_form_norm_sq(v2)
-    n3 = one_form_norm_sq(v3)
-    bound_sq_times6 = (n2 + n3) ** 2     # (rhs * sqrt(6))^2
-    lhs_sq_times6 = 6 * lhs_sq
-
-    pure2 = all(x == 0 for x in (one_form_norm_sq(v1), n3))
-    pure3 = all(x == 0 for x in (one_form_norm_sq(v1), n2))
-    if pure2 or pure3:
-        ok = lhs_sq_times6 == (n2 + n3) ** 2
-        kind = "equality (pure component)"
-    else:
-        ok = lhs_sq_times6 <= bound_sq_times6
-        kind = "inequality (mixed component)"
-    slack_sq = bound_sq_times6 - lhs_sq_times6
-    return make_check(
-        "lemma-quadratic-projection",
-        f"quadratic projection bound, {kind}",
-        computed=float(slack_sq),
-        ok=bool(ok),
-        provenance="reference",
-        extra={
-            "lhs_sq_times6": str(lhs_sq_times6),
-            "bound_sq_times6": str(bound_sq_times6),
-            "pure2": pure2,
-            "pure3": pure3,
-        },
-    )
-
-
-def random_form(rng: random.Random, kind: str = "mixed"):
-    """Small random rational coefficient form of the requested type."""
-    def frac():
-        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
-
-    if kind == "mixed":
-        return _form([[frac() for _ in range(3)] for _ in range(3)])
-    if kind == "pure2":
-        return MU[0] * frac() + MU[1] * frac() + MU[2] * frac()
-    if kind == "pure3":
-        return sum((b * frac() for b in (NU[0], NU[1], NU[2], NU_12, NU_13)),
-                   start=OMEGA * F0)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def _random_int_matrix(rng: random.Random, kind: str):
     """Integer coefficient matrix of the requested type; the quadratic
     projection claim is homogeneous, so integer vectors lose no generality
@@ -315,25 +275,77 @@ def _random_int_matrix(rng: random.Random, kind: str):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def quadratic_projection_slack_sq(v_rows) -> tuple:
+# The seeded suite on int64 blocks: for integer v, 6 p_i = project6(i, v) is
+# an integer matrix, so each claim is an int64 (in)equality.  Overflow bound
+# for |v| <= B = ENTRY_BOUND: project6 maps entries <= M to entries <= 12 M,
+# and [u ^ w] has entries <= 4 max|u| max|w|.  So S = [v ^ v] <= 4 B^2 and
+#   fast claim: both squares <= (54 B^2)^2 < 2^35;
+#   battery:    P_i <= 12 B, project6(j, P_i) <= 144 B, [I ^ P_i] <= 48 B,
+#               sums of squares <= 27 (12 B)^2 < 2^24;
+#   lemma:      L = 6 project6(1, S) - [P1 ^ P1] <= 288 B^2 + 576 B^2, so
+#               3 |L|_F^2 <= 27 (864 B^2)^2 < 2^48 and
+#               (|P2|_F^2 + |P3|_F^2)^2 <= (18 (12 B)^2)^2 < 2^46,
+# all below 2^62.
+
+ENTRY_BOUND = 54  # |entry| of a drawn vector: 27, or 54 on the pure3 trace
+BLOCK = 1000  # vectors per int64 block; a multiple of BATTERY_STRIDE
+BATTERY_STRIDE = 10  # vectors per run of the full battery
+_MATRIX = np.dtype((np.int64, (3, 3)))
+
+
+def _sum_sq(m):
+    return (m * m).sum(axis=(0, 1))
+
+
+def _nonzero(m):
+    return (m != 0).any(axis=(0, 1))
+
+
+def quadratic_projection_slack_sq(v) -> tuple:
     """(scaled lhs^2, scaled bound^2) of the quadratic projection claim for
-    an integer coefficient matrix, exact.
+    an integer (3, 3, m) stack, exact, as two length-m int64 arrays.
 
     With S = [v ^ v] from the engine, the V1 part of *3(v^v) minus
     *3(v1 ^ v1) has omega-coefficient (3 tr S - 2 (tr v)^2)/18, and the
     bound is (3 |v|_F^2 - (tr v)^2)/(6 sqrt 6); both sides are compared
-    after multiplying by (6 sqrt 6)^2.
+    after multiplying by (6 sqrt 6)^2.  Raises ValueError outside the
+    proven overflow bound instead of wrapping.
     """
-    s = wedge_bracket_matrix(v_rows, v_rows)
-    tr_s = int(s[0][0]) + int(s[1][1]) + int(s[2][2])
-    tr_v = int(v_rows[0][0]) + int(v_rows[1][1]) + int(v_rows[2][2])
-    fro = sum(int(v_rows[i][a]) ** 2 for i in range(3) for a in range(3))
+    v = np.asarray(v)
+    if v.dtype.kind not in "iu" or np.any((v < -ENTRY_BOUND) | (v > ENTRY_BOUND)):
+        raise ValueError(f"need integer entries within +-{ENTRY_BOUND}")
+    v = v.astype(np.int64, copy=False)
+    s = wedge_bracket_matrix(v, v)
+    tr_s = s[0][0] + s[1][1] + s[2][2]
+    tr_v = v[0][0] + v[1][1] + v[2][2]
     lhs_scaled_sq = (3 * tr_s - 2 * tr_v * tr_v) ** 2
-    bound_scaled_sq = (3 * fro - tr_v * tr_v) ** 2
+    bound_scaled_sq = (3 * _sum_sq(v) - tr_v * tr_v) ** 2
     return lhs_scaled_sq, bound_scaled_sq
 
 
-BATTERY_STRIDE = 10  # vectors per run of the full Fraction battery
+def _battery_failures(v) -> list:
+    """(detail, failed-mask) of each battery check on an int64 (3, 3, m)
+    stack within ENTRY_BOUND, in the order the checks run on one vector.
+    Each is the exact claim on p_i = P_i / 6, P_i = project6(i, v),
+    multiplied through by a fixed power of 6."""
+    parts = [project6(i, v) for i in (1, 2, 3)]
+    n1, n2, n3 = (_sum_sq(p) for p in parts)
+    out = [("projection completeness failed", _nonzero(sum(parts) - 6 * v)),
+           ("Pythagoras failed", 36 * _sum_sq(v) != n1 + n2 + n3)]
+    for i, p in enumerate(parts, 1):
+        out.append(("idempotence failed", _nonzero(project6(i, p) - 6 * p)))
+        out.append(("orthogonality failed", np.any(
+            [_nonzero(project6(j, p)) for j in (1, 2, 3) if j != i], axis=0)))
+        out.append(("eigen relation failed",
+                    _nonzero(omega_bracket(p) - EIGENVALUES[i - 1] * p)))
+    # 72^2 (6 |(*3(v^v))^(1) - *3(v1^v1)|^2) against 72^2 (|v2|^2 + |v3|^2)^2
+    lhs = 3 * _sum_sq(6 * project6(1, wedge_bracket_matrix(v, v))
+                      - wedge_bracket_matrix(parts[0], parts[0]))
+    bound = (n2 + n3) ** 2
+    pure = (n1 == 0) & ((n2 == 0) | (n3 == 0))
+    out.append(("quadratic projection failed",
+                np.where(pure, lhs != bound, lhs > bound)))
+    return out
 
 
 def decomposition_suite(seed: int, n: int) -> CheckReport:
@@ -342,58 +354,39 @@ def decomposition_suite(seed: int, n: int) -> CheckReport:
     Every vector goes through the engine's wedge bracket and the exact
     quadratic-projection comparison (equality on pure types, bound on mixed
     vectors); every BATTERY_STRIDE-th vector additionally runs the full
-    Fraction-arithmetic battery of projections, Pythagoras, idempotence,
-    orthogonality and the eigen relation.
+    battery of projections, Pythagoras, idempotence, orthogonality, the
+    eigen relation and the quadratic-projection lemma.  The vectors are
+    checked BLOCK at a time as int64 stacks; a failure reports the first
+    failing vector and, on it, the first failing check.
     """
     if n < 1:
         raise ValueError("empty suite")
     rng = random.Random(seed)
-    worst_slack_sq = None
     kinds = ("pure2", "pure3", "mixed")
-    for k in range(n):
-        kind = kinds[k % 3]
-        rows = _random_int_matrix(rng, kind)
-        lhs_sq, bound_sq = quadratic_projection_slack_sq(rows)
-        if kind in ("pure2", "pure3"):
-            if lhs_sq != bound_sq:
-                return make_check("decomposition-suite",
-                                  f"pure-type equality failed at vector {k}",
-                                  computed=float(k), ok=False)
-        elif lhs_sq > bound_sq:
-            return make_check("decomposition-suite",
-                              f"projection bound violated at vector {k}",
+    worst = []
+    for k0 in range(0, n, BLOCK):
+        ks = np.arange(k0, min(k0 + BLOCK, n))
+        v = np.fromiter((_random_int_matrix(rng, kinds[k % 3]) for k in ks),
+                        _MATRIX, len(ks)).transpose(1, 2, 0).copy()
+        lhs_sq, bound_sq = quadratic_projection_slack_sq(v)
+        pure = ks % 3 != 2
+        fast = np.where(pure, lhs_sq != bound_sq, lhs_sq > bound_sq)
+        # (vector, position in the vector's check order, detail) of each
+        # check's first failure in the block
+        failures = [(ks[j], 0, ("pure-type equality failed" if pure[j] else
+                                "projection bound violated") + f" at vector {ks[j]}")
+                    for j in np.flatnonzero(fast)[:1]]
+        battery = _battery_failures(v[:, :, ::BATTERY_STRIDE])
+        for order, (detail, failed) in enumerate(battery, 1):
+            failures += [(ks[j * BATTERY_STRIDE], order, detail)
+                         for j in np.flatnonzero(failed)[:1]]
+        if failures:
+            k, _, detail = min(failures)
+            return make_check("decomposition-suite", detail,
                               computed=float(k), ok=False)
-        slack = bound_sq - lhs_sq
-        if worst_slack_sq is None or slack < worst_slack_sq:
-            worst_slack_sq = slack
+        worst.append(int((bound_sq - lhs_sq).min()))
 
-        if k % BATTERY_STRIDE:
-            continue
-        v = _form(rows)
-        parts = [project(i, v) for i in (1, 2, 3)]
-        if not _eq(parts[0] + parts[1] + parts[2], v):
-            return make_check("decomposition-suite", "projection completeness failed",
-                              computed=float(k), ok=False)
-        if one_form_norm_sq(v) != sum(one_form_norm_sq(p) for p in parts):
-            return make_check("decomposition-suite", "Pythagoras failed",
-                              computed=float(k), ok=False)
-        for i in (1, 2, 3):
-            if not _eq(project(i, parts[i - 1]), parts[i - 1]):
-                return make_check("decomposition-suite", "idempotence failed",
-                                  computed=float(k), ok=False)
-            for j in (1, 2, 3):
-                if i != j and one_form_norm_sq(project(j, parts[i - 1])) != 0:
-                    return make_check("decomposition-suite", "orthogonality failed",
-                                      computed=float(k), ok=False)
-            lam = (2, 1, -1)[i - 1]
-            if not _eq(omega_bracket(parts[i - 1]), parts[i - 1] * Fraction(lam)):
-                return make_check("decomposition-suite", "eigen relation failed",
-                                  computed=float(k), ok=False)
-        rep = lemma_quadratic_projection(v)
-        if not rep.passed:
-            return make_check("decomposition-suite", "quadratic projection failed",
-                              computed=float(k), ok=False)
-
+    worst_slack_sq = min(worst)
     return make_check(
         "decomposition-suite",
         f"{n} seeded vectors through the engine wedge bracket and the "

@@ -322,3 +322,17 @@ def test_energy_command(tmp_path):
     for row in sweep[1:]:
         eps, lhs, rhs, gap = (float(x) for x in row.split(","))
         assert abs(gap) <= 1e-6 * abs(rhs)
+
+
+def test_energy_report_records_the_eps_it_computed_at(tmp_path):
+    # the quadrature clamps eps to at most 1e-3, so --eps 0.5 computes the
+    # same report as --eps 1e-3, meta included
+    outs = []
+    for eps in ("0.5", "1e-3"):
+        out = tmp_path / eps / "energy-report.json"
+        out.parent.mkdir()
+        assert main(["energy", "--eps", eps, "--out", str(out)]) == 0
+        outs.append((out.read_bytes(),
+                     (out.parent / "identity-sweep.csv").read_bytes()))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0][0])["meta"]["eps"] == 1e-3

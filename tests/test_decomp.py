@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwlab import decomp, forms
 from kwlab.decomp import (
     MU,
     NU,
@@ -16,17 +17,16 @@ from kwlab.decomp import (
     appendix_star_table,
     basis,
     decomposition_suite,
-    lemma_quadratic_projection,
     omega_bracket,
     omega_bracket_eigencheck,
     project,
     quadratic_projection_slack_sq,
-    random_form,
     star_bracket,
     star_vv,
     _random_int_matrix,
 )
 from kwlab.forms import OMEGA, one_form_norm_sq
+from kwlab.report import CheckReport, make_check
 
 
 def _eq(u, v):
@@ -35,6 +35,142 @@ def _eq(u, v):
 
 def _exact(rows):
     return np.array(rows, dtype=object)
+
+
+def _form(rows):
+    return _exact([[Fraction(x) for x in r] for r in rows])
+
+
+def random_form(rng: random.Random, kind: str = "mixed"):
+    """Small random rational coefficient form of the requested type."""
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+    if kind == "mixed":
+        return _form([[frac() for _ in range(3)] for _ in range(3)])
+    if kind == "pure2":
+        return MU[0] * frac() + MU[1] * frac() + MU[2] * frac()
+    if kind == "pure3":
+        return sum((b * frac() for b in (NU[0], NU[1], NU[2], NU_12, NU_13)),
+                   start=OMEGA * Fraction(0))
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the per-vector Fraction battery.  Every engine
+# call goes through `decomp`'s module bindings, so a fault injected there
+# reaches the reference and the int64 suite alike.
+# ---------------------------------------------------------------------------
+
+def lemma_quadratic_projection(v) -> CheckReport:
+    """Quadratic projection bound: the V1 part of *3(v^v) deviates from
+    *3(v1 ^ v1) by at most (|v2|^2 + |v3|^2)/sqrt(6), with exact equality of
+    magnitudes on pure V2 or pure V3 input.  All comparisons are made on
+    squared quantities so the test stays rational."""
+    v1, v2, v3 = (decomp.project(i, v) for i in (1, 2, 3))
+    lhs_form = decomp.project(1, decomp.star_vv(v)) - decomp.star_vv(v1)
+    lhs_sq = one_form_norm_sq(lhs_form)  # |(*3(v^v))^(1) - *3(v1^v1)|^2
+    n2 = one_form_norm_sq(v2)
+    n3 = one_form_norm_sq(v3)
+    bound_sq_times6 = (n2 + n3) ** 2     # (rhs * sqrt(6))^2
+    lhs_sq_times6 = 6 * lhs_sq
+
+    pure2 = all(x == 0 for x in (one_form_norm_sq(v1), n3))
+    pure3 = all(x == 0 for x in (one_form_norm_sq(v1), n2))
+    if pure2 or pure3:
+        ok = lhs_sq_times6 == (n2 + n3) ** 2
+        kind = "equality (pure component)"
+    else:
+        ok = lhs_sq_times6 <= bound_sq_times6
+        kind = "inequality (mixed component)"
+    slack_sq = bound_sq_times6 - lhs_sq_times6
+    return make_check(
+        "lemma-quadratic-projection",
+        f"quadratic projection bound, {kind}",
+        computed=float(slack_sq),
+        ok=bool(ok),
+        provenance="reference",
+        extra={
+            "lhs_sq_times6": str(lhs_sq_times6),
+            "bound_sq_times6": str(bound_sq_times6),
+            "pure2": pure2,
+            "pure3": pure3,
+        },
+    )
+
+
+def reference_slack_sq(rows) -> tuple:
+    """The quadratic projection claim of one integer matrix (nested lists),
+    in Python integers."""
+    s = decomp.wedge_bracket_matrix(rows, rows)
+    tr_s = int(s[0][0]) + int(s[1][1]) + int(s[2][2])
+    tr_v = int(rows[0][0]) + int(rows[1][1]) + int(rows[2][2])
+    fro = sum(int(rows[i][a]) ** 2 for i in range(3) for a in range(3))
+    return (3 * tr_s - 2 * tr_v * tr_v) ** 2, (3 * fro - tr_v * tr_v) ** 2
+
+
+def reference_suite(seed: int, n: int) -> CheckReport:
+    """decomposition_suite one vector at a time, with the full battery in
+    Fractions."""
+    if n < 1:
+        raise ValueError("empty suite")
+    rng = random.Random(seed)
+    worst_slack_sq = None
+    kinds = ("pure2", "pure3", "mixed")
+    for k in range(n):
+        kind = kinds[k % 3]
+        rows = decomp._random_int_matrix(rng, kind)
+        lhs_sq, bound_sq = reference_slack_sq(rows)
+        if kind in ("pure2", "pure3"):
+            if lhs_sq != bound_sq:
+                return make_check("decomposition-suite",
+                                  f"pure-type equality failed at vector {k}",
+                                  computed=float(k), ok=False)
+        elif lhs_sq > bound_sq:
+            return make_check("decomposition-suite",
+                              f"projection bound violated at vector {k}",
+                              computed=float(k), ok=False)
+        slack = bound_sq - lhs_sq
+        if worst_slack_sq is None or slack < worst_slack_sq:
+            worst_slack_sq = slack
+
+        if k % decomp.BATTERY_STRIDE:
+            continue
+        v = _form(rows)
+        parts = [decomp.project(i, v) for i in (1, 2, 3)]
+        if not _eq(parts[0] + parts[1] + parts[2], v):
+            return make_check("decomposition-suite", "projection completeness failed",
+                              computed=float(k), ok=False)
+        if one_form_norm_sq(v) != sum(one_form_norm_sq(p) for p in parts):
+            return make_check("decomposition-suite", "Pythagoras failed",
+                              computed=float(k), ok=False)
+        for i in (1, 2, 3):
+            if not _eq(decomp.project(i, parts[i - 1]), parts[i - 1]):
+                return make_check("decomposition-suite", "idempotence failed",
+                                  computed=float(k), ok=False)
+            for j in (1, 2, 3):
+                if i != j and one_form_norm_sq(decomp.project(j, parts[i - 1])) != 0:
+                    return make_check("decomposition-suite", "orthogonality failed",
+                                      computed=float(k), ok=False)
+            lam = decomp.EIGENVALUES[i - 1]
+            if not _eq(decomp.omega_bracket(parts[i - 1]), parts[i - 1] * Fraction(lam)):
+                return make_check("decomposition-suite", "eigen relation failed",
+                                  computed=float(k), ok=False)
+        rep = lemma_quadratic_projection(v)
+        if not rep.passed:
+            return make_check("decomposition-suite", "quadratic projection failed",
+                              computed=float(k), ok=False)
+
+    return make_check(
+        "decomposition-suite",
+        f"{n} seeded vectors through the engine wedge bracket and the "
+        "quadratic projection claim, full battery every "
+        f"{decomp.BATTERY_STRIDE} vectors",
+        computed=float(worst_slack_sq),
+        ok=worst_slack_sq >= 0,
+        provenance="derived",
+        extra={"n": n, "seed": seed, "worst_slack_sq": str(worst_slack_sq)},
+    )
 
 
 def test_basis_dimensions_and_norms():
@@ -156,13 +292,29 @@ def test_quadratic_projection_mixed_coefficients():
 
 def test_fast_path_matches_fraction_path():
     rng = random.Random(3)
-    for k in range(150):
-        rows = _random_int_matrix(rng, ("pure2", "pure3", "mixed")[k % 3])
-        l6, b6 = quadratic_projection_slack_sq(rows)
-        v = _exact([[Fraction(x) for x in r] for r in rows])
-        full = lemma_quadratic_projection(v)
-        assert Fraction(full.extra["lhs_sq_times6"]) * 36 == l6
-        assert Fraction(full.extra["bound_sq_times6"]) * 36 == b6
+    rows = [_random_int_matrix(rng, ("pure2", "pure3", "mixed")[k % 3])
+            for k in range(150)]
+    l6, b6 = quadratic_projection_slack_sq(np.array(rows).transpose(1, 2, 0))
+    for k, r in enumerate(rows):
+        full = lemma_quadratic_projection(_form(r))
+        assert Fraction(full.extra["lhs_sq_times6"]) * 36 == l6[k]
+        assert Fraction(full.extra["bound_sq_times6"]) * 36 == b6[k]
+
+
+def test_int64_stack_bound():
+    # entries at the bound stay exact; one past it is refused, not wrapped
+    v = np.random.default_rng(5).choice([-54, 0, 54], size=(3, 3, 300))
+    l6, b6 = quadratic_projection_slack_sq(v)
+    for k in range(300):
+        assert (l6[k], b6[k]) == reference_slack_sq(v[:, :, k].tolist())
+    assert not any(failed.any() for _, failed in decomp._battery_failures(v))
+    for bad in (55, -55, -2**63):
+        w = v.copy()
+        w[1, 2, 7] = bad
+        with pytest.raises(ValueError, match="within"):
+            quadratic_projection_slack_sq(w)
+    with pytest.raises(ValueError, match="within"):
+        quadratic_projection_slack_sq(v.astype(float))
 
 
 def test_projection_commutes_with_omega_bracket(rng):
@@ -195,3 +347,36 @@ def test_completeness_and_bound_property(coeffs):
     assert one_form_norm_sq(v) == sum(one_form_norm_sq(p) for p in parts)
     rep = lemma_quadratic_projection(v)
     assert rep.passed
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_suite_matches_reference(seed):
+    # n at the battery stride and block edges
+    for n in (1, 9, 10, 11, 999, 1000, 1001, 2500):
+        assert decomposition_suite(seed, n) == reference_suite(seed, n)
+
+
+def _flip_one_sign(table):
+    (i, j, k, sign), *rest = table
+    return ((i, j, k, -sign), *rest)
+
+
+def _trace_keeping_v3(monkeypatch):
+    engine = decomp.project6
+
+    def keeps_trace(i, m):
+        return 3 * (m + m.swapaxes(0, 1)) if i == 3 else engine(i, m)
+
+    monkeypatch.setattr(decomp, "project6", keeps_trace)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda mp: mp.setattr(forms, "EPS_TABLE", _flip_one_sign(forms.EPS_TABLE)),
+    _trace_keeping_v3,
+    lambda mp: mp.setattr(decomp, "EIGENVALUES", (2, 2, -1)),
+], ids=["eps-sign", "v3-keeps-trace", "eigenvalue-off-by-one"])
+def test_suite_is_live(monkeypatch, fault):
+    fault(monkeypatch)
+    rep = decomposition_suite(42, 1000)
+    assert rep.status == "fail"
+    assert rep == reference_suite(42, 1000)
