@@ -358,8 +358,7 @@ def _shot_counts(shot) -> dict:
     return {"classifications": len(shot.trace),
             "coarse_passes": shot.coarse_passes,
             "falsi_runs": shot.falsi_runs,
-            "abs_u_final": abs(shot.u_final),
-            "forced_steps": shot.forced_steps}
+            "abs_u_final": abs(shot.u_final)}
 
 
 def suite_solver(cfg: SuiteConfig) -> list:

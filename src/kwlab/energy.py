@@ -547,7 +547,10 @@ def perturbation_chain(conv: GeometryConventions, pert: SyntheticPerturbation,
     rho1_sq_near = near(lambda y: _pow2(alpha(y)) * w_sq)
     wd_int = near(lambda y: (sgn * dalpha(y) + 2.0 * h_of(y) * abs(alpha(y))
                              + sgn * _pow2(alpha(y))) * w_sq)
-    line3 = wd_int + rho1_sq_near - b1
+    # in line 3 the integral of sgn * alpha' is taken from its boundary
+    # values: alpha(0) = 0 and sgn * alpha = |alpha|, so it is b1 itself and
+    # cancels the discarded b1, and the step is exactly 0 for sgn = -1
+    line3 = line2 + (1.0 + sgn) * rho1_sq_near
     line4 = wd_int + rho1_sq_near
     line5 = near(lambda y: abs(g_of(y)) * w_sq) + rho1_sq_near
     rho23_near = near(lambda y: 0.5 * _pow2(q_of(y)) * (n2 + n3))

@@ -14,9 +14,10 @@ On top of the system sit
     connection coefficient a(0) = 1 forced, the quadratic coefficient of a
     left free -- the single shooting parameter; its coefficients are exact
     polynomials in that parameter),
-  * an adaptive Dormand-Prince stepper with blow-up detection that advances
+  * a high-order Taylor-series stepper with blow-up detection that advances
     a batch of trajectories ("lanes") together; a single initial-value run
-    is its one-lane case, and
+    is its one-lane case, and its step coefficients are the dense output,
+    and
   * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0):
     a sign k-section over lanes until the bracket reaches the smooth regime
     of the unstable mode, then regula falsi on it, which recovers the
@@ -41,16 +42,12 @@ _MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 class BlowUpError(RuntimeError):
     """The state crossed BLOWUP_THRESHOLD near ``y_blow``; or, when
-    ``nonfinite``, even the smallest step from ``y_blow`` produced a NaN,
-    which leaves no sign to read off, and ``state`` is the last finite one.
-    ``forced_steps`` counts the steps of the run that were accepted only
-    because the step size had reached its floor."""
+    ``nonfinite``, a step from ``y_blow`` was not finite, which leaves no
+    sign to read off, and ``state`` is the last finite one."""
 
-    def __init__(self, y_blow: float, state, forced_steps: int = 0,
-                 nonfinite: bool = False):
+    def __init__(self, y_blow: float, state, nonfinite: bool = False):
         self.y_blow = y_blow
         self.state = tuple(float(s) for s in state)
-        self.forced_steps = forced_steps
         self.nonfinite = nonfinite
         what = "became non-finite" if self.nonfinite else "blew up"
         super().__init__(f"state {what} near y = {y_blow:.6g}")
@@ -97,17 +94,7 @@ class ReducedSystem:
                                 dtype=np.longdouble)
 
     def rhs(self, a, b):
-        """(a', b') at scalars or, elementwise, at longdouble lane arrays."""
-        if isinstance(a, np.ndarray) and a.dtype == np.longdouble:
-            # numpy's longdouble matmul has no BLAS kernel: it sums c*m from 0
-            # in monomial order, the float expression of the scalar branch
-            mono = np.empty((6,) + a.shape, dtype=np.longdouble)
-            mono[0], mono[1], mono[2] = 1.0, a, b
-            np.multiply(a, a, out=mono[3])
-            np.multiply(a, b, out=mono[4])
-            np.multiply(b, b, out=mono[5])
-            da, db = self._matrix @ mono
-            return da, db
+        """(a', b') at scalars or, elementwise, at arrays."""
         mono = (1.0, a, b, a * a, a * b, b * b)
         da = sum(c * m for c, m in zip(self.float_a, mono))
         db = sum(c * m for c, m in zip(self.float_b, mono))
@@ -380,89 +367,100 @@ def indicial_expand(sys: ReducedSystem, order: int,
 # initial-value integration and shooting
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 5(4) pair.  The integrator is hand-rolled rather than
-# delegated: the decaying trajectory is a saddle connection, so errors made
-# near the pole are amplified by e^{2y} downstream, and meeting a 1e-6
-# sup-norm over [0.1, 10] requires carrying the state in extended precision,
-# which library integrators do not offer.  The system is autonomous, so the
-# stage nodes c_i never enter.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-
-
-class _HermiteDense:
-    """Piecewise cubic Hermite interpolant on the accepted step knots."""
-
-    def __init__(self, ys, states, derivs):
-        self.ys = np.asarray(ys, dtype=np.longdouble)
-        self.states = states
-        self.derivs = derivs
-
-    def __call__(self, y):
-        """(a, b) at y; at an array of y, float arrays of a and b, each
-        entry bit-identical to the call at that node alone."""
-        ys = self.ys
-        yl = np.asarray(y, dtype=np.longdouble)
-        i = np.clip(np.searchsorted(ys, yl) - 1, 0, len(ys) - 2)
-        # node values as columns, against the (a, b) rows of the knots
-        h = (ys[i + 1] - ys[i])[..., None]
-        t = (yl[..., None] - ys[i][..., None]) / h
-        s0, s1 = self.states[i], self.states[i + 1]
-        d0, d1 = self.derivs[i] * h, self.derivs[i + 1] * h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        out = (h00 * s0 + h10 * d0 + h01 * s1 + h11 * d1).astype(float)
-        if out.ndim == 1:
-            return float(out[0]), float(out[1])
-        return out[..., 0], out[..., 1]
-
-
-@dataclass
-class IvpResult:
-    ys: np.ndarray
-    states: np.ndarray  # shape (n, 2), float view of the accepted knots
-    dense: object
-    forced_steps: int = 0  # steps accepted only at the step-size floor
-
-    def at(self, y):
-        return self.dense(y)
-
-
-def _weights(row):
-    """A Butcher row without its zero entries: (stage indices, weights);
-    the indices are a slice where they are contiguous."""
-    idx = [j for j, c in enumerate(row) if c != 0.0]
-    w = np.array([row[j] for j in idx], dtype=np.longdouble)
-    if idx == list(range(idx[0], idx[-1] + 1)):
-        idx = slice(idx[0], idx[-1] + 1)
-    return idx, w
-
-
-_DP_STAGES = tuple(_weights(row) for row in _DP_A[1:])
-_DP_W5 = _weights(_DP_B5)
-_DP_W4 = _weights(_DP_B4)
-_H_FLOOR = 1e-12  # a step this small is accepted whatever its (non-NaN) error
+# Taylor-series stepper (Jorba and Zou, Exp. Math. 14 (2005) 99-117).  The
+# integrator is hand-rolled rather than delegated: the decaying trajectory is
+# a saddle connection, so errors made near the pole are amplified by e^{2y}
+# downstream, and meeting a 1e-6 sup-norm over [0.1, 10] requires carrying
+# the state in extended precision, which library integrators do not offer.
+# The right-hand side is a quadratic polynomial, so a step's Taylor
+# coefficients follow exactly from a Cauchy-product recurrence, and a high
+# order reaches y = 8 in a few dozen steps.
+TAYLOR_ORDER = 28
+TAYLOR_EPS = 1e-20  # size of the last two terms, relative to max(1, |a| + |b|)
+_H_MIN = 1e-12  # a lane whose step falls below this leaves as non-finite
 
 # how a lane leaves the stepper
 _REACHED, _BLOWN, _NONFINITE = "reached", "blow", "non-finite"
 
 
-def _combine(ks, weights):
-    """sum_j w_j k_j over the listed stages, for every lane at once."""
-    idx, w = weights
-    return (w @ ks[idx].reshape(len(w), -1)).reshape(ks.shape[1:])
+def taylor_coefficients(matrix, a, b, order: int) -> np.ndarray:
+    """Taylor coefficients to ``order`` of the solutions through the lane
+    states (a, b) of a' = c_a . m, b' = c_b . m, where m are the monomials of
+    _MONOMIALS and ``matrix`` stacks c_a and c_b; shape (2, k, order + 1).
+
+    With x(t) = sum_n x_n t^n, (n + 1) x_{n+1} is the t^n coefficient of
+    c . m(a(t), b(t)), whose products are Cauchy products of the lower
+    coefficients.  Per lane the arithmetic does not depend on the batch
+    (each row sums on its own, and numpy's longdouble matmul has no BLAS
+    kernel: it sums c*m from 0 in monomial order), and on object arrays of
+    Fractions it is exact."""
+    x = np.zeros((2, len(a), order + 1), dtype=np.result_type(matrix, a, b))
+    x[0, :, 0], x[1, :, 0] = a, b
+    mono = np.zeros((6, len(a)), dtype=x.dtype)
+    left, right = [0, 0, 1], [0, 1, 1]  # the products a a, a b, b b
+    for n in range(order):
+        mono[0] = 1 if n == 0 else 0
+        mono[1:3] = x[:, :, n]
+        mono[3:] = (x[left, :, :n + 1] * x[right, :, n::-1]).sum(-1)
+        x[:, :, n + 1] = (matrix @ mono) / (n + 1)
+    return x
+
+
+def _horner(c, t):
+    """sum_n c[..., n] t^n."""
+    out = c[..., -1]
+    for n in range(c.shape[-1] - 2, -1, -1):
+        out = out * t + c[..., n]
+    return out
+
+
+def _step_sizes(c) -> list:
+    """Per lane, the step at which each of the last two terms of the series
+    is TAYLOR_EPS * max(1, |a| + |b|), the smaller of the two; nan where
+    those coefficients are not finite."""
+    n = c.shape[-1] - 1
+    mag = (np.abs(c[0]) + np.abs(c[1]))[:, [0, n - 1, n]].astype(float)
+    out = []
+    # Python's float ** per lane: numpy's vectorised power may round
+    # differently, and the step sequence must not depend on the batch
+    for m0, *last in mag.tolist():
+        tol = TAYLOR_EPS * max(1.0, m0)
+        out.append(min((tol / m) ** (1.0 / j) if m else math.inf
+                       for j, m in zip((n - 1, n), last))
+                   if all(map(math.isfinite, last)) else math.nan)
+    return out
+
+
+@dataclass
+class IvpResult:
+    """A run's step boundaries, with each step's Taylor coefficients for
+    dense output."""
+
+    knots: np.ndarray  # longdouble, the n step boundaries
+    coeffs: np.ndarray  # longdouble (n - 1, 2, order + 1), step i from knots[i]
+    end: np.ndarray  # longdouble (a, b) at knots[-1]
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self.knots.astype(float)
+
+    @property
+    def states(self) -> np.ndarray:
+        """Shape (n, 2), the float states at the knots."""
+        return np.vstack([self.coeffs[:, :, 0], self.end]).astype(float)
+
+    def at(self, y):
+        """(a, b) at y by Horner on the step that holds y (the first or the
+        last step beyond the knots); at an array of y, float arrays of a and
+        b, each entry bit-identical to the call at that node alone."""
+        yl = np.asarray(y, dtype=np.longdouble)
+        i = np.clip(np.searchsorted(self.knots, yl, side="right") - 1, 0,
+                    len(self.coeffs) - 1)
+        out = _horner(self.coeffs[i], (yl - self.knots[i])[..., None])
+        out = out.astype(float)
+        if out.ndim == 1:
+            return float(out[0]), float(out[1])
+        return out[..., 0], out[..., 1]
 
 
 @dataclass
@@ -470,24 +468,22 @@ class _LaneRun:
     ys: np.ndarray  # per lane, where it left the batch
     states: np.ndarray  # shape (2, k), longdouble, the state it left with
     status: list  # _REACHED, _BLOWN or _NONFINITE per lane
-    forced: np.ndarray  # per lane, steps accepted only at the step floor
 
 
-def _dp_lanes(sys: ReducedSystem, y0: float, states, y1: float, rtol: float,
-              atol: float, max_step: float, knots=None,
-              blowup=BLOWUP_THRESHOLD) -> _LaneRun:
-    """Advance k lanes (``states`` of shape (2, k)) from y0 towards y1 with the
-    Dormand-Prince 5(4) pair, each lane with its own y and step size.
+def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
+                  steps=None, blowup=BLOWUP_THRESHOLD) -> _LaneRun:
+    """Advance k lanes (``states`` of shape (2, k)) from y0 to y1 with the
+    order-TAYLOR_ORDER Taylor stepper, each lane with its own y and step.
 
-    All live lanes advance in one array step and the system is evaluated only
-    through ``sys.rhs`` on the lane arrays: once to start and once per stage.
-    A lane leaves the batch when it reaches y1, when its |a| + |b| crosses
-    ``blowup`` (a number, or one per lane), or, as non-finite, when a step
-    still produces a NaN at the step-size floor (a NaN error norm rejects the
-    step and shrinks it like a large error).  Per lane the arithmetic is
-    that of a single trajectory, so a lane's result does not depend on its
-    batch.  ``knots`` (three lists, one-lane runs only) collects the
-    accepted y, states and derivatives for dense output.
+    All live lanes advance in one array step; the coefficients come from
+    ``taylor_coefficients`` on the system's longdouble matrix.  A lane
+    leaves the batch when it reaches y1, when its |a| + |b| crosses
+    ``blowup`` (a number, or one per lane), or, as non-finite, when its
+    coefficients or the state they give are not finite or its step falls
+    below _H_MIN; a non-finite lane keeps its last finite state.  Per lane
+    the arithmetic is that of a single trajectory, so a lane's result does
+    not depend on its batch.  ``steps`` (two lists, one-lane runs only)
+    collects the step boundaries and each step's coefficients.
     """
     ld = np.longdouble
     s = np.array(states, dtype=ld)
@@ -495,23 +491,7 @@ def _dp_lanes(sys: ReducedSystem, y0: float, states, y1: float, rtol: float,
     limit = np.broadcast_to(np.asarray(blowup, dtype=float), (k,))
     y_end = ld(y1)
     y = np.full(k, ld(y0))
-    h = ld(1e-3)
-    if y_end > ld(y0):
-        h = min(ld(max_step), (y_end - ld(y0)) / 10)
-    h = np.full(k, max(h, ld(1e-6)))
-    ks = np.empty((7,) + s.shape, dtype=ld)
-    ks[0, 0], ks[0, 1] = sys.rhs(s[0], s[1])
-
-    def keep_knot():
-        knots[0].append(y[0])
-        knots[1].append(s[:, 0].copy())
-        knots[2].append(ks[0, :, 0].copy())
-
-    if knots is not None:
-        keep_knot()
-
-    out = _LaneRun(np.empty(k), np.empty((2, k), dtype=ld), [_REACHED] * k,
-                   np.zeros(k, dtype=int))
+    out = _LaneRun(np.empty(k), np.empty((2, k), dtype=ld), [_REACHED] * k)
     lanes = np.arange(k)  # batch index of each live lane
     live = y < y_end
     while True:
@@ -519,36 +499,22 @@ def _dp_lanes(sys: ReducedSystem, y0: float, states, y1: float, rtol: float,
             gone = lanes[~live]
             out.ys[gone] = y[~live]
             out.states[:, gone] = s[:, ~live]
-            lanes, y, h, s, ks = (lanes[live], y[live], h[live], s[:, live],
-                                  ks[:, :, live])
+            lanes, y, s = lanes[live], y[live], s[:, live]
         if not lanes.size:
             return out
-        h = np.minimum(np.minimum(h, y_end - y), ld(max_step))
-        for stage, weights in enumerate(_DP_STAGES, start=1):
-            t = s + h * _combine(ks, weights)
-            ks[stage, 0], ks[stage, 1] = sys.rhs(t[0], t[1])
-        s5 = s + h * _combine(ks, _DP_W5)
-        s4 = s + h * _combine(ks, _DP_W4)
-        err = s5 - s4
-        scale = ld(atol) + ld(rtol) * np.maximum(np.abs(s), np.abs(s5))
-        q = (err / scale) ** 2
-        err_norm = np.sqrt((q[0] + q[1]) / 2).astype(float)  # mean over (a, b)
-        nan = np.isnan(err_norm)
-        floor = h <= ld(_H_FLOOR)
-        small = err_norm <= 1.0
-        accept = small | (floor & ~nan)
-        nonfinite = floor & nan
-        out.forced[lanes[accept & ~small]] += 1
-        y = np.where(accept, y + h, y)
-        s = np.where(accept, s5, s)
-        ks[0] = np.where(accept, ks[6], ks[0])  # first-same-as-last
-        if knots is not None and accept[0]:
-            keep_knot()
-        # Python's float ** per lane: numpy's vectorised power may round
-        # differently, and the step sequence must not depend on the batch
-        factor = [0.9 * e ** -0.2 if e > 0 else 5.0 if e == 0 else 0.2
-                  for e in err_norm.tolist()]
-        h = h * np.array([min(5.0, max(0.2, f)) for f in factor], dtype=ld)
+        c = taylor_coefficients(sys._matrix, s[0], s[1], TAYLOR_ORDER)
+        h = np.array(_step_sizes(c), dtype=ld)
+        # a step clipped to the end point lands on it exactly: y + (y_end - y)
+        # may round below y_end
+        last = h >= y_end - y
+        h = np.where(last, y_end - y, h)
+        s_new = _horner(c, h)
+        nonfinite = ~((h >= _H_MIN) & np.isfinite(s_new).all(0))
+        y = np.where(nonfinite, y, np.where(last, y_end, y + h))
+        s = np.where(nonfinite, s, s_new)
+        if steps is not None and not nonfinite[0]:
+            steps[0].append(y[0])
+            steps[1].append(c[:, 0])
 
         sf = s.astype(float)
         blown = np.abs(sf[0]) + np.abs(sf[1]) > limit[lanes]
@@ -558,26 +524,22 @@ def _dp_lanes(sys: ReducedSystem, y0: float, states, y1: float, rtol: float,
         live = ~(blown | nonfinite) & (y < y_end)
 
 
-def integrate_ivp(sys: ReducedSystem, y0: float, state, y1: float,
-                  rtol: float = 1e-15, atol: float = 1e-18,
-                  max_step: float = 0.25) -> IvpResult:
-    """Adaptive extended-precision integration of the reduced system (the
-    one-lane case of the Dormand-Prince stepper); raises BlowUpError when the
-    state norm crosses the blow-up threshold or a step produces a NaN."""
-    if y0 <= 0 or y1 <= 0:
-        raise ValueError("integration endpoints must be positive")
+def integrate_ivp(sys: ReducedSystem, y0: float, state, y1: float) -> IvpResult:
+    """Extended-precision integration of the reduced system (the one-lane
+    case of the Taylor stepper); raises BlowUpError when the state norm
+    crosses the blow-up threshold or a step turns non-finite."""
+    if not 0 < y0 < y1:
+        raise ValueError("integration endpoints must be positive and "
+                         f"increasing, got {y0!r} -> {y1!r}")
     s = np.array([[state[0]], [state[1]]], dtype=np.longdouble)
     if not np.all(np.isfinite(s.astype(float))):
         raise ValueError("initial state must be finite")
-    knots_y, knots_s, knots_d = knots = ([], [], [])
-    run = _dp_lanes(sys, y0, s, y1, rtol, atol, max_step, knots)
-    forced = int(run.forced[0])
+    knots, coeffs = steps = ([np.longdouble(y0)], [])
+    run = _taylor_lanes(sys, y0, s, y1, steps)
     if run.status[0] != _REACHED:
-        raise BlowUpError(float(run.ys[0]), run.states[:, 0], forced,
+        raise BlowUpError(float(run.ys[0]), run.states[:, 0],
                           nonfinite=run.status[0] == _NONFINITE)
-    dense = _HermiteDense(knots_y, np.array(knots_s), np.array(knots_d))
-    return IvpResult(np.asarray(knots_y, dtype=float),
-                     np.asarray(knots_s, dtype=float), dense, forced)
+    return IvpResult(np.array(knots), np.array(coeffs), run.states[:, 0])
 
 
 @dataclass
@@ -588,8 +550,6 @@ class ShootResult:
     coarse_passes: int  # batched sign runs, the bracket ends' run included
     falsi_runs: int  # one-lane regula falsi runs on U
     u_final: float  # U at the returned parameter
-    # steps accepted only at the step-size floor, over every run of the shot
-    forced_steps: int = 0
 
 
 SHOOT_LANES = 15  # interior points classified per coarse pass
@@ -607,12 +567,10 @@ def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float):
     (outcome, sign, y, U): 'blow' with the sign of b at blow-up, 'reached'
     with U = (a - b)(y_end) e^{-2 y_end} and sign -sign(U), or 'non-finite'
     (no sign); y is where the lane's run ended and U is None unless the
-    lane reached y_end.  Returns the outcomes and the run's forced-step
-    count."""
+    lane reached y_end."""
     states = np.asarray(states)
-    run = _dp_lanes(sys, y0, states, y_end, rtol=1e-13, atol=1e-16,
-                    max_step=0.25,
-                    blowup=SHOOT_BLOWUP * np.abs(states).sum(0))
+    run = _taylor_lanes(sys, y0, states, y_end,
+                        blowup=SHOOT_BLOWUP * np.abs(states).sum(0))
     outcomes = []
     for lane, status in enumerate(run.status):
         y = float(run.ys[lane])
@@ -624,7 +582,7 @@ def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float):
         else:
             u = float(run.states[0, lane] - run.states[1, lane]) * _U_SCALE
             outcomes.append((_REACHED, 1.0 if u < 0 else -1.0, y, u))
-    return outcomes, int(run.forced.sum())
+    return outcomes
 
 
 def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
@@ -650,25 +608,22 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
       same initial state or the next point is not strictly inside, and
       returns the end with the smaller |U|.
 
-    The pole series is built once, as polynomials in p, and evaluated per p.
-    A run that turns non-finite has no sign and raises, as does a falsi run
-    that blows up before SHOOT_Y.
+    The pole series is built once, as polynomials in p, and evaluated once
+    per classified p; each bracket end carries its initial state.  A run
+    that turns non-finite has no sign and raises, as does a falsi run that
+    blows up before SHOOT_Y.
     """
     if not (math.isfinite(y0) and 0 < y0 <= 0.2):
         raise ValueError("series initial data is only trusted for "
                          f"0 < y0 <= 0.2, got {y0!r}")
     series = pole_series(sys, expansion_order)
     trace = []
-    forced = 0
 
     def state(p):
         return series.at(p).state(y0)
 
-    def classify(params):
-        nonlocal forced
-        outcomes, n = _classify_lanes(
-            sys, np.array([state(p) for p in params]).T, y0, SHOOT_Y)
-        forced += n
+    def classify(params, states):
+        outcomes = _classify_lanes(sys, np.array(states).T, y0, SHOOT_Y)
         for p, out in zip(params, outcomes):
             trace.append((p, *out[:3]))
             if out[0] == _NONFINITE:
@@ -677,7 +632,8 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
         return outcomes
 
     lo, hi = bracket
-    out_lo, out_hi = classify((lo, hi))
+    s_lo, s_hi = state(lo), state(hi)
+    out_lo, out_hi = classify((lo, hi), (s_lo, s_hi))
     if out_lo[1] == out_hi[1]:
         raise ValueError("decay manifold not bracketed")
     coarse = 1
@@ -685,13 +641,14 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
         width = hi - lo
         params = [lo + width * (i / (SHOOT_LANES + 1))
                   for i in range(1, SHOOT_LANES + 1)]
+        states = [state(p) for p in params]
         before = (lo, hi)
         coarse += 1
-        for p, out in zip(params, classify(params)):
+        for p, s, out in zip(params, states, classify(params, states)):
             if out[1] != out_lo[1]:
-                hi, out_hi = p, out
+                hi, s_hi, out_hi = p, s, out
                 break
-            lo, out_lo = p, out
+            lo, s_lo, out_lo = p, s, out
         if (lo, hi) == before:
             raise ValueError("coarse shooting phase stalled at parameter "
                              f"bracket [{lo!r}, {hi!r}]")
@@ -701,14 +658,15 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
     f_lo, f_hi = u_lo, u_hi
     kept = 0  # which end the last step kept: -1 lo, +1 hi
     falsi = 0
-    while state(lo) != state(hi):
+    while s_lo != s_hi:
         p = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < p < hi:
             break
+        s = state(p)
         # a point with an end's initial state has that end's U: no run
-        u = {state(lo): u_lo, state(hi): u_hi}.get(state(p))
+        u = {s_lo: u_lo, s_hi: u_hi}.get(s)
         if u is None:
-            (out,) = classify([p])
+            (out,) = classify([p], [s])
             falsi += 1
             if out[0] != _REACHED:
                 raise ValueError(
@@ -716,18 +674,19 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
                     f"y = {out[2]:.6g}, before y = {SHOOT_Y}")
             u = out[3]
         if (u < 0) == (u_lo < 0):
-            lo, u_lo, f_lo = p, u, u
+            lo, s_lo, u_lo, f_lo = p, s, u, u
             if kept == 1:
                 f_hi /= 2
             kept = 1
         else:
-            hi, u_hi, f_hi = p, u, u
+            hi, s_hi, u_hi, f_hi = p, s, u, u
             if kept == -1:
                 f_lo /= 2
             kept = -1
-    param, u_final = (lo, u_lo) if abs(u_lo) <= abs(u_hi) else (hi, u_hi)
+    param, s, u_final = ((lo, s_lo, u_lo) if abs(u_lo) <= abs(u_hi)
+                         else (hi, s_hi, u_hi))
 
-    res = integrate_ivp(sys, y0, state(param), y_end, rtol=1e-13, atol=1e-16)
+    res = integrate_ivp(sys, y0, s, y_end)
     return ShootResult(param=param, result=res, trace=trace,
                        coarse_passes=coarse, falsi_runs=falsi,
-                       u_final=u_final, forced_steps=forced + res.forced_steps)
+                       u_final=u_final)

@@ -326,6 +326,23 @@ def test_chain_seeded(conv, quad_spec, consts):
         assert rep.status == "pass", rep.extra["steps"]
 
 
+def test_chain_weighted_derivative_is_exact(conv, quad_spec, consts):
+    # for sgn = -1 the weighted-derivative step is an equality: the integral
+    # of sgn * alpha' is the discarded boundary term b1 itself, so no seeded
+    # chain of the acceptance seed may report a negative slack for it
+    rng = np.random.default_rng(42)
+    worst, negative = math.inf, 0
+    for _ in range(100):
+        pert = random_perturbation(rng)
+        rep = perturbation_chain(conv, pert, quad_spec, consts)
+        if np.trace(pert.direction) < 0:
+            negative += 1
+            assert rep.extra["steps"]["weighted_derivative"] == 0.0
+        worst = min(worst, rep.computed)
+    assert negative > 0
+    assert worst >= 0.0
+
+
 def test_theorem_bound_report(conv, quad_spec, model, consts):
     rep = theorem_bound_report(conv, model, quad_spec, consts)
     f_sq = rep.get("curvature_l2_sq").value

@@ -23,8 +23,9 @@ from kwlab.reduced import (
     shoot_for_decay,
 )
 
-# decaying parameter located at y0 = 0.1 by the shooting solver
-ROOT = -0.6666666782307307
+# decaying parameter located at y0 = 0.1 by the shooting solver; its series
+# state is the float64 state with the smallest |U| (mpmath-certified below)
+ROOT = -0.6666666782308599
 
 
 @pytest.fixture(scope="module")
@@ -164,21 +165,21 @@ def test_ivp_tracks_closed_form(system):
     assert sup <= 1e-6
 
 
-def _hermite_reference(dense, y):
-    """The cubic Hermite interpolant at one node, one scalar at a time."""
-    ys = dense.ys
-    if y <= ys[0]:
-        i = 0
-    elif y >= ys[-1]:
-        i = len(ys) - 2
-    else:
-        i = int(np.searchsorted(ys, y) - 1)
-    h = ys[i + 1] - ys[i]
-    t = (np.longdouble(y) - ys[i]) / h
-    d0, d1 = dense.derivs[i] * h, dense.derivs[i + 1] * h
-    out = ((1 + 2 * t) * (1 - t) ** 2 * dense.states[i] + t * (1 - t) ** 2 * d0
-           + t * t * (3 - 2 * t) * dense.states[i + 1] + t * t * (t - 1) * d1)
-    return float(out[0]), float(out[1])
+def _horner_reference(res, y):
+    """The step polynomial at one node, one scalar at a time: the last step
+    that starts at or below y (the first step below the knots)."""
+    y = np.longdouble(y)
+    i = 0
+    while i + 1 < len(res.coeffs) and res.knots[i + 1] <= y:
+        i += 1
+    t = y - res.knots[i]
+    out = []
+    for c in res.coeffs[i]:
+        v = c[-1]
+        for cn in c[-2::-1]:
+            v = v * t + cn
+        out.append(float(v))
+    return tuple(out)
 
 
 def test_dense_output_on_arrays_matches_scalar_calls(system):
@@ -191,7 +192,7 @@ def test_dense_output_on_arrays_matches_scalar_calls(system):
     for y, ai, bi in zip(ys, a, b):
         sa, sb = res.at(float(y))
         assert type(sa) is float and (sa, sb) == (ai, bi)
-        assert (sa, sb) == _hermite_reference(res.dense, float(y))
+        assert (sa, sb) == _horner_reference(res, float(y))
 
 
 def test_ivp_stationary_start(system):
@@ -199,29 +200,34 @@ def test_ivp_stationary_start(system):
     assert np.max(np.abs(res.states - np.array([2.0, 0.0]))) == 0.0
 
 
-def test_ivp_step_doubling_consistency(system):
-    res1 = integrate_ivp(system, 1.0, (1.5, 0.5), 3.0, rtol=1e-12,
-                         atol=1e-14, max_step=0.1)
-    res2 = integrate_ivp(system, 1.0, (1.5, 0.5), 3.0, rtol=1e-12,
-                         atol=1e-14, max_step=0.05)
+def test_ivp_step_doubling_consistency(system, monkeypatch):
+    # order N against order N + 4: different steps, the same trajectory
+    res1 = integrate_ivp(system, 1.0, (1.5, 0.5), 3.0)
+    monkeypatch.setattr(reduced, "TAYLOR_ORDER", reduced.TAYLOR_ORDER + 4)
+    res2 = integrate_ivp(system, 1.0, (1.5, 0.5), 3.0)
+    assert res2.coeffs.shape[-1] == res1.coeffs.shape[-1] + 4
+    assert len(res2.knots) < len(res1.knots)
     sup = max(
         max(abs(x - y) for x, y in zip(res1.at(float(t)), res2.at(float(t))))
         for t in np.linspace(1.0, 3.0, 100)
     )
-    assert sup <= 1e-8
+    assert sup <= 1e-15
 
 
 def test_ivp_argument_validation(system):
     with pytest.raises(ValueError, match="positive"):
         integrate_ivp(system, -1.0, (1.0, 1.0), 2.0)
+    # nothing to integrate: no step, so no dense output
+    for y1 in (1.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="increasing"):
+            integrate_ivp(system, 1.0, (1.5, 0.5), y1)
 
 
 def test_blowup_detected_with_location(system):
     exp = indicial_expand(system, 5,
                           free_param=Fraction(-2, 3) + Fraction(1, 100))
     with pytest.raises(BlowUpError) as exc:
-        integrate_ivp(system, 0.1, exp.state(0.1), 30.0, rtol=1e-10,
-                      atol=1e-12)
+        integrate_ivp(system, 0.1, exp.state(0.1), 30.0)
     assert exc.value.y_blow < 10.0
 
 
@@ -296,12 +302,11 @@ def _one_lane_outcome(system, state, y0=0.1):
     """(outcome, sign, U) of one initial state from a single integrate_ivp
     run to SHOOT_Y, which stops only at BLOWUP_THRESHOLD."""
     try:
-        res = integrate_ivp(system, y0, state, reduced.SHOOT_Y, rtol=1e-13,
-                            atol=1e-16)
+        res = integrate_ivp(system, y0, state, reduced.SHOOT_Y)
     except BlowUpError as e:
         assert not e.nonfinite
         return ("blow", 1.0 if e.state[1] > 0 else -1.0, None)
-    a, b = res.dense.states[-1]
+    a, b = res.end
     u = float(a - b) * math.exp(-2.0 * reduced.SHOOT_Y)
     return ("reached", 1.0 if u < 0 else -1.0, u)
 
@@ -313,14 +318,13 @@ def test_batched_outcomes_match_one_lane_runs(system, shot):
     near_root = [ROOT + d for d in np.linspace(-1e-13, 1e-13, 7)]
     params = [lo, hi] + interior + wider + near_root
     states = _series_states(system, params)
-    batched, forced = reduced._classify_lanes(system, np.array(states).T, 0.1,
-                                              reduced.SHOOT_Y)
-    assert forced == 0
+    batched = reduced._classify_lanes(system, np.array(states).T, 0.1,
+                                      reduced.SHOOT_Y)
     for p, state, got in zip(params, states, batched):
         # where a lane blew up: as where the lane blows up run alone at the
         # same threshold (a lane that reaches SHOOT_Y ends there)
         if got[0] == "blow":
-            alone, _ = reduced._classify_lanes(
+            alone = reduced._classify_lanes(
                 system, np.array([state]).T, 0.1, reduced.SHOOT_Y)
             assert alone == [got], p
         else:
@@ -377,69 +381,153 @@ def test_shooting_locates_parameter(shot):
     falsi = shot.trace[-shot.falsi_runs:]
     assert {(t[1], t[3]) for t in falsi} == {("reached", reduced.SHOOT_Y)}
     assert abs(shot.u_final) < 1e-16
-    assert shot.forced_steps == 0
     # one final run, straight to the trusted end
     assert shot.result.ys[-1] == 12.0
 
 
 def test_shot_keeps_the_initial_state(system, shot):
-    # a sign-only search with runs to y = 20 lands on -0.6666666782307249;
     # the series state is formed in float64, and the falsi returns a
-    # parameter with the same initial state, so the same trajectory
+    # parameter with the initial state of the certified root below, so the
+    # same trajectory
     exp = indicial_expand(system, 6,
-                          free_param=Fraction(-0.6666666782307249))
+                          free_param=Fraction(-0.6666666782308599))
     assert tuple(shot.result.states[0]) == exp.state(0.1)
 
 
+def test_located_state_is_certified_by_mpmath(system, shot):
+    # U at SHOOT_Y by an independent 30-digit integration (mpmath's Taylor
+    # odefun) of the shot's initial state and of the nearest other series
+    # states below and above its parameter: U changes sign across them, and
+    # the shot's state has the smallest |U|
+    mpmath = pytest.importorskip("mpmath")
+    series = reduced.pole_series(system, 6)
+    state = series.at(shot.param).state(0.1)
+    assert tuple(shot.result.states[0]) == state
+
+    def neighbour(direction):
+        p = shot.param
+        while series.at(p).state(0.1) == state:
+            p = math.nextafter(p, direction)
+        return series.at(p).state(0.1)
+
+    def u_of(s):
+        with mpmath.workdps(30):
+            ca, cb = ([mpmath.mpf(c.numerator) / c.denominator for c in cs]
+                      for cs in (system.coeffs_a, system.coeffs_b))
+
+            def f(_, v):
+                m = [v[0] ** p * v[1] ** q for p, q in reduced._MONOMIALS]
+                return [mpmath.fdot(ca, m), mpmath.fdot(cb, m)]
+
+            a, b = mpmath.odefun(f, 0.1, [mpmath.mpf(x) for x in s])(
+                reduced.SHOOT_Y)
+            return float((a - b) * mpmath.exp(-2 * reduced.SHOOT_Y))
+
+    below, at, above = (u_of(s) for s in
+                        (neighbour(-math.inf), state, neighbour(math.inf)))
+    assert below * above < 0
+    assert abs(at) < min(abs(below), abs(above))
+    # the stepper's U is far closer to mpmath's than U moves between states
+    assert abs(shot.u_final - at) <= 1e-18
+
+
 def test_nan_state_is_nonfinite_without_sign(system, monkeypatch):
-    rhs = ReducedSystem.rhs
-
-    def poisoned(self, a, b):
-        da, db = rhs(self, a, b)
-        return np.where(a < 0.5, np.nan, da), db
-
-    monkeypatch.setattr(ReducedSystem, "rhs", poisoned)
     a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
+    clean = integrate_ivp(system, 0.1, (a0, b0), 10.0)
+    taylor = reduced.taylor_coefficients
+
+    def poisoned(matrix, a, b, order):
+        x = taylor(matrix, a, b, order)
+        x[:, a < 0.5, 1:] = np.nan
+        return x
+
+    monkeypatch.setattr(reduced, "taylor_coefficients", poisoned)
     with pytest.raises(BlowUpError, match="non-finite") as exc:
         integrate_ivp(system, 0.1, (a0, b0), 10.0)
-    # the closed form passes a = 0.5 near y = 1.03
+    # the closed form passes a = 0.5 near y = 1.03; the run stops at the
+    # first step that starts beyond it, with the state it reached there
     assert exc.value.nonfinite and 0.8 < exc.value.y_blow < 1.1
-    assert all(math.isfinite(x) for x in exc.value.state)
+    first = int(np.argmax(clean.states[:, 0] < 0.5))
+    assert exc.value.y_blow == clean.ys[first]
+    assert exc.value.state == tuple(clean.states[first])
     states = _series_states(system, [ROOT, -2.0 / 3.0])
-    outcomes, _ = reduced._classify_lanes(system, np.array(states).T, 0.1,
-                                          reduced.SHOOT_Y)
+    outcomes = reduced._classify_lanes(system, np.array(states).T, 0.1,
+                                       reduced.SHOOT_Y)
     assert [o[:2] for o in outcomes] == [("non-finite", 0.0)] * 2
     with pytest.raises(ValueError, match="non-finite"):
         shoot_for_decay(system, y0=0.1)
 
+    # a step below the floor: the run stops at once, with its initial state
+    monkeypatch.setattr(reduced, "taylor_coefficients", taylor)
+    monkeypatch.setattr(reduced, "_H_MIN", 1.0)
+    with pytest.raises(BlowUpError, match="non-finite") as exc:
+        integrate_ivp(system, 0.1, (a0, b0), 10.0)
+    assert exc.value.y_blow == 0.1
+    assert exc.value.state == (float(a0), float(b0))
 
-def test_ivp_rhs_call_contract(system, monkeypatch):
-    # one rhs call to start and six per attempted step: the traced benchmark
-    # (perfbench/tracing.py) derives attempted steps from this count
-    calls = []
-    rhs = ReducedSystem.rhs
 
-    def counted(self, a, b):
-        calls.append(np.shape(a))
-        return rhs(self, a, b)
+def _lie_taylor(coeffs_a, coeffs_b, a, b, order):
+    """Exact Taylor coefficients D^n x / n! at (a, b), x = a and b, of the
+    flow of the quadratic field with these coefficients, with D its Lie
+    derivative acting on polynomials held as {(power of a, power of b):
+    Fraction}."""
+    field = [dict(zip(reduced._MONOMIALS, cs)) for cs in (coeffs_a, coeffs_b)]
 
-    monkeypatch.setattr(ReducedSystem, "rhs", counted)
-    # zero error from a stationary start: every attempted step is accepted
-    res = integrate_ivp(system, 0.5, (2.0, 0.0), 6.0)
-    assert len(calls) == 1 + 6 * (len(res.ys) - 1)
-    assert set(calls) == {(1,)}
+    def lie(poly):
+        out = {}
+        for (i, j), c in poly.items():
+            for e, d, f in ((i, (i - 1, j), field[0]), (j, (i, j - 1), field[1])):
+                for (p, q), fc in f.items():
+                    if e and fc:
+                        key = (d[0] + p, d[1] + q)
+                        out[key] = out.get(key, 0) + c * e * fc
+        return out
 
-    # this run rejects steps, so there are more attempted than accepted ones
-    calls.clear()
-    res = integrate_ivp(system, 1.0, (1.5, 0.5), 3.0, rtol=1e-12, atol=1e-14)
-    assert (len(calls) - 1) % 6 == 0
-    assert (len(calls) - 1) // 6 > len(res.ys) - 1
-    assert res.forced_steps == 0
+    rows = []
+    for poly in ({(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}):
+        row = []
+        for n in range(order + 1):
+            row.append(sum(c * a**i * b**j for (i, j), c in poly.items())
+                       / math.factorial(n))
+            poly = lie(poly)
+        rows.append(row)
+    return rows
 
-    # with the step floor above every step size nothing is rejected, and
-    # the steps accepted despite their error are counted
-    monkeypatch.setattr(reduced, "_H_FLOOR", 1.0)
-    calls.clear()
-    res = integrate_ivp(system, 1.0, (1.5, 0.5), 3.0, rtol=1e-12, atol=1e-14)
-    assert len(calls) == 1 + 6 * (len(res.ys) - 1)
-    assert res.forced_steps > 0
+
+def test_taylor_recurrence_is_exact(system):
+    # at dyadic states: on Fractions the recurrence gives the exact Taylor
+    # coefficients of the derived polynomial, and of a field with every
+    # monomial present; in longdouble it gives the derived system's exactly
+    # up to the first division by 3, and beyond it far closer than float64
+    # could
+    order = reduced.TAYLOR_ORDER
+    points = [(Fraction(-3, 2), Fraction(5, 8)), (Fraction(1, 4), Fraction(-7, 16)),
+              (Fraction(5, 4), Fraction(3, 2)), (Fraction(2), Fraction(0))]
+    a = np.array([p[0] for p in points], dtype=object)
+    b = np.array([p[1] for p in points], dtype=object)
+    full = ((Fraction(1), Fraction(-2), Fraction(3), Fraction(1, 2),
+             Fraction(-1), Fraction(2)),
+            (Fraction(-1), Fraction(1), Fraction(-1, 3), Fraction(2),
+             Fraction(1), Fraction(-3)))
+    for coeffs in ((system.coeffs_a, system.coeffs_b), full):
+        exact = reduced.taylor_coefficients(np.array(coeffs, dtype=object),
+                                            a, b, order // 2)
+        for lane, (pa, pb) in enumerate(points):
+            assert exact[:, lane].tolist() == _lie_taylor(*coeffs, pa, pb,
+                                                          order // 2)
+            assert all(type(c) is Fraction for c in exact[:, lane].flat)
+
+    exact = reduced.taylor_coefficients(
+        np.array([system.coeffs_a, system.coeffs_b], dtype=object), a, b, order)
+    ld = reduced.taylor_coefficients(system._matrix, a.astype(np.longdouble),
+                                     b.astype(np.longdouble), order)
+    assert exact.shape == ld.shape == (2, len(points), order + 1)
+    for lane, (pa, pb) in enumerate(points):
+        want = _lie_taylor(system.coeffs_a, system.coeffs_b, pa, pb, order)
+        assert exact[:, lane].tolist() == want
+        got = [[Fraction(*c.as_integer_ratio()) for c in x] for x in ld[:, lane]]
+        assert [x[:3] for x in got] == [x[:3] for x in want]
+        # each order's error against that order's |a_n| + |b_n|
+        for n in range(order + 1):
+            size = abs(want[0][n]) + abs(want[1][n])
+            assert max(abs(got[i][n] - want[i][n]) for i in (0, 1)) <= 1e-17 * size
