@@ -145,19 +145,12 @@ def suite_models(cfg: SuiteConfig) -> list:
         provenance="reference"))
 
     rng = np.random.default_rng(cfg.seed)
-    flat = halfspace.nahm_pole_field()
     sing = halfspace.nahm_singular_field()
-    worst_np = 0.0
-    worst_s = 0.0
-    n_pts = 0
-    while n_pts < 1000:
-        x1, x2, x3 = rng.uniform(-3.0, 3.0, 3)
-        y = float(rng.uniform(0.3, 3.0))
-        p = halfspace.HalfspacePoint(float(x1), float(x2), float(x3), y)
-        worst_np = max(worst_np, halfspace.kw_residual_flat_combined(flat, p))
-        if p.r >= 0.1:
-            worst_s = max(worst_s, halfspace.kw_residual_flat_combined(sing, p))
-            n_pts += 1
+    # the pole model at every drawn point, the singular one where r >= 0.1
+    pts, kept = halfspace.sample_points(rng, 1000, r_min=0.1)
+    worst_np = float(np.max(halfspace.kw_residual_flat_combined(
+        halfspace.nahm_pole_field(), pts)))
+    worst_s = float(np.max(halfspace.kw_residual_flat_combined(sing, pts[:, kept])))
     checks.append(make_check(
         "residual-nahm-pole", "pole model solves pointwise at 1000 seeded points",
         computed=worst_np, expected=0.0,
@@ -169,19 +162,16 @@ def suite_models(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("residual-nahm-singular", 1e-10),
         provenance="reference"))
 
+    # 20 points for each scale, drawn in turn
+    pts, _ = halfspace.sample_points(rng, 60, width=2.0, y_range=(0.3, 2.0))
+    s0 = sing.eval(pts)
     worst_scale = 0.0
-    for s in (0.5, 0.25, 2.0):
-        pull = halfspace.scale_pullback(sing, s)
-        for _ in range(20):
-            x1, x2, x3 = rng.uniform(-2.0, 2.0, 3)
-            y = float(rng.uniform(0.3, 2.0))
-            p = halfspace.HalfspacePoint(float(x1), float(x2), float(x3), y)
-            s0, s1 = sing.eval(p), pull.eval(p)
-            worst_scale = max(
-                worst_scale,
-                float(np.max(np.abs(np.asarray(s0.phi - s1.phi, dtype=float)))),
-                float(np.max(np.abs(np.asarray(s0.A - s1.A, dtype=float)))),
-            )
+    for k, s in enumerate((0.5, 0.25, 2.0)):
+        cols = slice(20 * k, 20 * k + 20)
+        s1 = halfspace.scale_pullback(sing, s).eval(pts[:, cols])
+        for v0, v1 in ((s0.phi, s1.phi), (s0.A, s1.A)):
+            worst_scale = max(worst_scale, float(np.max(np.abs(
+                np.asarray(v0[..., cols] - v1, dtype=float)))))
     checks.append(make_check(
         "scale-invariance-flat",
         "both flat models are fixed by the dilation pullback",
@@ -666,15 +656,10 @@ def main(argv=None) -> int:
             if args.points:
                 pts = halfspace.read_points_csv(args.points)
             else:
-                rng = np.random.default_rng(cfg.seed)
-                pts = []
-                while len(pts) < (args.n or 100):
-                    x1, x2, x3 = rng.uniform(-3.0, 3.0, 3)
-                    y = float(rng.uniform(0.3, 3.0))
-                    p = halfspace.HalfspacePoint(float(x1), float(x2),
-                                                 float(x3), y)
-                    if args.model == "nahm-pole" or p.r >= 0.1:
-                        pts.append(p)
+                r_min = 0.0 if args.model == "nahm-pole" else 0.1
+                pts, kept = halfspace.sample_points(
+                    np.random.default_rng(cfg.seed), args.n or 100, r_min=r_min)
+                pts = pts[:, kept]
             out = cfg.out or "residuals.csv"
             halfspace.write_residuals_csv(out, fld, pts)
             print(f"wrote {out}")

@@ -18,6 +18,11 @@ commonly displayed coefficient table: here
 
 which is the unique nearby sign assignment solving both equations in the
 calibrated orientation.
+
+Everything works on point sets: a (4, n) float array with rows x1, x2, x3, y.
+The fields are evaluated in longdouble on array-valued Dual4 jets, and the
+residuals BLOCK points at a time, so the temporaries stay small for any n.
+Each point's arithmetic is the same as for a point on its own.
 """
 
 from __future__ import annotations
@@ -28,35 +33,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Dual4
+from . import jets
 from .su2 import bracket
 
 # orientation sign of the flat 4d star relative to dx1^dx2^dx3^dy; the value
-# -1 (volume dy^dx1^dx2^dx3) is the one that annihilates the Nahm pole field
+# -1 (volume dy^dx1^dx2^dx3) is the one that annihilates the Nahm pole field.
+# The residual reads it at call time.
 FLAT_STAR_SIGN = -1
 
+# points per residual block, as decomp.BLOCK: bounds the longdouble
+# (3, 4, 4, BLOCK) derivative stacks whatever the number of points
+BLOCK = 128
 
-@dataclass(frozen=True)
-class HalfspacePoint:
-    x1: float
-    x2: float
-    x3: float
-    y: float
-
-    @property
-    def r(self) -> float:
-        return math.hypot(self.x1, self.x2)
-
-    def scaled(self, s: float) -> "HalfspacePoint":
-        return HalfspacePoint(self.x1 * s, self.x2 * s, self.x3 * s, self.y * s)
+# math.hypot per value: np.hypot can differ from it by one ulp
+_hypot = np.vectorize(math.hypot, otypes=[float])
 
 
 @dataclass
 class FieldSample:
-    """Values and first partials of the coefficient fields at one point.
+    """Values and first partials of the coefficient fields at n points.
 
-    A[i][a]  : t_i coefficient of the dx_a connection component (A_y = 0)
-    dA[i][a][mu] : partial derivative wrt (x1, x2, x3, y)
+    A[i, a]      : t_i coefficient of the dx_a connection component (A_y = 0),
+                   shape (3, 3, n)
+    dA[i, a, mu] : partial derivative wrt (x1, x2, x3, y), shape (3, 3, 4, n)
     phi, dphi: same layout for the Higgs field.
     """
 
@@ -72,53 +71,41 @@ class FlatModelField:
     evaluator: object
     scale: float = 1.0  # dilation parameter of a pullback wrapper
 
-    def eval(self, p: HalfspacePoint) -> FieldSample:
-        if p.y <= 0:
+    def eval(self, pts) -> FieldSample:
+        pts = np.asarray(pts, dtype=float)
+        if not np.all(pts[3] > 0):
             raise ValueError("boundary evaluation")
         s = self.scale
         if s != 1.0:
-            base = self.evaluator(p.scaled(s))
+            base = self.evaluator(pts * s)
             return FieldSample(base.A * s, base.dA * (s * s),
                                base.phi * s, base.dphi * (s * s))
-        return self.evaluator(p)
+        return self.evaluator(pts)
 
 
-def _sample_from_duals(A_dual, phi_dual) -> FieldSample:
-    A = np.zeros((3, 3), dtype=np.longdouble)
-    dA = np.zeros((3, 3, 4), dtype=np.longdouble)
-    phi = np.zeros((3, 3), dtype=np.longdouble)
-    dphi = np.zeros((3, 3, 4), dtype=np.longdouble)
-    for i in range(3):
-        for a in range(3):
-            A[i, a] = A_dual[i][a].f
-            dA[i, a, :] = A_dual[i][a].g
-            phi[i, a] = phi_dual[i][a].f
-            dphi[i, a, :] = phi_dual[i][a].g
-    return FieldSample(A, dA, phi, dphi)
+def _vars(pts):
+    return jets.Dual4.vars(*np.asarray(pts, dtype=np.longdouble))
 
 
-def _dual_zero(x1):
-    return x1 * 0
+def _sample(A_dual, phi_dual) -> FieldSample:
+    """Stack 3x3 tables of Dual4 entries into a FieldSample."""
+    def stack(table, part):
+        return np.array([[getattr(d, part) for d in row] for row in table])
+
+    return FieldSample(stack(A_dual, "f"), stack(A_dual, "g"),
+                       stack(phi_dual, "f"), stack(phi_dual, "g"))
 
 
-def _nahm_pole_eval(p: HalfspacePoint) -> FieldSample:
-    x1, x2, x3, y = Dual4.vars(
-        np.longdouble(p.x1), np.longdouble(p.x2), np.longdouble(p.x3), np.longdouble(p.y)
-    )
-    z = _dual_zero(x1)
+def _nahm_pole_eval(pts) -> FieldSample:
+    x1, _, _, y = _vars(pts)
+    z = x1 * 0
     inv_y = 1 / y
-    A = [[z, z, z], [z, z, z], [z, z, z]]
-    phi = [[inv_y, z, z], [z, inv_y, z], [z, z, inv_y]]
-    return _sample_from_duals(A, phi)
+    return _sample([[z, z, z]] * 3, [[inv_y, z, z], [z, inv_y, z], [z, z, inv_y]])
 
 
-def _singular_eval(p: HalfspacePoint) -> FieldSample:
-    from . import jets
-
-    x1, x2, x3, y = Dual4.vars(
-        np.longdouble(p.x1), np.longdouble(p.x2), np.longdouble(p.x3), np.longdouble(p.y)
-    )
-    z = _dual_zero(x1)
+def _singular_eval(pts) -> FieldSample:
+    x1, x2, _, y = _vars(pts)
+    z = x1 * 0
     R2 = x1 * x1 + x2 * x2 + y * y
     Rt = jets.sqrt(R2)
     inv_y = 1 / y
@@ -129,12 +116,8 @@ def _singular_eval(p: HalfspacePoint) -> FieldSample:
         [x2 / (Rt * y), x1 / (Rt * y), z],
         [z, z, (1 + y * y / R2) * inv_y],
     ]
-    A_ia = [
-        [z, z, z],
-        [z, z, z],
-        [x2 / R2, (-1) * x1 / R2, z],
-    ]
-    return _sample_from_duals(A_ia, phi_ia)
+    A_ia = [[z, z, z], [z, z, z], [x2 / R2, (-1) * x1 / R2, z]]
+    return _sample(A_ia, phi_ia)
 
 
 def nahm_pole_field() -> FlatModelField:
@@ -152,74 +135,94 @@ def scale_pullback(fld: FlatModelField, s: float) -> FlatModelField:
     """Dilation pullback (s A(s p), s phi(s p)); degree -1 fields are fixed."""
     if s <= 0:
         raise ValueError("scale factor must be positive")
-    base = fld.evaluator
-    return FlatModelField(fld.name, base, scale=fld.scale * s)
+    return FlatModelField(fld.name, fld.evaluator, scale=fld.scale * s)
+
+
+def sample_points(rng: np.random.Generator, n: int, width: float = 3.0,
+                  y_range=(0.3, 3.0), r_min: float = 0.0):
+    """Seeded points, uniform in [-width, width]^3 x y_range, drawn until n of
+    them have r = hypot(x1, x2) >= r_min.
+
+    Returns every drawn point as a (4, m) array and the mask of the kept
+    ones.  The stream is that of drawing uniform(-width, width, 3) and then
+    uniform(*y_range) point by point, and no point past the n-th kept one is
+    drawn, so the generator can go on to other draws.
+    """
+    low, high = (-width,) * 3 + (y_range[0],), (width,) * 3 + (y_range[1],)
+    pts, kept = np.empty((4, 0)), np.empty(0, dtype=bool)
+    while np.count_nonzero(kept) < n:
+        new = rng.uniform(low, high, size=(n - np.count_nonzero(kept), 4)).T
+        pts = np.hstack([pts, new])
+        kept = np.append(kept, _hypot(new[0], new[1]) >= r_min)
+    return pts, kept
 
 
 # pairs (mu, nu) -> dual pair and sign under the star with volume
 # dx1^dx2^dx3^dy; index order (x1, x2, x3, y), final sign FLAT_STAR_SIGN
 _STAR_PAIRS = {
     (0, 1): ((2, 3), 1),
-    (2, 3): ((0, 1), 1),
-    (1, 2): ((0, 3), 1),
-    (0, 3): ((1, 2), 1),
     (0, 2): ((1, 3), -1),
+    (0, 3): ((1, 2), 1),
+    (1, 2): ((0, 3), 1),
     (1, 3): ((0, 2), -1),
+    (2, 3): ((0, 1), 1),
 }
 
-_PAIRS = tuple(sorted({k for k in _STAR_PAIRS}))
+
+def _curvature(A, dA, mu, nu):
+    """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]."""
+    return dA[:, nu, mu] - dA[:, mu, nu] + bracket(A[:, mu], A[:, nu])
 
 
-def kw_residual_flat(fld: FlatModelField, p: HalfspacePoint,
-                     star_sign: int = FLAT_STAR_SIGN):
-    """Pointwise residual norms (eq1, eq2) of the flat-chart system.
+def _divergence(A, phi, dphi):
+    """sum_a d_a phi_a + [A_a, phi_a]."""
+    return sum(dphi[:, a, a] + bracket(A[:, a], phi[:, a]) for a in range(3))
+
+
+def _half_sq(v):
+    # 0.5 |v|^2 per point, the sum in np.dot's order, rounded to float first
+    return 0.5 * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).astype(float)
+
+
+def _block_residuals(fld: FlatModelField, pts) -> np.ndarray:
+    smp = fld.eval(pts)
+    # the y component of A and phi vanishes: pad the form index with it
+    A, phi, dA, dphi = (np.concatenate([v, np.zeros_like(v[:, :1])], axis=1)
+                        for v in (smp.A, smp.phi, smp.dA, smp.dphi))
+    res1_sq = 0.0
+    for (mu, nu), ((tm, tn), sgn) in _STAR_PAIRS.items():
+        dphi2 = (dphi[:, tn, tm] - dphi[:, tm, tn]
+                 + bracket(A[:, tm], phi[:, tn]) - bracket(A[:, tn], phi[:, tm]))
+        r = (_curvature(A, dA, mu, nu) - bracket(phi[:, mu], phi[:, nu])
+             - FLAT_STAR_SIGN * sgn * dphi2)
+        res1_sq = res1_sq + _half_sq(r)
+    return np.sqrt([res1_sq, _half_sq(_divergence(A, phi, dphi))])
+
+
+def kw_residual_flat(fld: FlatModelField, pts) -> np.ndarray:
+    """Pointwise residual norms of the flat-chart system at a (4, n) point set,
+    as a (2, n) array with rows (eq1, eq2).
 
     eq1 is |F_A - phi^phi - *d_A phi| over the six 2-form components, eq2 the
     norm of the covariant divergence sum_a (d_a phi_a + [A_a, phi_a]).
     """
-    smp = fld.eval(p)
-    A = np.concatenate([smp.A, np.zeros((3, 1), dtype=smp.A.dtype)], axis=1)
-    phi = np.concatenate([smp.phi, np.zeros((3, 1), dtype=smp.phi.dtype)], axis=1)
-    dA = np.concatenate([smp.dA, np.zeros((3, 1, 4), dtype=smp.dA.dtype)], axis=1)
-    dphi = np.concatenate([smp.dphi, np.zeros((3, 1, 4), dtype=smp.dphi.dtype)], axis=1)
-
-    F = {}
-    dphi2 = {}
-    phiphi = {}
-    for mu, nu in _PAIRS:
-        F[(mu, nu)] = (
-            dA[:, nu, mu] - dA[:, mu, nu] + bracket(A[:, mu], A[:, nu])
-        )
-        dphi2[(mu, nu)] = (
-            dphi[:, nu, mu]
-            - dphi[:, mu, nu]
-            + bracket(A[:, mu], phi[:, nu])
-            - bracket(A[:, nu], phi[:, mu])
-        )
-        phiphi[(mu, nu)] = bracket(phi[:, mu], phi[:, nu])
-
-    res1_sq = 0.0
-    for mu, nu in _PAIRS:
-        (tm, tn), sgn = _STAR_PAIRS[(mu, nu)]
-        r = F[(mu, nu)] - phiphi[(mu, nu)] - star_sign * sgn * dphi2[(tm, tn)]
-        res1_sq += 0.5 * float(np.dot(r, r))
-
-    div = sum(dphi[:, a, a] + bracket(A[:, a], phi[:, a]) for a in range(3))
-    res2_sq = 0.5 * float(np.dot(div, div))
-    return math.sqrt(res1_sq), math.sqrt(res2_sq)
+    pts = np.asarray(pts, dtype=float)
+    return np.concatenate([np.empty((2, 0))] + [
+        _block_residuals(fld, pts[:, i:i + BLOCK])
+        for i in range(0, pts.shape[1], BLOCK)], axis=1)
 
 
-def kw_residual_flat_combined(fld: FlatModelField, p: HalfspacePoint,
-                              star_sign: int = FLAT_STAR_SIGN) -> float:
-    r1, r2 = kw_residual_flat(fld, p, star_sign)
-    return math.hypot(r1, r2)
+def kw_residual_flat_combined(fld: FlatModelField, pts) -> np.ndarray:
+    """hypot(eq1, eq2) per point, shape (n,)."""
+    return _hypot(*kw_residual_flat(fld, pts))
 
 
 # ---------------------------------------------------------------------------
 # CSV interfaces: points in (x1,x2,x3,y), residuals out
 # ---------------------------------------------------------------------------
 
-def read_points_csv(path: str) -> list:
+def read_points_csv(path: str) -> np.ndarray:
+    """Points as a (4, n) array; every coordinate finite, and y > 0."""
     pts = []
     with open(path) as fh:
         rd = csv.reader(fh)
@@ -227,15 +230,16 @@ def read_points_csv(path: str) -> list:
             if not row or row[0].strip().startswith("x1"):
                 continue
             x1, x2, x3, y = (float(v) for v in row[:4])
-            pts.append(HalfspacePoint(x1, x2, x3, y))
-    return pts
+            if not (all(map(math.isfinite, (x1, x2, x3, y))) and y > 0):
+                raise ValueError(f"{path}:{rd.line_num}: point coordinates "
+                                 "must be finite, with y > 0")
+            pts.append((x1, x2, x3, y))
+    return np.array(pts, dtype=float).reshape(-1, 4).T
 
 
-def write_residuals_csv(path: str, fld: FlatModelField, pts: list):
+def write_residuals_csv(path: str, fld: FlatModelField, pts):
     from .report import write_csv
 
-    rows = []
-    for p in pts:
-        r1, r2 = kw_residual_flat(fld, p)
-        rows.append([repr(p.x1), repr(p.x2), repr(p.x3), repr(p.y), repr(r1), repr(r2)])
+    rows = [[repr(float(v)) for v in col]
+            for col in np.vstack([pts, kw_residual_flat(fld, pts)]).T]
     write_csv(path, ["x1", "x2", "x3", "y", "res_eq1", "res_eq2"], rows)

@@ -5,6 +5,8 @@ variable through arithmetic; Dual4 propagates a value and a 4-component
 gradient for fields on a flat chart.  Both are dtype-agnostic: they work
 with float, np.longdouble or Fraction coefficients, so closed-form profiles
 can be evaluated in extended precision where residual tolerances demand it.
+Both also take arrays elementwise: a Dual4 over n points has values of
+shape (n,) and a gradient of shape (4, n).
 """
 
 from __future__ import annotations
@@ -70,18 +72,23 @@ class Jet2:
 
 
 class Dual4:
-    """First-order dual number with a 4-component gradient (x1, x2, x3, y)."""
+    """First-order dual number with a 4-component gradient (x1, x2, x3, y).
+
+    The value is a scalar or an array of points; the gradient carries the
+    partials along a leading axis of length 4, shape (4,) + value shape.
+    """
 
     __slots__ = ("f", "g")
 
-    def __init__(self, f, g=None):
+    def __init__(self, f, g):
         self.f = f
-        self.g = np.zeros(4, dtype=np.result_type(f)) if g is None else g
+        self.g = g
 
     @staticmethod
     def vars(x1, x2, x3, y):
+        """Coordinate duals; the coordinates are scalars or equal-shape arrays."""
         def mk(v, k):
-            g = np.zeros(4, dtype=np.result_type(v))
+            g = np.zeros((4,) + np.shape(v), dtype=np.result_type(v))
             g[k] = 1
             return Dual4(v, g)
 

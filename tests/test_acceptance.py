@@ -64,20 +64,10 @@ def test_criterion_01_model_residuals(conv):
     rng = np.random.default_rng(1)
     flat = halfspace.nahm_pole_field()
     sing = halfspace.nahm_singular_field()
-    worst_pole, worst_sing, n = 0.0, 0.0, 0
-    for _ in range(1000):
-        x1, x2, x3 = rng.uniform(-3, 3, 3)
-        y = float(rng.uniform(0.3, 3.0))
-        p = halfspace.HalfspacePoint(float(x1), float(x2), float(x3), y)
-        worst_pole = max(worst_pole, halfspace.kw_residual_flat_combined(flat, p))
-    while n < 1000:
-        x1, x2, x3 = rng.uniform(-3, 3, 3)
-        y = float(rng.uniform(0.2, 3.0))
-        p = halfspace.HalfspacePoint(float(x1), float(x2), float(x3), y)
-        if p.r < 0.1:
-            continue
-        worst_sing = max(worst_sing, halfspace.kw_residual_flat_combined(sing, p))
-        n += 1
+    pts, _ = halfspace.sample_points(rng, 1000)
+    worst_pole = float(np.max(halfspace.kw_residual_flat_combined(flat, pts)))
+    pts, kept = halfspace.sample_points(rng, 1000, y_range=(0.2, 3.0), r_min=0.1)
+    worst_sing = float(np.max(halfspace.kw_residual_flat_combined(sing, pts[:, kept])))
     model = nahm_pole_invariant_solution()
     worst_inv = np.max(kw_residual_norm(conv, model, np.geomspace(1e-3, 30.0, 300)))
     elapsed = time.time() - t0
@@ -224,15 +214,12 @@ def test_criterion_11_scaling_limits():
     for fld in (halfspace.nahm_pole_field(), halfspace.nahm_singular_field()):
         for s in (0.5, 0.25, 2.0):
             pulled = halfspace.scale_pullback(fld, s)
-            for _ in range(25):
-                x1, x2, x3 = rng.uniform(-2, 2, 3)
-                y = float(rng.uniform(0.3, 2.0))
-                p = halfspace.HalfspacePoint(float(x1), float(x2), float(x3), y)
-                s0, s1 = fld.eval(p), pulled.eval(p)
-                exact &= np.array_equal(np.asarray(s0.phi, float),
-                                        np.asarray(s1.phi, float))
-                exact &= np.array_equal(np.asarray(s0.A, float),
-                                        np.asarray(s1.A, float))
+            pts, _ = halfspace.sample_points(rng, 25, width=2.0, y_range=(0.3, 2.0))
+            s0, s1 = fld.eval(pts), pulled.eval(pts)
+            exact &= np.array_equal(np.asarray(s0.phi, float),
+                                    np.asarray(s1.phi, float))
+            exact &= np.array_equal(np.asarray(s0.A, float),
+                                    np.asarray(s1.A, float))
     _check("criterion-11 scaling limits", slope_ok and exact,
            f"profile slope {sc['slope']:.4f}, flat models exactly invariant")
 

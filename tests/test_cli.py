@@ -149,6 +149,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["verify", "--suite", "energy", "--eps", eps]) == 2
         assert "0 < eps" in capsys.readouterr().err
     assert not (tmp_path / "l.json").exists()
+    # a point file row with a non-finite coordinate, or y <= 0
+    points = tmp_path / "points.csv"
+    for row in ("0.5,0.5,0.5,nan", "inf,0.5,0.5,1", "0.5,0.5,0.5,inf",
+                "0.5,-inf,0.5,1", "0.5,0.5,0.5,0", "0.5,0.5,0.5,-2"):
+        points.write_text(f"x1,x2,x3,y\n0.1,0.2,0.3,0.4\n{row}\n")
+        assert main(["residual", "--points", str(points),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert "point coordinates must be finite, with y > 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_series_parameter_gate_is_live(monkeypatch):
