@@ -83,25 +83,6 @@ class InvariantField:
     higgs: MatrixProfile
     higgs_y: VectorProfile | None = None
 
-    def rotated(self, rot) -> "InvariantField":
-        """Apply a constant adjoint rotation (3x3 orthogonal matrix on the
-        su(2) coefficient index) to every profile."""
-        rot = np.asarray(rot, dtype=float)
-
-        def rot_terms(terms):
-            return [(fn, rot @ np.asarray(m, dtype=float)) for fn, m in terms]
-
-        hy = None
-        if self.higgs_y is not None:
-            hy = VectorProfile(
-                [(fn, rot @ np.asarray(v, dtype=float)) for fn, v in self.higgs_y.terms]
-            )
-        return InvariantField(
-            MatrixProfile(rot_terms(self.connection.terms)),
-            MatrixProfile(rot_terms(self.higgs.terms)),
-            hy,
-        )
-
 
 # ---------------------------------------------------------------------------
 # closed-form reference solutions

@@ -9,6 +9,14 @@ beyond y_max, left out of the value and covered by a truncation bound
 
 Every integral returns (value, error_estimate); the estimate combines a
 panel-doubling comparison with the tail remainder.
+
+An integrand takes the 1-D array of the nodes of a layout.  It returns one
+value per node, or rows of them, shape (k, n): then every integral gives
+back (k,) values and (k,) error estimates.  Each row adds up in one fixed
+order: nodes in order within a panel, the panel totals left to right (as
+builtin sum, not the pairwise np.sum), then the parts of the layout left to
+right.  So a row's float is the one its integrand alone would give, and
+integrands that share a layout are evaluated in one pass.
 """
 
 from __future__ import annotations
@@ -63,8 +71,15 @@ _MATH_EXP = np.frompyfunc(math.exp, 1, 1)
 
 
 def _values(f, y):
-    """f on the node array y as floats of y's shape; f may return a constant."""
-    return np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
+    """f on the node array y as floats: y's shape, or rows of it when f
+    returns a (k, n) array; f may return a constant."""
+    v = np.asarray(f(y), dtype=float)
+    return np.broadcast_to(v, v.shape[:-1] + y.shape if v.ndim > 1 else y.shape)
+
+
+def _scalar(v):
+    """A float for a lone integrand, the (k,) array for rows."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def exp_nodes(x):
@@ -73,33 +88,37 @@ def exp_nodes(x):
     return _MATH_EXP(x).astype(float)
 
 
-def integrate_panels(f, edges, nodes: int) -> float:
+def integrate_panels(f, edges, nodes: int):
     """Gauss-Legendre rule with `nodes` points on each panel between
     consecutive `edges`.  f is called once, on the 1-D array of every node
-    of every panel.  Each panel sums its nodes in order; the panel totals
-    are then added one after another."""
+    of every panel, and returns a value per node (a float comes back) or
+    (k, n) rows (a (k,) array comes back).  In each row, each panel sums
+    its nodes in order; the panel totals are then added left to right."""
     x, w = _gl_nodes(nodes)
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     y = mid[:, None] + half[:, None] * x
-    v = _values(f, y.ravel()).reshape(y.shape)
+    v = _values(f, y.ravel())
+    v = v.reshape(v.shape[:-1] + y.shape)
     bad = ~np.isfinite(v)
     if bad.any():
-        raise ValueError(f"non-finite integrand at y={y[bad][0]}")
-    total = np.zeros(len(mid))
+        raise ValueError(
+            f"non-finite integrand at y={np.broadcast_to(y, v.shape)[bad][0]}")
+    total = np.zeros(v.shape[:-1])
     for k in range(nodes):
-        total = total + w[k] * v[:, k]
-    # builtin sum adds left to right; np.sum would sum pairwise
-    return float(sum(half * total))
+        total = total + w[k] * v[..., k]
+    # builtin sum over the panel axis adds left to right; np.sum would sum
+    # pairwise
+    return _scalar(sum(np.moveaxis(half * total, -1, 0)))
 
 
-def _tail(f, spec: QuadratureSpec) -> float:
+def _tail(f, spec: QuadratureSpec):
     """Bound on the integral beyond y_max, which the value leaves out: the
     envelope constant is estimated from samples, with a x1.5 safety."""
     rate = TAIL_RATE
     ys = np.linspace(max(spec.y_split, spec.y_max - 5.0), spec.y_max, 16)
-    k = float(np.max(np.abs(_values(f, ys)) * exp_nodes(rate * ys)))
+    k = _scalar(np.max(np.abs(_values(f, ys)) * exp_nodes(rate * ys), axis=-1))
     return 1.5 * k * math.exp(-rate * spec.y_max) / rate
 
 
@@ -107,7 +126,7 @@ def _doubled(f, layout, panels: int, nodes: int):
     """(fine, |fine - coarse|) for the rule on layout(2 * panels) against
     layout(panels).  layout(p) gives the edge arrays of consecutive parts,
     each with p panels; their integrals are added in that order."""
-    def run(p: int) -> float:
+    def run(p: int):
         return sum(integrate_panels(f, edges, nodes) for edges in layout(p))
 
     coarse = run(panels)

@@ -215,17 +215,24 @@ def test_failed_constants_fail_only_their_checks(tmp_path, monkeypatch):
 
 def test_benchmark_trace_hooks_resolve(tmp_path):
     # the benchmark's traced run finds its hooks by name; a renamed function
-    # would leave its per-layer metrics silently at zero
+    # would leave its per-layer metrics silently at zero; the energy run
+    # reaches the batched chain and binds integrate_panels' edges and nodes
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "tracing.py"),
-         str(tmp_path / "dump.json"), "--", "verify", "--suite", "algebra",
-         "--out", str(tmp_path / "r.json")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "tracing: not found" not in proc.stderr
-    assert json.loads((tmp_path / "dump.json").read_text())["spans"]
+    for suite, extra in (("algebra", []), ("energy", ["--n-pert", "2"])):
+        dump = tmp_path / f"{suite}.json"
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "tracing.py"),
+             str(dump), "--", "verify", "--suite", suite, *extra,
+             "--out", str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "tracing: not found" not in proc.stderr
+        assert json.loads(dump.read_text())["spans"]
+    traced = json.loads((tmp_path / "energy.json").read_text())
+    names = {span[0] for span in traced["spans"]}
+    assert {"energy.perturbation_chain", "quadrature.integrate_panels"} <= names
+    assert traced["counts"]["quadrature.integrand_evals"] > 0
 
 
 def test_package_imports_only_stdlib_and_numpy():

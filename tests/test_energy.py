@@ -1,13 +1,16 @@
 """Energy identities, constants, perturbation chain, bound assembly."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kwlab import jets
 from kwlab.energy import (
+    BLOCK,
     DENSITY_KEYS,
-    SyntheticPerturbation,
+    OMEGA_NORM_SQ,
     boundary_terms,
     c_decay,
     c_model,
@@ -15,10 +18,11 @@ from kwlab.energy import (
     cutoff_combination,
     densities,
     density_fn,
+    density_rows,
     eps_sweep_rows,
-    exp_decay_perturbation,
+    exp_decay_q,
     perturbation_chain,
-    random_perturbation,
+    random_perturbations,
     theorem_bound_report,
     topological_charge,
 )
@@ -26,14 +30,24 @@ from kwlab.forms import EPS_TABLE, frob_inner, wedge_bracket_matrix
 from kwlab.jets import Jet2
 from kwlab.profiles import (
     InvariantField,
+    MatrixProfile,
     nahm_pole_invariant_solution,
     nahm_pole_invariant_solution_alt,
     pole_a,
     pole_a_alt,
+    pole_b,
     pole_scalars,
     scaled_matrix_profile,
 )
-from kwlab.quadrature import VOL_S3, integrate_interval, integrate_panels, l2_norm_sq
+from kwlab.quadrature import (
+    VOL_S3,
+    exp_nodes,
+    integrate_halfline,
+    integrate_interval,
+    integrate_panels,
+    l2_norm_sq,
+)
+from kwlab.report import make_check
 from kwlab.su2 import bracket
 
 I3 = np.eye(3)
@@ -42,6 +56,170 @@ I3 = np.eye(3)
 @pytest.fixture(scope="module")
 def model():
     return nahm_pole_invariant_solution()
+
+
+# ---------------------------------------------------------------------------
+# per-perturbation reference: the chain as it ran before the batched one,
+# one perturbation at a time, q through its second-order jet and one
+# quadrature call per chain line; the batched chain must reproduce it bit
+# for bit
+# ---------------------------------------------------------------------------
+
+class _RefPerturbation:
+    """rho = q(y) * m with q = amp * y * exp(-rate * y) as a jet profile."""
+
+    def __init__(self, amplitude, rate, direction, name="perturbation"):
+        self.q_fn = lambda jy: amplitude * jy * jets.exp(-rate * jy)
+        self.direction = np.asarray(direction, dtype=float)
+        self.name = name
+
+    def q(self, y):
+        j = self.q_fn(Jet2.var(np.asarray(y, dtype=float)))
+        return j.f, j.d1
+
+    def field(self) -> InvariantField:
+        return InvariantField(
+            scaled_matrix_profile(pole_a, I3),
+            MatrixProfile([(pole_b, I3), (self.q_fn, self.direction)]),
+        )
+
+
+def _ref_random(rng):
+    amp = float(rng.uniform(0.05, 0.6))
+    rate = float(rng.uniform(0.9, 2.5))
+    m = rng.uniform(-1.0, 1.0, size=(3, 3))
+    return _RefPerturbation(amp, rate, m, name=f"seeded-{amp:.3f}-{rate:.3f}")
+
+
+def _pow2(x):
+    return np.float_power(x, 2)
+
+
+def _ref_chain(conv, pert, spec, consts):
+    m = pert.direction
+    gamma = float(np.trace(m)) / 3.0
+    sgn = 1.0 if gamma >= 0 else -1.0
+    m_antisym = 0.5 * (m - m.T)
+    m_symtl = 0.5 * (m + m.T) - (np.trace(m) / 3.0) * I3
+    n1 = gamma * gamma * OMEGA_NORM_SQ
+    n2 = 0.5 * float(frob_inner(m_antisym, m_antisym))
+    n3 = 0.5 * float(frob_inner(m_symtl, m_symtl))
+    w1 = 0.5 * float(np.trace(wedge_bracket_matrix(m, m))) / 3.0
+
+    V = VOL_S3
+    w_sq = OMEGA_NORM_SQ
+    w_abs = math.sqrt(w_sq)
+
+    def h_of(y):
+        return pole_scalars(y)[1]
+
+    def q_of(y):
+        return pert.q(y)[0]
+
+    def alpha(y):
+        return gamma * q_of(y)
+
+    def dalpha(y):
+        return gamma * pert.q(y)[1]
+
+    def g_of(y):  # f^{-1} d_y (f alpha) = alpha' + 2 h alpha + alpha^2
+        return dalpha(y) + 2.0 * h_of(y) * alpha(y) + _pow2(alpha(y))
+
+    def s_full_norm(y):  # |d_y phi + *3 phi^2| of the perturbed field
+        _, b_, _, db_ = pole_scalars(y)
+        q, dq = pert.q(y)
+        outer = np.multiply.outer  # matrix axes first
+        p = outer(I3, b_) + outer(m, q)
+        dp = outer(I3, db_) + outer(m, dq)
+        s = dp + 0.5 * wedge_bracket_matrix(p, p)
+        return np.sqrt(0.5 * frob_inner(s, s))
+
+    # |c|, where c * omega is *3 d_y rho1 + [phi_model, rho1] + (rho ^ rho)^(1);
+    # its norm is |c| * w_abs, so it enters the chain as |c| * w_sq
+    def mid_norm(y):
+        return abs(dalpha(y) + 2.0 * h_of(y) * alpha(y) + _pow2(q_of(y)) * w1)
+
+    def near(f):
+        return V * integrate_interval(f, 0.0, 1.0, panels=32)[0]
+
+    # chain on (0, 1]
+    line1 = near(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
+    line2 = near(lambda y: 2.0 * h_of(y) * abs(alpha(y)) * w_sq)
+    b1 = V * abs(alpha(1.0)) * w_sq
+    rho1_sq_near = near(lambda y: _pow2(alpha(y)) * w_sq)
+    wd_int = near(lambda y: (sgn * dalpha(y) + 2.0 * h_of(y) * abs(alpha(y))
+                             + sgn * _pow2(alpha(y))) * w_sq)
+    # in line 3 the integral of sgn * alpha' is taken from its boundary
+    # values: alpha(0) = 0 and sgn * alpha = |alpha|, so it is b1 itself and
+    # cancels the discarded b1, and the step is exactly 0 for sgn = -1
+    line3 = line2 + (1.0 + sgn) * rho1_sq_near
+    line4 = wd_int + rho1_sq_near
+    line5 = near(lambda y: abs(g_of(y)) * w_sq) + rho1_sq_near
+    rho23_near = near(lambda y: 0.5 * _pow2(q_of(y)) * (n2 + n3))
+    mid_l1 = near(lambda y: mid_norm(y) * w_sq)
+    line6 = mid_l1 + rho23_near + rho1_sq_near
+
+    ys = np.linspace(1e-4, 1.0, 200)
+    min_slack_pointwise = float(np.min(
+        mid_norm(ys) * w_sq + 0.5 * _pow2(q_of(ys)) * (n2 + n3) - abs(g_of(ys)) * w_sq
+    ))
+
+    # model-constant split and the Young step
+    c24a, c24b = consts.c24a, consts.c24b
+    s_full_l1 = near(lambda y: s_full_norm(y) * w_abs)
+    s_full_sq_near = near(lambda y: _pow2(s_full_norm(y)))
+    line7 = c24a + s_full_l1 + rho23_near + rho1_sq_near
+    line8 = c24a + c24b + 0.5 * s_full_sq_near + rho23_near + rho1_sq_near
+
+    # far part (y > 1)
+    c2, c19 = consts.c_decay, consts.c19
+    far_spec = replace(spec, eps=1.0, y_split=2.0)
+
+    def far(f):
+        return V * integrate_halfline(f, far_spec, geometric_head=False)[0]
+
+    far_tr = far(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
+    far_rho1 = far(lambda y: _pow2(alpha(y)) * w_sq)
+    step_far_rhs = c19 + 0.5 * far_rho1
+    ys = np.linspace(1.0, 12.0, 60)
+    env_slack = float(np.min(c2 * exp_nodes(-2.0 * ys) - w_abs * h_of(ys)))
+
+    # assembled final inequality
+    c1 = consts.c_pert
+    lhs_total = line1 + far_tr
+    rho_sq_total = (near(lambda y: _pow2(q_of(y)) * (n1 + n2 + n3))
+                    + far(lambda y: _pow2(q_of(y)) * (n1 + n2 + n3)))
+    s_full_sq = s_full_sq_near + far(lambda y: _pow2(s_full_norm(y)))
+    rhs_total = c1 + rho_sq_total + 0.5 * s_full_sq
+
+    tol = 1e-9 * max(1.0, abs(line5))
+    steps = {
+        "cauchy_schwarz_near": line2 - line1,
+        "weighted_derivative": line3 - line2,
+        "boundary_discard": line4 - line3,
+        "discarded_boundary_term": -b1,
+        "signed_to_absolute": line5 - line4,
+        "quadratic_projection_pointwise_min": min_slack_pointwise,
+        "quadratic_projection_integrated": line6 - line5,
+        "model_constant_split": line7 - line6,
+        "youngs_inequality": line8 - line7,
+        "far_cauchy_schwarz": step_far_rhs - far_tr,
+        "far_envelope_min": env_slack,
+        "final": rhs_total - lhs_total,
+    }
+    bad = {k: v for k, v in steps.items()
+           if k != "discarded_boundary_term" and v < -tol}
+    ok = not bad and steps["discarded_boundary_term"] <= tol
+    return make_check(
+        "perturbation-chain",
+        f"weighted-bound chain on {pert.name}: slack of every step",
+        computed=float(min(v for k, v in steps.items()
+                           if k != "discarded_boundary_term")),
+        ok=bool(ok),
+        extra={"steps": steps,
+               "constants": {"c19": c19, "c24a": c24a, "c24b": c24b,
+                             "c1": c1, "c_decay": c2}},
+    )
 
 
 def test_boundary_terms_zero_field(conv):
@@ -144,7 +322,7 @@ _LAYOUTS = {
 _FIELDS = {
     "model": nahm_pole_invariant_solution,
     "companion": nahm_pole_invariant_solution_alt,
-    "perturbed": lambda: random_perturbation(np.random.default_rng(42)).field(),
+    "perturbed": lambda: _ref_random(np.random.default_rng(42)).field(),
 }
 
 
@@ -166,6 +344,11 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
     summed = [sum(d[k] for k in keys) for d in ref]
     assert (integrate_panels(density_fn(conv, field, keys), edges, 16)
             == _scalar_panel_sum(summed, edges, 16))
+    # key groups as rows of one integrand: each row is its density_fn sum
+    groups = (keys, ("phi_sq",), ("F_sq", "nabla_bar_sq", "S_sq"))
+    rows = integrate_panels(density_rows(conv, field, groups), edges, 16)
+    assert rows.tolist() == [
+        integrate_panels(density_fn(conv, field, g), edges, 16) for g in groups]
     # only the keys asked for are computed
     assert set(densities(conv, field, ys, ("phi_sq",))) == {"phi_sq"}
 
@@ -287,19 +470,30 @@ def test_weighted_derivative_identity_fd():
             assert abs(lhs - rhs) < 1e-6
 
 
-def test_synthetic_perturbation_validation():
+def test_synthetic_perturbation_validation(conv, quad_spec, consts):
     with pytest.raises(ValueError, match="vanish at the boundary"):
-        SyntheticPerturbation(lambda jy: jy * 0 + 1.0, I3)
+        perturbation_chain(conv, [1e3], [1.0], [I3], quad_spec, consts)
+    with pytest.raises(ValueError, match="vanish at the boundary"):
+        perturbation_chain(conv, [float("nan")], [1.0], [I3], quad_spec, consts)
     with pytest.raises(ValueError, match="decay toward infinity"):
-        SyntheticPerturbation(lambda jy: jy * 0.1, I3)
-    p = exp_decay_perturbation(0.3, 1.2, I3)
-    q0, dq0 = p.q(1e-6)
-    assert abs(q0) < 1e-6 and abs(dq0 - 0.3) < 1e-5
+        perturbation_chain(conv, [0.3, 0.1], [1.2, 0.0], [I3, I3], quad_spec, consts)
+    q, dq = exp_decay_q([0.3], [1.2], np.array([1e-6]))
+    assert abs(q[0, 0]) < 1e-6 and abs(dq[0, 0] - 0.3) < 1e-5
+
+
+def _blocked_chains(conv, rng, n, spec, consts):
+    """n seeded chains, drawn and run BLOCK at a time as the energy suite
+    runs them; returns the reports and the directions."""
+    reports, directions = [], []
+    for start in range(0, n, BLOCK):
+        block = random_perturbations(rng, min(BLOCK, n - start))
+        directions.extend(block[2])
+        reports.extend(perturbation_chain(conv, *block, spec, consts))
+    return reports, directions
 
 
 def test_chain_pure_v1_spec_case(conv, quad_spec, consts):
-    pert = exp_decay_perturbation(1.0, 1.0, I3, "pure-v1")
-    rep = perturbation_chain(conv, pert, quad_spec, consts)
+    (rep,) = perturbation_chain(conv, [1.0], [1.0], [I3], quad_spec, consts)
     assert rep.status == "pass"
     steps = rep.extra["steps"]
     assert steps["quadratic_projection_integrated"] == 0.0  # no V2/V3 part
@@ -312,17 +506,16 @@ def test_chain_mixed_direction_spec_case(conv, quad_spec, consts):
     m = np.zeros((3, 3))
     m[1, 2], m[2, 1] = 1.0, -1.0        # antisymmetric part
     m[2, 0], m[0, 2] = 1.0, 1.0        # symmetric traceless part
-    pert = exp_decay_perturbation(1.0, 1.0, m, "mu1-plus-nu2")
-    rep = perturbation_chain(conv, pert, quad_spec, consts)
+    (rep,) = perturbation_chain(conv, [1.0], [1.0], [m], quad_spec, consts)
     assert rep.status == "pass"
     assert rep.extra["steps"]["quadratic_projection_pointwise_min"] >= 0.0
 
 
 def test_chain_seeded(conv, quad_spec, consts):
     rng = np.random.default_rng(42)
-    for _ in range(8):
-        pert = random_perturbation(rng)
-        rep = perturbation_chain(conv, pert, quad_spec, consts)
+    reports = perturbation_chain(conv, *random_perturbations(rng, 8), quad_spec, consts)
+    assert len(reports) == 8
+    for rep in reports:
         assert rep.status == "pass", rep.extra["steps"]
 
 
@@ -332,15 +525,35 @@ def test_chain_weighted_derivative_is_exact(conv, quad_spec, consts):
     # chain of the acceptance seed may report a negative slack for it
     rng = np.random.default_rng(42)
     worst, negative = math.inf, 0
-    for _ in range(100):
-        pert = random_perturbation(rng)
-        rep = perturbation_chain(conv, pert, quad_spec, consts)
-        if np.trace(pert.direction) < 0:
+    reports, directions = _blocked_chains(conv, rng, 100, quad_spec, consts)
+    for rep, m in zip(reports, directions):
+        if np.trace(m) < 0:
             negative += 1
             assert rep.extra["steps"]["weighted_derivative"] == 0.0
         worst = min(worst, rep.computed)
     assert negative > 0
     assert worst >= 0.0
+
+
+def _bits(d):
+    return {k: float(v).hex() for k, v in d.items()}
+
+
+@pytest.mark.parametrize("seed", [7, 42, 1234])
+def test_batched_chain_matches_per_perturbation_reference(conv, quad_spec, consts,
+                                                          seed):
+    rng = np.random.default_rng(seed)
+    want = [_ref_chain(conv, _ref_random(rng), quad_spec, consts)
+            for _ in range(BLOCK + 1)]
+    for n in (1, BLOCK - 1, BLOCK, BLOCK + 1):
+        got, _ = _blocked_chains(conv, np.random.default_rng(seed), n, quad_spec,
+                                 consts)
+        assert len(got) == n
+        for rep, ref in zip(got, want):
+            assert _bits(rep.extra["steps"]) == _bits(ref.extra["steps"])
+            assert list(rep.extra["steps"]) == list(ref.extra["steps"])
+            assert _bits(rep.extra["constants"]) == _bits(ref.extra["constants"])
+            assert (rep.status, rep.computed) == (ref.status, ref.computed)
 
 
 def test_theorem_bound_report(conv, quad_spec, model, consts):

@@ -97,3 +97,70 @@ def test_geometric_head_handles_pole_density():
     val, err = integrate_halfline(lambda y: 1.0 / (y * y), spec)
     want = 1.0 / 1e-4 - 0.1
     assert math.isclose(val, want, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rows: a (k, n) integrand against k one-row calls, bit for bit
+# ---------------------------------------------------------------------------
+
+_COEFS = np.random.default_rng(3).uniform(0.5, 2.0, size=(4, 3))
+
+
+def _row(c):
+    return lambda y: c[0] * np.exp(-c[1] * y) * (1.0 + c[2] * y) / (y + 1e-2)
+
+
+def _rows(y):
+    return np.stack([_row(c)(y) for c in _COEFS] + [np.full(y.shape, 1.5)])
+
+
+_ONE_ROW = [_row(c) for c in _COEFS] + [lambda y: 1.5]
+
+
+def _bits(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+@pytest.mark.parametrize("rule", ["panels", "interval", "halfline-geometric",
+                                  "halfline-uniform", "from-zero", "l2"])
+def test_rows_equal_one_row_calls_bitwise(rule):
+    spec = QuadratureSpec(eps=1e-3, y_max=12.0)  # the tail bound is not negligible
+    run = {
+        "panels": lambda f: (integrate_panels(f, np.geomspace(1e-3, 2.0, 9), 8), 0.0),
+        "interval": lambda f: integrate_interval(f, 0.0, 1.0, panels=32),
+        "halfline-geometric": lambda f: integrate_halfline(f, spec),
+        "halfline-uniform": lambda f: integrate_halfline(f, spec, geometric_head=False),
+        "from-zero": lambda f: integrate_smooth_from_zero(f, spec),
+        "l2": lambda f: l2_norm_sq(f, spec),
+    }[rule]
+    vals, errs = run(_rows)
+    one = [run(f) for f in _ONE_ROW]
+    assert all(type(v) is float for v, _ in one)
+    assert _bits(vals) == _bits([v for v, _ in one])
+    if rule != "panels":
+        assert _bits(errs) == _bits([e for _, e in one])
+
+
+def test_rows_integrand_called_once_per_layout():
+    shapes = []
+
+    def f(y):
+        shapes.append(y.shape)
+        return _rows(y)
+
+    integrate_halfline(f, QuadratureSpec(panels=4, nodes_per_panel=8))
+    # head and body at 4 and 8 panels, then the 16 tail samples
+    assert shapes == [(32,), (32,), (64,), (64,), (16,)]
+
+
+def test_non_finite_row_entry_reported():
+    spec = QuadratureSpec(eps=1e-2)
+
+    def bad(y):
+        return np.where(y > 2.0, float("nan"), 1.0)
+
+    with pytest.raises(ValueError, match="non-finite integrand at y=") as one:
+        integrate_halfline(bad, spec)
+    with pytest.raises(ValueError, match="non-finite integrand at y=") as rows:
+        integrate_halfline(lambda y: np.stack([np.ones_like(y), bad(y)]), spec)
+    assert str(rows.value) == str(one.value)
