@@ -213,42 +213,46 @@ def suite_decomposition(cfg: SuiteConfig) -> list:
     return checks
 
 
+def _shared(build):
+    """Build a value that several checks read; returns its getter, which
+    re-raises in each reader whatever the build raised."""
+    try:
+        value = build()
+    except Exception as e:
+        error = e
+
+        def fail():
+            raise error
+        return fail
+    return lambda: value
+
+
 def suite_energy(cfg: SuiteConfig) -> list:
     conv = _active_conventions(cfg)
     spec = cfg.quadrature()
     model = nahm_pole_invariant_solution()
     checks = []
-    # a failed build fails, through _guard, only the checks that read consts
-    try:
-        consts, consts_error = energy.bound_constants(conv, spec), None
-    except Exception as e:
-        consts, consts_error = None, e
+    # the reference solution's passes and the values built from them, once
+    # per run; a failed build fails, through _guard, only its readers
+    full_line = _shared(lambda: energy.full_line_norms(conv, model, spec))
+    inputs = {
+        "full_line": full_line,
+        "at_eps": _shared(lambda: energy.field_norms(
+            conv, model, spec.with_eps(cfg.eps), energy.CUTOFF_ROWS)),
+        "sweep": _shared(lambda: energy.cutoff_sweep(conv, spec)),
+        "consts": _shared(lambda: energy.bound_constants(full_line())),
+    }
 
-    def constants():
-        if consts_error is not None:
-            raise consts_error
-        return consts
-
-    def ident_check(ident):
-        def run():
-            rep = energy.check_energy_identity(
-                conv, ident, model, cfg.eps, spec,
-                constants() if ident in energy.CONSTANTS_IDENTITIES else None)
-            if rep.expected is not None:
-                rep.tolerance = cfg.tol(rep.check_id, rep.tolerance)
-                rep.status = ("pass"
-                              if abs(rep.computed - rep.expected) <= rep.tolerance
-                              else "fail")
-            return rep
-
-        return run
-
-    for ident in energy.IDENTITY_IDS:
-        _guard(checks, f"energy-{ident}", ident_check(ident))
+    for ident, reads in energy.IDENTITY_INPUTS.items():
+        _guard(checks, f"energy-{ident}", lambda ident=ident, reads=reads: (
+            energy.check_energy_identity(
+                conv, ident, tol=cfg.tol(f"energy-{ident}", 1e-6),
+                **{k: inputs[k]() for k in reads})))
 
     def stability():
-        val, err, parts = energy.c_model(conv, spec)
-        val2, _, _ = energy.c_model(conv, spec.refined())
+        val, err, parts = energy.c_model(full_line())
+        val2, _, _ = energy.c_model(energy.field_norms(
+            conv, model, spec.refined(), energy.C_MODEL_ROWS, from_zero=True))
         rel = abs(val - val2) / val
         return make_check(
             "c-model-stability",
@@ -300,7 +304,8 @@ def suite_energy(cfg: SuiteConfig) -> list:
         for start in range(0, cfg.n_pert, energy.BLOCK):
             block = energy.random_perturbations(
                 rng, min(energy.BLOCK, cfg.n_pert - start))
-            for rep in energy.perturbation_chain(conv, *block, spec, constants()):
+            for rep in energy.perturbation_chain(conv, *block, spec,
+                                                   inputs["consts"]()):
                 if rep.status != "pass":
                     n_fail += 1
                 if worst_min_slack is None or rep.computed < worst_min_slack:
@@ -312,7 +317,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
             extra={"n_pert": cfg.n_pert, "failures": n_fail})
 
     def bound():
-        tb = energy.theorem_bound_report(conv, model, spec, constants())
+        tb = energy.theorem_bound_report(conv, full_line(), inputs["consts"]())
         f_sq = tb.get("curvature_l2_sq").value
         slack = tb.get("bound_slack").value
         other = (tb.get("tangential_gradient_l2_sq").value
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args, extra: dict | None = None) -> SuiteConfig:
+def _config_from_args(args) -> SuiteConfig:
     file_values = load_config(args.config) if args.config else None
     tols = {}
     for item in args.tol:
@@ -577,8 +582,6 @@ def _config_from_args(args, extra: dict | None = None) -> SuiteConfig:
             cli_values[key] = getattr(args, key)
     if getattr(args, "ymax", None) is not None:
         cli_values["y_max"] = args.ymax
-    if extra:
-        cli_values.update(extra)
     return build_config(file_values, cli_values)
 
 
@@ -598,8 +601,8 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 2
 
     try:
+        cfg = _config_from_args(args)
         if args.command == "verify":
-            cfg = _config_from_args(args)
             checks, code = run_suite(cfg)
             meta = {"suite": cfg.suite, "seed": cfg.seed, "n": cfg.n,
                     "n_pert": cfg.n_pert, "eps": cfg.eps,
@@ -610,14 +613,16 @@ def main(argv=None) -> int:
             return code
 
         if args.command == "energy":
-            cfg = _config_from_args(args)
             conv = _active_conventions(cfg)
             spec = cfg.quadrature()
-            field = (nahm_pole_invariant_solution() if args.model == "he"
-                     else nahm_pole_invariant_solution_alt())
-            consts = energy.bound_constants(conv, spec)
-            rep = energy.theorem_bound_report(conv, field, spec, consts)
-            cm, cm_err, _ = energy.c_model(conv, spec)
+            model = nahm_pole_invariant_solution()
+            field = model if args.model == "he" else nahm_pole_invariant_solution_alt()
+            # the reference solution's from-zero pass serves the constants,
+            # c_model and, for he, the bound report
+            ref = energy.full_line_norms(conv, model, spec)
+            own = ref if field is model else energy.full_line_norms(conv, field, spec)
+            rep = energy.theorem_bound_report(conv, own, energy.bound_constants(ref))
+            cm, cm_err, _ = energy.c_model(ref)
             rep.add("c_model", cm, cm_err, "model curvature constant")
             q, q_err = energy.topological_charge(conv, field.connection, spec)
             rep.add("topological_charge", q, q_err)
@@ -632,7 +637,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "solve":
-            cfg = _config_from_args(args)
             conv = _active_conventions(cfg)
             sysr = reduced.derive_reduced_system(conv)
             shot = reduced.shoot_for_decay(sysr, y0=args.y0)
@@ -651,7 +655,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "residual":
-            cfg = _config_from_args(args)
             fld = (halfspace.nahm_pole_field() if args.model == "nahm-pole"
                    else halfspace.nahm_singular_field())
             if args.points:
@@ -667,7 +670,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "plotdata":
-            cfg = _config_from_args(args)
             files = emit_plotdata(args.target, cfg, args.out_dir)
             print("wrote " + ", ".join(files))
             return 0

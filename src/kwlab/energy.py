@@ -23,8 +23,9 @@ and reports them with full provenance.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -60,16 +61,23 @@ _I3 = np.eye(3)
 
 CUTOFF_EPS = (1e-2, 1e-3, 1e-4)  # cutoffs of the reference solution's sweep
 
-IDENTITY_IDS = (
-    "first-order-balance",
-    "square-completion",
-    "bulk-boundary-balance",
-    "cutoff-limit",
-    "route-match",
-    "weighted-bound",
-)
-# the identities that read BoundConstants
-CONSTANTS_IDENTITIES = ("cutoff-limit", "route-match", "weighted-bound")
+# What each identity reads, by keyword: the reference solution's pass above
+# the cutoff (at_eps) or from zero (full_line), its cutoff sweep, the constants
+IDENTITY_INPUTS = {
+    "first-order-balance": ("at_eps",),
+    "square-completion": ("at_eps",),
+    "bulk-boundary-balance": ("at_eps",),
+    "cutoff-limit": ("sweep",),
+    "route-match": ("full_line", "sweep"),
+    "weighted-bound": ("full_line", "consts"),
+}
+_BALANCES = {  # the identities on the cutoff pass: lhs = rhs
+    "first-order-balance": "first-order bulk norms equal the two boundary functionals",
+    "square-completion": "cross term of the completed square equals the cubic "
+                         "boundary term",
+    "bulk-boundary-balance": "bulk energy above the cutoff equals the mixed "
+                             "boundary term",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +202,41 @@ def density_fn(conv, field, keys):
 
 _BULK = ("F_sq", "nabla_bar_sq", "S_sq")
 
+# the rows (name -> density keys) of the reference solution's shared passes
+FULL_LINE_ROWS = {"F_sq": ("F_sq",), "nabla_bar_sq": ("nabla_bar_sq",),
+                  "S_sq": ("S_sq",), "bulk": _BULK,
+                  "F_nabla": ("F_sq", "nabla_bar_sq")}
+C_MODEL_ROWS = {k: FULL_LINE_ROWS[k] for k in ("F_sq", "S_sq")}
+CUTOFF_ROWS = {"first_order": ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq"),
+               "full_grad": ("nabla_bar_sq", "dyphi_sq", "phi2_sq"),
+               "completed": ("nabla_bar_sq", "S_sq"), "bulk": _BULK,
+               "phi_sq": ("phi_sq",)}
+_BALANCE_ROWS = {k: CUTOFF_ROWS[k] for k in ("bulk", "phi_sq")}
 
-def _norms(rows, spec: QuadratureSpec, from_zero: bool = False):
-    """l2_norm_sq of every row of one integrand: (values, errors) as lists
-    of floats."""
-    v, e = l2_norm_sq(rows, spec, from_zero)
-    return v.tolist(), e.tolist()
+# l2_norm_sq of named density rows of one field, rows[name] = (value, error
+# estimate), all from one quadrature pass from zero (eps = 0) or above eps
+Norms = namedtuple("Norms", "field eps rows")
+
+
+def field_norms(conv, field, spec: QuadratureSpec, rows: dict,
+                from_zero: bool = False, deviation: bool = False) -> Norms:
+    """One pass over the rows (name -> density keys) of the field.  A row's
+    floats do not depend on the other rows, so a check that reads one by
+    name gets the floats of its own pass.  With deviation, the rows "cross"
+    and "rho_sq" of the constant-route identity follow when the field
+    deviates from the reference solution by a rho vanishing at y = 0."""
+    names = tuple(rows)
+    f = density_rows(conv, field, tuple(rows.values()))
+    if deviation and (with_rho := _with_rho_rows(field, f)) is not None:
+        f, names = with_rho, names + ("cross", "rho_sq")
+    v, e = l2_norm_sq(f, spec, from_zero)
+    return Norms(field, 0.0 if from_zero else spec.eps,
+                 dict(zip(names, zip(v.tolist(), e.tolist()))))
+
+
+# full_line_norms(conv, field, spec): the FULL_LINE_ROWS and deviation rows
+full_line_norms = partial(field_norms, rows=FULL_LINE_ROWS, from_zero=True,
+                          deviation=True)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +260,11 @@ def boundary_terms(conv: GeometryConventions, field: InvariantField, eps: float)
 # model constants
 # ---------------------------------------------------------------------------
 
-def c_model(conv: GeometryConventions, spec: QuadratureSpec):
-    """Curvature constant of the reference solution:
-    ||F||_L2 + ||*3 d_y phi + phi^2||_L2, both finite.  Returns
-    (value, relative error estimate, parts)."""
-    field = nahm_pole_invariant_solution()
-    (f_sq, s_sq), (f_err, s_err) = _norms(
-        density_rows(conv, field, (("F_sq",), ("S_sq",))), spec, from_zero=True)
+def c_model(full_line: Norms):
+    """Curvature constant ||F||_L2 + ||*3 d_y phi + phi^2||_L2 of the
+    reference solution, both finite, from the F_sq and S_sq rows of its
+    from-zero pass.  Returns (value, relative error estimate, parts)."""
+    (f_sq, f_err), (s_sq, s_err) = full_line.rows["F_sq"], full_line.rows["S_sq"]
     val = math.sqrt(f_sq) + math.sqrt(s_sq)
     err = 0.5 * (f_err / max(math.sqrt(f_sq), 1e-30)
                  + s_err / max(math.sqrt(s_sq), 1e-30))
@@ -261,16 +296,14 @@ def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile,
 
 def _require_solution(conv, field, eps=1e-3, tol=1e-8):
     grid = np.geomspace(max(eps, 1e-3), 10.0, 24)
-    worst = np.max(kw_residual_norm(conv, field, grid))
-    if not worst <= tol:
+    if not np.max(kw_residual_norm(conv, field, grid)) <= tol:
         raise ValueError("not a solution: identity chain does not apply")
-    return worst
 
 
 def _with_rho_rows(field, head):
     """The rows of the integrand head, then the two deviation densities of
     the constant-route identity for phi = phi_model + rho:
-    -4 tr(phi_model ^ *rho) and |rho|^2.  Requires the deviation to vanish
+    -4 tr(phi_model ^ *rho) and |rho|^2; None unless the deviation vanishes
     at the boundary."""
     def rho_mat(y):  # matrix axes first
         p = _matrix_first(field.higgs.eval(y)[0])
@@ -278,7 +311,7 @@ def _with_rho_rows(field, head):
         return b, p - np.multiply.outer(_I3, b)
 
     if float(np.max(np.abs(rho_mat(1e-6)[1]))) > 1e-3:
-        raise ValueError("deviation from the reference solution must vanish at y=0")
+        return None
 
     def rows(y):
         b, r = rho_mat(y)
@@ -303,72 +336,47 @@ def _neville_to_zero(xs, ys):
     """Polynomial extrapolation of (xs, ys) to x = 0."""
     xs = list(map(float, xs))
     t = list(map(float, ys))
-    n = len(t)
-    for m in range(1, n):
-        for i in range(n - m):
+    for m in range(1, len(t)):
+        for i in range(len(t) - m):
             t[i] = (xs[i + m] * t[i] - xs[i] * t[i + 1]) / (xs[i + m] - xs[i])
     return t[0]
 
 
-def check_energy_identity(conv: GeometryConventions, ident: str,
-                          field: InvariantField, eps: float,
-                          spec: QuadratureSpec,
-                          consts: BoundConstants | None) -> CheckReport:
-    """One identity of the energy bookkeeping on a solution field.  Only the
-    CONSTANTS_IDENTITIES read consts: cutoff-limit and route-match the
-    reference solution's cutoff sweep, weighted-bound the constant C."""
-    if ident not in IDENTITY_IDS:
+def check_energy_identity(conv: GeometryConventions, ident: str, *,
+                          tol: float = 1e-6, at_eps: Norms | None = None,
+                          full_line: Norms | None = None,
+                          sweep: CutoffSweep | None = None,
+                          consts: BoundConstants | None = None) -> CheckReport:
+    """One identity of the energy bookkeeping on a solution field, from its
+    IDENTITY_INPUTS only; tol is that of the identities with two sides."""
+    if ident not in IDENTITY_INPUTS:
         raise ValueError(f"unknown identity id {ident!r}")
-    _require_solution(conv, field, eps)
-    sp = spec.with_eps(eps)
+    norms = at_eps if at_eps is not None else full_line
+    if norms is not None:
+        _require_solution(conv, norms.field, norms.eps)
 
-    if ident == "first-order-balance":
-        lhs, err = l2_norm_sq(
-            density_fn(conv, field, ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq")), sp
-        )
-        cubic, mixed = boundary_terms(conv, field, eps)
-        rhs = cubic + mixed
+    if ident in _BALANCES:
+        rows = at_eps.rows
+        cubic, mixed = boundary_terms(conv, at_eps.field, at_eps.eps)
+        if ident == "first-order-balance":
+            (lhs, err), rhs = rows["first_order"], cubic + mixed
+        elif ident == "square-completion":
+            (full_grad, e1), (rhs, e2) = rows["full_grad"], rows["completed"]
+            lhs, err = full_grad - cubic, e1 + e2
+        else:
+            (lhs, err), rhs = _bulk_balance(at_eps), mixed
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
         return make_check(
-            "energy-first-order-balance",
-            "first-order bulk norms equal the two boundary functionals",
-            computed=gap, expected=0.0, tolerance=1e-6,
-            extra={"lhs": lhs, "rhs": rhs, "quad_error": err, "eps": eps},
-        )
-
-    if ident == "square-completion":
-        (full_grad, rhs), (e1, e2) = _norms(density_rows(
-            conv, field, (("nabla_bar_sq", "dyphi_sq", "phi2_sq"),
-                          ("nabla_bar_sq", "S_sq"))), sp)
-        cubic, _ = boundary_terms(conv, field, eps)
-        lhs = full_grad - cubic
-        gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
-        return make_check(
-            "energy-square-completion",
-            "cross term of the completed square equals the cubic boundary term",
-            computed=gap, expected=0.0, tolerance=1e-6,
-            extra={"lhs": lhs, "rhs": rhs, "quad_error": e1 + e2, "eps": eps},
-        )
-
-    if ident == "bulk-boundary-balance":
-        lhs, rhs, err = _bulk_balance(conv, field, eps, spec)
-        gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
-        return make_check(
-            "energy-bulk-boundary-balance",
-            "bulk energy above the cutoff equals the mixed boundary term",
-            computed=gap, expected=0.0, tolerance=1e-6,
-            extra={"lhs": lhs, "rhs": rhs, "quad_error": err, "eps": eps},
+            f"energy-{ident}", _BALANCES[ident],
+            computed=gap, expected=0.0, tolerance=tol,
+            extra={"lhs": lhs, "rhs": rhs, "quad_error": err, "eps": at_eps.eps},
         )
 
     if ident == "cutoff-limit":
-        combos = [row[2] for row in consts.cutoff]
-        inc1 = abs(combos[1] - combos[0])
-        inc2 = abs(combos[2] - combos[1])
-        ratio = inc2 / max(inc1, 1e-30)
-        slopes = []
-        for comp in range(2):
-            vals = [abs(row[comp]) for row in consts.cutoff]
-            slopes.append(float(np.polyfit(np.log10(CUTOFF_EPS), np.log10(vals), 1)[0]))
+        combos = [row[2] for row in sweep.rows]
+        ratio = abs(combos[2] - combos[1]) / max(abs(combos[1] - combos[0]), 1e-30)
+        slopes = [float(np.polyfit(np.log10(CUTOFF_EPS), np.log10(
+            [abs(row[comp]) for row in sweep.rows]), 1)[0]) for comp in range(2)]
         ok = (0.02 <= ratio <= 0.5) and all(abs(s + 1.0) <= 0.05 for s in slopes)
         return make_check(
             "energy-cutoff-limit",
@@ -376,59 +384,68 @@ def check_energy_identity(conv: GeometryConventions, ident: str,
             "each summand grows like 1/eps",
             computed=ratio, ok=bool(ok),
             extra={"eps": list(CUTOFF_EPS), "combos": combos,
-                   "limit": consts.cutoff_limit, "summand_slopes": slopes},
+                   "limit": sweep.limit, "summand_slopes": slopes},
         )
 
     if ident == "route-match":
         # the cutoff-limit constant belongs to the reference solution; the
         # deviation terms carry a general solution's route onto it
-        limit = consts.cutoff_limit
-        (direct, cross, rsq), (err, cross_err, rsq_err) = _norms(
-            _with_rho_rows(field, density_rows(conv, field, (_BULK,))), spec,
-            from_zero=True)
+        if "cross" not in full_line.rows:
+            raise ValueError("deviation from the reference solution must vanish at y=0")
+        (direct, err), (cross, cross_err), (rsq, rsq_err) = (
+            full_line.rows[k] for k in ("bulk", "cross", "rho_sq"))
         direct += cross + 2.0 * rsq
-        gap = abs(direct - limit) / max(abs(direct), 1e-30)
+        gap = abs(direct - sweep.limit) / max(abs(direct), 1e-30)
         return make_check(
             "energy-route-match",
             "cutoff-limit constant equals the direct full-line energy integral",
-            computed=gap, expected=0.0, tolerance=1e-6,
-            extra={"limit": limit, "direct": direct,
+            computed=gap, expected=0.0, tolerance=tol,
+            extra={"limit": sweep.limit, "direct": direct,
                    "quad_error": err + (cross_err + 2.0 * rsq_err)},
         )
 
     if ident == "weighted-bound":
-        (lhs, s_sq), (err, e2) = _norms(
-            density_rows(conv, field, (("F_sq", "nabla_bar_sq"), ("S_sq",))), spec,
-            from_zero=True)
+        (lhs, err), (s_sq, e2) = full_line.rows["F_nabla"], full_line.rows["S_sq"]
         lhs += 0.5 * s_sq
-        bound = consts.C
         return make_check(
             "energy-weighted-bound",
             "weighted energy with half coefficient on the completed square "
             "stays below the assembled constant",
-            computed=lhs, ok=lhs <= bound,
-            extra={"lhs": lhs, "bound": bound, "quad_error": err + 0.5 * e2},
+            computed=lhs, ok=lhs <= consts.C,
+            extra={"lhs": lhs, "bound": consts.C, "quad_error": err + 0.5 * e2},
         )
 
     raise AssertionError("unreachable")
 
 
-def _bulk_balance(conv, field, eps, spec: QuadratureSpec):
-    """(bulk energy above eps, mixed boundary term, quadrature error) of the
-    bulk/boundary balance; the bulk norms share one quadrature pass."""
-    (lhs, two_phi), (err, e2) = _norms(
-        density_rows(conv, field, (_BULK, ("phi_sq",))), spec.with_eps(eps))
-    _, rhs = boundary_terms(conv, field, eps)
-    return lhs + 2.0 * two_phi, rhs, err + 2 * e2
+def _bulk_balance(norms: Norms):
+    """(bulk energy above eps, quadrature error) of the bulk/boundary
+    balance, from the norms' bulk and phi_sq rows."""
+    (lhs, err), (two_phi, e2) = norms.rows["bulk"], norms.rows["phi_sq"]
+    return lhs + 2.0 * two_phi, err + 2 * e2
 
 
 def eps_sweep_rows(conv, field, eps_list, spec: QuadratureSpec):
     """Rows (eps, lhs, rhs, gap) of the bulk/boundary balance for CSV export."""
     rows = []
     for eps in eps_list:
-        lhs, rhs, _ = _bulk_balance(conv, field, eps, spec)
+        lhs, _ = _bulk_balance(
+            field_norms(conv, field, spec.with_eps(eps), _BALANCE_ROWS))
+        rhs = boundary_terms(conv, field, eps)[1]
         rows.append((eps, lhs, rhs, lhs - rhs))
     return rows
+
+
+# rows: (bulk 2|phi|^2, mixed term, combination) per CUTOFF_EPS; limit at eps=0
+CutoffSweep = namedtuple("CutoffSweep", "rows limit")
+
+
+def cutoff_sweep(conv: GeometryConventions, spec: QuadratureSpec) -> CutoffSweep:
+    """The reference solution's cutoff sweep; one per run, like BoundConstants."""
+    model = nahm_pole_invariant_solution()
+    _require_solution(conv, model)
+    rows = tuple(cutoff_combination(conv, model, e, spec)[:3] for e in CUTOFF_EPS)
+    return CutoffSweep(rows, _neville_to_zero(CUTOFF_EPS, [row[2] for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +641,10 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Engine constants of the curvature-energy bound, with the reference
-    solution's cutoff sweep.  `bound_constants` builds them once per run,
-    and the checks that use them take this value."""
+    """Engine constants of the curvature-energy bound.  A run integrates each
+    (field, layout) pair once: the reference solution's passes (Norms) and
+    the values built from them, these constants and the CutoffSweep, are
+    built once per run, and every check that uses one takes that value."""
 
     c_decay: float
     c19: float
@@ -636,16 +654,13 @@ class BoundConstants:
     c_limit: float        # direct full-line energy of the reference solution
     c_limit_error: float
     C: float              # c_limit + 2 c_pert
-    cutoff: tuple         # (bulk, mixed, combination) at each of CUTOFF_EPS
-    cutoff_limit: float   # the combinations extrapolated to eps = 0
 
 
-def bound_constants(conv: GeometryConventions, spec: QuadratureSpec) -> BoundConstants:
+def bound_constants(full_line: Norms) -> BoundConstants:
     """Engine constants of the curvature-energy bound: the cutoff-limit
-    constant of the model, the perturbation constant, and their combination
-    C = c_limit + 2 c_pert; and the model's cutoff sweep."""
-    model = nahm_pole_invariant_solution()
-    direct, err = l2_norm_sq(density_fn(conv, model, _BULK), spec, from_zero=True)
+    constant of the model (the bulk row of its from-zero pass), the
+    perturbation constant, and their combination C = c_limit + 2 c_pert."""
+    direct, err = full_line.rows["bulk"]
     c2 = c_decay()
     c19 = 0.5 * VOL_S3 * c2 * c2 * math.exp(-4.0)
     w_abs = math.sqrt(OMEGA_NORM_SQ)
@@ -657,35 +672,29 @@ def bound_constants(conv: GeometryConventions, spec: QuadratureSpec) -> BoundCon
     c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_model_sq_near)
     c24b = 0.5 * VOL_S3 * OMEGA_NORM_SQ
     c_pert = c19 + c24a + c24b
-    cutoff = tuple(cutoff_combination(conv, model, e, spec)[:3] for e in CUTOFF_EPS)
     return BoundConstants(
         c_decay=c2, c19=c19, c24a=c24a, c24b=c24b, c_pert=c_pert,
         c_limit=direct, c_limit_error=err, C=direct + 2.0 * c_pert,
-        cutoff=cutoff,
-        cutoff_limit=_neville_to_zero(CUTOFF_EPS, [row[2] for row in cutoff]),
     )
 
 
-def theorem_bound_report(conv: GeometryConventions, field: InvariantField,
-                         spec: QuadratureSpec, consts: BoundConstants) -> EnergyReport:
-    """Full accounting of the curvature-energy bound for one solution."""
-    _require_solution(conv, field)
+def theorem_bound_report(conv: GeometryConventions, full_line: Norms,
+                         consts: BoundConstants) -> EnergyReport:
+    """Full accounting of the curvature-energy bound for one solution, from
+    its from-zero pass (full_line_norms)."""
+    _require_solution(conv, full_line.field)
     rep = EnergyReport(entries=[])
-    rows = density_rows(conv, field, (("F_sq",), ("nabla_bar_sq",), ("S_sq",)))
-    try:
-        rows = _with_rho_rows(field, rows)
-    except ValueError:
-        route = None
-    else:
+    rows = full_line.rows
+    (f_sq, f_err), (g_sq, g_err), (s_sq, s_err) = (
+        rows[k] for k in ("F_sq", "nabla_bar_sq", "S_sq"))
+    if "cross" in rows:  # the deviation rows: cross term and |rho|^2
+        (cross, cross_err), (rho_sq, rsq_err) = rows["cross"], rows["rho_sq"]
+        rho_sq, rho_err = 2.0 * rho_sq, cross_err + 2.0 * rsq_err
         route = "left side of the constant-route identity"
-    vals, errs = _norms(rows, spec, from_zero=True)
-    (f_sq, g_sq, s_sq), (f_err, g_err, s_err) = vals[:3], errs[:3]
-    if route is None:
+    else:
         cross, rho_sq, rho_err = 0.0, 0.0, 0.0
         route = ("field is not a boundary-vanishing deviation of the "
                  "reference solution; route terms omitted")
-    else:  # the deviation rows: cross term and |rho|^2
-        cross, rho_sq, rho_err = vals[3], 2.0 * vals[4], errs[3] + 2.0 * errs[4]
 
     rep.add("curvature_l2_sq", f_sq, f_err, "Yang-Mills energy of the field")
     rep.add("tangential_gradient_l2_sq", g_sq, g_err)

@@ -54,13 +54,19 @@ def _is_exact(m) -> bool:
 def wedge_bracket_matrix(u, v):
     """Coefficient matrix of the bracket-wedge [u ^ v] of two tangential
     1-forms, expressed in the (t_m, hat{e}_c) basis:
-    out[m][c] = sum eps_ijm eps_abc u[i][a] v[j][b]."""
-    rows = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    out[m][c] = sum eps_ijm eps_abc u[i][a] v[j][b], summed from 0 in
+    EPS_TABLE order into one preallocated array."""
+    out = None
     for i, j, m, sij in EPS_TABLE:
         for a, b, c, sab in EPS_TABLE:
-            rows[m][c] = rows[m][c] + sij * sab * u[i][a] * v[j][b]
-    exact = _is_exact(u) or _is_exact(v)
-    return np.array(rows, dtype=object if exact else None)
+            term = sij * sab * u[i][a] * v[j][b]
+            if out is None:
+                exact = _is_exact(u) or _is_exact(v)
+                out = np.zeros((3, 3) + np.shape(term),
+                               dtype=object if exact else np.asarray(term).dtype)
+            out[m, c] += term
+            del term  # so that only the next term's temporaries join out
+    return out
 
 
 def half_of(m):
@@ -197,26 +203,16 @@ def taubes_lhs(conv: GeometryConventions, field, y) -> float:
 def ricci_tensor(c: int):
     """Ricci tensor of the invariant metric, computed from the frame bracket
     [E_a, E_b] = c eps_abc E_c through the Koszul formula; exact.  It
-    depends on the structure constant alone."""
-    c = Fraction(c)
-    eps = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    depends on the structure constant alone.  With g = 2 Gamma = c eps, the
+    bracket constants, 4 Ric is a sum of integers, divided by 4 once."""
+    g = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for i, j, k, s in EPS_TABLE:
-        eps[i][j][k] = Fraction(s)
-    gam = [[[c * eps[a][b][k] / 2 for k in range(3)] for b in range(3)] for a in range(3)]
-    brk = [[[c * eps[a][b][k] for k in range(3)] for b in range(3)] for a in range(3)]
-
-    def riem(a, b, cc):
-        out = [Fraction(0)] * 3
-        for d in range(3):
-            for e in range(3):
-                out[e] += gam[b][cc][d] * gam[a][d][e] - gam[a][cc][d] * gam[b][d][e]
-        for d in range(3):
-            for e in range(3):
-                out[e] -= brk[a][b][d] * gam[d][cc][e]
-        return out
-
-    ric = [[sum(riem(a, b, cc)[a] for a in range(3)) for cc in range(3)] for b in range(3)]
-    return np.array(ric, dtype=object)
+        g[i][j][k] = c * s
+    n = range(3)
+    return np.array([[Fraction(sum(
+        g[b][cc][d] * g[a][d][a] - g[a][cc][d] * g[b][d][a]
+        - 2 * g[a][b][d] * g[d][cc][a] for a in n for d in n), 4)
+        for cc in n] for b in n], dtype=object)
 
 
 def _is_twice_metric(ric) -> bool:

@@ -16,7 +16,9 @@ back (k,) values and (k,) error estimates.  Each row adds up in one fixed
 order: nodes in order within a panel, the panel totals left to right (as
 builtin sum, not the pairwise np.sum), then the parts of the layout left to
 right.  So a row's float is the one its integrand alone would give, and
-integrands that share a layout are evaluated in one pass.
+integrands that share a layout are evaluated in one pass.  The energy
+suite keeps to that: each (field, layout) pair is integrated once per run,
+as one pass of all the rows its checks read (energy.field_norms).
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ class QuadratureSpec:
 def _gl_nodes(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
-
-
-def _edges_geometric(lo: float, hi: float, panels: int):
-    return np.geomspace(lo, hi, panels + 1)
-
-
-def _edges_uniform(lo: float, hi: float, panels: int):
-    return np.linspace(lo, hi, panels + 1)
 
 
 _MATH_EXP = np.frompyfunc(math.exp, 1, 1)
@@ -135,11 +129,12 @@ def _doubled(f, layout, panels: int, nodes: int):
 
 
 def _halfline(f, spec: QuadratureSpec, lo: float, head_edges):
-    """Head [lo, y_split] laid out by head_edges, uniform body up to y_max,
-    and the tail bound beyond it."""
+    """Head [lo, y_split] with edges head_edges(lo, y_split, panels + 1)
+    (np.geomspace or np.linspace), uniform body up to y_max, and the tail
+    bound beyond it."""
     fine, err = _doubled(
-        f, lambda p: (head_edges(lo, spec.y_split, p),
-                      _edges_uniform(spec.y_split, spec.y_max, p)),
+        f, lambda p: (head_edges(lo, spec.y_split, p + 1),
+                      np.linspace(spec.y_split, spec.y_max, p + 1)),
         spec.panels, spec.nodes_per_panel)
     return fine, err + _tail(f, spec)
 
@@ -148,23 +143,21 @@ def integrate_halfline(f, spec: QuadratureSpec, geometric_head: bool = True):
     """int_{eps}^{inf} f(y) dy with the panel layout described above; f
     takes an array of nodes and returns the integrand at each."""
     return _halfline(f, spec, spec.eps,
-                     _edges_geometric if geometric_head else _edges_uniform)
+                     np.geomspace if geometric_head else np.linspace)
 
 
 def integrate_smooth_from_zero(f, spec: QuadratureSpec):
     """int_0^inf f dy for integrands continuous at y = 0 (uniform head)."""
-    return _halfline(f, spec, 0.0, _edges_uniform)
+    return _halfline(f, spec, 0.0, np.linspace)
 
 
 def integrate_interval(f, lo: float, hi: float, panels: int = 16, nodes: int = 16):
     """int_lo^hi f dy with a doubling-based error estimate."""
-    return _doubled(f, lambda p: (_edges_uniform(lo, hi, p),), panels, nodes)
+    return _doubled(f, lambda p: (np.linspace(lo, hi, p + 1),), panels, nodes)
 
 
 def l2_norm_sq(density, spec: QuadratureSpec, from_zero: bool = False):
     """vol(S^3) * int density(y) dy; density must be a pointwise norm^2."""
-    if from_zero:
-        v, e = integrate_smooth_from_zero(density, spec)
-    else:
-        v, e = integrate_halfline(density, spec)
+    v, e = (integrate_smooth_from_zero if from_zero else integrate_halfline)(
+        density, spec)
     return VOL_S3 * v, VOL_S3 * e

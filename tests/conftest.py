@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kwlab.energy import bound_constants
+from kwlab.energy import bound_constants, cutoff_sweep, full_line_norms
 from kwlab.forms import calibrate
+from kwlab.profiles import nahm_pole_invariant_solution
 from kwlab.quadrature import QuadratureSpec
 
 _ACCEPTANCE_LINES = []
@@ -35,8 +36,19 @@ def quad_spec():
 
 
 @pytest.fixture(scope="session")
-def consts(conv, quad_spec):
-    return bound_constants(conv, quad_spec)
+def full_line(conv, quad_spec):
+    """The reference solution's from-zero pass, as the energy suite builds it."""
+    return full_line_norms(conv, nahm_pole_invariant_solution(), quad_spec)
+
+
+@pytest.fixture(scope="session")
+def sweep(conv, quad_spec):
+    return cutoff_sweep(conv, quad_spec)
+
+
+@pytest.fixture(scope="session")
+def consts(full_line):
+    return bound_constants(full_line)
 
 
 @pytest.fixture(scope="session")

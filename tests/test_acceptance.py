@@ -101,8 +101,9 @@ def test_criterion_03_decomposition_suite():
 
 def test_criterion_04_energy_balance(conv, quad_spec):
     model = nahm_pole_invariant_solution()
-    rep = energy.check_energy_identity(conv, "bulk-boundary-balance", model,
-                                       0.05, quad_spec, None)
+    rep = energy.check_energy_identity(
+        conv, "bulk-boundary-balance", at_eps=energy.field_norms(
+            conv, model, quad_spec.with_eps(0.05), energy.CUTOFF_ROWS))
     ok = rep.status == "pass" and rep.computed <= 1e-6 and (
         "quad_error" in rep.extra)
     _check("criterion-04 bulk/boundary balance at eps=0.05", ok,
@@ -110,17 +111,15 @@ def test_criterion_04_energy_balance(conv, quad_spec):
            f"error budget {rep.extra['quad_error']:.2e}")
 
 
-def test_criterion_05_cutoff_limit(conv, quad_spec, consts):
-    model = nahm_pole_invariant_solution()
-    rep = energy.check_energy_identity(conv, "cutoff-limit", model, 0.05,
-                                       quad_spec, consts)
+def test_criterion_05_cutoff_limit(conv, full_line, sweep):
+    rep = energy.check_energy_identity(conv, "cutoff-limit", sweep=sweep)
     combos = rep.extra["combos"]
     inc1 = abs(combos[1] - combos[0])
     inc2 = abs(combos[2] - combos[1])
     cauchy_linear = 0.05 <= inc2 / inc1 <= 0.2
     slopes_ok = all(abs(s + 1.0) <= 0.05 for s in rep.extra["summand_slopes"])
-    route = energy.check_energy_identity(conv, "route-match", model, 0.05,
-                                         quad_spec, consts)
+    route = energy.check_energy_identity(conv, "route-match",
+                                         full_line=full_line, sweep=sweep)
     ok = rep.status == "pass" and cauchy_linear and slopes_ok and \
         route.computed <= 1e-6
     _check("criterion-05 divergence cancellation / constant routes", ok,
@@ -129,11 +128,12 @@ def test_criterion_05_cutoff_limit(conv, quad_spec, consts):
            f"route gap {route.computed:.2e}")
 
 
-def test_criterion_06_model_constant(conv, quad_spec):
-    val, err, parts = energy.c_model(conv, quad_spec)
-    val2, _, _ = energy.c_model(conv, quad_spec.refined())
-    stable = abs(val - val2) / val <= 1e-8
+def test_criterion_06_model_constant(conv, quad_spec, full_line):
     model = nahm_pole_invariant_solution()
+    val, err, parts = energy.c_model(full_line)
+    val2, _, _ = energy.c_model(energy.field_norms(
+        conv, model, quad_spec.refined(), energy.C_MODEL_ROWS, from_zero=True))
+    stable = abs(val - val2) / val <= 1e-8
     env_ok = True
     for key in ("F_sq", "S_sq"):
         dens = energy.density_fn(conv, model, (key,))
@@ -146,16 +146,15 @@ def test_criterion_06_model_constant(conv, quad_spec):
            f"{abs(val - val2) / val:.2e}, envelope ok")
 
 
-def test_criterion_07_bound_instance(conv, quad_spec, consts):
-    model = nahm_pole_invariant_solution()
-    rep = energy.theorem_bound_report(conv, model, quad_spec, consts)
+def test_criterion_07_bound_instance(conv, full_line, consts):
+    rep = energy.theorem_bound_report(conv, full_line, consts)
     f_sq = rep.get("curvature_l2_sq").value
     c_limit = rep.get("c_limit").value
     other = (rep.get("tangential_gradient_l2_sq").value
              + rep.get("completed_square_l2_sq").value)
     slack = c_limit - f_sq
-    weighted = energy.check_energy_identity(conv, "weighted-bound", model,
-                                            0.05, quad_spec, consts)
+    weighted = energy.check_energy_identity(conv, "weighted-bound",
+                                            full_line=full_line, consts=consts)
     ok = (slack > 0 and abs(slack - other) <= 1e-6 * c_limit
           and weighted.status == "pass")
     _check("criterion-07 curvature-energy bound instance", ok,

@@ -196,21 +196,107 @@ def test_guard_reports_exception_detail(tmp_path, monkeypatch, capsys):
     assert f"c-model-stability: ZeroDivisionError raised at {where}: boom" in err
 
 
+def _energy_failures(tmp_path):
+    """Check id -> entry of each check that failed in an energy run, which
+    must keep all twelve checks."""
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "energy", "--n-pert", "1",
+                 "--out", str(out)]) == 1
+    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert len(by_id) == 12
+    return {cid: c for cid, c in by_id.items() if c["status"] == "fail"}
+
+
 def test_failed_constants_fail_only_their_checks(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise ZeroDivisionError("no constants")
 
     monkeypatch.setattr(energy, "bound_constants", boom)
-    out = tmp_path / "r.json"
-    assert main(["verify", "--suite", "energy", "--n-pert", "1",
-                 "--out", str(out)]) == 1
-    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
-    failed = {"energy-cutoff-limit", "energy-route-match", "energy-weighted-bound",
-              "perturbation-chain", "theorem-bound"}
-    for cid in failed:
-        assert by_id[cid]["detail"] == "check raised: no constants"
-    assert {cid for cid, c in by_id.items() if c["status"] == "fail"} == failed
-    assert len(by_id) == 12
+    failed = _energy_failures(tmp_path)
+    assert set(failed) == {"energy-weighted-bound", "perturbation-chain",
+                           "theorem-bound"}
+    for c in failed.values():
+        assert c["detail"] == "check raised: no constants"
+
+
+def test_failed_sweep_fails_only_its_checks(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("no sweep")
+
+    monkeypatch.setattr(energy, "cutoff_sweep", boom)
+    failed = _energy_failures(tmp_path)
+    assert set(failed) == {"energy-cutoff-limit", "energy-route-match"}
+    for c in failed.values():
+        assert c["detail"] == "check raised: no sweep"
+
+
+@pytest.mark.parametrize("shared, readers", [
+    # bound_constants reads the from-zero pass too, so its readers fail
+    ("full_line", {"energy-route-match", "energy-weighted-bound",
+                   "c-model-stability", "theorem-bound", "perturbation-chain"}),
+    ("at_eps", {"energy-first-order-balance", "energy-square-completion",
+                "energy-bulk-boundary-balance"}),
+])
+def test_failed_shared_pass_fails_only_its_readers(tmp_path, monkeypatch,
+                                                   shared, readers):
+    # a raise in the build of one of the reference solution's shared passes;
+    # the refined c_model pass goes through field_norms too and still runs
+    field_norms = energy.field_norms
+
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("no pass")
+
+    def at_eps_fails(conv, field, spec, rows, **kwargs):
+        if rows is energy.CUTOFF_ROWS:
+            boom()
+        return field_norms(conv, field, spec, rows, **kwargs)
+
+    if shared == "full_line":
+        monkeypatch.setattr(energy, "full_line_norms", boom)
+    else:
+        monkeypatch.setattr(energy, "field_norms", at_eps_fails)
+    failed = _energy_failures(tmp_path)
+    assert set(failed) == readers
+    for c in failed.values():
+        assert c["detail"] == "check raised: no pass"
+
+
+def _panel_calls(monkeypatch, argv) -> int:
+    """integrate_panels calls made by one in-process command."""
+    from kwlab import quadrature
+
+    calls = [0]
+    panels = quadrature.integrate_panels
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return panels(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_panels", counted)
+    assert main(argv) == 0
+    return calls[0]
+
+
+def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
+    # 4 calls per half-line pass (two parts at two panel counts), 2 per
+    # interval: the shared from-zero and at-eps passes, the three sweep
+    # cutoffs, the refined c_model pass, two charges, the constants' near
+    # interval and one chain block (interval and half-line): 40 (64 when
+    # every check integrated its own pass)
+    argv = ["verify", "--suite", "energy", "--n-pert", "3",
+            "--out", str(tmp_path / "r.json")]
+    assert _panel_calls(monkeypatch, argv) == 40
+
+
+@pytest.mark.parametrize("model, calls", [("he", 22), ("alt", 26)])
+def test_energy_command_integrates_each_layout_once(tmp_path, monkeypatch,
+                                                    model, calls):
+    # the reference pass (4), the constants' near interval (2), the charge
+    # (4) and the three sweep rows (12); alt adds its own bound pass (4).
+    # 42 for either model when the constants carried the cutoff sweep and
+    # every producer integrated its own pass
+    argv = ["energy", "--model", model, "--out", str(tmp_path / "e.json")]
+    assert _panel_calls(monkeypatch, argv) == calls
 
 
 def test_benchmark_trace_hooks_resolve(tmp_path):

@@ -1,14 +1,18 @@
 """Energy identities, constants, perturbation chain, bound assembly."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kwlab import jets
+from kwlab.config import build_config, load_config
 from kwlab.energy import (
     BLOCK,
+    C_MODEL_ROWS,
+    CUTOFF_ROWS,
     DENSITY_KEYS,
     OMEGA_NORM_SQ,
     boundary_terms,
@@ -21,10 +25,13 @@ from kwlab.energy import (
     density_rows,
     eps_sweep_rows,
     exp_decay_q,
+    field_norms,
+    full_line_norms,
     perturbation_chain,
     random_perturbations,
     theorem_bound_report,
     topological_charge,
+    _with_rho_rows,
 )
 from kwlab.forms import EPS_TABLE, frob_inner, wedge_bracket_matrix
 from kwlab.jets import Jet2
@@ -354,9 +361,10 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
 
 
 def test_identity_checks_on_model(conv, quad_spec, model):
+    at_eps = field_norms(conv, model, quad_spec.with_eps(0.05), CUTOFF_ROWS)
     for ident in ("first-order-balance", "square-completion",
                   "bulk-boundary-balance"):
-        rep = check_energy_identity(conv, ident, model, 0.05, quad_spec, None)
+        rep = check_energy_identity(conv, ident, at_eps=at_eps)
         assert rep.status == "pass", rep
         assert rep.computed <= 1e-6
         assert rep.extra["quad_error"] < 1e-6
@@ -367,15 +375,15 @@ def test_identity_rejects_non_solutions(conv, quad_spec):
         scaled_matrix_profile(lambda jy: jy * 0 + 1.0, I3),
         scaled_matrix_profile(lambda jy: 1 / jy, I3),
     )
+    at_eps = field_norms(conv, bad, quad_spec.with_eps(0.05), CUTOFF_ROWS)
     with pytest.raises(ValueError, match="not a solution"):
-        check_energy_identity(conv, "bulk-boundary-balance", bad, 0.05, quad_spec,
-                              None)
+        check_energy_identity(conv, "bulk-boundary-balance", at_eps=at_eps)
     with pytest.raises(ValueError, match="unknown identity"):
-        check_energy_identity(conv, "nope", bad, 0.05, quad_spec, None)
+        check_energy_identity(conv, "nope")
 
 
-def test_cutoff_limit_and_route(conv, quad_spec, model, consts):
-    rep = check_energy_identity(conv, "cutoff-limit", model, 0.05, quad_spec, consts)
+def test_cutoff_limit_and_route(conv, quad_spec, model, full_line, sweep):
+    rep = check_energy_identity(conv, "cutoff-limit", sweep=sweep)
     assert rep.status == "pass"
     combos = rep.extra["combos"]
     inc1 = abs(combos[1] - combos[0])
@@ -384,10 +392,11 @@ def test_cutoff_limit_and_route(conv, quad_spec, model, consts):
     for slope in rep.extra["summand_slopes"]:
         assert abs(slope + 1.0) <= 0.05
 
-    route = check_energy_identity(conv, "route-match", model, 0.05, quad_spec, consts)
+    route = check_energy_identity(conv, "route-match", full_line=full_line,
+                                  sweep=sweep)
     assert route.status == "pass" and route.computed <= 1e-6
-    # the sweep in consts is the model's cutoff combination at each cutoff
-    for eps, row in zip(rep.extra["eps"], consts.cutoff):
+    # the sweep is the model's cutoff combination at each cutoff
+    for eps, row in zip(rep.extra["eps"], sweep.rows):
         assert cutoff_combination(conv, model, eps, quad_spec)[:3] == row
 
 
@@ -402,9 +411,10 @@ def test_divergence_cancellation_monotone(conv, quad_spec, model):
     assert all(g < 1e-8 for g in gaps)
 
 
-def test_c_model_finite_stable(conv, quad_spec):
-    val, err, parts = c_model(conv, quad_spec)
-    val2, _, _ = c_model(conv, quad_spec.refined())
+def test_c_model_finite_stable(conv, quad_spec, model, full_line):
+    val, err, parts = c_model(full_line)
+    val2, _, _ = c_model(field_norms(conv, model, quad_spec.refined(),
+                                     C_MODEL_ROWS, from_zero=True))
     assert abs(val - val2) / val <= 1e-8
     assert parts["F_l2_sq"] > 0 and parts["S_l2_sq"] > 0
     # second summand equals the norm of the tangential curvature part:
@@ -413,6 +423,64 @@ def test_c_model_finite_stable(conv, quad_spec):
         lambda y: 1.5 * (pole_scalars(y)[0] ** 2 - 2 * pole_scalars(y)[0]) ** 2,
         quad_spec, from_zero=True)
     assert math.isclose(parts["S_l2_sq"], sq, rel_tol=1e-10)
+
+
+_BULK = ("F_sq", "nabla_bar_sq", "S_sq")
+_ACCEPTANCE_SPEC = build_config(load_config(os.path.join(
+    os.path.dirname(__file__), "..", "configs", "acceptance.cfg")), {}).quadrature()
+
+
+def _per_producer_passes(conv, field, spec, eps):
+    """Every row as each producer integrated it in its own pass, before the
+    suite shared one pass per layout: (pass, row name, (value, error))."""
+    def own(groups, sp, from_zero, route=False):
+        rows = density_rows(conv, field, groups)
+        v, e = l2_norm_sq(_with_rho_rows(field, rows) if route else rows, sp,
+                          from_zero)
+        return list(zip(v.tolist(), e.tolist()))
+
+    at_eps = spec.with_eps(eps)
+    out = [("full_line", "bulk",  # bound_constants' c_limit
+            l2_norm_sq(density_fn(conv, field, _BULK), spec, from_zero=True))]
+    out += zip(["full_line"] * 3, ("bulk", "cross", "rho_sq"),  # route-match
+               own((_BULK,), spec, True, route=True))
+    out += zip(["full_line"] * 2, ("F_nabla", "S_sq"),  # weighted-bound
+               own((("F_sq", "nabla_bar_sq"), ("S_sq",)), spec, True))
+    out += zip(["full_line"] * 2, ("F_sq", "S_sq"),  # c_model
+               own((("F_sq",), ("S_sq",)), spec, True))
+    out += zip(["refined"] * 2, ("F_sq", "S_sq"),  # c_model, refined
+               own((("F_sq",), ("S_sq",)), spec.refined(), True))
+    out += zip(["full_line"] * 5,  # theorem_bound_report
+               ("F_sq", "nabla_bar_sq", "S_sq", "cross", "rho_sq"),
+               own((("F_sq",), ("nabla_bar_sq",), ("S_sq",)), spec, True,
+                   route=True))
+    out.append(("at_eps", "first_order", l2_norm_sq(density_fn(  # first-order
+        conv, field, ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq")), at_eps)))
+    out += zip(["at_eps"] * 2, ("full_grad", "completed"),  # square-completion
+               own((("nabla_bar_sq", "dyphi_sq", "phi2_sq"),
+                    ("nabla_bar_sq", "S_sq")), at_eps, False))
+    out += zip(["at_eps"] * 2, ("bulk", "phi_sq"),  # bulk-boundary-balance
+               own((_BULK, ("phi_sq",)), at_eps, False))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
+    spec = _ACCEPTANCE_SPEC
+    shared = {
+        "full_line": full_line_norms(conv, model, spec),
+        "refined": field_norms(conv, model, spec.refined(), C_MODEL_ROWS,
+                               from_zero=True),
+        "at_eps": field_norms(conv, model, spec.with_eps(eps), CUTOFF_ROWS),
+    }
+    assert shared["at_eps"].eps == eps and shared["full_line"].eps == 0.0
+    read = set()
+    for pass_, name, (value, error) in _per_producer_passes(conv, model, spec, eps):
+        got = shared[pass_].rows[name]
+        assert [x.hex() for x in got] == [value.hex(), error.hex()], (pass_, name)
+        read.add((pass_, name))
+    # every shared row is one that some producer integrated
+    assert read == {(p, k) for p, n in shared.items() for k in n.rows}
 
 
 def test_c_decay_envelope(conv):
@@ -556,8 +624,8 @@ def test_batched_chain_matches_per_perturbation_reference(conv, quad_spec, const
             assert (rep.status, rep.computed) == (ref.status, ref.computed)
 
 
-def test_theorem_bound_report(conv, quad_spec, model, consts):
-    rep = theorem_bound_report(conv, model, quad_spec, consts)
+def test_theorem_bound_report(conv, full_line, consts):
+    rep = theorem_bound_report(conv, full_line, consts)
     f_sq = rep.get("curvature_l2_sq").value
     c_limit = rep.get("c_limit").value
     bound = rep.get("bound_constant").value
@@ -577,13 +645,14 @@ def test_theorem_bound_flat_endpoint(conv, quad_spec, consts):
         scaled_matrix_profile(lambda jy: jy * 0 + 2.0, I3),
         scaled_matrix_profile(lambda jy: jy * 0, I3),
     )
-    rep = theorem_bound_report(conv, flat, quad_spec, consts)
+    rep = theorem_bound_report(conv, full_line_norms(conv, flat, quad_spec), consts)
     assert rep.get("curvature_l2_sq").value <= 1e-20
     assert rep.get("bound_constant").value > 0
 
 
-def test_weighted_bound_identity(conv, quad_spec, model, consts):
-    rep = check_energy_identity(conv, "weighted-bound", model, 0.05, quad_spec, consts)
+def test_weighted_bound_identity(conv, full_line, consts):
+    rep = check_energy_identity(conv, "weighted-bound", full_line=full_line,
+                                consts=consts)
     assert rep.status == "pass"
     assert rep.extra["lhs"] <= rep.extra["bound"]
 
