@@ -122,11 +122,6 @@ def star_vv(v):
     return half_of(wedge_bracket_matrix(v, v))
 
 
-def star_bracket(u, v):
-    """*3 [u, v] as a 1-form."""
-    return wedge_bracket_matrix(u, v)
-
-
 def _coeff_form(i, a, sign=F1):
     rows = [[F0] * 3 for _ in range(3)]
     rows[i][a] = Fraction(sign)
@@ -196,7 +191,7 @@ def appendix_star_table() -> list:
         for b in range(3):
             if a == b:
                 continue
-            got = project(1, star_bracket(MU[a], MU[b]))
+            got = project(1, wedge_bracket_matrix(MU[a], MU[b]))
             expect(
                 f"star-table-mu{a + 1}{b + 1}-perp",
                 got,
@@ -212,14 +207,14 @@ def appendix_star_table() -> list:
         for b in range(len(sym)):
             if a == b or {a, b} == {3, 4}:
                 continue
-            got = project(1, star_bracket(sym[a], sym[b]))
+            got = project(1, wedge_bracket_matrix(sym[a], sym[b]))
             expect(
                 f"star-table-nu-bracket-{a}{b}-perp",
                 got,
                 OMEGA * F0,
                 "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs",
             )
-    diag_part = project(1, star_bracket(NU_12, NU_13))
+    diag_part = project(1, wedge_bracket_matrix(NU_12, NU_13))
     checks.append(
         make_check(
             "star-table-nu-diag-bracket-v1",

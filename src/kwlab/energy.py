@@ -25,16 +25,18 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from .forms import (
     EPS_TABLE,
+    FieldAt,
     GeometryConventions,
     det3,
     frob_inner,
     kw_residual_norm,
+    matrix_first,
     wedge_bracket_matrix,
 )
 from .profiles import (
@@ -84,49 +86,11 @@ _BALANCES = {  # the identities on the cutoff pass: lhs = rhs
 # pointwise densities
 # ---------------------------------------------------------------------------
 
-def _matrix_first(m):
-    """(..., 3, 3) -> (3, 3, ...) as float64: m[i][a] is then entry (i, a) at
-    every node, which is how the forms kernels index matrices."""
-    return np.moveaxis(np.asarray(m, dtype=float), (-2, -1), (0, 1))
-
-
-class _FieldAt:
-    """Coefficient matrices of a field at y (a node or an array of nodes),
-    matrix axes first.  Each is formed on first use, so a density reads only
-    the profiles and brackets it needs."""
-
-    def __init__(self, conv: GeometryConventions, field: InvariantField, y):
-        self.c = conv.c
-        self._field = field
-        self._y = y
-
-    @cached_property
-    def _connection(self):
-        return [_matrix_first(m) for m in self._field.connection.eval(self._y)]
-
-    @cached_property
-    def _higgs(self):
-        return [_matrix_first(m) for m in self._field.higgs.eval(self._y)]
-
-    a = property(lambda self: self._connection[0])
-    n_f = property(lambda self: self._connection[1])  # normal curvature = a'
-    p = property(lambda self: self._higgs[0])
-    dp = property(lambda self: self._higgs[1])
-
-    @cached_property
-    def t_f(self):  # tangential curvature
-        return -self.c * self.a + 0.5 * wedge_bracket_matrix(self.a, self.a)
-
-    @cached_property
-    def phi2(self):
-        return 0.5 * wedge_bracket_matrix(self.p, self.p)
-
-
-def _nabla_bar_sq(m: _FieldAt):
+def _nabla_bar_sq(m: FieldAt):
     """|tangential covariant derivative of phi|^2 from the frame connection."""
     a, p = m.a, m.p
     total = 0.0
-    half_c = 0.5 * m.c
+    half_c = 0.5 * m.conv.c
     for ai in range(3):
         for b in range(3):
             vec = bracket(a[:, ai], p[:, b])
@@ -139,22 +103,20 @@ def _nabla_bar_sq(m: _FieldAt):
     return total
 
 
-def _f_minus_phi2_sq(m: _FieldAt):
+def _f_minus_phi2_sq(m: FieldAt):
     fm = m.t_f - m.phi2
     return 0.5 * (frob_inner(fm, fm) + frob_inner(m.n_f, m.n_f))
 
 
-def _d_a_phi_sq(m: _FieldAt):
-    t_dphi = -m.c * m.p + wedge_bracket_matrix(m.a, m.p)
-    return 0.5 * (frob_inner(t_dphi, t_dphi) + frob_inner(m.dp, m.dp))
+def _d_a_phi_sq(m: FieldAt):
+    return 0.5 * (frob_inner(m.t_dphi, m.t_dphi) + frob_inner(m.dp, m.dp))
 
 
-def _d_a_star_sq(m: _FieldAt):
-    div = sum(bracket(m.a[:, col], m.p[:, col]) for col in range(3))
-    return 0.5 * np.vecdot(div, div, axis=0)
+def _d_a_star_sq(m: FieldAt):
+    return 0.5 * np.vecdot(m.div, m.div, axis=0)
 
 
-def _s_sq(m: _FieldAt):
+def _s_sq(m: FieldAt):
     s_mat = m.dp + m.phi2
     return 0.5 * frob_inner(s_mat, s_mat)
 
@@ -176,8 +138,9 @@ DENSITY_KEYS = tuple(_DENSITIES)
 
 def densities(conv: GeometryConventions, field: InvariantField, y,
               keys=DENSITY_KEYS) -> dict:
-    """The named pointwise densities at y (a node or an array of nodes)."""
-    m = _FieldAt(conv, field, y)
+    """The named pointwise densities at y (a node or an array of nodes), in
+    float64."""
+    m = FieldAt(conv, field, y, float)
     return {k: _DENSITIES[k](m) for k in keys}
 
 
@@ -219,24 +182,18 @@ Norms = namedtuple("Norms", "field eps rows")
 
 
 def field_norms(conv, field, spec: QuadratureSpec, rows: dict,
-                from_zero: bool = False, deviation: bool = False) -> Norms:
+                from_zero: bool = False) -> Norms:
     """One pass over the rows (name -> density keys) of the field.  A row's
     floats do not depend on the other rows, so a check that reads one by
-    name gets the floats of its own pass.  With deviation, the rows "cross"
-    and "rho_sq" of the constant-route identity follow when the field
-    deviates from the reference solution by a rho vanishing at y = 0."""
-    names = tuple(rows)
-    f = density_rows(conv, field, tuple(rows.values()))
-    if deviation and (with_rho := _with_rho_rows(field, f)) is not None:
-        f, names = with_rho, names + ("cross", "rho_sq")
-    v, e = l2_norm_sq(f, spec, from_zero)
+    name gets the floats of its own pass."""
+    v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), spec,
+                      from_zero)
     return Norms(field, 0.0 if from_zero else spec.eps,
-                 dict(zip(names, zip(v.tolist(), e.tolist()))))
+                 dict(zip(rows, zip(v.tolist(), e.tolist()))))
 
 
-# full_line_norms(conv, field, spec): the FULL_LINE_ROWS and deviation rows
-full_line_norms = partial(field_norms, rows=FULL_LINE_ROWS, from_zero=True,
-                          deviation=True)
+# full_line_norms(conv, field, spec): the FULL_LINE_ROWS from zero
+full_line_norms = partial(field_norms, rows=FULL_LINE_ROWS, from_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +207,7 @@ def boundary_terms(conv: GeometryConventions, field: InvariantField, eps: float)
         cubic term  (2/3) int_{S^3} tr phi^3      -> 2 pi^2 det p(eps)
         mixed term  -2  int_{S^3} tr(phi ^ F_A)   -> -2 pi^2 <p, T_F>(eps).
     """
-    m = _FieldAt(conv, field, eps)
+    m = FieldAt(conv, field, eps, float)
     cubic = 2.0 * math.pi**2 * float(det3(m.p))
     mixed = -2.0 * math.pi**2 * float(frob_inner(m.p, m.t_f))
     return cubic, mixed
@@ -298,28 +255,6 @@ def _require_solution(conv, field, eps=1e-3, tol=1e-8):
     grid = np.geomspace(max(eps, 1e-3), 10.0, 24)
     if not np.max(kw_residual_norm(conv, field, grid)) <= tol:
         raise ValueError("not a solution: identity chain does not apply")
-
-
-def _with_rho_rows(field, head):
-    """The rows of the integrand head, then the two deviation densities of
-    the constant-route identity for phi = phi_model + rho:
-    -4 tr(phi_model ^ *rho) and |rho|^2; None unless the deviation vanishes
-    at the boundary."""
-    def rho_mat(y):  # matrix axes first
-        p = _matrix_first(field.higgs.eval(y)[0])
-        _, b, _, _ = pole_scalars(y)
-        return b, p - np.multiply.outer(_I3, b)
-
-    if float(np.max(np.abs(rho_mat(1e-6)[1]))) > 1e-3:
-        return None
-
-    def rows(y):
-        b, r = rho_mat(y)
-        # -4 tr(phi_model ^ *rho) integrand = +4 <phi_model, rho>
-        cross = 4.0 * b * 0.5 * (r[0][0] + r[1][1] + r[2][2])
-        return np.concatenate([head(y), [cross, 0.5 * frob_inner(r, r)]])
-
-    return rows
 
 
 def cutoff_combination(conv, field, eps, spec: QuadratureSpec):
@@ -388,20 +323,13 @@ def check_energy_identity(conv: GeometryConventions, ident: str, *,
         )
 
     if ident == "route-match":
-        # the cutoff-limit constant belongs to the reference solution; the
-        # deviation terms carry a general solution's route onto it
-        if "cross" not in full_line.rows:
-            raise ValueError("deviation from the reference solution must vanish at y=0")
-        (direct, err), (cross, cross_err), (rsq, rsq_err) = (
-            full_line.rows[k] for k in ("bulk", "cross", "rho_sq"))
-        direct += cross + 2.0 * rsq
+        direct, err = full_line.rows["bulk"]
         gap = abs(direct - sweep.limit) / max(abs(direct), 1e-30)
         return make_check(
             "energy-route-match",
             "cutoff-limit constant equals the direct full-line energy integral",
             computed=gap, expected=0.0, tolerance=tol,
-            extra={"limit": sweep.limit, "direct": direct,
-                   "quad_error": err + (cross_err + 2.0 * rsq_err)},
+            extra={"limit": sweep.limit, "direct": direct, "quad_error": err},
         )
 
     if ident == "weighted-bound":
@@ -508,9 +436,9 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
     gamma = (trace / 3.0)[:, None]
     sgn = np.where(gamma >= 0, 1.0, -1.0)
     m_t = m.transpose(0, 2, 1)
-    m_antisym = _matrix_first(0.5 * (m - m_t))
-    m_symtl = _matrix_first(0.5 * (m + m_t) - (trace / 3.0)[:, None, None] * _I3)
-    mf = _matrix_first(m)
+    m_antisym = matrix_first(0.5 * (m - m_t))
+    m_symtl = matrix_first(0.5 * (m + m_t) - (trace / 3.0)[:, None, None] * _I3)
+    mf = matrix_first(m)
     n1 = gamma * gamma * OMEGA_NORM_SQ
     n2 = 0.5 * frob_inner(m_antisym, m_antisym)[:, None]
     n3 = 0.5 * frob_inner(m_symtl, m_symtl)[:, None]
@@ -665,10 +593,11 @@ def bound_constants(full_line: Norms) -> BoundConstants:
     c19 = 0.5 * VOL_S3 * c2 * c2 * math.exp(-4.0)
     w_abs = math.sqrt(OMEGA_NORM_SQ)
 
-    s_model_sq_near = VOL_S3 * integrate_interval(
-        lambda y: _pow2(pole_scalars(y)[3] + _pow2(pole_scalars(y)[1])) * OMEGA_NORM_SQ,
-        0.0, 1.0, panels=32,
-    )[0]
+    def s_model_sq(y):  # |d_y phi + *3 phi^2|^2 of the reference solution
+        _, b, _, db = pole_scalars(y)
+        return _pow2(db + _pow2(b)) * OMEGA_NORM_SQ
+
+    s_model_sq_near = VOL_S3 * integrate_interval(s_model_sq, 0.0, 1.0, panels=32)[0]
     c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_model_sq_near)
     c24b = 0.5 * VOL_S3 * OMEGA_NORM_SQ
     c_pert = c19 + c24a + c24b
@@ -684,24 +613,11 @@ def theorem_bound_report(conv: GeometryConventions, full_line: Norms,
     its from-zero pass (full_line_norms)."""
     _require_solution(conv, full_line.field)
     rep = EnergyReport(entries=[])
-    rows = full_line.rows
     (f_sq, f_err), (g_sq, g_err), (s_sq, s_err) = (
-        rows[k] for k in ("F_sq", "nabla_bar_sq", "S_sq"))
-    if "cross" in rows:  # the deviation rows: cross term and |rho|^2
-        (cross, cross_err), (rho_sq, rsq_err) = rows["cross"], rows["rho_sq"]
-        rho_sq, rho_err = 2.0 * rho_sq, cross_err + 2.0 * rsq_err
-        route = "left side of the constant-route identity"
-    else:
-        cross, rho_sq, rho_err = 0.0, 0.0, 0.0
-        route = ("field is not a boundary-vanishing deviation of the "
-                 "reference solution; route terms omitted")
-
+        full_line.rows[k] for k in ("F_sq", "nabla_bar_sq", "S_sq"))
     rep.add("curvature_l2_sq", f_sq, f_err, "Yang-Mills energy of the field")
     rep.add("tangential_gradient_l2_sq", g_sq, g_err)
     rep.add("completed_square_l2_sq", s_sq, s_err)
-    rep.add("deviation_cross_term", cross, rho_err,
-            "mixed term against the reference Higgs field (sign indefinite)")
-    rep.add("deviation_l2_sq", rho_sq, 0.0)
     rep.add("c_limit", consts.c_limit, consts.c_limit_error,
             "cutoff-limit constant of the reference solution")
     rep.add("c_pert", consts.c_pert, 0.0,
@@ -710,7 +626,8 @@ def theorem_bound_report(conv: GeometryConventions, full_line: Norms,
     rep.add("bound_constant", consts.C, 0.0, "C = c_limit + 2 c_pert")
     rep.add("bound_slack", consts.C - f_sq, 0.0,
             "must be positive: curvature energy below the bound")
-    rep.add("route_total", f_sq + g_sq + s_sq + cross + rho_sq, 0.0, route)
+    rep.add("route_total", f_sq + g_sq + s_sq, 0.0,
+            "left side of the constant-route identity")
     rep.add("weighted_total", f_sq + g_sq + 0.5 * s_sq, 0.0,
             "weighted variant with half coefficient on the completed square")
     rep.validate_nonnegative()

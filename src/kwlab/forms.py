@@ -13,8 +13,11 @@ Geometry enters through three discrete constants:
     *(e_b ^ e_c)    = s1 * dy ^ e_a
     *(dy ^ e_a)     = s2 * e_b ^ e_c
 
-with *3 fixed cyclically on S^3 ( *3(e_b^e_c) = e_a ).  The 3d and 4d Hodge
-stars act only inside ``kw_residual``, as these constants.  None of them is
+with *3 fixed cyclically on S^3 ( *3(e_b^e_c) = e_a ).  ``FieldAt`` is the
+one place where the field algebra lives: the Kapustin-Witten blocks of a
+field at y, which the residual, the energy densities and the reduced system
+all read.  The 3d and 4d Hodge stars act only inside ``kw_residual``, as
+these constants.  None of them is
 chosen by hand: ``calibrate`` searches the finite set c_struct in {+-1, +-2},
 s1, s2 in {+-1} for the unique choice that makes the Ricci curvature of the
 frame equal 2g exactly and annihilates the Kapustin-Witten residual of the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +119,7 @@ class GeometryConventions:
 
 
 # ---------------------------------------------------------------------------
-# curvature / residual engine on y-profiles
+# the field engine: Kapustin-Witten blocks of a field on y-profiles
 # ---------------------------------------------------------------------------
 
 def curvature_matrices(conv: GeometryConventions, a, da):
@@ -124,9 +128,60 @@ def curvature_matrices(conv: GeometryConventions, a, da):
     return t, da
 
 
+def matrix_first(m, dtype=None):
+    """(..., 3, 3) -> (3, 3, ...) in dtype (None keeps m's): m[i][a] is then
+    entry (i, a) at every node, which is how the kernels index matrices."""
+    return np.moveaxis(np.asarray(m, dtype=dtype), (-2, -1), (0, 1))
+
+
+class FieldAt:
+    """An invariant field (A_y = 0) at y, a node or an array of nodes.  It
+    holds the coefficient matrices a, a' (= F_n), p and p', matrix axes
+    first, in dtype: None keeps the profiles' longdouble (the residual),
+    float rounds them to float64 (the energy densities).  The blocks are
+    formed from them on first use, so a reader evaluates only the profiles
+    and brackets it needs:
+
+        t_f     tangential curvature          -c a + (1/2)[a ^ a]
+        phi2    (1/2)[p ^ p]
+        t_dphi  tangential d_A phi             -c p + [a ^ p]
+        div     d_A * phi, an su(2) element    sum_col [a_col, p_col]
+    """
+
+    def __init__(self, conv: GeometryConventions, field, y, dtype=None):
+        self.conv = conv
+        self._field, self._y, self._dtype = field, y, dtype
+
+    def _matrices(self, profile):
+        return [matrix_first(m, self._dtype) for m in profile.eval(self._y)]
+
+    _connection = cached_property(lambda self: self._matrices(self._field.connection))
+    _higgs = cached_property(lambda self: self._matrices(self._field.higgs))
+    a = property(lambda self: self._connection[0])
+    n_f = property(lambda self: self._connection[1])  # normal curvature = a'
+    p = property(lambda self: self._higgs[0])
+    dp = property(lambda self: self._higgs[1])
+
+    @cached_property
+    def t_f(self):
+        return curvature_matrices(self.conv, self.a, self.n_f)[0]
+
+    @cached_property
+    def phi2(self):
+        return half_of(wedge_bracket_matrix(self.p, self.p))
+
+    @cached_property
+    def t_dphi(self):
+        return self.p * (-self.conv.c) + wedge_bracket_matrix(self.a, self.p)
+
+    @cached_property
+    def div(self):
+        return sum(bracket(self.a[:, col], self.p[:, col]) for col in range(3))
+
+
 def kw_residual(conv: GeometryConventions, field, y):
     """Kapustin-Witten residual of an invariant field (A_y = 0) at y, a node
-    or an array of nodes.
+    or an array of nodes, in the profiles' precision.
 
     Returns (res_t, res_n, res2): the tangential and normal matrices of the
     first equation's residual 2-form, matrix axes first, and the norm
@@ -137,17 +192,10 @@ def kw_residual(conv: GeometryConventions, field, y):
         raise ValueError("kw_residual does not take a phi_y component")
     if np.any(np.asarray(y) <= 0):
         raise ValueError("boundary evaluation")
-    a, da = (np.moveaxis(m, (-2, -1), (0, 1)) for m in field.connection.eval(y))
-    p, dp = (np.moveaxis(m, (-2, -1), (0, 1)) for m in field.higgs.eval(y))
-
-    t_f, n_f = curvature_matrices(conv, a, da)
-    t_dphi = p * (-conv.c) + wedge_bracket_matrix(a, p)
-    t_phi2 = half_of(wedge_bracket_matrix(p, p))
-    res_t = t_f - t_phi2 - dp * conv.s2
-    res_n = n_f - t_dphi * conv.s1
-
-    div = sum(bracket(a[:, col], p[:, col]) for col in range(3))
-    res2_sq = half_of_scalar(sum(c * c for c in div))
+    m = FieldAt(conv, field, y)
+    res_t = m.t_f - m.phi2 - m.dp * conv.s2
+    res_n = m.n_f - m.t_dphi * conv.s1
+    res2_sq = half_of_scalar(sum(c * c for c in m.div))
     return res_t, res_n, _sqrt(res2_sq)
 
 

@@ -4,10 +4,11 @@ For the scalar ansatz A = a(y) omega, phi = b(y) omega the Kapustin-Witten
 residual closes on the two-dimensional span {dy ^ omega, omega-part of the
 tangential 2-forms}; solving the two residual components for the derivative
 terms yields an autonomous first-order system.  The right-hand side is
-machine-derived from the forms engine (no hand transcription): the residual
-is evaluated with injected derivative values and its exact quadratic
-polynomial structure is reconstructed from integer sample points, so any
-convention error elsewhere would surface here as a closure failure.
+machine-derived from the forms engine (no hand transcription): derivative
+values are injected as the slopes of the linear profiles a + a'(y - 1),
+b + b'(y - 1) read by ``forms.kw_residual`` at y = 1, and the exact
+quadratic polynomial structure is reconstructed from integer sample points,
+so any convention error elsewhere would surface here as a closure failure.
 
 On top of the system sit
   * a Frobenius-style series matcher at the y = 0 pole (b ~ 1/y forced, the
@@ -32,7 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import GeometryConventions, wedge_bracket_matrix
+from .forms import GeometryConventions, kw_residual
+from .profiles import InvariantField, scaled_matrix_profile
 
 BLOWUP_THRESHOLD = 1e8
 _I3 = np.eye(3)
@@ -54,18 +56,14 @@ class BlowUpError(RuntimeError):
 
 
 def _scalar_residual(conv: GeometryConventions, a, b, da, db):
-    """Residual components of the scalar ansatz with injected derivatives,
-    plus the worst off-span deviation of the full matrices."""
-    amat = a * _I3
-    pmat = b * _I3
-    t_f = -conv.c * amat + 0.5 * wedge_bracket_matrix(amat, amat)
-    n_f = da * _I3
-    t_dphi = -conv.c * pmat + wedge_bracket_matrix(amat, pmat)
-    n_dphi = db * _I3
-    t_phi2 = 0.5 * wedge_bracket_matrix(pmat, pmat)
-    res_t = t_f - t_phi2 - conv.s2 * n_dphi
-    res_n = n_f - conv.s1 * t_dphi
-    off = 0.0
+    """Residual components of the scalar ansatz with injected derivatives
+    (the slopes of linear profiles read at y = 1), plus the worst off-span
+    deviation of the full residual, the second equation's included."""
+    ansatz = InvariantField(
+        scaled_matrix_profile(lambda jy: a + da * (jy - 1), _I3),
+        scaled_matrix_profile(lambda jy: b + db * (jy - 1), _I3))
+    res_t, res_n, res2 = kw_residual(conv, ansatz, 1.0)
+    off = float(res2)
     for mm in (res_t, res_n):
         diag = np.diag(mm)
         off = max(off, float(np.max(np.abs(mm - np.diag(diag)))))
@@ -287,12 +285,10 @@ def _series_d(u: dict) -> dict:
 
 
 def indicial_expand(sys: ReducedSystem, order: int,
-                    free_param=Fraction(-2, 3),
-                    pin_a0=None) -> IndicialExpansion:
-    """Match the pole series order by order; raises on inconsistency.
-    Pinning a0 to anything but the forced value (1 for the calibrated
-    system) fails at order -1: the constant would feed a 1/y term into a',
-    i.e. a logarithm."""
+                    free_param=Fraction(-2, 3)) -> IndicialExpansion:
+    """Match the pole series order by order; raises on inconsistency.  The
+    constant a0 is solved for, not chosen: any other value would feed a 1/y
+    term into a', i.e. a logarithm."""
     if order > 8:
         raise ValueError("expansion order limited to 8")
     free_param = Fraction(free_param)
@@ -333,14 +329,7 @@ def indicial_expand(sys: ReducedSystem, order: int,
             else:
                 a_c[k + 1] = Fraction(0)
         else:
-            solved = -res_a / coef_a
-            if k + 1 == 0 and pin_a0 is not None and Fraction(pin_a0) != solved:
-                raise ValueError(
-                    "series matching inconsistent at order -1: "
-                    f"constant term is forced to {solved} (pinned {pin_a0} "
-                    "would generate a logarithm)"
-                )
-            a_c[k + 1] = solved
+            a_c[k + 1] = -res_a / coef_a
 
         b_trial = dict(b_c)
         b_trial[k + 1] = Fraction(0)

@@ -21,11 +21,10 @@ from kwlab.decomp import (
     omega_bracket_eigencheck,
     project,
     quadratic_projection_slack_sq,
-    star_bracket,
     star_vv,
     _random_int_matrix,
 )
-from kwlab.forms import OMEGA, one_form_norm_sq
+from kwlab.forms import OMEGA, one_form_norm_sq, wedge_bracket_matrix
 from kwlab.report import CheckReport, make_check
 
 
@@ -267,7 +266,7 @@ def test_star_table_values():
     # resolution of t1 e1 in the omega / diagonal basis
     res = (OMEGA + NU_12 + NU_13) * Fraction(1, 3)
     assert _eq(t1e1, res)
-    assert one_form_norm_sq(project(1, star_bracket(MU[0], MU[1]))) == 0
+    assert one_form_norm_sq(project(1, wedge_bracket_matrix(MU[0], MU[1]))) == 0
 
 
 def test_quadratic_projection_pure_examples():

@@ -31,7 +31,6 @@ from kwlab.energy import (
     random_perturbations,
     theorem_bound_report,
     topological_charge,
-    _with_rho_rows,
 )
 from kwlab.forms import EPS_TABLE, frob_inner, wedge_bracket_matrix
 from kwlab.jets import Jet2
@@ -433,27 +432,24 @@ _ACCEPTANCE_SPEC = build_config(load_config(os.path.join(
 def _per_producer_passes(conv, field, spec, eps):
     """Every row as each producer integrated it in its own pass, before the
     suite shared one pass per layout: (pass, row name, (value, error))."""
-    def own(groups, sp, from_zero, route=False):
-        rows = density_rows(conv, field, groups)
-        v, e = l2_norm_sq(_with_rho_rows(field, rows) if route else rows, sp,
-                          from_zero)
+    def own(groups, sp, from_zero):
+        v, e = l2_norm_sq(density_rows(conv, field, groups), sp, from_zero)
         return list(zip(v.tolist(), e.tolist()))
 
     at_eps = spec.with_eps(eps)
     out = [("full_line", "bulk",  # bound_constants' c_limit
             l2_norm_sq(density_fn(conv, field, _BULK), spec, from_zero=True))]
-    out += zip(["full_line"] * 3, ("bulk", "cross", "rho_sq"),  # route-match
-               own((_BULK,), spec, True, route=True))
+    out += zip(["full_line"], ("bulk",),  # route-match
+               own((_BULK,), spec, True))
     out += zip(["full_line"] * 2, ("F_nabla", "S_sq"),  # weighted-bound
                own((("F_sq", "nabla_bar_sq"), ("S_sq",)), spec, True))
     out += zip(["full_line"] * 2, ("F_sq", "S_sq"),  # c_model
                own((("F_sq",), ("S_sq",)), spec, True))
     out += zip(["refined"] * 2, ("F_sq", "S_sq"),  # c_model, refined
                own((("F_sq",), ("S_sq",)), spec.refined(), True))
-    out += zip(["full_line"] * 5,  # theorem_bound_report
-               ("F_sq", "nabla_bar_sq", "S_sq", "cross", "rho_sq"),
-               own((("F_sq",), ("nabla_bar_sq",), ("S_sq",)), spec, True,
-                   route=True))
+    out += zip(["full_line"] * 3,  # theorem_bound_report
+               ("F_sq", "nabla_bar_sq", "S_sq"),
+               own((("F_sq",), ("nabla_bar_sq",), ("S_sq",)), spec, True))
     out.append(("at_eps", "first_order", l2_norm_sq(density_fn(  # first-order
         conv, field, ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq")), at_eps)))
     out += zip(["at_eps"] * 2, ("full_grad", "completed"),  # square-completion

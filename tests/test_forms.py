@@ -306,3 +306,31 @@ def test_eps_table_is_permutation_symbol():
             for k in range(3):
                 want = ((i - j) * (j - k) * (k - i)) / 2
                 assert eps[i, j, k] == want
+
+
+def test_dropped_half_reaches_residual_energy_and_reduced_system(monkeypatch):
+    """The 1/2 of the bracket squares has one definition, forms.half_of, and
+    the residual, the energy densities and the reduced system all read the
+    field blocks built with it: dropping it must move all three."""
+    from kwlab import forms
+    from kwlab.energy import densities
+    from kwlab.reduced import derive_reduced_system
+
+    conv = GeometryConventions(2, 1, 1)  # the calibrated conventions
+    model = nahm_pole_invariant_solution()
+    ys = np.geomspace(1e-2, 5.0, 12)
+
+    def readings():
+        return (float(np.max(kw_residual_norm(conv, model, ys))),
+                densities(conv, model, ys, ("F_sq",))["F_sq"],
+                derive_reduced_system(conv).coeffs_b)
+
+    res, f_sq, coeffs_b = readings()
+    assert res < 1e-10
+    assert coeffs_b == (0, -2, 0, 1, 0, -1)
+
+    monkeypatch.setattr(forms, "half_of", lambda m: m)
+    bad_res, bad_f_sq, bad_coeffs_b = readings()
+    assert bad_res > 1.0
+    assert np.max(np.abs(bad_f_sq - f_sq) / f_sq) > 0.5
+    assert bad_coeffs_b == (0, -2, 0, 2, 0, -2)

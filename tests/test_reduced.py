@@ -148,8 +148,10 @@ def test_indicial_zero_parameter_is_cotangent(system):
 
 
 def test_indicial_rejects_wrong_constant(system):
-    with pytest.raises(ValueError, match="logarithm"):
-        indicial_expand(system, 4, pin_a0=Fraction(2))
+    # the constant of a is solved for, never free: any a0 other than 1 would
+    # feed a 1/y term into a' (a logarithm), whatever the free coefficient
+    for p in (Fraction(-2, 3), Fraction(0), Fraction(5, 7), Fraction(-3)):
+        assert indicial_expand(system, 4, free_param=p).a_coeffs[0] == 1
     with pytest.raises(ValueError, match="order limited"):
         indicial_expand(system, 9)
 
