@@ -380,9 +380,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("solver-jacobian", 1e-8), provenance="derived"))
 
     grid = np.geomspace(1e-3, 30.0, 300)
-    worst = max(
-        float(sysr.rhs_residual(*pole_scalars(float(y), np.longdouble))) for y in grid
-    )
+    worst = float(np.max(sysr.rhs_residual(*pole_scalars(grid, np.longdouble))))
     checks.append(make_check(
         "solver-closed-form-residual",
         "closed-form solution satisfies the derived system",
@@ -398,7 +396,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
         expected=0.0,
         tolerance=cfg.tol("solver-ivp-match", 1e-6), provenance="derived"))
 
-    exp = reduced.indicial_expand(sysr, 6, free_param=Fraction(-2, 3))
+    exp = reduced.indicial_expand(sysr, 6).at(Fraction(-2, 3))
     ref_b = {-1: Fraction(1), 0: Fraction(0), 1: Fraction(-1, 3),
              2: Fraction(0), 3: Fraction(-1, 45)}
     bad = sum(1 for k, v in ref_b.items() if exp.b_coeffs.get(k) != v)
@@ -420,8 +418,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
     # coefficient scales the growing mode y^2 of a (a perturbation of b
     # decays like y^-2), so the neglected term moves the located coefficient
     # by about a_8 y0^6.
-    a8 = reduced.indicial_expand(sysr, 8,
-                                 free_param=Fraction(-2, 3)).a_coeffs[8]
+    a8 = reduced.indicial_expand(sysr, 8).at(Fraction(-2, 3)).a_coeffs[8]
     checks.append(make_check(
         "solver-series-parameter",
         "located coefficient within 2 |a_8| y0^6 of a2 = -2/3: the first "

@@ -8,6 +8,7 @@ silently weaken a gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .quadrature import QuadratureSpec
@@ -72,8 +73,11 @@ class SuiteConfig:
         for cid, tol in self.tol_overrides.items():
             if cid not in KNOWN_CHECK_IDS:
                 raise ValueError(f"unknown check id in tolerance override: {cid!r}")
-            if not tol > 0:
-                raise ValueError(f"tolerance for {cid!r} must be positive")
+            # an infinite tolerance switches the gate off, and the report
+            # could not write it as JSON
+            if not 0 < tol < math.inf:
+                raise ValueError(f"tolerance for {cid!r} must be positive "
+                                 "and finite")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n_pert < 1:

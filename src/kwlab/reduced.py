@@ -11,10 +11,11 @@ quadratic polynomial structure is reconstructed from integer sample points,
 so any convention error elsewhere would surface here as a closure failure.
 
 On top of the system sit
-  * a Frobenius-style series matcher at the y = 0 pole (b ~ 1/y forced, the
+  * the Frobenius-style series at the y = 0 pole (b ~ 1/y forced, the
     connection coefficient a(0) = 1 forced, the quadratic coefficient of a
-    left free -- the single shooting parameter; its coefficients are exact
-    polynomials in that parameter),
+    left free -- the single shooting parameter), built once by a direct
+    recurrence with that parameter open, so that each coefficient is an
+    exact polynomial in it,
   * a high-order Taylor-series stepper with blow-up detection that advances
     a batch of trajectories ("lanes") together; a single initial-value run
     is its one-lane case, and its step coefficients are the dense output,
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -98,10 +100,11 @@ class ReducedSystem:
         db = sum(c * m for c, m in zip(self.float_b, mono))
         return da, db
 
-    def rhs_residual(self, a, b, da, db) -> float:
-        """How far (da, db) is from satisfying the system at (a, b)."""
+    def rhs_residual(self, a, b, da, db):
+        """How far (da, db) is from satisfying the system at (a, b); at
+        arrays, elementwise."""
         fa, fb = self.rhs(a, b)
-        return max(abs(da - fa), abs(db - fb))
+        return np.maximum(abs(da - fa), abs(db - fb))
 
     def jacobian(self, a: float, b: float):
         ca, cb = self.float_a, self.float_b
@@ -137,19 +140,16 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
         ) > 1e-12:
             raise ValueError("calibration inconsistent: derivative terms not affine")
 
+    # the zero-derivative residual at the sample points, (0, 0) first
+    at_rest = [_scalar_residual(conv, float(a), float(b), 0.0, 0.0)
+               for a, b in _MONOMIALS]
     # coefficient of the derivative in each component
-    slope_n = _scalar_residual(conv, 0.0, 0.0, 1.0, 0.0)[1] - _scalar_residual(
-        conv, 0.0, 0.0, 0.0, 0.0
-    )[1]
-    slope_t = _scalar_residual(conv, 0.0, 0.0, 0.0, 1.0)[0] - _scalar_residual(
-        conv, 0.0, 0.0, 0.0, 0.0
-    )[0]
+    slope_n = _scalar_residual(conv, 0.0, 0.0, 1.0, 0.0)[1] - at_rest[0][1]
+    slope_t = _scalar_residual(conv, 0.0, 0.0, 0.0, 1.0)[0] - at_rest[0][0]
 
-    samples = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     rows, rhs_a, rhs_b = [], [], []
-    for a, b in samples:
+    for (a, b), (r_t, r_n, _) in zip(_MONOMIALS, at_rest):
         rows.append([Fraction(a) ** p * Fraction(b) ** q for p, q in _MONOMIALS])
-        r_t, r_n, _ = _scalar_residual(conv, float(a), float(b), 0.0, 0.0)
         # residual = slope * derivative + inhomogeneous part = 0
         rhs_a.append(Fraction(-r_n / slope_n).limit_denominator(10**6))
         rhs_b.append(Fraction(-r_t / slope_t).limit_denominator(10**6))
@@ -189,7 +189,7 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
 class IndicialExpansion:
     """Truncated pole expansion b = 1/y + sum b_k y^k, a = 1 + sum a_k y^k.
 
-    The matcher forces b_{-1} = 1 (simple pole), a_0 = 1 (any other constant
+    The series forces b_{-1} = 1 (simple pole), a_0 = 1 (any other constant
     feeds a 1/y term into a', i.e. a logarithm), and leaves the quadratic
     coefficient of a free; ``free_param`` records the value used.
     """
@@ -208,20 +208,20 @@ class IndicialExpansion:
 @dataclass(frozen=True)
 class PoleSeries:
     """The pole series with its free coefficient p open: each coefficient is
-    an exact-Fraction polynomial in p, stored in Newton form on the nodes
-    p = 0, 1, ..., order."""
+    a polynomial in p, a tuple of Fractions from the constant term up."""
 
     order: int
-    a_polys: dict  # power, as in IndicialExpansion -> Newton coefficients
+    a_polys: dict  # power, as in IndicialExpansion -> polynomial in p
     b_polys: dict
 
     def at(self, p) -> IndicialExpansion:
+        """The series at one value of p, exactly (Horner on Fractions)."""
         p = Fraction(p)
 
         def value(c):
             out = c[-1]
-            for node in range(len(c) - 2, -1, -1):
-                out = out * (p - node) + c[node]
+            for x in c[-2::-1]:
+                out = out * p + x
             return out
 
         return IndicialExpansion(
@@ -229,127 +229,62 @@ class PoleSeries:
             {k: value(c) for k, c in self.b_polys.items()})
 
 
-def pole_series(sys: ReducedSystem, order: int) -> PoleSeries:
-    """Match the series once per node and interpolate.  p enters only as the
-    coefficient of y^2 in a, so the coefficient of y^k has degree at most
-    k / 2 in p, and order + 1 nodes determine it exactly."""
-    nodes = [indicial_expand(sys, order, free_param=Fraction(n))
-             for n in range(order + 1)]
-
-    def newton(values):
-        # divided differences; nodes i and i - j are j apart
-        c = list(values)
-        for j in range(1, len(c)):
-            for i in range(len(c) - 1, j - 1, -1):
-                c[i] = (c[i] - c[i - 1]) / j
-        return tuple(c)
-
-    return PoleSeries(
-        order, {k: newton([e.a_coeffs[k] for e in nodes])
-                for k in nodes[0].a_coeffs},
-        {k: newton([e.b_coeffs[k] for e in nodes]) for k in nodes[0].b_coeffs})
+def _poly_add(u: tuple, v: tuple) -> tuple:
+    return tuple(x + y for x, y in zip_longest(u, v, fillvalue=0))
 
 
-def _series_mul(u: dict, v: dict, kmin: int, kmax: int) -> dict:
-    out = {}
-    for ku, cu in u.items():
-        for kv, cv in v.items():
-            k = ku + kv
-            if kmin <= k <= kmax:
-                out[k] = out.get(k, Fraction(0)) + cu * cv
-    return out
+def _poly_mul(u: tuple, v: tuple) -> tuple:
+    out = [Fraction(0)] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return tuple(out)
 
 
-def _series_eval_poly(coeffs, u: dict, v: dict, kmin: int, kmax: int) -> dict:
-    """Quadratic polynomial of two Laurent series."""
-    out = {0: coeffs[0]} if coeffs[0] != 0 else {}
-    combos = (
-        (coeffs[1], u, None),
-        (coeffs[2], v, None),
-        (coeffs[3], u, u),
-        (coeffs[4], u, v),
-        (coeffs[5], v, v),
-    )
-    for c, s1, s2 in combos:
-        if c == 0:
-            continue
-        term = s1 if s2 is None else _series_mul(s1, s2, kmin, kmax)
-        for k, x in term.items():
-            if kmin <= k <= kmax:
-                out[k] = out.get(k, Fraction(0)) + c * x
-    return out
+def indicial_expand(sys: ReducedSystem, order: int) -> PoleSeries:
+    """Match the pole series order by order, with the free coefficient p of
+    y^2 in a left open; raises on inconsistency.
 
-
-def _series_d(u: dict) -> dict:
-    return {k - 1: Fraction(k) * c for k, c in u.items() if k != 0}
-
-
-def indicial_expand(sys: ReducedSystem, order: int,
-                    free_param=Fraction(-2, 3)) -> IndicialExpansion:
-    """Match the pole series order by order; raises on inconsistency.  The
-    constant a0 is solved for, not chosen: any other value would feed a 1/y
-    term into a', i.e. a logarithm."""
+    At power k the unknowns a_{k+1}, b_{k+1} enter only as (k + 1) x_{k+1}
+    on the left and through their products with b_{-1} = 1 on the right.
+    So the a-equation (with b_{k+1} = 0) gives a_{k+1} as the rest of that
+    power over k + 1 - c_a[4], and the b-equation, with a_{k+1} known, gives
+    b_{k+1} as its rest over k + 1 - 2 c_b[5].  Where k + 1 - c_a[4]
+    vanishes the rest must vanish too; at k + 1 = 2 (c_a[4] = 2 on the
+    derived system) that coefficient is the free one, a_2 = p.  The constant
+    a_0 is solved for, not chosen: any other value would feed a 1/y term
+    into a', i.e. a logarithm."""
     if order > 8:
         raise ValueError("expansion order limited to 8")
-    free_param = Fraction(free_param)
-    a_c = {}
-    b_c = {-1: Fraction(1)}
-
     # consistency at the pole: b' = f2 demands -1 = the b^2 coefficient of f2
     if sys.coeffs_b[5] != -1:
         raise ValueError("series matching inconsistent at order -2 (pole weight)")
+    one = {0: (Fraction(1),)}
+    a, b = {}, {-1: (Fraction(1),)}
 
-    kmax = order
+    def known_part(coeffs, k):
+        # the y^k coefficient of coeffs . (1, a, b, a^2, ab, b^2) over the
+        # coefficients matched so far
+        out = (Fraction(0),)
+        for c, u, v in zip(coeffs, (one, a, b, a, a, b), (one, one, one, a, b, b)):
+            if c != 0:
+                for i, x in u.items():
+                    if k - i in v:
+                        out = _poly_add(out, _poly_mul((c,), _poly_mul(x, v[k - i])))
+        return out
+
     for k in range(-1, order):
-        # unknowns at this stage: a_{k+1} (from the a-equation at power k)
-        # and b_{k+1} (from the b-equation at power k); equations are linear
-        # in the unknown because the quadratic terms only involve lower ones.
-        a_trial = dict(a_c)
-        b_trial = dict(b_c)
-        a_trial[k + 1] = Fraction(0)
-        b_trial[k + 1] = Fraction(0)
-
-        lhs_a = _series_d(a_trial)
-        rhs_a = _series_eval_poly(sys.coeffs_a, a_trial, b_trial, -2, kmax)
-        res_a = lhs_a.get(k, Fraction(0)) - rhs_a.get(k, Fraction(0))
-        # coefficient of the unknown a_{k+1} in (lhs - rhs) at power k
-        a_probe = dict(a_trial)
-        a_probe[k + 1] = Fraction(1)
-        lhs_p = _series_d(a_probe)
-        rhs_p = _series_eval_poly(sys.coeffs_a, a_probe, b_trial, -2, kmax)
-        coef_a = (lhs_p.get(k, Fraction(0)) - rhs_p.get(k, Fraction(0))) - res_a
-
-        if coef_a == 0:
-            if k + 1 == 2:
-                a_c[2] = free_param
-                if res_a != 0:
-                    raise ValueError(f"series matching inconsistent at order {k}")
-            elif res_a != 0:
-                raise ValueError(f"series matching inconsistent at order {k}")
-            else:
-                a_c[k + 1] = Fraction(0)
+        rest, pivot = known_part(sys.coeffs_a, k), k + 1 - sys.coeffs_a[4]
+        if pivot != 0:
+            a[k + 1] = tuple(x / pivot for x in rest)
+        elif any(rest):
+            raise ValueError(f"series matching inconsistent at order {k}")
         else:
-            a_c[k + 1] = -res_a / coef_a
-
-        b_trial = dict(b_c)
-        b_trial[k + 1] = Fraction(0)
-        lhs_b = _series_d(b_trial)
-        rhs_b = _series_eval_poly(sys.coeffs_b, a_c, b_trial, -2, kmax)
-        res_b = lhs_b.get(k, Fraction(0)) - rhs_b.get(k, Fraction(0))
-        b_probe = dict(b_trial)
-        b_probe[k + 1] = Fraction(1)
-        lhs_p = _series_d(b_probe)
-        rhs_p = _series_eval_poly(sys.coeffs_b, a_c, b_probe, -2, kmax)
-        coef_b = (lhs_p.get(k, Fraction(0)) - rhs_p.get(k, Fraction(0))) - res_b
-        if coef_b == 0:
-            if res_b != 0:
-                raise ValueError(f"series matching inconsistent at order {k}")
-            b_c[k + 1] = Fraction(0)
-        else:
-            b_c[k + 1] = -res_b / coef_b
-
-    return IndicialExpansion(order=order, free_param=free_param,
-                             a_coeffs=a_c, b_coeffs=b_c)
+            a[k + 1] = (Fraction(0), Fraction(1)) if k + 1 == 2 else (Fraction(0),)
+        # k + 1 - 2 c_b[5] = k + 3 > 0
+        b[k + 1] = tuple(x / (k + 1 - 2 * sys.coeffs_b[5])
+                         for x in known_part(sys.coeffs_b, k))
+    return PoleSeries(order, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +532,15 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
       same initial state or the next point is not strictly inside, and
       returns the end with the smaller |U|.
 
-    The pole series is built once, as polynomials in p, and evaluated once
-    per classified p; each bracket end carries its initial state.  A run
-    that turns non-finite has no sign and raises, as does a falsi run that
-    blows up before SHOOT_Y.
+    The pole series is built once by ``indicial_expand``, its coefficients
+    polynomials in p, and evaluated exactly once per classified p; each
+    bracket end carries its initial state.  A run that turns non-finite has
+    no sign and raises, as does a falsi run that blows up before SHOOT_Y.
     """
     if not (math.isfinite(y0) and 0 < y0 <= 0.2):
         raise ValueError("series initial data is only trusted for "
                          f"0 < y0 <= 0.2, got {y0!r}")
-    series = pole_series(sys, expansion_order)
+    series = indicial_expand(sys, expansion_order)
     trace = []
 
     def state(p):

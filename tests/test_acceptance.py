@@ -178,7 +178,7 @@ def test_criterion_09_solver(conv, full_run):
     seriesc = by_id["solver-series-parameter"]
     jac = by_id["solver-jacobian"]
     sysr = reduced.derive_reduced_system(conv)
-    exp = reduced.indicial_expand(sysr, 6, free_param=Fraction(-2, 3))
+    exp = reduced.indicial_expand(sysr, 6).at(Fraction(-2, 3))
     series_exact = (exp.b_coeffs[-1] == 1 and exp.b_coeffs[1] == Fraction(-1, 3)
                     and exp.b_coeffs[0] == 0 and exp.b_coeffs[2] == 0)
     ok = (ivp.status == "pass" and ivp.computed <= 1e-6

@@ -84,8 +84,9 @@ def test_config_rejects_unknown_keys_and_ids():
         parse_config_text("bogus = 3")
     with pytest.raises(ValueError, match="unknown check id"):
         SuiteConfig(tol_overrides={"no-such-check": 1e-3})
-    with pytest.raises(ValueError, match="must be positive"):
-        SuiteConfig(tol_overrides={"calibrate": 0.0})
+    for tol in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            SuiteConfig(tol_overrides={"calibrate": tol})
     with pytest.raises(ValueError, match="unknown suite"):
         SuiteConfig(suite="everything")
 
@@ -120,6 +121,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--tol", "energy-typo=1"]) == 2
     assert main(["verify", "--tol", "malformed"]) == 2
     capsys.readouterr()
+    # an infinite tolerance would switch the gate off
+    assert main(["verify", "--suite", "algebra",
+                 "--tol", "su2-rotation=1e999"]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
     # shooting from a y0 the pole series cannot serve
     outputs = ["--out-profile", str(tmp_path / "p.csv"),
                "--out-log", str(tmp_path / "l.json")]
@@ -136,6 +141,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           ("y_split = inf", "y_split < y_max"),
                           ("y_max = inf", "y_max < inf"),
                           ("seed = -1", "seed must be >= 0"),
+                          ("tol.su2-rotation = inf",
+                           "must be positive and finite"),
                           ("eps = 5", "0 < eps")):
         cfg.write_text(line + "\n")
         assert main(["verify", "--suite", "algebra",
@@ -319,6 +326,23 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
     names = {span[0] for span in traced["spans"]}
     assert {"energy.perturbation_chain", "quadrature.integrate_panels"} <= names
     assert traced["counts"]["quadrature.integrand_evals"] > 0
+
+
+def test_benchmark_trace_targets_exist():
+    # every function the traced run wraps, looked up as it looks it up but
+    # without installing a wrapper: a refactor that renames or moves one
+    # would leave its span or count silently empty
+    import importlib.util
+
+    import kwlab.cli  # noqa: F401  (imports every module the targets name)
+
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "tracing.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for modname, attr in [*tracing.SPANS, *tracing.COUNTS, tracing.WEDGE]:
+        assert callable(tracing._resolve(sys.modules[modname], attr)), attr
 
 
 def test_package_imports_only_stdlib_and_numpy():

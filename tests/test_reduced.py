@@ -1,5 +1,6 @@
 """Reduced ODE: derivation, pole series, integration, shooting."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from kwlab.quadrature import QuadratureSpec, l2_norm_sq
 from kwlab import reduced
 from kwlab.reduced import (
     BlowUpError,
+    IndicialExpansion,
     ReducedSystem,
     derive_reduced_system,
     indicial_expand,
@@ -89,7 +91,7 @@ def test_alternate_closed_form_satisfies_system(system):
 
 
 def test_indicial_series_coefficients(system):
-    exp = indicial_expand(system, 6, free_param=Fraction(-2, 3))
+    exp = indicial_expand(system, 6).at(Fraction(-2, 3))
     assert exp.b_coeffs[-1] == 1
     assert exp.b_coeffs[0] == 0
     assert exp.b_coeffs[1] == Fraction(-1, 3)
@@ -104,7 +106,7 @@ def test_indicial_series_coefficients(system):
 
 def test_indicial_series_against_closed_form(system):
     # numeric oracle: the closed form itself at small y
-    exp = indicial_expand(system, 6, free_param=Fraction(-2, 3))
+    exp = indicial_expand(system, 6).at(Fraction(-2, 3))
     for y in (1e-3, 3e-3, 1e-2):
         a_ser, b_ser = exp.state(y)
         a, b, _, _ = pole_scalars(y)
@@ -116,29 +118,174 @@ def test_indicial_series_against_closed_form(system):
 def test_indicial_order_eight_matches_closed_form(system):
     # Taylor coefficients of the closed form (mpmath, 40 digits): the first
     # terms the order-6 series neglects
-    exp = indicial_expand(system, 8, free_param=Fraction(-2, 3))
+    exp = indicial_expand(system, 8).at(Fraction(-2, 3))
     assert exp.a_coeffs[8] == Fraction(-34, 2835)
     assert exp.b_coeffs[7] == Fraction(-403, 14175)
     assert exp.a_coeffs[7] == exp.b_coeffs[8] == 0
 
 
-@pytest.mark.parametrize("order", [6, 8])
+# The trial-and-probe matcher the recurrence replaced: at each power it
+# builds the truncated Laurent products with the unknown at 0 and at 1, and
+# solves the linear equation their difference gives, for one fixed p.
+
+def _series_mul(u: dict, v: dict, kmin: int, kmax: int) -> dict:
+    out = {}
+    for ku, cu in u.items():
+        for kv, cv in v.items():
+            k = ku + kv
+            if kmin <= k <= kmax:
+                out[k] = out.get(k, Fraction(0)) + cu * cv
+    return out
+
+
+def _series_eval_poly(coeffs, u: dict, v: dict, kmin: int, kmax: int) -> dict:
+    """Quadratic polynomial of two Laurent series."""
+    out = {0: coeffs[0]} if coeffs[0] != 0 else {}
+    combos = (
+        (coeffs[1], u, None),
+        (coeffs[2], v, None),
+        (coeffs[3], u, u),
+        (coeffs[4], u, v),
+        (coeffs[5], v, v),
+    )
+    for c, s1, s2 in combos:
+        if c == 0:
+            continue
+        term = s1 if s2 is None else _series_mul(s1, s2, kmin, kmax)
+        for k, x in term.items():
+            if kmin <= k <= kmax:
+                out[k] = out.get(k, Fraction(0)) + c * x
+    return out
+
+
+def _series_d(u: dict) -> dict:
+    return {k - 1: Fraction(k) * c for k, c in u.items() if k != 0}
+
+
+def _matched_expansion(sys: ReducedSystem, order: int,
+                       free_param=Fraction(-2, 3)) -> IndicialExpansion:
+    """Match the pole series order by order; raises on inconsistency.  The
+    constant a0 is solved for, not chosen: any other value would feed a 1/y
+    term into a', i.e. a logarithm."""
+    if order > 8:
+        raise ValueError("expansion order limited to 8")
+    free_param = Fraction(free_param)
+    a_c = {}
+    b_c = {-1: Fraction(1)}
+
+    # consistency at the pole: b' = f2 demands -1 = the b^2 coefficient of f2
+    if sys.coeffs_b[5] != -1:
+        raise ValueError("series matching inconsistent at order -2 (pole weight)")
+
+    kmax = order
+    for k in range(-1, order):
+        # unknowns at this stage: a_{k+1} (from the a-equation at power k)
+        # and b_{k+1} (from the b-equation at power k); equations are linear
+        # in the unknown because the quadratic terms only involve lower ones.
+        a_trial = dict(a_c)
+        b_trial = dict(b_c)
+        a_trial[k + 1] = Fraction(0)
+        b_trial[k + 1] = Fraction(0)
+
+        lhs_a = _series_d(a_trial)
+        rhs_a = _series_eval_poly(sys.coeffs_a, a_trial, b_trial, -2, kmax)
+        res_a = lhs_a.get(k, Fraction(0)) - rhs_a.get(k, Fraction(0))
+        # coefficient of the unknown a_{k+1} in (lhs - rhs) at power k
+        a_probe = dict(a_trial)
+        a_probe[k + 1] = Fraction(1)
+        lhs_p = _series_d(a_probe)
+        rhs_p = _series_eval_poly(sys.coeffs_a, a_probe, b_trial, -2, kmax)
+        coef_a = (lhs_p.get(k, Fraction(0)) - rhs_p.get(k, Fraction(0))) - res_a
+
+        if coef_a == 0:
+            if k + 1 == 2:
+                a_c[2] = free_param
+                if res_a != 0:
+                    raise ValueError(f"series matching inconsistent at order {k}")
+            elif res_a != 0:
+                raise ValueError(f"series matching inconsistent at order {k}")
+            else:
+                a_c[k + 1] = Fraction(0)
+        else:
+            a_c[k + 1] = -res_a / coef_a
+
+        b_trial = dict(b_c)
+        b_trial[k + 1] = Fraction(0)
+        lhs_b = _series_d(b_trial)
+        rhs_b = _series_eval_poly(sys.coeffs_b, a_c, b_trial, -2, kmax)
+        res_b = lhs_b.get(k, Fraction(0)) - rhs_b.get(k, Fraction(0))
+        b_probe = dict(b_trial)
+        b_probe[k + 1] = Fraction(1)
+        lhs_p = _series_d(b_probe)
+        rhs_p = _series_eval_poly(sys.coeffs_b, a_c, b_probe, -2, kmax)
+        coef_b = (lhs_p.get(k, Fraction(0)) - rhs_p.get(k, Fraction(0))) - res_b
+        if coef_b == 0:
+            if res_b != 0:
+                raise ValueError(f"series matching inconsistent at order {k}")
+            b_c[k + 1] = Fraction(0)
+        else:
+            b_c[k + 1] = -res_b / coef_b
+
+    return IndicialExpansion(order=order, free_param=free_param,
+                             a_coeffs=a_c, b_coeffs=b_c)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return str(e)
+
+
+def _perturbed_systems(system):
+    """The locked system with one coefficient moved, 48 ways: some move the
+    resonance off y^2 or onto another power, and a moved b^2 coefficient of
+    b' breaks the pole weight."""
+    out = []
+    for i in range(12):
+        for d in (Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(1)):
+            coeffs = list(system.coeffs_a + system.coeffs_b)
+            coeffs[i] += d
+            out.append(dataclasses.replace(system, coeffs_a=tuple(coeffs[:6]),
+                                           coeffs_b=tuple(coeffs[6:])))
+    return out
+
+
+@pytest.mark.parametrize("order", range(9))
 def test_pole_series_matches_rational_matching(system, order):
-    series = reduced.pole_series(system, order)
-    # off the interpolation nodes 0, 1, ..., order, and on one of them
-    for p in (Fraction(-2, 3), Fraction(2), Fraction(5, 7), Fraction(-1),
-              Fraction(-0.6666666782307249), Fraction(10**9 + 1, 3)):
-        want = indicial_expand(system, order, free_param=p)
-        got = series.at(p)
-        assert got == want
-        assert all(type(c) is Fraction
-                   for c in (*got.a_coeffs.values(), *got.b_coeffs.values()))
-        assert got.state(0.1) == want.state(0.1)
+    # the recurrence, built once with p open and evaluated at p, against the
+    # matcher run at that p: the same Fractions in the same key order, or
+    # the same error; the perturbed systems at orders 4, 6 and 8
+    systems = [system] + (_perturbed_systems(system) if order in (4, 6, 8)
+                          else [])
+    errors = set()
+    for sysr in systems:
+        series = _outcome(lambda: indicial_expand(sysr, order))
+        for p in (Fraction(-2, 3), Fraction(2), Fraction(5, 7), Fraction(-1),
+                  Fraction(0), Fraction(-3), Fraction(10**9 + 1, 3),
+                  Fraction(-0.6666666782307249)):
+            want = _outcome(lambda: _matched_expansion(sysr, order, p))
+            if isinstance(want, str):
+                assert series == want
+                errors.add(want)
+                continue
+            got = series.at(p)
+            assert got == want
+            assert list(got.a_coeffs) == list(want.a_coeffs)
+            assert list(got.b_coeffs) == list(want.b_coeffs)
+            assert all(type(c) is Fraction for c in
+                       (got.free_param, *got.a_coeffs.values(),
+                        *got.b_coeffs.values()))
+            assert got.state(0.1) == want.state(0.1)
+    if order in (4, 6, 8):
+        # a moved b^2 coefficient of b', or a nonzero rest at the resonance
+        assert errors == {"series matching inconsistent at order -2 (pole weight)",
+                          "series matching inconsistent at order 1"}
 
 
 def test_indicial_zero_parameter_is_cotangent(system):
     # a == 1 collapses the system to b' = -1 - b^2, i.e. b = cot y
-    exp = indicial_expand(system, 6, free_param=Fraction(0))
+    exp = indicial_expand(system, 6).at(Fraction(0))
     assert exp.b_coeffs[1] == Fraction(-1, 3)
     assert exp.b_coeffs[3] == Fraction(-1, 45)
     assert exp.b_coeffs[5] == Fraction(-2, 945)
@@ -150,8 +297,9 @@ def test_indicial_zero_parameter_is_cotangent(system):
 def test_indicial_rejects_wrong_constant(system):
     # the constant of a is solved for, never free: any a0 other than 1 would
     # feed a 1/y term into a' (a logarithm), whatever the free coefficient
+    series = indicial_expand(system, 4)
     for p in (Fraction(-2, 3), Fraction(0), Fraction(5, 7), Fraction(-3)):
-        assert indicial_expand(system, 4, free_param=p).a_coeffs[0] == 1
+        assert series.at(p).a_coeffs[0] == 1
     with pytest.raises(ValueError, match="order limited"):
         indicial_expand(system, 9)
 
@@ -226,8 +374,7 @@ def test_ivp_argument_validation(system):
 
 
 def test_blowup_detected_with_location(system):
-    exp = indicial_expand(system, 5,
-                          free_param=Fraction(-2, 3) + Fraction(1, 100))
+    exp = indicial_expand(system, 5).at(Fraction(-2, 3) + Fraction(1, 100))
     with pytest.raises(BlowUpError) as exc:
         integrate_ivp(system, 0.1, exp.state(0.1), 30.0)
     assert exc.value.y_blow < 10.0
@@ -296,7 +443,7 @@ def test_shot_profile_energy_consistency(conv, system, shot):
 
 
 def _series_states(system, params, y0=0.1):
-    series = reduced.pole_series(system, 6)
+    series = indicial_expand(system, 6)
     return [series.at(p).state(y0) for p in params]
 
 
@@ -391,8 +538,7 @@ def test_shot_keeps_the_initial_state(system, shot):
     # the series state is formed in float64, and the falsi returns a
     # parameter with the initial state of the certified root below, so the
     # same trajectory
-    exp = indicial_expand(system, 6,
-                          free_param=Fraction(-0.6666666782308599))
+    exp = indicial_expand(system, 6).at(Fraction(-0.6666666782308599))
     assert tuple(shot.result.states[0]) == exp.state(0.1)
 
 
@@ -402,7 +548,7 @@ def test_located_state_is_certified_by_mpmath(system, shot):
     # states below and above its parameter: U changes sign across them, and
     # the shot's state has the smallest |U|
     mpmath = pytest.importorskip("mpmath")
-    series = reduced.pole_series(system, 6)
+    series = indicial_expand(system, 6)
     state = series.at(shot.param).state(0.1)
     assert tuple(shot.result.states[0]) == state
 
