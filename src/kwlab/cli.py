@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import decomp, energy, halfspace, reduced, report, su2
-from .config import SUITES, SuiteConfig, build_config, load_config
+from .config import SUITES, TUNABLE_CHECK_IDS, SuiteConfig, build_config, load_config
 from .forms import calibrate, kw_residual_norm, ricci_check, taubes_lhs
 from .profiles import (
     InvariantField,
@@ -244,10 +244,13 @@ def suite_energy(cfg: SuiteConfig) -> list:
     }
 
     for ident, reads in energy.IDENTITY_INPUTS.items():
-        _guard(checks, f"energy-{ident}", lambda ident=ident, reads=reads: (
+        cid = f"energy-{ident}"
+        # the identities with two sides gate on a tolerance, the others on
+        # fixed criteria
+        gate = {"tol": cfg.tol(cid, 1e-6)} if cid in TUNABLE_CHECK_IDS else {}
+        _guard(checks, cid, lambda ident=ident, reads=reads, gate=gate: (
             energy.check_energy_identity(
-                conv, ident, tol=cfg.tol(f"energy-{ident}", 1e-6),
-                **{k: inputs[k]() for k in reads})))
+                conv, ident, **gate, **{k: inputs[k]() for k in reads})))
 
     def stability():
         val, err, parts = energy.c_model(full_line())
@@ -396,7 +399,8 @@ def suite_solver(cfg: SuiteConfig) -> list:
         expected=0.0,
         tolerance=cfg.tol("solver-ivp-match", 1e-6), provenance="derived"))
 
-    exp = reduced.indicial_expand(sysr, 6).at(Fraction(-2, 3))
+    series = reduced.indicial_expand(sysr, reduced.SHOOT_ORDER)
+    exp = series.at(Fraction(-2, 3))
     ref_b = {-1: Fraction(1), 0: Fraction(0), 1: Fraction(-1, 3),
              2: Fraction(0), 3: Fraction(-1, 45)}
     bad = sum(1 for k, v in ref_b.items() if exp.b_coeffs.get(k) != v)
@@ -406,8 +410,8 @@ def suite_solver(cfg: SuiteConfig) -> list:
         extra={"b": {str(k): str(v) for k, v in sorted(exp.b_coeffs.items())},
                "a": {str(k): str(v) for k, v in sorted(exp.a_coeffs.items())}}))
 
-    order, y0 = 6, 0.1
-    shot = reduced.shoot_for_decay(sysr, y0=y0, expansion_order=order)
+    y0 = 0.1
+    shot = reduced.shoot_for_decay(sysr, series, y0=y0)
     checks.append(make_check(
         "solver-shooting", "shooting recovers the closed form",
         computed=_closed_form_gap(shot.result, np.linspace(y0, 8.0, 400)),
@@ -428,7 +432,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("solver-series-parameter",
                           2.0 * abs(float(a8)) * y0 ** 6),
         provenance="derived",
-        extra={"order": order, "y0": y0, "a_neglected": str(a8)}))
+        extra={"order": series.order, "y0": y0, "a_neglected": str(a8)}))
     ys = np.linspace(5.0, 7.0, 40)
     env = float(np.max(np.abs(shot.result.at(ys)[1] * exp_nodes(2.0 * ys)
                               - 6.0)))
@@ -509,76 +513,82 @@ def emit_plotdata(target: str, cfg: SuiteConfig, out_dir: str):
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", action="append", default=[],
-                   metavar="ID=VALUE", help="tolerance override (repeatable)")
-    p.add_argument("--out", default=None, help="output path for the JSON report")
-    p.add_argument("--json", action="store_true", help="print the JSON report")
+_SHARED_FLAGS = {
+    "--config": {"help": "key = value configuration file"},
+    "--seed": {"type": int, "default": None},
+    "--tol": {"action": "append", "default": [], "metavar": "ID=VALUE",
+              "help": "tolerance override of a tunable check (repeatable)"},
+    "--out": {"default": None, "help": "output path"},
+    "--json": {"action": "store_true", "default": None, "dest": "json_out",
+               "help": "print the JSON report"},
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags):
+    """The shared flags that the command reads, and no others."""
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kwlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: plotdata --out would otherwise act as --out-dir
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    def command(name, **kwargs):
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    pv = command("verify", help="run a verification suite")
     pv.add_argument("--suite", default="all", choices=SUITES)
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--n-pert", type=int, default=None, dest="n_pert")
     pv.add_argument("--eps", type=float, default=None)
-    pv.add_argument("--ymax", type=float, default=None)
+    pv.add_argument("--ymax", type=float, default=None, dest="y_max")
     pv.add_argument("--flip-star-sign", action="store_true", default=None,
                     help="negative control: flip the Hodge orientation")
-    _add_common(pv)
+    _add_shared(pv, "--config", "--seed", "--tol", "--out", "--json")
 
-    pe = sub.add_parser("energy", help="energy report for the model solution")
+    pe = command("energy", help="energy report for the model solution")
     pe.add_argument("--model", default="he", choices=("he", "alt"))
     pe.add_argument("--eps", type=float, default=None)
-    pe.add_argument("--ymax", type=float, default=None)
-    _add_common(pe)
+    pe.add_argument("--ymax", type=float, default=None, dest="y_max")
+    _add_shared(pe, "--config", "--out")
 
-    ps = sub.add_parser("solve", help="shooting solver for the reduced system")
+    ps = command("solve", help="shooting solver for the reduced system")
     ps.add_argument("--y0", type=float, default=0.1)
     ps.add_argument("--out-profile", default="profile.csv")
     ps.add_argument("--out-log", default="solve-log.json")
-    _add_common(ps)
+    _add_shared(ps, "--config")
 
-    pr = sub.add_parser("residual", help="flat-model pointwise residuals")
+    pr = command("residual", help="flat-model pointwise residuals")
     pr.add_argument("--model", default="nahm-pole",
                     choices=("nahm-pole", "nahm-singular"))
     pr.add_argument("--points", default=None,
                     help="CSV of sample points x1,x2,x3,y (default: seeded)")
     pr.add_argument("--n", type=int, default=None)
-    _add_common(pr)
+    _add_shared(pr, "--config", "--seed", "--out")
 
-    pp = sub.add_parser("plotdata", help="CSV series for plots")
+    pp = command("plotdata", help="CSV series for plots")
     pp.add_argument("--target", required=True,
                     choices=("profiles", "integrands", "eps-sweep"))
     pp.add_argument("--out-dir", default="plotdata")
-    _add_common(pp)
+    _add_shared(pp, "--config")
     return ap
 
 
 def _config_from_args(args) -> SuiteConfig:
     file_values = load_config(args.config) if args.config else None
     tols = {}
-    for item in args.tol:
+    for item in getattr(args, "tol", ()):
         if "=" not in item:
             raise ValueError(f"--tol expects ID=VALUE, got {item!r}")
         cid, val = item.split("=", 1)
         tols[cid.strip()] = float(val)
-    cli_values = {
-        "seed": args.seed,
-        "out": args.out,
-        "json_out": args.json or None,
-        "tol_overrides": tols or None,
-    }
-    for key in ("suite", "n", "n_pert", "eps", "flip_star_sign"):
-        if hasattr(args, key):
-            cli_values[key] = getattr(args, key)
-    if getattr(args, "ymax", None) is not None:
-        cli_values["y_max"] = args.ymax
+    # each command has only the flags it reads; an absent flag is None
+    cli_values = {key: getattr(args, key) for key in (
+        "suite", "seed", "out", "json_out", "n", "n_pert", "eps", "y_max",
+        "flip_star_sign") if hasattr(args, key)}
+    cli_values["tol_overrides"] = tols or None
     return build_config(file_values, cli_values)
 
 
@@ -636,7 +646,9 @@ def main(argv=None) -> int:
         if args.command == "solve":
             conv = _active_conventions(cfg)
             sysr = reduced.derive_reduced_system(conv)
-            shot = reduced.shoot_for_decay(sysr, y0=args.y0)
+            shot = reduced.shoot_for_decay(
+                sysr, reduced.indicial_expand(sysr, reduced.SHOOT_ORDER),
+                y0=args.y0)
             ys = np.linspace(args.y0, 10.0, 500)
             a, b = shot.result.at(ys)
             write_csv(args.out_profile, ["y", "a", "b"],

@@ -1,9 +1,9 @@
 """Suite configuration: a flat key-value text format plus CLI overrides.
 
 Config files hold one ``key = value`` pair per line (# comments allowed).
-Recognised keys mirror the CLI flags; unknown keys and unknown check ids in
-tolerance overrides are rejected at parse time so that a typo cannot
-silently weaken a gate.
+Recognised keys mirror the CLI flags; unknown keys and tolerance overrides
+of any check outside TUNABLE_CHECK_IDS are rejected at parse time, so that
+neither a typo nor an override that no gate reads passes silently.
 """
 
 from __future__ import annotations
@@ -13,34 +13,18 @@ from dataclasses import dataclass, field
 
 from .quadrature import QuadratureSpec
 
-# every check id the suites emit; a tolerance override must name one of them
-KNOWN_CHECK_IDS = frozenset((
-    # algebra
-    "su2-bracket", "su2-inner", "su2-rotation", "su2-jacobi",
-    # models
-    "calibrate", "ricci", "residual-invariant-model-alt", "residual-nahm-pole",
+# the gates whose producer reads its tolerance through SuiteConfig.tol; every
+# other check is exact, an info record or gates on a fixed criterion, so an
+# override of it would change nothing
+TUNABLE_CHECK_IDS = frozenset((
+    "su2-rotation",
+    "calibrate", "residual-invariant-model-alt", "residual-nahm-pole",
     "residual-nahm-singular", "scale-invariance-flat", "profile-scaling-rate",
     "taubes-combination",
-    # decomposition
-    "decomposition-suite",
-    *(f"eigen-table-v{i}-{k}" for i, dim in ((1, 1), (2, 3), (3, 5))
-      for k in range(dim)),
-    *(f"star-table-{name}" for name in (
-        "mu1", "mu2", "mu3", "nu1", "nu2", "nu3", "nu12", "nu13",
-        "nu1-sign", "nu2-sign", "nu3-sign", "nu12-sign", "nu13-sign",
-        "mu12-perp", "mu13-perp", "mu21-perp", "mu23-perp", "mu31-perp",
-        "mu32-perp", "nu-diag-bracket-v1", "te-decomposition",
-        "mu1-v1-magnitude", "nu1-v1-magnitude", "nu12-v1-magnitude")),
-    *(f"star-table-nu-bracket-{a}{b}-perp" for a in range(5) for b in range(5)
-      if a != b and {a, b} != {3, 4}),
-    # energy
     "energy-first-order-balance", "energy-square-completion",
-    "energy-bulk-boundary-balance", "energy-cutoff-limit", "energy-route-match",
-    "energy-weighted-bound", "c-model-stability", "c-model-envelope",
-    "charge-model", "charge-model-alt", "perturbation-chain", "theorem-bound",
-    # solver
-    "solver-closure", "solver-stationary", "solver-jacobian",
-    "solver-closed-form-residual", "solver-ivp-match", "solver-indicial",
+    "energy-bulk-boundary-balance", "energy-route-match", "c-model-stability",
+    "charge-model", "charge-model-alt", "theorem-bound",
+    "solver-jacobian", "solver-closed-form-residual", "solver-ivp-match",
     "solver-shooting", "solver-series-parameter", "solver-decay-envelope",
     "solver-flow-translate",
 ))
@@ -71,8 +55,9 @@ class SuiteConfig:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
         for cid, tol in self.tol_overrides.items():
-            if cid not in KNOWN_CHECK_IDS:
-                raise ValueError(f"unknown check id in tolerance override: {cid!r}")
+            if cid not in TUNABLE_CHECK_IDS:
+                raise ValueError(f"tolerance override of {cid!r}: not a "
+                                 "tunable check")
             # an infinite tolerance switches the gate off, and the report
             # could not write it as JSON
             if not 0 < tol < math.inf:
@@ -98,6 +83,9 @@ class SuiteConfig:
         )
 
     def tol(self, check_id: str, default: float) -> float:
+        """The gate of a tunable check: its override, else ``default``."""
+        if check_id not in TUNABLE_CHECK_IDS:
+            raise KeyError(f"tolerance of {check_id!r}: not a tunable check")
         return float(self.tol_overrides.get(check_id, default))
 
 

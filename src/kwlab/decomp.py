@@ -96,24 +96,22 @@ def omega_bracket(v):
     return wedge_bracket_matrix(_I3, v)
 
 
+def _exact(check_id, holds: bool, note, provenance="reference") -> CheckReport:
+    """An exact table entry: computed 1 if it holds, else 0, against 1 at
+    zero tolerance."""
+    return make_check(check_id, note, computed=1.0 if holds else 0.0,
+                      expected=1.0, tolerance=0.0, provenance=provenance)
+
+
 def omega_bracket_eigencheck() -> list:
     """Exact eigenvalue table of *3[omega, . ] on all nine basis vectors."""
     bas = basis()
     out = []
     for i, (vecs, lam) in enumerate(zip((bas.v1, bas.v2, bas.v3), EIGENVALUES), 1):
         for k, v in enumerate(vecs):
-            got = omega_bracket(v)
-            exact = _eq(got, v * Fraction(lam))
-            out.append(
-                make_check(
-                    f"eigen-table-v{i}-{k}",
-                    f"*3[omega, .] acts on V^{i} with eigenvalue {lam}",
-                    computed=1.0 if exact else 0.0,
-                    expected=1.0,
-                    tolerance=0.0,
-                    provenance="reference",
-                )
-            )
+            out.append(_exact(f"eigen-table-v{i}-{k}",
+                              _eq(omega_bracket(v), v * Fraction(lam)),
+                              f"*3[omega, .] acts on V^{i} with eigenvalue {lam}"))
     return out
 
 
@@ -144,16 +142,7 @@ def appendix_star_table() -> list:
     checks = []
 
     def expect(check_id, got, want, note, provenance="reference"):
-        checks.append(
-            make_check(
-                check_id,
-                note,
-                computed=1.0 if _eq(got, want) else 0.0,
-                expected=1.0,
-                tolerance=0.0,
-                provenance=provenance,
-            )
-        )
+        checks.append(_exact(check_id, _eq(got, want), note, provenance))
 
     for k in range(3):
         expect(
@@ -214,18 +203,10 @@ def appendix_star_table() -> list:
                 OMEGA * F0,
                 "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs",
             )
-    diag_part = project(1, wedge_bracket_matrix(NU_12, NU_13))
-    checks.append(
-        make_check(
-            "star-table-nu-diag-bracket-v1",
-            "V1 part of *3[nu_12, nu_13] (non-orthogonal pair), engine value "
-            "-(1/3) omega",
-            computed=1.0 if _eq(diag_part, OMEGA * Fraction(-1, 3)) else 0.0,
-            expected=1.0,
-            tolerance=0.0,
-            provenance="derived",
-        )
-    )
+    expect("star-table-nu-diag-bracket-v1",
+           project(1, wedge_bracket_matrix(NU_12, NU_13)), OMEGA * Fraction(-1, 3),
+           "V1 part of *3[nu_12, nu_13] (non-orthogonal pair), engine value "
+           "-(1/3) omega", provenance="derived")
 
     # resolution of a diagonal coefficient form in the omega/nu basis
     lhs = _coeff_form(0, 0)
@@ -239,18 +220,11 @@ def appendix_star_table() -> list:
 
     # projection magnitudes used by the quadratic-projection equalities
     for name, v in (("mu1", MU[0]), ("nu1", NU[0]), ("nu12", NU_12)):
-        pr = project(1, star_vv(v))
-        mag_sq = one_form_norm_sq(pr)  # should be |omega/3|^2 = 1/6
-        checks.append(
-            make_check(
-                f"star-table-{name}-v1-magnitude",
-                "projection of the quadratic star onto V1 has magnitude |omega|/3",
-                computed=1.0 if mag_sq == Fraction(1, 6) else 0.0,
-                expected=1.0,
-                tolerance=0.0,
-                provenance="reference",
-            )
-        )
+        # |omega/3|^2 = 1/6
+        checks.append(_exact(
+            f"star-table-{name}-v1-magnitude",
+            one_form_norm_sq(project(1, star_vv(v))) == Fraction(1, 6),
+            "projection of the quadratic star onto V1 has magnitude |omega|/3"))
     return checks
 
 

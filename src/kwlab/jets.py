@@ -128,11 +128,6 @@ class Dual4:
         return Dual4(o * inv, -(o * inv * inv) * self.g)
 
 
-def exp(x: Jet2) -> Jet2:
-    e = np.exp(x.f)
-    return Jet2(e, e * x.d1, e * (x.d2 + x.d1 * x.d1))
-
-
 def expm1(x: Jet2) -> Jet2:
     """exp(x) - 1, accurate near x = 0; derivatives coincide with exp."""
     e = np.exp(x.f)

@@ -478,6 +478,7 @@ class ShootResult:
 
 SHOOT_LANES = 15  # interior points classified per coarse pass
 SHOOT_Y = 8.0  # where the unstable-mode functional U is read
+SHOOT_ORDER = 6  # order of the pole series the shooting starts from
 _U_SCALE = math.exp(-2.0 * SHOOT_Y)
 # A shooting run counts as blown up once |a| + |b| exceeds this multiple of
 # its initial value.  By then the quadratic part (a' = 2ab, b' = a^2 - b^2)
@@ -509,9 +510,8 @@ def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float):
     return outcomes
 
 
-def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
-                    bracket=(-1.0, -0.3), expansion_order: int = 6,
-                    y_end: float = 12.0) -> ShootResult:
+def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
+                    bracket=(-1.0, -0.3), y_end: float = 12.0) -> ShootResult:
     """Locate the free series coefficient p whose trajectory decays to the
     stationary point (0, 0), and integrate that trajectory to ``y_end``.
 
@@ -532,15 +532,14 @@ def shoot_for_decay(sys: ReducedSystem, y0: float = 0.1,
       same initial state or the next point is not strictly inside, and
       returns the end with the smaller |U|.
 
-    The pole series is built once by ``indicial_expand``, its coefficients
-    polynomials in p, and evaluated exactly once per classified p; each
+    ``series`` is the pole series from ``indicial_expand``, its coefficients
+    polynomials in p, evaluated exactly once per classified p; each
     bracket end carries its initial state.  A run that turns non-finite has
     no sign and raises, as does a falsi run that blows up before SHOOT_Y.
     """
     if not (math.isfinite(y0) and 0 < y0 <= 0.2):
         raise ValueError("series initial data is only trusted for "
                          f"0 < y0 <= 0.2, got {y0!r}")
-    series = indicial_expand(sys, expansion_order)
     trace = []
 
     def state(p):

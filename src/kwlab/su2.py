@@ -24,7 +24,6 @@ import numpy as np
 
 T1, T2, T3 = (np.array([Fraction(int(i == k)) for i in range(3)], dtype=object)
               for k in range(3))
-ZERO = np.array([Fraction(0)] * 3, dtype=object)
 
 
 def bracket(u, v):

@@ -16,7 +16,7 @@ import pytest
 from conftest import record_acceptance
 from kwlab import decomp, energy, halfspace, reduced
 from kwlab.cli import run_suite
-from kwlab.config import KNOWN_CHECK_IDS, build_config, load_config
+from kwlab.config import TUNABLE_CHECK_IDS, SuiteConfig, build_config, load_config
 from kwlab.forms import calibrate, kw_residual_norm
 from kwlab.profiles import (
     higgs_scale_check,
@@ -241,6 +241,22 @@ def test_criterion_12_determinism_and_interfaces(full_run, acceptance_cfg):
            f"negative control exits 1 on check 'calibrate'")
 
 
-def test_check_registry_matches_report(full_run):
-    # tolerance overrides accept exactly the ids the full suite emits
-    assert KNOWN_CHECK_IDS == set(full_run["by_id"])
+def test_tunable_check_overrides_are_live(full_run):
+    # every tunable id names a check of the report, and its override reaches
+    # that check's gate: each suite runs once with every tunable id
+    # overridden, each to its own value
+    assert TUNABLE_CHECK_IDS <= set(full_run["by_id"])
+    tols = {cid: 1e-3 * (1 + k / 64)
+            for k, cid in enumerate(sorted(TUNABLE_CHECK_IDS))}
+    # theorem-bound reports tolerance 0.0: a tiny gate must fail it instead
+    tols["theorem-bound"] = 1e-300
+    seen = {}
+    for suite in ("algebra", "models", "energy", "solver"):
+        checks, _ = run_suite(SuiteConfig(suite=suite, n_pert=1,
+                                          tol_overrides=tols))
+        seen.update((c.check_id, c) for c in checks
+                    if c.check_id in TUNABLE_CHECK_IDS)
+    assert set(seen) == TUNABLE_CHECK_IDS
+    assert seen.pop("theorem-bound").status == "fail"
+    assert {cid: c.tolerance for cid, c in seen.items()} == {
+        cid: tols[cid] for cid in seen}

@@ -1,17 +1,27 @@
 """CLI contract: config parsing, determinism, exit codes, file interfaces."""
 
 import ast
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwlab import energy, reduced
 from kwlab.cli import build_parser, emit_plotdata, main, suite_solver
-from kwlab.config import SuiteConfig, build_config, parse_config_text
+from kwlab.config import (
+    TUNABLE_CHECK_IDS,
+    SuiteConfig,
+    build_config,
+    parse_config_text,
+)
 from kwlab.report import CheckReport, checks_to_json, make_check, write_checks_json
 
 
@@ -71,19 +81,25 @@ def test_config_parsing_and_precedence(tmp_path):
     """
     vals = parse_config_text(text)
     assert vals["suite"] == "decomposition" and vals["n"] == 123
-    cfg = build_config(vals, {"seed": 99, "tol_overrides": {"ricci": 1e-3}})
+    cfg = build_config(vals, {"seed": 99,
+                              "tol_overrides": {"taubes-combination": 1e-3}})
     assert cfg.seed == 99           # CLI wins
     assert cfg.n == 123             # file preserved
     assert cfg.tol("calibrate", 1.0) == 1e-9
-    assert cfg.tol("ricci", 1.0) == 1e-3
+    assert cfg.tol("taubes-combination", 1.0) == 1e-3
     assert cfg.tol("charge-model", 0.5) == 0.5
 
 
 def test_config_rejects_unknown_keys_and_ids():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_text("bogus = 3")
-    with pytest.raises(ValueError, match="unknown check id"):
-        SuiteConfig(tol_overrides={"no-such-check": 1e-3})
+    # ricci is a check of the report, but an exact one: no gate reads an
+    # override of it
+    for cid in ("no-such-check", "ricci"):
+        with pytest.raises(ValueError, match="not a tunable check"):
+            SuiteConfig(tol_overrides={cid: 1e-3})
+        with pytest.raises(KeyError, match="not a tunable check"):
+            SuiteConfig().tol(cid, 1.0)
     for tol in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="must be positive and finite"):
             SuiteConfig(tol_overrides={"calibrate": tol})
@@ -167,14 +183,112 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+# report ids outside the tunable list: exact checks, info records and gates
+# on fixed criteria
+_OTHER_IDS = ("su2-bracket", "su2-inner", "su2-jacobi", "ricci",
+              "eigen-table-v2-1", "star-table-nu12-sign", "decomposition-suite",
+              "energy-cutoff-limit", "energy-weighted-bound", "c-model-envelope",
+              "perturbation-chain", "solver-closure", "solver-stationary",
+              "solver-indicial")
+# a config file's line syntax: '#' starts a comment and these end a line
+_LINE_SYNTAX = "#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_TEXT = st.text(st.characters(codec="utf-8",
+                                  blacklist_characters=_LINE_SYNTAX),
+                     max_size=12)
+_TOL_VALUES = ("0", "-0", "-1e-3", "nan", "-inf", "inf", "1e999", "abc", "",
+               "1e-9", " 0.25 ", "1=2")
+
+
+def _tol_ids(text):
+    return st.one_of(st.sampled_from(sorted(TUNABLE_CHECK_IDS)),
+                     st.sampled_from(_OTHER_IDS), text)
+
+
+def _tol_values(text):
+    return st.one_of(st.sampled_from(_TOL_VALUES), st.floats().map(repr), text)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _verify_algebra(out_dir, *argv):
+    """Exit code and stderr of an in-process algebra run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--suite", "algebra", *argv,
+                     "--out", str(out_dir / "r.json")])
+    return code, err.getvalue()
+
+
+def _assert_gate_outcome(code, err, check_id, value):
+    """Exit 2 with an error line unless check_id is tunable and value a
+    positive finite number; never a traceback."""
+    try:
+        accepted = (check_id in TUNABLE_CHECK_IDS
+                    and 0 < float(value) < math.inf)
+    except ValueError:
+        accepted = False
+    assert "Traceback" not in err
+    if accepted:
+        assert code in (0, 1), err
+    else:
+        assert code == 2 and "error:" in err, (code, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(check_id=_tol_ids(st.text(max_size=12)),
+       value=_tol_values(st.text(max_size=12)),
+       sep=st.sampled_from(("=", " = ", "")))
+def test_tol_flag_fuzz(fuzz_dir, check_id, value, sep):
+    item = f"{check_id}{sep}{value}"
+    code, err = _verify_algebra(fuzz_dir, f"--tol={item}")
+    if "=" not in item:
+        assert code == 2 and "--tol expects ID=VALUE" in err
+    else:
+        head, val = item.split("=", 1)
+        _assert_gate_outcome(code, err, head.strip(), val)
+
+
+@settings(max_examples=150, deadline=None)
+@given(check_id=_tol_ids(_LINE_TEXT), value=_tol_values(_LINE_TEXT),
+       sep=st.sampled_from(("=", " = ", "")))
+def test_config_tol_line_fuzz(fuzz_dir, check_id, value, sep):
+    line = f"tol.{check_id}{sep}{value}"
+    cfg = fuzz_dir / "fuzz.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    code, err = _verify_algebra(fuzz_dir, "--config", str(cfg))
+    if "=" not in line:
+        assert code == 2 and "expected 'key = value'" in err
+    else:
+        head, val = line.split("=", 1)
+        _assert_gate_outcome(code, err, head.strip()[4:], val)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("energy", "--seed"), ("energy", "--tol"), ("energy", "--json"),
+    ("residual", "--tol"), ("residual", "--json"),
+    *((command, flag) for command in ("solve", "plotdata")
+      for flag in ("--seed", "--tol", "--out", "--json")),
+])
+def test_flags_a_command_does_not_read_exit_two(command, flag, capsys):
+    target = ["--target", "profiles"] if command == "plotdata" else []
+    value = [] if flag == "--json" else ["1"]
+    assert main([command, *target, flag, *value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_series_parameter_gate_is_live(monkeypatch):
     # a pole series one order short of the stated one moves the located
     # coefficient by about a_6 y0^4, far outside the order-6 bound, while
     # the profile comparison of solver-shooting still passes
     shoot = reduced.shoot_for_decay
 
-    def short_series(sysr, y0, expansion_order):
-        return shoot(sysr, y0=y0, expansion_order=expansion_order - 1)
+    def short_series(sysr, series, y0):
+        return shoot(sysr, reduced.indicial_expand(sysr, series.order - 1),
+                     y0=y0)
 
     monkeypatch.setattr(reduced, "shoot_for_decay", short_series)
     by_id = {c.check_id: c for c in suite_solver(SuiteConfig(suite="solver"))}

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kwlab import jets
+from conftest import jet_exp
 from kwlab.config import build_config, load_config
 from kwlab.energy import (
     BLOCK,
@@ -75,7 +75,7 @@ class _RefPerturbation:
     """rho = q(y) * m with q = amp * y * exp(-rate * y) as a jet profile."""
 
     def __init__(self, amplitude, rate, direction, name="perturbation"):
-        self.q_fn = lambda jy: amplitude * jy * jets.exp(-rate * jy)
+        self.q_fn = lambda jy: amplitude * jy * jet_exp(-rate * jy)
         self.direction = np.asarray(direction, dtype=float)
         self.name = name
 

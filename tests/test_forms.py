@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kwlab import jets
+from conftest import jet_exp
 from kwlab.decomp import omega_bracket, star_vv
 from kwlab.forms import (
     CONVENTION_SET,
@@ -179,10 +179,10 @@ def _random_smooth_field(rng):
     mats = [rng.normal(size=(3, 3)) * 0.4 for _ in range(2)]
 
     def f1(jy):
-        return (jy * 0.3 + 0.2) * jets.exp(-jy)
+        return (jy * 0.3 + 0.2) * jet_exp(-jy)
 
     def f2(jy):
-        return (jy * jy * 0.1 + 0.5) * jets.exp(-2 * jy)
+        return (jy * jy * 0.1 + 0.5) * jet_exp(-2 * jy)
 
     return InvariantField(
         MatrixProfile([(f1, mats[0])]),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from kwlab import jets
+from conftest import jet_exp
 from kwlab.jets import Jet2
 from kwlab.profiles import (
     higgs_scale_check,
@@ -17,7 +17,7 @@ def test_jet_arithmetic_against_closed_forms():
     # d/dy and d2/dy2 of y^2 exp(-3y) at y = 0.7
     y = 0.7
     j = Jet2.var(y)
-    out = j * j * jets.exp(-3 * j)
+    out = j * j * jet_exp(-3 * j)
     e = math.exp(-3 * y)
     assert math.isclose(out.f, y * y * e, rel_tol=1e-15)
     assert math.isclose(out.d1, (2 * y - 3 * y * y) * e, rel_tol=1e-14)

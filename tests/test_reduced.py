@@ -36,8 +36,13 @@ def system(conv):
 
 
 @pytest.fixture(scope="module")
-def shot(system):
-    return shoot_for_decay(system, y0=0.1)
+def series(system):
+    return indicial_expand(system, reduced.SHOOT_ORDER)
+
+
+@pytest.fixture(scope="module")
+def shot(system, series):
+    return shoot_for_decay(system, series, y0=0.1)
 
 
 def test_machine_derived_coefficients(system):
@@ -394,12 +399,12 @@ def test_shooting_recovers_model(shot):
         assert abs(b * math.exp(2 * y) - 6.0) <= 0.05
 
 
-def test_shooting_rejects_bad_bracket(system):
+def test_shooting_rejects_bad_bracket(system, series):
     with pytest.raises(ValueError, match="not bracketed"):
-        shoot_for_decay(system, y0=0.1, bracket=(-0.2, -0.1))
+        shoot_for_decay(system, series, y0=0.1, bracket=(-0.2, -0.1))
     for y0 in (0.5, 0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="series initial data"):
-            shoot_for_decay(system, y0=y0)
+            shoot_for_decay(system, series, y0=y0)
 
 
 def test_flow_translation_property(system):
@@ -579,7 +584,7 @@ def test_located_state_is_certified_by_mpmath(system, shot):
     assert abs(shot.u_final - at) <= 1e-18
 
 
-def test_nan_state_is_nonfinite_without_sign(system, monkeypatch):
+def test_nan_state_is_nonfinite_without_sign(system, series, monkeypatch):
     a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
     clean = integrate_ivp(system, 0.1, (a0, b0), 10.0)
     taylor = reduced.taylor_coefficients
@@ -603,7 +608,7 @@ def test_nan_state_is_nonfinite_without_sign(system, monkeypatch):
                                        reduced.SHOOT_Y)
     assert [o[:2] for o in outcomes] == [("non-finite", 0.0)] * 2
     with pytest.raises(ValueError, match="non-finite"):
-        shoot_for_decay(system, y0=0.1)
+        shoot_for_decay(system, series, y0=0.1)
 
     # a step below the floor: the run stops at once, with its initial state
     monkeypatch.setattr(reduced, "taylor_coefficients", taylor)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwlab.su2 import T1, T2, T3, ZERO, ad_rotate, bracket, inner, norm, norm_sq
+from kwlab.su2 import T1, T2, T3, ad_rotate, bracket, inner, norm, norm_sq
+
+ZERO = T1 * 0
 
 
 def _pauli_rep(u):
