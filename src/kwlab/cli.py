@@ -30,8 +30,6 @@ from . import decomp, energy, halfspace, reduced, report, su2
 from .config import SUITES, TUNABLE_CHECK_IDS, SuiteConfig, build_config, load_config
 from .forms import calibrate, kw_residual_norm, ricci_check, taubes_lhs
 from .profiles import (
-    InvariantField,
-    VectorProfile,
     higgs_scale_check,
     nahm_pole_invariant_solution,
     nahm_pole_invariant_solution_alt,
@@ -186,17 +184,13 @@ def suite_models(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("profile-scaling-rate", 0.1), provenance="derived",
         extra=sc))
 
-    # pointwise maximum-principle combination on closed-form data
-    zero_m = scaled_matrix_profile(lambda jy: jy * 0, _I3)
-    lin = InvariantField(zero_m, zero_m,
-                         VectorProfile([(lambda jy: jy, (0.0, 0.0, 1.0))]))
-    quad = InvariantField(zero_m, zero_m,
-                          VectorProfile([(lambda jy: jy * jy, (0.0, 0.0, 1.0))]))
+    # pointwise maximum-principle combination on closed-form phi_y with
+    # A = phi = 0: y t3 at y = 1.3 gives 0, y^2 t3 at y = 1.1 gives -y^2
+    t3, zero = np.array([0.0, 0.0, 1.0]), np.zeros((3, 3))
+    y = 1.1
     worst_t = max(
-        abs(taubes_lhs(conv, model, 0.7)),
-        abs(taubes_lhs(conv, lin, 1.3)),
-        abs(taubes_lhs(conv, quad, 1.1) - (-(1.1) ** 2)),
-    )
+        abs(taubes_lhs(zero, zero, 1.3 * t3, t3, 0 * t3)),
+        abs(taubes_lhs(zero, zero, (y * y) * t3, (y + y) * t3, 2 * t3) + y ** 2))
     checks.append(make_check(
         "taubes-combination",
         "pointwise normal-component identity on closed-form data",

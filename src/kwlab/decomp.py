@@ -239,8 +239,8 @@ def _random_int_matrix(rng: random.Random, kind: str):
         x, y, z = r(), r(), r()
         return [[0, z, -y], [-z, 0, x], [y, -x, 0]]
     if kind == "pure3":
-        x, y, z, d1, d2 = r(), r(), r(), r(), r()
-        return [[d1, z, y], [z, d2, x], [y, x, -d1 - d2]]
+        x, y, z, s, t = r(), r(), r(), r(), r()
+        return [[s, z, y], [z, t, x], [y, x, -s - t]]
     raise ValueError(f"unknown kind {kind!r}")
 
 

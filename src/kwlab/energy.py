@@ -394,7 +394,7 @@ def _pow2(x):
 def exp_decay_q(amplitudes, rates, y):
     """(q, q') of the profiles q = amp * y * exp(-rate * y) at the nodes y,
     one row per (amplitude, rate).  The products are formed in the order of
-    the profile's second-order jet, so each row is that jet's value."""
+    the profile's jet, so each row is that jet's value."""
     amp = np.asarray(amplitudes, dtype=float)[:, None]
     rate = np.asarray(rates, dtype=float)[:, None]
     e = np.exp(y * -rate)

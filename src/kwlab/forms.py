@@ -23,8 +23,9 @@ s1, s2 in {+-1} for the unique choice that makes the Ricci curvature of the
 frame equal 2g exactly and annihilates the Kapustin-Witten residual of the
 closed-form reference solution.
 
-The gauge A_y = 0 is assumed throughout.  A Higgs component phi_y along dy
-enters only the maximum-principle combination ``taubes_lhs``.
+The gauge A_y = 0 is assumed throughout, and fields carry no Higgs
+component phi_y along dy.  The maximum-principle combination for phi_y,
+``taubes_lhs``, is a kernel on values at one point that its caller supplies.
 """
 
 from __future__ import annotations
@@ -188,8 +189,6 @@ def kw_residual(conv: GeometryConventions, field, y):
     |d_A * phi| of the second equation's residual.  Each node gets the float
     of a one-node evaluation.
     """
-    if field.higgs_y is not None:
-        raise ValueError("kw_residual does not take a phi_y component")
     if np.any(np.asarray(y) <= 0):
         raise ValueError("boundary evaluation")
     m = FieldAt(conv, field, y)
@@ -213,8 +212,11 @@ def kw_residual_norm(conv: GeometryConventions, field, y):
     return _sqrt(norm_sq) + res2
 
 
-def taubes_lhs(conv: GeometryConventions, field, y) -> float:
-    """Left side of the pointwise maximum-principle identity for phi_y.
+def taubes_lhs(a, p, w, dw, ddw) -> float:
+    """Left side of the pointwise maximum-principle identity for phi_y, at
+    one point: a and p are the float coefficient matrices of the connection
+    and the tangential Higgs field, w, dw and ddw the su(2) values of phi_y
+    and its first two y-derivatives.
 
     In the invariant class |phi_y|^2 is constant on S^3, so the tangential
     Laplacian term drops and only y-derivatives survive:
@@ -222,24 +224,13 @@ def taubes_lhs(conv: GeometryConventions, field, y) -> float:
         + 2 |[phi_y, phi_tangential]|^2 .
     Vanishes identically on solutions.
     """
-    if field.higgs_y is None:
-        return 0.0
-    w, dw, ddw = field.higgs_y.eval(y)
-    a, _ = field.connection.eval(y)
-    p, _ = field.higgs.eval(y)
-    w = np.asarray(w, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    ddw = np.asarray(ddw, dtype=float)
-    af = np.asarray(a, dtype=float)
-    pf = np.asarray(p, dtype=float)
-
     lap = -0.5 * float(np.dot(dw, dw) + np.dot(w, ddw))
     dy_term = 0.5 * float(np.dot(dw, dw))
     nabla = sum(
-        0.5 * float(np.dot(c, c)) for c in (bracket(af[:, k], w) for k in range(3))
+        0.5 * float(np.dot(c, c)) for c in (bracket(a[:, k], w) for k in range(3))
     )
     brk = sum(
-        float(np.dot(c, c)) for c in (bracket(w, pf[:, k]) for k in range(3))
+        float(np.dot(c, c)) for c in (bracket(w, p[:, k]) for k in range(3))
     )
     return lap + dy_term + nabla + brk
 

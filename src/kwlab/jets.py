@@ -1,7 +1,7 @@
 """Truncated-Taylor scalars for exact pointwise differentiation.
 
-Jet2 propagates (value, first, second derivative) of a function of one
-variable through arithmetic; Dual4 propagates a value and a 4-component
+Jet2 propagates (value, first derivative) of a function of one variable
+through arithmetic; Dual4 propagates a value and a 4-component
 gradient for fields on a flat chart.  Both are dtype-agnostic: they work
 with float, np.longdouble or Fraction coefficients, so closed-form profiles
 can be evaluated in extended precision where residual tolerances demand it.
@@ -15,29 +15,27 @@ import numpy as np
 
 
 class Jet2:
-    """Second-order jet (f, f', f'') of a scalar function of y."""
+    """First-order jet (f, f') of a scalar function of y."""
 
-    __slots__ = ("f", "d1", "d2")
+    __slots__ = ("f", "d1")
 
-    def __init__(self, f, d1=0.0, d2=0.0):
+    def __init__(self, f, d1=0.0):
         self.f = f
         self.d1 = d1
-        self.d2 = d2
 
     @staticmethod
     def var(y):
-        one = y * 0 + 1
-        return Jet2(y, one, y * 0)
+        return Jet2(y, y * 0 + 1)
 
     def __add__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
-        return Jet2(self.f + o, self.d1, self.d2)
+            return Jet2(self.f + o.f, self.d1 + o.d1)
+        return Jet2(self.f + o, self.d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.f, -self.d1, -self.d2)
+        return Jet2(-self.f, -self.d1)
 
     def __sub__(self, o):
         return self + (-o if isinstance(o, Jet2) else -o)
@@ -47,28 +45,22 @@ class Jet2:
 
     def __mul__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(
-                self.f * o.f,
-                self.f * o.d1 + self.d1 * o.f,
-                self.f * o.d2 + 2 * self.d1 * o.d1 + self.d2 * o.f,
-            )
-        return Jet2(self.f * o, self.d1 * o, self.d2 * o)
+            return Jet2(self.f * o.f, self.f * o.d1 + self.d1 * o.f)
+        return Jet2(self.f * o, self.d1 * o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         if isinstance(o, Jet2):
             return self * o._reciprocal()
-        return Jet2(self.f / o, self.d1 / o, self.d2 / o)
+        return Jet2(self.f / o, self.d1 / o)
 
     def __rtruediv__(self, o):
         return self._reciprocal() * o
 
     def _reciprocal(self):
         inv = 1 / self.f
-        d1 = -self.d1 * inv * inv
-        d2 = (2 * self.d1 * self.d1 * inv - self.d2) * inv * inv
-        return Jet2(inv, d1, d2)
+        return Jet2(inv, -self.d1 * inv * inv)
 
 
 class Dual4:
@@ -130,8 +122,7 @@ class Dual4:
 
 def expm1(x: Jet2) -> Jet2:
     """exp(x) - 1, accurate near x = 0; derivatives coincide with exp."""
-    e = np.exp(x.f)
-    return Jet2(np.expm1(x.f), e * x.d1, e * (x.d2 + x.d1 * x.d1))
+    return Jet2(np.expm1(x.f), np.exp(x.f) * x.d1)
 
 
 def sqrt(x: Dual4) -> Dual4:

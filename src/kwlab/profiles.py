@@ -1,10 +1,10 @@
 """y-profiles of invariant fields and the closed-form reference solutions.
 
-An invariant configuration on S^3 x R+ is a triple of profiles: a 3x3
-connection coefficient matrix a(y) (gauge A_y = 0), a 3x3 tangential Higgs
-matrix p(y), and optionally an su(2)-valued phi_y(y).  Profiles are sums of
-scalar functions times constant matrices, evaluated through second-order
-jets so that first (and second, for phi_y) derivatives are exact.
+An invariant configuration on S^3 x R+ is a pair of profiles: a 3x3
+connection coefficient matrix a(y) (gauge A_y = 0) and a 3x3 tangential
+Higgs matrix p(y).  Profiles are sums of scalar functions times constant
+matrices, evaluated through first-order jets so that their y-derivatives
+are exact.
 
 The closed-form reference solution has scalar profiles
 
@@ -33,13 +33,13 @@ from .jets import Jet2
 class MatrixProfile:
     """Sum of scalar-profile * constant-matrix terms; eval -> (value, d/dy).
 
-    y is a node or an array of nodes; value and d/dy have shape
-    y.shape + (3, 3)."""
+    y is a node or an array of nodes, taken in np.longdouble; value and
+    d/dy have shape y.shape + (3, 3)."""
 
     terms: list  # [(scalar_fn taking Jet2, 3x3 matrix), ...]
 
-    def eval(self, y, dtype=np.longdouble):
-        jy = Jet2.var(dtype(y))
+    def eval(self, y):
+        jy = Jet2.var(np.longdouble(y))
         val = None
         der = None
         for fn, mat in self.terms:
@@ -49,26 +49,6 @@ class MatrixProfile:
             val = v if val is None else val + v
             der = d if der is None else der + d
         return val, der
-
-
-@dataclass
-class VectorProfile:
-    """su(2)-valued profile; eval -> (w, w', w'')."""
-
-    terms: list  # [(scalar_fn taking Jet2, length-3 vector), ...]
-
-    def eval(self, y, dtype=float):
-        jy = Jet2.var(dtype(y))
-        w = np.zeros(3, dtype=dtype)
-        dw = np.zeros(3, dtype=dtype)
-        ddw = np.zeros(3, dtype=dtype)
-        for fn, vec in self.terms:
-            j = fn(jy)
-            vec = np.asarray(vec, dtype=dtype)
-            w = w + j.f * vec
-            dw = dw + j.d1 * vec
-            ddw = ddw + j.d2 * vec
-        return w, dw, ddw
 
 
 def scaled_matrix_profile(fn, mat) -> MatrixProfile:
@@ -81,7 +61,6 @@ class InvariantField:
 
     connection: MatrixProfile
     higgs: MatrixProfile
-    higgs_y: VectorProfile | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,12 @@ class QuadratureSpec:
             raise ValueError("need 0 < eps < y_split < y_max < inf")
         if self.panels < 1 or self.nodes_per_panel < 2:
             raise ValueError("need panels >= 1 and nodes_per_panel >= 2")
+        try:  # the tail bound samples the envelope up to y_max
+            math.exp(TAIL_RATE * self.y_max)
+        except OverflowError:
+            raise ValueError(
+                f"y_max = {self.y_max!r} is too large: the tail envelope "
+                f"exp({TAIL_RATE:g} y_max) overflows a float") from None
 
     def refined(self) -> "QuadratureSpec":
         return replace(self, panels=self.panels * 2)

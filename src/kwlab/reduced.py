@@ -191,11 +191,10 @@ class IndicialExpansion:
 
     The series forces b_{-1} = 1 (simple pole), a_0 = 1 (any other constant
     feeds a 1/y term into a', i.e. a logarithm), and leaves the quadratic
-    coefficient of a free; ``free_param`` records the value used.
+    coefficient of a free.
     """
 
     order: int
-    free_param: Fraction
     a_coeffs: dict  # power -> Fraction, starting at 0
     b_coeffs: dict  # power -> Fraction, starting at -1
 
@@ -225,7 +224,7 @@ class PoleSeries:
             return out
 
         return IndicialExpansion(
-            self.order, p, {k: value(c) for k, c in self.a_polys.items()},
+            self.order, {k: value(c) for k, c in self.a_polys.items()},
             {k: value(c) for k, c in self.b_polys.items()})
 
 
@@ -367,11 +366,6 @@ class IvpResult:
     @property
     def ys(self) -> np.ndarray:
         return self.knots.astype(float)
-
-    @property
-    def states(self) -> np.ndarray:
-        """Shape (n, 2), the float states at the knots."""
-        return np.vstack([self.coeffs[:, :, 0], self.end]).astype(float)
 
     def at(self, y):
         """(a, b) at y by Horner on the step that holds y (the first or the

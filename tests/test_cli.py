@@ -156,6 +156,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           ("y_max = 0.5", "y_split < y_max"),
                           ("y_split = inf", "y_split < y_max"),
                           ("y_max = inf", "y_max < inf"),
+                          ("y_max = 178", "tail envelope exp(4 y_max) overflows"),
                           ("seed = -1", "seed must be >= 0"),
                           ("tol.su2-rotation = inf",
                            "must be positive and finite"),
@@ -166,6 +167,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert message in capsys.readouterr().err
     assert main(["verify", "--suite", "algebra", "--seed", "-3"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+    assert main(["energy", "--ymax", "178", "--out", str(tmp_path / "e.json")]) == 2
+    assert "tail envelope" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
     # the energy identities integrate from eps itself, so it must fit the
     # quadrature layout even though the shared spec clamps it to 1e-3
     for eps in ("1.0", "inf"):

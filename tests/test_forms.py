@@ -26,9 +26,9 @@ from kwlab.forms import (
 from kwlab.profiles import (
     InvariantField,
     MatrixProfile,
-    VectorProfile,
     nahm_pole_invariant_solution,
     nahm_pole_invariant_solution_alt,
+    pole_scalars,
     scaled_matrix_profile,
 )
 from kwlab.su2 import ad_rotate, bracket
@@ -143,11 +143,6 @@ def test_residual_zero_field_and_boundary_error(conv):
         kw_residual(conv, field, 0.0)
     with pytest.raises(ValueError, match="boundary evaluation"):
         kw_residual_norm(conv, field, np.array([1.0, 0.0]))
-    # phi_y is not part of the residual: a field that carries it is refused
-    with_y = InvariantField(zero_prof, zero_prof,
-                            VectorProfile([(lambda jy: jy * 0, (0, 0, 1.0))]))
-    with pytest.raises(ValueError, match="phi_y"):
-        kw_residual(conv, with_y, 1.0)
 
 
 def test_residual_model_grid(conv):
@@ -168,11 +163,8 @@ def _rotated(field, rot) -> InvariantField:
     def rot_terms(terms):
         return [(fn, rot @ np.asarray(m, dtype=float)) for fn, m in terms]
 
-    hy = None
-    if field.higgs_y is not None:
-        hy = VectorProfile(rot_terms(field.higgs_y.terms))
     return InvariantField(MatrixProfile(rot_terms(field.connection.terms)),
-                          MatrixProfile(rot_terms(field.higgs.terms)), hy)
+                          MatrixProfile(rot_terms(field.higgs.terms)))
 
 
 def _random_smooth_field(rng):
@@ -271,30 +263,42 @@ def test_ricci_check_calibrated_and_flat(conv):
     assert all(ric[i][j] == 0 for i in range(3) for j in range(3) if i != j)
 
 
-def test_taubes_examples(conv):
-    zero_prof = scaled_matrix_profile(lambda jy: jy * 0, I3)
-    model = nahm_pole_invariant_solution()
-    # solution with vanishing normal Higgs component: identically zero
-    for y in (0.2, 1.0, 4.0):
-        assert abs(taubes_lhs(conv, model, y)) == 0.0
+T1, T3 = I3[0], I3[2]
+ZERO3 = np.zeros(3)
 
-    lin = InvariantField(zero_prof, zero_prof,
-                         VectorProfile([(lambda jy: jy, (0, 0, 1.0))]))
-    assert abs(taubes_lhs(conv, lin, 0.9)) < 1e-14
 
-    quad = InvariantField(zero_prof, zero_prof,
-                          VectorProfile([(lambda jy: jy * jy, (0, 0, 1.0))]))
+def test_taubes_examples():
+    # phi_y = y t3 and y^2 t3 with A = phi = 0: the combination is 0 and -y^2
+    for y in (0.9, 1.3):
+        assert abs(taubes_lhs(I3 * 0, I3 * 0, y * T3, T3, ZERO3)) < 1e-14
     for y in (0.5, 1.7):
-        assert math.isclose(taubes_lhs(conv, quad, y), -y * y, rel_tol=1e-12)
+        got = taubes_lhs(I3 * 0, I3 * 0, y * y * T3, 2 * y * T3, 2 * T3)
+        assert math.isclose(got, -y * y, rel_tol=1e-12)
 
 
-def test_taubes_vanishes_on_solutions_with_zero_normal_part(conv):
-    model = nahm_pole_invariant_solution()
-    field = InvariantField(model.connection, model.higgs,
-                           VectorProfile([(lambda jy: jy * 0, (0, 0, 1.0))]))
-    worst = max(abs(taubes_lhs(conv, field, float(y)))
-                for y in np.geomspace(1e-2, 8, 40))
-    assert worst < 1e-10
+def test_taubes_vanishes_on_solutions_with_zero_normal_part():
+    for y in np.geomspace(1e-2, 8, 40):
+        a, b, _, _ = pole_scalars(y)
+        assert taubes_lhs(a * I3, b * I3, ZERO3, ZERO3, ZERO3) == 0.0
+
+
+def test_taubes_bracket_terms():
+    # |nabla_A phi_y|^2 with a = omega, phi_y = t1: (1/2)(|[t2,t1]|^2 + |[t3,t1]|^2)
+    assert taubes_lhs(I3, I3 * 0, T1, ZERO3, ZERO3) == 1.0
+    # 2 |[phi_y, phi]|^2 with p = omega, phi_y = t1: the same brackets, doubled
+    assert taubes_lhs(I3 * 0, I3, T1, ZERO3, ZERO3) == 2.0
+
+
+def test_taubes_is_invariant_under_one_adjoint_rotation():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        a, p = rng.normal(size=(2, 3, 3)) * 0.3
+        vecs = rng.normal(size=(3, 3)) * 0.3
+        axis, angle = rng.normal(size=3), float(rng.uniform(0, 2 * math.pi))
+        rot = np.array([ad_rotate(axis, angle, row) for row in I3]).T
+        base = taubes_lhs(a, p, *vecs)
+        after = taubes_lhs(rot @ a, rot @ p, *(rot @ v for v in vecs))
+        assert abs(base - after) <= 1e-14
 
 
 def test_eps_table_is_permutation_symbol():
