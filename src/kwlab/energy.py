@@ -140,7 +140,7 @@ def densities(conv: GeometryConventions, field: InvariantField, y,
               keys=DENSITY_KEYS) -> dict:
     """The named pointwise densities at y (a node or an array of nodes), in
     float64."""
-    m = FieldAt(conv, field, y, float)
+    m = FieldAt.of(conv, field, y, float)
     return {k: _DENSITIES[k](m) for k in keys}
 
 
@@ -207,7 +207,7 @@ def boundary_terms(conv: GeometryConventions, field: InvariantField, eps: float)
         cubic term  (2/3) int_{S^3} tr phi^3      -> 2 pi^2 det p(eps)
         mixed term  -2  int_{S^3} tr(phi ^ F_A)   -> -2 pi^2 <p, T_F>(eps).
     """
-    m = FieldAt(conv, field, eps, float)
+    m = FieldAt.of(conv, field, eps, float)
     cubic = 2.0 * math.pi**2 * float(det3(m.p))
     mixed = -2.0 * math.pi**2 * float(frob_inner(m.p, m.t_f))
     return cubic, mixed
@@ -463,11 +463,8 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
 
     def s_full_norm(h, dh, q, dq):  # |d_y phi + *3 phi^2| of the perturbed fields
         p = _I3[:, :, None, None] * h + mf[..., None] * q  # (3, 3, k, n)
-        s = wedge_bracket_matrix(p, p)
-        del p  # these stacks set the chain's peak memory: free p, update s in place
-        s *= 0.5
-        s += _I3[:, :, None, None] * dh + mf[..., None] * dq
-        return np.sqrt(0.5 * frob_inner(s, s))
+        dp = _I3[:, :, None, None] * dh + mf[..., None] * dq
+        return np.sqrt(_s_sq(FieldAt(conv, None, None, p, dp)))
 
     def near_rows(y):  # the chain on (0, 1]
         h, dh, q, dq, alpha, dalpha = profiles(y)
@@ -584,21 +581,18 @@ class BoundConstants:
     C: float              # c_limit + 2 c_pert
 
 
-def bound_constants(full_line: Norms) -> BoundConstants:
+def bound_constants(conv: GeometryConventions, full_line: Norms) -> BoundConstants:
     """Engine constants of the curvature-energy bound: the cutoff-limit
     constant of the model (the bulk row of its from-zero pass), the
-    perturbation constant, and their combination C = c_limit + 2 c_pert."""
+    perturbation constant, whose c24a reads the model's S_sq density on
+    (0, 1], and their combination C = c_limit + 2 c_pert."""
     direct, err = full_line.rows["bulk"]
     c2 = c_decay()
     c19 = 0.5 * VOL_S3 * c2 * c2 * math.exp(-4.0)
     w_abs = math.sqrt(OMEGA_NORM_SQ)
-
-    def s_model_sq(y):  # |d_y phi + *3 phi^2|^2 of the reference solution
-        _, b, _, db = pole_scalars(y)
-        return _pow2(db + _pow2(b)) * OMEGA_NORM_SQ
-
-    s_model_sq_near = VOL_S3 * integrate_interval(s_model_sq, 0.0, 1.0, panels=32)[0]
-    c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_model_sq_near)
+    s_sq_near = VOL_S3 * integrate_interval(
+        density_fn(conv, full_line.field, ("S_sq",)), 0.0, 1.0, panels=32)[0]
+    c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_sq_near)
     c24b = 0.5 * VOL_S3 * OMEGA_NORM_SQ
     c_pert = c19 + c24a + c24b
     return BoundConstants(

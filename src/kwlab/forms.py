@@ -4,8 +4,9 @@ A tangential invariant 1-form  sum_{i,a} c_ia t_i (x) e_a  is its 3x3
 coefficient matrix c over the orthonormal invariant coframe {e_a}; the
 identity matrix is omega = sum_i t_i e_i.  A tangential 2-form is the matrix
 of its *3-dual 1-form (hat{e}_1 = e2^e3 cyclic), a normal 2-form the matrix
-of its dy^e_a coefficients.  Matrices may be stacked along a trailing node
-axis, (3, 3, n), and are then read entry by entry at every node.
+of its dy^e_a coefficients.  Matrices may be stacked along trailing axes,
+(3, 3, n) for n nodes or (3, 3, k, n) for k fields, and are then read entry
+by entry at every node.
 
 Geometry enters through three discrete constants:
 
@@ -14,10 +15,11 @@ Geometry enters through three discrete constants:
     *(dy ^ e_a)     = s2 * e_b ^ e_c
 
 with *3 fixed cyclically on S^3 ( *3(e_b^e_c) = e_a ).  ``FieldAt`` is the
-one place where the field algebra lives: the Kapustin-Witten blocks of a
-field at y, which the residual, the energy densities and the reduced system
-all read.  The 3d and 4d Hodge stars act only inside ``kw_residual``, as
-these constants.  None of them is
+one place where the field algebra lives: the Kapustin-Witten blocks of
+coefficient matrices, which the residual, the energy densities, the
+perturbation chain and the reduced system all read, and ``FieldAt.of`` the
+one place that evaluates a field's profiles for it.  The 3d and 4d Hodge
+stars act only inside ``kw_residual``, as these constants.  None of them is
 chosen by hand: ``calibrate`` searches the finite set c_struct in {+-1, +-2},
 s1, s2 in {+-1} for the unique choice that makes the Ricci curvature of the
 frame equal 2g exactly and annihilates the Kapustin-Witten residual of the
@@ -120,14 +122,8 @@ class GeometryConventions:
 
 
 # ---------------------------------------------------------------------------
-# the field engine: Kapustin-Witten blocks of a field on y-profiles
+# the field engine: Kapustin-Witten blocks of coefficient matrices
 # ---------------------------------------------------------------------------
-
-def curvature_matrices(conv: GeometryConventions, a, da):
-    """(tangential, normal) coefficient matrices of F_A for A = a(y)-matrix."""
-    t = a * (-conv.c) + half_of(wedge_bracket_matrix(a, a))
-    return t, da
-
 
 def matrix_first(m, dtype=None):
     """(..., 3, 3) -> (3, 3, ...) in dtype (None keeps m's): m[i][a] is then
@@ -136,12 +132,10 @@ def matrix_first(m, dtype=None):
 
 
 class FieldAt:
-    """An invariant field (A_y = 0) at y, a node or an array of nodes.  It
-    holds the coefficient matrices a, a' (= F_n), p and p', matrix axes
-    first, in dtype: None keeps the profiles' longdouble (the residual),
-    float rounds them to float64 (the energy densities).  The blocks are
-    formed from them on first use, so a reader evaluates only the profiles
-    and brackets it needs:
+    """An invariant field (A_y = 0) given by its coefficient matrices a,
+    a' (= F_n), p and p', matrix axes first and trailing node axes, in any
+    dtype; a matrix that no block read needs may be None.  The blocks are
+    formed on first use, so a reader forms only the brackets it needs:
 
         t_f     tangential curvature          -c a + (1/2)[a ^ a]
         phi2    (1/2)[p ^ p]
@@ -149,23 +143,24 @@ class FieldAt:
         div     d_A * phi, an su(2) element    sum_col [a_col, p_col]
     """
 
-    def __init__(self, conv: GeometryConventions, field, y, dtype=None):
+    def __init__(self, conv: GeometryConventions, a, da, p, dp):
         self.conv = conv
-        self._field, self._y, self._dtype = field, y, dtype
+        self.a, self.n_f, self.p, self.dp = a, da, p, dp
 
-    def _matrices(self, profile):
-        return [matrix_first(m, self._dtype) for m in profile.eval(self._y)]
-
-    _connection = cached_property(lambda self: self._matrices(self._field.connection))
-    _higgs = cached_property(lambda self: self._matrices(self._field.higgs))
-    a = property(lambda self: self._connection[0])
-    n_f = property(lambda self: self._connection[1])  # normal curvature = a'
-    p = property(lambda self: self._higgs[0])
-    dp = property(lambda self: self._higgs[1])
+    @classmethod
+    def of(cls, conv: GeometryConventions, field, y, dtype=None) -> "FieldAt":
+        """The field's profiles at y, a node or an array of nodes (y > 0),
+        in dtype: None keeps their longdouble (the residual), float rounds
+        them to float64 (the energy densities)."""
+        if np.any(np.asarray(y) <= 0):
+            raise ValueError("boundary evaluation")
+        (a, da), (p, dp) = ([matrix_first(m, dtype) for m in profile.eval(y)]
+                            for profile in (field.connection, field.higgs))
+        return cls(conv, a, da, p, dp)
 
     @cached_property
     def t_f(self):
-        return curvature_matrices(self.conv, self.a, self.n_f)[0]
+        return self.a * (-self.conv.c) + half_of(wedge_bracket_matrix(self.a, self.a))
 
     @cached_property
     def phi2(self):
@@ -180,18 +175,15 @@ class FieldAt:
         return sum(bracket(self.a[:, col], self.p[:, col]) for col in range(3))
 
 
-def kw_residual(conv: GeometryConventions, field, y):
-    """Kapustin-Witten residual of an invariant field (A_y = 0) at y, a node
-    or an array of nodes, in the profiles' precision.
+def kw_residual(m: FieldAt):
+    """Kapustin-Witten residual of the field m, in its matrices' precision.
 
     Returns (res_t, res_n, res2): the tangential and normal matrices of the
     first equation's residual 2-form, matrix axes first, and the norm
     |d_A * phi| of the second equation's residual.  Each node gets the float
     of a one-node evaluation.
     """
-    if np.any(np.asarray(y) <= 0):
-        raise ValueError("boundary evaluation")
-    m = FieldAt(conv, field, y)
+    conv = m.conv
     res_t = m.t_f - m.phi2 - m.dp * conv.s2
     res_n = m.n_f - m.t_dphi * conv.s1
     res2_sq = half_of_scalar(sum(c * c for c in m.div))
@@ -207,7 +199,7 @@ def _sqrt(x):
 def kw_residual_norm(conv: GeometryConventions, field, y):
     """Norm of the first-equation residual plus that of the second, at y (a
     node or an array of nodes)."""
-    res_t, res_n, res2 = kw_residual(conv, field, y)
+    res_t, res_n, res2 = kw_residual(FieldAt.of(conv, field, y))
     norm_sq = half_of_scalar(frob_inner(res_t, res_t) + frob_inner(res_n, res_n))
     return _sqrt(norm_sq) + res2
 

@@ -45,8 +45,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (0 < self.eps < self.y_split < self.y_max < math.inf):
             raise ValueError("need 0 < eps < y_split < y_max < inf")
-        if self.panels < 1 or self.nodes_per_panel < 2:
-            raise ValueError("need panels >= 1 and nodes_per_panel >= 2")
+        if self.panels < 1 or not 2 <= self.nodes_per_panel <= 100:
+            raise ValueError("need panels >= 1 and 100 >= nodes_per_panel >= 2 "
+                             "(numpy tests its Gauss-Legendre rules to degree 100)")
         try:  # the tail bound samples the envelope up to y_max
             math.exp(TAIL_RATE * self.y_max)
         except OverflowError:

@@ -4,11 +4,12 @@ For the scalar ansatz A = a(y) omega, phi = b(y) omega the Kapustin-Witten
 residual closes on the two-dimensional span {dy ^ omega, omega-part of the
 tangential 2-forms}; solving the two residual components for the derivative
 terms yields an autonomous first-order system.  The right-hand side is
-machine-derived from the forms engine (no hand transcription): derivative
-values are injected as the slopes of the linear profiles a + a'(y - 1),
-b + b'(y - 1) read by ``forms.kw_residual`` at y = 1, and the exact
-quadratic polynomial structure is reconstructed from integer sample points,
-so any convention error elsewhere would surface here as a closure failure.
+machine-derived from the forms engine (no hand transcription): the
+coefficient matrices a omega, a' omega, b omega, b' omega go straight into
+``forms.FieldAt``, with the derivatives as free values, and
+``forms.kw_residual`` is read on them; the exact quadratic polynomial is
+read off by differences from integer sample points, so any convention error
+elsewhere would surface here as a closure failure.
 
 On top of the system sit
   * the Frobenius-style series at the y = 0 pole (b ~ 1/y forced, the
@@ -35,8 +36,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .forms import GeometryConventions, kw_residual
-from .profiles import InvariantField, scaled_matrix_profile
+from .forms import FieldAt, GeometryConventions, kw_residual
 
 BLOWUP_THRESHOLD = 1e8
 _I3 = np.eye(3)
@@ -58,19 +58,27 @@ class BlowUpError(RuntimeError):
 
 
 def _scalar_residual(conv: GeometryConventions, a, b, da, db):
-    """Residual components of the scalar ansatz with injected derivatives
-    (the slopes of linear profiles read at y = 1), plus the worst off-span
+    """Residual components of the scalar ansatz A = a omega, phi = b omega
+    with injected derivatives da, db, in longdouble, plus the worst off-span
     deviation of the full residual, the second equation's included."""
-    ansatz = InvariantField(
-        scaled_matrix_profile(lambda jy: a + da * (jy - 1), _I3),
-        scaled_matrix_profile(lambda jy: b + db * (jy - 1), _I3))
-    res_t, res_n, res2 = kw_residual(conv, ansatz, 1.0)
+    res_t, res_n, res2 = kw_residual(FieldAt(
+        conv, *(np.longdouble(x) * _I3 for x in (a, da, b, db))))
     off = float(res2)
     for mm in (res_t, res_n):
         diag = np.diag(mm)
         off = max(off, float(np.max(np.abs(mm - np.diag(diag)))))
         off = max(off, float(np.max(np.abs(diag - diag[0]))))
     return float(res_t[0, 0]), float(res_n[0, 0]), off
+
+
+def _quadratic_through_samples(f) -> tuple:
+    """Coefficients, in _MONOMIALS order, of the quadratic in (a, b) that
+    takes the values f at the points _MONOMIALS: second differences give the
+    squares, the first differences the linear terms, the mixed one ab."""
+    f00, f10, f01, f20, f11, f02 = f
+    c20 = (f20 - 2 * f10 + f00) / 2
+    c02 = (f02 - 2 * f01 + f00) / 2
+    return (f00, f10 - f00 - c20, f01 - f00 - c02, c20, f11 - f10 - f01 + f00, c02)
 
 
 @dataclass
@@ -124,9 +132,10 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
     """Reconstruct the exact quadratic right-hand side from engine samples.
 
     The residual components are affine in (a', b') with unit coefficients;
-    evaluating at integer (a, b) sample points and solving the monomial
-    system recovers the polynomial exactly.  A closure failure (residual
-    leaving the scalar span, or a nonlinear derivative dependence) raises.
+    evaluating at the integer (a, b) sample points _MONOMIALS, the
+    monomials' own exponents, and taking differences recovers the
+    polynomial exactly.  A closure failure (residual leaving the scalar
+    span, or a nonlinear derivative dependence) raises.
     """
     # affineness and closure probes
     for a, b in ((0.3, -0.7), (1.2, 0.4)):
@@ -147,30 +156,11 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
     slope_n = _scalar_residual(conv, 0.0, 0.0, 1.0, 0.0)[1] - at_rest[0][1]
     slope_t = _scalar_residual(conv, 0.0, 0.0, 0.0, 1.0)[0] - at_rest[0][0]
 
-    rows, rhs_a, rhs_b = [], [], []
-    for (a, b), (r_t, r_n, _) in zip(_MONOMIALS, at_rest):
-        rows.append([Fraction(a) ** p * Fraction(b) ** q for p, q in _MONOMIALS])
-        # residual = slope * derivative + inhomogeneous part = 0
-        rhs_a.append(Fraction(-r_n / slope_n).limit_denominator(10**6))
-        rhs_b.append(Fraction(-r_t / slope_t).limit_denominator(10**6))
-
-    def solve_exact(mat, vec):
-        m = [row[:] + [v] for row, v in zip(mat, vec)]
-        n = len(m)
-        for col in range(n):
-            piv = next(r for r in range(col, n) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            inv = Fraction(1) / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return tuple(m[r][n] for r in range(n))
-
-    coeffs_a = solve_exact(rows, rhs_a)
-    coeffs_b = solve_exact(rows, rhs_b)
-    sys = ReducedSystem(conv, coeffs_a, coeffs_b)
+    # residual = slope * derivative + inhomogeneous part = 0: a' from the
+    # normal component, b' from the tangential one
+    sys = ReducedSystem(conv, *(_quadratic_through_samples(
+        [Fraction(-r[comp] / slope).limit_denominator(10**6) for r in at_rest])
+        for comp, slope in ((1, slope_n), (0, slope_t))))
 
     # reconstruction must reproduce the engine at non-sample points
     for a, b in ((0.37, -1.21), (2.5, 0.8)):

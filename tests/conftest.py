@@ -54,8 +54,8 @@ def sweep(conv, quad_spec):
 
 
 @pytest.fixture(scope="session")
-def consts(full_line):
-    return bound_constants(full_line)
+def consts(conv, full_line):
+    return bound_constants(conv, full_line)
 
 
 @pytest.fixture(scope="session")

@@ -252,6 +252,13 @@ def test_model_densities_positive_and_bounded_at_pole(conv, model):
     assert d["phi_sq"] > 1e9
 
 
+def test_densities_refuse_boundary_evaluation(conv, model):
+    # FieldAt.of refuses y <= 0 for every reader, as kw_residual does
+    for y in (0.0, np.array([1.0, -0.5])):
+        with pytest.raises(ValueError, match="boundary evaluation"):
+            densities(conv, model, y)
+
+
 # ---------------------------------------------------------------------------
 # scalar reference: one node at a time, the way the densities were first
 # written; the array engine must reproduce it bit for bit
@@ -618,6 +625,18 @@ def test_batched_chain_matches_per_perturbation_reference(conv, quad_spec, const
             assert list(rep.extra["steps"]) == list(ref.extra["steps"])
             assert _bits(rep.extra["constants"]) == _bits(ref.extra["constants"])
             assert (rep.status, rep.computed) == (ref.status, ref.computed)
+
+
+def test_c24a_matches_closed_form_completed_square(consts):
+    # c24a integrates the engine's S_sq density of the reference solution;
+    # on phi = b omega it is (b' + b^2)^2 |omega|^2, formed from the scalars
+    def s_model_sq(y):
+        _, b, _, db = pole_scalars(y)
+        return np.float_power(db + np.float_power(b, 2), 2) * OMEGA_NORM_SQ
+
+    s_near = VOL_S3 * integrate_interval(s_model_sq, 0.0, 1.0, panels=32)[0]
+    want = math.sqrt(OMEGA_NORM_SQ) * math.sqrt(VOL_S3) * math.sqrt(s_near)
+    assert consts.c24a.hex() == want.hex()
 
 
 def test_theorem_bound_report(conv, full_line, consts):

@@ -12,8 +12,8 @@ from kwlab.forms import (
     CONVENTION_SET,
     EPS_TABLE,
     OMEGA,
+    FieldAt,
     GeometryConventions,
-    curvature_matrices,
     frob_inner,
     kw_residual,
     kw_residual_norm,
@@ -62,9 +62,8 @@ def test_calibration_rejects_other_conventions(conv):
 
 def _coframe_d(conv, u):
     """d of a constant-coefficient 1-form: the linear part of the tangential
-    curvature, which is what curvature_matrices adds to the quadratic part."""
-    t, _ = curvature_matrices(conv, u, ZERO)
-    return t - star_vv(u)
+    curvature, which is what FieldAt.t_f adds to the quadratic part."""
+    return FieldAt(conv, u, ZERO, None, None).t_f - star_vv(u)
 
 
 def test_coframe_d_linearity_and_omega(conv):
@@ -109,7 +108,8 @@ def test_star4_involution(conv):
 
 def test_curvature_examples(conv):
     def curvature_norm_sq(profile, y):
-        t, n = curvature_matrices(conv, *profile.eval(y))
+        m = FieldAt(conv, *profile.eval(y), None, None)
+        t, n = m.t_f, m.n_f
         return one_form_norm_sq(t) + one_form_norm_sq(n)
 
     zero_prof = scaled_matrix_profile(lambda jy: jy * 0, I3)
@@ -123,7 +123,8 @@ def test_curvature_examples(conv):
 
     prof = scaled_matrix_profile(pole_a, I3)
     for y in (0.2, 1.0, 3.0):
-        t, n = curvature_matrices(conv, *prof.eval(y))
+        m = FieldAt(conv, *prof.eval(y), None, None)
+        t, n = m.t_f, m.n_f
         u = math.exp(2 * y)
         d = u * u + 4 * u + 1
         want = 12 * (u - u**3) / d**2
@@ -137,10 +138,10 @@ def test_curvature_examples(conv):
 def test_residual_zero_field_and_boundary_error(conv):
     zero_prof = scaled_matrix_profile(lambda jy: jy * 0, I3)
     field = InvariantField(zero_prof, zero_prof)
-    res_t, res_n, r2 = kw_residual(conv, field, 1.0)
+    res_t, res_n, r2 = kw_residual(FieldAt.of(conv, field, 1.0))
     assert frob_inner(res_t, res_t) + frob_inner(res_n, res_n) == 0.0 and r2 == 0.0
     with pytest.raises(ValueError, match="boundary evaluation"):
-        kw_residual(conv, field, 0.0)
+        kw_residual(FieldAt.of(conv, field, 0.0))
     with pytest.raises(ValueError, match="boundary evaluation"):
         kw_residual_norm(conv, field, np.array([1.0, 0.0]))
 
@@ -230,8 +231,8 @@ def test_residual_derivatives_match_finite_differences(conv, rng):
         fd_field = InvariantField(_FDProfile(field.connection),
                                   _FDProfile(field.higgs))
         for y in (0.4, 1.1, 2.3):
-            exact_t, exact_n, r2a = kw_residual(conv, field, y)
-            fd_t, fd_n, r2b = kw_residual(conv, fd_field, y)
+            exact_t, exact_n, r2a = kw_residual(FieldAt.of(conv, field, y))
+            fd_t, fd_n, r2b = kw_residual(FieldAt.of(conv, fd_field, y))
             diff = (np.max(np.abs(np.asarray(exact_t - fd_t, float)))
                     + np.max(np.abs(np.asarray(exact_n - fd_n, float))))
             assert diff < 1e-6

@@ -23,6 +23,16 @@ def test_quadrature_spec_validation():
         QuadratureSpec(eps=2.0, y_split=1.0)
 
 
+def test_nodes_per_panel_bounded_at_numpys_tested_degree():
+    # numpy's leggauss is tested up to degree 100; beyond it the spec refuses
+    # before any rule is built
+    spec = QuadratureSpec(panels=1, nodes_per_panel=100)
+    val, _ = integrate_halfline(lambda y: np.exp(-4.0 * y), spec)
+    assert math.isclose(val, math.exp(-4.0 * spec.eps) / 4.0, rel_tol=1e-12)
+    with pytest.raises(ValueError, match="100 >= nodes_per_panel"):
+        QuadratureSpec(nodes_per_panel=101)
+
+
 def test_vol_s3():
     assert math.isclose(VOL_S3, 2 * math.pi**2, rel_tol=1e-15)
 

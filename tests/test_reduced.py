@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from kwlab.energy import density_fn
+from kwlab.forms import FieldAt, kw_residual
 from kwlab.profiles import (
     InvariantField,
     nahm_pole_invariant_solution,
     pole_scalars,
+    scaled_matrix_profile,
 )
 from kwlab.quadrature import QuadratureSpec, l2_norm_sq
 from kwlab import reduced
@@ -56,6 +58,32 @@ def test_scalar_ansatz_stays_in_span(conv):
 
     _, _, off = _scalar_residual(conv, 0.5, 0.5, 0.0, 0.0)
     assert off < 1e-14
+
+
+def _linear_profile_residual(conv, a, b, da, db):
+    """The scalar ansatz as the reduction first read it: linear profiles
+    a + da (y - 1), b + db (y - 1), whose slopes are the injected
+    derivatives, evaluated by the engine at y = 1."""
+    ansatz = InvariantField(
+        scaled_matrix_profile(lambda jy: a + da * (jy - 1), np.eye(3)),
+        scaled_matrix_profile(lambda jy: b + db * (jy - 1), np.eye(3)))
+    res_t, res_n, res2 = kw_residual(FieldAt.of(conv, ansatz, 1.0))
+    off = float(res2)
+    for mm in (res_t, res_n):
+        diag = np.diag(mm)
+        off = max(off, float(np.max(np.abs(mm - np.diag(diag)))))
+        off = max(off, float(np.max(np.abs(diag - diag[0]))))
+    return float(res_t[0, 0]), float(res_n[0, 0]), off
+
+
+def test_scalar_residual_matches_linear_profile_ansatz(conv):
+    from kwlab.reduced import _scalar_residual
+
+    rng = np.random.default_rng(17)
+    for a, b, da, db in rng.uniform(-3.0, 3.0, size=(20, 4)).tolist():
+        want = _linear_profile_residual(conv, a, b, da, db)
+        got = _scalar_residual(conv, a, b, da, db)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_stationary_points(system):
