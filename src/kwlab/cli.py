@@ -233,7 +233,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
     inputs = {
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
-            conv, model, spec.with_eps(cfg.eps), energy.CUTOFF_ROWS)),
+            conv, model, spec, energy.CUTOFF_ROWS)),
         "sweep": _shared(lambda: energy.cutoff_sweep(conv, spec)),
         "consts": _shared(lambda: energy.bound_constants(conv, full_line())),
     }
@@ -545,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = command("energy", help="energy report for the model solution")
     pe.add_argument("--model", default="he", choices=("he", "alt"))
-    pe.add_argument("--eps", type=float, default=None)
     pe.add_argument("--ymax", type=float, default=None, dest="y_max")
     _add_shared(pe, "--config", "--out")
 
@@ -629,7 +628,7 @@ def main(argv=None) -> int:
             q, q_err = energy.topological_charge(conv, field.connection, spec)
             rep.add("topological_charge", q, q_err)
             path = cfg.out or "energy-report.json"
-            write_energy_json(path, rep, {"model": args.model, "eps": spec.eps})
+            write_energy_json(path, rep, {"model": args.model})
             sweep = energy.eps_sweep_rows(conv, field, (1e-1, 1e-2, 1e-3), spec)
             sweep_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                       "identity-sweep.csv")

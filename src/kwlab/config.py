@@ -70,12 +70,12 @@ class SuiteConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         # raises on a bad y range or panel layout, and on a bad eps: the
-        # energy identities integrate from eps itself, not the clamped value
-        self.quadrature().with_eps(self.eps)
+        # energy identities integrate from eps itself
+        self.quadrature()
 
     def quadrature(self) -> QuadratureSpec:
         return QuadratureSpec(
-            eps=min(self.eps, 1e-3),
+            eps=self.eps,
             y_split=self.y_split,
             y_max=self.y_max,
             panels=self.panels,

@@ -20,7 +20,7 @@ which is the unique nearby sign assignment solving both equations in the
 calibrated orientation.
 
 Everything works on point sets: a (4, n) float array with rows x1, x2, x3, y.
-The fields are evaluated in longdouble on array-valued Dual4 jets, and the
+The fields are evaluated in longdouble on array-valued jets.Jet.vars, and the
 residuals BLOCK points at a time, so the temporaries stay small for any n.
 Each point's arithmetic is the same as for a point on its own.
 """
@@ -84,16 +84,16 @@ class FlatModelField:
 
 
 def _vars(pts):
-    return jets.Dual4.vars(*np.asarray(pts, dtype=np.longdouble))
+    return jets.Jet.vars(*np.asarray(pts, dtype=np.longdouble))
 
 
 def _sample(A_dual, phi_dual) -> FieldSample:
-    """Stack 3x3 tables of Dual4 entries into a FieldSample."""
+    """Stack 3x3 tables of Jet entries into a FieldSample."""
     def stack(table, part):
         return np.array([[getattr(d, part) for d in row] for row in table])
 
-    return FieldSample(stack(A_dual, "f"), stack(A_dual, "g"),
-                       stack(phi_dual, "f"), stack(phi_dual, "g"))
+    return FieldSample(stack(A_dual, "f"), stack(A_dual, "d"),
+                       stack(phi_dual, "f"), stack(phi_dual, "d"))
 
 
 def _nahm_pole_eval(pts) -> FieldSample:
@@ -222,18 +222,21 @@ def kw_residual_flat_combined(fld: FlatModelField, pts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def read_points_csv(path: str) -> np.ndarray:
-    """Points as a (4, n) array; every coordinate finite, and y > 0."""
+    """Points as a (4, n) array; each row four finite numbers, and y > 0."""
     pts = []
     with open(path) as fh:
         rd = csv.reader(fh)
         for row in rd:
-            if not row or row[0].strip().startswith("x1"):
+            if not row or rd.line_num == 1 and row[0].strip().startswith("x1"):
                 continue
-            x1, x2, x3, y = (float(v) for v in row[:4])
-            if not (all(map(math.isfinite, (x1, x2, x3, y))) and y > 0):
+            try:
+                pt = tuple(map(float, row))
+            except ValueError:
+                pt = ()
+            if not (len(pt) == 4 and all(map(math.isfinite, pt)) and pt[3] > 0):
                 raise ValueError(f"{path}:{rd.line_num}: point coordinates "
-                                 "must be finite, with y > 0")
-            pts.append((x1, x2, x3, y))
+                                 "must be finite, with y > 0, four to a row")
+            pts.append(pt)
     return np.array(pts, dtype=float).reshape(-1, 4).T
 
 

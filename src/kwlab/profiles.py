@@ -3,8 +3,8 @@
 An invariant configuration on S^3 x R+ is a pair of profiles: a 3x3
 connection coefficient matrix a(y) (gauge A_y = 0) and a 3x3 tangential
 Higgs matrix p(y).  Profiles are sums of scalar functions times constant
-matrices, evaluated through first-order jets so that their y-derivatives
-are exact.
+matrices.  The scalar functions take a jets.Jet, of y or of several
+variables alike, so their derivatives are exact.
 
 The closed-form reference solution has scalar profiles
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .jets import Jet2
+from .jets import Jet
 
 
 @dataclass
@@ -36,16 +36,16 @@ class MatrixProfile:
     y is a node or an array of nodes, taken in np.longdouble; value and
     d/dy have shape y.shape + (3, 3)."""
 
-    terms: list  # [(scalar_fn taking Jet2, 3x3 matrix), ...]
+    terms: list  # [(scalar_fn taking Jet, 3x3 matrix), ...]
 
     def eval(self, y):
-        jy = Jet2.var(np.longdouble(y))
+        jy = Jet.var(np.longdouble(y))
         val = None
         der = None
         for fn, mat in self.terms:
             j = fn(jy)
             v = j.f[..., None, None] * mat
-            d = j.d1[..., None, None] * mat
+            d = j.d[..., None, None] * mat
             val = v if val is None else val + v
             der = d if der is None else der + d
         return val, der
@@ -111,10 +111,10 @@ def pole_scalars(y, dtype=float):
     nodes), evaluated in extended precision and rounded to dtype.  Residual
     checks take np.longdouble: near the pole their cancellations exceed
     float64 resolution."""
-    jy = Jet2.var(np.longdouble(y))
+    jy = Jet.var(np.longdouble(y))
     ja = pole_a(jy)
     jb = pole_b(jy)
-    return tuple(np.asarray(x, dtype=dtype)[()] for x in (ja.f, jb.f, ja.d1, jb.d1))
+    return tuple(np.asarray(x, dtype=dtype)[()] for x in (ja.f, jb.f, ja.d, jb.d))
 
 
 def higgs_scale_check(scales=(1e-1, 1e-2, 1e-3)) -> dict:
@@ -123,7 +123,7 @@ def higgs_scale_check(scales=(1e-1, 1e-2, 1e-3)) -> dict:
     errors and the fitted log-log slope."""
     errs = []
     for s in scales:
-        jy = Jet2.var(np.longdouble(s))
+        jy = Jet.var(np.longdouble(s))
         val = float(s * pole_b(jy).f)
         errs.append(abs(val - 1.0))
     ls = np.log10(np.asarray(scales))

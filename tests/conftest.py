@@ -3,17 +3,17 @@ import pytest
 
 from kwlab.energy import bound_constants, cutoff_sweep, full_line_norms
 from kwlab.forms import calibrate
-from kwlab.jets import Jet2
+from kwlab.jets import Jet
 from kwlab.profiles import nahm_pole_invariant_solution
 from kwlab.quadrature import QuadratureSpec
 
 _ACCEPTANCE_LINES = []
 
 
-def jet_exp(x: Jet2) -> Jet2:
+def jet_exp(x: Jet) -> Jet:
     """exp of a jet, for test profiles with exponential decay."""
     e = np.exp(x.f)
-    return Jet2(e, e * x.d1)
+    return Jet(e, e * x.d)
 
 
 def record_acceptance(name: str, passed: bool, detail: str = ""):

@@ -172,7 +172,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "tail envelope" in capsys.readouterr().err
     assert not (tmp_path / "e.json").exists()
     # the energy identities integrate from eps itself, so it must fit the
-    # quadrature layout even though the shared spec clamps it to 1e-3
+    # quadrature layout
     for eps in ("1.0", "inf"):
         assert main(["verify", "--suite", "energy", "--eps", eps]) == 2
         assert "0 < eps" in capsys.readouterr().err
@@ -180,11 +180,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # a point file row with a non-finite coordinate, or y <= 0
     points = tmp_path / "points.csv"
     for row in ("0.5,0.5,0.5,nan", "inf,0.5,0.5,1", "0.5,0.5,0.5,inf",
-                "0.5,-inf,0.5,1", "0.5,0.5,0.5,0", "0.5,0.5,0.5,-2"):
+                "0.5,-inf,0.5,1", "0.5,0.5,0.5,0", "0.5,0.5,0.5,-2",
+                "1,2,3,0.5,7", "1,2,3", "abc,0.5,0.5,1", "x1,0.5,0.5,1"):
         points.write_text(f"x1,x2,x3,y\n0.1,0.2,0.3,0.4\n{row}\n")
         assert main(["residual", "--points", str(points),
                      "--out", str(tmp_path / "r.csv")]) == 2
-        assert "point coordinates must be finite, with y > 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{points}:3: " in err
+        assert "point coordinates must be finite, with y > 0" in err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -274,6 +277,7 @@ def test_config_tol_line_fuzz(fuzz_dir, check_id, value, sep):
 
 @pytest.mark.parametrize("command, flag", [
     ("energy", "--seed"), ("energy", "--tol"), ("energy", "--json"),
+    ("energy", "--eps"),
     ("residual", "--tol"), ("residual", "--json"),
     *((command, flag) for command in ("solve", "plotdata")
       for flag in ("--seed", "--tol", "--out", "--json")),
@@ -569,15 +573,3 @@ def test_energy_command(tmp_path):
         assert abs(gap) <= 1e-6 * abs(rhs)
 
 
-def test_energy_report_records_the_eps_it_computed_at(tmp_path):
-    # the quadrature clamps eps to at most 1e-3, so --eps 0.5 computes the
-    # same report as --eps 1e-3, meta included
-    outs = []
-    for eps in ("0.5", "1e-3"):
-        out = tmp_path / eps / "energy-report.json"
-        out.parent.mkdir()
-        assert main(["energy", "--eps", eps, "--out", str(out)]) == 0
-        outs.append((out.read_bytes(),
-                     (out.parent / "identity-sweep.csv").read_bytes()))
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0][0])["meta"]["eps"] == 1e-3

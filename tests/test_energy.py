@@ -33,7 +33,7 @@ from kwlab.energy import (
     topological_charge,
 )
 from kwlab.forms import EPS_TABLE, frob_inner, wedge_bracket_matrix
-from kwlab.jets import Jet2
+from kwlab.jets import Jet
 from kwlab.profiles import (
     InvariantField,
     MatrixProfile,
@@ -80,8 +80,8 @@ class _RefPerturbation:
         self.name = name
 
     def q(self, y):
-        j = self.q_fn(Jet2.var(np.asarray(y, dtype=float)))
-        return j.f, j.d1
+        j = self.q_fn(Jet.var(np.asarray(y, dtype=float)))
+        return j.f, j.d
 
     def field(self) -> InvariantField:
         return InvariantField(
@@ -265,11 +265,11 @@ def test_densities_refuse_boundary_evaluation(conv, model):
 # ---------------------------------------------------------------------------
 
 def _scalar_eval(profile, y):
-    jy = Jet2.var(np.longdouble(y))
+    jy = Jet.var(np.longdouble(y))
     val = der = None
     for fn, mat in profile.terms:
         j = fn(jy)
-        v, d = j.f * mat, j.d1 * mat
+        v, d = j.f * mat, j.d * mat
         val = v if val is None else val + v
         der = d if der is None else der + d
     return np.asarray(val, dtype=float), np.asarray(der, dtype=float)

@@ -21,7 +21,7 @@ from kwlab.halfspace import (
     scale_pullback,
     write_residuals_csv,
 )
-from kwlab.jets import Dual4, sqrt
+from kwlab.jets import Jet, sqrt
 from kwlab.su2 import bracket
 
 
@@ -32,7 +32,7 @@ def _col(*coords):
 
 # ---------------------------------------------------------------------------
 # per-point reference: the scalar path the array kernels replaced, one
-# longdouble Dual4 per coordinate and one residual call per point
+# longdouble Jet per coordinate and one residual call per point
 # ---------------------------------------------------------------------------
 
 def _ref_sample(A_dual, phi_dual):
@@ -43,14 +43,14 @@ def _ref_sample(A_dual, phi_dual):
     for i in range(3):
         for a in range(3):
             A[i, a] = A_dual[i][a].f
-            dA[i, a, :] = A_dual[i][a].g
+            dA[i, a, :] = A_dual[i][a].d
             phi[i, a] = phi_dual[i][a].f
-            dphi[i, a, :] = phi_dual[i][a].g
+            dphi[i, a, :] = phi_dual[i][a].d
     return A, dA, phi, dphi
 
 
 def _ref_vars(p):
-    return Dual4.vars(*(np.longdouble(c) for c in p))
+    return Jet.vars(*(np.longdouble(c) for c in p))
 
 
 def _ref_pole(p):

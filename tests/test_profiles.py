@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from conftest import jet_exp
-from kwlab.jets import Jet2
+from kwlab import jets
+from kwlab.jets import Jet
 from kwlab.profiles import (
     higgs_scale_check,
     nahm_pole_invariant_solution,
@@ -16,11 +17,37 @@ from kwlab.profiles import (
 def test_jet_arithmetic_against_closed_forms():
     # value and d/dy of y^2 exp(-3y) at y = 0.7
     y = 0.7
-    j = Jet2.var(y)
+    j = Jet.var(y)
     out = j * j * jet_exp(-3 * j)
     e = math.exp(-3 * y)
     assert math.isclose(out.f, y * y * e, rel_tol=1e-15)
-    assert math.isclose(out.d1, (2 * y - 3 * y * y) * e, rel_tol=1e-14)
+    assert math.isclose(out.d, (2 * y - 3 * y * y) * e, rel_tol=1e-14)
+    # the gradient form: partials of x1 / ((x2 + y) sqrt(x1^2 + y^2))
+    x1, x2, x3, y = np.array([[0.3, -1.2, 2.0], [0.5, 0.1, 1.7],
+                              [0.0, 4.0, -1.0], [0.2, 0.9, 3.1]])
+    j1, j2, _, jy = Jet.vars(x1, x2, x3, y)
+    out = j1 / ((j2 + jy) * jets.sqrt(j1 * j1 + jy * jy))
+    s, r = x2 + y, np.sqrt(x1 * x1 + y * y)
+    partials = [y * y / (s * r**3), -x1 / (s * s * r), 0 * y,
+                -x1 / (s * s * r) - x1 * y / (s * r**3)]
+    assert out.d.shape == (4, 3)
+    assert np.allclose(out.f, x1 / (s * r), rtol=1e-15, atol=0)
+    assert np.allclose(out.d, partials, rtol=1e-14, atol=0)
+
+    # one rule set: a y-expression gives the same floats on Jet.var(y) as
+    # on the y-jet of Jet.vars, whatever the shape and dtype of y
+    def expr(j):
+        v = jets.expm1(2 * j)
+        return (v - 3) * j / (1 + jets.sqrt(j * j + 2)) + 5 / (j + 1) - j / 4
+
+    for dtype in (np.float64, np.longdouble):
+        for y in (dtype(0.7), np.geomspace(1e-3, 20.0, 64).astype(dtype)):
+            one = expr(Jet.var(y))
+            many = expr(Jet.vars(0 * y, 0 * y, 0 * y, y)[3])
+            assert many.f.dtype == many.d.dtype == dtype
+            assert np.array_equal(one.f, many.f)
+            assert np.array_equal(one.d, many.d[3])
+            assert not many.d[:3].any()
 
 
 def test_pole_profiles_limits():

@@ -112,14 +112,14 @@ def test_closed_form_satisfies_system(system):
 
 
 def test_alternate_closed_form_satisfies_system(system):
-    from kwlab.jets import Jet2
+    from kwlab.jets import Jet
     from kwlab.profiles import pole_a_alt, pole_b
 
     worst = 0.0
     for y in np.geomspace(1e-3, 30.0, 200):
-        jy = Jet2.var(np.longdouble(y))
+        jy = Jet.var(np.longdouble(y))
         ja, jb = pole_a_alt(jy), pole_b(jy)
-        worst = max(worst, float(system.rhs_residual(ja.f, jb.f, ja.d1, jb.d1)))
+        worst = max(worst, float(system.rhs_residual(ja.f, jb.f, ja.d, jb.d)))
     assert worst <= 1e-10
 
 
