@@ -71,7 +71,12 @@ class SuiteConfig:
             raise ValueError("seed must be >= 0")
         # raises on a bad y range or panel layout, and on a bad eps: the
         # energy identities integrate from eps itself
-        self.quadrature()
+        spec = self.quadrature()
+        try:
+            spec.refined()
+        except ValueError as e:
+            raise ValueError(f"{e} on the refined layout (twice the panels) "
+                             "of c-model-stability") from None
 
     def quadrature(self) -> QuadratureSpec:
         return QuadratureSpec(

@@ -34,8 +34,20 @@ VOL_S3 = 2.0 * math.pi**2
 TAIL_RATE = 4.0  # exponential envelope rate used for the tail bound
 
 
+# Most nodes of a layout part, panels * nodes_per_panel; see QuadratureSpec.
+MAX_LAYOUT_NODES = 2**15
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """A panel layout of the half-line, bounded so that no array the
+    suites form from it can exhaust memory.  The largest is the
+    perturbation chain's (3, 3, energy.BLOCK, n) float64 stack of the
+    perturbed Higgs field on the fine pass of its far part, n = 2 * panels *
+    nodes_per_panel nodes: 9 * 8 * 8 B = 576 B per node.  At
+    panels * nodes_per_panel <= MAX_LAYOUT_NODES one such stack stays at
+    36 MiB (0.4 MiB at the default 24 * 16)."""
+
     eps: float = 1e-3
     y_split: float = 1.0
     y_max: float = 30.0
@@ -48,6 +60,10 @@ class QuadratureSpec:
         if self.panels < 1 or not 2 <= self.nodes_per_panel <= 100:
             raise ValueError("need panels >= 1 and 100 >= nodes_per_panel >= 2 "
                              "(numpy tests its Gauss-Legendre rules to degree 100)")
+        if self.panels * self.nodes_per_panel > MAX_LAYOUT_NODES:
+            raise ValueError(
+                f"need panels * nodes_per_panel <= {MAX_LAYOUT_NODES}, got "
+                f"{self.panels} * {self.nodes_per_panel}")
         try:  # the tail bound samples the envelope up to y_max
             math.exp(TAIL_RATE * self.y_max)
         except OverflowError:

@@ -18,13 +18,16 @@ On top of the system sit
     recurrence with that parameter open, so that each coefficient is an
     exact polynomial in it,
   * a high-order Taylor-series stepper with blow-up detection that advances
-    a batch of trajectories ("lanes") together; a single initial-value run
-    is its one-lane case, and its step coefficients are the dense output,
-    and
+    a batch of trajectories ("lanes") together, its coefficients from one
+    Cauchy-product recurrence over all lanes in five numpy calls per order;
+    a single initial-value run is its one-lane case, and its step
+    coefficients are the dense output, and
   * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0):
-    a sign k-section over lanes until the bracket reaches the smooth regime
-    of the unstable mode, then regula falsi on it, which recovers the
-    closed-form reference solution.
+    a sign k-section over lanes, the bracket ends batched with its first
+    pass and a lane read as blown up at SHOOT_BLOWUP times its initial
+    size, until the bracket reaches the smooth regime of the unstable mode,
+    then regula falsi on it, which recovers the closed-form reference
+    solution.
 """
 
 from __future__ import annotations
@@ -303,28 +306,34 @@ def taylor_coefficients(matrix, a, b, order: int) -> np.ndarray:
 
     With x(t) = sum_n x_n t^n, (n + 1) x_{n+1} is the t^n coefficient of
     c . m(a(t), b(t)), whose products are Cauchy products of the lower
-    coefficients.  Per lane the arithmetic does not depend on the batch
-    (each row sums on its own, and numpy's longdouble matmul has no BLAS
-    kernel: it sums c*m from 0 in monomial order), and on object arrays of
-    Fractions it is exact."""
-    x = np.zeros((2, len(a), order + 1), dtype=np.result_type(matrix, a, b))
-    x[0, :, 0], x[1, :, 0] = a, b
+    coefficients.  The coefficients are kept as six rows (a, a, b | a, b, b),
+    so the three products aa, ab, bb are one row sum each of the first
+    three rows times the last three reversed, and one matmul with the rows
+    of ``matrix`` repeated in that pattern fills all six.  Per lane the
+    arithmetic does not depend on the batch (each row sums on its own, and
+    numpy's longdouble matmul has no BLAS kernel: it sums c*m from 0 in
+    monomial order), and on object arrays of Fractions it is exact."""
+    x = np.zeros((6, len(a), order + 1), dtype=np.result_type(matrix, a, b))
+    x[:, :, 0] = a, a, b, a, b, b
+    rows = matrix[[0, 0, 1, 0, 1, 1]]
     mono = np.zeros((6, len(a)), dtype=x.dtype)
-    left, right = [0, 0, 1], [0, 1, 1]  # the products a a, a b, b b
+    mono[0], mono[1], mono[2] = 1, a, b
     for n in range(order):
-        mono[0] = 1 if n == 0 else 0
-        mono[1:3] = x[:, :, n]
-        mono[3:] = (x[left, :, :n + 1] * x[right, :, n::-1]).sum(-1)
-        x[:, :, n + 1] = (matrix @ mono) / (n + 1)
-    return x
+        np.add.reduce(x[:3, :, :n + 1] * x[3:, :, n::-1], axis=-1,
+                      out=mono[3:])
+        np.divide(rows @ mono, n + 1, out=x[:, :, n + 1])
+        mono[0] = 0
+        mono[1:3] = x[0:3:2, :, n + 1]
+    return x[0:3:2]
 
 
 def _horner(c, t):
     """sum_n c[..., n] t^n."""
-    out = c[..., -1]
-    for n in range(c.shape[-1] - 2, -1, -1):
-        out = out * t + c[..., n]
-    return out
+    out = c[..., -1] * t
+    for n in range(c.shape[-1] - 2, 0, -1):
+        np.add(out, c[..., n], out=out)
+        np.multiply(out, t, out=out)
+    return np.add(out, c[..., 0], out=out)
 
 
 def _step_sizes(c) -> list:
@@ -454,8 +463,10 @@ def integrate_ivp(sys: ReducedSystem, y0: float, state, y1: float) -> IvpResult:
 class ShootResult:
     param: float
     result: IvpResult
-    trace: list  # (param, outcome, sign, y where the run ended) per run
-    coarse_passes: int  # batched sign runs, the bracket ends' run included
+    trace: list  # (param, outcome, sign, y where its run ended) per point
+    # classification rounds, not runs: the bracket ends', then one per
+    # coarse pass; the ends share their run with the first pass
+    coarse_passes: int
     falsi_runs: int  # one-lane regula falsi runs on U
     u_final: float  # U at the returned parameter
 
@@ -464,11 +475,16 @@ SHOOT_LANES = 15  # interior points classified per coarse pass
 SHOOT_Y = 8.0  # where the unstable-mode functional U is read
 SHOOT_ORDER = 6  # order of the pole series the shooting starts from
 _U_SCALE = math.exp(-2.0 * SHOOT_Y)
-# A shooting run counts as blown up once |a| + |b| exceeds this multiple of
-# its initial value.  By then the quadratic part (a' = 2ab, b' = a^2 - b^2)
-# dominates; its blow-up rays attract the direction of the state, so the
-# sign of b is settled long before BLOWUP_THRESHOLD.
-SHOOT_BLOWUP = 100.0
+# A shooting lane counts as blown up once |a| + |b| exceeds this multiple
+# of its initial value.  The quadratic part (a' = 2ab, b' = a^2 - b^2) blows
+# up in finite y, and its blow-up rays attract the direction of the state,
+# so by then the sign of b is settled.  A lane that would reach SHOOT_Y
+# larger than the multiple is read as blown, with the same sign.  On the
+# shots from y0 = 0.05, 0.1 and 0.2 (their trace points, 100 seeded p and
+# the root +- 10^-k), from 7 on every lane keeps the status and sign of a
+# run to BLOWUP_THRESHOLD; 7 holds by under 2 % (a trace point from
+# y0 = 0.2 reaches SHOOT_Y at 6.89 times its initial size), so 8.
+SHOOT_BLOWUP = 8.0
 
 
 def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float):
@@ -509,6 +525,7 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
       (b's at blow-up, which a run declares at SHOOT_BLOWUP times its
       initial size, or -sign(U) for a lane that reaches SHOOT_Y) and keeps
       the sub-interval where it changes, a (SHOOT_LANES + 1)-fold narrowing;
+      the first pass's points share one run with the bracket ends;
     * fine: once both ends reach SHOOT_Y, Illinois regula falsi (Dowell and
       Jarratt, BIT 1971) on the smooth U(p) = (a - b)(SHOOT_Y) e^{-2 SHOOT_Y},
       one one-lane run per step.  The series state is formed in float64, so
@@ -529,8 +546,7 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
     def state(p):
         return series.at(p).state(y0)
 
-    def classify(params, states):
-        outcomes = _classify_lanes(sys, np.array(states).T, y0, SHOOT_Y)
+    def record(params, outcomes):
         for p, out in zip(params, outcomes):
             trace.append((p, *out[:3]))
             if out[0] == _NONFINITE:
@@ -538,20 +554,33 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
                                  f"non-finite near y = {out[2]:.6g}")
         return outcomes
 
-    lo, hi = bracket
-    s_lo, s_hi = state(lo), state(hi)
-    out_lo, out_hi = classify((lo, hi), (s_lo, s_hi))
-    if out_lo[1] == out_hi[1]:
-        raise ValueError("decay manifold not bracketed")
-    coarse = 1
-    while _BLOWN in (out_lo[0], out_hi[0]):
+    def run(states):
+        return _classify_lanes(sys, np.array(states).T, y0, SHOOT_Y)
+
+    def interior(lo, hi):
         width = hi - lo
         params = [lo + width * (i / (SHOOT_LANES + 1))
                   for i in range(1, SHOOT_LANES + 1)]
-        states = [state(p) for p in params]
+        return params, [state(p) for p in params]
+
+    # the bracket ends run in one batch with the first coarse pass's
+    # interior points, which enter the trace only if that pass is made
+    lo, hi = bracket
+    s_lo, s_hi = state(lo), state(hi)
+    params, states = interior(lo, hi)
+    outcomes = run([s_lo, s_hi, *states])
+    out_lo, out_hi = record((lo, hi), outcomes[:2])
+    if out_lo[1] == out_hi[1]:
+        raise ValueError("decay manifold not bracketed")
+    outcomes = outcomes[2:]
+    coarse = 1
+    while _BLOWN in (out_lo[0], out_hi[0]):
+        if coarse > 1:
+            params, states = interior(lo, hi)
+            outcomes = run(states)
         before = (lo, hi)
         coarse += 1
-        for p, s, out in zip(params, states, classify(params, states)):
+        for p, s, out in zip(params, states, record(params, outcomes)):
             if out[1] != out_lo[1]:
                 hi, s_hi, out_hi = p, s, out
                 break
@@ -573,7 +602,7 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
         # a point with an end's initial state has that end's U: no run
         u = {s_lo: u_lo, s_hi: u_hi}.get(s)
         if u is None:
-            (out,) = classify([p], [s])
+            (out,) = record([p], run([s]))
             falsi += 1
             if out[0] != _REACHED:
                 raise ValueError(

@@ -153,6 +153,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for line, message in (("panels = 0", "panels >= 1"),
                           ("nodes_per_panel = 1", "nodes_per_panel >= 2"),
                           ("nodes_per_panel = 101", "100 >= nodes_per_panel"),
+                          ("panels = 1000000000000000",
+                           "need panels * nodes_per_panel <= 32768"),
+                          ("panels = 1025", "got 2050 * 16 on the refined"),
                           ("eps = -1", "0 < eps"), ("eps = nan", "0 < eps"),
                           ("y_max = 0.5", "y_split < y_max"),
                           ("y_split = inf", "y_split < y_max"),

@@ -715,3 +715,126 @@ def test_taylor_recurrence_is_exact(system):
         for n in range(order + 1):
             size = abs(want[0][n]) + abs(want[1][n])
             assert max(abs(got[i][n] - want[i][n]) for i in (0, 1)) <= 1e-17 * size
+
+
+# The two-row kernel the six-row one replaced, kept as its reference: the
+# products gathered by fancy index, summed with .sum(-1), then divided.
+def _taylor_reference(matrix, a, b, order):
+    x = np.zeros((2, len(a), order + 1), dtype=np.result_type(matrix, a, b))
+    x[0, :, 0], x[1, :, 0] = a, b
+    mono = np.zeros((6, len(a)), dtype=x.dtype)
+    left, right = [0, 0, 1], [0, 1, 1]
+    for n in range(order):
+        mono[0] = 1 if n == 0 else 0
+        mono[1:3] = x[:, :, n]
+        mono[3:] = (x[left, :, :n + 1] * x[right, :, n::-1]).sum(-1)
+        x[:, :, n + 1] = (matrix @ mono) / (n + 1)
+    return x
+
+
+def _horner_reference_lanes(c, t):
+    out = c[..., -1]
+    for n in range(c.shape[-1] - 2, -1, -1):
+        out = out * t + c[..., n]
+    return out
+
+
+def _same_bits(got, want):
+    # value, NaN included, and sign (which tells -0.0 from 0.0)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def test_taylor_kernel_matches_reference_bitwise(system):
+    rng = np.random.default_rng(23)
+    order = reduced.TAYLOR_ORDER
+    full = np.array([[1.0, -2.0, 3.0, 0.5, -1.0, 2.0],
+                     [-1.0, 1.0, -1.0 / 3.0, 2.0, 1.0, -3.0]],
+                    dtype=np.longdouble)
+    for k in (1, 2, 15, 17):
+        a = (rng.normal(size=k) * np.logspace(-3, 3, k)).astype(np.longdouble)
+        b = (rng.normal(size=k) * np.logspace(2, -4, k)).astype(np.longdouble)
+        if k == 17:
+            a[5], b[11] = np.longdouble("1e1000"), 0.0  # overflows to NaN
+        for matrix in (system._matrix, full):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = reduced.taylor_coefficients(matrix, a, b, order)
+                want = _taylor_reference(matrix, a, b, order)
+                h = rng.uniform(0.0, 0.3, size=k).astype(np.longdouble)
+                values = (reduced._horner(got, h),
+                          _horner_reference_lanes(want, h))
+            assert _same_bits(got, want), (k, matrix)
+            assert _same_bits(*values)
+        if k == 17:
+            assert np.isnan(got[:, 5]).any()
+            assert np.isfinite(np.delete(got, 5, axis=1)).all()
+    # the exact path: the same Fractions
+    a = np.array([Fraction(-3, 2), Fraction(1, 4), Fraction(2)], dtype=object)
+    b = np.array([Fraction(5, 8), Fraction(-7, 16), Fraction(0)], dtype=object)
+    exact = np.array([system.coeffs_a, system.coeffs_b], dtype=object)
+    assert (reduced.taylor_coefficients(exact, a, b, order // 2).tolist()
+            == _taylor_reference(exact, a, b, order // 2).tolist())
+
+
+def test_dense_output_matches_reference_kernel(system, monkeypatch):
+    # a run and its dense output on arrays, with the new kernel and with the
+    # reference kernel in its place: the same knots, steps and values
+    a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
+    res = integrate_ivp(system, 0.1, (a0, b0), 10.0)
+    ys = np.concatenate([np.linspace(0.0, 12.0, 401), res.ys])
+    got = res.at(ys)
+    monkeypatch.setattr(reduced, "taylor_coefficients", _taylor_reference)
+    monkeypatch.setattr(reduced, "_horner", _horner_reference_lanes)
+    ref = integrate_ivp(system, 0.1, (a0, b0), 10.0)
+    for x, y in ((res.knots, ref.knots), (res.coeffs, ref.coeffs),
+                 (res.end, ref.end), *zip(got, ref.at(ys))):
+        assert _same_bits(x, y)
+
+
+@pytest.mark.parametrize("y0", [0.05, 0.1, 0.2])
+def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
+    # a lane stopped at SHOOT_BLOWUP times its initial size against the same
+    # lanes run in one batch to BLOWUP_THRESHOLD: the same status and sign,
+    # and the same U bits where a lane reaches SHOOT_Y; on the shot's trace
+    # points, 100 seeded p and the root +- 10^-k
+    if y0 != 0.1:
+        shot = shoot_for_decay(system, series, y0=y0)
+    rng = np.random.default_rng(100)
+    params = ([t[0] for t in shot.trace] + rng.uniform(-1.0, -0.3, 100).tolist()
+              + [ROOT + s * 10.0**-k for k in range(1, 15) for s in (-1, 1)])
+    states = np.array([series.at(p).state(y0) for p in params]).T
+    got = reduced._classify_lanes(system, states, y0, reduced.SHOOT_Y)
+    ref = reduced._taylor_lanes(system, y0, states, reduced.SHOOT_Y)
+    for lane, (p, out) in enumerate(zip(params, got)):
+        a, b = ref.states[:, lane]
+        if ref.status[lane] == "blow":
+            want = ("blow", 1.0 if b > 0 else -1.0, None)
+        else:
+            u = float(a - b) * math.exp(-2.0 * reduced.SHOOT_Y)
+            want = ("reached", 1.0 if u < 0 else -1.0, u)
+        assert (out[0], out[1], out[3]) == want, (y0, p)
+    assert {o[0] for o in got} == {"blow", "reached"}
+
+
+def test_shot_work_counts(system, series, monkeypatch):
+    # one run for the bracket ends with the first coarse pass, four more
+    # coarse passes, six falsi runs and the final run: 12 Taylor runs (13
+    # with the ends in a run of their own) and 437 Taylor steps (555 with
+    # the ends alone, blow-up declared at 100 times the initial size and
+    # the two-row kernel)
+    calls = {"_taylor_lanes": 0, "taylor_coefficients": 0}
+
+    def counting(name):
+        fn = getattr(reduced, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(reduced, name, counting(name))
+    shot = shoot_for_decay(system, series, y0=0.1)
+    assert calls == {"_taylor_lanes": 12, "taylor_coefficients": 437}
+    assert (shot.coarse_passes, shot.falsi_runs, len(shot.trace)) == (6, 6, 83)
