@@ -587,11 +587,12 @@ def _config_from_args(args) -> SuiteConfig:
 
 
 def _emit(checks, cfg: SuiteConfig, meta: dict):
-    text = report.checks_to_json(checks, meta)
+    """Write the report to --out, and to stdout under --json or without
+    --out, serializing it once."""
+    text = (write_checks_json(cfg.out, checks, meta) if cfg.out
+            else report.checks_to_json(checks, meta))
     if cfg.json_out or not cfg.out:
         sys.stdout.write(text)
-    if cfg.out:
-        write_checks_json(cfg.out, checks, meta)
 
 
 def main(argv=None) -> int:

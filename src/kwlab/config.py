@@ -35,6 +35,13 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
+def _boolean(val: str) -> bool:
+    try:
+        return _BOOL[val.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {val!r}") from None
+
+
 @dataclass
 class SuiteConfig:
     suite: str = "all"
@@ -105,9 +112,20 @@ _KEY_TYPES = {
     "panels": int,
     "nodes_per_panel": int,
     "out": str,
-    "json_out": "bool",
-    "flip_star_sign": "bool",
+    "json_out": _boolean,
+    "flip_star_sign": _boolean,
 }
+
+
+_TYPE_NAMES = {int: "an integer", float: "a float", _boolean: "a boolean"}
+
+
+def _parse_value(ln: int, key: str, typ, val: str):
+    try:
+        return typ(val)
+    except ValueError:
+        raise ValueError(f"line {ln}: {key} expects {_TYPE_NAMES[typ]}, "
+                         f"got {val!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -121,17 +139,11 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         if key.startswith("tol."):
-            tols[key[4:]] = float(val)
+            tols[key[4:]] = _parse_value(ln, key, float, val)
             continue
         if key not in _KEY_TYPES:
             raise ValueError(f"line {ln}: unknown config key {key!r}")
-        typ = _KEY_TYPES[key]
-        if typ == "bool":
-            if val.lower() not in _BOOL:
-                raise ValueError(f"line {ln}: bad boolean {val!r}")
-            values[key] = _BOOL[val.lower()]
-        else:
-            values[key] = typ(val)
+        values[key] = _parse_value(ln, key, _KEY_TYPES[key], val)
     if tols:
         values["tol_overrides"] = tols
     return values

@@ -18,7 +18,13 @@ are asserted exactly.
 The seeded suite draws small integer vectors and checks them a block at a
 time as int64 stacks: for integer v, 6 times each projection is an integer
 matrix, so every claim is an exact integer comparison after a fixed scaling,
-under the overflow bound stated above ENTRY_BOUND.
+under the overflow bound stated above ENTRY_BOUND.  A block's entries are
+drawn in bulk, with one ``getrandbits`` call on the suite's
+``random.Random(seed)`` and a top-up call when too few of its words are
+kept.  These 32-bit Mersenne Twister words are the ones that one
+``randint(-27, 27)`` per entry would read, and keeping each word's top 6
+bits when they are below 55, as ``randint`` does, gives the same values: a
+seed gives the same vectors as drawing each entry on its own.
 """
 
 from __future__ import annotations
@@ -228,22 +234,6 @@ def appendix_star_table() -> list:
     return checks
 
 
-def _random_int_matrix(rng: random.Random, kind: str):
-    """Integer coefficient matrix of the requested type; the quadratic
-    projection claim is homogeneous, so integer vectors lose no generality
-    and keep the arithmetic exact and fast."""
-    r = lambda: rng.randint(-27, 27)
-    if kind == "mixed":
-        return [[r(), r(), r()], [r(), r(), r()], [r(), r(), r()]]
-    if kind == "pure2":
-        x, y, z = r(), r(), r()
-        return [[0, z, -y], [-z, 0, x], [y, -x, 0]]
-    if kind == "pure3":
-        x, y, z, s, t = r(), r(), r(), r(), r()
-        return [[s, z, y], [z, t, x], [y, x, -s - t]]
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # The seeded suite on int64 blocks: for integer v, 6 p_i = project6(i, v) is
 # an integer matrix, so each claim is an int64 (in)equality.  Overflow bound
 # for |v| <= B = ENTRY_BOUND: project6 maps entries <= M to entries <= 12 M,
@@ -259,7 +249,66 @@ def _random_int_matrix(rng: random.Random, kind: str):
 ENTRY_BOUND = 54  # |entry| of a drawn vector: 27, or 54 on the pure3 trace
 BLOCK = 1000  # vectors per int64 block; a multiple of BATTERY_STRIDE
 BATTERY_STRIDE = 10  # vectors per run of the full battery
-_MATRIX = np.dtype((np.int64, (3, 3)))
+
+# Vector k has kind k % 3: pure2, pure3 or mixed.  A kind's entries are a
+# linear formula in its values, drawn in order as rng.randint(-27, 27).
+# Integer vectors lose no generality: the quadratic projection claim is
+# homogeneous.
+_KINDS = (
+    (3, lambda x, y, z: [[0 * x, z, -y], [-z, 0 * x, x], [y, -x, 0 * x]]),
+    (5, lambda x, y, z, s, t: [[s, z, y], [z, t, x], [y, x, -s - t]]),
+    (9, lambda *e: [e[0:3], e[3:6], e[6:9]]),
+)
+# randint(-27, 27) is -27 + randrange(55), and randrange(55) tries the top
+# 6 bits of one 32-bit Mersenne Twister word, again while they are >= 55
+_LOW, _SPAN = -27, 55
+_TRY_BITS = _SPAN.bit_length()
+
+
+def _draw_values(rng: random.Random, count: int, carry):
+    """The next ``count`` values of ``rng.randint(-27, 27)``, starting with
+    the int64 array ``carry`` drawn earlier, and the values drawn past them.
+
+    ``getrandbits(32 m)`` is the next m words of the stream, the first one
+    least significant, so the tries are the words' top 6 bits and the kept
+    tries are randint's values in order.  Each call asks for the words
+    that the missing values take on average (64/55 each); a short round
+    asks again for the rest.
+    """
+    kept, have = [carry], len(carry)
+    while have < count:
+        words = -(-(count - have) * 2**_TRY_BITS // _SPAN)  # rounded up
+        stream = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        tries = np.frombuffer(stream, "<u4") >> (32 - _TRY_BITS)
+        kept.append(tries[tries < _SPAN].astype(np.int64) + _LOW)
+        have += len(kept[-1])
+    vals = np.concatenate(kept)
+    return vals[:count], vals[count:]
+
+
+def _draw_block(rng, kinds, carry):
+    """The (3, 3, m) int64 stack of vectors of the given kinds, and the
+    values drawn past them (see _draw_values)."""
+    sizes = np.array([size for size, _ in _KINDS])[kinds]
+    start = np.cumsum(sizes) - sizes  # of each vector's values
+    vals, carry = _draw_values(rng, int(sizes.sum()), carry)
+    v = np.empty((3, 3, len(kinds)), np.int64)
+    for kind, (size, entries) in enumerate(_KINDS):
+        sel = kinds == kind
+        v[:, :, sel] = entries(*vals[start[sel] + np.arange(size)[:, None]])
+    return v, carry
+
+
+def _vector_blocks(seed: int, n: int):
+    """The suite's n vectors, BLOCK at a time, as (indices, (3, 3, m) int64
+    stack): bit for bit the vectors that one randint call per value from
+    ``random.Random(seed)`` gives."""
+    rng = random.Random(seed)
+    carry = np.empty(0, np.int64)
+    for k0 in range(0, n, BLOCK):
+        ks = np.arange(k0, min(k0 + BLOCK, n))
+        v, carry = _draw_block(rng, ks % 3, carry)
+        yield ks, v
 
 
 def _sum_sq(m):
@@ -325,18 +374,16 @@ def decomposition_suite(seed: int, n: int) -> CheckReport:
     vectors); every BATTERY_STRIDE-th vector additionally runs the full
     battery of projections, Pythagoras, idempotence, orthogonality, the
     eigen relation and the quadratic-projection lemma.  The vectors are
-    checked BLOCK at a time as int64 stacks; a failure reports the first
-    failing vector and, on it, the first failing check.
+    drawn and checked BLOCK at a time as int64 stacks; a failure reports
+    the first failing vector and, on it, the first failing check, and
+    stops the draw.  Vector k has kind pure2, pure3 or mixed by k % 3, and
+    its entries are the values of ``random.Random(seed).randint(-27, 27)``
+    in order, read in bulk from the generator's words (see _draw_values).
     """
     if n < 1:
         raise ValueError("empty suite")
-    rng = random.Random(seed)
-    kinds = ("pure2", "pure3", "mixed")
     worst = []
-    for k0 in range(0, n, BLOCK):
-        ks = np.arange(k0, min(k0 + BLOCK, n))
-        v = np.fromiter((_random_int_matrix(rng, kinds[k % 3]) for k in ks),
-                        _MATRIX, len(ks)).transpose(1, 2, 0).copy()
+    for ks, v in _vector_blocks(seed, n):
         lhs_sq, bound_sq = quadratic_projection_slack_sq(v)
         pure = ks % 3 != 2
         fast = np.where(pure, lhs_sq != bound_sq, lhs_sq > bound_sq)

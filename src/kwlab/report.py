@@ -134,8 +134,11 @@ def checks_to_json(checks: list, meta: dict | None = None) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def write_checks_json(path: str, checks: list, meta: dict | None = None):
-    _atomic_write(path, checks_to_json(checks, meta))
+def write_checks_json(path: str, checks: list, meta: dict | None = None) -> str:
+    """Write the report to ``path``; returns the text written."""
+    text = checks_to_json(checks, meta)
+    _atomic_write(path, text)
+    return text
 
 
 def write_energy_json(path: str, rep: EnergyReport, meta: dict | None = None):

@@ -111,14 +111,18 @@ def test_config_rejects_unknown_keys_and_ids():
 # suites through the entry point
 # ---------------------------------------------------------------------------
 
-def test_verify_exit_codes_and_determinism(tmp_path):
+def test_verify_exit_codes_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     base = ["verify", "--suite", "decomposition", "--seed", "42",
             "--n", "300"]
     assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert capsys.readouterr().out == ""
+    assert main(base + ["--out", str(out2), "--json"]) == 0
+    both = capsys.readouterr().out
+    assert main(base + ["--json"]) == 0
+    assert out1.read_bytes() == out2.read_bytes() == both.encode()
+    assert capsys.readouterr().out == both
 
 
 def test_verify_negative_control(tmp_path):
@@ -164,7 +168,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           ("seed = -1", "seed must be >= 0"),
                           ("tol.su2-rotation = inf",
                            "must be positive and finite"),
-                          ("eps = 5", "0 < eps")):
+                          ("eps = 5", "0 < eps"),
+                          ("n = 1.5", "line 1: n expects an integer, got '1.5'"),
+                          ("eps = abc", "line 1: eps expects a float, got 'abc'"),
+                          ("tol.su2-rotation = abc",
+                           "line 1: tol.su2-rotation expects a float, got 'abc'"),
+                          ("flip_star_sign = maybe",
+                           "line 1: flip_star_sign expects a boolean, got 'maybe'")):
         cfg.write_text(line + "\n")
         assert main(["verify", "--suite", "algebra",
                      "--config", str(cfg)]) == 2

@@ -22,7 +22,6 @@ from kwlab.decomp import (
     project,
     quadratic_projection_slack_sq,
     star_vv,
-    _random_int_matrix,
 )
 from kwlab.forms import OMEGA, one_form_norm_sq, wedge_bracket_matrix
 from kwlab.report import CheckReport, make_check
@@ -38,6 +37,25 @@ def _exact(rows):
 
 def _form(rows):
     return _exact([[Fraction(x) for x in r] for r in rows])
+
+
+KINDS = ("pure2", "pure3", "mixed")  # the kind of suite vector k is KINDS[k % 3]
+_MATRIX = np.dtype((np.int64, (3, 3)))
+
+
+def _random_int_matrix(rng: random.Random, kind: str):
+    """Integer coefficient matrix of the requested type, one randint call per
+    drawn entry: the per-value draw that the suite's bulk draw reproduces."""
+    r = lambda: rng.randint(-27, 27)
+    if kind == "mixed":
+        return [[r(), r(), r()], [r(), r(), r()], [r(), r(), r()]]
+    if kind == "pure2":
+        x, y, z = r(), r(), r()
+        return [[0, z, -y], [-z, 0, x], [y, -x, 0]]
+    if kind == "pure3":
+        x, y, z, s, t = r(), r(), r(), r(), r()
+        return [[s, z, y], [z, t, x], [y, x, -s - t]]
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def random_form(rng: random.Random, kind: str = "mixed"):
@@ -115,10 +133,9 @@ def reference_suite(seed: int, n: int) -> CheckReport:
         raise ValueError("empty suite")
     rng = random.Random(seed)
     worst_slack_sq = None
-    kinds = ("pure2", "pure3", "mixed")
     for k in range(n):
-        kind = kinds[k % 3]
-        rows = decomp._random_int_matrix(rng, kind)
+        kind = KINDS[k % 3]
+        rows = _random_int_matrix(rng, kind)
         lhs_sq, bound_sq = reference_slack_sq(rows)
         if kind in ("pure2", "pure3"):
             if lhs_sq != bound_sq:
@@ -291,8 +308,7 @@ def test_quadratic_projection_mixed_coefficients():
 
 def test_fast_path_matches_fraction_path():
     rng = random.Random(3)
-    rows = [_random_int_matrix(rng, ("pure2", "pure3", "mixed")[k % 3])
-            for k in range(150)]
+    rows = [_random_int_matrix(rng, KINDS[k % 3]) for k in range(150)]
     l6, b6 = quadratic_projection_slack_sq(np.array(rows).transpose(1, 2, 0))
     for k, r in enumerate(rows):
         full = lemma_quadratic_projection(_form(r))
@@ -324,6 +340,43 @@ def test_projection_commutes_with_omega_bracket(rng):
             right = project(i, omega_bracket(v))
             diff = np.max(np.abs(np.asarray(left - right, float)))
             assert diff <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 10**30])
+def test_vector_blocks_match_randint_stream(seed):
+    # n at the kind cycle and around the block edges, where the leftover
+    # values of one block start the next
+    for n in (1, 2, 3, 4, 999, 1000, 1001, 2999, 3001):
+        rng = random.Random(seed)
+        blocks = list(decomp._vector_blocks(seed, n))
+        assert np.array_equal(np.concatenate([ks for ks, _ in blocks]), np.arange(n))
+        for ks, v in blocks:
+            want = np.fromiter((_random_int_matrix(rng, KINDS[k % 3]) for k in ks),
+                               _MATRIX, len(ks)).transpose(1, 2, 0)
+            assert v.dtype == np.int64 and np.array_equal(v, want)
+
+
+def test_suite_draws_in_bulk(monkeypatch):
+    def per_value_draw(*args):
+        raise AssertionError("the suite drew one value at a time")
+
+    calls = []
+    getrandbits = random.Random.getrandbits
+    monkeypatch.setattr(random.Random, "randint", per_value_draw)
+    monkeypatch.setattr(random.Random, "getrandbits",
+                        lambda rng, k: calls.append(k) or getrandbits(rng, k))
+    # the reference_suite(42, 3001) report, computed once
+    assert decomposition_suite(42, 3001) == make_check(
+        "decomposition-suite",
+        "3001 seeded vectors through the engine wedge bracket and the "
+        "quadratic projection claim, full battery every 10 vectors",
+        computed=0.0, ok=True, provenance="derived",
+        extra={"n": 3001, "seed": 42, "worst_slack_sq": "0"})
+    # at most one call per block plus the top-ups of short rounds: here no
+    # round is short, and the fourth block's one vector (pure2, 3 values)
+    # takes values left over from the third
+    assert len(calls) == 3
+    assert all(k % 32 == 0 for k in calls)
 
 
 def test_suite_runs_and_rejects_empty():
