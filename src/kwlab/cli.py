@@ -360,7 +360,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
     checks = []
     sysr = reduced.derive_reduced_system(conv)
     coeff_now = tuple(float(c) for c in sysr.coeffs_a + sysr.coeffs_b)
-    coeff_ref = (0.0, 0.0, -2.0, 0.0, 2.0, 0.0, 0.0, -2.0, 0.0, 1.0, 0.0, -1.0)
+    coeff_ref = tuple(float(c) for row in reduced.LOCKED_COEFFS for c in row)
     checks.append(make_check(
         "solver-closure", "machine-derived system matches the locked "
         "quadratic coefficients",
@@ -386,13 +386,20 @@ def suite_solver(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("solver-closed-form-residual", 1e-10),
         provenance="derived"))
 
-    a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
-    res = reduced.integrate_ivp(sysr, 0.1, (a0, b0), 10.0)
-    checks.append(make_check(
+    def tracks(check_id, what, y_data, shift, y1, nodes, tol):
+        # a run from y = 0.1 on the closed form's state at y_data, against
+        # the closed form translated by shift
+        a, b, _, _ = pole_scalars(y_data, np.longdouble)
+        res = reduced.integrate_ivp(sysr, 0.1, (a, b), y1)
+        return make_check(
+            check_id, what, computed=_closed_form_gap(
+                res, np.linspace(0.1, y1, nodes), shift),
+            expected=0.0, tolerance=cfg.tol(check_id, tol),
+            provenance="derived")
+
+    _guard(checks, "solver-ivp-match", lambda: tracks(
         "solver-ivp-match", "initial-value run tracks the closed form",
-        computed=_closed_form_gap(res, np.linspace(0.1, 10.0, 500)),
-        expected=0.0,
-        tolerance=cfg.tol("solver-ivp-match", 1e-6), provenance="derived"))
+        0.1, 0.0, 10.0, 500, 1e-6))
 
     series = reduced.indicial_expand(sysr, reduced.SHOOT_ORDER)
     exp = series.at(Fraction(-2, 3))
@@ -405,46 +412,49 @@ def suite_solver(cfg: SuiteConfig) -> list:
         extra={"b": {str(k): str(v) for k, v in sorted(exp.b_coeffs.items())},
                "a": {str(k): str(v) for k, v in sorted(exp.a_coeffs.items())}}))
 
-    y0 = 0.1
-    shot = reduced.shoot_for_decay(sysr, series, y0=y0)
-    checks.append(make_check(
-        "solver-shooting", "shooting recovers the closed form",
-        computed=_closed_form_gap(shot.result, np.linspace(y0, 8.0, 400)),
-        expected=0.0,
-        tolerance=cfg.tol("solver-shooting", 1e-4), provenance="derived",
-        extra={"param": shot.param, **_shot_counts(shot)}))
-    # The order-6 series neglects a_8 y^8 (a_7 = 0).  Near the pole the free
-    # coefficient scales the growing mode y^2 of a (a perturbation of b
-    # decays like y^-2), so the neglected term moves the located coefficient
-    # by about a_8 y0^6.
-    a8 = reduced.indicial_expand(sysr, 8).at(Fraction(-2, 3)).a_coeffs[8]
-    checks.append(make_check(
-        "solver-series-parameter",
-        "located coefficient within 2 |a_8| y0^6 of a2 = -2/3: the first "
-        "term a_8 y^8 that the order-6 series neglects, moved onto the free "
-        "y^2 mode, with a factor 2 for higher orders",
-        computed=shot.param, expected=-2.0 / 3.0,
-        tolerance=cfg.tol("solver-series-parameter",
-                          2.0 * abs(float(a8)) * y0 ** 6),
-        provenance="derived",
-        extra={"order": series.order, "y0": y0, "a_neglected": str(a8)}))
-    ys = np.linspace(5.0, 7.0, 40)
-    env = float(np.max(np.abs(shot.result.at(ys)[1] * exp_nodes(2.0 * ys)
-                              - 6.0)))
-    checks.append(make_check(
-        "solver-decay-envelope",
-        "recovered Higgs scalar keeps the exponential envelope constant",
-        computed=env, expected=0.0,
-        tolerance=cfg.tol("solver-decay-envelope", 0.05), provenance="derived"))
+    def shooting():
+        # the located trajectory and the two checks read from it
+        y0, out = 0.1, []
+        shot = reduced.shoot_for_decay(sysr, series, y0=y0)
+        out.append(make_check(
+            "solver-shooting", "shooting recovers the closed form",
+            computed=_closed_form_gap(shot.result,
+                                      np.linspace(y0, 8.0, 400)),
+            expected=0.0,
+            tolerance=cfg.tol("solver-shooting", 1e-4), provenance="derived",
+            extra={"param": shot.param, **_shot_counts(shot)}))
+        # The order-6 series neglects a_8 y^8 (a_7 = 0).  Near the pole the
+        # free coefficient scales the growing mode y^2 of a (a perturbation
+        # of b decays like y^-2), so the neglected term moves the located
+        # coefficient by about a_8 y0^6.
+        a8 = reduced.indicial_expand(sysr, 8).at(Fraction(-2, 3)).a_coeffs[8]
+        out.append(make_check(
+            "solver-series-parameter",
+            "located coefficient within 2 |a_8| y0^6 of a2 = -2/3: the first "
+            "term a_8 y^8 that the order-6 series neglects, moved onto the "
+            "free y^2 mode, with a factor 2 for higher orders",
+            computed=shot.param, expected=-2.0 / 3.0,
+            tolerance=cfg.tol("solver-series-parameter",
+                              2.0 * abs(float(a8)) * y0 ** 6),
+            provenance="derived",
+            extra={"order": series.order, "y0": y0, "a_neglected": str(a8)}))
+        ys = np.linspace(5.0, 7.0, 40)
+        env = float(np.max(np.abs(
+            shot.result.at(ys)[1] * exp_nodes(2.0 * ys) - 6.0)))
+        out.append(make_check(
+            "solver-decay-envelope",
+            "recovered Higgs scalar keeps the exponential envelope constant",
+            computed=env, expected=0.0,
+            tolerance=cfg.tol("solver-decay-envelope", 0.05),
+            provenance="derived"))
+        return out
+
+    _guard(checks, "solver-shooting", shooting)
 
     # autonomy: integrating translated data gives the translated trajectory
-    a1, b1, _, _ = pole_scalars(0.4, np.longdouble)
-    trans = reduced.integrate_ivp(sysr, 0.1, (a1, b1), 6.0)
-    checks.append(make_check(
+    _guard(checks, "solver-flow-translate", lambda: tracks(
         "solver-flow-translate", "autonomous flow property",
-        computed=_closed_form_gap(trans, np.linspace(0.1, 6.0, 200), 0.3),
-        expected=0.0,
-        tolerance=cfg.tol("solver-flow-translate", 1e-8), provenance="derived"))
+        0.4, 0.3, 6.0, 200, 1e-8))
     return checks
 
 

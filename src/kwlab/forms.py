@@ -131,16 +131,23 @@ def matrix_first(m, dtype=None):
     return np.moveaxis(np.asarray(m, dtype=dtype), (-2, -1), (0, 1))
 
 
+# FieldAt's matrices by the profile whose value and derivative they are
+_PROFILE_OF = {"a": "connection", "n_f": "connection",
+               "p": "higgs", "dp": "higgs"}
+
+
 class FieldAt:
     """An invariant field (A_y = 0) given by its coefficient matrices a,
     a' (= F_n), p and p', matrix axes first and trailing node axes, in any
     dtype; a matrix that no block read needs may be None.  The blocks are
     formed on first use, so a reader forms only the brackets it needs:
 
-        t_f     tangential curvature          -c a + (1/2)[a ^ a]
+        t_f     tangential curvature          -c a + aa
         phi2    (1/2)[p ^ p]
-        t_dphi  tangential d_A phi             -c p + [a ^ p]
+        t_dphi  tangential d_A phi             -c p + ap
         div     d_A * phi, an su(2) element    sum_col [a_col, p_col]
+
+    with the convention-free brackets aa = (1/2)[a ^ a] and ap = [a ^ p].
     """
 
     def __init__(self, conv: GeometryConventions, a, da, p, dp):
@@ -151,16 +158,48 @@ class FieldAt:
     def of(cls, conv: GeometryConventions, field, y, dtype=None) -> "FieldAt":
         """The field's profiles at y, a node or an array of nodes (y > 0),
         in dtype: None keeps their longdouble (the residual), float rounds
-        them to float64 (the energy densities)."""
+        them to float64 (the energy densities).  Each profile is evaluated
+        on the first read of one of its matrices, so a reader of the Higgs
+        field alone never evaluates the connection, and the other way
+        round."""
         if np.any(np.asarray(y) <= 0):
             raise ValueError("boundary evaluation")
-        (a, da), (p, dp) = ([matrix_first(m, dtype) for m in profile.eval(y)]
-                            for profile in (field.connection, field.higgs))
-        return cls(conv, a, da, p, dp)
+        m = cls.__new__(cls)
+        m.conv, m._pending = conv, (field, y, dtype)
+        return m
+
+    def __getattr__(self, name):
+        # reached only for an attribute not yet set: on a field from ``of``,
+        # the first read of a profile's matrix evaluates that profile
+        pending, kind = self.__dict__.get("_pending"), _PROFILE_OF.get(name)
+        if pending is None or kind is None:
+            raise AttributeError(name)
+        field, y, dtype = pending
+        value, deriv = getattr(field, kind).eval(y)
+        names = [k for k, v in _PROFILE_OF.items() if v == kind]
+        for key, m in zip(names, (value, deriv)):
+            setattr(self, key, matrix_first(m, dtype))
+        return getattr(self, name)
+
+    def under(self, conv: GeometryConventions) -> "FieldAt":
+        """The same matrices under other conventions, sharing this field's
+        convention-free brackets (formed here if they are not yet)."""
+        out = FieldAt(conv, self.a, self.n_f, self.p, self.dp)
+        for name in ("aa", "phi2", "ap", "div"):
+            setattr(out, name, getattr(self, name))
+        return out
+
+    @cached_property
+    def aa(self):
+        return half_of(wedge_bracket_matrix(self.a, self.a))
+
+    @cached_property
+    def ap(self):
+        return wedge_bracket_matrix(self.a, self.p)
 
     @cached_property
     def t_f(self):
-        return self.a * (-self.conv.c) + half_of(wedge_bracket_matrix(self.a, self.a))
+        return self.a * (-self.conv.c) + self.aa
 
     @cached_property
     def phi2(self):
@@ -168,7 +207,7 @@ class FieldAt:
 
     @cached_property
     def t_dphi(self):
-        return self.p * (-self.conv.c) + wedge_bracket_matrix(self.a, self.p)
+        return self.p * (-self.conv.c) + self.ap
 
     @cached_property
     def div(self):
@@ -199,7 +238,11 @@ def _sqrt(x):
 def kw_residual_norm(conv: GeometryConventions, field, y):
     """Norm of the first-equation residual plus that of the second, at y (a
     node or an array of nodes)."""
-    res_t, res_n, res2 = kw_residual(FieldAt.of(conv, field, y))
+    return _residual_norm(FieldAt.of(conv, field, y))
+
+
+def _residual_norm(m: FieldAt):
+    res_t, res_n, res2 = kw_residual(m)
     norm_sq = half_of_scalar(frob_inner(res_t, res_t) + frob_inner(res_n, res_n))
     return _sqrt(norm_sq) + res2
 
@@ -285,15 +328,17 @@ CALIBRATION_TOL = 1e-10  # worst residual of the reference solution
 
 def calibrate() -> GeometryConventions:
     """Search the finite convention set for the unique (c_struct, s1, s2)
-    with exact Ric = 2g and vanishing residual on the reference solution."""
+    with exact Ric = 2g and vanishing residual on the reference solution.
+    The reference field is evaluated, and its convention-free brackets
+    formed, once for all the conventions tested."""
     from .profiles import nahm_pole_invariant_solution
 
-    field = nahm_pole_invariant_solution()
-    grid = np.geomspace(1e-3, 20.0, 40)
+    field = FieldAt.of(None, nahm_pole_invariant_solution(),
+                       np.geomspace(1e-3, 20.0, 40))
     ricci_ok = {c: _is_twice_metric(ricci_tensor(c))
                 for c in dict.fromkeys(conv.c for conv in CONVENTION_SET)}
     winners = [conv for conv in CONVENTION_SET if ricci_ok[conv.c]
-               and np.max(kw_residual_norm(conv, field, grid)) < CALIBRATION_TOL]
+               and np.max(_residual_norm(field.under(conv))) < CALIBRATION_TOL]
     if len(winners) != 1:
         raise RuntimeError(
             f"calibration must single out one convention, found {winners}"

@@ -24,10 +24,15 @@ On top of the system sit
     coefficients are the dense output, and
   * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0):
     a sign k-section over lanes, the bracket ends batched with its first
-    pass and a lane read as blown up at SHOOT_BLOWUP times its initial
-    size, until the bracket reaches the smooth regime of the unstable mode,
+    pass, until the bracket reaches the smooth regime of the unstable mode,
     then regula falsi on it, which recovers the closed-form reference
-    solution.
+    solution.  A shooting lane leaves its batch as blown up once a proven
+    certificate says that it cannot reach SHOOT_Y: with c = a - 1 and
+    z = c + i b the locked system reads z' = i (conj(z)^2 - 1), and in the
+    three sectors sin 3 arg z >= 1/2 with |z| > sqrt 2 the flow stays in
+    the sector and |z|' >= |z|^2 / 2 - 1, so |z| reaches infinity within
+    T(|z|) = ln((|z| + sqrt 2) / (|z| - sqrt 2)) / sqrt 2 with the sign of b
+    fixed (``_certified_blowup``).
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ BLOWUP_THRESHOLD = 1e8
 _I3 = np.eye(3)
 
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+# The locked system a' = 2ab - 2b, b' = a^2 - 2a - b^2, its coefficients in
+# _MONOMIALS order: what derive_reduced_system must find, and the system
+# that shooting's blow-up certificate is proven for.
+LOCKED_COEFFS = ((0, 0, -2, 0, 2, 0), (0, -2, 0, 1, 0, -1))
 
 
 class BlowUpError(RuntimeError):
@@ -312,17 +321,24 @@ def taylor_coefficients(matrix, a, b, order: int) -> np.ndarray:
     of ``matrix`` repeated in that pattern fills all six.  Per lane the
     arithmetic does not depend on the batch (each row sums on its own, and
     numpy's longdouble matmul has no BLAS kernel: it sums c*m from 0 in
-    monomial order), and on object arrays of Fractions it is exact."""
-    x = np.zeros((6, len(a), order + 1), dtype=np.result_type(matrix, a, b))
+    monomial order), and on object arrays of Fractions it is exact.  The
+    divisors n + 1 are made once per call in the coefficients' dtype (a
+    Python int divisor costs a conversion at every order), and the
+    constant monomial is cleared once, after the first order."""
+    k = len(a)
+    x = np.zeros((6, k, order + 1), dtype=np.result_type(matrix, a, b))
     x[:, :, 0] = a, a, b, a, b, b
     rows = matrix[[0, 0, 1, 0, 1, 1]]
-    mono = np.zeros((6, len(a)), dtype=x.dtype)
+    mono = np.zeros((6, k), dtype=x.dtype)
     mono[0], mono[1], mono[2] = 1, a, b
+    products = mono[3:]
+    divisors = np.arange(1, order + 1).astype(x.dtype).reshape(order, 1, 1)
     for n in range(order):
         np.add.reduce(x[:3, :, :n + 1] * x[3:, :, n::-1], axis=-1,
-                      out=mono[3:])
-        np.divide(rows @ mono, n + 1, out=x[:, :, n + 1])
-        mono[0] = 0
+                      out=products)
+        np.divide(rows @ mono, divisors[n], out=x[:, :, n + 1])
+        if n == 0:
+            mono[0] = 0
         mono[1:3] = x[0:3:2, :, n + 1]
     return x[0:3:2]
 
@@ -387,25 +403,68 @@ class _LaneRun:
     status: list  # _REACHED, _BLOWN or _NONFINITE per lane
 
 
+_SQRT2 = math.sqrt(2.0)
+# Relative margin of each certificate inequality.  The test reads the
+# float64 rounding of the longdouble state, a few ulps off in rho, rho^3 and
+# T(rho) (T's relative error stays below 1e-11 wherever T < SHOOT_Y, where
+# rho - sqrt 2 > 3e-5), so 1e-9 holds the verdict for the exact state.
+_CERT_MARGIN = 1e-9
+
+
+def _certified_blowup(y, s, y_end) -> np.ndarray:
+    """Per lane, whether the locked system's flow from the state s (shape
+    (2, k)) at y provably blows up before y_end, with the sign of b fixed.
+
+    With c = a - 1 and z = c + i b the system reads z' = i (conj(z)^2 - 1),
+    so in polar form rho' = rho^2 sin 3theta - sin theta and theta' =
+    rho cos 3theta - cos theta / rho.  In each of the three sectors
+    sin 3theta >= 1/2 (around theta = pi/6, 5 pi/6 and 3 pi/2) the region
+    rho > sqrt 2 is forward-invariant: rho grows there, and on the sector's
+    edges theta' (+-rho sqrt 3 / 2 - cos theta / rho) points inward.  So
+    rho' >= rho^2 / 2 - 1 holds from then on, and rho reaches infinity
+    before y + T(rho), T(rho) = ln((rho + sqrt 2) / (rho - sqrt 2)) / sqrt 2,
+    while b keeps its sign: negative around 3 pi/2, positive in the other
+    two.  A lane is certified when rho > sqrt 2, Im z^3 = 3 c^2 b - b^3 >=
+    rho^3 / 2 (that is sin 3theta >= 1/2) and y + T(rho) < y_end, each by
+    _CERT_MARGIN.  Per lane in Python floats, so that the verdict does not
+    depend on the batch."""
+    out = []
+    for yl, a, b in zip(y.astype(float).tolist(), *s.astype(float).tolist()):
+        c = a - 1.0
+        r2 = c * c + b * b
+        if (r2 > 2.0 * (1.0 + _CERT_MARGIN) and b * (3.0 * c * c - b * b)
+                >= (0.5 + _CERT_MARGIN) * r2 * math.sqrt(r2)):
+            rho = math.sqrt(r2)
+            t = math.log((rho + _SQRT2) / (rho - _SQRT2)) / _SQRT2
+            out.append(yl + t * (1.0 + _CERT_MARGIN) < y_end)
+        else:
+            out.append(False)
+    return np.array(out, dtype=bool)
+
+
 def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
-                  steps=None, blowup=BLOWUP_THRESHOLD) -> _LaneRun:
+                  steps=None, certify: bool = False) -> _LaneRun:
     """Advance k lanes (``states`` of shape (2, k)) from y0 to y1 with the
     order-TAYLOR_ORDER Taylor stepper, each lane with its own y and step.
 
     All live lanes advance in one array step; the coefficients come from
     ``taylor_coefficients`` on the system's longdouble matrix.  A lane
-    leaves the batch when it reaches y1, when its |a| + |b| crosses
-    ``blowup`` (a number, or one per lane), or, as non-finite, when its
-    coefficients or the state they give are not finite or its step falls
-    below _H_MIN; a non-finite lane keeps its last finite state.  Per lane
+    leaves the batch when it reaches y1; as blown, when its |a| + |b|
+    crosses BLOWUP_THRESHOLD or, with ``certify`` (the locked system only),
+    when ``_certified_blowup`` proves that it cannot reach y1; or, as
+    non-finite, when its coefficients or the state they give are not finite
+    or its step falls below _H_MIN, keeping its last finite state.  Per lane
     the arithmetic is that of a single trajectory, so a lane's result does
     not depend on its batch.  ``steps`` (two lists, one-lane runs only)
     collects the step boundaries and each step's coefficients.
     """
+    if certify and (sys.coeffs_a, sys.coeffs_b) != LOCKED_COEFFS:
+        raise ValueError("the blow-up certificate is proven only for the "
+                         f"locked coefficients {LOCKED_COEFFS}, got "
+                         f"{tuple(map(str, sys.coeffs_a + sys.coeffs_b))}")
     ld = np.longdouble
     s = np.array(states, dtype=ld)
     k = s.shape[1]
-    limit = np.broadcast_to(np.asarray(blowup, dtype=float), (k,))
     y_end = ld(y1)
     y = np.full(k, ld(y0))
     out = _LaneRun(np.empty(k), np.empty((2, k), dtype=ld), [_REACHED] * k)
@@ -434,7 +493,9 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
             steps[1].append(c[:, 0])
 
         sf = s.astype(float)
-        blown = np.abs(sf[0]) + np.abs(sf[1]) > limit[lanes]
+        blown = np.abs(sf[0]) + np.abs(sf[1]) > BLOWUP_THRESHOLD
+        if certify:
+            blown |= _certified_blowup(y, s, y1)
         for mask, status in ((blown, _BLOWN), (nonfinite, _NONFINITE)):
             for lane in lanes[mask]:
                 out.status[lane] = status
@@ -475,27 +536,16 @@ SHOOT_LANES = 15  # interior points classified per coarse pass
 SHOOT_Y = 8.0  # where the unstable-mode functional U is read
 SHOOT_ORDER = 6  # order of the pole series the shooting starts from
 _U_SCALE = math.exp(-2.0 * SHOOT_Y)
-# A shooting lane counts as blown up once |a| + |b| exceeds this multiple
-# of its initial value.  The quadratic part (a' = 2ab, b' = a^2 - b^2) blows
-# up in finite y, and its blow-up rays attract the direction of the state,
-# so by then the sign of b is settled.  A lane that would reach SHOOT_Y
-# larger than the multiple is read as blown, with the same sign.  On the
-# shots from y0 = 0.05, 0.1 and 0.2 (their trace points, 100 seeded p and
-# the root +- 10^-k), from 7 on every lane keeps the status and sign of a
-# run to BLOWUP_THRESHOLD; 7 holds by under 2 % (a trace point from
-# y0 = 0.2 reaches SHOOT_Y at 6.89 times its initial size), so 8.
-SHOOT_BLOWUP = 8.0
 
 
 def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float):
     """One batched run from the (2, k) initial ``states``; per lane
     (outcome, sign, y, U): 'blow' with the sign of b at blow-up, 'reached'
     with U = (a - b)(y_end) e^{-2 y_end} and sign -sign(U), or 'non-finite'
-    (no sign); y is where the lane's run ended and U is None unless the
-    lane reached y_end."""
-    states = np.asarray(states)
-    run = _taylor_lanes(sys, y0, states, y_end,
-                        blowup=SHOOT_BLOWUP * np.abs(states).sum(0))
+    (no sign); y is where the lane's run ended (for a lane certified to
+    blow up, where the certificate fired) and U is None unless the lane
+    reached y_end."""
+    run = _taylor_lanes(sys, y0, states, y_end, certify=True)
     outcomes = []
     for lane, status in enumerate(run.status):
         y = float(run.ys[lane])
@@ -522,10 +572,14 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
 
     * coarse: while a bracket end blows up before SHOOT_Y, one batched run
       classifies SHOOT_LANES equally spaced interior points by their sign
-      (b's at blow-up, which a run declares at SHOOT_BLOWUP times its
-      initial size, or -sign(U) for a lane that reaches SHOOT_Y) and keeps
-      the sub-interval where it changes, a (SHOOT_LANES + 1)-fold narrowing;
-      the first pass's points share one run with the bracket ends;
+      and keeps the sub-interval where it changes, a (SHOOT_LANES + 1)-fold
+      narrowing; the first pass's points share one run with the bracket
+      ends.  The sign is -sign(U) for a lane that reaches SHOOT_Y, and b's
+      for a lane that blows up.  A lane is called blown up as soon as it
+      provably cannot reach SHOOT_Y (``_certified_blowup``: |z| > sqrt 2,
+      sin 3 arg z >= 1/2 and y + T(|z|) < SHOOT_Y for z = a - 1 + i b, a
+      forward-invariant sector in which |z| reaches infinity within T and
+      b keeps its sign), or at BLOWUP_THRESHOLD;
     * fine: once both ends reach SHOOT_Y, Illinois regula falsi (Dowell and
       Jarratt, BIT 1971) on the smooth U(p) = (a - b)(SHOOT_Y) e^{-2 SHOOT_Y},
       one one-lane run per step.  The series state is formed in float64, so
@@ -537,6 +591,8 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
     polynomials in p, evaluated exactly once per classified p; each
     bracket end carries its initial state.  A run that turns non-finite has
     no sign and raises, as does a falsi run that blows up before SHOOT_Y.
+    The certificate is proven for the locked system only: on a system with
+    other coefficients than LOCKED_COEFFS the first run raises ValueError.
     """
     if not (math.isfinite(y0) and 0 < y0 <= 0.2):
         raise ValueError("series initial data is only trusted for "

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -316,6 +317,39 @@ def test_series_parameter_gate_is_live(monkeypatch):
     by_id = {c.check_id: c for c in suite_solver(SuiteConfig(suite="solver"))}
     assert by_id["solver-series-parameter"].status == "fail"
     assert by_id["solver-shooting"].status == "pass"
+
+
+def test_unlocked_system_fails_shooting_through_guard(tmp_path, monkeypatch,
+                                                      capsys):
+    # one coefficient off the locked system by 1e-6: solver-closure fails,
+    # and shooting, whose blow-up certificate is proven for the locked
+    # system alone, raises; the guard turns that into a failed
+    # solver-shooting entry and one stderr line, never a traceback
+    derive = reduced.derive_reduced_system
+
+    def unlocked(conv):
+        sysr = derive(conv)
+        coeffs = list(sysr.coeffs_b)
+        coeffs[3] += Fraction(1, 10**6)
+        return reduced.ReducedSystem(conv, sysr.coeffs_a, tuple(coeffs))
+
+    monkeypatch.setattr(reduced, "derive_reduced_system", unlocked)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "solver", "--out", str(out)]) == 1
+    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert by_id["solver-closure"]["status"] == "fail"
+    shooting = by_id["solver-shooting"]
+    assert shooting["status"] == "fail" and shooting["computed"] is None
+    assert shooting["detail"].startswith("check raised: the blow-up "
+                                         "certificate is proven only for")
+    # the two checks read from the shot are not made; the rest run, the
+    # initial-value runs each in its own guard (the run to y = 10 blows up)
+    assert "solver-series-parameter" not in by_id
+    assert by_id["solver-flow-translate"]["computed"] > 0
+    err = capsys.readouterr().err
+    assert "solver-shooting: ValueError raised at" in err
+    assert "solver-ivp-match: BlowUpError raised at" in err
+    assert "Traceback" not in err
 
 
 def test_guard_reports_exception_detail(tmp_path, monkeypatch, capsys):

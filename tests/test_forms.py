@@ -60,6 +60,50 @@ def test_calibration_rejects_other_conventions(conv):
         assert worst > 1e-2
 
 
+def test_shared_field_matches_one_field_per_convention():
+    # calibrate's route, one evaluation and one set of convention-free
+    # brackets shared by every convention, against a fresh field per
+    # convention: the same residual norms, bit for bit
+    from kwlab.forms import _residual_norm
+
+    model = nahm_pole_invariant_solution()
+    grid = np.geomspace(1e-3, 20.0, 40)
+    shared = FieldAt.of(None, model, grid)
+    for cand in CONVENTION_SET:
+        got = _residual_norm(shared.under(cand))
+        want = kw_residual_norm(cand, model, grid)
+        assert got.dtype == want.dtype and np.array_equal(got, want), cand
+
+
+class _Unread(MatrixProfile):
+    """A profile that must not be evaluated."""
+
+    def __init__(self):
+        super().__init__([])
+
+    def eval(self, y):
+        raise AssertionError("profile evaluated")
+
+
+def test_field_of_evaluates_only_the_profiles_read(conv):
+    model = nahm_pole_invariant_solution()
+    ys = np.geomspace(0.01, 5.0, 9)
+    full = FieldAt.of(conv, model, ys, float)
+    higgs_only = FieldAt.of(conv, InvariantField(_Unread(), model.higgs),
+                            ys, float)
+    assert np.array_equal(frob_inner(higgs_only.p, higgs_only.p),
+                          frob_inner(full.p, full.p))
+    assert np.array_equal(higgs_only.dp + higgs_only.phi2, full.dp + full.phi2)
+    connection_only = FieldAt.of(
+        conv, InvariantField(model.connection, _Unread()), ys, float)
+    assert np.array_equal(frob_inner(connection_only.n_f, connection_only.t_f),
+                          frob_inner(full.n_f, full.t_f))
+    with pytest.raises(AssertionError, match="profile evaluated"):
+        connection_only.p
+    with pytest.raises(AttributeError):
+        full.not_a_block
+
+
 def _coframe_d(conv, u):
     """d of a constant-coefficient 1-form: the linear part of the tangential
     curvature, which is what FieldAt.t_f adds to the quadratic part."""

@@ -51,6 +51,7 @@ def test_machine_derived_coefficients(system):
     # locked quadratic structure over (1, a, b, a^2, ab, b^2)
     assert system.coeffs_a == (0, 0, -2, 0, 2, 0)
     assert system.coeffs_b == (0, -2, 0, 1, 0, -1)
+    assert reduced.LOCKED_COEFFS == (system.coeffs_a, system.coeffs_b)
 
 
 def test_scalar_ansatz_stays_in_span(conv):
@@ -514,9 +515,9 @@ def test_batched_outcomes_match_one_lane_runs(system, shot):
             assert alone == [got], p
         else:
             assert got[2] == reduced.SHOOT_Y, p
-        # although a shooting lane stops at SHOOT_BLOWUP times its initial
-        # size, the status and sign of a run that goes on to
-        # BLOWUP_THRESHOLD, and the same U bits
+        # although a shooting lane stops once it is certified to blow up,
+        # the status and sign of a run that goes on to BLOWUP_THRESHOLD,
+        # and the same U bits
         assert (got[0], got[1], got[3]) == _one_lane_outcome(system, state), p
     # the first coarse pass of the shot classifies the same points
     assert [t[0] for t in shot.trace[2:17]] == interior
@@ -792,12 +793,74 @@ def test_dense_output_matches_reference_kernel(system, monkeypatch):
         assert _same_bits(x, y)
 
 
-@pytest.mark.parametrize("y0", [0.05, 0.1, 0.2])
+def _certificate_time(a, b):
+    """T(rho) of the blow-up certificate at the state (a, b)."""
+    rho = math.hypot(a - 1.0, b)
+    return math.log((rho + math.sqrt(2.0)) / (rho - math.sqrt(2.0))) / math.sqrt(2.0)
+
+
+def test_certified_states_blow_up_before_their_bound(system):
+    # seeded states in the three certified sectors (sin 3theta >= 1/2,
+    # rho > sqrt 2, around theta = pi/6, 5pi/6 and 3pi/2): each is
+    # certified, and a run to BLOWUP_THRESHOLD blows up before y + T(rho)
+    # with the sign of b it started with
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        centre = rng.choice([math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2])
+        theta = centre + rng.uniform(-1.0, 1.0) * (math.pi / 9) * 0.999
+        rho = math.sqrt(2.0) * (1.0 + 10.0 ** rng.uniform(-2.0, 3.0))
+        y = rng.uniform(0.05, 6.0)
+        a, b = 1.0 + rho * math.cos(theta), rho * math.sin(theta)
+        bound = y + _certificate_time(a, b)
+        state = np.array([[a], [b]], dtype=np.longdouble)
+        at = np.array([y], dtype=np.longdouble)
+        assert reduced._certified_blowup(at, state, bound * (1 + 1e-6))[0]
+        assert not reduced._certified_blowup(at, state, bound * (1 - 1e-6))[0]
+        with pytest.raises(BlowUpError) as exc:
+            integrate_ivp(system, y, (a, b), bound + 1.0)
+        assert not exc.value.nonfinite
+        assert exc.value.y_blow < bound, (a, b, y)
+        assert math.copysign(1.0, exc.value.state[1]) == math.copysign(1.0, b)
+        assert (b < 0) == (centre > math.pi)
+
+
+def test_certificate_refuses_pole_and_edge_states():
+    # the pole direction (theta near pi/2, b ~ 1/y: sin 3theta near -1), a
+    # sector's edge just outside it, and rho at sqrt 2: never certified
+    ys = np.full(4, 0.1, dtype=np.longdouble)
+    for rho in (10.0, 1e3, 1e6):
+        theta = np.pi / 2 + np.array([-0.2, -0.05, 0.05, 0.2])
+        states = np.array([1.0 + rho * np.cos(theta), rho * np.sin(theta)],
+                          dtype=np.longdouble)
+        assert not reduced._certified_blowup(ys, states, 1e9).any()
+    edge = np.pi / 18 * np.array([1 - 1e-6, 5 + 1e-6, 13 - 1e-6, 29 + 1e-6])
+    states = np.array([1.0 + 50 * np.cos(edge), 50 * np.sin(edge)],
+                      dtype=np.longdouble)
+    assert not reduced._certified_blowup(ys, states, 1e9).any()
+    states = np.array([[1.0 + math.sqrt(2.0) * math.cos(math.pi / 6)],
+                       [math.sqrt(2.0) * math.sin(math.pi / 6)]],
+                      dtype=np.longdouble)
+    assert not reduced._certified_blowup(ys[:1], states, 1e9).any()
+
+
+def test_certificate_needs_the_locked_system(system, series):
+    coeffs = list(system.coeffs_b)
+    coeffs[3] += Fraction(1, 10**6)
+    other = ReducedSystem(system.conv, system.coeffs_a, tuple(coeffs))
+    with pytest.raises(ValueError, match="locked coefficients"):
+        shoot_for_decay(other, series, y0=0.1)
+    # the stepper itself runs any system; only the certificate is refused
+    reduced._taylor_lanes(other, 0.1, np.array([[1.0], [1.0]]), 0.2)
+
+
+@pytest.mark.parametrize("y0", [0.05, 0.1, 0.15, 0.175, 0.18, 0.19, 0.2])
 def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
-    # a lane stopped at SHOOT_BLOWUP times its initial size against the same
-    # lanes run in one batch to BLOWUP_THRESHOLD: the same status and sign,
-    # and the same U bits where a lane reaches SHOOT_Y; on the shot's trace
-    # points, 100 seeded p and the root +- 10^-k
+    # a lane called blown by the certificate against the same lanes run in
+    # one batch to BLOWUP_THRESHOLD: the same status and sign, and the same
+    # U bits where a lane reaches SHOOT_Y; on the shot's trace points, 100
+    # seeded p and the root +- 10^-k.  At 0.175, 0.18 and 0.19 a trace point
+    # reaches SHOOT_Y at 8-44 times its initial size, which a fixed
+    # multiple of that size misreads as blown
     if y0 != 0.1:
         shot = shoot_for_decay(system, series, y0=y0)
     rng = np.random.default_rng(100)
@@ -810,6 +873,8 @@ def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
         a, b = ref.states[:, lane]
         if ref.status[lane] == "blow":
             want = ("blow", 1.0 if b > 0 else -1.0, None)
+            # the certificate fires no later than the threshold
+            assert out[2] <= ref.ys[lane], (y0, p)
         else:
             u = float(a - b) * math.exp(-2.0 * reduced.SHOOT_Y)
             want = ("reached", 1.0 if u < 0 else -1.0, u)
@@ -819,10 +884,8 @@ def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
 
 def test_shot_work_counts(system, series, monkeypatch):
     # one run for the bracket ends with the first coarse pass, four more
-    # coarse passes, six falsi runs and the final run: 12 Taylor runs (13
-    # with the ends in a run of their own) and 437 Taylor steps (555 with
-    # the ends alone, blow-up declared at 100 times the initial size and
-    # the two-row kernel)
+    # coarse passes, six falsi runs and the final run: 12 Taylor runs and
+    # 371 Taylor steps
     calls = {"_taylor_lanes": 0, "taylor_coefficients": 0}
 
     def counting(name):
@@ -836,5 +899,5 @@ def test_shot_work_counts(system, series, monkeypatch):
     for name in calls:
         monkeypatch.setattr(reduced, name, counting(name))
     shot = shoot_for_decay(system, series, y0=0.1)
-    assert calls == {"_taylor_lanes": 12, "taylor_coefficients": 437}
+    assert calls == {"_taylor_lanes": 12, "taylor_coefficients": 371}
     assert (shot.coarse_passes, shot.falsi_runs, len(shot.trace)) == (6, 6, 83)
