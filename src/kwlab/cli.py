@@ -102,16 +102,15 @@ def suite_algebra(cfg: SuiteConfig) -> list:
         "(100 seeded samples)",
         computed=worst, expected=0.0,
         tolerance=cfg.tol("su2-rotation", 1e-13), provenance="trivial"))
-    jac_worst = Fraction(0)
-    rngj = np.random.default_rng(cfg.seed + 1)
-    for _ in range(50):
-        u, v, w = (np.array([Fraction(int(x)) for x in rngj.integers(-9, 10, 3)],
-                            dtype=object) for _ in range(3))
-        s = (su2.bracket(u, su2.bracket(v, w)) + su2.bracket(v, su2.bracket(w, u))
-             + su2.bracket(w, su2.bracket(u, v)))
-        jac_worst = max(jac_worst, su2.norm_sq(s))
-        ad = su2.inner(su2.bracket(w, u), v) + su2.inner(u, su2.bracket(w, v))
-        jac_worst = max(jac_worst, abs(ad))
+    # 50 integer samples (u, v, w) as (3, 50) stacks: the values that one
+    # integers(-9, 10, 3) call per element draws.  2 |s|^2 and 2 <., .> are
+    # integer sums, so the halves are exact floats
+    u, v, w = np.random.default_rng(cfg.seed + 1).integers(
+        -9, 10, (50, 3, 3)).transpose(1, 2, 0)
+    s = (su2.bracket(u, su2.bracket(v, w)) + su2.bracket(v, su2.bracket(w, u))
+         + su2.bracket(w, su2.bracket(u, v)))
+    ad = su2.inner(su2.bracket(w, u), v) + su2.inner(u, su2.bracket(w, v))
+    jac_worst = max(su2.norm_sq(s).max(), abs(ad).max())
     checks.append(make_check(
         "su2-jacobi", "Jacobi identity and ad-invariance, exact on 50 "
         "integer samples",
@@ -227,6 +226,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
     spec = cfg.quadrature()
     model = nahm_pole_invariant_solution()
     checks = []
+    solved = {}  # the solution guard's record: one residual per field and grid
     # the reference solution's passes and the values built from them, once
     # per run; a failed build fails, through _guard, only its readers
     full_line = _shared(lambda: energy.full_line_norms(conv, model, spec))
@@ -234,7 +234,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
             conv, model, spec, energy.CUTOFF_ROWS)),
-        "sweep": _shared(lambda: energy.cutoff_sweep(conv, spec)),
+        "sweep": _shared(lambda: energy.cutoff_sweep(conv, spec, solved)),
         "consts": _shared(lambda: energy.bound_constants(conv, full_line())),
     }
 
@@ -245,7 +245,8 @@ def suite_energy(cfg: SuiteConfig) -> list:
         gate = {"tol": cfg.tol(cid, 1e-6)} if cid in TUNABLE_CHECK_IDS else {}
         _guard(checks, cid, lambda ident=ident, reads=reads, gate=gate: (
             energy.check_energy_identity(
-                conv, ident, **gate, **{k: inputs[k]() for k in reads})))
+                conv, ident, **gate, **{k: inputs[k]() for k in reads},
+                solved=solved)))
 
     def stability():
         val, err, parts = energy.c_model(full_line())
@@ -315,7 +316,8 @@ def suite_energy(cfg: SuiteConfig) -> list:
             extra={"n_pert": cfg.n_pert, "failures": n_fail})
 
     def bound():
-        tb = energy.theorem_bound_report(conv, full_line(), inputs["consts"]())
+        tb = energy.theorem_bound_report(conv, full_line(), inputs["consts"](),
+                                         solved)
         f_sq = tb.get("curvature_l2_sq").value
         slack = tb.get("bound_slack").value
         other = (tb.get("tangential_gradient_l2_sq").value

@@ -6,73 +6,72 @@ matrices (spanned by mu_1, mu_2, mu_3) and the traceless symmetric matrices
 (spanned by nu_1, nu_2, nu_3, nu_12, nu_13).  The operator *3[omega, . ] is
 scalar on each piece with eigenvalues (2, 1, -1), in that order.
 
-The tables run in exact rational arithmetic: projections are the trace /
-antisymmetric / symmetric-traceless parts, and equality claims are compared
-after squaring so no irrational number is ever formed.  The displayed star
-table for the nu basis vectors is reproduced up to a global sign (the engine
-orientation that yields eigenvalues (2, 1, -1) gives *3(nu ^ nu) = -t_i e_i);
-the sign is recorded and the orientation-free consequences (orthogonality to
-V1, the projection magnitudes behind the quadratic-projection equalities)
-are asserted exactly.
+Everything here runs on int64 matrices at a stated integer scale, so every
+claim is an exact integer comparison and no rational or irrational number is
+ever formed:
+
+- the basis vectors are integer matrices, omega the identity;
+- ``project6(i, v)`` is 6 times the projection onto V^i, an integer matrix
+  on integer v (``project`` divides it by 6);
+- the quadratic star *3(v ^ v) enters as the engine's bracket-wedge
+  [v ^ v] = 2 *3(v ^ v), so the star table compares [v ^ v] with 2 t e;
+- magnitudes are sums of squared entries: |project(1, *3(v ^ v))| =
+  |omega|/3 reads sum project6(1, [v ^ v])^2 = 48;
+- t1 e1 = (omega + nu_12 + nu_13)/3 reads 3 t1 e1 = omega + nu_12 + nu_13.
+
+The displayed star table for the nu basis vectors is reproduced up to a
+global sign (the engine orientation that yields eigenvalues (2, 1, -1) gives
+*3(nu ^ nu) = -t_i e_i); the sign is recorded and the orientation-free
+consequences (orthogonality to V1, the projection magnitudes behind the
+quadratic-projection equalities) are asserted exactly.
 
 The seeded suite draws small integer vectors and checks them a block at a
-time as int64 stacks: for integer v, 6 times each projection is an integer
-matrix, so every claim is an exact integer comparison after a fixed scaling,
-under the overflow bound stated above ENTRY_BOUND.  A block's entries are
-drawn in bulk, with one ``getrandbits`` call on the suite's
-``random.Random(seed)`` and a top-up call when too few of its words are
-kept.  These 32-bit Mersenne Twister words are the ones that one
-``randint(-27, 27)`` per entry would read, and keeping each word's top 6
-bits when they are below 55, as ``randint`` does, gives the same values: a
-seed gives the same vectors as drawing each entry on its own.
+time as int64 stacks, under the overflow bound stated above ENTRY_BOUND;
+the full battery runs once, on every BATTERY_STRIDE-th vector of the
+blocks drawn.  A block's entries are drawn in bulk, with one ``getrandbits``
+call on the suite's ``random.Random(seed)`` and a top-up call when too few
+of its words are kept.  These 32-bit Mersenne Twister words are the ones
+that one ``randint(-27, 27)`` per entry would read, and keeping each word's
+top 6 bits when they are below 55, as ``randint`` does, gives the same
+values: a seed gives the same vectors as drawing each entry on its own.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .forms import OMEGA, half_of, one_form_norm_sq, wedge_bracket_matrix
+from .forms import wedge_bracket_matrix
 from .report import CheckReport, make_check
 
-F0, F1 = Fraction(0), Fraction(1)
-
-
-def _form(rows):
-    """Exact coefficient matrix of a 1-form."""
-    return np.array([[Fraction(x) for x in r] for r in rows], dtype=object)
-
-
 MU = (
-    _form([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),   # t2 e3 - t3 e2
-    _form([[0, 0, -1], [0, 0, 0], [1, 0, 0]]),   # t3 e1 - t1 e3
-    _form([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),   # t1 e2 - t2 e1
+    np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),   # t2 e3 - t3 e2
+    np.array([[0, 0, -1], [0, 0, 0], [1, 0, 0]]),   # t3 e1 - t1 e3
+    np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),   # t1 e2 - t2 e1
 )
 NU = (
-    _form([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),    # t2 e3 + t3 e2
-    _form([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),    # t3 e1 + t1 e3
-    _form([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),    # t1 e2 + t2 e1
+    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),    # t2 e3 + t3 e2
+    np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),    # t3 e1 + t1 e3
+    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),    # t1 e2 + t2 e1
 )
-NU_12 = _form([[1, 0, 0], [0, -1, 0], [0, 0, 0]])  # t1 e1 - t2 e2
-NU_13 = _form([[1, 0, 0], [0, 0, 0], [0, 0, -1]])  # t1 e1 - t3 e3
+NU_12 = np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]])  # t1 e1 - t2 e2
+NU_13 = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]])  # t1 e1 - t3 e3
 
 
 EIGENVALUES = (2, 1, -1)  # of *3[omega, . ] on V1, V2, V3
 _I3 = np.eye(3, dtype=np.int64)  # omega's coefficients as integers
 
 
-@dataclass(frozen=True)
-class DecompBasis:
+class DecompBasis(NamedTuple):
     v1: tuple
     v2: tuple
     v3: tuple
 
 
 def basis() -> DecompBasis:
-    return DecompBasis(v1=(OMEGA,), v2=MU, v3=NU + (NU_12, NU_13))
+    return DecompBasis(v1=(_I3,), v2=MU, v3=NU + (NU_12, NU_13))
 
 
 def project6(i: int, m):
@@ -93,8 +92,7 @@ def project6(i: int, m):
 def project(i: int, m):
     """Orthogonal projection onto V^i: trace part, antisymmetric part, or
     traceless symmetric part of the coefficient matrix."""
-    p = project6(i, m)
-    return p * Fraction(1, 6) if p.dtype == object else p / 6
+    return project6(i, m) / 6
 
 
 def omega_bracket(v):
@@ -111,33 +109,23 @@ def _exact(check_id, holds: bool, note, provenance="reference") -> CheckReport:
 
 def omega_bracket_eigencheck() -> list:
     """Exact eigenvalue table of *3[omega, . ] on all nine basis vectors."""
-    bas = basis()
     out = []
-    for i, (vecs, lam) in enumerate(zip((bas.v1, bas.v2, bas.v3), EIGENVALUES), 1):
+    for i, (vecs, lam) in enumerate(zip(basis(), EIGENVALUES), 1):
         for k, v in enumerate(vecs):
             out.append(_exact(f"eigen-table-v{i}-{k}",
-                              _eq(omega_bracket(v), v * Fraction(lam)),
+                              np.array_equal(omega_bracket(v), lam * v),
                               f"*3[omega, .] acts on V^{i} with eigenvalue {lam}"))
     return out
 
 
-def star_vv(v):
-    """*3 (v ^ v) as a 1-form (the adjugate/cofactor quadratic)."""
-    return half_of(wedge_bracket_matrix(v, v))
-
-
-def _coeff_form(i, a, sign=F1):
-    rows = [[F0] * 3 for _ in range(3)]
-    rows[i][a] = Fraction(sign)
-    return _form(rows)
-
-
-def _eq(u, v) -> bool:
-    return all(u[r][c] == v[r][c] for r in range(3) for c in range(3))
+def _te(i):
+    """t_i e_i: the matrix with a single 1, at (i, i)."""
+    return np.diag(_I3[i])
 
 
 def appendix_star_table() -> list:
-    """Exact verification of the quadratic star table on the basis vectors.
+    """Exact verification of the quadratic star table on the basis vectors,
+    at the scales stated in the module docstring.
 
     mu entries match the displayed table on the nose; nu entries come out
     with a global minus sign under the engine orientation (recorded here as
@@ -146,29 +134,29 @@ def appendix_star_table() -> list:
     the projection magnitude 1/3 |omega| -- are asserted exactly.
     """
     checks = []
+    zero = 0 * _I3
 
     def expect(check_id, got, want, note, provenance="reference"):
-        checks.append(_exact(check_id, _eq(got, want), note, provenance))
+        checks.append(_exact(check_id, np.array_equal(got, want), note,
+                             provenance))
 
+    # [v ^ v] = 2 *3(v ^ v)
     for k in range(3):
         expect(
             f"star-table-mu{k + 1}",
-            star_vv(MU[k]),
-            _coeff_form(k, k),
+            wedge_bracket_matrix(MU[k], MU[k]),
+            2 * _te(k),
             f"*3(mu{k + 1} ^ mu{k + 1}) = t{k + 1} e{k + 1}",
         )
 
     # engine sign for the symmetric basis: *3(nu ^ nu) = -(t e) entrywise
-    nu_cases = [
-        (f"star-table-nu{k + 1}", NU[k], _coeff_form(k, k, -1)) for k in range(3)
-    ]
+    nu_cases = [(f"star-table-nu{k + 1}", NU[k], _te(k)) for k in range(3)]
     nu_cases += [
-        ("star-table-nu12", NU_12, _coeff_form(2, 2, -1)),
-        ("star-table-nu13", NU_13, _coeff_form(1, 1, -1)),
+        ("star-table-nu12", NU_12, _te(2)),
+        ("star-table-nu13", NU_13, _te(1)),
     ]
-    for cid, v, want in nu_cases:
-        got = star_vv(v)
-        expect(cid, got, want,
+    for cid, v, te in nu_cases:
+        expect(cid, wedge_bracket_matrix(v, v), -2 * te,
                "quadratic star of a symmetric basis vector, engine sign -1",
                provenance="derived")
         checks.append(
@@ -186,11 +174,10 @@ def appendix_star_table() -> list:
         for b in range(3):
             if a == b:
                 continue
-            got = project(1, wedge_bracket_matrix(MU[a], MU[b]))
             expect(
                 f"star-table-mu{a + 1}{b + 1}-perp",
-                got,
-                OMEGA * F0,
+                project6(1, wedge_bracket_matrix(MU[a], MU[b])),
+                zero,
                 "*3[mu_i, mu_j] is orthogonal to V1 for i != j",
             )
     # cross brackets of *orthogonal* symmetric basis pairs are perpendicular
@@ -202,34 +189,33 @@ def appendix_star_table() -> list:
         for b in range(len(sym)):
             if a == b or {a, b} == {3, 4}:
                 continue
-            got = project(1, wedge_bracket_matrix(sym[a], sym[b]))
             expect(
                 f"star-table-nu-bracket-{a}{b}-perp",
-                got,
-                OMEGA * F0,
+                project6(1, wedge_bracket_matrix(sym[a], sym[b])),
+                zero,
                 "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs",
             )
+    # V1 part -(1/3) omega, times 6
     expect("star-table-nu-diag-bracket-v1",
-           project(1, wedge_bracket_matrix(NU_12, NU_13)), OMEGA * Fraction(-1, 3),
+           project6(1, wedge_bracket_matrix(NU_12, NU_13)), -2 * _I3,
            "V1 part of *3[nu_12, nu_13] (non-orthogonal pair), engine value "
            "-(1/3) omega", provenance="derived")
 
-    # resolution of a diagonal coefficient form in the omega/nu basis
-    lhs = _coeff_form(0, 0)
-    rhs = (OMEGA + NU_12 + NU_13) * Fraction(1, 3)
+    # resolution of a diagonal coefficient form in the omega/nu basis, times 3
     expect(
         "star-table-te-decomposition",
-        lhs,
-        rhs,
+        3 * _te(0),
+        _I3 + NU_12 + NU_13,
         "t1 e1 = (omega + nu_12 + nu_13)/3",
     )
 
-    # projection magnitudes used by the quadratic-projection equalities
+    # projection magnitudes used by the quadratic-projection equalities:
+    # |omega/3|^2 = 1/6, so the 12-fold projection of [v ^ v] has entries
+    # whose squares sum to 2 * 144 / 6 = 48
     for name, v in (("mu1", MU[0]), ("nu1", NU[0]), ("nu12", NU_12)):
-        # |omega/3|^2 = 1/6
         checks.append(_exact(
             f"star-table-{name}-v1-magnitude",
-            one_form_norm_sq(project(1, star_vv(v))) == Fraction(1, 6),
+            _sum_sq(project6(1, wedge_bracket_matrix(v, v))) == 48,
             "projection of the quadratic star onto V1 has magnitude |omega|/3"))
     return checks
 
@@ -248,7 +234,7 @@ def appendix_star_table() -> list:
 
 ENTRY_BOUND = 54  # |entry| of a drawn vector: 27, or 54 on the pure3 trace
 BLOCK = 1000  # vectors per int64 block; a multiple of BATTERY_STRIDE
-BATTERY_STRIDE = 10  # vectors per run of the full battery
+BATTERY_STRIDE = 10  # one vector in BATTERY_STRIDE runs the full battery
 
 # Vector k has kind k % 3: pure2, pure3 or mixed.  A kind's entries are a
 # linear formula in its values, drawn in order as rng.randint(-27, 27).
@@ -374,33 +360,40 @@ def decomposition_suite(seed: int, n: int) -> CheckReport:
     vectors); every BATTERY_STRIDE-th vector additionally runs the full
     battery of projections, Pythagoras, idempotence, orthogonality, the
     eigen relation and the quadratic-projection lemma.  The vectors are
-    drawn and checked BLOCK at a time as int64 stacks; a failure reports
-    the first failing vector and, on it, the first failing check, and
-    stops the draw.  Vector k has kind pure2, pure3 or mixed by k % 3, and
-    its entries are the values of ``random.Random(seed).randint(-27, 27)``
-    in order, read in bulk from the generator's words (see _draw_values).
+    drawn and checked BLOCK at a time as int64 stacks, and the battery runs
+    once, on the strided vectors of all the blocks drawn.  A failure
+    reports the first failing vector and, on it, the first failing check;
+    a vector that fails the per-vector claim stops the draw.  Vector k has
+    kind pure2, pure3 or mixed by k % 3, and its entries are the values of
+    ``random.Random(seed).randint(-27, 27)`` in order, read in bulk from
+    the generator's words (see _draw_values).
     """
     if n < 1:
         raise ValueError("empty suite")
-    worst = []
+    worst, strided, failures = [], [], []
     for ks, v in _vector_blocks(seed, n):
         lhs_sq, bound_sq = quadratic_projection_slack_sq(v)
         pure = ks % 3 != 2
         fast = np.where(pure, lhs_sq != bound_sq, lhs_sq > bound_sq)
-        # (vector, position in the vector's check order, detail) of each
-        # check's first failure in the block
-        failures = [(ks[j], 0, ("pure-type equality failed" if pure[j] else
-                                "projection bound violated") + f" at vector {ks[j]}")
-                    for j in np.flatnonzero(fast)[:1]]
-        battery = _battery_failures(v[:, :, ::BATTERY_STRIDE])
-        for order, (detail, failed) in enumerate(battery, 1):
-            failures += [(ks[j * BATTERY_STRIDE], order, detail)
-                         for j in np.flatnonzero(failed)[:1]]
-        if failures:
-            k, _, detail = min(failures)
-            return make_check("decomposition-suite", detail,
-                              computed=float(k), ok=False)
+        strided.append(v[:, :, ::BATTERY_STRIDE])
+        if fast.any():
+            # no vector of a later block can fail before this one
+            j = np.flatnonzero(fast)[0]
+            failures.append((ks[j], 0, ("pure-type equality failed" if pure[j]
+                                        else "projection bound violated")
+                             + f" at vector {ks[j]}"))
+            break
         worst.append(int((bound_sq - lhs_sq).min()))
+    # (vector, position in the vector's check order, detail) of each check's
+    # first failure; column j of the strided stack is vector j BATTERY_STRIDE
+    battery = _battery_failures(np.concatenate(strided, axis=2))
+    for order, (detail, failed) in enumerate(battery, 1):
+        failures += [(j * BATTERY_STRIDE, order, detail)
+                     for j in np.flatnonzero(failed)[:1]]
+    if failures:
+        k, _, detail = min(failures)
+        return make_check("decomposition-suite", detail,
+                          computed=float(k), ok=False)
 
     worst_slack_sq = min(worst)
     return make_check(

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,10 +252,20 @@ def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile,
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _require_solution(conv, field, eps=1e-3, tol=1e-8):
-    grid = np.geomspace(max(eps, 1e-3), 10.0, 24)
+def _require_solution(conv, field, eps=1e-3, tol=1e-8, solved=None):
+    """Raise unless the field's residual is below tol at 24 nodes from eps
+    (at least 1e-3) to 10.  ``solved``, a dict that a run keeps, records
+    each (conventions, first node, id) that passed, so that the run
+    evaluates each field on each grid once; it holds the field, so that
+    the id names no other object while it is there."""
+    key = (conv, max(eps, 1e-3), id(field))
+    if solved is not None and key in solved:
+        return
+    grid = np.geomspace(key[1], 10.0, 24)
     if not np.max(kw_residual_norm(conv, field, grid)) <= tol:
         raise ValueError("not a solution: identity chain does not apply")
+    if solved is not None:
+        solved[key] = field
 
 
 def cutoff_combination(conv, field, eps, spec: QuadratureSpec):
@@ -281,14 +292,16 @@ def check_energy_identity(conv: GeometryConventions, ident: str, *,
                           tol: float = 1e-6, at_eps: Norms | None = None,
                           full_line: Norms | None = None,
                           sweep: CutoffSweep | None = None,
-                          consts: BoundConstants | None = None) -> CheckReport:
+                          consts: BoundConstants | None = None,
+                          solved: dict | None = None) -> CheckReport:
     """One identity of the energy bookkeeping on a solution field, from its
-    IDENTITY_INPUTS only; tol is that of the identities with two sides."""
+    IDENTITY_INPUTS only; tol is that of the identities with two sides, and
+    solved the run's record of the solution guard (_require_solution)."""
     if ident not in IDENTITY_INPUTS:
         raise ValueError(f"unknown identity id {ident!r}")
     norms = at_eps if at_eps is not None else full_line
     if norms is not None:
-        _require_solution(conv, norms.field, norms.eps)
+        _require_solution(conv, norms.field, norms.eps, solved=solved)
 
     if ident in _BALANCES:
         rows = at_eps.rows
@@ -368,10 +381,11 @@ def eps_sweep_rows(conv, field, eps_list, spec: QuadratureSpec):
 CutoffSweep = namedtuple("CutoffSweep", "rows limit")
 
 
-def cutoff_sweep(conv: GeometryConventions, spec: QuadratureSpec) -> CutoffSweep:
+def cutoff_sweep(conv: GeometryConventions, spec: QuadratureSpec,
+                 solved: dict | None = None) -> CutoffSweep:
     """The reference solution's cutoff sweep; one per run, like BoundConstants."""
     model = nahm_pole_invariant_solution()
-    _require_solution(conv, model)
+    _require_solution(conv, model, solved=solved)
     rows = tuple(cutoff_combination(conv, model, e, spec)[:3] for e in CUTOFF_EPS)
     return CutoffSweep(rows, _neville_to_zero(CUTOFF_EPS, [row[2] for row in rows]))
 
@@ -564,8 +578,7 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
 # assembled bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """Engine constants of the curvature-energy bound.  A run integrates each
     (field, layout) pair once: the reference solution's passes (Norms) and
     the values built from them, these constants and the CutoffSweep, are
@@ -602,10 +615,11 @@ def bound_constants(conv: GeometryConventions, full_line: Norms) -> BoundConstan
 
 
 def theorem_bound_report(conv: GeometryConventions, full_line: Norms,
-                         consts: BoundConstants) -> EnergyReport:
+                         consts: BoundConstants,
+                         solved: dict | None = None) -> EnergyReport:
     """Full accounting of the curvature-energy bound for one solution, from
     its from-zero pass (full_line_norms)."""
-    _require_solution(conv, full_line.field)
+    _require_solution(conv, full_line.field, solved=solved)
     rep = EnergyReport(entries=[])
     (f_sq, f_err), (g_sq, g_err), (s_sq, s_err) = (
         full_line.rows[k] for k in ("F_sq", "nabla_bar_sq", "S_sq"))

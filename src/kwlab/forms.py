@@ -25,6 +25,11 @@ s1, s2 in {+-1} for the unique choice that makes the Ricci curvature of the
 frame equal 2g exactly and annihilates the Kapustin-Witten residual of the
 closed-form reference solution.
 
+The kernels keep their input's arithmetic.  The exact tables of ``decomp``
+run them on int64 matrices at an integer scale: the bracket-wedge of integer
+matrices is an integer matrix, so a table compares [v ^ v] = 2 *3(v ^ v)
+and never halves it.  ``half_of`` serves the float fields.
+
 The gauge A_y = 0 is assumed throughout, and fields carry no Higgs
 component phi_y along dy.  The maximum-principle combination for phi_y,
 ``taubes_lhs``, is a kernel on values at one point that its caller supplies.
@@ -32,9 +37,9 @@ component phi_y along dy.  The maximum-principle combination for phi_y,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,49 +57,30 @@ EPS_TABLE = (
 )
 
 
-def _is_exact(m) -> bool:
-    return getattr(m, "dtype", None) == object or isinstance(
-        np.asarray(m).flat[0], Fraction
-    )
-
-
 def wedge_bracket_matrix(u, v):
     """Coefficient matrix of the bracket-wedge [u ^ v] of two tangential
     1-forms, expressed in the (t_m, hat{e}_c) basis:
     out[m][c] = sum eps_ijm eps_abc u[i][a] v[j][b], summed from 0 in
-    EPS_TABLE order into one preallocated array."""
+    EPS_TABLE order into one preallocated array of the first term's dtype,
+    so integer input gives an integer result."""
     out = None
     for i, j, m, sij in EPS_TABLE:
         for a, b, c, sab in EPS_TABLE:
             term = sij * sab * u[i][a] * v[j][b]
             if out is None:
-                exact = _is_exact(u) or _is_exact(v)
-                out = np.zeros((3, 3) + np.shape(term),
-                               dtype=object if exact else np.asarray(term).dtype)
+                out = np.zeros((3, 3) + np.shape(term), np.asarray(term).dtype)
             out[m, c] += term
             del term  # so that only the next term's temporaries join out
     return out
 
 
-def half_of(m):
-    if _is_exact(m):
-        return m * Fraction(1, 2)
-    return m * 0.5
+def half_of(x):
+    """x / 2: on floats the IEEE result of x * 0.5; exact on Fractions."""
+    return x / 2
 
 
 def frob_inner(u, v):
     return sum(u[i][a] * v[i][a] for i in range(3) for a in range(3))
-
-
-def one_form_norm_sq(m):
-    """|u|^2 for u = sum c_ia t_i e_a; equals (1/2) sum c_ia^2."""
-    return half_of_scalar(frob_inner(m, m))
-
-
-def half_of_scalar(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x) / 2
-    return x / 2
 
 
 def det3(m):
@@ -105,12 +91,7 @@ def det3(m):
     )
 
 
-OMEGA = np.array([[Fraction(int(i == a)) for a in range(3)] for i in range(3)],
-                 dtype=object)
-
-
-@dataclass(frozen=True)
-class GeometryConventions:
+class GeometryConventions(NamedTuple):
     """Structure constant of the coframe and the two Hodge orientation signs."""
 
     c: int
@@ -225,7 +206,7 @@ def kw_residual(m: FieldAt):
     conv = m.conv
     res_t = m.t_f - m.phi2 - m.dp * conv.s2
     res_n = m.n_f - m.t_dphi * conv.s1
-    res2_sq = half_of_scalar(sum(c * c for c in m.div))
+    res2_sq = half_of(sum(c * c for c in m.div))
     return res_t, res_n, _sqrt(res2_sq)
 
 
@@ -243,7 +224,7 @@ def kw_residual_norm(conv: GeometryConventions, field, y):
 
 def _residual_norm(m: FieldAt):
     res_t, res_n, res2 = kw_residual(m)
-    norm_sq = half_of_scalar(frob_inner(res_t, res_t) + frob_inner(res_n, res_n))
+    norm_sq = half_of(frob_inner(res_t, res_t) + frob_inner(res_n, res_n))
     return _sqrt(norm_sq) + res2
 
 

@@ -27,9 +27,8 @@ Each point's arithmetic is the same as for a point on its own.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,16 +40,15 @@ from .su2 import bracket
 # The residual reads it at call time.
 FLAT_STAR_SIGN = -1
 
-# points per residual block, as decomp.BLOCK: bounds the longdouble
-# (3, 4, 4, BLOCK) derivative stacks whatever the number of points
-BLOCK = 128
+# points per residual block: bounds the longdouble (3, 4, 4, BLOCK)
+# derivative stacks whatever the number of points
+BLOCK = 512
 
 # math.hypot per value: np.hypot can differ from it by one ulp
 _hypot = np.vectorize(math.hypot, otypes=[float])
 
 
-@dataclass
-class FieldSample:
+class FieldSample(NamedTuple):
     """Values and first partials of the coefficient fields at n points.
 
     A[i, a]      : t_i coefficient of the dx_a connection component (A_y = 0),
@@ -65,8 +63,7 @@ class FieldSample:
     dphi: np.ndarray
 
 
-@dataclass
-class FlatModelField:
+class FlatModelField(NamedTuple):
     name: str
     evaluator: object
     scale: float = 1.0  # dilation parameter of a pullback wrapper
@@ -223,6 +220,8 @@ def kw_residual_flat_combined(fld: FlatModelField, pts) -> np.ndarray:
 
 def read_points_csv(path: str) -> np.ndarray:
     """Points as a (4, n) array; each row four finite numbers, and y > 0."""
+    import csv
+
     pts = []
     with open(path) as fh:
         rd = csv.reader(fh)

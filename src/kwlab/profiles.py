@@ -21,7 +21,8 @@ float64 rounding alone would contaminate at the 1e-10 level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,14 +30,13 @@ from . import jets
 from .jets import Jet
 
 
-@dataclass
-class MatrixProfile:
+class MatrixProfile(NamedTuple):
     """Sum of scalar-profile * constant-matrix terms; eval -> (value, d/dy).
 
     y is a node or an array of nodes, taken in np.longdouble; value and
     d/dy have shape y.shape + (3, 3)."""
 
-    terms: list  # [(scalar_fn taking Jet, 3x3 matrix), ...]
+    terms: tuple  # ((scalar_fn taking Jet, 3x3 matrix), ...)
 
     def eval(self, y):
         jy = Jet.var(np.longdouble(y))
@@ -52,11 +52,10 @@ class MatrixProfile:
 
 
 def scaled_matrix_profile(fn, mat) -> MatrixProfile:
-    return MatrixProfile([(fn, np.asarray(mat, dtype=float))])
+    return MatrixProfile(((fn, np.asarray(mat, dtype=float)),))
 
 
-@dataclass
-class InvariantField:
+class InvariantField(NamedTuple):
     """Invariant configuration: connection and Higgs profiles, A_y = 0."""
 
     connection: MatrixProfile
@@ -88,9 +87,11 @@ def pole_a_alt(jy):
 _I3 = np.eye(3)
 
 
+@cache
 def nahm_pole_invariant_solution() -> InvariantField:
     """The closed-form invariant solution: Nahm pole at y = 0, exponential
-    decay to the trivial flat connection at infinity."""
+    decay to the trivial flat connection at infinity.  One object per
+    process, so that a run's checks read the same field."""
     return InvariantField(
         scaled_matrix_profile(pole_a, _I3),
         scaled_matrix_profile(pole_b, _I3),

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,8 +188,7 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
 # series expansion at the pole
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IndicialExpansion:
+class IndicialExpansion(NamedTuple):
     """Truncated pole expansion b = 1/y + sum b_k y^k, a = 1 + sum a_k y^k.
 
     The series forces b_{-1} = 1 (simple pole), a_0 = 1 (any other constant
@@ -206,8 +206,7 @@ class IndicialExpansion:
         return a, b
 
 
-@dataclass(frozen=True)
-class PoleSeries:
+class PoleSeries(NamedTuple):
     """The pole series with its free coefficient p open: each coefficient is
     a polynomial in p, a tuple of Fractions from the constant term up."""
 
@@ -369,8 +368,7 @@ def _step_sizes(c) -> list:
     return out
 
 
-@dataclass
-class IvpResult:
+class IvpResult(NamedTuple):
     """A run's step boundaries, with each step's Taylor coefficients for
     dense output."""
 
@@ -396,8 +394,7 @@ class IvpResult:
         return out[..., 0], out[..., 1]
 
 
-@dataclass
-class _LaneRun:
+class _LaneRun(NamedTuple):
     ys: np.ndarray  # per lane, where it left the batch
     states: np.ndarray  # shape (2, k), longdouble, the state it left with
     status: list  # _REACHED, _BLOWN or _NONFINITE per lane
@@ -520,8 +517,7 @@ def integrate_ivp(sys: ReducedSystem, y0: float, state, y1: float) -> IvpResult:
     return IvpResult(np.array(knots), np.array(coeffs), run.states[:, 0])
 
 
-@dataclass
-class ShootResult:
+class ShootResult(NamedTuple):
     param: float
     result: IvpResult
     trace: list  # (param, outcome, sign, y where its run ended) per point

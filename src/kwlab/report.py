@@ -10,12 +10,12 @@ atomic writes.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SCHEMA_VERSION = 1
 
@@ -84,16 +84,14 @@ def make_check(
     )
 
 
-@dataclass
-class EnergyEntry:
+class EnergyEntry(NamedTuple):
     name: str
     value: float
     error_estimate: float
     note: str = ""
 
 
-@dataclass
-class EnergyReport:
+class EnergyReport(NamedTuple):
     entries: list
 
     def add(self, name: str, value, error_estimate=0.0, note: str = ""):
@@ -129,7 +127,7 @@ def checks_to_json(checks: list, meta: dict | None = None) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "meta": meta or {},
-        "checks": [asdict(c) for c in checks],
+        "checks": [vars(c) for c in checks],  # the fields, not copied
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
@@ -145,7 +143,7 @@ def write_energy_json(path: str, rep: EnergyReport, meta: dict | None = None):
     write_json(path, {
         "schema_version": SCHEMA_VERSION,
         "meta": meta or {},
-        "entries": [asdict(e) for e in rep.entries],
+        "entries": [e._asdict() for e in rep.entries],
     })
 
 
@@ -154,6 +152,8 @@ def write_json(path: str, payload: dict):
 
 
 def write_csv(path: str, header: list, rows: list):
+    import csv
+
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
     w.writerow(header)

@@ -10,43 +10,35 @@ what makes |omega|^2 = 3/2 for omega = sum_i t_i e_i and |mu_i| = 1 for the
 antisymmetric basis of the middle isotypic component.
 
 An element is its coefficient array along the first axis: a length-3 tuple
-or array, or a (3, n) stack of n elements.  Coefficients may be exact
-(Fraction / int, in object arrays) for identity tests or floats for
-numerics; all operations preserve the input arithmetic.
+or array, or a (3, n) stack of n elements.  Coefficients are integers for
+the exact identity checks, floats for numerics; ``bracket`` keeps integer
+input integer.  The exact checks state their scale: on integer elements
+2 <u, v> is the integer sum of coefficient products, and ``inner`` halves it
+into a float, exact below 2^53.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
 import numpy as np
 
-T1, T2, T3 = (np.array([Fraction(int(i == k)) for i in range(3)], dtype=object)
-              for k in range(3))
+T1, T2, T3 = np.eye(3, dtype=np.int64)
 
 
 def bracket(u, v):
-    """Lie bracket [u, v], the cross product along the first axis; object
-    input gives object output, and exact input an exact result."""
-    exact = getattr(u, "dtype", None) == object or getattr(v, "dtype", None) == object
-    return np.array(
-        [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ],
-        dtype=object if exact else None,
-    )
+    """Lie bracket [u, v], the cross product along the first axis; integer
+    input gives an integer result."""
+    return np.array([
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    ])
 
 
 def inner(u, v):
     """Invariant inner product, normalised so <t_i, t_j> = delta_ij / 2."""
     # a left-to-right sum of products: np.dot rounds floats differently
-    s = sum(a * b for a, b in zip(u, v))
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s, 2) if isinstance(s, int) else s / 2
-    return s / 2
+    return sum(a * b for a, b in zip(u, v)) / 2
 
 
 def norm_sq(u):

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from kwlab import forms
 from kwlab.energy import bound_constants, cutoff_sweep, full_line_norms
 from kwlab.forms import calibrate
 from kwlab.jets import Jet
@@ -14,6 +17,29 @@ def jet_exp(x: Jet) -> Jet:
     """exp of a jet, for test profiles with exponential decay."""
     e = np.exp(x.f)
     return Jet(e, e * x.d)
+
+
+# The exact oracles of the tests: coefficient matrices of Fractions in object
+# arrays, on which the engine's kernels stay exact.  The engine itself runs
+# its exact tables on int64 matrices at integer scales.
+
+def exact_form(rows):
+    """Exact coefficient matrix of a 1-form, in Fractions."""
+    return np.array([[Fraction(x) for x in r] for r in rows], dtype=object)
+
+
+OMEGA = exact_form(np.eye(3, dtype=int))
+
+
+def star_vv(v):
+    """*3 (v ^ v) as a 1-form, half the engine's [v ^ v]; exact on Fractions."""
+    return forms.half_of(forms.wedge_bracket_matrix(v, v))
+
+
+def one_form_norm_sq(m):
+    """|u|^2 for u = sum c_ia t_i e_a, (1/2) sum c_ia^2; a Fraction on
+    Fraction entries."""
+    return forms.half_of(forms.frob_inner(m, m))
 
 
 def record_acceptance(name: str, passed: bool, detail: str = ""):

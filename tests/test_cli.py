@@ -476,6 +476,29 @@ def test_energy_command_integrates_each_layout_once(tmp_path, monkeypatch,
     assert _panel_calls(monkeypatch, argv) == calls
 
 
+def test_solution_guard_runs_once_per_field_and_grid_per_run(monkeypatch,
+                                                             tmp_path, conv):
+    from kwlab.profiles import nahm_pole_invariant_solution
+
+    # seven readers of the reference solution, two grids (from eps = 0.05
+    # and from 1e-3): two 24-node residuals per run; each run keeps its own
+    # record, and a call given none evaluates every time
+    calls = []
+    engine = energy.kw_residual_norm
+    monkeypatch.setattr(energy, "kw_residual_norm",
+                        lambda conv, field, y: calls.append(y[0]) or engine(conv, field, y))
+    argv = ["verify", "--suite", "energy", "--n-pert", "1",
+            "--out", str(tmp_path / "e.json")]
+    assert main(argv) == 0
+    assert sorted(calls) == [1e-3, 0.05]
+    assert main(argv) == 0
+    assert len(calls) == 4
+    model = nahm_pole_invariant_solution()
+    for _ in range(2):
+        energy._require_solution(conv, model)
+    assert len(calls) == 6
+
+
 def test_benchmark_trace_hooks_resolve(tmp_path):
     # the benchmark's traced run finds its hooks by name; a renamed function
     # would leave its per-layer metrics silently at zero; the energy run
@@ -499,20 +522,31 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
 
 
 def test_benchmark_trace_targets_exist():
-    # every function the traced run wraps, looked up as it looks it up but
-    # without installing a wrapper: a refactor that renames or moves one
-    # would leave its span or count silently empty
-    import importlib.util
-
-    import kwlab.cli  # noqa: F401  (imports every module the targets name)
-
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
-                        "tracing.py")
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    for modname, attr in [*tracing.SPANS, *tracing.COUNTS, tracing.WEDGE]:
-        assert callable(tracing._resolve(sys.modules[modname], attr)), attr
+    # in a fresh interpreter, `import kwlab.cli` alone loads every module
+    # that the traced run wraps, and every function it names there resolves
+    # (decomp.project and ReducedSystem.rhs among them): a refactor that
+    # renames, moves or lazily imports one would leave its span or count
+    # silently empty
+    root = os.path.join(os.path.dirname(__file__), "..")
+    code = (
+        "import sys\n"
+        "import kwlab.cli\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import tracing\n"
+        "for modname, attr in [*tracing.SPANS, *tracing.COUNTS, tracing.WEDGE]:\n"
+        "    try:\n"
+        "        found = callable(tracing._resolve(sys.modules[modname], attr))\n"
+        "    except (KeyError, AttributeError):\n"
+        "        found = False\n"
+        "    print(modname, attr, found)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(root, "perfbench")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert len(rows) > 20 and ["kwlab.decomp", "project", "True"] in rows
+    assert [row for row in rows if row[2] != "True"] == []
 
 
 def test_package_imports_only_stdlib_and_numpy():

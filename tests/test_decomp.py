@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import OMEGA, one_form_norm_sq, star_vv, exact_form as _form
 from kwlab import decomp, forms
 from kwlab.decomp import (
     MU,
@@ -21,10 +22,11 @@ from kwlab.decomp import (
     omega_bracket_eigencheck,
     project,
     quadratic_projection_slack_sq,
-    star_vv,
 )
-from kwlab.forms import OMEGA, one_form_norm_sq, wedge_bracket_matrix
+from kwlab.forms import wedge_bracket_matrix
 from kwlab.report import CheckReport, make_check
+
+I3 = np.eye(3, dtype=np.int64)
 
 
 def _eq(u, v):
@@ -35,8 +37,10 @@ def _exact(rows):
     return np.array(rows, dtype=object)
 
 
-def _form(rows):
-    return _exact([[Fraction(x) for x in r] for r in rows])
+def project_q(i, v):
+    """The projection onto V^i in Fractions: the engine's project6, read
+    through ``decomp`` so that a fault injected there reaches it, over 6."""
+    return decomp.project6(i, v) * Fraction(1, 6)
 
 
 KINDS = ("pure2", "pure3", "mixed")  # the kind of suite vector k is KINDS[k % 3]
@@ -84,8 +88,9 @@ def lemma_quadratic_projection(v) -> CheckReport:
     *3(v1 ^ v1) by at most (|v2|^2 + |v3|^2)/sqrt(6), with exact equality of
     magnitudes on pure V2 or pure V3 input.  All comparisons are made on
     squared quantities so the test stays rational."""
-    v1, v2, v3 = (decomp.project(i, v) for i in (1, 2, 3))
-    lhs_form = decomp.project(1, decomp.star_vv(v)) - decomp.star_vv(v1)
+    v = v * Fraction(1)
+    v1, v2, v3 = (project_q(i, v) for i in (1, 2, 3))
+    lhs_form = project_q(1, star_vv(v)) - star_vv(v1)
     lhs_sq = one_form_norm_sq(lhs_form)  # |(*3(v^v))^(1) - *3(v1^v1)|^2
     n2 = one_form_norm_sq(v2)
     n3 = one_form_norm_sq(v3)
@@ -153,7 +158,7 @@ def reference_suite(seed: int, n: int) -> CheckReport:
         if k % decomp.BATTERY_STRIDE:
             continue
         v = _form(rows)
-        parts = [decomp.project(i, v) for i in (1, 2, 3)]
+        parts = [project_q(i, v) for i in (1, 2, 3)]
         if not _eq(parts[0] + parts[1] + parts[2], v):
             return make_check("decomposition-suite", "projection completeness failed",
                               computed=float(k), ok=False)
@@ -161,11 +166,11 @@ def reference_suite(seed: int, n: int) -> CheckReport:
             return make_check("decomposition-suite", "Pythagoras failed",
                               computed=float(k), ok=False)
         for i in (1, 2, 3):
-            if not _eq(decomp.project(i, parts[i - 1]), parts[i - 1]):
+            if not _eq(project_q(i, parts[i - 1]), parts[i - 1]):
                 return make_check("decomposition-suite", "idempotence failed",
                                   computed=float(k), ok=False)
             for j in (1, 2, 3):
-                if i != j and one_form_norm_sq(decomp.project(j, parts[i - 1])) != 0:
+                if i != j and one_form_norm_sq(project_q(j, parts[i - 1])) != 0:
                     return make_check("decomposition-suite", "orthogonality failed",
                                       computed=float(k), ok=False)
             lam = decomp.EIGENVALUES[i - 1]
@@ -192,6 +197,8 @@ def reference_suite(seed: int, n: int) -> CheckReport:
 def test_basis_dimensions_and_norms():
     b = basis()
     assert (len(b.v1), len(b.v2), len(b.v3)) == (1, 3, 5)
+    assert all(v.dtype == np.int64 for v in b.v1 + b.v2 + b.v3)
+    assert np.array_equal(b.v1[0], I3)
     assert one_form_norm_sq(OMEGA) == Fraction(3, 2)
     for mu in MU:
         assert one_form_norm_sq(mu) == 1
@@ -207,12 +214,13 @@ def test_basis_dimensions_and_norms():
 
 
 def test_projection_examples():
-    assert _eq(project(1, OMEGA), OMEGA)
-    assert one_form_norm_sq(project(2, OMEGA)) == 0
-    assert _eq(project(2, MU[0]), MU[0])
-    assert one_form_norm_sq(project(1, MU[0])) == 0
+    assert np.array_equal(project(1, I3), I3)
+    assert not project(2, I3).any()
+    assert np.array_equal(project(2, MU[0]), MU[0])
+    assert not project(1, MU[0]).any()
+    assert _eq(project_q(1, OMEGA), OMEGA)
     with pytest.raises(ValueError):
-        project(4, OMEGA)
+        project(4, I3)
 
 
 def _gram_project(i, v):
@@ -252,7 +260,7 @@ def test_projection_against_gram_oracle():
         v = random_form(rng, "mixed")
         for i in (1, 2, 3):
             assert _eq(project(i, v), _gram_project(i, v))
-        assert one_form_norm_sq(v) == sum(one_form_norm_sq(project(i, v))
+        assert one_form_norm_sq(v) == sum(one_form_norm_sq(project_q(i, v))
                                           for i in (1, 2, 3))
 
 
@@ -263,9 +271,10 @@ def test_eigencheck_table():
 
 
 def test_eigen_examples():
-    assert _eq(omega_bracket(OMEGA), OMEGA * Fraction(2))
-    assert _eq(omega_bracket(MU[1]), MU[1])
-    assert _eq(omega_bracket(NU_12), NU_12 * Fraction(-1))
+    assert np.array_equal(omega_bracket(I3), 2 * I3)
+    assert np.array_equal(omega_bracket(MU[1]), MU[1])
+    assert np.array_equal(omega_bracket(NU_12), -NU_12)
+    assert omega_bracket(NU_12).dtype == np.int64
 
 
 def test_appendix_star_table_all_pass():
@@ -279,11 +288,13 @@ def test_appendix_star_table_all_pass():
 
 def test_star_table_values():
     t1e1 = _exact([[Fraction(1), 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert _eq(star_vv(MU[0]), t1e1)
+    assert _eq(star_vv(_form(MU[0])), t1e1)
     # resolution of t1 e1 in the omega / diagonal basis
     res = (OMEGA + NU_12 + NU_13) * Fraction(1, 3)
     assert _eq(t1e1, res)
-    assert one_form_norm_sq(project(1, wedge_bracket_matrix(MU[0], MU[1]))) == 0
+    assert one_form_norm_sq(project_q(1, wedge_bracket_matrix(MU[0], MU[1]))) == 0
+    # the integer scale of the tables: [v ^ v] = 2 *3(v ^ v)
+    assert np.array_equal(wedge_bracket_matrix(MU[0], MU[0]), 2 * np.diag(I3[0]))
 
 
 def test_quadratic_projection_pure_examples():
@@ -394,7 +405,7 @@ rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 @settings(max_examples=120, deadline=None)
 def test_completeness_and_bound_property(coeffs):
     v = _exact([coeffs[0:3], coeffs[3:6], coeffs[6:9]])
-    parts = [project(i, v) for i in (1, 2, 3)]
+    parts = [project_q(i, v) for i in (1, 2, 3)]
     assert _eq(parts[0] + parts[1] + parts[2], v)
     assert one_form_norm_sq(v) == sum(one_form_norm_sq(p) for p in parts)
     rep = lemma_quadratic_projection(v)
@@ -432,3 +443,153 @@ def test_suite_is_live(monkeypatch, fault):
     rep = decomposition_suite(42, 1000)
     assert rep.status == "fail"
     assert rep == reference_suite(42, 1000)
+
+
+
+def _drawn_vector_fault(monkeypatch):
+    """project6(2, .) adds 1 to every entry of a matrix with m01 = 5 m10 != 0:
+    at a given scale, only a drawn mixed vector (p_i are symmetric,
+    antisymmetric or diagonal), so completeness, order 1, fails there."""
+    engine = decomp.project6
+
+    def wrong(i, m):
+        hit = (m[0][1] == 5 * m[1][0]) & (m[1][0] != 0) & (i == 2)
+        return engine(i, m) + np.where(hit, 1, 0)
+
+    monkeypatch.setattr(decomp, "project6", wrong)
+
+
+def _symmetric_part_fault(monkeypatch):
+    """*3[omega, .] adds 1 to every entry of a symmetric matrix with
+    m01 = 7 m02 != 0: only the V3 part of a drawn vector, so the eigen
+    relation on V3, order 11, fails there and nothing else does."""
+    engine = decomp.omega_bracket
+
+    def wrong(m):
+        hit = (m[0][1] == m[1][0]) & (m[0][1] == 7 * m[0][2]) & (m[0][2] != 0)
+        return engine(m) + np.where(hit, 1, 0)
+
+    monkeypatch.setattr(decomp, "omega_bracket", wrong)
+
+
+@pytest.mark.parametrize("faults, want", [
+    ((_drawn_vector_fault,), (2090, "projection completeness failed")),
+    ((_symmetric_part_fault,), (1280, "eigen relation failed")),
+    ((_drawn_vector_fault, _symmetric_part_fault),
+     (1280, "eigen relation failed")),
+], ids=["order-1-at-2090", "order-11-at-1280", "both"])
+def test_battery_reports_first_vector_then_first_check(monkeypatch, faults, want):
+    # scale-free faults that, at seed 124, first meet vectors 2090 and 1280,
+    # in the third and second blocks: the one battery pass over the strided
+    # vectors of all blocks names the smallest failing vector, and on it the
+    # first failing check, as the per-vector reference does; with both
+    # faults the check of order 1 fails only at the later vector
+    for fault in faults:
+        fault(monkeypatch)
+    rep = decomposition_suite(124, 2100)
+    assert (rep.status, rep.computed, rep.detail) == ("fail", *want)
+    assert rep == reference_suite(124, 2100)
+    assert decomposition_suite(124, 1280).status == "pass"
+
+# ---------------------------------------------------------------------------
+# the Fraction oracle of the integer tables: each entry's claim as stated,
+# in Fractions, through the engine's kernels (so a fault reaches it too)
+# ---------------------------------------------------------------------------
+
+def _te_q(i, sign=1):
+    rows = [[0] * 3 for _ in range(3)]
+    rows[i][i] = sign
+    return _form(rows)
+
+
+def fraction_star_table() -> dict:
+    """check_id -> whether the entry holds, for every gating entry of
+    appendix_star_table, on the Fraction forms of the basis."""
+    mu, nu = [_form(m) for m in MU], [_form(m) for m in NU]
+    nu12, nu13, zero = _form(NU_12), _form(NU_13), OMEGA * 0
+    out = {f"star-table-mu{k + 1}": _eq(star_vv(mu[k]), _te_q(k))
+           for k in range(3)}
+    for cid, v, want in ([(f"star-table-nu{k + 1}", nu[k], _te_q(k, -1))
+                          for k in range(3)]
+                         + [("star-table-nu12", nu12, _te_q(2, -1)),
+                            ("star-table-nu13", nu13, _te_q(1, -1))]):
+        out[cid] = _eq(star_vv(v), want)
+    for a in range(3):
+        for b in range(3):
+            if a != b:
+                out[f"star-table-mu{a + 1}{b + 1}-perp"] = _eq(
+                    project_q(1, wedge_bracket_matrix(mu[a], mu[b])), zero)
+    sym = (*nu, nu12, nu13)
+    for a in range(5):
+        for b in range(5):
+            if a != b and {a, b} != {3, 4}:
+                out[f"star-table-nu-bracket-{a}{b}-perp"] = _eq(
+                    project_q(1, wedge_bracket_matrix(sym[a], sym[b])), zero)
+    out["star-table-nu-diag-bracket-v1"] = _eq(
+        project_q(1, wedge_bracket_matrix(nu12, nu13)), OMEGA * Fraction(-1, 3))
+    out["star-table-te-decomposition"] = _eq(
+        _te_q(0), (OMEGA + nu12 + nu13) * Fraction(1, 3))
+    for name, v in (("mu1", mu[0]), ("nu1", nu[0]), ("nu12", nu12)):
+        out[f"star-table-{name}-v1-magnitude"] = (
+            one_form_norm_sq(project_q(1, star_vv(v))) == Fraction(1, 6))
+    return out
+
+
+def fraction_eigen_table() -> dict:
+    b = basis()
+    return {f"eigen-table-v{i}-{k}": _eq(omega_bracket(_form(v)),
+                                         _form(v) * Fraction(lam))
+            for i, (vecs, lam) in enumerate(zip(b, decomp.EIGENVALUES), 1)
+            for k, v in enumerate(vecs)}
+
+
+def _table_verdicts(checks) -> dict:
+    return {c.check_id: c.computed == 1.0 for c in checks if c.gates}
+
+
+_TABLE_FAULTS = {
+    "none": lambda mp: None,
+    "eps-sign": lambda mp: mp.setattr(forms, "EPS_TABLE",
+                                      _flip_one_sign(forms.EPS_TABLE)),
+    "v1-doubled": lambda mp: mp.setattr(
+        decomp, "project6", lambda i, m, f=decomp.project6: f(i, m) * (2 if i == 1 else 1)),
+    "eigenvalue-off-by-one": lambda mp: mp.setattr(decomp, "EIGENVALUES", (2, 2, -1)),
+}
+
+
+@pytest.mark.parametrize("fault", list(_TABLE_FAULTS))
+def test_integer_tables_match_fraction_oracle(monkeypatch, fault):
+    # entry by entry the integer tables give the verdicts of the same claims
+    # in Fractions, on the working engine (all hold) and under faults (the
+    # same entries fail)
+    _TABLE_FAULTS[fault](monkeypatch)
+    star, eigen = appendix_star_table(), omega_bracket_eigencheck()
+    assert _table_verdicts(star) == fraction_star_table()
+    assert _table_verdicts(eigen) == fraction_eigen_table()
+    verdicts = [*_table_verdicts(star).values(), *_table_verdicts(eigen).values()]
+    assert all(verdicts) == (fault == "none")
+
+
+def test_decomposition_and_algebra_suites_stay_off_object_arrays(monkeypatch,
+                                                                 tmp_path):
+    # every kernel call of the two suites takes and returns numeric arrays
+    from kwlab import cli, su2
+
+    seen = []
+
+    def watch(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            out = fn(*args)
+            seen.extend(np.asarray(x).dtype for x in (*args[-2:], out))
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((decomp, "wedge_bracket_matrix"), (decomp, "project6"),
+                         (su2, "bracket"), (su2, "inner")):
+        watch(module, name)
+    for suite in ("decomposition", "algebra"):
+        assert cli.main(["verify", "--suite", suite, "--n", "300",
+                         "--out", str(tmp_path / f"{suite}.json")]) == 0
+    assert len(seen) > 1000 and np.dtype(object) not in seen

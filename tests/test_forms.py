@@ -6,18 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import jet_exp
-from kwlab.decomp import omega_bracket, star_vv
+from conftest import OMEGA, jet_exp, one_form_norm_sq, star_vv
+from kwlab.decomp import omega_bracket
 from kwlab.forms import (
     CONVENTION_SET,
     EPS_TABLE,
-    OMEGA,
     FieldAt,
     GeometryConventions,
     frob_inner,
     kw_residual,
     kw_residual_norm,
-    one_form_norm_sq,
     ricci_check,
     ricci_tensor,
     taubes_lhs,
@@ -75,11 +73,8 @@ def test_shared_field_matches_one_field_per_convention():
         assert got.dtype == want.dtype and np.array_equal(got, want), cand
 
 
-class _Unread(MatrixProfile):
+class _Unread:
     """A profile that must not be evaluated."""
-
-    def __init__(self):
-        super().__init__([])
 
     def eval(self, y):
         raise AssertionError("profile evaluated")

@@ -261,9 +261,8 @@ def test_residual_homogeneity_under_pullback():
 
     def perturbed(pts):
         smp = base.evaluator(pts)
-        smp.phi = smp.phi * 1.1  # break the equation, keep homogeneity
-        smp.dphi = smp.dphi * 1.1
-        return smp
+        # break the equation, keep homogeneity
+        return smp._replace(phi=smp.phi * 1.1, dphi=smp.dphi * 1.1)
 
     fld = FlatModelField("perturbed", perturbed)
     rng = np.random.default_rng(17)
@@ -285,8 +284,8 @@ def test_perturbed_pole_field_matches_finite_differences():
 
     def perturbed(pts):
         smp = base.evaluator(pts)
-        smp.phi = np.asarray(smp.phi, float)
-        smp.dphi = np.asarray(smp.dphi, float)
+        smp = smp._replace(phi=np.asarray(smp.phi, float),
+                           dphi=np.asarray(smp.dphi, float))
         smp.phi[0, 0] += pts[3]
         smp.dphi[0, 0, 3] += 1.0
         return smp
@@ -309,9 +308,7 @@ def test_perturbed_pole_field_matches_finite_differences():
                               - np.asarray(sm.phi, float)) / (2 * h)
             dA[:, :, mu] = (np.asarray(sp.A, float)
                             - np.asarray(sm.A, float)) / (2 * h)
-        smp.dphi = dphi
-        smp.dA = dA
-        return smp
+        return smp._replace(dphi=dphi, dA=dA)
 
     fd_field = FlatModelField("fd", fd_eval)
     pts, _ = sample_points(np.random.default_rng(5), 5, width=1.0,
@@ -333,9 +330,8 @@ def test_residual_gauge_covariance_flat():
 
     def spoiled(pts):
         smp = base.evaluator(pts)
-        smp.phi = np.asarray(smp.phi, float) * 1.2
-        smp.dphi = np.asarray(smp.dphi, float) * 1.2
-        return smp
+        return smp._replace(phi=np.asarray(smp.phi, float) * 1.2,
+                            dphi=np.asarray(smp.dphi, float) * 1.2)
 
     def act(v):
         return np.einsum("ij,j...->i...", rot, np.asarray(v, float))

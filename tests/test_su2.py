@@ -32,7 +32,7 @@ def test_bracket_structure_relations():
     assert np.array_equal(bracket(T3, T1), T2)
     assert np.array_equal(bracket(T1, T1), ZERO)
     assert np.array_equal(bracket(T2, T1), -T3)
-    assert bracket(T1, T2).dtype == object
+    assert bracket(T1, T2).dtype == np.int64
 
 
 def test_bracket_matches_matrix_commutator():
@@ -53,8 +53,10 @@ def test_bracket_along_first_axis_keeps_arithmetic():
         for k in range(7):
             one = bracket(tuple(u[:, k].astype(dtype)), tuple(v[:, k].astype(dtype)))
             assert np.array_equal(stack[:, k], one) and one.dtype == dtype
+    ints = bracket(np.array([[1], [2], [3]]), np.array([[4], [0], [1]]))
+    assert ints.dtype == np.int64 and ints[:, 0].tolist() == [2, 11, -8]
+    # Fractions, the tests' exact oracle, stay exact
     exact = bracket(np.array([[1], [2], [3]], dtype=object), (Fraction(1, 2), 0, 1))
-    assert exact.dtype == object
     assert exact[:, 0].tolist() == [2, Fraction(1, 2), -1]
 
 
