@@ -19,9 +19,11 @@ On top of the system sit
     exact polynomial in it,
   * a high-order Taylor-series stepper with blow-up detection that advances
     a batch of trajectories ("lanes") together, its coefficients from one
-    Cauchy-product recurrence over all lanes in five numpy calls per order;
-    a single initial-value run is its one-lane case, and its step
-    coefficients are the dense output, and
+    Cauchy-product recurrence over all lanes, filled into a time-major
+    workspace that the stepper reuses from step to step (made again only
+    when lanes leave) in four numpy calls per order; a single initial-value
+    run is its one-lane case, and its step coefficients are the dense
+    output, and
   * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0):
     a sign k-section over lanes, the bracket ends batched with its first
     pass, until the bracket reaches the smooth regime of the unstable mode,
@@ -49,6 +51,7 @@ from .forms import FieldAt, GeometryConventions, kw_residual
 
 BLOWUP_THRESHOLD = 1e8
 _I3 = np.eye(3)
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 # The locked system a' = 2ab - 2b, b' = a^2 - 2a - b^2, its coefficients in
@@ -70,18 +73,22 @@ class BlowUpError(RuntimeError):
         super().__init__(f"state {what} near y = {y_blow:.6g}")
 
 
-def _scalar_residual(conv: GeometryConventions, a, b, da, db):
-    """Residual components of the scalar ansatz A = a omega, phi = b omega
-    with injected derivatives da, db, in longdouble, plus the worst off-span
-    deviation of the full residual, the second equation's included."""
-    res_t, res_n, res2 = kw_residual(FieldAt(
-        conv, *(np.longdouble(x) * _I3 for x in (a, da, b, db))))
-    off = float(res2)
+def _scalar_residuals(conv: GeometryConventions, a, b, da, db) -> list:
+    """Per node of the equal-length sequences a, b, da, db: the residual
+    components of the scalar ansatz A = a omega, phi = b omega with injected
+    derivatives da, db, in longdouble, plus the worst off-span deviation of
+    the full residual, the second equation's included; a float triple per
+    node, each that of a one-node evaluation."""
+    res_t, res_n, res2 = kw_residual(FieldAt(conv, *(
+        _I3[..., None] * np.asarray(x, dtype=np.longdouble)
+        for x in (a, da, b, db))))
+    off = np.asarray(res2, dtype=float)
     for mm in (res_t, res_n):
-        diag = np.diag(mm)
-        off = max(off, float(np.max(np.abs(mm - np.diag(diag)))))
-        off = max(off, float(np.max(np.abs(diag - diag[0]))))
-    return float(res_t[0, 0]), float(res_n[0, 0]), off
+        diag = np.diagonal(mm, axis1=0, axis2=1)
+        off = np.maximum(off, np.abs(mm[_OFF_DIAGONAL]).max(0).astype(float))
+        off = np.maximum(off, np.abs(diag - diag[:, :1]).max(1).astype(float))
+    return list(zip(res_t[0, 0].astype(float).tolist(),
+                    res_n[0, 0].astype(float).tolist(), off.tolist()))
 
 
 def _quadratic_through_samples(f) -> tuple:
@@ -150,24 +157,26 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
     polynomial exactly.  A closure failure (residual leaving the scalar
     span, or a nonlinear derivative dependence) raises.
     """
-    # affineness and closure probes
-    for a, b in ((0.3, -0.7), (1.2, 0.4)):
-        r_t0, r_n0, off0 = _scalar_residual(conv, a, b, 0.0, 0.0)
-        r_t1, r_n1, off1 = _scalar_residual(conv, a, b, 1.0, 1.0)
-        r_t2, r_n2, off2 = _scalar_residual(conv, a, b, 2.0, 2.0)
+    # one engine evaluation of the affineness and closure probes, the
+    # zero-derivative residual at the sample points, (0, 0) first, and the
+    # derivatives' slopes at (0, 0)
+    probes = ((0.3, -0.7), (1.2, 0.4))
+    samples = ([(a, b, d, d) for a, b in probes for d in (0.0, 1.0, 2.0)]
+               + [(a, b, 0.0, 0.0) for a, b in _MONOMIALS]
+               + [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)])
+    res = _scalar_residuals(conv, *zip(*samples))
+    probed, at_rest, (along_a, along_b) = res[:6], res[6:12], res[12:]
+    for i in (0, 3):
+        (r_t0, r_n0, off0), (r_t1, r_n1, off1), (r_t2, r_n2, off2) = probed[i:i + 3]
         if max(off0, off1, off2) > 1e-12:
             raise ValueError("calibration inconsistent: residual leaves the scalar span")
         if abs((r_t2 - r_t1) - (r_t1 - r_t0)) > 1e-12 or abs(
             (r_n2 - r_n1) - (r_n1 - r_n0)
         ) > 1e-12:
             raise ValueError("calibration inconsistent: derivative terms not affine")
-
-    # the zero-derivative residual at the sample points, (0, 0) first
-    at_rest = [_scalar_residual(conv, float(a), float(b), 0.0, 0.0)
-               for a, b in _MONOMIALS]
     # coefficient of the derivative in each component
-    slope_n = _scalar_residual(conv, 0.0, 0.0, 1.0, 0.0)[1] - at_rest[0][1]
-    slope_t = _scalar_residual(conv, 0.0, 0.0, 0.0, 1.0)[0] - at_rest[0][0]
+    slope_n = along_a[1] - at_rest[0][1]
+    slope_t = along_b[0] - at_rest[0][0]
 
     # residual = slope * derivative + inhomogeneous part = 0: a' from the
     # normal component, b' from the tangential one
@@ -176,9 +185,8 @@ def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
         for comp, slope in ((1, slope_n), (0, slope_t))))
 
     # reconstruction must reproduce the engine at non-sample points
-    for a, b in ((0.37, -1.21), (2.5, 0.8)):
-        da, db = sys.rhs(a, b)
-        r_t, r_n, _ = _scalar_residual(conv, a, b, da, db)
+    a, b = np.array([0.37, 2.5]), np.array([-1.21, 0.8])
+    for r_t, r_n, _ in _scalar_residuals(conv, a, b, *sys.rhs(a, b)):
         if max(abs(r_t), abs(r_n)) > 1e-10:
             raise ValueError("calibration inconsistent: reconstruction mismatch")
     return sys
@@ -307,39 +315,61 @@ _H_MIN = 1e-12  # a lane whose step falls below this leaves as non-finite
 _REACHED, _BLOWN, _NONFINITE = "reached", "blow", "non-finite"
 
 
-def taylor_coefficients(matrix, a, b, order: int) -> np.ndarray:
+def taylor_workspace(dtype, k: int, order: int) -> tuple:
+    """The arrays ``taylor_coefficients`` fills for k lanes to ``order`` in
+    dtype, and its views of them for each order n < ``order``: (the factors
+    (a, a, b) over times 0..n, the factors (a, b, b) over times n..0, their
+    product, where its sums go, the monomials at n, the rows at n + 1, the
+    divisor n + 1)."""
+    x = np.zeros((order + 1, 11, k), dtype=dtype)
+    x[0, 0] = 1
+    scratch = np.empty((3, k, order + 1), dtype=dtype)
+    divisors = np.arange(1, order + 1).astype(dtype)
+    t = x.transpose(1, 2, 0)
+    return x, tuple(zip([t[1:4, :, :n + 1] for n in range(order)],
+                        [t[2:5, :, n::-1] for n in range(order)],
+                        [scratch[:, :, :n + 1] for n in range(order)],
+                        x[:-1, 6:11:2], x[:-1, 0:11:2], x[1:, 1:5], divisors))
+
+
+def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
     """Taylor coefficients to ``order`` of the solutions through the lane
     states (a, b) of a' = c_a . m, b' = c_b . m, where m are the monomials of
     _MONOMIALS and ``matrix`` stacks c_a and c_b; shape (2, k, order + 1).
 
     With x(t) = sum_n x_n t^n, (n + 1) x_{n+1} is the t^n coefficient of
     c . m(a(t), b(t)), whose products are Cauchy products of the lower
-    coefficients.  The coefficients are kept as six rows (a, a, b | a, b, b),
-    so the three products aa, ab, bb are one row sum each of the first
-    three rows times the last three reversed, and one matmul with the rows
-    of ``matrix`` repeated in that pattern fills all six.  Per lane the
-    arithmetic does not depend on the batch (each row sums on its own, and
-    numpy's longdouble matmul has no BLAS kernel: it sums c*m from 0 in
-    monomial order), and on object arrays of Fractions it is exact.  The
-    divisors n + 1 are made once per call in the coefficients' dtype (a
-    Python int divisor costs a conversion at every order), and the
-    constant monomial is cleared once, after the first order."""
-    k = len(a)
-    x = np.zeros((6, k, order + 1), dtype=np.result_type(matrix, a, b))
-    x[:, :, 0] = a, a, b, a, b, b
-    rows = matrix[[0, 0, 1, 0, 1, 1]]
-    mono = np.zeros((6, k), dtype=x.dtype)
-    mono[0], mono[1], mono[2] = 1, a, b
-    products = mono[3:]
-    divisors = np.arange(1, order + 1).astype(x.dtype).reshape(order, 1, 1)
-    for n in range(order):
-        np.add.reduce(x[:3, :, :n + 1] * x[3:, :, n::-1], axis=-1,
-                      out=products)
-        np.divide(rows @ mono, divisors[n], out=x[:, :, n + 1])
-        if n == 0:
-            mono[0] = 0
-        mono[1:3] = x[0:3:2, :, n + 1]
-    return x[0:3:2]
+    coefficients.  ``work``, from ``taylor_workspace`` for this dtype, lane
+    count and order (made here when None), is time-major, (order + 1, 11,
+    k), and each order holds the rows (1|0, a, a, b, b, ., aa, ., ab, ., bb):
+    its stride-2 rows are the monomials of _MONOMIALS, and rows 1-3 and 2-4
+    over time are the Cauchy factors (a, a, b) and (a, b, b).  Per order
+    four numpy calls fill it: the factors' product into a (3, k, order + 1)
+    scratch array, its sums over time into aa, ab, bb, one matmul with the
+    rows of ``matrix`` repeated as (a, a, b, b) into the next order, and an
+    in-place division by n + 1.  The scratch array keeps time its last,
+    contiguous axis, so ``np.add.reduce`` sums each product pairwise over
+    time exactly as ``.sum(-1)`` sums a freshly made product array; summed
+    along a strided axis it would add in another order.  Per lane the arithmetic does not depend on the
+    batch (each row sums on its own, and numpy's longdouble matmul has no
+    BLAS kernel: it sums c*m from 0 in monomial order), and on object arrays
+    of Fractions it is exact.
+
+    The result is a view of ``work``, valid until the next call on it."""
+    if work is None:
+        work = taylor_workspace(np.result_type(matrix, a, b), len(a), order)
+    x, steps = work
+    if x.shape != (order + 1, 11, len(a)):
+        raise ValueError(f"workspace of shape {x.shape} for {len(a)} lanes "
+                         f"to order {order}")
+    x[0, 1:5] = a, a, b, b
+    rows = matrix[[0, 0, 1, 1]]
+    for left, right, product, sums, mono, nxt, divisor in steps:
+        np.multiply(left, right, out=product)
+        np.add.reduce(product, axis=-1, out=sums)
+        np.matmul(rows, mono, out=nxt)
+        np.divide(nxt, divisor, out=nxt)
+    return x[:, 1:4:2].transpose(1, 2, 0)
 
 
 def _horner(c, t):
@@ -356,7 +386,8 @@ def _step_sizes(c) -> list:
     is TAYLOR_EPS * max(1, |a| + |b|), the smaller of the two; nan where
     those coefficients are not finite."""
     n = c.shape[-1] - 1
-    mag = (np.abs(c[0]) + np.abs(c[1]))[:, [0, n - 1, n]].astype(float)
+    ends = c[:, :, [0, n - 1, n]]
+    mag = (np.abs(ends[0]) + np.abs(ends[1])).astype(float)
     out = []
     # Python's float ** per lane: numpy's vectorised power may round
     # differently, and the step sequence must not depend on the batch
@@ -445,7 +476,8 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
     order-TAYLOR_ORDER Taylor stepper, each lane with its own y and step.
 
     All live lanes advance in one array step; the coefficients come from
-    ``taylor_coefficients`` on the system's longdouble matrix.  A lane
+    ``taylor_coefficients`` on the system's longdouble matrix, in one
+    workspace that serves every step until a lane leaves.  A lane
     leaves the batch when it reaches y1; as blown, when its |a| + |b|
     crosses BLOWUP_THRESHOLD or, with ``certify`` (the locked system only),
     when ``_certified_blowup`` proves that it cannot reach y1; or, as
@@ -467,15 +499,19 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
     out = _LaneRun(np.empty(k), np.empty((2, k), dtype=ld), [_REACHED] * k)
     lanes = np.arange(k)  # batch index of each live lane
     live = y < y_end
+    work = None
     while True:
         if not live.all():
             gone = lanes[~live]
             out.ys[gone] = y[~live]
             out.states[:, gone] = s[:, ~live]
             lanes, y, s = lanes[live], y[live], s[:, live]
+            work = None
         if not lanes.size:
             return out
-        c = taylor_coefficients(sys._matrix, s[0], s[1], TAYLOR_ORDER)
+        if work is None:
+            work = taylor_workspace(ld, lanes.size, TAYLOR_ORDER)
+        c = taylor_coefficients(sys._matrix, s[0], s[1], TAYLOR_ORDER, work)
         h = np.array(_step_sizes(c), dtype=ld)
         # a step clipped to the end point lands on it exactly: y + (y_end - y)
         # may round below y_end
@@ -487,7 +523,7 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
         s = np.where(nonfinite, s, s_new)
         if steps is not None and not nonfinite[0]:
             steps[0].append(y[0])
-            steps[1].append(c[:, 0])
+            steps[1].append(c[:, 0].copy())  # c is overwritten next step
 
         sf = s.astype(float)
         blown = np.abs(sf[0]) + np.abs(sf[1]) > BLOWUP_THRESHOLD

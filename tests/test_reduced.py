@@ -55,9 +55,9 @@ def test_machine_derived_coefficients(system):
 
 
 def test_scalar_ansatz_stays_in_span(conv):
-    from kwlab.reduced import _scalar_residual
+    from kwlab.reduced import _scalar_residuals
 
-    _, _, off = _scalar_residual(conv, 0.5, 0.5, 0.0, 0.0)
+    [(_, _, off)] = _scalar_residuals(conv, [0.5], [0.5], [0.0], [0.0])
     assert off < 1e-14
 
 
@@ -78,13 +78,49 @@ def _linear_profile_residual(conv, a, b, da, db):
 
 
 def test_scalar_residual_matches_linear_profile_ansatz(conv):
-    from kwlab.reduced import _scalar_residual
+    # all samples in one engine call, under the calibrated conventions and
+    # two others, each against its own one-node evaluation through linear
+    # profiles
+    from kwlab.reduced import _scalar_residuals
 
     rng = np.random.default_rng(17)
-    for a, b, da, db in rng.uniform(-3.0, 3.0, size=(20, 4)).tolist():
-        want = _linear_profile_residual(conv, a, b, da, db)
-        got = _scalar_residual(conv, a, b, da, db)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+    samples = rng.uniform(-3.0, 3.0, size=(20, 4))
+    for c in (conv, conv._replace(c=1), conv.flipped()):
+        got = _scalar_residuals(c, *samples.T)
+        assert len(got) == len(samples)
+        for sample, triple in zip(samples.tolist(), got):
+            want = _linear_profile_residual(c, *sample)
+            assert [x.hex() for x in triple] == [x.hex() for x in want]
+
+
+def _faulty_residual(fault):
+    """kw_residual with a fault added to the residual it returns."""
+    def residual(m):
+        return fault(m, *kw_residual(m))
+    return residual
+
+
+def _off_span(m, res_t, res_n, res2):
+    res_t = res_t.copy()
+    res_t[0, 1] += 1e-6 * m.a[0, 0]
+    return res_t, res_n, res2
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_off_span, "residual leaves the scalar span"),
+    (lambda m, t, n, r: (t, n + m.n_f * m.n_f, r),
+     "derivative terms not affine"),
+    (lambda m, t, n, r: (t + m.a * m.a * m.a, n, r),
+     "reconstruction mismatch"),
+])
+def test_derivation_refuses_closure_faults(conv, monkeypatch, fault,
+                                           message):
+    # a residual off the scalar span, one quadratic in the injected
+    # derivative and one cubic in a, which the sample points fit as a
+    # quadratic: each raises its own ValueError
+    monkeypatch.setattr(reduced, "kw_residual", _faulty_residual(fault))
+    with pytest.raises(ValueError, match=f"^calibration inconsistent: {message}$"):
+        derive_reduced_system(conv)
 
 
 def test_stationary_points(system):
@@ -621,8 +657,10 @@ def test_nan_state_is_nonfinite_without_sign(system, series, monkeypatch):
     clean = integrate_ivp(system, 0.1, (a0, b0), 10.0)
     taylor = reduced.taylor_coefficients
 
-    def poisoned(matrix, a, b, order):
-        x = taylor(matrix, a, b, order)
+    def poisoned(matrix, a, b, order, work=None):
+        # the NaNs are written into the workspace, which the next call on
+        # it must overwrite
+        x = taylor(matrix, a, b, order, work)
         x[:, a < 0.5, 1:] = np.nan
         return x
 
@@ -718,9 +756,11 @@ def test_taylor_recurrence_is_exact(system):
             assert max(abs(got[i][n] - want[i][n]) for i in (0, 1)) <= 1e-17 * size
 
 
-# The two-row kernel the six-row one replaced, kept as its reference: the
-# products gathered by fancy index, summed with .sum(-1), then divided.
-def _taylor_reference(matrix, a, b, order):
+# The two-row kernel the workspace one replaced, kept as its reference: the
+# products gathered by fancy index, summed with .sum(-1), then divided.  It
+# takes the workspace parameter so that it can stand in for the kernel, and
+# returns fresh arrays.
+def _taylor_reference(matrix, a, b, order, work=None):
     x = np.zeros((2, len(a), order + 1), dtype=np.result_type(matrix, a, b))
     x[0, :, 0], x[1, :, 0] = a, b
     mono = np.zeros((6, len(a)), dtype=x.dtype)
@@ -748,34 +788,55 @@ def _same_bits(got, want):
 
 
 def test_taylor_kernel_matches_reference_bitwise(system):
+    # one workspace per lane count, shrinking as lanes leave a run, reused
+    # across calls: the overflow lane's NaNs do not reach the next call
     rng = np.random.default_rng(23)
     order = reduced.TAYLOR_ORDER
+    ld = np.longdouble
     full = np.array([[1.0, -2.0, 3.0, 0.5, -1.0, 2.0],
-                     [-1.0, 1.0, -1.0 / 3.0, 2.0, 1.0, -3.0]],
-                    dtype=np.longdouble)
-    for k in (1, 2, 15, 17):
-        a = (rng.normal(size=k) * np.logspace(-3, 3, k)).astype(np.longdouble)
-        b = (rng.normal(size=k) * np.logspace(2, -4, k)).astype(np.longdouble)
+                     [-1.0, 1.0, -1.0 / 3.0, 2.0, 1.0, -3.0]], dtype=ld)
+    for k in (17, 15, 2, 1):
+        work = reduced.taylor_workspace(ld, k, order)
+        a = (rng.normal(size=k) * np.logspace(-3, 3, k)).astype(ld)
+        b = (rng.normal(size=k) * np.logspace(2, -4, k)).astype(ld)
+        calls = [(system._matrix, a, b), (full, a, b)]
         if k == 17:
-            a[5], b[11] = np.longdouble("1e1000"), 0.0  # overflows to NaN
-        for matrix in (system._matrix, full):
+            bad = a.copy()
+            bad[5], b[11] = ld("1e1000"), 0.0  # overflows to NaN
+            calls = [(system._matrix, bad, b), *calls, (full, bad, b),
+                     (full, a, b)]
+        for matrix, ai, bi in calls:
             with np.errstate(over="ignore", invalid="ignore"):
-                got = reduced.taylor_coefficients(matrix, a, b, order)
-                want = _taylor_reference(matrix, a, b, order)
-                h = rng.uniform(0.0, 0.3, size=k).astype(np.longdouble)
+                got = reduced.taylor_coefficients(matrix, ai, bi, order, work)
+                want = _taylor_reference(matrix, ai, bi, order)
+                fresh = reduced.taylor_coefficients(matrix, ai, bi, order)
+                h = rng.uniform(0.0, 0.3, size=k).astype(ld)
                 values = (reduced._horner(got, h),
                           _horner_reference_lanes(want, h))
+                steps = (reduced._step_sizes(got), reduced._step_sizes(want))
+            assert np.shares_memory(got, work[0])
             assert _same_bits(got, want), (k, matrix)
+            assert _same_bits(fresh, want)
             assert _same_bits(*values)
-        if k == 17:
-            assert np.isnan(got[:, 5]).any()
-            assert np.isfinite(np.delete(got, 5, axis=1)).all()
-    # the exact path: the same Fractions
+            assert np.array_equal(*steps, equal_nan=True)
+            if ai is bad:
+                assert np.isnan(got[:, 5]).any()
+                assert np.isfinite(np.delete(got, 5, axis=1)).all()
+            else:
+                assert np.isfinite(got).all()
+    with pytest.raises(ValueError, match="workspace"):
+        reduced.taylor_coefficients(full, a, b, order,
+                                    reduced.taylor_workspace(ld, 2, order))
+    # the exact path, in a workspace too: the same Fractions
     a = np.array([Fraction(-3, 2), Fraction(1, 4), Fraction(2)], dtype=object)
     b = np.array([Fraction(5, 8), Fraction(-7, 16), Fraction(0)], dtype=object)
     exact = np.array([system.coeffs_a, system.coeffs_b], dtype=object)
-    assert (reduced.taylor_coefficients(exact, a, b, order // 2).tolist()
-            == _taylor_reference(exact, a, b, order // 2).tolist())
+    want = _taylor_reference(exact, a, b, order // 2).tolist()
+    work = reduced.taylor_workspace(object, 3, order // 2)
+    for _ in range(2):
+        assert reduced.taylor_coefficients(exact, a, b, order // 2,
+                                           work).tolist() == want
+    assert reduced.taylor_coefficients(exact, a, b, order // 2).tolist() == want
 
 
 def test_dense_output_matches_reference_kernel(system, monkeypatch):
