@@ -226,15 +226,15 @@ def suite_energy(cfg: SuiteConfig) -> list:
     spec = cfg.quadrature()
     model = nahm_pole_invariant_solution()
     checks = []
-    solved = {}  # the solution guard's record: one residual per field and grid
     # the reference solution's passes and the values built from them, once
-    # per run; a failed build fails, through _guard, only its readers
+    # per run; a failed build (a pass refuses a non-solution) fails, through
+    # _guard, only its readers
     full_line = _shared(lambda: energy.full_line_norms(conv, model, spec))
     inputs = {
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
             conv, model, spec, energy.CUTOFF_ROWS)),
-        "sweep": _shared(lambda: energy.cutoff_sweep(conv, spec, solved)),
+        "sweep": _shared(lambda: energy.cutoff_sweep(conv, full_line(), spec)),
         "consts": _shared(lambda: energy.bound_constants(conv, full_line())),
     }
 
@@ -245,8 +245,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         gate = {"tol": cfg.tol(cid, 1e-6)} if cid in TUNABLE_CHECK_IDS else {}
         _guard(checks, cid, lambda ident=ident, reads=reads, gate=gate: (
             energy.check_energy_identity(
-                conv, ident, **gate, **{k: inputs[k]() for k in reads},
-                solved=solved)))
+                conv, ident, **gate, **{k: inputs[k]() for k in reads})))
 
     def stability():
         val, err, parts = energy.c_model(full_line())
@@ -316,8 +315,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
             extra={"n_pert": cfg.n_pert, "failures": n_fail})
 
     def bound():
-        tb = energy.theorem_bound_report(conv, full_line(), inputs["consts"](),
-                                         solved)
+        tb = energy.theorem_bound_report(full_line(), inputs["consts"]())
         f_sq = tb.get("curvature_l2_sq").value
         slack = tb.get("bound_slack").value
         other = (tb.get("tangential_gradient_l2_sq").value
@@ -635,7 +633,7 @@ def main(argv=None) -> int:
             # c_model and, for he, the bound report
             ref = energy.full_line_norms(conv, model, spec)
             own = ref if field is model else energy.full_line_norms(conv, field, spec)
-            rep = energy.theorem_bound_report(conv, own, energy.bound_constants(conv, ref))
+            rep = energy.theorem_bound_report(own, energy.bound_constants(conv, ref))
             cm, cm_err, _ = energy.c_model(ref)
             rep.add("c_model", cm, cm_err, "model curvature constant")
             q, q_err = energy.topological_charge(conv, field.connection, spec)

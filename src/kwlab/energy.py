@@ -10,7 +10,8 @@ matrices.  The module verifies, with certified quadrature error estimates:
   * the bulk/boundary balance whose two sides separately diverge like 1/eps
     while their combination stabilises to a finite constant c_limit,
   * finiteness and stability of the model curvature constant c_model,
-  * the topological charge against its antiderivative oracle (in tests),
+  * the topological charge against its antiderivative oracle (the
+    charge-model report check),
   * the weighted-inequality chain on synthetic perturbations of the
     reference solution (slack of every intermediate step), and
   * the resulting curvature-energy bound with explicit engine constants.
@@ -43,7 +44,6 @@ from .forms import (
 from .profiles import (
     InvariantField,
     MatrixProfile,
-    nahm_pole_invariant_solution,
     pole_scalars,
     scaled_matrix_profile,
 )
@@ -177,20 +177,32 @@ CUTOFF_ROWS = {"first_order": ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq"),
                "phi_sq": ("phi_sq",)}
 _BALANCE_ROWS = {k: CUTOFF_ROWS[k] for k in ("bulk", "phi_sq")}
 
+
+def _require_solution(conv, field, eps):
+    """Raise unless the field's residual is below 1e-8 at 24 nodes from eps
+    (at least 1e-3) to 10."""
+    grid = np.geomspace(max(eps, 1e-3), 10.0, 24)
+    if not np.max(kw_residual_norm(conv, field, grid)) <= 1e-8:
+        raise ValueError("not a solution: identity chain does not apply")
+
+
 # l2_norm_sq of named density rows of one field, rows[name] = (value, error
-# estimate), all from one quadrature pass from zero (eps = 0) or above eps
+# estimate), all from one quadrature pass from zero (eps = 0) or above eps;
+# field_norms refuses a non-solution, so a Norms certifies its field solves
 Norms = namedtuple("Norms", "field eps rows")
 
 
 def field_norms(conv, field, spec: QuadratureSpec, rows: dict,
                 from_zero: bool = False) -> Norms:
-    """One pass over the rows (name -> density keys) of the field.  A row's
-    floats do not depend on the other rows, so a check that reads one by
-    name gets the floats of its own pass."""
+    """One pass over the rows (name -> density keys) of the field.  It
+    refuses a field that does not solve the system on the pass's own range
+    (_require_solution).  A row's floats do not depend on the other rows, so
+    a check that reads one by name gets the floats of its own pass."""
+    eps = 0.0 if from_zero else spec.eps
+    _require_solution(conv, field, eps)
     v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), spec,
                       from_zero)
-    return Norms(field, 0.0 if from_zero else spec.eps,
-                 dict(zip(rows, zip(v.tolist(), e.tolist()))))
+    return Norms(field, eps, dict(zip(rows, zip(v.tolist(), e.tolist()))))
 
 
 # full_line_norms(conv, field, spec): the FULL_LINE_ROWS from zero
@@ -252,22 +264,6 @@ def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile,
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _require_solution(conv, field, eps=1e-3, tol=1e-8, solved=None):
-    """Raise unless the field's residual is below tol at 24 nodes from eps
-    (at least 1e-3) to 10.  ``solved``, a dict that a run keeps, records
-    each (conventions, first node, id) that passed, so that the run
-    evaluates each field on each grid once; it holds the field, so that
-    the id names no other object while it is there."""
-    key = (conv, max(eps, 1e-3), id(field))
-    if solved is not None and key in solved:
-        return
-    grid = np.geomspace(key[1], 10.0, 24)
-    if not np.max(kw_residual_norm(conv, field, grid)) <= tol:
-        raise ValueError("not a solution: identity chain does not apply")
-    if solved is not None:
-        solved[key] = field
-
-
 def cutoff_combination(conv, field, eps, spec: QuadratureSpec):
     """(bulk 2|phi|^2 integral, mixed boundary term, stabilising combination,
     quadrature error) at cutoff eps; the first two diverge like 1/eps."""
@@ -292,16 +288,13 @@ def check_energy_identity(conv: GeometryConventions, ident: str, *,
                           tol: float = 1e-6, at_eps: Norms | None = None,
                           full_line: Norms | None = None,
                           sweep: CutoffSweep | None = None,
-                          consts: BoundConstants | None = None,
-                          solved: dict | None = None) -> CheckReport:
+                          consts: BoundConstants | None = None) -> CheckReport:
     """One identity of the energy bookkeeping on a solution field, from its
-    IDENTITY_INPUTS only; tol is that of the identities with two sides, and
-    solved the run's record of the solution guard (_require_solution)."""
+    IDENTITY_INPUTS only: passes (Norms) and a sweep built from one, which
+    certify that the field is a solution.  tol is that of the identities
+    with two sides."""
     if ident not in IDENTITY_INPUTS:
         raise ValueError(f"unknown identity id {ident!r}")
-    norms = at_eps if at_eps is not None else full_line
-    if norms is not None:
-        _require_solution(conv, norms.field, norms.eps, solved=solved)
 
     if ident in _BALANCES:
         rows = at_eps.rows
@@ -381,12 +374,12 @@ def eps_sweep_rows(conv, field, eps_list, spec: QuadratureSpec):
 CutoffSweep = namedtuple("CutoffSweep", "rows limit")
 
 
-def cutoff_sweep(conv: GeometryConventions, spec: QuadratureSpec,
-                 solved: dict | None = None) -> CutoffSweep:
-    """The reference solution's cutoff sweep; one per run, like BoundConstants."""
-    model = nahm_pole_invariant_solution()
-    _require_solution(conv, model, solved=solved)
-    rows = tuple(cutoff_combination(conv, model, e, spec)[:3] for e in CUTOFF_EPS)
+def cutoff_sweep(conv: GeometryConventions, full_line: Norms,
+                 spec: QuadratureSpec) -> CutoffSweep:
+    """The cutoff sweep of the field of a from-zero pass, whose build
+    certified it a solution; one per run, like BoundConstants."""
+    rows = tuple(cutoff_combination(conv, full_line.field, e, spec)[:3]
+                 for e in CUTOFF_EPS)
     return CutoffSweep(rows, _neville_to_zero(CUTOFF_EPS, [row[2] for row in rows]))
 
 
@@ -582,7 +575,9 @@ class BoundConstants(NamedTuple):
     """Engine constants of the curvature-energy bound.  A run integrates each
     (field, layout) pair once: the reference solution's passes (Norms) and
     the values built from them, these constants and the CutoffSweep, are
-    built once per run, and every check that uses one takes that value."""
+    built once per run, and every check that uses one takes that value.
+    The one exception: the refined c-model-stability pass evaluates the fine
+    layout of the shared from-zero pass (48 panels at the default 24) again."""
 
     c_decay: float
     c19: float
@@ -614,12 +609,9 @@ def bound_constants(conv: GeometryConventions, full_line: Norms) -> BoundConstan
     )
 
 
-def theorem_bound_report(conv: GeometryConventions, full_line: Norms,
-                         consts: BoundConstants,
-                         solved: dict | None = None) -> EnergyReport:
+def theorem_bound_report(full_line: Norms, consts: BoundConstants) -> EnergyReport:
     """Full accounting of the curvature-energy bound for one solution, from
     its from-zero pass (full_line_norms)."""
-    _require_solution(conv, full_line.field, solved=solved)
     rep = EnergyReport(entries=[])
     (f_sq, f_err), (g_sq, g_err), (s_sq, s_err) = (
         full_line.rows[k] for k in ("F_sq", "nabla_bar_sq", "S_sq"))

@@ -21,7 +21,6 @@ float64 rounding alone would contaminate at the 1e-10 level.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -87,11 +86,9 @@ def pole_a_alt(jy):
 _I3 = np.eye(3)
 
 
-@cache
 def nahm_pole_invariant_solution() -> InvariantField:
     """The closed-form invariant solution: Nahm pole at y = 0, exponential
-    decay to the trivial flat connection at infinity.  One object per
-    process, so that a run's checks read the same field."""
+    decay to the trivial flat connection at infinity."""
     return InvariantField(
         scaled_matrix_profile(pole_a, _I3),
         scaled_matrix_profile(pole_b, _I3),

@@ -18,7 +18,9 @@ builtin sum, not the pairwise np.sum), then the parts of the layout left to
 right.  So a row's float is the one its integrand alone would give, and
 integrands that share a layout are evaluated in one pass.  The energy
 suite keeps to that: each (field, layout) pair is integrated once per run,
-as one pass of all the rows its checks read (energy.field_norms).
+as one pass of all the rows its checks read (energy.field_norms), with one
+exception: the refined c-model-stability pass evaluates the fine layout of
+the from-zero pass (48 panels at the default 24) a second time.
 """
 
 from __future__ import annotations

@@ -75,8 +75,8 @@ def full_line(conv, quad_spec):
 
 
 @pytest.fixture(scope="session")
-def sweep(conv, quad_spec):
-    return cutoff_sweep(conv, quad_spec)
+def sweep(conv, full_line, quad_spec):
+    return cutoff_sweep(conv, full_line, quad_spec)
 
 
 @pytest.fixture(scope="session")

@@ -147,7 +147,7 @@ def test_criterion_06_model_constant(conv, quad_spec, full_line):
 
 
 def test_criterion_07_bound_instance(conv, full_line, consts):
-    rep = energy.theorem_bound_report(conv, full_line, consts)
+    rep = energy.theorem_bound_report(full_line, consts)
     f_sq = rep.get("curvature_l2_sq").value
     c_limit = rep.get("c_limit").value
     other = (rep.get("tangential_gradient_l2_sq").value

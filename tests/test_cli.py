@@ -408,9 +408,11 @@ def test_failed_sweep_fails_only_its_checks(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("shared, readers", [
-    # bound_constants reads the from-zero pass too, so its readers fail
+    # bound_constants and the cutoff sweep read the from-zero pass too, so
+    # their readers fail
     ("full_line", {"energy-route-match", "energy-weighted-bound",
-                   "c-model-stability", "theorem-bound", "perturbation-chain"}),
+                   "energy-cutoff-limit", "c-model-stability", "theorem-bound",
+                   "perturbation-chain"}),
     ("at_eps", {"energy-first-order-balance", "energy-square-completion",
                 "energy-bulk-boundary-balance"}),
 ])
@@ -476,13 +478,12 @@ def test_energy_command_integrates_each_layout_once(tmp_path, monkeypatch,
     assert _panel_calls(monkeypatch, argv) == calls
 
 
-def test_solution_guard_runs_once_per_field_and_grid_per_run(monkeypatch,
-                                                             tmp_path, conv):
-    from kwlab.profiles import nahm_pole_invariant_solution
-
-    # seven readers of the reference solution, two grids (from eps = 0.05
-    # and from 1e-3): two 24-node residuals per run; each run keeps its own
-    # record, and a call given none evaluates every time
+def test_solution_guard_runs_once_per_pass(monkeypatch, tmp_path):
+    # the guard runs where a pass is built, on the pass's own range (from
+    # max(eps, 1e-3)): the suite's from-zero, at-eps (0.05) and refined
+    # from-zero passes; a second run repeats them, as no run keeps state.
+    # The energy command guards its reference pass and the three sweep rows,
+    # and for alt the companion's own from-zero pass
     calls = []
     engine = energy.kw_residual_norm
     monkeypatch.setattr(energy, "kw_residual_norm",
@@ -490,13 +491,34 @@ def test_solution_guard_runs_once_per_field_and_grid_per_run(monkeypatch,
     argv = ["verify", "--suite", "energy", "--n-pert", "1",
             "--out", str(tmp_path / "e.json")]
     assert main(argv) == 0
-    assert sorted(calls) == [1e-3, 0.05]
+    assert sorted(calls) == [1e-3, 1e-3, 0.05]
     assert main(argv) == 0
-    assert len(calls) == 4
-    model = nahm_pole_invariant_solution()
-    for _ in range(2):
-        energy._require_solution(conv, model)
-    assert len(calls) == 6
+    assert sorted(calls[3:]) == [1e-3, 1e-3, 0.05]
+    for model, want in (("he", [1e-3, 0.1, 0.01, 1e-3]),
+                        ("alt", [1e-3, 1e-3, 0.1, 0.01, 1e-3])):
+        calls.clear()
+        assert main(["energy", "--model", model,
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == want, model
+
+
+def test_energy_suite_negative_control_fails_every_pass_reader(tmp_path):
+    # with the star sign flipped the reference solution solves nothing, so
+    # each shared pass refuses it and every check that reads one fails; the
+    # envelope and the charges read densities only
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "energy", "--flip-star-sign",
+                 "--n-pert", "1", "--out", str(out)]) == 1
+    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    failed = {cid for cid, c in by_id.items() if c["status"] == "fail"}
+    assert failed == {f"energy-{i}" for i in energy.IDENTITY_INPUTS} | {
+        "c-model-stability", "perturbation-chain", "theorem-bound"}
+    assert len(failed) == 9
+    for cid in failed:
+        assert by_id[cid]["detail"] == ("check raised: not a solution: "
+                                        "identity chain does not apply"), cid
+    for cid in ("c-model-envelope", "charge-model", "charge-model-alt"):
+        assert by_id[cid]["status"] == "pass", cid
 
 
 def test_benchmark_trace_hooks_resolve(tmp_path):

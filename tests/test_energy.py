@@ -377,13 +377,15 @@ def test_identity_checks_on_model(conv, quad_spec, model):
 
 
 def test_identity_rejects_non_solutions(conv, quad_spec):
+    # the pass an identity reads refuses the field when it is built
     bad = InvariantField(
         scaled_matrix_profile(lambda jy: jy * 0 + 1.0, I3),
         scaled_matrix_profile(lambda jy: 1 / jy, I3),
     )
-    at_eps = field_norms(conv, bad, quad_spec.with_eps(0.05), CUTOFF_ROWS)
     with pytest.raises(ValueError, match="not a solution"):
-        check_energy_identity(conv, "bulk-boundary-balance", at_eps=at_eps)
+        field_norms(conv, bad, quad_spec.with_eps(0.05), CUTOFF_ROWS)
+    with pytest.raises(ValueError, match="not a solution"):
+        full_line_norms(conv, bad, quad_spec)
     with pytest.raises(ValueError, match="unknown identity"):
         check_energy_identity(conv, "nope")
 
@@ -639,8 +641,8 @@ def test_c24a_matches_closed_form_completed_square(consts):
     assert consts.c24a.hex() == want.hex()
 
 
-def test_theorem_bound_report(conv, full_line, consts):
-    rep = theorem_bound_report(conv, full_line, consts)
+def test_theorem_bound_report(full_line, consts):
+    rep = theorem_bound_report(full_line, consts)
     f_sq = rep.get("curvature_l2_sq").value
     c_limit = rep.get("c_limit").value
     bound = rep.get("bound_constant").value
@@ -660,7 +662,7 @@ def test_theorem_bound_flat_endpoint(conv, quad_spec, consts):
         scaled_matrix_profile(lambda jy: jy * 0 + 2.0, I3),
         scaled_matrix_profile(lambda jy: jy * 0, I3),
     )
-    rep = theorem_bound_report(conv, full_line_norms(conv, flat, quad_spec), consts)
+    rep = theorem_bound_report(full_line_norms(conv, flat, quad_spec), consts)
     assert rep.get("curvature_l2_sq").value <= 1e-20
     assert rep.get("bound_constant").value > 0
 
