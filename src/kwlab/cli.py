@@ -203,6 +203,7 @@ def suite_decomposition(cfg: SuiteConfig) -> list:
     checks = []
     checks.extend(decomp.omega_bracket_eigencheck())
     checks.extend(decomp.appendix_star_table())
+    checks.extend(decomp.basis_identities())
     checks.append(decomp.decomposition_suite(cfg.seed, cfg.n))
     return checks
 

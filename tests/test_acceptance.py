@@ -88,15 +88,19 @@ def test_criterion_03_decomposition_suite():
     t0 = time.time()
     eig = decomp.omega_bracket_eigencheck()
     table = decomp.appendix_star_table()
+    identities = decomp.basis_identities()
     suite = decomp.decomposition_suite(seed=42, n=10000)
     elapsed = time.time() - t0
     ok = (all(c.status == "pass" for c in eig)
           and all(c.passed for c in table)
+          and len(identities) == 6
+          and all(c.status == "pass" for c in identities)
           and suite.status == "pass"
           and Fraction(suite.extra["worst_slack_sq"]) >= 0
           and elapsed < 30.0)
     _check("criterion-03 decomposition suite", ok,
-           f"9 eigenvectors, star table, n=10000, {elapsed:.1f}s")
+           "9 eigenvectors, star table, 6 basis identities, n=10000, "
+           f"{elapsed:.1f}s")
 
 
 def test_criterion_04_energy_balance(conv, quad_spec):

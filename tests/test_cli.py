@@ -209,6 +209,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 # on fixed criteria
 _OTHER_IDS = ("su2-bracket", "su2-inner", "su2-jacobi", "ricci",
               "eigen-table-v2-1", "star-table-nu12-sign", "decomposition-suite",
+              "decomposition-lemma-gram",
               "energy-cutoff-limit", "energy-weighted-bound", "c-model-envelope",
               "perturbation-chain", "solver-closure", "solver-stationary",
               "solver-indicial")

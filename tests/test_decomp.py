@@ -1,5 +1,6 @@
 """Isotypic splitting: projections, eigen table, quadratic projection claim."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from kwlab.decomp import (
     NU_13,
     appendix_star_table,
     basis,
+    basis_identities,
     decomposition_suite,
     omega_bracket,
     omega_bracket_eigencheck,
@@ -78,9 +80,10 @@ def random_form(rng: random.Random, kind: str = "mixed"):
 
 
 # ---------------------------------------------------------------------------
-# reference implementation: the per-vector Fraction battery.  Every engine
-# call goes through `decomp`'s module bindings, so a fault injected there
-# reaches the reference and the int64 suite alike.
+# reference implementations: the quadratic projection claim in Fractions and
+# the seeded suite one vector at a time.  Every engine call goes through
+# `decomp`'s module bindings, so a fault injected there reaches the
+# reference and the int64 suite alike.
 # ---------------------------------------------------------------------------
 
 def lemma_quadratic_projection(v) -> CheckReport:
@@ -132,16 +135,14 @@ def reference_slack_sq(rows) -> tuple:
 
 
 def reference_suite(seed: int, n: int) -> CheckReport:
-    """decomposition_suite one vector at a time, with the full battery in
-    Fractions."""
+    """decomposition_suite one vector at a time, in Python integers."""
     if n < 1:
         raise ValueError("empty suite")
     rng = random.Random(seed)
-    worst_slack_sq = None
+    slack = []
     for k in range(n):
         kind = KINDS[k % 3]
-        rows = _random_int_matrix(rng, kind)
-        lhs_sq, bound_sq = reference_slack_sq(rows)
+        lhs_sq, bound_sq = reference_slack_sq(_random_int_matrix(rng, kind))
         if kind in ("pure2", "pure3"):
             if lhs_sq != bound_sq:
                 return make_check("decomposition-suite",
@@ -151,46 +152,19 @@ def reference_suite(seed: int, n: int) -> CheckReport:
             return make_check("decomposition-suite",
                               f"projection bound violated at vector {k}",
                               computed=float(k), ok=False)
-        slack = bound_sq - lhs_sq
-        if worst_slack_sq is None or slack < worst_slack_sq:
-            worst_slack_sq = slack
-
-        if k % decomp.BATTERY_STRIDE:
-            continue
-        v = _form(rows)
-        parts = [project_q(i, v) for i in (1, 2, 3)]
-        if not _eq(parts[0] + parts[1] + parts[2], v):
-            return make_check("decomposition-suite", "projection completeness failed",
-                              computed=float(k), ok=False)
-        if one_form_norm_sq(v) != sum(one_form_norm_sq(p) for p in parts):
-            return make_check("decomposition-suite", "Pythagoras failed",
-                              computed=float(k), ok=False)
-        for i in (1, 2, 3):
-            if not _eq(project_q(i, parts[i - 1]), parts[i - 1]):
-                return make_check("decomposition-suite", "idempotence failed",
-                                  computed=float(k), ok=False)
-            for j in (1, 2, 3):
-                if i != j and one_form_norm_sq(project_q(j, parts[i - 1])) != 0:
-                    return make_check("decomposition-suite", "orthogonality failed",
-                                      computed=float(k), ok=False)
-            lam = decomp.EIGENVALUES[i - 1]
-            if not _eq(decomp.omega_bracket(parts[i - 1]), parts[i - 1] * Fraction(lam)):
-                return make_check("decomposition-suite", "eigen relation failed",
-                                  computed=float(k), ok=False)
-        rep = lemma_quadratic_projection(v)
-        if not rep.passed:
-            return make_check("decomposition-suite", "quadratic projection failed",
-                              computed=float(k), ok=False)
-
+        else:
+            slack.append(bound_sq - lhs_sq)
+    worst = min(slack, default=None)
     return make_check(
         "decomposition-suite",
         f"{n} seeded vectors through the engine wedge bracket and the "
-        "quadratic projection claim, full battery every "
-        f"{decomp.BATTERY_STRIDE} vectors",
-        computed=float(worst_slack_sq),
-        ok=worst_slack_sq >= 0,
+        f"quadratic projection claim; least slack of the {len(slack)} mixed "
+        "vectors",
+        computed=worst,
+        ok=True,
         provenance="derived",
-        extra={"n": n, "seed": seed, "worst_slack_sq": str(worst_slack_sq)},
+        extra={"n": n, "seed": seed,
+               "worst_slack_sq": None if worst is None else str(worst)},
     )
 
 
@@ -333,7 +307,6 @@ def test_int64_stack_bound():
     l6, b6 = quadratic_projection_slack_sq(v)
     for k in range(300):
         assert (l6[k], b6[k]) == reference_slack_sq(v[:, :, k].tolist())
-    assert not any(failed.any() for _, failed in decomp._battery_failures(v))
     for bad in (55, -55, -2**63):
         w = v.copy()
         w[1, 2, 7] = bad
@@ -380,9 +353,9 @@ def test_suite_draws_in_bulk(monkeypatch):
     assert decomposition_suite(42, 3001) == make_check(
         "decomposition-suite",
         "3001 seeded vectors through the engine wedge bracket and the "
-        "quadratic projection claim, full battery every 10 vectors",
-        computed=0.0, ok=True, provenance="derived",
-        extra={"n": 3001, "seed": 42, "worst_slack_sq": "0"})
+        "quadratic projection claim; least slack of the 1000 mixed vectors",
+        computed=232377.0, ok=True, provenance="derived",
+        extra={"n": 3001, "seed": 42, "worst_slack_sq": "232377"})
     # at most one call per block plus the top-ups of short rounds: here no
     # round is short, and the fourth block's one vector (pure2, 3 values)
     # takes values left over from the third
@@ -414,8 +387,8 @@ def test_completeness_and_bound_property(coeffs):
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_suite_matches_reference(seed):
-    # n at the battery stride and block edges
-    for n in (1, 9, 10, 11, 999, 1000, 1001, 2500):
+    # n below the first mixed vector, at the kind cycle and at block edges
+    for n in (1, 2, 3, 9, 10, 11, 999, 1000, 1001, 2500):
         assert decomposition_suite(seed, n) == reference_suite(seed, n)
 
 
@@ -433,63 +406,65 @@ def _trace_keeping_v3(monkeypatch):
     monkeypatch.setattr(decomp, "project6", keeps_trace)
 
 
-@pytest.mark.parametrize("fault", [
-    lambda mp: mp.setattr(forms, "EPS_TABLE", _flip_one_sign(forms.EPS_TABLE)),
-    _trace_keeping_v3,
-    lambda mp: mp.setattr(decomp, "EIGENVALUES", (2, 2, -1)),
-], ids=["eps-sign", "v3-keeps-trace", "eigenvalue-off-by-one"])
-def test_suite_is_live(monkeypatch, fault):
-    fault(monkeypatch)
-    rep = decomposition_suite(42, 1000)
-    assert rep.status == "fail"
-    assert rep == reference_suite(42, 1000)
-
-
-
-def _drawn_vector_fault(monkeypatch):
-    """project6(2, .) adds 1 to every entry of a matrix with m01 = 5 m10 != 0:
-    at a given scale, only a drawn mixed vector (p_i are symmetric,
-    antisymmetric or diagonal), so completeness, order 1, fails there."""
+def _oblique_v1(monkeypatch):
+    """V1 tilted to the span of omega + nu_12, V2 and V3 kept: the
+    projections stay complementary and idempotent but are not orthogonal."""
     engine = decomp.project6
 
-    def wrong(i, m):
-        hit = (m[0][1] == 5 * m[1][0]) & (m[1][0] != 0) & (i == 2)
-        return engine(i, m) + np.where(hit, 1, 0)
+    def oblique(i, m):
+        tilt = 2 * np.multiply.outer(NU_12, m[0][0] + m[1][1] + m[2][2])
+        return engine(i, m) + {1: tilt, 2: 0, 3: -tilt}[i]
 
-    monkeypatch.setattr(decomp, "project6", wrong)
-
-
-def _symmetric_part_fault(monkeypatch):
-    """*3[omega, .] adds 1 to every entry of a symmetric matrix with
-    m01 = 7 m02 != 0: only the V3 part of a drawn vector, so the eigen
-    relation on V3, order 11, fails there and nothing else does."""
-    engine = decomp.omega_bracket
-
-    def wrong(m):
-        hit = (m[0][1] == m[1][0]) & (m[0][1] == 7 * m[0][2]) & (m[0][2] != 0)
-        return engine(m) + np.where(hit, 1, 0)
-
-    monkeypatch.setattr(decomp, "omega_bracket", wrong)
+    monkeypatch.setattr(decomp, "project6", oblique)
 
 
-@pytest.mark.parametrize("faults, want", [
-    ((_drawn_vector_fault,), (2090, "projection completeness failed")),
-    ((_symmetric_part_fault,), (1280, "eigen relation failed")),
-    ((_drawn_vector_fault, _symmetric_part_fault),
-     (1280, "eigen relation failed")),
-], ids=["order-1-at-2090", "order-11-at-1280", "both"])
-def test_battery_reports_first_vector_then_first_check(monkeypatch, faults, want):
-    # scale-free faults that, at seed 124, first meet vectors 2090 and 1280,
-    # in the third and second blocks: the one battery pass over the strided
-    # vectors of all blocks names the smallest failing vector, and on it the
-    # first failing check, as the per-vector reference does; with both
-    # faults the check of order 1 fails only at the later vector
-    for fault in faults:
-        fault(monkeypatch)
-    rep = decomposition_suite(124, 2100)
-    assert (rep.status, rep.computed, rep.detail) == ("fail", *want)
-    assert rep == reference_suite(124, 2100)
-    assert decomposition_suite(124, 1280).status == "pass"
+# engine faults, each applied through monkeypatch
+_FAULTS = {
+    "eps-sign": lambda mp: mp.setattr(forms, "EPS_TABLE",
+                                      _flip_one_sign(forms.EPS_TABLE)),
+    "v3-keeps-trace": _trace_keeping_v3,
+    "eigenvalue-off-by-one": lambda mp: mp.setattr(decomp, "EIGENVALUES", (2, 2, -1)),
+    "v1-doubled": lambda mp: mp.setattr(
+        decomp, "project6", lambda i, m, f=decomp.project6: f(i, m) * (2 if i == 1 else 1)),
+    "v1-oblique": _oblique_v1,
+}
+IDENTITY_IDS = ("decomposition-completeness", "decomposition-idempotence",
+                "decomposition-orthogonality", "decomposition-self-adjoint",
+                "decomposition-eigen-relation", "decomposition-lemma-gram")
+# fault -> (the basis identities that fail, status of decomposition-suite).
+# The seeded suite's per-vector claim reads only the wedge bracket: it never
+# calls project6 or reads EIGENVALUES, so it passes under every fault but
+# eps-sign.  Under v3-keeps-trace it used to fail only through the sampled
+# battery that the basis identities replaced.
+_LIVENESS = {
+    "eps-sign": ({"decomposition-eigen-relation", "decomposition-lemma-gram"},
+                 "fail"),
+    "v3-keeps-trace": ({"decomposition-completeness", "decomposition-orthogonality",
+                        "decomposition-eigen-relation", "decomposition-lemma-gram"},
+                       "pass"),
+    "eigenvalue-off-by-one": ({"decomposition-eigen-relation"}, "pass"),
+    "v1-doubled": ({"decomposition-completeness", "decomposition-idempotence"},
+                   "pass"),
+    "v1-oblique": ({"decomposition-self-adjoint", "decomposition-eigen-relation",
+                    "decomposition-lemma-gram"}, "pass"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_LIVENESS))
+def test_suite_is_live(monkeypatch, tmp_path, fault):
+    from kwlab import cli
+
+    failing, suite_status = _LIVENESS[fault]
+    _FAULTS[fault](monkeypatch)
+    out = tmp_path / "decomposition.json"
+    assert cli.main(["verify", "--suite", "decomposition", "--n", "1000",
+                     "--out", str(out)]) == 1
+    status = {c["check_id"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert {cid for cid in IDENTITY_IDS if status[cid] == "fail"} == failing
+    assert status["decomposition-suite"] == suite_status
+    assert decomposition_suite(42, 1000) == reference_suite(42, 1000)
+
 
 # ---------------------------------------------------------------------------
 # the Fraction oracle of the integer tables: each entry's claim as stated,
@@ -543,18 +518,47 @@ def fraction_eigen_table() -> dict:
             for k, v in enumerate(vecs)}
 
 
+def fraction_basis_identities() -> dict:
+    """check_id -> whether the identity holds, for each entry of
+    basis_identities, stated on the Fraction unit forms e_k with the
+    projections p_i = P_i / 6 and the bilinear forms L and B."""
+    units = [_form(row.reshape(3, 3).tolist()) for row in np.eye(9, dtype=int)]
+    parts = {i: [project_q(i, e) for e in units] for i in (1, 2, 3)}
+    tr = lambda m: m[0][0] + m[1][1] + m[2][2]
+    inner = forms.frob_inner
+    pairs = [(k, l) for k in range(9) for l in range(9)]
+
+    def gram_holds(k, l):
+        u, v = units[k], units[l]
+        lam = 3 * tr(wedge_bracket_matrix(u, v)) - 2 * tr(u) * tr(v)
+        bil = 3 * inner(u, v) - tr(u) * tr(v)
+        return (bil - lam == 6 * inner(parts[3][k], parts[3][l])
+                and bil + lam == 6 * inner(parts[2][k], parts[2][l]))
+
+    return {
+        "decomposition-completeness": all(
+            _eq(parts[1][k] + parts[2][k] + parts[3][k], e)
+            for k, e in enumerate(units)),
+        "decomposition-idempotence": all(
+            _eq(project_q(i, p), p) for i in (1, 2, 3) for p in parts[i]),
+        "decomposition-orthogonality": all(
+            _eq(project_q(j, p), OMEGA * 0)
+            for i in (1, 2, 3) for j in (1, 2, 3) if j != i for p in parts[i]),
+        "decomposition-self-adjoint": all(
+            inner(units[l], parts[i][k]) == inner(units[k], parts[i][l])
+            for i in (1, 2, 3) for k, l in pairs),
+        "decomposition-eigen-relation": all(
+            _eq(decomp.omega_bracket(p), p * Fraction(lam))
+            for i, lam in zip((1, 2, 3), decomp.EIGENVALUES) for p in parts[i]),
+        "decomposition-lemma-gram": all(gram_holds(k, l) for k, l in pairs),
+    }
+
+
 def _table_verdicts(checks) -> dict:
     return {c.check_id: c.computed == 1.0 for c in checks if c.gates}
 
 
-_TABLE_FAULTS = {
-    "none": lambda mp: None,
-    "eps-sign": lambda mp: mp.setattr(forms, "EPS_TABLE",
-                                      _flip_one_sign(forms.EPS_TABLE)),
-    "v1-doubled": lambda mp: mp.setattr(
-        decomp, "project6", lambda i, m, f=decomp.project6: f(i, m) * (2 if i == 1 else 1)),
-    "eigenvalue-off-by-one": lambda mp: mp.setattr(decomp, "EIGENVALUES", (2, 2, -1)),
-}
+_TABLE_FAULTS = {"none": lambda mp: None, **_FAULTS}
 
 
 @pytest.mark.parametrize("fault", list(_TABLE_FAULTS))
@@ -563,10 +567,12 @@ def test_integer_tables_match_fraction_oracle(monkeypatch, fault):
     # in Fractions, on the working engine (all hold) and under faults (the
     # same entries fail)
     _TABLE_FAULTS[fault](monkeypatch)
-    star, eigen = appendix_star_table(), omega_bracket_eigencheck()
-    assert _table_verdicts(star) == fraction_star_table()
-    assert _table_verdicts(eigen) == fraction_eigen_table()
-    verdicts = [*_table_verdicts(star).values(), *_table_verdicts(eigen).values()]
+    tables = ((appendix_star_table(), fraction_star_table()),
+              (omega_bracket_eigencheck(), fraction_eigen_table()),
+              (basis_identities(), fraction_basis_identities()))
+    for checks, oracle in tables:
+        assert _table_verdicts(checks) == oracle
+    verdicts = [ok for _, oracle in tables for ok in oracle.values()]
     assert all(verdicts) == (fault == "none")
 
 
