@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -86,27 +87,28 @@ def suite_algebra(cfg: SuiteConfig) -> list:
         + abs(float(su2.inner(t1, t2)))
         + abs(sum(float(su2.inner(t, t)) for t in (t1, t2, t3)) - 1.5),
         expected=0.0, tolerance=0.0, provenance="reference"))
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(100):
-        axis = rng.normal(size=3)
-        angle = float(rng.uniform(0, 2 * math.pi))
-        u = rng.normal(size=3)
-        v = rng.normal(size=3)
-        ru, rv = (su2.ad_rotate(axis, angle, w) for w in (u, v))
-        worst = max(worst, abs(su2.norm(ru) - su2.norm(u)))
-        worst = max(worst, su2.norm(
-            su2.ad_rotate(axis, angle, su2.bracket(u, v)) - su2.bracket(ru, rv)))
+    # 100 seeded samples, drawn one at a time (axis, angle, u, v) and rotated
+    # as (3, 100) stacks
+    rng = random.Random(cfg.seed)
+    samples = np.array([[rng.gauss(0.0, 1.0) for _ in range(3)]
+                        + [rng.uniform(0.0, 2 * math.pi)]
+                        + [rng.gauss(0.0, 1.0) for _ in range(6)]
+                        for _ in range(100)]).T
+    axis, angle, u, v = samples[:3], samples[3], samples[4:7], samples[7:]
+    ru, rv = (su2.ad_rotate(axis, angle, w) for w in (u, v))
+    worst = max(np.max(np.abs(su2.norm(ru) - su2.norm(u))), np.max(su2.norm(
+        su2.ad_rotate(axis, angle, su2.bracket(u, v)) - su2.bracket(ru, rv))))
     checks.append(make_check(
         "su2-rotation", "adjoint rotations preserve norm and bracket "
         "(100 seeded samples)",
-        computed=worst, expected=0.0,
+        computed=float(worst), expected=0.0,
         tolerance=cfg.tol("su2-rotation", 1e-13), provenance="trivial"))
-    # 50 integer samples (u, v, w) as (3, 50) stacks: the values that one
-    # integers(-9, 10, 3) call per element draws.  2 |s|^2 and 2 <., .> are
-    # integer sums, so the halves are exact floats
-    u, v, w = np.random.default_rng(cfg.seed + 1).integers(
-        -9, 10, (50, 3, 3)).transpose(1, 2, 0)
+    # 50 integer samples (u, v, w) as (3, 50) stacks, drawn one sample at a
+    # time, u, v, w in turn.  2 |s|^2 and 2 <., .> are integer sums, so the
+    # halves are exact floats
+    rng = random.Random(cfg.seed + 1)
+    u, v, w = np.array([rng.randrange(-9, 10) for _ in range(450)]).reshape(
+        50, 3, 3).transpose(1, 2, 0)
     s = (su2.bracket(u, su2.bracket(v, w)) + su2.bracket(v, su2.bracket(w, u))
          + su2.bracket(w, su2.bracket(u, v)))
     ad = su2.inner(su2.bracket(w, u), v) + su2.inner(u, su2.bracket(w, v))
@@ -141,7 +143,7 @@ def suite_models(cfg: SuiteConfig) -> list:
         tolerance=cfg.tol("residual-invariant-model-alt", 1e-10),
         provenance="reference"))
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     pole, sing = halfspace.nahm_pole_field(), halfspace.nahm_singular_field()
     # the pole model at every drawn point, the singular one where r >= 0.1
     pts, kept = halfspace.sample_points(rng, 1000, r_min=0.1)
@@ -297,7 +299,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         return out
 
     def chains():
-        rng = np.random.default_rng(cfg.seed)
+        rng = random.Random(cfg.seed)
         worst_min_slack = None
         n_fail = 0
         for start in range(0, cfg.n_pert, energy.BLOCK):
@@ -677,7 +679,7 @@ def main(argv=None) -> int:
             else:
                 r_min = 0.0 if args.model == "nahm-pole" else 0.1
                 pts, kept = halfspace.sample_points(
-                    np.random.default_rng(cfg.seed), args.n or 100, r_min=r_min)
+                    random.Random(cfg.seed), args.n or 100, r_min=r_min)
                 pts = pts[:, kept]
             out = cfg.out or "residuals.csv"
             halfspace.write_residuals_csv(out, fld, pts)

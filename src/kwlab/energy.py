@@ -24,6 +24,7 @@ and reports them with full provenance.
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
 from dataclasses import replace
 from functools import partial
@@ -409,13 +410,15 @@ def exp_decay_q(amplitudes, rates, y):
     return ya * e, ya * (e * -rate) + amp * e
 
 
-def random_perturbations(rng: np.random.Generator, k: int):
+def random_perturbations(rng: random.Random, k: int):
     """k seeded perturbations as amplitudes (k,), rates (k,) and directions
-    (k, 3, 3), drawn one perturbation at a time: amplitude, rate, direction."""
-    draws = [(rng.uniform(0.05, 0.6), rng.uniform(0.9, 2.5),
-              rng.uniform(-1.0, 1.0, size=(3, 3))) for _ in range(k)]
-    amps, rates, dirs = zip(*draws)
-    return np.array(amps), np.array(rates), np.array(dirs)
+    (k, 3, 3), drawn one perturbation at a time by ``rng.uniform``: the
+    amplitude, the rate, then the direction's 9 entries in row-major order."""
+    uniform = rng.uniform
+    draws = np.array([[uniform(0.05, 0.6), uniform(0.9, 2.5),
+                       *(uniform(-1.0, 1.0) for _ in range(9))]
+                      for _ in range(k)]).reshape(k, 11)
+    return draws[:, 0], draws[:, 1], draws[:, 2:].reshape(k, 3, 3)
 
 
 def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,

@@ -28,6 +28,7 @@ Each point's arithmetic is the same as for a point on its own.
 from __future__ import annotations
 
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -135,23 +136,24 @@ def scale_pullback(fld: FlatModelField, s: float) -> FlatModelField:
     return FlatModelField(fld.name, fld.evaluator, scale=fld.scale * s)
 
 
-def sample_points(rng: np.random.Generator, n: int, width: float = 3.0,
+def sample_points(rng: random.Random, n: int, width: float = 3.0,
                   y_range=(0.3, 3.0), r_min: float = 0.0):
     """Seeded points, uniform in [-width, width]^3 x y_range, drawn until n of
     them have r = hypot(x1, x2) >= r_min.
 
     Returns every drawn point as a (4, m) array and the mask of the kept
-    ones.  The stream is that of drawing uniform(-width, width, 3) and then
-    uniform(*y_range) point by point, and no point past the n-th kept one is
-    drawn, so the generator can go on to other draws.
+    ones.  Points are drawn one at a time, x1, x2, x3 and then y, each by
+    ``rng.uniform``, and no point past the n-th kept one is drawn, so the
+    generator can go on to other draws.
     """
-    low, high = (-width,) * 3 + (y_range[0],), (width,) * 3 + (y_range[1],)
-    pts, kept = np.empty((4, 0)), np.empty(0, dtype=bool)
-    while np.count_nonzero(kept) < n:
-        new = rng.uniform(low, high, size=(n - np.count_nonzero(kept), 4)).T
-        pts = np.hstack([pts, new])
-        kept = np.append(kept, _hypot(new[0], new[1]) >= r_min)
-    return pts, kept
+    uniform = rng.uniform
+    drawn, kept, count = [], [], 0
+    while count < n:
+        x1, x2 = uniform(-width, width), uniform(-width, width)
+        drawn.append((x1, x2, uniform(-width, width), uniform(*y_range)))
+        kept.append(math.hypot(x1, x2) >= r_min)
+        count += kept[-1]
+    return np.array(drawn).reshape(-1, 4).T, np.array(kept, dtype=bool)
 
 
 # pairs (mu, nu) -> dual pair and sign under the star with volume

@@ -570,14 +570,16 @@ SHOOT_ORDER = 6  # order of the pole series the shooting starts from
 _U_SCALE = math.exp(-2.0 * SHOOT_Y)
 
 
-def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float):
+def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float,
+                    steps=None):
     """One batched run from the (2, k) initial ``states``; per lane
     (outcome, sign, y, U): 'blow' with the sign of b at blow-up, 'reached'
     with U = (a - b)(y_end) e^{-2 y_end} and sign -sign(U), or 'non-finite'
     (no sign); y is where the lane's run ended (for a lane certified to
     blow up, where the certificate fired) and U is None unless the lane
-    reached y_end."""
-    run = _taylor_lanes(sys, y0, states, y_end, certify=True)
+    reached y_end.  ``steps`` (one-lane runs only) collects the run's steps
+    as in ``_taylor_lanes``."""
+    run = _taylor_lanes(sys, y0, states, y_end, steps, certify=True)
     outcomes = []
     for lane, status in enumerate(run.status):
         y = float(run.ys[lane])
@@ -621,8 +623,15 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
 
     ``series`` is the pole series from ``indicial_expand``, its coefficients
     polynomials in p, evaluated exactly once per classified p; each
-    bracket end carries its initial state.  A run that turns non-finite has
-    no sign and raises, as does a falsi run that blows up before SHOOT_Y.
+    bracket end carries its initial state and the steps of its falsi run
+    (none for an end from a coarse pass).  The returned trajectory resumes
+    the chosen end's run: its steps that end below both SHOOT_Y and
+    ``y_end`` are those a fresh run from the same state takes (the stepper
+    is deterministic per lane, and neither run clipped them), so one
+    ``integrate_ivp`` continues from the last of them, with the state
+    there, the next step's zeroth coefficients.  A run that turns
+    non-finite has no sign and raises, as does a falsi run that blows up
+    before SHOOT_Y.
     The certificate is proven for the locked system only: on a system with
     other coefficients than LOCKED_COEFFS the first run raises ValueError.
     """
@@ -642,8 +651,11 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
                                  f"non-finite near y = {out[2]:.6g}")
         return outcomes
 
-    def run(states):
-        return _classify_lanes(sys, np.array(states).T, y0, SHOOT_Y)
+    def run(states, steps=None):
+        return _classify_lanes(sys, np.array(states).T, y0, SHOOT_Y, steps)
+
+    def no_steps():
+        return [np.longdouble(y0)], []
 
     def interior(lo, hi):
         width = hi - lo
@@ -655,6 +667,7 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
     # interior points, which enter the trace only if that pass is made
     lo, hi = bracket
     s_lo, s_hi = state(lo), state(hi)
+    w_lo = w_hi = no_steps()
     params, states = interior(lo, hi)
     outcomes = run([s_lo, s_hi, *states])
     out_lo, out_hi = record((lo, hi), outcomes[:2])
@@ -670,9 +683,9 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
         coarse += 1
         for p, s, out in zip(params, states, record(params, outcomes)):
             if out[1] != out_lo[1]:
-                hi, s_hi, out_hi = p, s, out
+                hi, s_hi, out_hi, w_hi = p, s, out, no_steps()
                 break
-            lo, s_lo, out_lo = p, s, out
+            lo, s_lo, out_lo, w_lo = p, s, out, no_steps()
         if (lo, hi) == before:
             raise ValueError("coarse shooting phase stalled at parameter "
                              f"bracket [{lo!r}, {hi!r}]")
@@ -687,10 +700,11 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
         if not lo < p < hi:
             break
         s = state(p)
-        # a point with an end's initial state has that end's U: no run
-        u = {s_lo: u_lo, s_hi: u_hi}.get(s)
+        # a point with an end's initial state has that end's U and run
+        u, w = {s_lo: (u_lo, w_lo), s_hi: (u_hi, w_hi)}.get(s, (None, None))
         if u is None:
-            (out,) = record([p], run([s]))
+            w = no_steps()
+            (out,) = record([p], run([s], w))
             falsi += 1
             if out[0] != _REACHED:
                 raise ValueError(
@@ -698,19 +712,24 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
                     f"y = {out[2]:.6g}, before y = {SHOOT_Y}")
             u = out[3]
         if (u < 0) == (u_lo < 0):
-            lo, s_lo, u_lo, f_lo = p, s, u, u
+            lo, s_lo, u_lo, f_lo, w_lo = p, s, u, u, w
             if kept == 1:
                 f_hi /= 2
             kept = 1
         else:
-            hi, s_hi, u_hi, f_hi = p, s, u, u
+            hi, s_hi, u_hi, f_hi, w_hi = p, s, u, u, w
             if kept == -1:
                 f_lo /= 2
             kept = -1
-    param, s, u_final = ((lo, s_lo, u_lo) if abs(u_lo) <= abs(u_hi)
-                         else (hi, s_hi, u_hi))
+    param, s, u_final, (knots, coeffs) = (
+        (lo, s_lo, u_lo, w_lo) if abs(u_lo) <= abs(u_hi)
+        else (hi, s_hi, u_hi, w_hi))
 
-    res = integrate_ivp(sys, y0, s, y_end)
+    done = sum(y < min(SHOOT_Y, y_end) for y in knots[1:])
+    tail = integrate_ivp(sys, knots[done],
+                         coeffs[done][:, 0] if done else s, y_end)
+    res = IvpResult(np.array([*knots[:done], *tail.knots]),
+                    np.array([*coeffs[:done], *tail.coeffs]), tail.end)
     return ShootResult(param=param, result=res, trace=trace,
                        coarse_passes=coarse, falsi_runs=falsi,
                        u_final=u_final)

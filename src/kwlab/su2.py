@@ -19,7 +19,6 @@ into a float, exact below 2^53.
 
 from __future__ import annotations
 
-import math
 import numpy as np
 
 T1, T2, T3 = np.eye(3, dtype=np.int64)
@@ -45,29 +44,24 @@ def norm_sq(u):
     return inner(u, u)
 
 
-def norm(u) -> float:
-    return math.sqrt(float(norm_sq(u)))
+def norm(u):
+    """|u|, a float for an element and an (n,) array for a stack."""
+    return np.sqrt(np.asarray(norm_sq(u), dtype=float))
 
 
-def ad_rotate(axis, angle: float, u):
-    """Adjoint rotation of u about the given axis (Rodrigues formula).
+def ad_rotate(axis, angle, u):
+    """Adjoint rotation of u about the given axis (Rodrigues formula); axis
+    and u are elements or (3, n) stacks, angle a float or an (n,) array.
 
     The adjoint action of SU(2) on su(2) is the SO(3) rotation of the
     coefficient vector; it preserves both bracket and inner product.
     """
-    ax = [float(c) for c in axis]
-    nrm = math.sqrt(sum(c * c for c in ax))
-    if nrm == 0.0:
+    ax = np.asarray(axis, dtype=float)
+    nrm = np.sqrt(ax[0] * ax[0] + ax[1] * ax[1] + ax[2] * ax[2])
+    if np.any(nrm == 0.0):
         raise ValueError("degenerate rotation axis")
-    n = [c / nrm for c in ax]
-    uc = [float(c) for c in u]
-    c, s = math.cos(angle), math.sin(angle)
-    ndotu = sum(a * b for a, b in zip(n, uc))
-    ncross = [
-        n[1] * uc[2] - n[2] * uc[1],
-        n[2] * uc[0] - n[0] * uc[2],
-        n[0] * uc[1] - n[1] * uc[0],
-    ]
-    return np.array(
-        [c * uc[k] + s * ncross[k] + (1 - c) * ndotu * n[k] for k in range(3)]
-    )
+    n = ax / nrm
+    uc = np.asarray(u, dtype=float)
+    c, s = np.cos(angle), np.sin(angle)
+    ndotu = n[0] * uc[0] + n[1] * uc[1] + n[2] * uc[2]
+    return c * uc + s * bracket(n, uc) + (1 - c) * ndotu * n

@@ -7,6 +7,7 @@ The full committed configuration (configs/acceptance.cfg) drives criterion
 
 import math
 import os
+import random
 import time
 from fractions import Fraction
 
@@ -61,7 +62,7 @@ def full_run(acceptance_cfg):
 
 def test_criterion_01_model_residuals(conv):
     t0 = time.time()
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     flat = halfspace.nahm_pole_field()
     sing = halfspace.nahm_singular_field()
     pts, _ = halfspace.sample_points(rng, 1000)
@@ -212,7 +213,7 @@ def test_criterion_10_charge(conv, quad_spec):
 def test_criterion_11_scaling_limits():
     sc = higgs_scale_check()
     slope_ok = abs(sc["slope"] - 2.0) <= 0.1
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     exact = True
     for fld in (halfspace.nahm_pole_field(), halfspace.nahm_singular_field()):
         for s in (0.5, 0.25, 2.0):

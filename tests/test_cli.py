@@ -592,6 +592,28 @@ def test_package_imports_only_stdlib_and_numpy():
     assert sorted(f for f in found if f[1] not in allowed) == []
 
 
+def test_seeded_commands_do_not_load_numpy_random(tmp_path):
+    # every seeded sample comes from random.Random: in a fresh process the
+    # sampling suites and the residual command leave numpy.random (and the
+    # secrets/OpenSSL chain it imports) unloaded
+    root = os.path.join(os.path.dirname(__file__), "..")
+    code = (
+        "import sys\n"
+        "from kwlab.cli import main\n"
+        "out = sys.argv[1]\n"
+        "for suite in ('algebra', 'models', 'energy'):\n"
+        "    assert main(['verify', '--suite', suite, '--n-pert', '9',\n"
+        "                 '--out', out + '/' + suite + '.json']) == 0\n"
+        "assert main(['residual', '--out', out + '/res.csv']) == 0\n"
+        "print(sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_io_error_exit_three(tmp_path):
     # parent of the output path is a regular file: creation must fail
     blocker = tmp_path / "blocker.txt"

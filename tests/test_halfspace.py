@@ -1,6 +1,7 @@
 """Flat half-space models: pointwise values, residuals, dilation behaviour."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -114,12 +115,12 @@ def _ref_residual(evaluator, p, scale=1.0):
 
 def _ref_draws(seed, n, width, y_lo, y_hi, r_min):
     """The point-by-point sampling loop: (drawn points, kept flags)."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     drawn, kept = [], []
     while sum(kept) < n:
-        x1, x2, x3 = rng.uniform(-width, width, 3)
-        y = float(rng.uniform(y_lo, y_hi))
-        drawn.append((float(x1), float(x2), float(x3), y))
+        x1, x2, x3 = (rng.uniform(-width, width) for _ in range(3))
+        y = rng.uniform(y_lo, y_hi)
+        drawn.append((x1, x2, x3, y))
         kept.append(math.hypot(x1, x2) >= r_min)
     return drawn, kept, rng
 
@@ -131,7 +132,7 @@ def _ref_draws(seed, n, width, y_lo, y_hi, r_min):
 @pytest.mark.parametrize("seed", [1, 5, 42])
 def test_array_residuals_match_per_point_reference(seed):
     # bit for bit, across block edges, for both models and their pullbacks
-    pts, kept = sample_points(np.random.default_rng(seed), 2000, r_min=0.1)
+    pts, kept = sample_points(random.Random(seed), 2000, r_min=0.1)
     pts = pts[:, kept]
     cols = [tuple(float(c) for c in col) for col in pts.T]
     for fld, ref in ((nahm_pole_field(), _ref_pole),
@@ -153,14 +154,14 @@ def test_sampler_keeps_the_point_by_point_stream(seed):
                                      (3.0, (0.3, 3.0), 0.0, 50),
                                      (2.0, (0.3, 2.0), 0.0, 60),
                                      (3.0, (0.2, 3.0), 0.1, 1000)):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         pts, kept = sample_points(rng, n, width, y_range, r_min)
         drawn, ref_kept, ref_rng = _ref_draws(seed, n, width, *y_range, r_min)
         assert pts.shape == (4, len(drawn))
         assert pts.T.tolist() == [list(p) for p in drawn]
         assert kept.tolist() == ref_kept and int(kept.sum()) == n
         # nothing drawn past the last kept point: the stream continues alike
-        assert rng.uniform() == ref_rng.uniform()
+        assert rng.random() == ref_rng.random()
 
 
 def test_empty_point_set():
@@ -197,7 +198,7 @@ def test_pole_model_values():
 
 def test_pole_model_residual_seeded():
     fld = nahm_pole_field()
-    pts, _ = sample_points(np.random.default_rng(123), 1000)
+    pts, _ = sample_points(random.Random(123), 1000)
     worst = float(np.max(kw_residual_flat_combined(fld, pts)))
     assert worst < 1e-12
 
@@ -222,7 +223,7 @@ def test_singular_model_axis_and_sample_values():
 
 def test_singular_model_residual_seeded():
     fld = nahm_singular_field()
-    pts, kept = sample_points(np.random.default_rng(321), 1000,
+    pts, kept = sample_points(random.Random(321), 1000,
                               y_range=(0.2, 3.0), r_min=0.1)
     worst = float(np.max(kw_residual_flat_combined(fld, pts[:, kept])))
     assert worst < 1e-10
@@ -237,7 +238,7 @@ def test_boundary_evaluation_rejected():
 
 
 def test_scale_pullback_fixes_models_exactly():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for fld in (nahm_pole_field(), nahm_singular_field()):
         for s in (0.5, 0.25, 4.0):  # powers of two: float ops exact
             pulled = scale_pullback(fld, s)
@@ -311,7 +312,7 @@ def test_perturbed_pole_field_matches_finite_differences():
         return smp._replace(dphi=dphi, dA=dA)
 
     fd_field = FlatModelField("fd", fd_eval)
-    pts, _ = sample_points(np.random.default_rng(5), 5, width=1.0,
+    pts, _ = sample_points(random.Random(5), 5, width=1.0,
                            y_range=(0.5, 1.5))
     r_exact = kw_residual_flat_combined(fld, pts)
     r_fd = kw_residual_flat_combined(fd_field, pts)

@@ -943,10 +943,38 @@ def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
     assert {o[0] for o in got} == {"blow", "reached"}
 
 
+@pytest.mark.parametrize("y0", [0.05, 0.1, 0.137, 0.2])
+def test_final_run_resumes_the_chosen_ends_run_bitwise(system, series,
+                                                      monkeypatch, y0):
+    # the returned trajectory continues the chosen falsi end's run from its
+    # last step below SHOOT_Y and y_end; it is the fresh run from the
+    # located state, knot for knot; y_end <= SHOOT_Y is the edge case
+    starts = []
+    resumed = reduced.integrate_ivp
+
+    def recording(sys, y, state, y1):
+        starts.append(y)
+        return resumed(sys, y, state, y1)
+
+    monkeypatch.setattr(reduced, "integrate_ivp", recording)
+    for y_end in (6.0, 8.0, 12.0):
+        shot = shoot_for_decay(system, series, y0=y0, y_end=y_end)
+        fresh = integrate_ivp(system, y0, series.at(shot.param).state(y0),
+                              y_end)
+        got = shot.result
+        for x, y in ((got.knots, fresh.knots), (got.coeffs, fresh.coeffs),
+                     (got.end, fresh.end)):
+            assert _same_bits(x, y), (y0, y_end)
+        # the resumed run starts at a knot of the fresh one, past y0
+        assert y0 < starts[-1] < min(reduced.SHOOT_Y, y_end)
+        assert starts[-1] in fresh.knots
+
+
 def test_shot_work_counts(system, series, monkeypatch):
     # one run for the bracket ends with the first coarse pass, four more
     # coarse passes, six falsi runs and the final run: 12 Taylor runs and
-    # 371 Taylor steps
+    # 345 Taylor steps; the final run resumes the chosen falsi end's run
+    # after its 26 steps below y = 8 (a fresh run repeated them: 371)
     calls = {"_taylor_lanes": 0, "taylor_coefficients": 0}
 
     def counting(name):
@@ -960,5 +988,5 @@ def test_shot_work_counts(system, series, monkeypatch):
     for name in calls:
         monkeypatch.setattr(reduced, name, counting(name))
     shot = shoot_for_decay(system, series, y0=0.1)
-    assert calls == {"_taylor_lanes": 12, "taylor_coefficients": 371}
+    assert calls == {"_taylor_lanes": 12, "taylor_coefficients": 345}
     assert (shot.coarse_passes, shot.falsi_runs, len(shot.trace)) == (6, 6, 83)

@@ -123,9 +123,29 @@ def test_rotation_preserves_norm_seeded():
         assert abs(norm(ad_rotate(axis, angle, u)) - norm(u)) < 1e-13
 
 
+def test_rotation_of_a_stack_matches_per_sample_calls():
+    # a (3, n) stack with n angles, against one call per sample, to a few
+    # ulps of |u| (numpy may round cos and sin of an array and of a scalar
+    # differently); the norm of a stack is the per-sample norms
+    rng = np.random.default_rng(12)
+    axis, u = rng.normal(size=(2, 3, 60))
+    angle = rng.uniform(0, 2 * math.pi, 60)
+    got = ad_rotate(axis, angle, u)
+    assert got.shape == (3, 60)
+    for k in range(60):
+        one = ad_rotate(axis[:, k], angle[k], u[:, k])
+        assert one.shape == (3,)
+        assert np.abs(got[:, k] - one).max() <= 4 * np.finfo(float).eps * norm(u[:, k])
+    assert norm(got).tolist() == [float(norm(got[:, k])) for k in range(60)]
+
+
 def test_degenerate_axis_rejected():
     with pytest.raises(ValueError, match="degenerate rotation axis"):
         ad_rotate(ZERO, 1.0, T1)
+    axis = np.ones((3, 4))
+    axis[:, 2] = 0.0
+    with pytest.raises(ValueError, match="degenerate rotation axis"):
+        ad_rotate(axis, np.ones(4), np.ones((3, 4)))
 
 
 small_fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
