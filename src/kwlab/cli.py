@@ -147,8 +147,10 @@ def suite_models(cfg: SuiteConfig) -> list:
     pole, sing = halfspace.nahm_pole_field(), halfspace.nahm_singular_field()
     # the pole model at every drawn point, the singular one where r >= 0.1
     pts, kept = halfspace.sample_points(rng, 1000, r_min=0.1)
-    worst_np = float(np.max(halfspace.kw_residual_flat_combined(pole, pts)))
-    worst_s = float(np.max(halfspace.kw_residual_flat_combined(sing, pts[:, kept])))
+    worst_np = float(np.max(
+        halfspace.kw_residual_flat_combined(conv, pole, pts)))
+    worst_s = float(np.max(
+        halfspace.kw_residual_flat_combined(conv, sing, pts[:, kept])))
     checks.append(make_check(
         "residual-nahm-pole",
         f"pole model solves pointwise at {pts.shape[1]} seeded points",
@@ -672,6 +674,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "residual":
+            conv = _active_conventions(cfg)
             fld = (halfspace.nahm_pole_field() if args.model == "nahm-pole"
                    else halfspace.nahm_singular_field())
             if args.points:
@@ -682,7 +685,7 @@ def main(argv=None) -> int:
                     random.Random(cfg.seed), args.n or 100, r_min=r_min)
                 pts = pts[:, kept]
             out = cfg.out or "residuals.csv"
-            halfspace.write_residuals_csv(out, fld, pts)
+            halfspace.write_residuals_csv(out, conv, fld, pts)
             print(f"wrote {out}")
             return 0
 

@@ -17,8 +17,9 @@ Geometry enters through three discrete constants:
 with *3 fixed cyclically on S^3 ( *3(e_b^e_c) = e_a ).  ``FieldAt`` is the
 one place where the field algebra lives: the Kapustin-Witten blocks of
 coefficient matrices, which the residual, the energy densities, the
-perturbation chain and the reduced system all read, and ``FieldAt.of`` the
-one place that evaluates a field's profiles for it.  The 3d and 4d Hodge
+perturbation chain, the reduced system and the flat chart of ``halfspace``
+all read, and ``FieldAt.of`` the one place that evaluates a field's
+profiles for it.  The 3d and 4d Hodge
 stars act only inside ``kw_residual``, as these constants.  None of them is
 chosen by hand: ``calibrate`` searches the finite set c_struct in {+-1, +-2},
 s1, s2 in {+-1} for the unique choice that makes the Ricci curvature of the
@@ -118,22 +119,30 @@ _PROFILE_OF = {"a": "connection", "n_f": "connection",
 
 
 class FieldAt:
-    """An invariant field (A_y = 0) given by its coefficient matrices a,
-    a' (= F_n), p and p', matrix axes first and trailing node axes, in any
-    dtype; a matrix that no block read needs may be None.  The blocks are
-    formed on first use, so a reader forms only the brackets it needs:
+    """A field (A_y = 0) given by its coefficient matrices a, a' (= F_n), p
+    and p', matrix axes first and trailing node axes, in any dtype; a
+    matrix that no block read needs may be None.  The blocks are formed on
+    first use, so a reader forms only the brackets it needs:
 
-        t_f     tangential curvature          -c a + aa
+        t_f     tangential curvature          d a + aa
         phi2    (1/2)[p ^ p]
-        t_dphi  tangential d_A phi             -c p + ap
-        div     d_A * phi, an su(2) element    sum_col [a_col, p_col]
+        t_dphi  tangential d_A phi             d p + ap
+        div     bracket part of d_A * phi      sum_col [a_col, p_col]
 
     with the convention-free brackets aa = (1/2)[a ^ a] and ap = [a ^ p].
+    The geometry gives d a and d p, tangential, as dual matrices, and the
+    derivative part d_div of d_A * phi: -c a, -c p and 0 on an invariant
+    field, while a flat chart passes its own as ``chart``.
     """
 
-    def __init__(self, conv: GeometryConventions, a, da, p, dp):
-        self.conv = conv
+    chart = None
+    d_div = 0
+
+    def __init__(self, conv: GeometryConventions, a, da, p, dp, chart=None):
+        self.conv, self.chart = conv, chart
         self.a, self.n_f, self.p, self.dp = a, da, p, dp
+        if chart is not None:
+            self.d_a, self.d_p, self.d_div = chart
 
     @classmethod
     def of(cls, conv: GeometryConventions, field, y, dtype=None) -> "FieldAt":
@@ -165,7 +174,7 @@ class FieldAt:
     def under(self, conv: GeometryConventions) -> "FieldAt":
         """The same matrices under other conventions, sharing this field's
         convention-free brackets (formed here if they are not yet)."""
-        out = FieldAt(conv, self.a, self.n_f, self.p, self.dp)
+        out = FieldAt(conv, self.a, self.n_f, self.p, self.dp, self.chart)
         for name in ("aa", "phi2", "ap", "div"):
             setattr(out, name, getattr(self, name))
         return out
@@ -179,8 +188,16 @@ class FieldAt:
         return wedge_bracket_matrix(self.a, self.p)
 
     @cached_property
+    def d_a(self):
+        return self.a * (-self.conv.c)
+
+    @cached_property
+    def d_p(self):
+        return self.p * (-self.conv.c)
+
+    @cached_property
     def t_f(self):
-        return self.a * (-self.conv.c) + self.aa
+        return self.d_a + self.aa
 
     @cached_property
     def phi2(self):
@@ -188,7 +205,7 @@ class FieldAt:
 
     @cached_property
     def t_dphi(self):
-        return self.p * (-self.conv.c) + self.ap
+        return self.d_p + self.ap
 
     @cached_property
     def div(self):
@@ -206,7 +223,7 @@ def kw_residual(m: FieldAt):
     conv = m.conv
     res_t = m.t_f - m.phi2 - m.dp * conv.s2
     res_n = m.n_f - m.t_dphi * conv.s1
-    res2_sq = half_of(sum(c * c for c in m.div))
+    res2_sq = half_of(sum(c * c for c in m.d_div + m.div))
     return res_t, res_n, _sqrt(res2_sq)
 
 
@@ -222,10 +239,15 @@ def kw_residual_norm(conv: GeometryConventions, field, y):
     return _residual_norm(FieldAt.of(conv, field, y))
 
 
-def _residual_norm(m: FieldAt):
+def residual_norms(m: FieldAt):
+    """The norms (|eq1|, |eq2|) of the two equations' residuals of m."""
     res_t, res_n, res2 = kw_residual(m)
     norm_sq = half_of(frob_inner(res_t, res_t) + frob_inner(res_n, res_n))
-    return _sqrt(norm_sq) + res2
+    return _sqrt(norm_sq), res2
+
+
+def _residual_norm(m: FieldAt):
+    return sum(residual_norms(m))
 
 
 def taubes_lhs(a, p, w, dw, ddw) -> float:

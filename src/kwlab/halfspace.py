@@ -6,10 +6,12 @@ x3-axis.  Both are exact solutions of the first-order system, verified
 pointwise by ``kw_residual_flat``; their coefficients are homogeneous of
 degree -1, so they are fixed points of the dilation pullback.
 
-The flat-chart star orientation is a single global sign, fixed by requiring
-the Nahm pole field to solve the equations exactly (FLAT_STAR_SIGN below,
-volume form dy ^ dx1 ^ dx2 ^ dx3); a regression test locks it.  The same
-calibration forces the knot-singular field to be the chart reflection of the
+The residual is ``forms.kw_residual`` on the chart's ``FieldAt``, whose
+derivative terms are curl A, curl phi and sum_a d_a phi_a, under the
+calibrated conventions: with e_a = dx_a the star signs s1 = s2 = +1 are the
+volume form dy ^ dx1 ^ dx2 ^ dx3.  Both models solve under that pair alone;
+the pole model pins s2 and the knot-singular model s1.  The same
+orientation forces the knot-singular field to be the chart reflection of the
 commonly displayed coefficient table: here
 
     f1 = (x1 t1 + x2 t2)/sqrt(r^2+y^2),   f2 = (x1 t2 - x2 t1)/sqrt(r^2+y^2),
@@ -34,14 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jets
-from .su2 import bracket
+from .forms import FieldAt, GeometryConventions, residual_norms
 
-# orientation sign of the flat 4d star relative to dx1^dx2^dx3^dy; the value
-# -1 (volume dy^dx1^dx2^dx3) is the one that annihilates the Nahm pole field.
-# The residual reads it at call time.
-FLAT_STAR_SIGN = -1
-
-# points per residual block: bounds the longdouble (3, 4, 4, BLOCK)
+# points per residual block: bounds the longdouble (3, 3, 4, BLOCK)
 # derivative stacks whatever the number of points
 BLOCK = 512
 
@@ -156,64 +153,40 @@ def sample_points(rng: random.Random, n: int, width: float = 3.0,
     return np.array(drawn).reshape(-1, 4).T, np.array(kept, dtype=bool)
 
 
-# pairs (mu, nu) -> dual pair and sign under the star with volume
-# dx1^dx2^dx3^dy; index order (x1, x2, x3, y), final sign FLAT_STAR_SIGN
-_STAR_PAIRS = {
-    (0, 1): ((2, 3), 1),
-    (0, 2): ((1, 3), -1),
-    (0, 3): ((1, 2), 1),
-    (1, 2): ((0, 3), 1),
-    (1, 3): ((0, 2), -1),
-    (2, 3): ((0, 1), 1),
-}
+def _curl(d):
+    # the tangential d of a 1-form from its partials d[i, b, mu], as a dual
+    # matrix: entry (i, c) is d_a v_ib - d_b v_ia, with (a, b, c) cyclic
+    return np.stack([d[:, b, a] - d[:, a, b]
+                     for a, b in ((1, 2), (2, 0), (0, 1))], axis=1)
 
 
-def _curvature(A, dA, mu, nu):
-    """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]."""
-    return dA[:, nu, mu] - dA[:, mu, nu] + bracket(A[:, mu], A[:, nu])
-
-
-def _divergence(A, phi, dphi):
-    """sum_a d_a phi_a + [A_a, phi_a]."""
-    return sum(dphi[:, a, a] + bracket(A[:, a], phi[:, a]) for a in range(3))
-
-
-def _half_sq(v):
-    # 0.5 |v|^2 per point, the sum in np.dot's order, rounded to float first
-    return 0.5 * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).astype(float)
-
-
-def _block_residuals(fld: FlatModelField, pts) -> np.ndarray:
+def _block_residuals(conv: GeometryConventions, fld: FlatModelField, pts):
     smp = fld.eval(pts)
-    # the y component of A and phi vanishes: pad the form index with it
-    A, phi, dA, dphi = (np.concatenate([v, np.zeros_like(v[:, :1])], axis=1)
-                        for v in (smp.A, smp.phi, smp.dA, smp.dphi))
-    res1_sq = 0.0
-    for (mu, nu), ((tm, tn), sgn) in _STAR_PAIRS.items():
-        dphi2 = (dphi[:, tn, tm] - dphi[:, tm, tn]
-                 + bracket(A[:, tm], phi[:, tn]) - bracket(A[:, tn], phi[:, tm]))
-        r = (_curvature(A, dA, mu, nu) - bracket(phi[:, mu], phi[:, nu])
-             - FLAT_STAR_SIGN * sgn * dphi2)
-        res1_sq = res1_sq + _half_sq(r)
-    return np.sqrt([res1_sq, _half_sq(_divergence(A, phi, dphi))])
+    dA, dphi = smp.dA, smp.dphi
+    m = FieldAt(conv, smp.A, dA[:, :, 3], smp.phi, dphi[:, :, 3],
+                chart=(_curl(dA), _curl(dphi),
+                       dphi[:, 0, 0] + dphi[:, 1, 1] + dphi[:, 2, 2]))
+    return np.array(residual_norms(m))
 
 
-def kw_residual_flat(fld: FlatModelField, pts) -> np.ndarray:
-    """Pointwise residual norms of the flat-chart system at a (4, n) point set,
-    as a (2, n) array with rows (eq1, eq2).
+def kw_residual_flat(conv: GeometryConventions, fld: FlatModelField,
+                     pts) -> np.ndarray:
+    """Pointwise residual norms of the flat-chart system under conv at a
+    (4, n) point set, as a (2, n) array with rows (eq1, eq2).
 
     eq1 is |F_A - phi^phi - *d_A phi| over the six 2-form components, eq2 the
     norm of the covariant divergence sum_a (d_a phi_a + [A_a, phi_a]).
     """
     pts = np.asarray(pts, dtype=float)
     return np.concatenate([np.empty((2, 0))] + [
-        _block_residuals(fld, pts[:, i:i + BLOCK])
+        _block_residuals(conv, fld, pts[:, i:i + BLOCK])
         for i in range(0, pts.shape[1], BLOCK)], axis=1)
 
 
-def kw_residual_flat_combined(fld: FlatModelField, pts) -> np.ndarray:
+def kw_residual_flat_combined(conv: GeometryConventions, fld: FlatModelField,
+                              pts) -> np.ndarray:
     """hypot(eq1, eq2) per point, shape (n,)."""
-    return _hypot(*kw_residual_flat(fld, pts))
+    return _hypot(*kw_residual_flat(conv, fld, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +214,10 @@ def read_points_csv(path: str) -> np.ndarray:
     return np.array(pts, dtype=float).reshape(-1, 4).T
 
 
-def write_residuals_csv(path: str, fld: FlatModelField, pts):
+def write_residuals_csv(path: str, conv: GeometryConventions,
+                        fld: FlatModelField, pts):
     from .report import write_csv
 
     rows = [[repr(float(v)) for v in col]
-            for col in np.vstack([pts, kw_residual_flat(fld, pts)]).T]
+            for col in np.vstack([pts, kw_residual_flat(conv, fld, pts)]).T]
     write_csv(path, ["x1", "x2", "x3", "y", "res_eq1", "res_eq2"], rows)

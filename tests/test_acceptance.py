@@ -66,9 +66,11 @@ def test_criterion_01_model_residuals(conv):
     flat = halfspace.nahm_pole_field()
     sing = halfspace.nahm_singular_field()
     pts, _ = halfspace.sample_points(rng, 1000)
-    worst_pole = float(np.max(halfspace.kw_residual_flat_combined(flat, pts)))
+    worst_pole = float(np.max(
+        halfspace.kw_residual_flat_combined(conv, flat, pts)))
     pts, kept = halfspace.sample_points(rng, 1000, y_range=(0.2, 3.0), r_min=0.1)
-    worst_sing = float(np.max(halfspace.kw_residual_flat_combined(sing, pts[:, kept])))
+    worst_sing = float(np.max(halfspace.kw_residual_flat_combined(
+        conv, sing, pts[:, kept])))
     model = nahm_pole_invariant_solution()
     worst_inv = np.max(kw_residual_norm(conv, model, np.geomspace(1e-3, 30.0, 300)))
     elapsed = time.time() - t0

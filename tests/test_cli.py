@@ -127,13 +127,15 @@ def test_verify_exit_codes_and_determinism(tmp_path, capsys):
 
 
 def test_verify_negative_control(tmp_path):
+    # the flip fails the reference solution on S^3 x R+ and both flat models
     out = tmp_path / "flip.json"
     code = main(["verify", "--suite", "models", "--flip-star-sign",
                  "--out", str(out)])
     assert code == 1
     data = json.loads(out.read_text())
     by_id = {c["check_id"]: c for c in data["checks"]}
-    assert by_id["calibrate"]["status"] == "fail"
+    for cid in ("calibrate", "residual-nahm-pole", "residual-nahm-singular"):
+        assert by_id[cid]["status"] == "fail", cid
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -641,6 +643,19 @@ def test_residual_command(tmp_path):
     assert len(lines) == 26
     worst = max(float(l.split(",")[4]) for l in lines[1:])
     assert worst < 1e-10
+
+
+def test_residual_command_reads_the_configured_conventions(tmp_path):
+    # under the flip the pole model's eq1 is 2 |p'| = sqrt(6) / y^2
+    cfg = tmp_path / "flip.cfg"
+    cfg.write_text("flip_star_sign = true\n")
+    points = tmp_path / "points.csv"
+    points.write_text("x1,x2,x3,y\n0.1,0.2,0.3,1.0\n")
+    out = tmp_path / "res.csv"
+    assert main(["residual", "--model", "nahm-pole", "--points", str(points),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert float(row[4]) > 1.0
 
 
 def test_plotdata_targets(tmp_path):

@@ -1,17 +1,19 @@
 """Flat half-space models: pointwise values, residuals, dilation behaviour."""
 
+import json
 import math
 import random
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from kwlab import halfspace
-from kwlab.cli import suite_models
+from kwlab.cli import main, suite_models
 from kwlab.config import SuiteConfig
+from kwlab.forms import FieldAt, GeometryConventions, calibrate
 from kwlab.halfspace import (
     BLOCK,
-    FLAT_STAR_SIGN,
     FlatModelField,
     kw_residual_flat,
     kw_residual_flat_combined,
@@ -32,8 +34,9 @@ def _col(*coords):
 
 
 # ---------------------------------------------------------------------------
-# per-point reference: the scalar path the array kernels replaced, one
-# longdouble Jet per coordinate and one residual call per point
+# per-point reference: the flat-chart equations written out pair by pair
+# (F_mu_nu and a star table), independent of FieldAt, with one longdouble
+# Jet per coordinate and one residual call per point
 # ---------------------------------------------------------------------------
 
 def _ref_sample(A_dual, phi_dual):
@@ -78,7 +81,9 @@ def _ref_singular(p):
     return _ref_sample(A_ia, phi_ia)
 
 
-# pair -> (star dual pair, sign); the calibrated flat star sign is -1
+# pair -> (star dual pair, sign) under the volume form dx1^dx2^dx3^dy; the
+# calibrated orientation, (s1, s2) = (+1, +1), is the volume dy^dx1^dx2^dx3,
+# hence the extra -1 below
 _REF_PAIRS = {(0, 1): ((2, 3), 1), (2, 3): ((0, 1), 1), (1, 2): ((0, 3), 1),
               (0, 3): ((1, 2), 1), (0, 2): ((1, 3), -1), (1, 3): ((0, 2), -1)}
 
@@ -126,12 +131,19 @@ def _ref_draws(seed, n, width, y_lo, y_hi, r_min):
 
 
 # ---------------------------------------------------------------------------
-# array path against the reference
+# array path against one-point calls and the reference
 # ---------------------------------------------------------------------------
 
+# the points on either side of each block edge of 2000, and the two ends
+_EDGES = sorted({0, 1999} | {k * BLOCK + d
+                             for k in (1, 2, 3) for d in (-1, 0)})
+
+
 @pytest.mark.parametrize("seed", [1, 5, 42])
-def test_array_residuals_match_per_point_reference(seed):
-    # bit for bit, across block edges, for both models and their pullbacks
+def test_array_residuals_match_per_point_reference(conv, seed):
+    # for both models and their pullbacks: the shorter prefixes, and a
+    # one-point call on either side of each block edge, bit for bit against
+    # all 2000 points; the flat-chart reference formula to 1e-17
     pts, kept = sample_points(random.Random(seed), 2000, r_min=0.1)
     pts = pts[:, kept]
     cols = [tuple(float(c) for c in col) for col in pts.T]
@@ -139,13 +151,21 @@ def test_array_residuals_match_per_point_reference(seed):
                      (nahm_singular_field(), _ref_singular)):
         for s in (1.0, 0.5, 0.25, 2.0):
             field = fld if s == 1.0 else scale_pullback(fld, s)
+            full = kw_residual_flat(conv, field, pts)
+            comb = kw_residual_flat_combined(conv, field, pts)
+            assert full.shape == (2, 2000)
             expect = np.array([_ref_residual(ref, p, s) for p in cols]).T
-            for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2000):
-                got = kw_residual_flat(field, pts[:, :n])
+            assert np.max(np.abs(full - expect[:2])) <= 1e-17
+            assert np.max(np.abs(comb - expect[2])) <= 1e-17
+            for n in (1, BLOCK - 1, BLOCK, BLOCK + 1):
+                got = kw_residual_flat(conv, field, pts[:, :n])
                 assert got.shape == (2, n)
-                assert got.tobytes() == expect[:2, :n].tobytes()
-                comb = kw_residual_flat_combined(field, pts[:, :n])
-                assert comb.tobytes() == expect[2, :n].tobytes()
+                assert got.tobytes() == full[:, :n].tobytes()
+                assert (kw_residual_flat_combined(conv, field, pts[:, :n])
+                        .tobytes() == comb[:n].tobytes())
+            for j in _EDGES:
+                one = kw_residual_flat(conv, field, pts[:, j:j + 1])
+                assert one.tobytes() == full[:, j:j + 1].tobytes()
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7])
@@ -164,9 +184,10 @@ def test_sampler_keeps_the_point_by_point_stream(seed):
         assert rng.random() == ref_rng.random()
 
 
-def test_empty_point_set():
-    assert kw_residual_flat(nahm_pole_field(), np.zeros((4, 0))).shape == (2, 0)
-    assert kw_residual_flat_combined(nahm_singular_field(),
+def test_empty_point_set(conv):
+    assert kw_residual_flat(conv, nahm_pole_field(),
+                            np.zeros((4, 0))).shape == (2, 0)
+    assert kw_residual_flat_combined(conv, nahm_singular_field(),
                                      np.zeros((4, 0))).shape == (0,)
 
 
@@ -174,14 +195,21 @@ def test_empty_point_set():
 # the models
 # ---------------------------------------------------------------------------
 
-def test_flat_star_orientation_locked(monkeypatch):
-    # the sign that makes the pole model an exact solution; regression value
-    assert FLAT_STAR_SIGN == -1
-    p = _col(0.7, -0.4, 1.2, 0.8)
-    assert kw_residual_flat_combined(nahm_pole_field(), p)[0] < 1e-15
-    # the residual reads the sign when called
-    monkeypatch.setattr(halfspace, "FLAT_STAR_SIGN", 1)
-    assert kw_residual_flat_combined(nahm_pole_field(), p)[0] > 1.0
+def test_flat_star_orientation_locked(conv):
+    # the flat chart reads the calibrated star signs, and the models solve
+    # under no other pair: the pole model pins s2, the singular one s1
+    pts, kept = sample_points(random.Random(11), 1, width=1.0,
+                              y_range=(0.3, 1.0), r_min=0.1)
+    p = pts[:, kept]
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            cand = GeometryConventions(conv.c, s1, s2)
+            worst = max(kw_residual_flat(cand, fld, p)[0, 0]
+                        for fld in (nahm_pole_field(), nahm_singular_field()))
+            if (s1, s2) == (conv.s1, conv.s2):
+                assert worst < 1e-15
+            else:
+                assert worst > 1.0, (s1, s2)
 
 
 def test_pole_model_values():
@@ -196,10 +224,10 @@ def test_pole_model_values():
     assert np.allclose(np.asarray(s2.phi[..., 0], float), 2.0 * np.eye(3))
 
 
-def test_pole_model_residual_seeded():
+def test_pole_model_residual_seeded(conv):
     fld = nahm_pole_field()
     pts, _ = sample_points(random.Random(123), 1000)
-    worst = float(np.max(kw_residual_flat_combined(fld, pts)))
+    worst = float(np.max(kw_residual_flat_combined(conv, fld, pts)))
     assert worst < 1e-12
 
 
@@ -221,11 +249,11 @@ def test_singular_model_axis_and_sample_values():
     assert math.isclose(A[2][1], -0.5, rel_tol=1e-15)
 
 
-def test_singular_model_residual_seeded():
+def test_singular_model_residual_seeded(conv):
     fld = nahm_singular_field()
     pts, kept = sample_points(random.Random(321), 1000,
                               y_range=(0.2, 3.0), r_min=0.1)
-    worst = float(np.max(kw_residual_flat_combined(fld, pts[:, kept])))
+    worst = float(np.max(kw_residual_flat_combined(conv, fld, pts[:, kept])))
     assert worst < 1e-10
 
 
@@ -256,7 +284,7 @@ def test_scale_pullback_fixes_models_exactly():
                                np.asarray(b.phi, float), rtol=1e-12)
 
 
-def test_residual_homogeneity_under_pullback():
+def test_residual_homogeneity_under_pullback(conv):
     # res(pullback_s f)(p) = s^2 res(f)(s p) for any field, here a non-solution
     base = nahm_singular_field()
 
@@ -274,12 +302,12 @@ def test_residual_homogeneity_under_pullback():
         if math.hypot(x1, x2) < 0.2 or math.hypot(x1 * s, x2 * s) < 0.2:
             continue
         p = _col(x1, x2, x3, y)
-        lhs = kw_residual_flat_combined(scale_pullback(fld, s), p)[0]
-        rhs = s * s * kw_residual_flat_combined(fld, p * s)[0]
+        lhs = kw_residual_flat_combined(conv, scale_pullback(fld, s), p)[0]
+        rhs = s * s * kw_residual_flat_combined(conv, fld, p * s)[0]
         assert math.isclose(lhs, rhs, rel_tol=1e-10)
 
 
-def test_perturbed_pole_field_matches_finite_differences():
+def test_perturbed_pole_field_matches_finite_differences(conv):
     # phi -> phi + y t1 dx1 on top of the pole model; derivatives by FD
     base = nahm_pole_field()
 
@@ -314,13 +342,13 @@ def test_perturbed_pole_field_matches_finite_differences():
     fd_field = FlatModelField("fd", fd_eval)
     pts, _ = sample_points(random.Random(5), 5, width=1.0,
                            y_range=(0.5, 1.5))
-    r_exact = kw_residual_flat_combined(fld, pts)
-    r_fd = kw_residual_flat_combined(fd_field, pts)
+    r_exact = kw_residual_flat_combined(conv, fld, pts)
+    r_fd = kw_residual_flat_combined(conv, fd_field, pts)
     assert np.all(np.abs(r_exact - r_fd) < 1e-6)
     assert np.all(r_exact > 1e-3)  # genuinely not a solution
 
 
-def test_residual_gauge_covariance_flat():
+def test_residual_gauge_covariance_flat(conv):
     # constant adjoint rotations act on the su(2) coefficient index and
     # leave both residual norms unchanged, also away from solutions
     from kwlab.su2 import ad_rotate
@@ -344,12 +372,12 @@ def test_residual_gauge_covariance_flat():
             return type(smp)(act(smp.A), act(smp.dA), act(smp.phi), act(smp.dphi))
 
         rfld = FlatModelField("rotated", rotated)
-        for a, b in zip(kw_residual_flat_combined(fld, pts),
-                        kw_residual_flat_combined(rfld, pts)):
+        for a, b in zip(kw_residual_flat_combined(conv, fld, pts),
+                        kw_residual_flat_combined(conv, rfld, pts)):
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-14)
 
 
-def _constant_nonabelian_residual():
+def _constant_nonabelian_residual(conv):
     # A = t1 dx1 + t2 dx2, phi = 0: F_12 = [t1, t2] = t3 is the only
     # nonzero term, so eq1 = sqrt(|t3|^2) = sqrt(1/2) and eq2 = 0
     def constant(pts):
@@ -359,14 +387,15 @@ def _constant_nonabelian_residual():
         zero = np.zeros((3, 3, 4, n), dtype=np.longdouble)
         return halfspace.FieldSample(A, zero, np.zeros_like(A), zero)
 
-    return kw_residual_flat(FlatModelField("constant", constant),
+    return kw_residual_flat(conv, FlatModelField("constant", constant),
                             np.hstack([_col(0.3, 0.1, -2.0, 0.9),
                                        _col(1.0, 1.0, 1.0, 1.0)]))
 
 
-def test_constant_nonabelian_connection_residual():
-    # the models' connections are abelian, so this is the one test of [A, A]
-    res = _constant_nonabelian_residual()
+def test_constant_nonabelian_connection_residual(conv):
+    # the models' connections are abelian, so this is the one flat test of
+    # [A, A]
+    res = _constant_nonabelian_residual(conv)
     assert res[0].tolist() == [math.sqrt(0.5)] * 2
     assert res[1].tolist() == [0.0, 0.0]
 
@@ -384,44 +413,79 @@ def _models_gates():
     return {c.check_id: c.status for c in checks if c.check_id in _FLAT_GATES}
 
 
-def _drop_divergence_bracket(A, phi, dphi):
-    return sum(dphi[:, a, a] for a in range(3))
+def _models_run(tmp_path, *flags):
+    """`verify --suite models`: its exit code and its failing checks."""
+    out = tmp_path / "models.json"
+    code = main(["verify", "--suite", "models", "--out", str(out), *flags])
+    checks = json.loads(out.read_text())["checks"]
+    return code, {c["check_id"] for c in checks if c["status"] == "fail"}
 
 
-def _drop_curvature_bracket(A, dA, mu, nu):
-    return dA[:, nu, mu] - dA[:, mu, nu]
+def _block(name, fn):
+    """fn as FieldAt's cached block `name`."""
+    prop = cached_property(fn)
+    prop.__set_name__(FieldAt, name)
+    return prop
 
 
-@pytest.mark.parametrize("fault, failing", [
-    (lambda mp: mp.setattr(halfspace, "FLAT_STAR_SIGN", 1),
-     {"residual-nahm-pole", "residual-nahm-singular"}),
-    (lambda mp: mp.setattr(halfspace, "_divergence", _drop_divergence_bracket),
-     {"residual-nahm-singular"}),
-], ids=["star-sign-flipped", "divergence-drops-bracket"])
-def test_flat_residual_gates_are_live(monkeypatch, fault, failing):
+def _bracket_sum(m, rows=False):
+    return sum(bracket(m.a[col] if rows else m.a[:, col],
+                                 m.p[col] if rows else m.p[:, col])
+               for col in range(3))
+
+
+# engine faults: (FieldAt block, its faulty form)
+_ENGINE_FAULTS = {
+    "divergence-drops-bracket": ("div", lambda m: 0 * _bracket_sum(m)),
+    "divergence-bracket-reads-rows":
+        ("div", lambda m: _bracket_sum(m, rows=True)),
+    "t-dphi-transposed-bracket":
+        ("t_dphi", lambda m: m.d_p + np.swapaxes(m.ap, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("fault", ["star-sign-flipped"] + list(_ENGINE_FAULTS))
+def test_flat_residual_gates_are_live(monkeypatch, tmp_path, fault):
     assert set(_models_gates().values()) == {"pass"}
-    fault(monkeypatch)
-    gates = _models_gates()
-    assert {cid for cid, status in gates.items() if status == "fail"} == failing
+    if fault == "star-sign-flipped":
+        code, failed = _models_run(tmp_path, "--flip-star-sign")
+        assert failed & set(_FLAT_GATES) == {"residual-nahm-pole",
+                                             "residual-nahm-singular"}
+    else:
+        # every field the report evaluates on S^3 x R+ is scalar, so only
+        # the knot-singular model sees these
+        name, fn = _ENGINE_FAULTS[fault]
+        monkeypatch.setattr(FieldAt, name, _block(name, fn))
+        code, failed = _models_run(tmp_path)
+        assert failed == {"residual-nahm-singular"}
+    assert code == 1
 
 
-def test_curvature_bracket_fault_escapes_the_models_suite(monkeypatch):
-    # both models have A along t3 only, so [A_mu, A_nu] = 0 on them and
-    # dropping it from F changes no report value; only the constant
-    # non-abelian test above sees it
-    monkeypatch.setattr(halfspace, "_curvature", _drop_curvature_bracket)
-    assert set(_models_gates().values()) == {"pass"}
-    assert _constant_nonabelian_residual()[0].tolist() == [0.0, 0.0]
+def test_curvature_bracket_fault_fails_only_calibrate(monkeypatch, tmp_path,
+                                                      conv):
+    # both models have A along t3 only, so [a ^ a] = 0 on them and dropping
+    # it from F changes no flat gate; calibrate raises, which fails the
+    # models suite, and the constant non-abelian test above sees it
+    monkeypatch.setattr(FieldAt, "aa", _block("aa", lambda m: 0))
+    with pytest.raises(RuntimeError, match="single out one convention"):
+        calibrate()
+    assert _models_run(tmp_path) == (1, {"suite-models"})
+    pts, kept = sample_points(random.Random(42), 1000, r_min=0.1)
+    assert np.max(kw_residual_flat_combined(conv, nahm_pole_field(),
+                                            pts)) < 1e-12
+    assert np.max(kw_residual_flat_combined(conv, nahm_singular_field(),
+                                            pts[:, kept])) < 1e-10
+    assert _constant_nonabelian_residual(conv)[0].tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
 # point CSV
 # ---------------------------------------------------------------------------
 
-def test_points_csv_roundtrip(tmp_path):
+def test_points_csv_roundtrip(conv, tmp_path):
     pts = np.hstack([_col(0.1, 0.2, 0.3, 0.4), _col(-1, 2, -3, 1.5)])
     out = tmp_path / "residuals.csv"
-    write_residuals_csv(str(out), nahm_pole_field(), pts)
+    write_residuals_csv(str(out), conv, nahm_pole_field(), pts)
     text = out.read_text().splitlines()
     assert text[0] == "x1,x2,x3,y,res_eq1,res_eq2"
     assert len(text) == 3
