@@ -21,7 +21,7 @@ On top of the system sit
     a batch of trajectories ("lanes") together, its coefficients from one
     Cauchy-product recurrence over all lanes, filled into a time-major
     workspace that the stepper reuses from step to step (made again only
-    when lanes leave) in four numpy calls per order; a single initial-value
+    when lanes leave) in three numpy calls per order; a single initial-value
     run is its one-lane case, and its step coefficients are the dense
     output, and
   * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0):
@@ -316,19 +316,17 @@ _REACHED, _BLOWN, _NONFINITE = "reached", "blow", "non-finite"
 
 
 def taylor_workspace(dtype, k: int, order: int) -> tuple:
-    """The arrays ``taylor_coefficients`` fills for k lanes to ``order`` in
-    dtype, and its views of them for each order n < ``order``: (the factors
-    (a, a, b) over times 0..n, the factors (a, b, b) over times n..0, their
-    product, where its sums go, the monomials at n, the rows at n + 1, the
-    divisor n + 1)."""
+    """The array ``taylor_coefficients`` fills for k lanes to ``order`` in
+    dtype, and its views of it for each order n < ``order``: (the factors
+    (a, a, b) over times 0..n, the factors (a, b, b) over times n..0, where
+    their sums go, the monomials at n, the rows at n + 1, the divisor
+    n + 1)."""
     x = np.zeros((order + 1, 11, k), dtype=dtype)
     x[0, 0] = 1
-    scratch = np.empty((3, k, order + 1), dtype=dtype)
     divisors = np.arange(1, order + 1).astype(dtype)
     t = x.transpose(1, 2, 0)
     return x, tuple(zip([t[1:4, :, :n + 1] for n in range(order)],
                         [t[2:5, :, n::-1] for n in range(order)],
-                        [scratch[:, :, :n + 1] for n in range(order)],
                         x[:-1, 6:11:2], x[:-1, 0:11:2], x[1:, 1:5], divisors))
 
 
@@ -344,16 +342,14 @@ def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
     k), and each order holds the rows (1|0, a, a, b, b, ., aa, ., ab, ., bb):
     its stride-2 rows are the monomials of _MONOMIALS, and rows 1-3 and 2-4
     over time are the Cauchy factors (a, a, b) and (a, b, b).  Per order
-    four numpy calls fill it: the factors' product into a (3, k, order + 1)
-    scratch array, its sums over time into aa, ab, bb, one matmul with the
-    rows of ``matrix`` repeated as (a, a, b, b) into the next order, and an
-    in-place division by n + 1.  The scratch array keeps time its last,
-    contiguous axis, so ``np.add.reduce`` sums each product pairwise over
-    time exactly as ``.sum(-1)`` sums a freshly made product array; summed
-    along a strided axis it would add in another order.  Per lane the arithmetic does not depend on the
-    batch (each row sums on its own, and numpy's longdouble matmul has no
-    BLAS kernel: it sums c*m from 0 in monomial order), and on object arrays
-    of Fractions it is exact.
+    three numpy calls fill it: one ``np.vecdot`` of the factors over time
+    into aa, ab, bb, one matmul with the rows of ``matrix`` repeated as
+    (a, a, b, b) into the next order, and an in-place division by n + 1.
+    Per lane the arithmetic does not depend on the batch: vecdot is a
+    gufunc, and for longdouble it has no BLAS kernel, so each row's sum is
+    its own, taken sequentially from time 0 (strided or not); numpy's
+    longdouble matmul likewise sums c*m from 0 in monomial order.  On object
+    arrays of Fractions it is exact.
 
     The result is a view of ``work``, valid until the next call on it."""
     if work is None:
@@ -364,21 +360,22 @@ def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
                          f"to order {order}")
     x[0, 1:5] = a, a, b, b
     rows = matrix[[0, 0, 1, 1]]
-    for left, right, product, sums, mono, nxt, divisor in steps:
-        np.multiply(left, right, out=product)
-        np.add.reduce(product, axis=-1, out=sums)
+    for left, right, sums, mono, nxt, divisor in steps:
+        np.vecdot(left, right, out=sums)
         np.matmul(rows, mono, out=nxt)
         np.divide(nxt, divisor, out=nxt)
     return x[:, 1:4:2].transpose(1, 2, 0)
 
 
-def _horner(c, t):
-    """sum_n c[..., n] t^n."""
-    out = c[..., -1] * t
-    for n in range(c.shape[-1] - 2, 0, -1):
-        np.add(out, c[..., n], out=out)
-        np.multiply(out, t, out=out)
-    return np.add(out, c[..., 0], out=out)
+def _power_sum(c, t):
+    """sum_n c[..., n] t^n, with t broadcast against c[..., 0]: the powers
+    t^0..t^N by one running product, then one ``np.vecdot``, each lane's sum
+    taken sequentially from n = 0, so per lane it does not depend on the
+    batch."""
+    powers = np.empty((*t.shape, c.shape[-1]), dtype=c.dtype)
+    powers[..., 0] = 1
+    powers[..., 1:] = t[..., None]
+    return np.vecdot(c, np.multiply.accumulate(powers, axis=-1, out=powers))
 
 
 def _step_sizes(c) -> list:
@@ -412,13 +409,14 @@ class IvpResult(NamedTuple):
         return self.knots.astype(float)
 
     def at(self, y):
-        """(a, b) at y by Horner on the step that holds y (the first or the
-        last step beyond the knots); at an array of y, float arrays of a and
-        b, each entry bit-identical to the call at that node alone."""
+        """(a, b) at y from the power sum of the step that holds y (the
+        first or the last step beyond the knots); at an array of y, float
+        arrays of a and b, each entry bit-identical to the call at that node
+        alone."""
         yl = np.asarray(y, dtype=np.longdouble)
         i = np.clip(np.searchsorted(self.knots, yl, side="right") - 1, 0,
                     len(self.coeffs) - 1)
-        out = _horner(self.coeffs[i], (yl - self.knots[i])[..., None])
+        out = _power_sum(self.coeffs[i], (yl - self.knots[i])[..., None])
         out = out.astype(float)
         if out.ndim == 1:
             return float(out[0]), float(out[1])
@@ -517,7 +515,7 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
         # may round below y_end
         last = h >= y_end - y
         h = np.where(last, y_end - y, h)
-        s_new = _horner(c, h)
+        s_new = _power_sum(c, h)
         nonfinite = ~((h >= _H_MIN) & np.isfinite(s_new).all(0))
         y = np.where(nonfinite, y, np.where(last, y_end, y + h))
         s = np.where(nonfinite, s, s_new)

@@ -383,21 +383,15 @@ def test_ivp_tracks_closed_form(system):
     assert sup <= 1e-6
 
 
-def _horner_reference(res, y):
-    """The step polynomial at one node, one scalar at a time: the last step
-    that starts at or below y (the first step below the knots)."""
+def _power_sum_reference(res, y):
+    """The step polynomial at one node, on its own: the last step that
+    starts at or below y (the first step below the knots)."""
     y = np.longdouble(y)
     i = 0
     while i + 1 < len(res.coeffs) and res.knots[i + 1] <= y:
         i += 1
-    t = y - res.knots[i]
-    out = []
-    for c in res.coeffs[i]:
-        v = c[-1]
-        for cn in c[-2::-1]:
-            v = v * t + cn
-        out.append(float(v))
-    return tuple(out)
+    return tuple(map(float, _power_sum_reference_lanes(res.coeffs[i],
+                                                       y - res.knots[i])))
 
 
 def _knot_states(res):
@@ -415,7 +409,7 @@ def test_dense_output_on_arrays_matches_scalar_calls(system):
     for y, ai, bi in zip(ys, a, b):
         sa, sb = res.at(float(y))
         assert type(sa) is float and (sa, sb) == (ai, bi)
-        assert (sa, sb) == _horner_reference(res, float(y))
+        assert (sa, sb) == _power_sum_reference(res, float(y))
 
 
 def test_ivp_stationary_start(system):
@@ -757,9 +751,9 @@ def test_taylor_recurrence_is_exact(system):
 
 
 # The two-row kernel the workspace one replaced, kept as its reference: the
-# products gathered by fancy index, summed with .sum(-1), then divided.  It
-# takes the workspace parameter so that it can stand in for the kernel, and
-# returns fresh arrays.
+# products gathered by fancy index and added to each order's sums term by
+# term from time 0, then divided.  It takes the workspace parameter so
+# that it can stand in for the kernel, and returns fresh arrays.
 def _taylor_reference(matrix, a, b, order, work=None):
     x = np.zeros((2, len(a), order + 1), dtype=np.result_type(matrix, a, b))
     x[0, :, 0], x[1, :, 0] = a, b
@@ -768,15 +762,19 @@ def _taylor_reference(matrix, a, b, order, work=None):
     for n in range(order):
         mono[0] = 1 if n == 0 else 0
         mono[1:3] = x[:, :, n]
-        mono[3:] = (x[left, :, :n + 1] * x[right, :, n::-1]).sum(-1)
+        mono[3:] = 0
+        for j in range(n + 1):
+            mono[3:] = mono[3:] + x[left, :, j] * x[right, :, n - j]
         x[:, :, n + 1] = (matrix @ mono) / (n + 1)
     return x
 
 
-def _horner_reference_lanes(c, t):
-    out = c[..., -1]
-    for n in range(c.shape[-1] - 2, -1, -1):
-        out = out * t + c[..., n]
+def _power_sum_reference_lanes(c, t):
+    # summed from n = 0 over the powers t^n, each the previous one times t
+    out, power = 0, 1
+    for n in range(c.shape[-1]):
+        out = out + c[..., n] * power
+        power = power * t
     return out
 
 
@@ -811,8 +809,8 @@ def test_taylor_kernel_matches_reference_bitwise(system):
                 want = _taylor_reference(matrix, ai, bi, order)
                 fresh = reduced.taylor_coefficients(matrix, ai, bi, order)
                 h = rng.uniform(0.0, 0.3, size=k).astype(ld)
-                values = (reduced._horner(got, h),
-                          _horner_reference_lanes(want, h))
+                values = (reduced._power_sum(got, h),
+                          _power_sum_reference_lanes(want, h))
                 steps = (reduced._step_sizes(got), reduced._step_sizes(want))
             assert np.shares_memory(got, work[0])
             assert _same_bits(got, want), (k, matrix)
@@ -847,11 +845,86 @@ def test_dense_output_matches_reference_kernel(system, monkeypatch):
     ys = np.concatenate([np.linspace(0.0, 12.0, 401), res.ys])
     got = res.at(ys)
     monkeypatch.setattr(reduced, "taylor_coefficients", _taylor_reference)
-    monkeypatch.setattr(reduced, "_horner", _horner_reference_lanes)
+    monkeypatch.setattr(reduced, "_power_sum", _power_sum_reference_lanes)
     ref = integrate_ivp(system, 0.1, (a0, b0), 10.0)
     for x, y in ((res.knots, ref.knots), (res.coeffs, ref.coeffs),
                  (res.end, ref.end), *zip(got, ref.at(ys))):
         assert _same_bits(x, y)
+
+
+def _exact(x):
+    return Fraction(*np.longdouble(x).as_integer_ratio())
+
+
+def test_power_sum_against_exact_rational_sums(system):
+    # every step of the run from the closed-form state at y = 0.1 to 10, at
+    # t = h, h/2 and h/3, against the exact sum of its longdouble
+    # coefficients c_n t^n: within 4 eps(longdouble) of sum |c_n t^n|.  The
+    # terms fall geometrically over a step (the last two are TAYLOR_EPS of
+    # the state), so the roundings of the powers and of the sequential sum
+    # are a few ulps of the leading terms, not one per term
+    a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
+    res = integrate_ivp(system, 0.1, (a0, b0), 10.0)
+    h = np.diff(res.knots)
+    eps = _exact(np.finfo(np.longdouble).eps)
+    for t in (h, h / 2, h / 3):
+        got = reduced._power_sum(res.coeffs, t[:, None])
+        assert got.shape == (len(h), 2)
+        for coeffs, tn, values in zip(res.coeffs, t, got):
+            powers = [_exact(tn) ** n for n in range(coeffs.shape[-1])]
+            for c, v in zip(coeffs, values):
+                terms = [_exact(cn) * pw for cn, pw in zip(c, powers)]
+                assert abs(_exact(v) - sum(terms)) <= 4 * eps * sum(
+                    map(abs, terms))
+
+
+def _first_integral_drift(res):
+    """Per knot of a run, how far the locked system's first integral
+    H = (c^3 - 3 c b^2) / 3 - c, c = a - 1, has moved from its value at the
+    first knot, exactly on the longdouble states, and the bound on that
+    drift: per step the stepper's error in a and in b is below TAYLOR_EPS
+    (the truncation) plus 4 longdouble ulps (the kernel's and the power
+    sum's roundings) of max(1, |a| + |b|), which moves H by at most
+    |dH/da| + |dH/db| = |c^2 - b^2 - 1| + 2 |c b| times that; the bounds
+    add up over the steps before the knot."""
+    states = np.vstack([res.coeffs[:, :, 0], res.end[None]])
+    unit = reduced.TAYLOR_EPS + 4 * float(np.finfo(np.longdouble).eps)
+    hs, bound, total = [], [], 0.0
+    for a, b in states:
+        c, b = _exact(a) - 1, _exact(b)
+        hs.append((c**3 - 3 * c * b**2) / 3 - c)
+        bound.append(total)
+        c, b = float(c), float(b)
+        total += ((abs(c * c - b * b - 1) + 2 * abs(c * b))
+                  * max(1.0, abs(c + 1) + abs(b)) * unit)
+    return [float(abs(h - hs[0])) for h in hs], bound
+
+
+@pytest.mark.parametrize("y0", [0.05, 0.1, 0.2, None])
+def test_stepper_keeps_the_first_integral(system, series, y0):
+    # the shot's returned trajectory, and (y0 None) the run from the
+    # closed-form state on [0.1, 6]; H shares no code with the kernel.  At
+    # every knot the drift is 90-350 times below its bound
+    if y0 is None:
+        a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
+        res = integrate_ivp(system, 0.1, (a0, b0), 6.0)
+    else:
+        res = shoot_for_decay(system, series, y0=y0).result
+    drift, bound = _first_integral_drift(res)
+    assert all(d <= b for d, b in zip(drift, bound)), (y0, drift, bound)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+@pytest.mark.parametrize("col", range(6))
+def test_first_integral_drift_catches_a_coefficient_fault(system, row, col):
+    # any longdouble coefficient of the stepper's matrix moved by 1e-6
+    # after the derivation: H drifts 2.5e8 times its bound or more
+    a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
+    faulty = dataclasses.replace(system)
+    faulty._matrix[row, col] += 1e-6
+    drift, bound = _first_integral_drift(
+        integrate_ivp(faulty, 0.1, (a0, b0), 6.0))
+    assert max(drift) > 1e3 * max(bound)
 
 
 def _certificate_time(a, b):
