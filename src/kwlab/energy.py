@@ -45,6 +45,7 @@ from .forms import (
 from .profiles import (
     InvariantField,
     MatrixProfile,
+    loglog_slope,
     pole_scalars,
     scaled_matrix_profile,
 )
@@ -317,8 +318,9 @@ def check_energy_identity(conv: GeometryConventions, ident: str, *,
     if ident == "cutoff-limit":
         combos = [row[2] for row in sweep.rows]
         ratio = abs(combos[2] - combos[1]) / max(abs(combos[1] - combos[0]), 1e-30)
-        slopes = [float(np.polyfit(np.log10(CUTOFF_EPS), np.log10(
-            [abs(row[comp]) for row in sweep.rows]), 1)[0]) for comp in range(2)]
+        slopes = [loglog_slope(CUTOFF_EPS,
+                               [abs(row[comp]) for row in sweep.rows])
+                  for comp in range(2)]
         ok = (0.02 <= ratio <= 0.5) and all(abs(s + 1.0) <= 0.05 for s in slopes)
         return make_check(
             "energy-cutoff-limit",

@@ -21,18 +21,19 @@ On top of the system sit
     a batch of trajectories ("lanes") together, its coefficients from one
     Cauchy-product recurrence over all lanes, filled into a time-major
     workspace that the stepper reuses from step to step (made again only
-    when lanes leave) in three numpy calls per order; a single initial-value
+    when lanes leave) in two numpy calls per order; a single initial-value
     run is its one-lane case, and its step coefficients are the dense
     output, and
   * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0):
     a sign k-section over lanes, the bracket ends batched with its first
     pass, until the bracket reaches the smooth regime of the unstable mode,
-    then regula falsi on it, which recovers the closed-form reference
-    solution.  A shooting lane leaves its batch as blown up once a proven
-    certificate says that it cannot reach SHOOT_Y: with c = a - 1 and
-    z = c + i b the locked system reads z' = i (conj(z)^2 - 1), and in the
-    three sectors sin 3 arg z >= 1/2 with |z| > sqrt 2 the flow stays in
-    the sector and |z|' >= |z|^2 / 2 - 1, so |z| reaches infinity within
+    then inverse cubic interpolation on it, safeguarded by regula falsi,
+    which recovers the closed-form reference solution.  A shooting lane
+    leaves its batch as blown up once a proven certificate says that it
+    cannot reach SHOOT_Y: with c = a - 1 and z = c + i b the locked system
+    reads z' = i (conj(z)^2 - 1), and in the three sectors
+    sin 3 arg z >= 1/2 with |z| > sqrt 2 the flow stays in the sector and
+    |z|' >= |z|^2 / 2 - 1, so |z| reaches infinity within
     T(|z|) = ln((|z| + sqrt 2) / (|z| - sqrt 2)) / sqrt 2 with the sign of b
     fixed (``_certified_blowup``).
 """
@@ -319,15 +320,13 @@ def taylor_workspace(dtype, k: int, order: int) -> tuple:
     """The array ``taylor_coefficients`` fills for k lanes to ``order`` in
     dtype, and its views of it for each order n < ``order``: (the factors
     (a, a, b) over times 0..n, the factors (a, b, b) over times n..0, where
-    their sums go, the monomials at n, the rows at n + 1, the divisor
-    n + 1)."""
+    their sums go, the monomials at n, the rows at n + 1)."""
     x = np.zeros((order + 1, 11, k), dtype=dtype)
     x[0, 0] = 1
-    divisors = np.arange(1, order + 1).astype(dtype)
     t = x.transpose(1, 2, 0)
     return x, tuple(zip([t[1:4, :, :n + 1] for n in range(order)],
                         [t[2:5, :, n::-1] for n in range(order)],
-                        x[:-1, 6:11:2], x[:-1, 0:11:2], x[1:, 1:5], divisors))
+                        x[:-1, 6:11:2], x[:-1, 0:11:2], x[1:, 1:5]))
 
 
 def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
@@ -335,21 +334,22 @@ def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
     states (a, b) of a' = c_a . m, b' = c_b . m, where m are the monomials of
     _MONOMIALS and ``matrix`` stacks c_a and c_b; shape (2, k, order + 1).
 
-    With x(t) = sum_n x_n t^n, (n + 1) x_{n+1} is the t^n coefficient of
-    c . m(a(t), b(t)), whose products are Cauchy products of the lower
-    coefficients.  ``work``, from ``taylor_workspace`` for this dtype, lane
-    count and order (made here when None), is time-major, (order + 1, 11,
-    k), and each order holds the rows (1|0, a, a, b, b, ., aa, ., ab, ., bb):
-    its stride-2 rows are the monomials of _MONOMIALS, and rows 1-3 and 2-4
-    over time are the Cauchy factors (a, a, b) and (a, b, b).  Per order
-    three numpy calls fill it: one ``np.vecdot`` of the factors over time
-    into aa, ab, bb, one matmul with the rows of ``matrix`` repeated as
-    (a, a, b, b) into the next order, and an in-place division by n + 1.
-    Per lane the arithmetic does not depend on the batch: vecdot is a
-    gufunc, and for longdouble it has no BLAS kernel, so each row's sum is
-    its own, taken sequentially from time 0 (strided or not); numpy's
-    longdouble matmul likewise sums c*m from 0 in monomial order.  On object
-    arrays of Fractions it is exact.
+    With x(t) = sum_n x_n t^n, x_{n+1} is the t^n coefficient of
+    c . m(a(t), b(t)) / (n + 1), whose products are Cauchy products of the
+    lower coefficients.  ``work``, from ``taylor_workspace`` for this dtype,
+    lane count and order (made here when None), is time-major, (order + 1,
+    11, k), and each order holds the rows (1|0, a, a, b, b, ., aa, ., ab, .,
+    bb): its stride-2 rows are the monomials of _MONOMIALS, and rows 1-3 and
+    2-4 over time are the Cauchy factors (a, a, b) and (a, b, b).  The rows
+    of ``matrix``, repeated as (a, a, b, b), are divided by n + 1 for every
+    order at once, an (order, 4, 6) array; then per order two numpy calls
+    fill the workspace: one ``np.vecdot`` of the factors over time into aa,
+    ab, bb, and one matmul with that order's rows into the next order.  Per
+    lane the arithmetic does not depend on the batch: vecdot is a gufunc,
+    and for longdouble it has no BLAS kernel, so each row's sum is its own,
+    taken sequentially from time 0 (strided or not); numpy's longdouble
+    matmul likewise sums c*m from 0 in monomial order.  On object arrays of
+    Fractions it is exact.
 
     The result is a view of ``work``, valid until the next call on it."""
     if work is None:
@@ -359,11 +359,11 @@ def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
         raise ValueError(f"workspace of shape {x.shape} for {len(a)} lanes "
                          f"to order {order}")
     x[0, 1:5] = a, a, b, b
-    rows = matrix[[0, 0, 1, 1]]
-    for left, right, sums, mono, nxt, divisor in steps:
+    rows = (matrix[[0, 0, 1, 1]]
+            / np.arange(1, order + 1).astype(x.dtype)[:, None, None])
+    for (left, right, sums, mono, nxt), scaled in zip(steps, rows):
         np.vecdot(left, right, out=sums)
-        np.matmul(rows, mono, out=nxt)
-        np.divide(nxt, divisor, out=nxt)
+        np.matmul(scaled, mono, out=nxt)
     return x[:, 1:4:2].transpose(1, 2, 0)
 
 
@@ -412,12 +412,17 @@ class IvpResult(NamedTuple):
         """(a, b) at y from the power sum of the step that holds y (the
         first or the last step beyond the knots); at an array of y, float
         arrays of a and b, each entry bit-identical to the call at that node
-        alone."""
+        alone.  The nodes are evaluated step by step, each step's
+        coefficients read in place."""
         yl = np.asarray(y, dtype=np.longdouble)
         i = np.clip(np.searchsorted(self.knots, yl, side="right") - 1, 0,
                     len(self.coeffs) - 1)
-        out = _power_sum(self.coeffs[i], (yl - self.knots[i])[..., None])
-        out = out.astype(float)
+        t = yl - self.knots[i]
+        out = np.empty((*yl.shape, 2))
+        # np.unique would import numpy.ma, a megabyte, on its first call
+        for step in np.flatnonzero(np.bincount(i.ravel())):
+            at = i == step
+            out[at] = _power_sum(self.coeffs[step], t[at][:, None])
         if out.ndim == 1:
             return float(out[0]), float(out[1])
         return out[..., 0], out[..., 1]
@@ -558,8 +563,22 @@ class ShootResult(NamedTuple):
     # classification rounds, not runs: the bracket ends', then one per
     # coarse pass; the ends share their run with the first pass
     coarse_passes: int
-    falsi_runs: int  # one-lane regula falsi runs on U
+    falsi_runs: int  # one-lane root-step runs on U
     u_final: float  # U at the returned parameter
+
+
+def _inverse_cubic(known: dict, lo: float, hi: float):
+    """The p where the cubic in U through the two known (p, U) nearest at or
+    below lo and the two nearest at or above hi gives U = 0, by Lagrange's
+    form in U (inverse interpolation, Brent 1973, ch. 4); None unless there
+    are four such points with distinct U."""
+    ps = (sorted(p for p in known if p <= lo)[-2:]
+          + sorted(p for p in known if p >= hi)[:2])
+    us = [known[p] for p in ps]
+    if len(set(us)) < 4:
+        return None
+    return sum(pi * math.prod(uj / (uj - ui) for uj in us if uj != ui)
+               for pi, ui in zip(ps, us))
 
 
 SHOOT_LANES = 15  # interior points classified per coarse pass
@@ -612,23 +631,29 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
       sin 3 arg z >= 1/2 and y + T(|z|) < SHOOT_Y for z = a - 1 + i b, a
       forward-invariant sector in which |z| reaches infinity within T and
       b keeps its sign), or at BLOWUP_THRESHOLD;
-    * fine: once both ends reach SHOOT_Y, Illinois regula falsi (Dowell and
-      Jarratt, BIT 1971) on the smooth U(p) = (a - b)(SHOOT_Y) e^{-2 SHOOT_Y},
-      one one-lane run per step.  The series state is formed in float64, so
-      U is piecewise constant in p; the falsi stops once both ends give the
-      same initial state or the next point is not strictly inside, and
-      returns the end with the smaller |U|.
+    * fine: once both ends reach SHOOT_Y, a root step on the smooth
+      U(p) = (a - b)(SHOOT_Y) e^{-2 SHOOT_Y}, one one-lane run per step.
+      The known (p, U) are those of the last coarse pass's lanes that
+      reached SHOOT_Y, of the bracket ends and of each one-lane run.  A step
+      takes the inverse cubic through the two known points nearest below
+      the bracket and the two nearest above it (``_inverse_cubic``), if
+      their U are distinct and its point lies strictly inside the bracket,
+      and otherwise the Illinois regula falsi point (Dowell and Jarratt,
+      BIT 1971), whose weights every step updates.  The series state is
+      formed in float64, so U is piecewise constant in p; the search stops
+      once both ends give the same initial state or the next point is not
+      strictly inside, and returns the end with the smaller |U|.
 
     ``series`` is the pole series from ``indicial_expand``, its coefficients
     polynomials in p, evaluated exactly once per classified p; each
-    bracket end carries its initial state and the steps of its falsi run
+    bracket end carries its initial state and the steps of its one-lane run
     (none for an end from a coarse pass).  The returned trajectory resumes
     the chosen end's run: its steps that end below both SHOOT_Y and
     ``y_end`` are those a fresh run from the same state takes (the stepper
     is deterministic per lane, and neither run clipped them), so one
     ``integrate_ivp`` continues from the last of them, with the state
     there, the next step's zeroth coefficients.  A run that turns
-    non-finite has no sign and raises, as does a falsi run that blows up
+    non-finite has no sign and raises, as does a one-lane run that blows up
     before SHOOT_Y.
     The certificate is proven for the locked system only: on a system with
     other coefficients than LOCKED_COEFFS the first run raises ValueError.
@@ -673,13 +698,17 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
         raise ValueError("decay manifold not bracketed")
     outcomes = outcomes[2:]
     coarse = 1
+    known = {}  # p -> U of the last coarse pass's lanes that reached SHOOT_Y
     while _BLOWN in (out_lo[0], out_hi[0]):
         if coarse > 1:
             params, states = interior(lo, hi)
             outcomes = run(states)
         before = (lo, hi)
         coarse += 1
-        for p, s, out in zip(params, states, record(params, outcomes)):
+        record(params, outcomes)
+        known = {p: out[3] for p, out in zip(params, outcomes)
+                 if out[0] == _REACHED}
+        for p, s, out in zip(params, states, outcomes):
             if out[1] != out_lo[1]:
                 hi, s_hi, out_hi, w_hi = p, s, out, no_steps()
                 break
@@ -688,13 +717,18 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
             raise ValueError("coarse shooting phase stalled at parameter "
                              f"bracket [{lo!r}, {hi!r}]")
 
-    # Illinois regula falsi; u_* are the true U, f_* the weighted ones
+    # Illinois regula falsi, its point replaced by the inverse cubic where
+    # that lies inside; u_* are the true U, f_* the weighted ones, and each
+    # one-lane run adds its (p, U) to the known ones
     u_lo, u_hi = out_lo[3], out_hi[3]
     f_lo, f_hi = u_lo, u_hi
+    known.update({lo: u_lo, hi: u_hi})
     kept = 0  # which end the last step kept: -1 lo, +1 hi
     falsi = 0
     while s_lo != s_hi:
-        p = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        p = _inverse_cubic(known, lo, hi)
+        if p is None or not lo < p < hi:
+            p = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < p < hi:
             break
         s = state(p)
@@ -706,9 +740,9 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
             falsi += 1
             if out[0] != _REACHED:
                 raise ValueError(
-                    f"regula falsi run at parameter {p!r} blew up near "
+                    f"root-step run at parameter {p!r} blew up near "
                     f"y = {out[2]:.6g}, before y = {SHOOT_Y}")
-            u = out[3]
+            u = known[p] = out[3]
         if (u < 0) == (u_lo < 0):
             lo, s_lo, u_lo, f_lo, w_lo = p, s, u, u, w
             if kept == 1:

@@ -9,6 +9,7 @@ from kwlab import jets
 from kwlab.jets import Jet
 from kwlab.profiles import (
     higgs_scale_check,
+    loglog_slope,
     nahm_pole_invariant_solution,
     pole_scalars,
 )
@@ -88,3 +89,18 @@ def test_scaling_limit_rate():
     assert abs(out["slope"] - 2.0) <= 0.1
     # relative error at s is s^2/3 to leading order
     assert math.isclose(out["errors"][0], 1e-2 / 3, rel_tol=0.05)
+
+
+def test_loglog_slope_matches_least_squares():
+    # exact on a power law; on seeded scattered data, numpy's least-squares
+    # line fit to rounding
+    xs = [1e-1, 2e-2, 5e-3, 1e-3]
+    assert math.isclose(loglog_slope(xs, [3.0 * x**-1.5 for x in xs]), -1.5,
+                        rel_tol=1e-14)
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 7):
+        x = rng.uniform(0.01, 100.0, n)
+        y = rng.uniform(0.01, 100.0, n)
+        want = np.polyfit(np.log10(x), np.log10(y), 1)[0]
+        assert math.isclose(loglog_slope(x, y), want, rel_tol=1e-12,
+                            abs_tol=1e-12)

@@ -27,8 +27,9 @@ from kwlab.reduced import (
     shoot_for_decay,
 )
 
-# decaying parameter located at y0 = 0.1 by the shooting solver; its series
-# state is the float64 state with the smallest |U| (mpmath-certified below)
+# a decaying parameter at y0 = 0.1, within 1e-13 of the one the shooting
+# solver locates; its series state is the located one, the float64 state
+# with the smallest |U| (mpmath-certified below)
 ROOT = -0.6666666782308599
 
 
@@ -589,7 +590,7 @@ def test_rhs_lanes_match_scalar_and_exact(system):
 def test_shooting_locates_parameter(shot):
     assert abs(shot.param - ROOT) <= 1e-13
     # the bracket ends, then 16-fold sign passes until both ends reach
-    # SHOOT_Y, then one-lane regula falsi runs on U
+    # SHOOT_Y, then one-lane root-step runs on U
     assert shot.coarse_passes == 6
     assert 1 <= shot.falsi_runs <= 8
     coarse_lanes = (shot.coarse_passes - 1) * reduced.SHOOT_LANES
@@ -602,10 +603,98 @@ def test_shooting_locates_parameter(shot):
 
 
 def test_shot_keeps_the_initial_state(system, shot):
-    # the series state is formed in float64, and the falsi returns a
+    # the series state is formed in float64, and the root step returns a
     # parameter with the initial state of the certified root below, so the
     # same trajectory
     exp = indicial_expand(system, 6).at(Fraction(-0.6666666782308599))
+    assert tuple(_knot_states(shot.result)[0]) == exp.state(0.1)
+
+
+def _first_integral_root(series, y0):
+    """The p at which the order-``series.order`` series state at y0 has the
+    first integral H = (c^3 - 3 c b^2) / 3 - c, c = a - 1, of the decaying
+    trajectory, H(0, 0) = 2/3: a secant on H evaluated exactly in Fractions,
+    each iterate rounded to a multiple of 2^-200 so that the Fractions stay
+    small, until an iterate repeats."""
+    y = Fraction(y0)
+
+    def h(p):
+        exp = series.at(p)
+        c = sum(v * y**k for k, v in exp.a_coeffs.items()) - 1
+        b = sum(v * y**k for k, v in exp.b_coeffs.items())
+        return (c**3 - 3 * c * b**2) / 3 - c - Fraction(2, 3)
+
+    p0, p1 = Fraction(-2, 3), Fraction(-2, 3) + Fraction(1, 10**6)
+    h0, h1 = h(p0), h(p1)
+    for _ in range(40):
+        p2 = p1 - h1 * (p1 - p0) / (h1 - h0)
+        p2 = Fraction(round(p2 * 2**200), 2**200)
+        if p2 == p1:
+            return p1
+        p0, h0, p1, h1 = p1, h1, p2, h(p2)
+    raise AssertionError("secant did not settle")
+
+
+@pytest.mark.parametrize("y0", [0.05, 0.0731, 0.1, 0.137, 0.2])
+def test_located_parameter_is_the_first_integral_root(system, series, y0):
+    # H is constant along the locked flow, so the decaying trajectory's
+    # series parameter is the exact root of H(series state; p) = 2/3 at the
+    # same order and y0; the located p is within 1e-13 of it (the float64
+    # state moves by one ulp every 4e-14 of p at y0 = 0.05)
+    shot = shoot_for_decay(system, series, y0=y0)
+    root = _first_integral_root(series, y0)
+    assert abs(Fraction(shot.param) - root) <= Fraction(1, 10**13), y0
+
+
+def test_inverse_cubic_takes_the_two_nearest_points_on_each_side():
+    # p as a cubic in U through four points, two on each side of [lo, hi]:
+    # the interpolant's p at U = 0 is the cubic's constant term; farther
+    # points do not enter
+    def p_of(u):
+        return -0.5 + u / 4 - u**2 / 8 + u**3 / 16
+
+    us = [-3.0, -1.0, 0.5, 2.0]
+    known = {p_of(u): u for u in us}
+    lo, hi = p_of(-1.0), p_of(0.5)
+    assert reduced._inverse_cubic(known, lo, hi) == pytest.approx(-0.5,
+                                                                 abs=1e-15)
+    far = {**known, p_of(-7.0): 5.0, p_of(9.0): -11.0}
+    assert reduced._inverse_cubic(far, lo, hi) == reduced._inverse_cubic(
+        known, lo, hi)
+    # three points, or a repeated U: no interpolant
+    assert reduced._inverse_cubic({p_of(u): u for u in us[1:]}, lo, hi) is None
+    assert reduced._inverse_cubic({**known, p_of(-3.0): -1.0}, lo, hi) is None
+
+
+@pytest.mark.parametrize("every_step", [False, True])
+def test_root_step_outside_the_bracket_takes_the_illinois_point(
+        system, series, monkeypatch, every_step):
+    # the interpolant moved out of the bracket, on the first step alone or
+    # on every step: that step takes the Illinois point, which on the first
+    # step is the secant point of the ends, hi - U_hi (hi - lo) / (U_hi -
+    # U_lo), and the next step the interpolant again; the shot still returns
+    # the certified state.  Out on every step it is Illinois regula falsi
+    # alone, with its six runs
+    cubic, calls = reduced._inverse_cubic, []
+
+    def outside(known, lo, hi):
+        p = cubic(known, lo, hi)
+        calls.append((lo, hi, known.get(lo), known.get(hi), p))
+        if every_step or len(calls) == 1:
+            return hi + (hi - lo) if len(calls) % 2 else lo - (hi - lo)
+        return p
+
+    monkeypatch.setattr(reduced, "_inverse_cubic", outside)
+    shot = shoot_for_decay(system, series, y0=0.1)
+    steps = [t[0] for t in shot.trace[-shot.falsi_runs:]]
+    lo, hi, u_lo, u_hi, p = calls[0]
+    assert lo < p < hi
+    assert steps[0] == hi - u_hi * (hi - lo) / (u_hi - u_lo) != p
+    if every_step:
+        assert (shot.falsi_runs, len(shot.trace)) == (6, 83)
+    else:
+        assert steps[1] == calls[1][-1]
+    exp = series.at(Fraction(ROOT))
     assert tuple(_knot_states(shot.result)[0]) == exp.state(0.1)
 
 
@@ -752,8 +841,9 @@ def test_taylor_recurrence_is_exact(system):
 
 # The two-row kernel the workspace one replaced, kept as its reference: the
 # products gathered by fancy index and added to each order's sums term by
-# term from time 0, then divided.  It takes the workspace parameter so
-# that it can stand in for the kernel, and returns fresh arrays.
+# term from time 0, then multiplied by the matrix divided by n + 1.  It
+# takes the workspace parameter so that it can stand in for the kernel, and
+# returns fresh arrays.
 def _taylor_reference(matrix, a, b, order, work=None):
     x = np.zeros((2, len(a), order + 1), dtype=np.result_type(matrix, a, b))
     x[0, :, 0], x[1, :, 0] = a, b
@@ -765,7 +855,7 @@ def _taylor_reference(matrix, a, b, order, work=None):
         mono[3:] = 0
         for j in range(n + 1):
             mono[3:] = mono[3:] + x[left, :, j] * x[right, :, n - j]
-        x[:, :, n + 1] = (matrix @ mono) / (n + 1)
+        x[:, :, n + 1] = (matrix / (n + 1)) @ mono
     return x
 
 
@@ -1019,7 +1109,7 @@ def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
 @pytest.mark.parametrize("y0", [0.05, 0.1, 0.137, 0.2])
 def test_final_run_resumes_the_chosen_ends_run_bitwise(system, series,
                                                       monkeypatch, y0):
-    # the returned trajectory continues the chosen falsi end's run from its
+    # the returned trajectory continues the chosen end's run from its
     # last step below SHOOT_Y and y_end; it is the fresh run from the
     # located state, knot for knot; y_end <= SHOOT_Y is the edge case
     starts = []
@@ -1045,9 +1135,9 @@ def test_final_run_resumes_the_chosen_ends_run_bitwise(system, series,
 
 def test_shot_work_counts(system, series, monkeypatch):
     # one run for the bracket ends with the first coarse pass, four more
-    # coarse passes, six falsi runs and the final run: 12 Taylor runs and
-    # 345 Taylor steps; the final run resumes the chosen falsi end's run
-    # after its 26 steps below y = 8 (a fresh run repeated them: 371)
+    # coarse passes, three root-step runs and the final run: 9 Taylor runs
+    # and 264 Taylor steps; the final run resumes the chosen end's run after
+    # its 26 steps below y = 8 (a fresh run repeated them: 290)
     calls = {"_taylor_lanes": 0, "taylor_coefficients": 0}
 
     def counting(name):
@@ -1061,5 +1151,5 @@ def test_shot_work_counts(system, series, monkeypatch):
     for name in calls:
         monkeypatch.setattr(reduced, name, counting(name))
     shot = shoot_for_decay(system, series, y0=0.1)
-    assert calls == {"_taylor_lanes": 12, "taylor_coefficients": 345}
-    assert (shot.coarse_passes, shot.falsi_runs, len(shot.trace)) == (6, 6, 83)
+    assert calls == {"_taylor_lanes": 9, "taylor_coefficients": 264}
+    assert (shot.coarse_passes, shot.falsi_runs, len(shot.trace)) == (6, 3, 80)
