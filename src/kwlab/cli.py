@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import decomp, energy, halfspace, reduced, report, su2
-from .config import SUITES, TUNABLE_CHECK_IDS, SuiteConfig, build_config, load_config
+from .config import SUITES, SuiteConfig, build_config, load_config
 from .forms import calibrate, kw_residual_norm, ricci_check, taubes_lhs
 from .profiles import (
     higgs_scale_check,
@@ -102,7 +102,7 @@ def suite_algebra(cfg: SuiteConfig) -> list:
         "su2-rotation", "adjoint rotations preserve norm and bracket "
         "(100 seeded samples)",
         computed=float(worst), expected=0.0,
-        tolerance=cfg.tol("su2-rotation", 1e-13), provenance="trivial"))
+        tolerance=1e-13, provenance="trivial"))
     # 50 integer samples (u, v, w) as (3, 50) stacks, drawn one sample at a
     # time, u, v, w in turn.  2 |s|^2 and 2 <., .> are integer sums, so the
     # halves are exact floats
@@ -131,7 +131,7 @@ def suite_models(cfg: SuiteConfig) -> list:
         "calibrate", "unique calibrated convention annihilates the "
         "reference solution residual",
         computed=worst, expected=0.0,
-        tolerance=cfg.tol("calibrate", 1e-10), provenance="reference",
+        tolerance=1e-10, provenance="reference",
         extra={"conventions": (conv.c, conv.s1, conv.s2)}))
     checks.append(ricci_check(conv))
     worst_alt = float(np.max(
@@ -140,8 +140,7 @@ def suite_models(cfg: SuiteConfig) -> list:
         "residual-invariant-model-alt",
         "companion solution solves the same system",
         computed=worst_alt, expected=0.0,
-        tolerance=cfg.tol("residual-invariant-model-alt", 1e-10),
-        provenance="reference"))
+        tolerance=1e-10, provenance="reference"))
 
     rng = random.Random(cfg.seed)
     pole, sing = halfspace.nahm_pole_field(), halfspace.nahm_singular_field()
@@ -155,13 +154,12 @@ def suite_models(cfg: SuiteConfig) -> list:
         "residual-nahm-pole",
         f"pole model solves pointwise at {pts.shape[1]} seeded points",
         computed=worst_np, expected=0.0,
-        tolerance=cfg.tol("residual-nahm-pole", 1e-12), provenance="reference"))
+        tolerance=1e-12, provenance="reference"))
     checks.append(make_check(
         "residual-nahm-singular",
         "knot-singular model solves pointwise at 1000 seeded points, r >= 0.1",
         computed=worst_s, expected=0.0,
-        tolerance=cfg.tol("residual-nahm-singular", 1e-10),
-        provenance="reference"))
+        tolerance=1e-10, provenance="reference"))
 
     # 20 points for each scale, drawn in turn
     pts, _ = halfspace.sample_points(rng, 60, width=2.0, y_range=(0.3, 2.0))
@@ -178,15 +176,14 @@ def suite_models(cfg: SuiteConfig) -> list:
         "scale-invariance-flat",
         "both flat models are fixed by the dilation pullback",
         computed=worst_scale, expected=0.0,
-        tolerance=cfg.tol("scale-invariance-flat", 1e-14), provenance="trivial"))
+        tolerance=1e-14, provenance="trivial"))
 
     sc = higgs_scale_check()
     checks.append(make_check(
         "profile-scaling-rate",
         "s b(sy) -> 1/y at quadratic rate (log-log slope 2)",
         computed=sc["slope"], expected=2.0,
-        tolerance=cfg.tol("profile-scaling-rate", 0.1), provenance="derived",
-        extra=sc))
+        tolerance=0.1, provenance="derived", extra=sc))
 
     # pointwise maximum-principle combination on closed-form phi_y with
     # A = phi = 0: y t3 at y = 1.3 gives 0, y^2 t3 at y = 1.1 gives -y^2
@@ -199,7 +196,7 @@ def suite_models(cfg: SuiteConfig) -> list:
         "taubes-combination",
         "pointwise normal-component identity on closed-form data",
         computed=worst_t, expected=0.0,
-        tolerance=cfg.tol("taubes-combination", 1e-12), provenance="derived"))
+        tolerance=1e-12, provenance="derived"))
     return checks
 
 
@@ -244,13 +241,9 @@ def suite_energy(cfg: SuiteConfig) -> list:
     }
 
     for ident, reads in energy.IDENTITY_INPUTS.items():
-        cid = f"energy-{ident}"
-        # the identities with two sides gate on a tolerance, the others on
-        # fixed criteria
-        gate = {"tol": cfg.tol(cid, 1e-6)} if cid in TUNABLE_CHECK_IDS else {}
-        _guard(checks, cid, lambda ident=ident, reads=reads, gate=gate: (
+        _guard(checks, f"energy-{ident}", lambda ident=ident, reads=reads: (
             energy.check_energy_identity(
-                conv, ident, **gate, **{k: inputs[k]() for k in reads})))
+                conv, ident, **{k: inputs[k]() for k in reads})))
 
     def stability():
         val, err, parts = energy.c_model(full_line())
@@ -261,7 +254,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
             "c-model-stability",
             "model curvature constant, refined-quadrature agreement",
             computed=rel, expected=0.0,
-            tolerance=cfg.tol("c-model-stability", 1e-8), provenance="derived",
+            tolerance=1e-8, provenance="derived",
             extra={"value": val, "parts": parts, "quad_error": err})
 
     def envelope():
@@ -290,14 +283,14 @@ def suite_energy(cfg: SuiteConfig) -> list:
         out = [make_check(
             "charge-model", "topological charge against the antiderivative oracle",
             computed=q_val, expected=oracle,
-            tolerance=cfg.tol("charge-model", 1e-8), provenance="derived",
+            tolerance=1e-8, provenance="derived",
             extra={"quad_error": q_err})]
         q_alt, _ = energy.topological_charge(
             conv, scaled_matrix_profile(pole_a_alt, _I3), spec)
         out.append(make_check(
             "charge-model-alt", "companion charge is the opposite of the model's",
             computed=q_alt, expected=-q_val,
-            tolerance=cfg.tol("charge-model-alt", 1e-8), provenance="derived"))
+            tolerance=1e-8, provenance="derived"))
         return out
 
     def chains():
@@ -326,7 +319,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         other = (tb.get("tangential_gradient_l2_sq").value
                  + tb.get("completed_square_l2_sq").value)
         c_limit = tb.get("c_limit").value
-        gap, tol = abs((c_limit - f_sq) - other), cfg.tol("theorem-bound", 1e-6)
+        gap, tol = abs((c_limit - f_sq) - other), 1e-6
         return make_check(
             "theorem-bound",
             "curvature energy below the assembled constant, slack equal to "
@@ -380,7 +373,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
     checks.append(make_check(
         "solver-jacobian", "contracting eigenvalue at the origin",
         computed=eig, expected=-2.0,
-        tolerance=cfg.tol("solver-jacobian", 1e-8), provenance="derived"))
+        tolerance=1e-8, provenance="derived"))
 
     grid = np.geomspace(1e-3, 30.0, 300)
     worst = float(np.max(sysr.rhs_residual(*pole_scalars(grid, np.longdouble))))
@@ -388,8 +381,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
         "solver-closed-form-residual",
         "closed-form solution satisfies the derived system",
         computed=worst, expected=0.0,
-        tolerance=cfg.tol("solver-closed-form-residual", 1e-10),
-        provenance="derived"))
+        tolerance=1e-10, provenance="derived"))
 
     def tracks(check_id, what, y_data, shift, y1, nodes, tol):
         # a run from y = 0.1 on the closed form's state at y_data, against
@@ -399,8 +391,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
         return make_check(
             check_id, what, computed=_closed_form_gap(
                 res, np.linspace(0.1, y1, nodes), shift),
-            expected=0.0, tolerance=cfg.tol(check_id, tol),
-            provenance="derived")
+            expected=0.0, tolerance=tol, provenance="derived")
 
     _guard(checks, "solver-ivp-match", lambda: tracks(
         "solver-ivp-match", "initial-value run tracks the closed form",
@@ -426,7 +417,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
             computed=_closed_form_gap(shot.result,
                                       np.linspace(y0, 8.0, 400)),
             expected=0.0,
-            tolerance=cfg.tol("solver-shooting", 1e-4), provenance="derived",
+            tolerance=1e-4, provenance="derived",
             extra={"param": shot.param, **_shot_counts(shot)}))
         # The order-6 series neglects a_8 y^8 (a_7 = 0).  Near the pole the
         # free coefficient scales the growing mode y^2 of a (a perturbation
@@ -439,8 +430,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
             "term a_8 y^8 that the order-6 series neglects, moved onto the "
             "free y^2 mode, with a factor 2 for higher orders",
             computed=shot.param, expected=-2.0 / 3.0,
-            tolerance=cfg.tol("solver-series-parameter",
-                              2.0 * abs(float(a8)) * y0 ** 6),
+            tolerance=2.0 * abs(float(a8)) * y0 ** 6,
             provenance="derived",
             extra={"order": series.order, "y0": y0, "a_neglected": str(a8)}))
         ys = np.linspace(5.0, 7.0, 40)
@@ -450,8 +440,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
             "solver-decay-envelope",
             "recovered Higgs scalar keeps the exponential envelope constant",
             computed=env, expected=0.0,
-            tolerance=cfg.tol("solver-decay-envelope", 0.05),
-            provenance="derived"))
+            tolerance=0.05, provenance="derived"))
         return out
 
     _guard(checks, "solver-shooting", shooting)
@@ -526,8 +515,6 @@ def emit_plotdata(target: str, cfg: SuiteConfig, out_dir: str):
 _SHARED_FLAGS = {
     "--config": {"help": "key = value configuration file"},
     "--seed": {"type": int, "default": None},
-    "--tol": {"action": "append", "default": [], "metavar": "ID=VALUE",
-              "help": "tolerance override of a tunable check (repeatable)"},
     "--out": {"default": None, "help": "output path"},
     "--json": {"action": "store_true", "default": None, "dest": "json_out",
                "help": "print the JSON report"},
@@ -549,14 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, allow_abbrev=False, **kwargs)
 
     pv = command("verify", help="run a verification suite")
-    pv.add_argument("--suite", default="all", choices=SUITES)
+    pv.add_argument("--suite", default=None, choices=SUITES)
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--n-pert", type=int, default=None, dest="n_pert")
     pv.add_argument("--eps", type=float, default=None)
     pv.add_argument("--ymax", type=float, default=None, dest="y_max")
     pv.add_argument("--flip-star-sign", action="store_true", default=None,
                     help="negative control: flip the Hodge orientation")
-    _add_shared(pv, "--config", "--seed", "--tol", "--out", "--json")
+    _add_shared(pv, "--config", "--seed", "--out", "--json")
 
     pe = command("energy", help="energy report for the model solution")
     pe.add_argument("--model", default="he", choices=("he", "alt"))
@@ -587,17 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> SuiteConfig:
     file_values = load_config(args.config) if args.config else None
-    tols = {}
-    for item in getattr(args, "tol", ()):
-        if "=" not in item:
-            raise ValueError(f"--tol expects ID=VALUE, got {item!r}")
-        cid, val = item.split("=", 1)
-        tols[cid.strip()] = float(val)
     # each command has only the flags it reads; an absent flag is None
     cli_values = {key: getattr(args, key) for key in (
         "suite", "seed", "out", "json_out", "n", "n_pert", "eps", "y_max",
         "flip_star_sign") if hasattr(args, key)}
-    cli_values["tol_overrides"] = tols or None
     return build_config(file_values, cli_values)
 
 

@@ -1,33 +1,16 @@
 """Suite configuration: a flat key-value text format plus CLI overrides.
 
 Config files hold one ``key = value`` pair per line (# comments allowed).
-Recognised keys mirror the CLI flags; unknown keys and tolerance overrides
-of any check outside TUNABLE_CHECK_IDS are rejected at parse time, so that
-neither a typo nor an override that no gate reads passes silently.
+Recognised keys mirror the CLI flags; an unknown key is rejected at parse
+time, so that a typo does not pass silently.  No key or flag sets a
+tolerance: each gate's tolerance is a constant of its check.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .quadrature import QuadratureSpec
-
-# the gates whose producer reads its tolerance through SuiteConfig.tol; every
-# other check is exact, an info record or gates on a fixed criterion, so an
-# override of it would change nothing
-TUNABLE_CHECK_IDS = frozenset((
-    "su2-rotation",
-    "calibrate", "residual-invariant-model-alt", "residual-nahm-pole",
-    "residual-nahm-singular", "scale-invariance-flat", "profile-scaling-rate",
-    "taubes-combination",
-    "energy-first-order-balance", "energy-square-completion",
-    "energy-bulk-boundary-balance", "energy-route-match", "c-model-stability",
-    "charge-model", "charge-model-alt", "theorem-bound",
-    "solver-jacobian", "solver-closed-form-residual", "solver-ivp-match",
-    "solver-shooting", "solver-series-parameter", "solver-decay-envelope",
-    "solver-flow-translate",
-))
 
 SUITES = ("algebra", "models", "decomposition", "energy", "solver", "all")
 
@@ -56,20 +39,10 @@ class SuiteConfig:
     out: str | None = None
     json_out: bool = False
     flip_star_sign: bool = False
-    tol_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
-        for cid, tol in self.tol_overrides.items():
-            if cid not in TUNABLE_CHECK_IDS:
-                raise ValueError(f"tolerance override of {cid!r}: not a "
-                                 "tunable check")
-            # an infinite tolerance switches the gate off, and the report
-            # could not write it as JSON
-            if not 0 < tol < math.inf:
-                raise ValueError(f"tolerance for {cid!r} must be positive "
-                                 "and finite")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n_pert < 1:
@@ -93,12 +66,6 @@ class SuiteConfig:
             panels=self.panels,
             nodes_per_panel=self.nodes_per_panel,
         )
-
-    def tol(self, check_id: str, default: float) -> float:
-        """The gate of a tunable check: its override, else ``default``."""
-        if check_id not in TUNABLE_CHECK_IDS:
-            raise KeyError(f"tolerance of {check_id!r}: not a tunable check")
-        return float(self.tol_overrides.get(check_id, default))
 
 
 _KEY_TYPES = {
@@ -130,7 +97,6 @@ def _parse_value(ln: int, key: str, typ, val: str):
 
 def parse_config_text(text: str) -> dict:
     values: dict = {}
-    tols: dict = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,14 +104,9 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key.startswith("tol."):
-            tols[key[4:]] = _parse_value(ln, key, float, val)
-            continue
         if key not in _KEY_TYPES:
             raise ValueError(f"line {ln}: unknown config key {key!r}")
         values[key] = _parse_value(ln, key, _KEY_TYPES[key], val)
-    if tols:
-        values["tol_overrides"] = tols
     return values
 
 
@@ -157,13 +118,5 @@ def load_config(path: str) -> dict:
 def build_config(file_values: dict | None, cli_values: dict) -> SuiteConfig:
     """CLI flags override file values override defaults."""
     merged = dict(file_values or {})
-    tols = dict(merged.pop("tol_overrides", {}))
-    for k, v in cli_values.items():
-        if v is None:
-            continue
-        if k == "tol_overrides":
-            tols.update(v)
-        else:
-            merged[k] = v
-    merged["tol_overrides"] = tols
+    merged.update((k, v) for k, v in cli_values.items() if v is not None)
     return SuiteConfig(**merged)

@@ -76,6 +76,9 @@ IDENTITY_INPUTS = {
     "route-match": ("full_line", "sweep"),
     "weighted-bound": ("full_line", "consts"),
 }
+# the relative gap at which the identities with two sides (the balances and
+# route-match) fail; the others gate on fixed criteria
+IDENTITY_TOL = 1e-6
 _BALANCES = {  # the identities on the cutoff pass: lhs = rhs
     "first-order-balance": "first-order bulk norms equal the two boundary functionals",
     "square-completion": "cross term of the completed square equals the cubic "
@@ -287,14 +290,13 @@ def _neville_to_zero(xs, ys):
 
 
 def check_energy_identity(conv: GeometryConventions, ident: str, *,
-                          tol: float = 1e-6, at_eps: Norms | None = None,
+                          at_eps: Norms | None = None,
                           full_line: Norms | None = None,
                           sweep: CutoffSweep | None = None,
                           consts: BoundConstants | None = None) -> CheckReport:
     """One identity of the energy bookkeeping on a solution field, from its
     IDENTITY_INPUTS only: passes (Norms) and a sweep built from one, which
-    certify that the field is a solution.  tol is that of the identities
-    with two sides."""
+    certify that the field is a solution."""
     if ident not in IDENTITY_INPUTS:
         raise ValueError(f"unknown identity id {ident!r}")
 
@@ -311,7 +313,7 @@ def check_energy_identity(conv: GeometryConventions, ident: str, *,
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
         return make_check(
             f"energy-{ident}", _BALANCES[ident],
-            computed=gap, expected=0.0, tolerance=tol,
+            computed=gap, expected=0.0, tolerance=IDENTITY_TOL,
             extra={"lhs": lhs, "rhs": rhs, "quad_error": err, "eps": at_eps.eps},
         )
 
@@ -337,7 +339,7 @@ def check_energy_identity(conv: GeometryConventions, ident: str, *,
         return make_check(
             "energy-route-match",
             "cutoff-limit constant equals the direct full-line energy integral",
-            computed=gap, expected=0.0, tolerance=tol,
+            computed=gap, expected=0.0, tolerance=IDENTITY_TOL,
             extra={"limit": sweep.limit, "direct": direct, "quad_error": err},
         )
 

@@ -4,7 +4,6 @@ import ast
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -16,9 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwlab import energy, reduced
-from kwlab.cli import build_parser, emit_plotdata, main, suite_solver
+from kwlab.cli import (
+    _SHARED_FLAGS,
+    build_parser,
+    emit_plotdata,
+    main,
+    suite_solver,
+)
 from kwlab.config import (
-    TUNABLE_CHECK_IDS,
+    _KEY_TYPES,
+    SUITES,
     SuiteConfig,
     build_config,
     parse_config_text,
@@ -78,32 +84,31 @@ def test_config_parsing_and_precedence(tmp_path):
     suite = decomposition
     seed = 7
     n = 123
-    tol.calibrate = 1e-9
     """
     vals = parse_config_text(text)
     assert vals["suite"] == "decomposition" and vals["n"] == 123
-    cfg = build_config(vals, {"seed": 99,
-                              "tol_overrides": {"taubes-combination": 1e-3}})
+    cfg = build_config(vals, {"seed": 99, "suite": None})
     assert cfg.seed == 99           # CLI wins
     assert cfg.n == 123             # file preserved
-    assert cfg.tol("calibrate", 1.0) == 1e-9
-    assert cfg.tol("taubes-combination", 1.0) == 1e-3
-    assert cfg.tol("charge-model", 0.5) == 0.5
+    assert cfg.suite == "decomposition"     # an absent flag keeps it
+
+
+def test_config_file_chooses_the_verify_suite(tmp_path, capsys):
+    # verify runs the file's suite unless --suite is given, and rejects a
+    # file's unknown suite
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("suite = algebra\n")
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["suite"] == "algebra"
+    cfg.write_text("suite = bogus\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown suite 'bogus'" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys_and_ids():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_text("bogus = 3")
-    # ricci is a check of the report, but an exact one: no gate reads an
-    # override of it
-    for cid in ("no-such-check", "ricci"):
-        with pytest.raises(ValueError, match="not a tunable check"):
-            SuiteConfig(tol_overrides={cid: 1e-3})
-        with pytest.raises(KeyError, match="not a tunable check"):
-            SuiteConfig().tol(cid, 1.0)
-    for tol in (0.0, -1e-3, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="must be positive and finite"):
-            SuiteConfig(tol_overrides={"calibrate": tol})
     with pytest.raises(ValueError, match="unknown suite"):
         SuiteConfig(suite="everything")
 
@@ -140,14 +145,9 @@ def test_verify_negative_control(tmp_path):
 
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--suite", "not-a-suite"]) == 2
-    assert main(["verify", "--tol", "no-such-check=1e-3"]) == 2
-    assert main(["verify", "--tol", "energy-typo=1"]) == 2
-    assert main(["verify", "--tol", "malformed"]) == 2
-    capsys.readouterr()
-    # an infinite tolerance would switch the gate off
-    assert main(["verify", "--suite", "algebra",
-                 "--tol", "su2-rotation=1e999"]) == 2
-    assert "must be positive and finite" in capsys.readouterr().err
+    # a tolerance is a constant of its check: no flag or key sets one
+    assert main(["verify", "--tol", "x=1"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     # shooting from a y0 the pole series cannot serve
     outputs = ["--out-profile", str(tmp_path / "p.csv"),
                "--out-log", str(tmp_path / "l.json")]
@@ -169,13 +169,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           ("y_max = inf", "y_max < inf"),
                           ("y_max = 178", "tail envelope exp(4 y_max) overflows"),
                           ("seed = -1", "seed must be >= 0"),
-                          ("tol.su2-rotation = inf",
-                           "must be positive and finite"),
+                          ("tol.calibrate = 1e-9",
+                           "line 1: unknown config key 'tol.calibrate'"),
                           ("eps = 5", "0 < eps"),
                           ("n = 1.5", "line 1: n expects an integer, got '1.5'"),
                           ("eps = abc", "line 1: eps expects a float, got 'abc'"),
-                          ("tol.su2-rotation = abc",
-                           "line 1: tol.su2-rotation expects a float, got 'abc'"),
                           ("flip_star_sign = maybe",
                            "line 1: flip_star_sign expects a boolean, got 'maybe'")):
         cfg.write_text(line + "\n")
@@ -207,35 +205,63 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
-# report ids outside the tunable list: exact checks, info records and gates
-# on fixed criteria
-_OTHER_IDS = ("su2-bracket", "su2-inner", "su2-jacobi", "ricci",
-              "eigen-table-v2-1", "star-table-nu12-sign", "decomposition-suite",
-              "decomposition-lemma-gram",
-              "energy-cutoff-limit", "energy-weighted-bound", "c-model-envelope",
-              "perturbation-chain", "solver-closure", "solver-stationary",
-              "solver-indicial")
 # a config file's line syntax: '#' starts a comment and these end a line
 _LINE_SYNTAX = "#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_TEXT = st.text(st.characters(codec="utf-8",
                                   blacklist_characters=_LINE_SYNTAX),
                      max_size=12)
-_TOL_VALUES = ("0", "-0", "-1e-3", "nan", "-inf", "inf", "1e999", "abc", "",
-               "1e-9", " 0.25 ", "1=2")
-
-
-def _tol_ids(text):
-    return st.one_of(st.sampled_from(sorted(TUNABLE_CHECK_IDS)),
-                     st.sampled_from(_OTHER_IDS), text)
-
-
-def _tol_values(text):
-    return st.one_of(st.sampled_from(_TOL_VALUES), st.floats().map(repr), text)
+# edge values of every key type, valid and not
+_EDGE_VALUES = ("0", "-0", "1", "-1", "2", "1e-3", "-1e-3", "0.5", "1.5",
+                "1e999", "nan", "-inf", "inf", "abc", "", " 0.25 ", "1=2",
+                "true", "False", "yes", "maybe", "1_000", "0x10",
+                "1000000000000000000000", *SUITES)
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(_KEY_TYPES)),
+       value=st.one_of(st.sampled_from(_EDGE_VALUES),
+                       st.integers().map(str), st.floats().map(repr),
+                       _LINE_TEXT),
+       sep=st.sampled_from(("=", " = ", "")))
+def test_config_key_fuzz(fuzz_dir, key, value, sep):
+    # every key with a fuzzed value, after a line that picks the quick
+    # algebra suite: exit 0, 1 or 2, never a traceback, and 2 with a message
+    line = f"{key}{sep}{value}"
+    cfg = fuzz_dir / "fuzz.cfg"
+    cfg.write_text(f"suite = algebra\n{line}\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--config", str(cfg),
+                     "--out", str(fuzz_dir / "r.json")])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert code in (0, 1, 2), (code, err)
+    if code == 2:
+        assert "error:" in err, err
+    if "=" not in line:
+        assert code == 2 and "line 2: expected 'key = value'" in err, err
+        return
+    head, val = (part.strip() for part in line.split("=", 1))
+    if head not in _KEY_TYPES:     # the value ran into the key
+        assert code == 2 and "line 2: unknown config key" in err, err
+        return
+    try:
+        _KEY_TYPES[head](val)
+    except ValueError:
+        assert code == 2 and f"line 2: {head} expects" in err, err
+    if head == "suite" and val not in SUITES:
+        assert code == 2 and "unknown suite" in err, err
+
+
+# gate ids that once took a tolerance override, and text that is no id
+_GATE_IDS = ("calibrate", "residual-nahm-pole", "residual-nahm-singular",
+             "residual-invariant-model-alt", "solver-shooting", "su2-bracket")
 
 
 def _verify_algebra(out_dir, *argv):
@@ -248,51 +274,39 @@ def _verify_algebra(out_dir, *argv):
     return code, err.getvalue()
 
 
-def _assert_gate_outcome(code, err, check_id, value):
-    """Exit 2 with an error line unless check_id is tunable and value a
-    positive finite number; never a traceback."""
-    try:
-        accepted = (check_id in TUNABLE_CHECK_IDS
-                    and 0 < float(value) < math.inf)
-    except ValueError:
-        accepted = False
-    assert "Traceback" not in err
-    if accepted:
-        assert code in (0, 1), err
-    else:
-        assert code == 2 and "error:" in err, (code, err)
-
-
 @settings(max_examples=150, deadline=None)
-@given(check_id=_tol_ids(st.text(max_size=12)),
-       value=_tol_values(st.text(max_size=12)),
+@given(check_id=st.one_of(st.sampled_from(_GATE_IDS), st.text(max_size=12)),
+       value=st.one_of(st.sampled_from(_EDGE_VALUES), st.floats().map(repr),
+                       st.text(max_size=12)),
        sep=st.sampled_from(("=", " = ", "")))
 def test_tol_flag_fuzz(fuzz_dir, check_id, value, sep):
-    item = f"{check_id}{sep}{value}"
-    code, err = _verify_algebra(fuzz_dir, f"--tol={item}")
-    if "=" not in item:
-        assert code == 2 and "--tol expects ID=VALUE" in err
-    else:
-        head, val = item.split("=", 1)
-        _assert_gate_outcome(code, err, head.strip(), val)
+    # no flag sets a tolerance: --tol is rejected whatever it carries
+    code, err = _verify_algebra(fuzz_dir, f"--tol={check_id}{sep}{value}")
+    assert "Traceback" not in err
+    assert code == 2 and "unrecognized arguments: --tol" in err, (code, err)
 
 
 @settings(max_examples=150, deadline=None)
-@given(check_id=_tol_ids(_LINE_TEXT), value=_tol_values(_LINE_TEXT),
+@given(check_id=st.one_of(st.sampled_from(_GATE_IDS), _LINE_TEXT),
+       value=st.one_of(st.sampled_from(_EDGE_VALUES), st.floats().map(repr),
+                       _LINE_TEXT),
        sep=st.sampled_from(("=", " = ", "")))
 def test_config_tol_line_fuzz(fuzz_dir, check_id, value, sep):
+    # no config key sets a tolerance: a tol.<id> line is an unknown key
     line = f"tol.{check_id}{sep}{value}"
     cfg = fuzz_dir / "fuzz.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     code, err = _verify_algebra(fuzz_dir, "--config", str(cfg))
+    assert "Traceback" not in err
     if "=" not in line:
-        assert code == 2 and "expected 'key = value'" in err
+        assert code == 2 and "line 1: expected 'key = value'" in err, err
     else:
-        head, val = line.split("=", 1)
-        _assert_gate_outcome(code, err, head.strip()[4:], val)
+        assert code == 2 and "line 1: unknown config key" in err, err
+        assert "tol." in err, err
 
 
 @pytest.mark.parametrize("command, flag", [
+    ("verify", "--tol"),
     ("energy", "--seed"), ("energy", "--tol"), ("energy", "--json"),
     ("energy", "--eps"),
     ("residual", "--tol"), ("residual", "--json"),
@@ -631,6 +645,30 @@ def test_parser_covers_documented_commands():
                if isinstance(a, type(ap._subparsers._group_actions[0])))
     assert set(sub.choices) >= {"verify", "energy", "solve", "residual",
                                 "plotdata"}
+
+
+def _shared_flags_table(readme: str) -> dict:
+    """README's "command | shared flags" table: command -> its flags."""
+    rows = readme.split("| command | shared flags |", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for row in rows.splitlines()[2:]:
+        commands, flags = (cell.strip() for cell in row.strip("| ").split(" | "))
+        for command in commands.replace("`", "").split(", "):
+            table[command] = tuple(item.split()[0] for item in
+                                   flags.split("`")[1::2])
+    return table
+
+
+def test_readme_shared_flags_table_matches_parser():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        documented = _shared_flags_table(fh.read())
+    sub = build_parser()._subparsers._group_actions[0]
+    parsed = {name: tuple(opt for action in p._actions
+                          for opt in action.option_strings
+                          if opt in _SHARED_FLAGS)
+              for name, p in sub.choices.items()}
+    assert documented == parsed
 
 
 def test_residual_command(tmp_path):
