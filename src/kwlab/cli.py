@@ -37,7 +37,7 @@ from .profiles import (
     pole_scalars,
     scaled_matrix_profile,
 )
-from .quadrature import exp_nodes
+from .quadrature import QuadratureSpec, exp_nodes
 from .report import make_check, write_checks_json, write_csv, write_energy_json
 
 _I3 = np.eye(3)
@@ -225,7 +225,7 @@ def _shared(build):
 
 def suite_energy(cfg: SuiteConfig) -> list:
     conv = _active_conventions(cfg)
-    spec = cfg.quadrature()
+    spec = QuadratureSpec()
     model = nahm_pole_invariant_solution()
     checks = []
     # the reference solution's passes and the values built from them, once
@@ -248,7 +248,8 @@ def suite_energy(cfg: SuiteConfig) -> list:
     def stability():
         val, err, parts = energy.c_model(full_line())
         val2, _, _ = energy.c_model(energy.field_norms(
-            conv, model, spec.refined(), energy.C_MODEL_ROWS, from_zero=True))
+            conv, full_line(), spec.refined(), energy.C_MODEL_ROWS,
+            from_zero=True))
         rel = abs(val - val2) / val
         return make_check(
             "c-model-stability",
@@ -261,7 +262,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         env_ok = True
         envelope_k = 0.0
         fit = np.linspace(1.0, 5.0, 50)
-        grid = np.linspace(1.0, cfg.y_max, 200)
+        grid = np.linspace(1.0, spec.y_max, 200)
         for key in ("F_sq", "S_sq"):
             dens = energy.density_fn(conv, model, (key,))
             k_const = float(np.max(dens(fit) * exp_nodes(4.0 * fit))) * 1.5
@@ -278,7 +279,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
 
         q_val, q_err = energy.topological_charge(
             conv, scaled_matrix_profile(pole_a, _I3), spec)
-        a0, a1 = (float(pole_scalars(y)[0]) for y in (1e-8, cfg.y_max))
+        a0, a1 = (float(pole_scalars(y)[0]) for y in (1e-8, spec.y_max))
         oracle = -1.5 * ((a1**3 / 3 - a1**2) - (a0**3 / 3 - a0**2))
         out = [make_check(
             "charge-model", "topological charge against the antiderivative oracle",
@@ -478,7 +479,7 @@ def run_suite(cfg: SuiteConfig):
 
 def emit_plotdata(target: str, cfg: SuiteConfig, out_dir: str):
     conv = _active_conventions(cfg)
-    spec = cfg.quadrature()
+    spec = QuadratureSpec()
     model = nahm_pole_invariant_solution()
     os.makedirs(out_dir, exist_ok=True)
     if target == "profiles":
@@ -539,15 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default=None, choices=SUITES)
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--n-pert", type=int, default=None, dest="n_pert")
-    pv.add_argument("--eps", type=float, default=None)
-    pv.add_argument("--ymax", type=float, default=None, dest="y_max")
     pv.add_argument("--flip-star-sign", action="store_true", default=None,
                     help="negative control: flip the Hodge orientation")
     _add_shared(pv, "--config", "--seed", "--out", "--json")
 
     pe = command("energy", help="energy report for the model solution")
     pe.add_argument("--model", default="he", choices=("he", "alt"))
-    pe.add_argument("--ymax", type=float, default=None, dest="y_max")
     _add_shared(pe, "--config", "--out")
 
     ps = command("solve", help="shooting solver for the reduced system")
@@ -576,8 +574,8 @@ def _config_from_args(args) -> SuiteConfig:
     file_values = load_config(args.config) if args.config else None
     # each command has only the flags it reads; an absent flag is None
     cli_values = {key: getattr(args, key) for key in (
-        "suite", "seed", "out", "json_out", "n", "n_pert", "eps", "y_max",
-        "flip_star_sign") if hasattr(args, key)}
+        "suite", "seed", "out", "json_out", "n", "n_pert", "flip_star_sign")
+        if hasattr(args, key)}
     return build_config(file_values, cli_values)
 
 
@@ -602,7 +600,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             checks, code = run_suite(cfg)
             meta = {"suite": cfg.suite, "seed": cfg.seed, "n": cfg.n,
-                    "n_pert": cfg.n_pert, "eps": cfg.eps,
+                    "n_pert": cfg.n_pert, "eps": QuadratureSpec().eps,
                     "flip_star_sign": cfg.flip_star_sign}
             _emit(checks, cfg, meta)
             for c in checks:
@@ -611,7 +609,7 @@ def main(argv=None) -> int:
 
         if args.command == "energy":
             conv = _active_conventions(cfg)
-            spec = cfg.quadrature()
+            spec = QuadratureSpec()
             model = nahm_pole_invariant_solution()
             field = model if args.model == "he" else nahm_pole_invariant_solution_alt()
             # the reference solution's from-zero pass serves the constants,
@@ -625,7 +623,7 @@ def main(argv=None) -> int:
             rep.add("topological_charge", q, q_err)
             path = cfg.out or "energy-report.json"
             write_energy_json(path, rep, {"model": args.model})
-            sweep = energy.eps_sweep_rows(conv, field, (1e-1, 1e-2, 1e-3), spec)
+            sweep = energy.eps_sweep_rows(conv, own, (1e-1, 1e-2, 1e-3), spec)
             sweep_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                       "identity-sweep.csv")
             write_csv(sweep_path, ["eps", "lhs", "rhs", "gap"],

@@ -3,14 +3,13 @@
 Config files hold one ``key = value`` pair per line (# comments allowed).
 Recognised keys mirror the CLI flags; an unknown key is rejected at parse
 time, so that a typo does not pass silently.  No key or flag sets a
-tolerance: each gate's tolerance is a constant of its check.
+tolerance or the quadrature layout: each gate's tolerance is a constant of
+its check, and the layout is QuadratureSpec().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .quadrature import QuadratureSpec
 
 SUITES = ("algebra", "models", "decomposition", "energy", "solver", "all")
 
@@ -31,11 +30,6 @@ class SuiteConfig:
     seed: int = 42
     n: int = 10000
     n_pert: int = 20
-    eps: float = 0.05
-    y_split: float = 1.0
-    y_max: float = 30.0
-    panels: int = 24
-    nodes_per_panel: int = 16
     out: str | None = None
     json_out: bool = False
     flip_star_sign: bool = False
@@ -49,23 +43,6 @@ class SuiteConfig:
             raise ValueError("n_pert must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        # raises on a bad y range or panel layout, and on a bad eps: the
-        # energy identities integrate from eps itself
-        spec = self.quadrature()
-        try:
-            spec.refined()
-        except ValueError as e:
-            raise ValueError(f"{e} on the refined layout (twice the panels) "
-                             "of c-model-stability") from None
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            eps=self.eps,
-            y_split=self.y_split,
-            y_max=self.y_max,
-            panels=self.panels,
-            nodes_per_panel=self.nodes_per_panel,
-        )
 
 
 _KEY_TYPES = {
@@ -73,18 +50,13 @@ _KEY_TYPES = {
     "seed": int,
     "n": int,
     "n_pert": int,
-    "eps": float,
-    "y_split": float,
-    "y_max": float,
-    "panels": int,
-    "nodes_per_panel": int,
     "out": str,
     "json_out": _boolean,
     "flip_star_sign": _boolean,
 }
 
 
-_TYPE_NAMES = {int: "an integer", float: "a float", _boolean: "a boolean"}
+_TYPE_NAMES = {int: "an integer", _boolean: "a boolean"}
 
 
 def _parse_value(ln: int, key: str, typ, val: str):

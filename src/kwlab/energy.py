@@ -201,10 +201,16 @@ def field_norms(conv, field, spec: QuadratureSpec, rows: dict,
                 from_zero: bool = False) -> Norms:
     """One pass over the rows (name -> density keys) of the field.  It
     refuses a field that does not solve the system on the pass's own range
-    (_require_solution).  A row's floats do not depend on the other rows, so
-    a check that reads one by name gets the floats of its own pass."""
+    (_require_solution), unless the field comes as the from-zero Norms whose
+    build certified it on the range of every pass (from 1e-3), which spares
+    that pass's guard grid a second run.  A row's floats do not depend on
+    the other rows, so a check that reads one by name gets the floats of its
+    own pass."""
     eps = 0.0 if from_zero else spec.eps
-    _require_solution(conv, field, eps)
+    if isinstance(field, Norms):
+        field = field.field
+    else:
+        _require_solution(conv, field, eps)
     v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), spec,
                       from_zero)
     return Norms(field, eps, dict(zip(rows, zip(v.tolist(), e.tolist()))))
@@ -364,13 +370,14 @@ def _bulk_balance(norms: Norms):
     return lhs + 2.0 * two_phi, err + 2 * e2
 
 
-def eps_sweep_rows(conv, field, eps_list, spec: QuadratureSpec):
-    """Rows (eps, lhs, rhs, gap) of the bulk/boundary balance for CSV export."""
+def eps_sweep_rows(conv, full_line: Norms, eps_list, spec: QuadratureSpec):
+    """Rows (eps, lhs, rhs, gap) of the bulk/boundary balance for CSV export,
+    on the field of a from-zero pass, whose build certified it a solution."""
     rows = []
     for eps in eps_list:
         lhs, _ = _bulk_balance(
-            field_norms(conv, field, spec.with_eps(eps), _BALANCE_ROWS))
-        rhs = boundary_terms(conv, field, eps)[1]
+            field_norms(conv, full_line, spec.with_eps(eps), _BALANCE_ROWS))
+        rhs = boundary_terms(conv, full_line.field, eps)[1]
         rows.append((eps, lhs, rhs, lhs - rhs))
     return rows
 
@@ -584,7 +591,7 @@ class BoundConstants(NamedTuple):
     the values built from them, these constants and the CutoffSweep, are
     built once per run, and every check that uses one takes that value.
     The one exception: the refined c-model-stability pass evaluates the fine
-    layout of the shared from-zero pass (48 panels at the default 24) again."""
+    layout of the shared from-zero pass (48 panels) again."""
 
     c_decay: float
     c19: float

@@ -200,17 +200,20 @@ def read_points_csv(path: str) -> np.ndarray:
     pts = []
     with open(path) as fh:
         rd = csv.reader(fh)
-        for row in rd:
-            if not row or rd.line_num == 1 and row[0].strip().startswith("x1"):
-                continue
-            try:
-                pt = tuple(map(float, row))
-            except ValueError:
-                pt = ()
-            if not (len(pt) == 4 and all(map(math.isfinite, pt)) and pt[3] > 0):
-                raise ValueError(f"{path}:{rd.line_num}: point coordinates "
-                                 "must be finite, with y > 0, four to a row")
-            pts.append(pt)
+        try:
+            for row in rd:
+                if not row or rd.line_num == 1 and row[0].strip().startswith("x1"):
+                    continue
+                try:
+                    pt = tuple(map(float, row))
+                except ValueError:
+                    pt = ()
+                if not (len(pt) == 4 and all(map(math.isfinite, pt)) and pt[3] > 0):
+                    raise ValueError(f"{path}:{rd.line_num}: point coordinates "
+                                     "must be finite, with y > 0, four to a row")
+                pts.append(pt)
+        except csv.Error as e:  # csv's own, such as a field past its size limit
+            raise ValueError(f"{path}:{rd.line_num}: {e}") from None
     return np.array(pts, dtype=float).reshape(-1, 4).T
 
 

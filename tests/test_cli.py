@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,26 +155,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for y0 in ("0", "-0.1", "nan"):
         assert main(["solve", "--y0", y0, *outputs]) == 2
         assert "series initial data" in capsys.readouterr().err
-    # quadrature layouts and seeds are checked when the config is built,
-    # whichever suite runs
+    # seeds and values are checked when the config is built, whichever
+    # suite runs; the quadrature layout is a constant, so no key sets it
     cfg = tmp_path / "bad.cfg"
-    for line, message in (("panels = 0", "panels >= 1"),
-                          ("nodes_per_panel = 1", "nodes_per_panel >= 2"),
-                          ("nodes_per_panel = 101", "100 >= nodes_per_panel"),
-                          ("panels = 1000000000000000",
-                           "need panels * nodes_per_panel <= 32768"),
-                          ("panels = 1025", "got 2050 * 16 on the refined"),
-                          ("eps = -1", "0 < eps"), ("eps = nan", "0 < eps"),
-                          ("y_max = 0.5", "y_split < y_max"),
-                          ("y_split = inf", "y_split < y_max"),
-                          ("y_max = inf", "y_max < inf"),
-                          ("y_max = 178", "tail envelope exp(4 y_max) overflows"),
-                          ("seed = -1", "seed must be >= 0"),
+    for line, message in (("seed = -1", "seed must be >= 0"),
                           ("tol.calibrate = 1e-9",
                            "line 1: unknown config key 'tol.calibrate'"),
-                          ("eps = 5", "0 < eps"),
+                          *((f"{key} = 1", f"line 1: unknown config key '{key}'")
+                            for key in ("eps", "y_split", "y_max", "panels",
+                                        "nodes_per_panel")),
                           ("n = 1.5", "line 1: n expects an integer, got '1.5'"),
-                          ("eps = abc", "line 1: eps expects a float, got 'abc'"),
                           ("flip_star_sign = maybe",
                            "line 1: flip_star_sign expects a boolean, got 'maybe'")):
         cfg.write_text(line + "\n")
@@ -182,14 +173,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert message in capsys.readouterr().err
     assert main(["verify", "--suite", "algebra", "--seed", "-3"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
-    assert main(["energy", "--ymax", "178", "--out", str(tmp_path / "e.json")]) == 2
-    assert "tail envelope" in capsys.readouterr().err
+    # nor does a flag
+    for argv in (["verify", "--eps", "0.05"], ["verify", "--ymax", "30"],
+                 ["energy", "--ymax", "30", "--out", str(tmp_path / "e.json")]):
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
     assert not (tmp_path / "e.json").exists()
-    # the energy identities integrate from eps itself, so it must fit the
-    # quadrature layout
-    for eps in ("1.0", "inf"):
-        assert main(["verify", "--suite", "energy", "--eps", eps]) == 2
-        assert "0 < eps" in capsys.readouterr().err
     assert not (tmp_path / "l.json").exists()
     # a point file row with a non-finite coordinate, or y <= 0
     points = tmp_path / "points.csv"
@@ -202,6 +191,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{points}:3: " in err
         assert "point coordinates must be finite, with y > 0" in err
+    # a field past csv's size limit: a long number, or an open quote
+    for row in ("1" * 200_000 + ",0.5,0.5,1", '0.5,"' + "1\n" * 70_000):
+        points.write_text(f"x1,x2,x3,y\n0.1,0.2,0.3,0.4\n{row}\n")
+        assert main(["residual", "--points", str(points),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{points}:" in err and "field larger than field limit" in err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -305,10 +301,45 @@ def test_config_tol_line_fuzz(fuzz_dir, check_id, value, sep):
         assert "tol." in err, err
 
 
+# a --points field: a number, a non-finite or malformed one, quotes or NUL
+_POINT_FIELD = st.one_of(
+    st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(("nan", "-inf", "Infinity", "1e999", "0", "-0.5", "",
+                     "x1", '"', '""', '"0.5"', '"1,2"', "\x00", " 1 ")),
+    st.text("0123456789.e-+\",\x00 \n", max_size=8))
+# a row the command accepts: four finite numbers, y > 0
+_GOOD_ROW = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3,
+                      st.floats(min_value=1e-3, max_value=1e3)).map(
+    lambda row: list(map(repr, row)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.one_of(_GOOD_ROW,
+                               st.lists(_POINT_FIELD, min_size=1, max_size=6)),
+                     min_size=1, max_size=4),
+       header=st.booleans())
+def test_points_rows_fuzz(fuzz_dir, rows, header):
+    # fuzzed --points rows: exit 0, or 2 with the file and line named
+    points = fuzz_dir / "points.csv"
+    text = "\n".join(",".join(row) for row in rows)
+    points.write_text(("x1,x2,x3,y\n" if header else "") + text + "\n",
+                      encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["residual", "--points", str(points),
+                     "--out", str(fuzz_dir / "r.csv")])
+    err = err.getvalue()
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert re.search(re.escape(f"error: {points}:") + r"\d+: ", err), err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("verify", "--tol"),
     ("energy", "--seed"), ("energy", "--tol"), ("energy", "--json"),
-    ("energy", "--eps"),
+    ("energy", "--eps"), ("energy", "--ymax"),
+    ("verify", "--eps"), ("verify", "--ymax"),
     ("residual", "--tol"), ("residual", "--json"),
     *((command, flag) for command in ("solve", "plotdata")
       for flag in ("--seed", "--tol", "--out", "--json")),
@@ -496,11 +527,12 @@ def test_energy_command_integrates_each_layout_once(tmp_path, monkeypatch,
 
 
 def test_solution_guard_runs_once_per_pass(monkeypatch, tmp_path):
-    # the guard runs where a pass is built, on the pass's own range (from
-    # max(eps, 1e-3)): the suite's from-zero, at-eps (0.05) and refined
-    # from-zero passes; a second run repeats them, as no run keeps state.
-    # The energy command guards its reference pass and the three sweep rows,
-    # and for alt the companion's own from-zero pass
+    # the guard runs where a pass of a bare field is built, on the pass's own
+    # range (from max(eps, 1e-3)): the suite's from-zero and at-eps (0.05)
+    # passes; the refined pass takes the certified from-zero Norms.  A second
+    # run repeats them, as no run keeps state.  The energy command guards its
+    # reference pass and, for alt, the companion's own from-zero pass, whose
+    # Norms the three sweep rows take
     calls = []
     engine = energy.kw_residual_norm
     monkeypatch.setattr(energy, "kw_residual_norm",
@@ -508,11 +540,10 @@ def test_solution_guard_runs_once_per_pass(monkeypatch, tmp_path):
     argv = ["verify", "--suite", "energy", "--n-pert", "1",
             "--out", str(tmp_path / "e.json")]
     assert main(argv) == 0
-    assert sorted(calls) == [1e-3, 1e-3, 0.05]
+    assert sorted(calls) == [1e-3, 0.05]
     assert main(argv) == 0
-    assert sorted(calls[3:]) == [1e-3, 1e-3, 0.05]
-    for model, want in (("he", [1e-3, 0.1, 0.01, 1e-3]),
-                        ("alt", [1e-3, 1e-3, 0.1, 0.01, 1e-3])):
+    assert sorted(calls[2:]) == [1e-3, 0.05]
+    for model, want in (("he", [1e-3]), ("alt", [1e-3, 1e-3])):
         calls.clear()
         assert main(["energy", "--model", model,
                      "--out", str(tmp_path / "r.json")]) == 0
@@ -669,6 +700,15 @@ def test_readme_shared_flags_table_matches_parser():
                           if opt in _SHARED_FLAGS)
               for name, p in sub.choices.items()}
     assert documented == parsed
+
+
+def test_readme_config_keys_match_parser():
+    # README's "Configuration file" section opens with the key list
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration file", 1)[1]
+    listed = section.split("):", 1)[1].split(".", 1)[0]
+    assert listed.split("`")[1::2] == list(_KEY_TYPES)
 
 
 def test_residual_command(tmp_path):

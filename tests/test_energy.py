@@ -1,7 +1,6 @@
 """Energy identities, constants, perturbation chain, bound assembly."""
 
 import math
-import os
 import random
 from dataclasses import replace
 
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import jet_exp
-from kwlab.config import build_config, load_config
 from kwlab.energy import (
     BLOCK,
     C_MODEL_ROWS,
@@ -48,6 +46,7 @@ from kwlab.profiles import (
 )
 from kwlab.quadrature import (
     VOL_S3,
+    QuadratureSpec,
     exp_nodes,
     integrate_halfline,
     integrate_interval,
@@ -435,8 +434,7 @@ def test_c_model_finite_stable(conv, quad_spec, model, full_line):
 
 
 _BULK = ("F_sq", "nabla_bar_sq", "S_sq")
-_ACCEPTANCE_SPEC = build_config(load_config(os.path.join(
-    os.path.dirname(__file__), "..", "configs", "acceptance.cfg")), {}).quadrature()
+_ACCEPTANCE_SPEC = QuadratureSpec()
 
 
 def _per_producer_passes(conv, field, spec, eps):
@@ -473,9 +471,11 @@ def _per_producer_passes(conv, field, spec, eps):
 @pytest.mark.parametrize("eps", [0.05, 0.1])
 def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
     spec = _ACCEPTANCE_SPEC
+    full_line = full_line_norms(conv, model, spec)
     shared = {
-        "full_line": full_line_norms(conv, model, spec),
-        "refined": field_norms(conv, model, spec.refined(), C_MODEL_ROWS,
+        "full_line": full_line,
+        # the suite's refined pass takes the certified from-zero pass
+        "refined": field_norms(conv, full_line, spec.refined(), C_MODEL_ROWS,
                                from_zero=True),
         "at_eps": field_norms(conv, model, spec.with_eps(eps), CUTOFF_ROWS),
     }
@@ -674,8 +674,8 @@ def test_weighted_bound_identity(conv, full_line, consts):
     assert rep.extra["lhs"] <= rep.extra["bound"]
 
 
-def test_eps_sweep_rows(conv, quad_spec, model):
-    rows = eps_sweep_rows(conv, model, (1e-1, 1e-2), quad_spec)
+def test_eps_sweep_rows(conv, quad_spec, full_line):
+    rows = eps_sweep_rows(conv, full_line, (1e-1, 1e-2), quad_spec)
     assert len(rows) == 2
     for eps, lhs, rhs, gap in rows:
         assert abs(gap) <= 1e-6 * abs(rhs)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kwlab.quadrature import (
-    MAX_LAYOUT_NODES,
     VOL_S3,
     QuadratureSpec,
     integrate_halfline,
@@ -15,33 +14,6 @@ from kwlab.quadrature import (
     integrate_smooth_from_zero,
     l2_norm_sq,
 )
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(eps=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(eps=2.0, y_split=1.0)
-
-
-def test_nodes_per_panel_bounded_at_numpys_tested_degree():
-    # numpy's leggauss is tested up to degree 100; beyond it the spec refuses
-    # before any rule is built
-    spec = QuadratureSpec(panels=1, nodes_per_panel=100)
-    val, _ = integrate_halfline(lambda y: np.exp(-4.0 * y), spec)
-    assert math.isclose(val, math.exp(-4.0 * spec.eps) / 4.0, rel_tol=1e-12)
-    with pytest.raises(ValueError, match="100 >= nodes_per_panel"):
-        QuadratureSpec(nodes_per_panel=101)
-
-
-def test_layout_nodes_bounded():
-    # panels * nodes_per_panel bounds the perturbation chain's
-    # (3, 3, BLOCK, n) stacks; the bound is checked before any node exists
-    QuadratureSpec(panels=MAX_LAYOUT_NODES // 16, nodes_per_panel=16)
-    for panels, nodes in ((MAX_LAYOUT_NODES // 16 + 1, 16),
-                          (MAX_LAYOUT_NODES, 2), (10**15, 16)):
-        with pytest.raises(ValueError, match="panels \\* nodes_per_panel <="):
-            QuadratureSpec(panels=panels, nodes_per_panel=nodes)
 
 
 def test_vol_s3():
