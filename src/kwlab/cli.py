@@ -225,18 +225,17 @@ def _shared(build):
 
 def suite_energy(cfg: SuiteConfig) -> list:
     conv = _active_conventions(cfg)
-    spec = QuadratureSpec()
     model = nahm_pole_invariant_solution()
     checks = []
     # the reference solution's passes and the values built from them, once
     # per run; a failed build (a pass refuses a non-solution) fails, through
     # _guard, only its readers
-    full_line = _shared(lambda: energy.full_line_norms(conv, model, spec))
+    full_line = _shared(lambda: energy.full_line_norms(conv, model))
     inputs = {
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
-            conv, model, spec, energy.CUTOFF_ROWS)),
-        "sweep": _shared(lambda: energy.cutoff_sweep(conv, full_line(), spec)),
+            conv, model, QuadratureSpec(), energy.CUTOFF_ROWS, lo=energy.IDENTITY_EPS)),
+        "sweep": _shared(lambda: energy.cutoff_sweep(conv, full_line())),
         "consts": _shared(lambda: energy.bound_constants(conv, full_line())),
     }
 
@@ -248,8 +247,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
     def stability():
         val, err, parts = energy.c_model(full_line())
         val2, _, _ = energy.c_model(energy.field_norms(
-            conv, full_line(), spec.refined(), energy.C_MODEL_ROWS,
-            from_zero=True))
+            conv, full_line(), QuadratureSpec().refined(), energy.C_MODEL_ROWS, lo=0.0))
         rel = abs(val - val2) / val
         return make_check(
             "c-model-stability",
@@ -262,7 +260,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         env_ok = True
         envelope_k = 0.0
         fit = np.linspace(1.0, 5.0, 50)
-        grid = np.linspace(1.0, spec.y_max, 200)
+        grid = np.linspace(1.0, QuadratureSpec().y_max, 200)
         for key in ("F_sq", "S_sq"):
             dens = energy.density_fn(conv, model, (key,))
             k_const = float(np.max(dens(fit) * exp_nodes(4.0 * fit))) * 1.5
@@ -278,8 +276,8 @@ def suite_energy(cfg: SuiteConfig) -> list:
         from .profiles import pole_a, pole_a_alt
 
         q_val, q_err = energy.topological_charge(
-            conv, scaled_matrix_profile(pole_a, _I3), spec)
-        a0, a1 = (float(pole_scalars(y)[0]) for y in (1e-8, spec.y_max))
+            conv, scaled_matrix_profile(pole_a, _I3))
+        a0, a1 = (float(pole_scalars(y)[0]) for y in (1e-8, QuadratureSpec().y_max))
         oracle = -1.5 * ((a1**3 / 3 - a1**2) - (a0**3 / 3 - a0**2))
         out = [make_check(
             "charge-model", "topological charge against the antiderivative oracle",
@@ -287,7 +285,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
             tolerance=1e-8, provenance="derived",
             extra={"quad_error": q_err})]
         q_alt, _ = energy.topological_charge(
-            conv, scaled_matrix_profile(pole_a_alt, _I3), spec)
+            conv, scaled_matrix_profile(pole_a_alt, _I3))
         out.append(make_check(
             "charge-model-alt", "companion charge is the opposite of the model's",
             computed=q_alt, expected=-q_val,
@@ -301,7 +299,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         for start in range(0, cfg.n_pert, energy.BLOCK):
             block = energy.random_perturbations(
                 rng, min(energy.BLOCK, cfg.n_pert - start))
-            for rep in energy.perturbation_chain(conv, *block, spec,
+            for rep in energy.perturbation_chain(conv, *block,
                                                    inputs["consts"]()):
                 if rep.status != "pass":
                     n_fail += 1
@@ -477,9 +475,8 @@ def run_suite(cfg: SuiteConfig):
 # plot data
 # ---------------------------------------------------------------------------
 
-def emit_plotdata(target: str, cfg: SuiteConfig, out_dir: str):
-    conv = _active_conventions(cfg)
-    spec = QuadratureSpec()
+def emit_plotdata(target: str, out_dir: str):
+    conv = calibrate()
     model = nahm_pole_invariant_solution()
     os.makedirs(out_dir, exist_ok=True)
     if target == "profiles":
@@ -500,7 +497,7 @@ def emit_plotdata(target: str, cfg: SuiteConfig, out_dir: str):
         rows = []
         for eps in np.geomspace(1e-4, 1e-1, 16):
             bulk, mixed, combo, _ = energy.cutoff_combination(
-                conv, model, float(eps), spec)
+                conv, model, float(eps))
             rows.append([repr(float(eps)), repr(float(bulk)),
                          repr(float(mixed)), repr(float(combo))])
         write_csv(os.path.join(out_dir, "eps-sweep.csv"),
@@ -546,13 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = command("energy", help="energy report for the model solution")
     pe.add_argument("--model", default="he", choices=("he", "alt"))
-    _add_shared(pe, "--config", "--out")
+    _add_shared(pe, "--out")
 
     ps = command("solve", help="shooting solver for the reduced system")
     ps.add_argument("--y0", type=float, default=0.1)
     ps.add_argument("--out-profile", default="profile.csv")
     ps.add_argument("--out-log", default="solve-log.json")
-    _add_shared(ps, "--config")
 
     pr = command("residual", help="flat-model pointwise residuals")
     pr.add_argument("--model", default="nahm-pole",
@@ -566,12 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--target", required=True,
                     choices=("profiles", "integrands", "eps-sweep"))
     pp.add_argument("--out-dir", default="plotdata")
-    _add_shared(pp, "--config")
     return ap
 
 
 def _config_from_args(args) -> SuiteConfig:
-    file_values = load_config(args.config) if args.config else None
+    # the file's values over the command's defaults: residual samples 100 points
+    file_values = {"n": 100} if args.command == "residual" else {}
+    file_values.update(load_config(args.config) if args.config else {})
     # each command has only the flags it reads; an absent flag is None
     cli_values = {key: getattr(args, key) for key in (
         "suite", "seed", "out", "json_out", "n", "n_pert", "flip_star_sign")
@@ -596,11 +593,11 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 2
 
     try:
-        cfg = _config_from_args(args)
         if args.command == "verify":
+            cfg = _config_from_args(args)
             checks, code = run_suite(cfg)
             meta = {"suite": cfg.suite, "seed": cfg.seed, "n": cfg.n,
-                    "n_pert": cfg.n_pert, "eps": QuadratureSpec().eps,
+                    "n_pert": cfg.n_pert, "eps": energy.IDENTITY_EPS,
                     "flip_star_sign": cfg.flip_star_sign}
             _emit(checks, cfg, meta)
             for c in checks:
@@ -608,22 +605,21 @@ def main(argv=None) -> int:
             return code
 
         if args.command == "energy":
-            conv = _active_conventions(cfg)
-            spec = QuadratureSpec()
+            conv = calibrate()
             model = nahm_pole_invariant_solution()
             field = model if args.model == "he" else nahm_pole_invariant_solution_alt()
             # the reference solution's from-zero pass serves the constants,
             # c_model and, for he, the bound report
-            ref = energy.full_line_norms(conv, model, spec)
-            own = ref if field is model else energy.full_line_norms(conv, field, spec)
+            ref = energy.full_line_norms(conv, model)
+            own = ref if field is model else energy.full_line_norms(conv, field)
             rep = energy.theorem_bound_report(own, energy.bound_constants(conv, ref))
             cm, cm_err, _ = energy.c_model(ref)
             rep.add("c_model", cm, cm_err, "model curvature constant")
-            q, q_err = energy.topological_charge(conv, field.connection, spec)
+            q, q_err = energy.topological_charge(conv, field.connection)
             rep.add("topological_charge", q, q_err)
-            path = cfg.out or "energy-report.json"
+            path = args.out or "energy-report.json"
             write_energy_json(path, rep, {"model": args.model})
-            sweep = energy.eps_sweep_rows(conv, own, (1e-1, 1e-2, 1e-3), spec)
+            sweep = energy.eps_sweep_rows(conv, own, (1e-1, 1e-2, 1e-3))
             sweep_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                       "identity-sweep.csv")
             write_csv(sweep_path, ["eps", "lhs", "rhs", "gap"],
@@ -632,8 +628,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "solve":
-            conv = _active_conventions(cfg)
-            sysr = reduced.derive_reduced_system(conv)
+            sysr = reduced.derive_reduced_system(calibrate())
             shot = reduced.shoot_for_decay(
                 sysr, reduced.indicial_expand(sysr, reduced.SHOOT_ORDER),
                 y0=args.y0)
@@ -652,6 +647,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "residual":
+            cfg = _config_from_args(args)  # n: --n, the file's n, else 100
             conv = _active_conventions(cfg)
             fld = (halfspace.nahm_pole_field() if args.model == "nahm-pole"
                    else halfspace.nahm_singular_field())
@@ -660,7 +656,7 @@ def main(argv=None) -> int:
             else:
                 r_min = 0.0 if args.model == "nahm-pole" else 0.1
                 pts, kept = halfspace.sample_points(
-                    random.Random(cfg.seed), args.n or 100, r_min=r_min)
+                    random.Random(cfg.seed), cfg.n, r_min=r_min)
                 pts = pts[:, kept]
             out = cfg.out or "residuals.csv"
             halfspace.write_residuals_csv(out, conv, fld, pts)
@@ -668,7 +664,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "plotdata":
-            files = emit_plotdata(args.target, cfg, args.out_dir)
+            files = emit_plotdata(args.target, args.out_dir)
             print("wrote " + ", ".join(files))
             return 0
 

@@ -1,10 +1,11 @@
 """Suite configuration: a flat key-value text format plus CLI overrides.
 
-Config files hold one ``key = value`` pair per line (# comments allowed).
-Recognised keys mirror the CLI flags; an unknown key is rejected at parse
-time, so that a typo does not pass silently.  No key or flag sets a
-tolerance or the quadrature layout: each gate's tolerance is a constant of
-its check, and the layout is QuadratureSpec().
+Config files hold one ``key = value`` pair per line (# comments allowed);
+`verify` and `residual` read one.  Recognised keys mirror the CLI flags; an
+unknown key is rejected at parse time, so that a typo does not pass
+silently.  No key or flag sets a tolerance, the quadrature layout or a
+cutoff: each gate's tolerance is a constant of its check, the layout is
+QuadratureSpec(), and each integral names its own lower limit.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
 
@@ -55,7 +54,6 @@ from .quadrature import (
     exp_nodes,
     integrate_halfline,
     integrate_interval,
-    integrate_smooth_from_zero,
     l2_norm_sq,
 )
 from .report import CheckReport, EnergyReport, make_check
@@ -64,6 +62,7 @@ from .su2 import bracket
 OMEGA_NORM_SQ = 1.5
 _I3 = np.eye(3)
 
+IDENTITY_EPS = 0.05  # lower limit of the at_eps pass, which the balances read
 CUTOFF_EPS = (1e-2, 1e-3, 1e-4)  # cutoffs of the reference solution's sweep
 
 # What each identity reads, by keyword: the reference solution's pass above
@@ -192,32 +191,31 @@ def _require_solution(conv, field, eps):
 
 
 # l2_norm_sq of named density rows of one field, rows[name] = (value, error
-# estimate), all from one quadrature pass from zero (eps = 0) or above eps;
+# estimate), all from one quadrature pass from eps (0: from zero);
 # field_norms refuses a non-solution, so a Norms certifies its field solves
 Norms = namedtuple("Norms", "field eps rows")
 
 
 def field_norms(conv, field, spec: QuadratureSpec, rows: dict,
-                from_zero: bool = False) -> Norms:
-    """One pass over the rows (name -> density keys) of the field.  It
+                lo: float) -> Norms:
+    """One pass over the rows (name -> density keys) of the field from lo,
+    on QuadratureSpec() or (c-model-stability) its refined() layout.  It
     refuses a field that does not solve the system on the pass's own range
     (_require_solution), unless the field comes as the from-zero Norms whose
     build certified it on the range of every pass (from 1e-3), which spares
     that pass's guard grid a second run.  A row's floats do not depend on
     the other rows, so a check that reads one by name gets the floats of its
     own pass."""
-    eps = 0.0 if from_zero else spec.eps
     if isinstance(field, Norms):
         field = field.field
     else:
-        _require_solution(conv, field, eps)
-    v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), spec,
-                      from_zero)
-    return Norms(field, eps, dict(zip(rows, zip(v.tolist(), e.tolist()))))
+        _require_solution(conv, field, lo)
+    v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), lo, spec)
+    return Norms(field, lo, dict(zip(rows, zip(v.tolist(), e.tolist()))))
 
 
-# full_line_norms(conv, field, spec): the FULL_LINE_ROWS from zero
-full_line_norms = partial(field_norms, rows=FULL_LINE_ROWS, from_zero=True)
+# full_line_norms(conv, field): the FULL_LINE_ROWS from zero
+full_line_norms = partial(field_norms, spec=QuadratureSpec(), rows=FULL_LINE_ROWS, lo=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +259,22 @@ def c_decay(grid_max: float = 25.0) -> float:
     return sup * (1.0 + 1e-9)
 
 
-def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile,
-                       spec: QuadratureSpec):
+def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile):
     """(1 / 4 pi^2) int tr(F_A)^2 by quadrature.  For scalar profiles the
     integrand is a total derivative, which tests use as the oracle."""
     field = InvariantField(a_profile, scaled_matrix_profile(lambda jy: jy * 0, _I3))
 
-    return integrate_smooth_from_zero(
-        density_fn(conv, field, ("charge_density",)), spec)
+    return integrate_halfline(density_fn(conv, field, ("charge_density",)), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
 
-def cutoff_combination(conv, field, eps, spec: QuadratureSpec):
+def cutoff_combination(conv, field, eps):
     """(bulk 2|phi|^2 integral, mixed boundary term, stabilising combination,
     quadrature error) at cutoff eps; the first two diverge like 1/eps."""
-    sp = spec.with_eps(eps)
-    two_phi, err = l2_norm_sq(density_fn(conv, field, ("phi_sq",)), sp)
+    two_phi, err = l2_norm_sq(density_fn(conv, field, ("phi_sq",)), eps)
     two_phi *= 2.0
     _, mixed = boundary_terms(conv, field, eps)
     return two_phi, mixed, mixed - two_phi, 2.0 * err
@@ -370,13 +365,13 @@ def _bulk_balance(norms: Norms):
     return lhs + 2.0 * two_phi, err + 2 * e2
 
 
-def eps_sweep_rows(conv, full_line: Norms, eps_list, spec: QuadratureSpec):
+def eps_sweep_rows(conv, full_line: Norms, eps_list):
     """Rows (eps, lhs, rhs, gap) of the bulk/boundary balance for CSV export,
     on the field of a from-zero pass, whose build certified it a solution."""
     rows = []
     for eps in eps_list:
         lhs, _ = _bulk_balance(
-            field_norms(conv, full_line, spec.with_eps(eps), _BALANCE_ROWS))
+            field_norms(conv, full_line, QuadratureSpec(), _BALANCE_ROWS, eps))
         rhs = boundary_terms(conv, full_line.field, eps)[1]
         rows.append((eps, lhs, rhs, lhs - rhs))
     return rows
@@ -386,11 +381,10 @@ def eps_sweep_rows(conv, full_line: Norms, eps_list, spec: QuadratureSpec):
 CutoffSweep = namedtuple("CutoffSweep", "rows limit")
 
 
-def cutoff_sweep(conv: GeometryConventions, full_line: Norms,
-                 spec: QuadratureSpec) -> CutoffSweep:
+def cutoff_sweep(conv: GeometryConventions, full_line: Norms) -> CutoffSweep:
     """The cutoff sweep of the field of a from-zero pass, whose build
     certified it a solution; one per run, like BoundConstants."""
-    rows = tuple(cutoff_combination(conv, full_line.field, e, spec)[:3]
+    rows = tuple(cutoff_combination(conv, full_line.field, e)[:3]
                  for e in CUTOFF_EPS)
     return CutoffSweep(rows, _neville_to_zero(CUTOFF_EPS, [row[2] for row in rows]))
 
@@ -433,7 +427,7 @@ def random_perturbations(rng: random.Random, k: int):
 
 
 def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
-                       spec: QuadratureSpec, consts: BoundConstants) -> list:
+                       consts: BoundConstants) -> list:
     """Every intermediate inequality of the weighted-bound chain on the
     synthetic fields phi = phi_model + q(y) m, q = amp * y * exp(-rate * y),
     one per amplitude (k,), rate (k,) and direction m (k, 3, 3); one report
@@ -511,7 +505,7 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
 
     (line1, line2, rho1_sq_near, wd_int, g_l1, rho23_near, mid_l1, s_full_l1,
      s_full_sq_near, rho_sq_near) = VOL_S3 * integrate_interval(
-        near_rows, 0.0, 1.0, panels=32)[0]
+        near_rows, 0.0, 1.0)[0]
     b1 = VOL_S3 * abs(gamma * exp_decay_q(amp, rate, 1.0)[0])[:, 0] * w_sq
     # in line 3 the integral of sgn * alpha' is taken from its boundary
     # values: alpha(0) = 0 and sgn * alpha = |alpha|, so it is b1 itself and
@@ -534,9 +528,8 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
 
     # far part (y > 1)
     c2, c19 = consts.c_decay, consts.c19
-    far_spec = replace(spec, eps=1.0, y_split=2.0)
     far_tr, far_rho1, rho_sq_far, s_full_sq_far = VOL_S3 * integrate_halfline(
-        far_rows, far_spec, geometric_head=False)[0]
+        far_rows, 1.0)[0]
     step_far_rhs = c19 + 0.5 * far_rho1
     ys = np.linspace(1.0, 12.0, 60)
     env_slack = float(np.min(c2 * exp_nodes(-2.0 * ys) - w_abs * pole_scalars(ys)[1]))
@@ -587,11 +580,12 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
 
 class BoundConstants(NamedTuple):
     """Engine constants of the curvature-energy bound.  A run integrates each
-    (field, layout) pair once: the reference solution's passes (Norms) and
-    the values built from them, these constants and the CutoffSweep, are
-    built once per run, and every check that uses one takes that value.
-    The one exception: the refined c-model-stability pass evaluates the fine
-    layout of the shared from-zero pass (48 panels) again."""
+    (field, lower limit) pair once on the lab's layout: the reference
+    solution's passes (Norms) and the values built from them, these
+    constants and the CutoffSweep, are built once per run, and every check
+    that uses one takes that value.  The one exception: the refined
+    c-model-stability pass evaluates the fine layout of the shared from-zero
+    pass (48 panels) again."""
 
     c_decay: float
     c19: float
@@ -613,7 +607,7 @@ def bound_constants(conv: GeometryConventions, full_line: Norms) -> BoundConstan
     c19 = 0.5 * VOL_S3 * c2 * c2 * math.exp(-4.0)
     w_abs = math.sqrt(OMEGA_NORM_SQ)
     s_sq_near = VOL_S3 * integrate_interval(
-        density_fn(conv, full_line.field, ("S_sq",)), 0.0, 1.0, panels=32)[0]
+        density_fn(conv, full_line.field, ("S_sq",)), 0.0, 1.0)[0]
     c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_sq_near)
     c24b = 0.5 * VOL_S3 * OMEGA_NORM_SQ
     c_pert = c19 + c24a + c24b

@@ -193,13 +193,24 @@ def kw_residual_flat_combined(conv: GeometryConventions, fld: FlatModelField,
 # CSV interfaces: points in (x1,x2,x3,y), residuals out
 # ---------------------------------------------------------------------------
 
+def _text_lines(path: str, fh):
+    """The lines of binary file fh as UTF-8 text, split as universal newlines
+    splits them; a line that is not UTF-8 raises, naming it."""
+    lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
+    for ln, raw in enumerate(lines, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}:{ln}: not UTF-8 text: {e}") from None
+
+
 def read_points_csv(path: str) -> np.ndarray:
     """Points as a (4, n) array; each row four finite numbers, and y > 0."""
     import csv
 
     pts = []
-    with open(path) as fh:
-        rd = csv.reader(fh)
+    with open(path, "rb") as fh:
+        rd = csv.reader(_text_lines(path, fh))
         try:
             for row in rd:
                 if not row or rd.line_num == 1 and row[0].strip().startswith("x1"):

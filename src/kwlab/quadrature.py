@@ -1,11 +1,13 @@
 """Composite Gauss-Legendre quadrature for half-line energy integrals.
 
-Integrals over S^3 x {y > eps} of invariant densities reduce to
-vol(S^3) * int f(y) dy with vol(S^3) = 2 pi^2.  The y-axis is split into a
-geometric panel ladder on [eps, y_split] (profiles behave like powers of y
-near the pole), uniform panels on [y_split, y_max], and an exponential tail
-beyond y_max, left out of the value and covered by a truncation bound
-(densities of the reference solution fall off like e^{-4y}).
+Integrals over S^3 x {y > lo} of invariant densities reduce to
+vol(S^3) * int_lo^inf f(y) dy with vol(S^3) = 2 pi^2.  The lower limit lo
+picks the head of the layout on [lo, y_split]: uniform panels from lo = 0,
+where the densities are continuous; a geometric panel ladder from a cutoff
+0 < lo < y_split (profiles behave like powers of y near the pole); none
+from lo >= y_split.  Uniform panels follow up to y_max, and an exponential
+tail beyond y_max is left out of the value and covered by a truncation
+bound (densities of the reference solution fall off like e^{-4y}).
 
 Every integral returns (value, error_estimate); the estimate combines a
 panel-doubling comparison with the tail remainder.
@@ -38,11 +40,10 @@ TAIL_RATE = 4.0  # exponential envelope rate used for the tail bound
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """A panel layout of the half-line.  The defaults are the lab's layout,
-    on which the energy suite and the energy command integrate; the cutoff
-    eps = 0.05 is that of the identities above the cutoff."""
+    """A panel layout of the half-line from lo: `panels` panels of
+    `nodes_per_panel` nodes on the head [lo, y_split] and on the body up to
+    y_max.  The defaults are the lab's layout."""
 
-    eps: float = 0.05
     y_split: float = 1.0
     y_max: float = 30.0
     panels: int = 24
@@ -50,9 +51,6 @@ class QuadratureSpec:
 
     def refined(self) -> "QuadratureSpec":
         return replace(self, panels=self.panels * 2)
-
-    def with_eps(self, eps: float) -> "QuadratureSpec":
-        return replace(self, eps=eps)
 
 
 @lru_cache(maxsize=32)
@@ -128,36 +126,29 @@ def _doubled(f, layout, panels: int, nodes: int):
     return fine, abs(fine - coarse)
 
 
-def _halfline(f, spec: QuadratureSpec, lo: float, head_edges):
-    """Head [lo, y_split] with edges head_edges(lo, y_split, panels + 1)
-    (np.geomspace or np.linspace), uniform body up to y_max, and the tail
-    bound beyond it."""
-    fine, err = _doubled(
-        f, lambda p: (head_edges(lo, spec.y_split, p + 1),
-                      np.linspace(spec.y_split, spec.y_max, p + 1)),
-        spec.panels, spec.nodes_per_panel)
+def integrate_halfline(f, lo: float, spec: QuadratureSpec = QuadratureSpec()):
+    """int_lo^inf f(y) dy on the layout of spec.  lo picks the head: uniform
+    from lo = 0, geometric from 0 < lo < y_split, none from lo >= y_split,
+    where the body starts at lo.  f takes an array of nodes and returns the
+    integrand at each."""
+    def layout(p: int):
+        body = np.linspace(max(lo, spec.y_split), spec.y_max, p + 1)
+        if lo >= spec.y_split:
+            return (body,)
+        head = np.geomspace if lo > 0 else np.linspace
+        return head(lo, spec.y_split, p + 1), body
+
+    fine, err = _doubled(f, layout, spec.panels, spec.nodes_per_panel)
     return fine, err + _tail(f, spec)
 
 
-def integrate_halfline(f, spec: QuadratureSpec, geometric_head: bool = True):
-    """int_{eps}^{inf} f(y) dy with the panel layout described above; f
-    takes an array of nodes and returns the integrand at each."""
-    return _halfline(f, spec, spec.eps,
-                     np.geomspace if geometric_head else np.linspace)
+def integrate_interval(f, lo: float, hi: float):
+    """int_lo^hi f dy on 64 uniform panels of 16 nodes, with the error
+    estimate against 32 panels."""
+    return _doubled(f, lambda p: (np.linspace(lo, hi, p + 1),), 32, 16)
 
 
-def integrate_smooth_from_zero(f, spec: QuadratureSpec):
-    """int_0^inf f dy for integrands continuous at y = 0 (uniform head)."""
-    return _halfline(f, spec, 0.0, np.linspace)
-
-
-def integrate_interval(f, lo: float, hi: float, panels: int = 16, nodes: int = 16):
-    """int_lo^hi f dy with a doubling-based error estimate."""
-    return _doubled(f, lambda p: (np.linspace(lo, hi, p + 1),), panels, nodes)
-
-
-def l2_norm_sq(density, spec: QuadratureSpec, from_zero: bool = False):
-    """vol(S^3) * int density(y) dy; density must be a pointwise norm^2."""
-    v, e = (integrate_smooth_from_zero if from_zero else integrate_halfline)(
-        density, spec)
+def l2_norm_sq(density, lo: float, spec: QuadratureSpec = QuadratureSpec()):
+    """vol(S^3) * int_lo^inf density dy, density a pointwise norm^2."""
+    v, e = integrate_halfline(density, lo, spec)
     return VOL_S3 * v, VOL_S3 * e

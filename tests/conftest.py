@@ -69,14 +69,14 @@ def quad_spec():
 
 
 @pytest.fixture(scope="session")
-def full_line(conv, quad_spec):
+def full_line(conv):
     """The reference solution's from-zero pass, as the energy suite builds it."""
-    return full_line_norms(conv, nahm_pole_invariant_solution(), quad_spec)
+    return full_line_norms(conv, nahm_pole_invariant_solution())
 
 
 @pytest.fixture(scope="session")
-def sweep(conv, full_line, quad_spec):
-    return cutoff_sweep(conv, full_line, quad_spec)
+def sweep(conv, full_line):
+    return cutoff_sweep(conv, full_line)
 
 
 @pytest.fixture(scope="session")

@@ -110,7 +110,7 @@ def test_criterion_04_energy_balance(conv, quad_spec):
     model = nahm_pole_invariant_solution()
     rep = energy.check_energy_identity(
         conv, "bulk-boundary-balance", at_eps=energy.field_norms(
-            conv, model, quad_spec.with_eps(0.05), energy.CUTOFF_ROWS))
+            conv, model, quad_spec, energy.CUTOFF_ROWS, 0.05))
     ok = rep.status == "pass" and rep.computed <= 1e-6 and (
         "quad_error" in rep.extra)
     _check("criterion-04 bulk/boundary balance at eps=0.05", ok,
@@ -139,7 +139,7 @@ def test_criterion_06_model_constant(conv, quad_spec, full_line):
     model = nahm_pole_invariant_solution()
     val, err, parts = energy.c_model(full_line)
     val2, _, _ = energy.c_model(energy.field_norms(
-        conv, model, quad_spec.refined(), energy.C_MODEL_ROWS, from_zero=True))
+        conv, model, quad_spec.refined(), energy.C_MODEL_ROWS, 0.0))
     stable = abs(val - val2) / val <= 1e-8
     env_ok = True
     for key in ("F_sq", "S_sq"):
@@ -198,13 +198,12 @@ def test_criterion_09_solver(conv, full_run):
            f"jacobian {jac.computed:+.10f}")
 
 
-def test_criterion_10_charge(conv, quad_spec):
-    q, _ = energy.topological_charge(conv, scaled_matrix_profile(pole_a, I3),
-                                     quad_spec)
+def test_criterion_10_charge(conv):
+    q, _ = energy.topological_charge(conv, scaled_matrix_profile(pole_a, I3))
     f = lambda a: a**3 / 3 - a**2
     want = -1.5 * (f(0.0) - f(1.0))
     q_alt, _ = energy.topological_charge(
-        conv, scaled_matrix_profile(pole_a_alt, I3), quad_spec)
+        conv, scaled_matrix_profile(pole_a_alt, I3))
     want_alt = -1.5 * (f(2.0) - f(1.0))
     ok = abs(q - want) <= 1e-8 and abs(q_alt - want_alt) <= 1e-8 and \
         abs(q + q_alt) <= 1e-8

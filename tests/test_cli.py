@@ -198,6 +198,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                      "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert f"{points}:" in err and "field larger than field limit" in err
+    # a byte that is not UTF-8 names its line too
+    points.write_bytes(b"x1,x2,x3,y\n0.1,0.2,0.3,0.4\n0.1,0.2,0.3,\xff\n")
+    assert main(["residual", "--points", str(points),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {points}:3: not UTF-8 text" in err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -343,6 +349,8 @@ def test_points_rows_fuzz(fuzz_dir, rows, header):
     ("residual", "--tol"), ("residual", "--json"),
     *((command, flag) for command in ("solve", "plotdata")
       for flag in ("--seed", "--tol", "--out", "--json")),
+    # only verify and residual read a config file
+    ("energy", "--config"), ("solve", "--config"), ("plotdata", "--config"),
 ])
 def test_flags_a_command_does_not_read_exit_two(command, flag, capsys):
     target = ["--target", "profiles"] if command == "plotdata" else []
@@ -505,14 +513,15 @@ def _panel_calls(monkeypatch, argv) -> int:
 
 
 def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
-    # 4 calls per half-line pass (two parts at two panel counts), 2 per
-    # interval: the shared from-zero and at-eps passes, the three sweep
-    # cutoffs, the refined c_model pass, two charges, the constants' near
-    # interval and one chain block (interval and half-line): 40 (64 when
-    # every check integrated its own pass)
+    # 4 calls per half-line pass with a head (two parts at two panel
+    # counts), 2 per interval and per half-line from y_split on: the shared
+    # from-zero and at-eps passes, the three sweep cutoffs, the refined
+    # c_model pass, two charges, the constants' near interval and one chain
+    # block (interval and the far half-line from 1): 38 (64 when every check
+    # integrated its own pass and the far half-line had a head)
     argv = ["verify", "--suite", "energy", "--n-pert", "3",
             "--out", str(tmp_path / "r.json")]
-    assert _panel_calls(monkeypatch, argv) == 40
+    assert _panel_calls(monkeypatch, argv) == 38
 
 
 @pytest.mark.parametrize("model, calls", [("he", 22), ("alt", 26)])
@@ -723,6 +732,16 @@ def test_residual_command(tmp_path):
     assert worst < 1e-10
 
 
+def test_residual_point_count_flag_then_file_then_default(tmp_path):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n = 5\n")
+    out = tmp_path / "res.csv"
+    for extra, rows in ((["--config", str(cfg)], 5),
+                        (["--config", str(cfg), "--n", "7"], 7), ([], 100)):
+        assert main(["residual", *extra, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + rows, extra
+
+
 def test_residual_command_reads_the_configured_conventions(tmp_path):
     # under the flip the pole model's eq1 is 2 |p'| = sqrt(6) / y^2
     cfg = tmp_path / "flip.cfg"
@@ -737,14 +756,13 @@ def test_residual_command_reads_the_configured_conventions(tmp_path):
 
 
 def test_plotdata_targets(tmp_path):
-    cfg = SuiteConfig(suite="energy", n_pert=1)
-    emit_plotdata("profiles", cfg, str(tmp_path))
+    emit_plotdata("profiles", str(tmp_path))
     rows = (tmp_path / "profiles.csv").read_text().splitlines()
     assert rows[0] == "y,a,b"
     y0, a0, b0 = (float(x) for x in rows[1].split(","))
     assert abs(b0 * y0 - 1.0) < 5e-6  # pole normalisation at the small end
 
-    emit_plotdata("eps-sweep", cfg, str(tmp_path))
+    emit_plotdata("eps-sweep", str(tmp_path))
     rows = (tmp_path / "eps-sweep.csv").read_text().splitlines()
     assert rows[0] == "eps,two_phi_bulk,mixed_boundary,combination"
     data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
@@ -755,7 +773,7 @@ def test_plotdata_targets(tmp_path):
     combos = data[:5, 3]  # eps <= 6.3e-4: linear-in-eps drift only
     assert np.max(np.abs(combos - combos[0])) < 1e-3 * abs(combos[0])
 
-    emit_plotdata("integrands", cfg, str(tmp_path))
+    emit_plotdata("integrands", str(tmp_path))
     header = (tmp_path / "integrands.csv").read_text().splitlines()[0]
     assert header == "y,F_sq,nabla_bar_sq,S_sq,phi_sq"
 

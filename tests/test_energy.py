@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +100,7 @@ def _pow2(x):
     return np.float_power(x, 2)
 
 
-def _ref_chain(conv, pert, spec, consts):
+def _ref_chain(conv, pert, consts):
     m = pert.direction
     gamma = float(np.trace(m)) / 3.0
     sgn = 1.0 if gamma >= 0 else -1.0
@@ -146,7 +145,7 @@ def _ref_chain(conv, pert, spec, consts):
         return abs(dalpha(y) + 2.0 * h_of(y) * alpha(y) + _pow2(q_of(y)) * w1)
 
     def near(f):
-        return V * integrate_interval(f, 0.0, 1.0, panels=32)[0]
+        return V * integrate_interval(f, 0.0, 1.0)[0]
 
     # chain on (0, 1]
     line1 = near(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
@@ -179,10 +178,9 @@ def _ref_chain(conv, pert, spec, consts):
 
     # far part (y > 1)
     c2, c19 = consts.c_decay, consts.c19
-    far_spec = replace(spec, eps=1.0, y_split=2.0)
 
     def far(f):
-        return V * integrate_halfline(f, far_spec, geometric_head=False)[0]
+        return V * integrate_halfline(f, 1.0)[0]
 
     far_tr = far(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
     far_rho1 = far(lambda y: _pow2(alpha(y)) * w_sq)
@@ -367,7 +365,7 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
 
 
 def test_identity_checks_on_model(conv, quad_spec, model):
-    at_eps = field_norms(conv, model, quad_spec.with_eps(0.05), CUTOFF_ROWS)
+    at_eps = field_norms(conv, model, quad_spec, CUTOFF_ROWS, 0.05)
     for ident in ("first-order-balance", "square-completion",
                   "bulk-boundary-balance"):
         rep = check_energy_identity(conv, ident, at_eps=at_eps)
@@ -383,14 +381,14 @@ def test_identity_rejects_non_solutions(conv, quad_spec):
         scaled_matrix_profile(lambda jy: 1 / jy, I3),
     )
     with pytest.raises(ValueError, match="not a solution"):
-        field_norms(conv, bad, quad_spec.with_eps(0.05), CUTOFF_ROWS)
+        field_norms(conv, bad, quad_spec, CUTOFF_ROWS, 0.05)
     with pytest.raises(ValueError, match="not a solution"):
-        full_line_norms(conv, bad, quad_spec)
+        full_line_norms(conv, bad)
     with pytest.raises(ValueError, match="unknown identity"):
         check_energy_identity(conv, "nope")
 
 
-def test_cutoff_limit_and_route(conv, quad_spec, model, full_line, sweep):
+def test_cutoff_limit_and_route(conv, model, full_line, sweep):
     rep = check_energy_identity(conv, "cutoff-limit", sweep=sweep)
     assert rep.status == "pass"
     combos = rep.extra["combos"]
@@ -405,16 +403,15 @@ def test_cutoff_limit_and_route(conv, quad_spec, model, full_line, sweep):
     assert route.status == "pass" and route.computed <= 1e-6
     # the sweep is the model's cutoff combination at each cutoff
     for eps, row in zip(rep.extra["eps"], sweep.rows):
-        assert cutoff_combination(conv, model, eps, quad_spec)[:3] == row
+        assert cutoff_combination(conv, model, eps)[:3] == row
 
 
-def test_divergence_cancellation_monotone(conv, quad_spec, model):
+def test_divergence_cancellation_monotone(conv, model):
     gaps = []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         bulk3, _ = l2_norm_sq(
-            density_fn(conv, model, ("F_sq", "nabla_bar_sq", "S_sq")),
-            quad_spec.with_eps(eps))
-        _, _, combo, _ = cutoff_combination(conv, model, eps, quad_spec)
+            density_fn(conv, model, ("F_sq", "nabla_bar_sq", "S_sq")), eps)
+        _, _, combo, _ = cutoff_combination(conv, model, eps)
         gaps.append(abs(bulk3 - combo))
     assert all(g < 1e-8 for g in gaps)
 
@@ -422,14 +419,14 @@ def test_divergence_cancellation_monotone(conv, quad_spec, model):
 def test_c_model_finite_stable(conv, quad_spec, model, full_line):
     val, err, parts = c_model(full_line)
     val2, _, _ = c_model(field_norms(conv, model, quad_spec.refined(),
-                                     C_MODEL_ROWS, from_zero=True))
+                                     C_MODEL_ROWS, 0.0))
     assert abs(val - val2) / val <= 1e-8
     assert parts["F_l2_sq"] > 0 and parts["S_l2_sq"] > 0
     # second summand equals the norm of the tangential curvature part:
     # for a solution the completed square *is* that part of F
     sq, _ = l2_norm_sq(
         lambda y: 1.5 * (pole_scalars(y)[0] ** 2 - 2 * pole_scalars(y)[0]) ** 2,
-        quad_spec, from_zero=True)
+        0.0)
     assert math.isclose(parts["S_l2_sq"], sq, rel_tol=1e-10)
 
 
@@ -440,44 +437,43 @@ _ACCEPTANCE_SPEC = QuadratureSpec()
 def _per_producer_passes(conv, field, spec, eps):
     """Every row as each producer integrated it in its own pass, before the
     suite shared one pass per layout: (pass, row name, (value, error))."""
-    def own(groups, sp, from_zero):
-        v, e = l2_norm_sq(density_rows(conv, field, groups), sp, from_zero)
+    def own(groups, sp, lo):
+        v, e = l2_norm_sq(density_rows(conv, field, groups), lo, sp)
         return list(zip(v.tolist(), e.tolist()))
 
-    at_eps = spec.with_eps(eps)
     out = [("full_line", "bulk",  # bound_constants' c_limit
-            l2_norm_sq(density_fn(conv, field, _BULK), spec, from_zero=True))]
+            l2_norm_sq(density_fn(conv, field, _BULK), 0.0, spec))]
     out += zip(["full_line"], ("bulk",),  # route-match
-               own((_BULK,), spec, True))
+               own((_BULK,), spec, 0.0))
     out += zip(["full_line"] * 2, ("F_nabla", "S_sq"),  # weighted-bound
-               own((("F_sq", "nabla_bar_sq"), ("S_sq",)), spec, True))
+               own((("F_sq", "nabla_bar_sq"), ("S_sq",)), spec, 0.0))
     out += zip(["full_line"] * 2, ("F_sq", "S_sq"),  # c_model
-               own((("F_sq",), ("S_sq",)), spec, True))
+               own((("F_sq",), ("S_sq",)), spec, 0.0))
     out += zip(["refined"] * 2, ("F_sq", "S_sq"),  # c_model, refined
-               own((("F_sq",), ("S_sq",)), spec.refined(), True))
+               own((("F_sq",), ("S_sq",)), spec.refined(), 0.0))
     out += zip(["full_line"] * 3,  # theorem_bound_report
                ("F_sq", "nabla_bar_sq", "S_sq"),
-               own((("F_sq",), ("nabla_bar_sq",), ("S_sq",)), spec, True))
+               own((("F_sq",), ("nabla_bar_sq",), ("S_sq",)), spec, 0.0))
     out.append(("at_eps", "first_order", l2_norm_sq(density_fn(  # first-order
-        conv, field, ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq")), at_eps)))
+        conv, field, ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq")), eps, spec)))
     out += zip(["at_eps"] * 2, ("full_grad", "completed"),  # square-completion
                own((("nabla_bar_sq", "dyphi_sq", "phi2_sq"),
-                    ("nabla_bar_sq", "S_sq")), at_eps, False))
+                    ("nabla_bar_sq", "S_sq")), spec, eps))
     out += zip(["at_eps"] * 2, ("bulk", "phi_sq"),  # bulk-boundary-balance
-               own((_BULK, ("phi_sq",)), at_eps, False))
+               own((_BULK, ("phi_sq",)), spec, eps))
     return out
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1])
 def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
     spec = _ACCEPTANCE_SPEC
-    full_line = full_line_norms(conv, model, spec)
+    full_line = full_line_norms(conv, model)
     shared = {
         "full_line": full_line,
         # the suite's refined pass takes the certified from-zero pass
         "refined": field_norms(conv, full_line, spec.refined(), C_MODEL_ROWS,
-                               from_zero=True),
-        "at_eps": field_norms(conv, model, spec.with_eps(eps), CUTOFF_ROWS),
+                               0.0),
+        "at_eps": field_norms(conv, model, spec, CUTOFF_ROWS, eps),
     }
     assert shared["at_eps"].eps == eps and shared["full_line"].eps == 0.0
     read = set()
@@ -497,31 +493,29 @@ def test_c_decay_envelope(conv):
         assert math.sqrt(1.5) * b <= c2 * math.exp(-2.0 * float(y)) * (1 + 1e-12)
 
 
-def test_charge_oracles(conv, quad_spec):
-    q, err = topological_charge(conv, scaled_matrix_profile(pole_a, I3),
-                                quad_spec)
+def test_charge_oracles(conv):
+    q, err = topological_charge(conv, scaled_matrix_profile(pole_a, I3))
     # antiderivative oracle: -(3/2) [a^3/3 - a^2] between the endpoints
     f = lambda a: a**3 / 3 - a**2
     want = -1.5 * (f(0.0) - f(1.0))
     assert abs(q - want) <= 1e-8
     assert abs(q - (-1.0)) <= 1e-8
 
-    q_alt, _ = topological_charge(conv, scaled_matrix_profile(pole_a_alt, I3),
-                                  quad_spec)
+    q_alt, _ = topological_charge(conv, scaled_matrix_profile(pole_a_alt, I3))
     want_alt = -1.5 * (f(2.0) - f(1.0))
     assert abs(q_alt - want_alt) <= 1e-8
     assert abs(q_alt + q) <= 1e-8
 
     zero_charge, _ = topological_charge(
-        conv, scaled_matrix_profile(lambda jy: jy * 0 + 0.7, I3), quad_spec)
+        conv, scaled_matrix_profile(lambda jy: jy * 0 + 0.7, I3))
     assert abs(zero_charge) < 1e-12
 
 
 def _integrating_factor(h_fn, alpha_fn, y: float, y_max: float = 40.0) -> float:
     """f(y) = exp(-2 int_y^inf h + int_0^y alpha), the positive weight that
     turns d_y + 2h + alpha into f^{-1} d_y f on V1 profiles."""
-    tail, _ = integrate_interval(h_fn, y, y_max, panels=48, nodes=16)
-    head, _ = integrate_interval(alpha_fn, 0.0, y, panels=24, nodes=16)
+    tail, _ = integrate_interval(h_fn, y, y_max)
+    head, _ = integrate_interval(alpha_fn, 0.0, y)
     return math.exp(-2.0 * tail + head)
 
 
@@ -544,30 +538,30 @@ def test_weighted_derivative_identity_fd():
             assert abs(lhs - rhs) < 1e-6
 
 
-def test_synthetic_perturbation_validation(conv, quad_spec, consts):
+def test_synthetic_perturbation_validation(conv, consts):
     with pytest.raises(ValueError, match="vanish at the boundary"):
-        perturbation_chain(conv, [1e3], [1.0], [I3], quad_spec, consts)
+        perturbation_chain(conv, [1e3], [1.0], [I3], consts)
     with pytest.raises(ValueError, match="vanish at the boundary"):
-        perturbation_chain(conv, [float("nan")], [1.0], [I3], quad_spec, consts)
+        perturbation_chain(conv, [float("nan")], [1.0], [I3], consts)
     with pytest.raises(ValueError, match="decay toward infinity"):
-        perturbation_chain(conv, [0.3, 0.1], [1.2, 0.0], [I3, I3], quad_spec, consts)
+        perturbation_chain(conv, [0.3, 0.1], [1.2, 0.0], [I3, I3], consts)
     q, dq = exp_decay_q([0.3], [1.2], np.array([1e-6]))
     assert abs(q[0, 0]) < 1e-6 and abs(dq[0, 0] - 0.3) < 1e-5
 
 
-def _blocked_chains(conv, rng, n, spec, consts):
+def _blocked_chains(conv, rng, n, consts):
     """n seeded chains, drawn and run BLOCK at a time as the energy suite
     runs them; returns the reports and the directions."""
     reports, directions = [], []
     for start in range(0, n, BLOCK):
         block = random_perturbations(rng, min(BLOCK, n - start))
         directions.extend(block[2])
-        reports.extend(perturbation_chain(conv, *block, spec, consts))
+        reports.extend(perturbation_chain(conv, *block, consts))
     return reports, directions
 
 
-def test_chain_pure_v1_spec_case(conv, quad_spec, consts):
-    (rep,) = perturbation_chain(conv, [1.0], [1.0], [I3], quad_spec, consts)
+def test_chain_pure_v1_spec_case(conv, consts):
+    (rep,) = perturbation_chain(conv, [1.0], [1.0], [I3], consts)
     assert rep.status == "pass"
     steps = rep.extra["steps"]
     assert steps["quadratic_projection_integrated"] == 0.0  # no V2/V3 part
@@ -576,30 +570,30 @@ def test_chain_pure_v1_spec_case(conv, quad_spec, consts):
     assert steps["final"] > 0.0
 
 
-def test_chain_mixed_direction_spec_case(conv, quad_spec, consts):
+def test_chain_mixed_direction_spec_case(conv, consts):
     m = np.zeros((3, 3))
     m[1, 2], m[2, 1] = 1.0, -1.0        # antisymmetric part
     m[2, 0], m[0, 2] = 1.0, 1.0        # symmetric traceless part
-    (rep,) = perturbation_chain(conv, [1.0], [1.0], [m], quad_spec, consts)
+    (rep,) = perturbation_chain(conv, [1.0], [1.0], [m], consts)
     assert rep.status == "pass"
     assert rep.extra["steps"]["quadratic_projection_pointwise_min"] >= 0.0
 
 
-def test_chain_seeded(conv, quad_spec, consts):
+def test_chain_seeded(conv, consts):
     rng = random.Random(42)
-    reports = perturbation_chain(conv, *random_perturbations(rng, 8), quad_spec, consts)
+    reports = perturbation_chain(conv, *random_perturbations(rng, 8), consts)
     assert len(reports) == 8
     for rep in reports:
         assert rep.status == "pass", rep.extra["steps"]
 
 
-def test_chain_weighted_derivative_is_exact(conv, quad_spec, consts):
+def test_chain_weighted_derivative_is_exact(conv, consts):
     # for sgn = -1 the weighted-derivative step is an equality: the integral
     # of sgn * alpha' is the discarded boundary term b1 itself, so no seeded
     # chain of the acceptance seed may report a negative slack for it
     rng = random.Random(42)
     worst, negative = math.inf, 0
-    reports, directions = _blocked_chains(conv, rng, 100, quad_spec, consts)
+    reports, directions = _blocked_chains(conv, rng, 100, consts)
     for rep, m in zip(reports, directions):
         if np.trace(m) < 0:
             negative += 1
@@ -614,13 +608,12 @@ def _bits(d):
 
 
 @pytest.mark.parametrize("seed", [7, 42, 1234])
-def test_batched_chain_matches_per_perturbation_reference(conv, quad_spec, consts,
-                                                          seed):
+def test_batched_chain_matches_per_perturbation_reference(conv, consts, seed):
     rng = random.Random(seed)
-    want = [_ref_chain(conv, _ref_random(rng), quad_spec, consts)
+    want = [_ref_chain(conv, _ref_random(rng), consts)
             for _ in range(BLOCK + 1)]
     for n in (1, BLOCK - 1, BLOCK, BLOCK + 1):
-        got, _ = _blocked_chains(conv, random.Random(seed), n, quad_spec, consts)
+        got, _ = _blocked_chains(conv, random.Random(seed), n, consts)
         assert len(got) == n
         for rep, ref in zip(got, want):
             assert _bits(rep.extra["steps"]) == _bits(ref.extra["steps"])
@@ -636,7 +629,7 @@ def test_c24a_matches_closed_form_completed_square(consts):
         _, b, _, db = pole_scalars(y)
         return np.float_power(db + np.float_power(b, 2), 2) * OMEGA_NORM_SQ
 
-    s_near = VOL_S3 * integrate_interval(s_model_sq, 0.0, 1.0, panels=32)[0]
+    s_near = VOL_S3 * integrate_interval(s_model_sq, 0.0, 1.0)[0]
     want = math.sqrt(OMEGA_NORM_SQ) * math.sqrt(VOL_S3) * math.sqrt(s_near)
     assert consts.c24a.hex() == want.hex()
 
@@ -657,12 +650,12 @@ def test_theorem_bound_report(full_line, consts):
     assert rep.get("route_total").value == pytest.approx(c_limit, rel=1e-9)
 
 
-def test_theorem_bound_flat_endpoint(conv, quad_spec, consts):
+def test_theorem_bound_flat_endpoint(conv, consts):
     flat = InvariantField(
         scaled_matrix_profile(lambda jy: jy * 0 + 2.0, I3),
         scaled_matrix_profile(lambda jy: jy * 0, I3),
     )
-    rep = theorem_bound_report(full_line_norms(conv, flat, quad_spec), consts)
+    rep = theorem_bound_report(full_line_norms(conv, flat), consts)
     assert rep.get("curvature_l2_sq").value <= 1e-20
     assert rep.get("bound_constant").value > 0
 
@@ -674,8 +667,8 @@ def test_weighted_bound_identity(conv, full_line, consts):
     assert rep.extra["lhs"] <= rep.extra["bound"]
 
 
-def test_eps_sweep_rows(conv, quad_spec, full_line):
-    rows = eps_sweep_rows(conv, full_line, (1e-1, 1e-2), quad_spec)
+def test_eps_sweep_rows(conv, full_line):
+    rows = eps_sweep_rows(conv, full_line, (1e-1, 1e-2))
     assert len(rows) == 2
     for eps, lhs, rhs, gap in rows:
         assert abs(gap) <= 1e-6 * abs(rhs)

@@ -11,7 +11,6 @@ from kwlab.quadrature import (
     integrate_halfline,
     integrate_interval,
     integrate_panels,
-    integrate_smooth_from_zero,
     l2_norm_sq,
 )
 
@@ -23,8 +22,7 @@ def test_vol_s3():
 def test_inverse_square_analytic():
     # |phi|^2 = (3/2)/y^2 for the pole profile: integral = 3 pi^2 / eps
     for eps in (0.1, 1e-2, 1e-3):
-        spec = QuadratureSpec(eps=eps, y_split=1.0, y_max=30.0)
-        val, err = l2_norm_sq(lambda y: 1.5 / (y * y), spec)
+        val, err = l2_norm_sq(lambda y: 1.5 / (y * y), eps)
         want = 3 * math.pi**2 / eps
         # the tail beyond y_max carries 3 pi^2 (1/y_max) relative to 1/eps
         assert abs(val - (want - 3 * math.pi**2 / 30.0)) < 1e-8 * want
@@ -49,16 +47,15 @@ def test_integrand_called_once_on_every_node():
 
 
 def test_exponential_envelope_oracle():
-    spec = QuadratureSpec(eps=1e-6, y_split=1.0, y_max=30.0)
-    val, err = integrate_smooth_from_zero(lambda y: np.exp(-4 * y), spec)
+    val, err = integrate_halfline(lambda y: np.exp(-4 * y), 0.0)
     assert abs(val - 0.25) <= 1e-10 * 0.25
     assert err < 1e-8
 
 
 def test_truncate_bound_covers_remainder():
     f = lambda y: np.exp(-4 * y)
-    spec = QuadratureSpec(eps=1e-6, y_max=8.0)  # visible tail
-    val, err = integrate_smooth_from_zero(f, spec)
+    spec = QuadratureSpec(y_max=8.0)  # visible tail
+    val, err = integrate_halfline(f, 0.0, spec)
     remainder = 0.25 - val
     assert 0 < remainder <= err
 
@@ -66,28 +63,26 @@ def test_truncate_bound_covers_remainder():
 def test_refinement_shrinks_error_estimate():
     # smooth integrand with the contractual exponential envelope
     f = lambda y: np.exp(-4 * y) * (1.0 + 10.0 * y * y) / (1.0 + y)
-    coarse = QuadratureSpec(eps=1e-3, y_split=2.0, y_max=12.0,
-                            panels=3, nodes_per_panel=2)
+    coarse = QuadratureSpec(y_split=2.0, y_max=12.0, panels=3,
+                            nodes_per_panel=2)
     fine = coarse.refined()
-    _, e1 = integrate_halfline(f, coarse)
-    _, e2 = integrate_halfline(f, fine)
+    _, e1 = integrate_halfline(f, 1e-3, coarse)
+    _, e2 = integrate_halfline(f, 1e-3, fine)
     assert e2 <= 0.5 * e1
 
 
 def test_non_finite_sample_reported():
-    spec = QuadratureSpec(eps=1e-2)
-
     def bad(y):
         return np.where(y > 2.0, float("nan"), 1.0)
 
     with pytest.raises(ValueError, match="non-finite integrand at y="):
-        integrate_halfline(bad, spec)
+        integrate_halfline(bad, 1e-2)
 
 
 def test_geometric_head_handles_pole_density():
     # integrand ~ 1/y^2 near zero: geometric ladder keeps full accuracy
-    spec = QuadratureSpec(eps=1e-4, y_split=1.0, y_max=10.0)
-    val, err = integrate_halfline(lambda y: 1.0 / (y * y), spec)
+    spec = QuadratureSpec(y_max=10.0)
+    val, err = integrate_halfline(lambda y: 1.0 / (y * y), 1e-4, spec)
     want = 1.0 / 1e-4 - 0.1
     assert math.isclose(val, want, rel_tol=1e-12)
 
@@ -115,16 +110,16 @@ def _bits(values):
 
 
 @pytest.mark.parametrize("rule", ["panels", "interval", "halfline-geometric",
-                                  "halfline-uniform", "from-zero", "l2"])
+                                  "halfline-no-head", "from-zero", "l2"])
 def test_rows_equal_one_row_calls_bitwise(rule):
-    spec = QuadratureSpec(eps=1e-3, y_max=12.0)  # the tail bound is not negligible
+    spec = QuadratureSpec(y_max=12.0)  # the tail bound is not negligible
     run = {
         "panels": lambda f: (integrate_panels(f, np.geomspace(1e-3, 2.0, 9), 8), 0.0),
-        "interval": lambda f: integrate_interval(f, 0.0, 1.0, panels=32),
-        "halfline-geometric": lambda f: integrate_halfline(f, spec),
-        "halfline-uniform": lambda f: integrate_halfline(f, spec, geometric_head=False),
-        "from-zero": lambda f: integrate_smooth_from_zero(f, spec),
-        "l2": lambda f: l2_norm_sq(f, spec),
+        "interval": lambda f: integrate_interval(f, 0.0, 1.0),
+        "halfline-geometric": lambda f: integrate_halfline(f, 1e-3, spec),
+        "halfline-no-head": lambda f: integrate_halfline(f, 1.0, spec),
+        "from-zero": lambda f: integrate_halfline(f, 0.0, spec),
+        "l2": lambda f: l2_norm_sq(f, 1e-3, spec),
     }[rule]
     vals, errs = run(_rows)
     one = [run(f) for f in _ONE_ROW]
@@ -141,19 +136,46 @@ def test_rows_integrand_called_once_per_layout():
         shapes.append(y.shape)
         return _rows(y)
 
-    integrate_halfline(f, QuadratureSpec(panels=4, nodes_per_panel=8))
+    integrate_halfline(f, 0.05, QuadratureSpec(panels=4, nodes_per_panel=8))
     # head and body at 4 and 8 panels, then the 16 tail samples
     assert shapes == [(32,), (32,), (64,), (64,), (16,)]
 
 
-def test_non_finite_row_entry_reported():
-    spec = QuadratureSpec(eps=1e-2)
+def _panel_nodes(edges, nodes: int):
+    """The node array that integrate_panels passes its integrand."""
+    seen = []
+    integrate_panels(lambda y: seen.append(y) or y, edges, nodes)
+    return seen[0]
 
+
+@pytest.mark.parametrize("lo, head, shapes", [
+    # a uniform head from zero, a geometric one from a cutoff below y_split
+    (0.0, np.linspace, [(32,), (32,), (64,), (64,), (16,)]),
+    (0.05, np.geomspace, [(32,), (32,), (64,), (64,), (16,)]),
+    # no head from y_split on: the body starts at lo
+    (1.0, None, [(32,), (64,), (16,)]),
+    (2.5, None, [(32,), (64,), (16,)]),
+])
+def test_lower_limit_picks_the_head(lo, head, shapes):
+    seen = []
+    integrate_halfline(lambda y: seen.append(y) or np.ones_like(y), lo,
+                       QuadratureSpec(panels=4, nodes_per_panel=8))
+    assert [y.shape for y in seen] == shapes
+    want = []
+    for p in (4, 8):
+        if head is not None:
+            want.append(_panel_nodes(head(lo, 1.0, p + 1), 8))
+        want.append(_panel_nodes(np.linspace(max(lo, 1.0), 30.0, p + 1), 8))
+    want.append(np.linspace(25.0, 30.0, 16))  # the tail samples
+    assert all(np.array_equal(y, w) for y, w in zip(seen, want))
+
+
+def test_non_finite_row_entry_reported():
     def bad(y):
         return np.where(y > 2.0, float("nan"), 1.0)
 
     with pytest.raises(ValueError, match="non-finite integrand at y=") as one:
-        integrate_halfline(bad, spec)
+        integrate_halfline(bad, 1e-2)
     with pytest.raises(ValueError, match="non-finite integrand at y=") as rows:
-        integrate_halfline(lambda y: np.stack([np.ones_like(y), bad(y)]), spec)
+        integrate_halfline(lambda y: np.stack([np.ones_like(y), bad(y)]), 1e-2)
     assert str(rows.value) == str(one.value)

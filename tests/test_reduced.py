@@ -504,9 +504,9 @@ def test_shot_profile_energy_consistency(conv, system, shot):
     field = InvariantField(_ShotProfile(system, shot.result, 0),
                            _ShotProfile(system, shot.result, 1))
     model = nahm_pole_invariant_solution()
-    spec = QuadratureSpec(eps=0.1, y_split=1.0, y_max=12.0)
-    got, _ = l2_norm_sq(density_fn(conv, field, ("F_sq",)), spec)
-    want, _ = l2_norm_sq(density_fn(conv, model, ("F_sq",)), spec)
+    spec = QuadratureSpec(y_max=12.0)
+    got, _ = l2_norm_sq(density_fn(conv, field, ("F_sq",)), 0.1, spec)
+    want, _ = l2_norm_sq(density_fn(conv, model, ("F_sq",)), 0.1, spec)
     assert abs(got - want) / want <= 1e-10
 
 
