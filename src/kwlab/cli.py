@@ -13,12 +13,15 @@ Commands
 
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 I/O error.  Reports
 are deterministic for a fixed configuration (seed included) and written
-atomically.
+atomically.  `entry` is the `kwlab` command and the `python -m kwlab.cli`
+path: it runs `main`, whose outputs are closed when it returns, then exits
+without the interpreter's final garbage collection.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import random
@@ -553,9 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr = command("residual", help="flat-model pointwise residuals")
     pr.add_argument("--model", default="nahm-pole",
                     choices=("nahm-pole", "nahm-singular"))
-    pr.add_argument("--points", default=None,
-                    help="CSV of sample points x1,x2,x3,y (default: seeded)")
-    pr.add_argument("--n", type=int, default=None)
+    # a points file sets the count: --n is for seeded points only
+    points = pr.add_mutually_exclusive_group()
+    points.add_argument("--points", default=None,
+                        help="CSV of sample points x1,x2,x3,y (default: seeded)")
+    points.add_argument("--n", type=int, default=None)
     _add_shared(pr, "--config", "--seed", "--out")
 
     pp = command("plotdata", help="CSV series for plots")
@@ -677,5 +682,15 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry(argv=None):
+    """Run `main` and exit with its code.  The heap is frozen first, so the
+    interpreter's final collections skip numpy's and kwlab's objects;
+    stdout and stderr are still flushed and atexit handlers still run.
+    `main` never freezes: a caller in its own process keeps its heap."""
+    code = main(argv)
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

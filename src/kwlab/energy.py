@@ -250,10 +250,11 @@ def c_model(full_line: Norms):
     return val, err, {"F_l2_sq": f_sq, "S_l2_sq": s_sq}
 
 
-def c_decay(grid_max: float = 25.0) -> float:
-    """Envelope constant: sup_{y >= 1} |phi_model| e^{2y}, slightly inflated
-    so |phi_model| <= c_decay e^{-2y} holds pointwise on y > 1."""
-    ys = np.linspace(1.0, grid_max, 400)
+def c_decay() -> float:
+    """Envelope constant: sup_{y >= 1} |phi_model| e^{2y} on 400 nodes of
+    [1, 25], slightly inflated so |phi_model| <= c_decay e^{-2y} holds
+    pointwise on y > 1."""
+    ys = np.linspace(1.0, 25.0, 400)
     b = pole_scalars(ys)[1]
     sup = float(np.max(math.sqrt(OMEGA_NORM_SQ) * b * exp_nodes(2.0 * ys)))
     return sup * (1.0 + 1e-9)

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -204,6 +205,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err
     assert f"error: {points}:3: not UTF-8 text" in err
+    # a points file sets the point count, so --n with --points is refused
+    points.write_text("x1,x2,x3,y\n0.1,0.2,0.3,0.4\n")
+    assert main(["residual", "--points", str(points), "--n", "5",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert ("argument --n: not allowed with argument --points"
+            in capsys.readouterr().err)
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -677,6 +684,73 @@ def test_io_error_exit_three(tmp_path):
     code = main(["verify", "--suite", "algebra",
                  "--out", str(blocker / "r.json")])
     assert code == 3
+
+
+def _fresh_python(*args):
+    """A fresh interpreter on this checkout's sources, as the CLI runs."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, timeout=120)
+
+
+def test_command_exit_codes_pass_through(tmp_path):
+    # the process exits with main's code after the heap is frozen
+    blocker = tmp_path / "blocker.txt"
+    blocker.write_text("x")
+    out = ["--out", str(tmp_path / "r.json")]
+    for code, argv in (
+            (0, ["verify", "--suite", "algebra", *out]),
+            (1, ["verify", "--suite", "models", "--flip-star-sign", *out]),
+            (2, ["verify", "--suite", "not-a-suite"]),
+            (3, ["verify", "--suite", "algebra",
+                 "--out", str(blocker / "r.json")])):
+        proc = _fresh_python("-m", "kwlab.cli", *argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+
+
+def test_command_stdout_is_the_written_report(tmp_path):
+    # stdout is flushed at exit: every byte of the report reaches it
+    out = tmp_path / "r.json"
+    proc = _fresh_python("-m", "kwlab.cli", "verify", "--suite", "algebra",
+                         "--json", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+
+
+def test_command_exits_with_a_frozen_heap(tmp_path):
+    # runpy runs the module as `python -m` does; the atexit hook still runs,
+    # and sees the frozen heap that the final collections skip
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['kwlab', 'verify', '--suite', 'algebra',\n"
+            "            '--out', sys.argv[1]]\n"
+            "runpy.run_module('kwlab.cli', run_name='__main__', alter_sys=True)\n")
+    proc = _fresh_python("-c", code, str(tmp_path / "r.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"frozen True\n"
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    # only the command's exit freezes; an in-process caller keeps its heap
+    assert main(["verify", "--suite", "algebra",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_is_the_main_module_entry():
+    # `kwlab` and `python -m kwlab.cli` end through the same function
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        module, func = tomllib.load(fh)["project"]["scripts"]["kwlab"].split(":")
+    with open(os.path.join(root, "src", "kwlab", "cli.py")) as fh:
+        tree = ast.parse(fh.read())
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert module == "kwlab.cli"
+    assert [ast.unparse(stmt) for stmt in guard.body] == [f"{func}()"]
 
 
 def test_parser_covers_documented_commands():
