@@ -682,12 +682,13 @@ def main(argv=None) -> int:
         return 3
 
 
-def entry(argv=None):
-    """Run `main` and exit with its code.  The heap is frozen first, so the
-    interpreter's final collections skip numpy's and kwlab's objects;
-    stdout and stderr are still flushed and atexit handlers still run.
-    `main` never freezes: a caller in its own process keeps its heap."""
-    code = main(argv)
+def entry():
+    """Run `main` on the command line's arguments and exit with its code.
+    The heap is frozen first, so the interpreter's final collections skip
+    numpy's and kwlab's objects; stdout and stderr are still flushed and
+    atexit handlers still run.  `main(argv)` never freezes: a caller in its
+    own process keeps its heap."""
+    code = main()
     gc.freeze()
     raise SystemExit(code)
 

@@ -686,50 +686,28 @@ def test_io_error_exit_three(tmp_path):
     assert code == 3
 
 
-def _fresh_python(*args):
-    """A fresh interpreter on this checkout's sources, as the CLI runs."""
-    root = os.path.join(os.path.dirname(__file__), "..")
-    return subprocess.run(
-        [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
-        capture_output=True, timeout=120)
-
-
-def test_command_exit_codes_pass_through(tmp_path):
-    # the process exits with main's code after the heap is frozen
-    blocker = tmp_path / "blocker.txt"
-    blocker.write_text("x")
-    out = ["--out", str(tmp_path / "r.json")]
-    for code, argv in (
-            (0, ["verify", "--suite", "algebra", *out]),
-            (1, ["verify", "--suite", "models", "--flip-star-sign", *out]),
-            (2, ["verify", "--suite", "not-a-suite"]),
-            (3, ["verify", "--suite", "algebra",
-                 "--out", str(blocker / "r.json")])):
-        proc = _fresh_python("-m", "kwlab.cli", *argv)
-        assert proc.returncode == code, (argv, proc.stderr)
-
-
-def test_command_stdout_is_the_written_report(tmp_path):
-    # stdout is flushed at exit: every byte of the report reaches it
-    out = tmp_path / "r.json"
-    proc = _fresh_python("-m", "kwlab.cli", "verify", "--suite", "algebra",
-                         "--json", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == out.read_bytes()
-
-
 def test_command_exits_with_a_frozen_heap(tmp_path):
-    # runpy runs the module as `python -m` does; the atexit hook still runs,
-    # and sees the frozen heap that the final collections skip
+    # runpy runs the module as `python -m` does: main's code passes through,
+    # stdout is flushed (every byte of the report reaches it), and an atexit
+    # hook still runs and sees the frozen heap that the final collections skip
+    root = os.path.join(os.path.dirname(__file__), "..")
     code = ("import atexit, gc, runpy, sys\n"
             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
-            "sys.argv = ['kwlab', 'verify', '--suite', 'algebra',\n"
-            "            '--out', sys.argv[1]]\n"
+            "sys.argv = ['kwlab', *sys.argv[1:]]\n"
             "runpy.run_module('kwlab.cli', run_name='__main__', alter_sys=True)\n")
-    proc = _fresh_python("-c", code, str(tmp_path / "r.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"frozen True\n"
+    out = tmp_path / "r.json"
+    blocker = tmp_path / "blocker.txt"
+    blocker.write_text("x")
+    ok, io_error = (subprocess.run(
+        [sys.executable, "-c", code, "verify", "--suite", "algebra", *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, timeout=120)
+        for argv in (["--json", "--out", str(out)],
+                     ["--out", str(blocker / "r.json")]))
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout == out.read_bytes() + b"frozen True\n"
+    assert io_error.returncode == 3, io_error.stderr
+    assert io_error.stdout.endswith(b"frozen True\n")
 
 
 def test_main_leaves_the_heap_unfrozen(tmp_path):
