@@ -231,13 +231,14 @@ def suite_energy(cfg: SuiteConfig) -> list:
     model = nahm_pole_invariant_solution()
     checks = []
     # the reference solution's passes and the values built from them, once
-    # per run; a failed build (a pass refuses a non-solution) fails, through
-    # _guard, only its readers
+    # per run; every pass integrates the field that the from-zero pass
+    # certified, and a failed build fails, through _guard, only its readers
     full_line = _shared(lambda: energy.full_line_norms(conv, model))
     inputs = {
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
-            conv, model, QuadratureSpec(), energy.CUTOFF_ROWS, lo=energy.IDENTITY_EPS)),
+            conv, full_line(), QuadratureSpec(), energy.CUTOFF_ROWS,
+            lo=energy.IDENTITY_EPS)),
         "sweep": _shared(lambda: energy.cutoff_sweep(conv, full_line())),
         "consts": _shared(lambda: energy.bound_constants(conv, full_line())),
     }
@@ -260,20 +261,17 @@ def suite_energy(cfg: SuiteConfig) -> list:
             extra={"value": val, "parts": parts, "quad_error": err})
 
     def envelope():
-        env_ok = True
-        envelope_k = 0.0
         fit = np.linspace(1.0, 5.0, 50)
         grid = np.linspace(1.0, QuadratureSpec().y_max, 200)
-        for key in ("F_sq", "S_sq"):
-            dens = energy.density_fn(conv, model, (key,))
-            k_const = float(np.max(dens(fit) * exp_nodes(4.0 * fit))) * 1.5
-            envelope_k = max(envelope_k, k_const)
-            if np.any(dens(grid) > k_const * exp_nodes(-4.0 * grid)):
-                env_ok = False
+        # F_sq and S_sq as the two rows of one field evaluation per grid
+        dens = energy.density_rows(conv, model, (("F_sq",), ("S_sq",)))
+        k = [float(np.max(d * exp_nodes(4.0 * fit))) * 1.5 for d in dens(fit)]
+        env_ok = not any(np.any(d > kd * exp_nodes(-4.0 * grid))
+                         for d, kd in zip(dens(grid), k))
         return make_check(
             "c-model-envelope",
             "model energy densities under the exponential envelope for y >= 1",
-            computed=envelope_k, ok=env_ok, provenance="derived")
+            computed=max(0.0, *k), ok=env_ok, provenance="derived")
 
     def charges():
         from .profiles import pole_a, pole_a_alt
@@ -296,22 +294,14 @@ def suite_energy(cfg: SuiteConfig) -> list:
         return out
 
     def chains():
-        rng = random.Random(cfg.seed)
-        worst_min_slack = None
-        n_fail = 0
-        for start in range(0, cfg.n_pert, energy.BLOCK):
-            block = energy.random_perturbations(
-                rng, min(energy.BLOCK, cfg.n_pert - start))
-            for rep in energy.perturbation_chain(conv, *block,
-                                                   inputs["consts"]()):
-                if rep.status != "pass":
-                    n_fail += 1
-                if worst_min_slack is None or rep.computed < worst_min_slack:
-                    worst_min_slack = rep.computed
+        draws = energy.random_perturbations(random.Random(cfg.seed), cfg.n_pert)
+        reports = energy.perturbation_chain(conv, *draws, inputs["consts"]())
+        n_fail = sum(rep.status != "pass" for rep in reports)
         return make_check(
             "perturbation-chain",
             f"weighted-bound chain on {cfg.n_pert} seeded perturbations",
-            computed=worst_min_slack, ok=n_fail == 0, provenance="derived",
+            computed=min(rep.computed for rep in reports), ok=n_fail == 0,
+            provenance="derived",
             extra={"n_pert": cfg.n_pert, "failures": n_fail})
 
     def bound():
@@ -497,12 +487,10 @@ def emit_plotdata(target: str, out_dir: str):
         write_csv(os.path.join(out_dir, "integrands.csv"), ["y", *keys], rows)
         return ["integrands.csv"]
     if target == "eps-sweep":
-        rows = []
-        for eps in np.geomspace(1e-4, 1e-1, 16):
-            bulk, mixed, combo, _ = energy.cutoff_combination(
-                conv, model, float(eps))
-            rows.append([repr(float(eps)), repr(float(bulk)),
-                         repr(float(mixed)), repr(float(combo))])
+        # the cutoff rows of the field that the from-zero pass certified
+        eps_list = np.geomspace(1e-4, 1e-1, 16).tolist()
+        _, sweep = energy.cutoff_rows(conv, energy.full_line_norms(conv, model), eps_list)
+        rows = [[repr(x) for x in (eps, *row)] for eps, row in zip(eps_list, sweep)]
         write_csv(os.path.join(out_dir, "eps-sweep.csv"),
                   ["eps", "two_phi_bulk", "mixed_boundary", "combination"], rows)
         return ["eps-sweep.csv"]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -180,42 +179,42 @@ CUTOFF_ROWS = {"first_order": ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq"),
                "completed": ("nabla_bar_sq", "S_sq"), "bulk": _BULK,
                "phi_sq": ("phi_sq",)}
 _BALANCE_ROWS = {k: CUTOFF_ROWS[k] for k in ("bulk", "phi_sq")}
+_PHI_ROWS = {k: CUTOFF_ROWS[k] for k in ("phi_sq",)}
 
 
-def _require_solution(conv, field, eps):
-    """Raise unless the field's residual is below 1e-8 at 24 nodes from eps
-    (at least 1e-3) to 10."""
-    grid = np.geomspace(max(eps, 1e-3), 10.0, 24)
+def _require_solution(conv, field):
+    """Raise unless the field's residual is below 1e-8 at 24 nodes from 1e-3
+    to 10, which covers the range of every pass of the field."""
+    grid = np.geomspace(1e-3, 10.0, 24)
     if not np.max(kw_residual_norm(conv, field, grid)) <= 1e-8:
         raise ValueError("not a solution: identity chain does not apply")
 
 
 # l2_norm_sq of named density rows of one field, rows[name] = (value, error
-# estimate), all from one quadrature pass from eps (0: from zero);
-# field_norms refuses a non-solution, so a Norms certifies its field solves
+# estimate), all from one quadrature pass from eps (0: from zero); every pass
+# is of a field that full_line_norms certified, so a Norms certifies it solves
 Norms = namedtuple("Norms", "field eps rows")
 
 
-def field_norms(conv, field, spec: QuadratureSpec, rows: dict,
-                lo: float) -> Norms:
-    """One pass over the rows (name -> density keys) of the field from lo,
-    on QuadratureSpec() or (c-model-stability) its refined() layout.  It
-    refuses a field that does not solve the system on the pass's own range
-    (_require_solution), unless the field comes as the from-zero Norms whose
-    build certified it on the range of every pass (from 1e-3), which spares
-    that pass's guard grid a second run.  A row's floats do not depend on
-    the other rows, so a check that reads one by name gets the floats of its
-    own pass."""
-    if isinstance(field, Norms):
-        field = field.field
-    else:
-        _require_solution(conv, field, lo)
+def _norms(conv, field, spec: QuadratureSpec, rows: dict, lo: float) -> Norms:
     v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), lo, spec)
     return Norms(field, lo, dict(zip(rows, zip(v.tolist(), e.tolist()))))
 
 
-# full_line_norms(conv, field): the FULL_LINE_ROWS from zero
-full_line_norms = partial(field_norms, spec=QuadratureSpec(), rows=FULL_LINE_ROWS, lo=0.0)
+def full_line_norms(conv, field) -> Norms:
+    """The FULL_LINE_ROWS of the field from zero, and the one solution guard:
+    it refuses a field that does not solve the system on the range of every
+    pass (_require_solution); every other pass integrates its field."""
+    _require_solution(conv, field)
+    return _norms(conv, field, QuadratureSpec(), FULL_LINE_ROWS, 0.0)
+
+
+def field_norms(conv, full_line: Norms, spec: QuadratureSpec, rows, lo) -> Norms:
+    """One pass from lo over the rows (name -> density keys) of the field
+    that a from-zero pass certified, on QuadratureSpec() or its refined()
+    layout (c-model-stability).  A row's floats do not depend on the other
+    rows, so a check that reads one by name gets the floats of its own pass."""
+    return _norms(conv, full_line.field, spec, rows, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +270,6 @@ def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile):
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
-
-def cutoff_combination(conv, field, eps):
-    """(bulk 2|phi|^2 integral, mixed boundary term, stabilising combination,
-    quadrature error) at cutoff eps; the first two diverge like 1/eps."""
-    two_phi, err = l2_norm_sq(density_fn(conv, field, ("phi_sq",)), eps)
-    two_phi *= 2.0
-    _, mixed = boundary_terms(conv, field, eps)
-    return two_phi, mixed, mixed - two_phi, 2.0 * err
-
 
 def _neville_to_zero(xs, ys):
     """Polynomial extrapolation of (xs, ys) to x = 0."""
@@ -378,24 +368,34 @@ def eps_sweep_rows(conv, full_line: Norms, eps_list):
     return rows
 
 
-# rows: (bulk 2|phi|^2, mixed term, combination) per CUTOFF_EPS; limit at eps=0
-CutoffSweep = namedtuple("CutoffSweep", "rows limit")
+def cutoff_rows(conv, full_line: Norms, cutoffs):
+    """The phi_sq pass from each cutoff eps of a from-zero pass's field, and
+    per pass (bulk 2|phi|^2 integral, mixed boundary term, stabilising
+    combination); the first two diverge like 1/eps."""
+    passes = tuple(field_norms(conv, full_line, QuadratureSpec(), _PHI_ROWS, eps)
+                   for eps in cutoffs)
+    two_phi = [2.0 * p.rows["phi_sq"][0] for p in passes]
+    mixed = [boundary_terms(conv, p.field, p.eps)[1] for p in passes]
+    return passes, tuple((t, m, m - t) for t, m in zip(two_phi, mixed))
+
+
+# passes: each CUTOFF_EPS's phi_sq pass, with its (value, error); rows: per
+# cutoff (bulk 2|phi|^2, mixed term, combination); limit: the one at eps = 0
+CutoffSweep = namedtuple("CutoffSweep", "passes rows limit")
 
 
 def cutoff_sweep(conv: GeometryConventions, full_line: Norms) -> CutoffSweep:
-    """The cutoff sweep of the field of a from-zero pass, whose build
-    certified it a solution; one per run, like BoundConstants."""
-    rows = tuple(cutoff_combination(conv, full_line.field, e)[:3]
-                 for e in CUTOFF_EPS)
-    return CutoffSweep(rows, _neville_to_zero(CUTOFF_EPS, [row[2] for row in rows]))
+    """The CUTOFF_EPS sweep of a from-zero pass's field, once per run."""
+    passes, rows = cutoff_rows(conv, full_line, CUTOFF_EPS)
+    return CutoffSweep(passes, rows, _neville_to_zero(CUTOFF_EPS, [r[2] for r in rows]))
 
 
 # ---------------------------------------------------------------------------
 # the perturbation chain
 # ---------------------------------------------------------------------------
 
-# Perturbations per perturbation_chain call: bounds the (3, 3, k, n) stacks
-# of the perturbed completed square
+# Perturbations per block of perturbation_chain: bounds the (3, 3, k, n)
+# stacks of the perturbed completed square
 BLOCK = 8
 
 
@@ -435,9 +435,9 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
     per perturbation, with the slack of each step.  All slacks must be >= 0
     up to quadrature noise and the discarded boundary term must be <= 0.
     |omega|^2 enters every chain line as w_sq, so for a pure-V1 direction
-    the quadratic-projection slacks are exactly zero.  The chain lines that
-    share a quadrature layout are rows of one integrand, so the reference
-    profiles are evaluated once per layout for the whole block."""
+    the quadratic-projection slacks are exactly zero.  In each block of BLOCK
+    perturbations the chain lines that share a quadrature layout are rows of
+    one integrand: the reference profiles are evaluated once per layout."""
     amp = np.asarray(amplitudes, dtype=float)
     rate = np.asarray(rates, dtype=float)
     m = np.asarray(directions, dtype=float)
@@ -446,7 +446,12 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
         raise ValueError("perturbation must vanish at the boundary (rho = O(y))")
     if not np.all(np.abs(q_ends[:, 1]) <= 1e-6):
         raise ValueError("perturbation must decay toward infinity")
+    return [rep for s in range(0, len(amp), BLOCK) for rep in _chain_block(
+        conv, amp[s:s + BLOCK], rate[s:s + BLOCK], m[s:s + BLOCK], consts)]
 
+
+def _chain_block(conv, amp, rate, m, consts: BoundConstants) -> list:
+    """perturbation_chain's reports on one block of perturbations."""
     # per-perturbation constants as (k, 1) columns against (k, n) node rows
     trace = np.trace(m, axis1=1, axis2=2)
     gamma = (trace / 3.0)[:, None]
@@ -583,10 +588,10 @@ class BoundConstants(NamedTuple):
     """Engine constants of the curvature-energy bound.  A run integrates each
     (field, lower limit) pair once on the lab's layout: the reference
     solution's passes (Norms) and the values built from them, these
-    constants and the CutoffSweep, are built once per run, and every check
-    that uses one takes that value.  The one exception: the refined
-    c-model-stability pass evaluates the fine layout of the shared from-zero
-    pass (48 panels) again."""
+    constants and the CutoffSweep, are built once per run from its one
+    certified from-zero pass, and every check that uses one takes that
+    value.  The one exception: the refined c-model-stability pass evaluates
+    the fine layout of the shared from-zero pass (48 panels) again."""
 
     c_decay: float
     c19: float

@@ -126,14 +126,17 @@ def loglog_slope(xs, ys) -> float:
             / sum((u - mu) ** 2 for u in us))
 
 
-def higgs_scale_check(scales=(1e-1, 1e-2, 1e-3)) -> dict:
+HIGGS_SCALES = (1e-1, 1e-2, 1e-3)  # the dilations s of higgs_scale_check
+
+
+def higgs_scale_check() -> dict:
     """Profile-level scaling-limit check: s * b(s y) at fixed y = 1 converges
-    to the pole profile 1/y = 1 with rate O(s^2).  Returns the relative
-    errors and the fitted log-log slope."""
+    to the pole profile 1/y = 1 with rate O(s^2), for s in HIGGS_SCALES.
+    Returns the relative errors and the fitted log-log slope."""
     errs = []
-    for s in scales:
+    for s in HIGGS_SCALES:
         jy = Jet.var(np.longdouble(s))
         val = float(s * pole_b(jy).f)
         errs.append(abs(val - 1.0))
-    return {"scales": list(scales), "errors": errs,
-            "slope": loglog_slope(scales, errs)}
+    return {"scales": list(HIGGS_SCALES), "errors": errs,
+            "slope": loglog_slope(HIGGS_SCALES, errs)}

@@ -51,6 +51,7 @@ import numpy as np
 from .forms import FieldAt, GeometryConventions, kw_residual
 
 BLOWUP_THRESHOLD = 1e8
+STATIONARY_TOL = 1e-12  # |a'| and |b'| at a stationary point
 _I3 = np.eye(3)
 _OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
@@ -144,9 +145,9 @@ class ReducedSystem:
         j[1, 1] = cb[2] + cb[4] * a + 2 * cb[5] * b
         return j
 
-    def is_stationary(self, a: float, b: float, tol: float = 1e-12) -> bool:
+    def is_stationary(self, a: float, b: float) -> bool:
         da, db = self.rhs(a, b)
-        return abs(da) <= tol and abs(db) <= tol
+        return abs(da) <= STATIONARY_TOL and abs(db) <= STATIONARY_TOL
 
 
 def derive_reduced_system(conv: GeometryConventions) -> ReducedSystem:
@@ -584,6 +585,8 @@ def _inverse_cubic(known: dict, lo: float, hi: float):
 SHOOT_LANES = 15  # interior points classified per coarse pass
 SHOOT_Y = 8.0  # where the unstable-mode functional U is read
 SHOOT_ORDER = 6  # order of the pole series the shooting starts from
+SHOOT_BRACKET = (-1.0, -0.3)  # the series parameters the search starts from
+SHOOT_Y_END = 12.0  # where the located trajectory ends, past SHOOT_Y
 _U_SCALE = math.exp(-2.0 * SHOOT_Y)
 
 
@@ -611,10 +614,10 @@ def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float,
     return outcomes
 
 
-def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
-                    bracket=(-1.0, -0.3), y_end: float = 12.0) -> ShootResult:
-    """Locate the free series coefficient p whose trajectory decays to the
-    stationary point (0, 0), and integrate that trajectory to ``y_end``.
+def shoot_for_decay(sys: ReducedSystem, series: PoleSeries,
+                    y0: float = 0.1) -> ShootResult:
+    """Locate the free series coefficient p in SHOOT_BRACKET whose trajectory
+    decays to the stationary point (0, 0), and integrate it to SHOOT_Y_END.
 
     Linearised at (0, 0) the system is a' = -2b, b' = -2a, so a - b is the
     unstable mode, and the trajectories on either side of the decaying one
@@ -648,9 +651,9 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
     polynomials in p, evaluated exactly once per classified p; each
     bracket end carries its initial state and the steps of its one-lane run
     (none for an end from a coarse pass).  The returned trajectory resumes
-    the chosen end's run: its steps that end below both SHOOT_Y and
-    ``y_end`` are those a fresh run from the same state takes (the stepper
-    is deterministic per lane, and neither run clipped them), so one
+    the chosen end's run: its steps that end below SHOOT_Y are those a
+    fresh run from the same state to SHOOT_Y_END takes (the stepper is
+    deterministic per lane, and neither run clipped them), so one
     ``integrate_ivp`` continues from the last of them, with the state
     there, the next step's zeroth coefficients.  A run that turns
     non-finite has no sign and raises, as does a one-lane run that blows up
@@ -688,7 +691,7 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
 
     # the bracket ends run in one batch with the first coarse pass's
     # interior points, which enter the trace only if that pass is made
-    lo, hi = bracket
+    lo, hi = SHOOT_BRACKET
     s_lo, s_hi = state(lo), state(hi)
     w_lo = w_hi = no_steps()
     params, states = interior(lo, hi)
@@ -757,9 +760,9 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries, y0: float = 0.1,
         (lo, s_lo, u_lo, w_lo) if abs(u_lo) <= abs(u_hi)
         else (hi, s_hi, u_hi, w_hi))
 
-    done = sum(y < min(SHOOT_Y, y_end) for y in knots[1:])
+    done = sum(y < SHOOT_Y for y in knots[1:])
     tail = integrate_ivp(sys, knots[done],
-                         coeffs[done][:, 0] if done else s, y_end)
+                         coeffs[done][:, 0] if done else s, SHOOT_Y_END)
     res = IvpResult(np.array([*knots[:done], *tail.knots]),
                     np.array([*coeffs[:done], *tail.coeffs]), tail.end)
     return ShootResult(param=param, result=res, trace=trace,

@@ -471,27 +471,30 @@ def test_failed_sweep_fails_only_its_checks(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("shared, readers", [
-    # bound_constants and the cutoff sweep read the from-zero pass too, so
-    # their readers fail
+    # the at-eps pass, bound_constants and the cutoff sweep read the
+    # from-zero pass (the at-eps pass integrates the field it certified),
+    # so their readers fail too
     ("full_line", {"energy-route-match", "energy-weighted-bound",
                    "energy-cutoff-limit", "c-model-stability", "theorem-bound",
-                   "perturbation-chain"}),
+                   "perturbation-chain", "energy-first-order-balance",
+                   "energy-square-completion", "energy-bulk-boundary-balance"}),
     ("at_eps", {"energy-first-order-balance", "energy-square-completion",
                 "energy-bulk-boundary-balance"}),
 ])
 def test_failed_shared_pass_fails_only_its_readers(tmp_path, monkeypatch,
                                                    shared, readers):
     # a raise in the build of one of the reference solution's shared passes;
-    # the refined c_model pass goes through field_norms too and still runs
+    # the refined c_model pass and the cutoff sweep go through field_norms
+    # too and still run
     field_norms = energy.field_norms
 
     def boom(*args, **kwargs):
         raise ZeroDivisionError("no pass")
 
-    def at_eps_fails(conv, field, spec, rows, **kwargs):
+    def at_eps_fails(conv, field, spec, rows, *args, **kwargs):
         if rows is energy.CUTOFF_ROWS:
             boom()
-        return field_norms(conv, field, spec, rows, **kwargs)
+        return field_norms(conv, field, spec, rows, *args, **kwargs)
 
     if shared == "full_line":
         monkeypatch.setattr(energy, "full_line_norms", boom)
@@ -542,23 +545,29 @@ def test_energy_command_integrates_each_layout_once(tmp_path, monkeypatch,
     assert _panel_calls(monkeypatch, argv) == calls
 
 
-def test_solution_guard_runs_once_per_pass(monkeypatch, tmp_path):
-    # the guard runs where a pass of a bare field is built, on the pass's own
-    # range (from max(eps, 1e-3)): the suite's from-zero and at-eps (0.05)
-    # passes; the refined pass takes the certified from-zero Norms.  A second
-    # run repeats them, as no run keeps state.  The energy command guards its
-    # reference pass and, for alt, the companion's own from-zero pass, whose
-    # Norms the three sweep rows take
+def _guard_nodes(monkeypatch) -> list:
+    """The first node of each solution guard grid, as the guard runs."""
     calls = []
     engine = energy.kw_residual_norm
     monkeypatch.setattr(energy, "kw_residual_norm",
                         lambda conv, field, y: calls.append(y[0]) or engine(conv, field, y))
+    return calls
+
+
+def test_solution_guard_runs_once_per_pass(monkeypatch, tmp_path):
+    # the guard runs where a from-zero pass of a bare field is built, on the
+    # range of every pass (from 1e-3): the suite's at-eps, refined and sweep
+    # passes integrate the field that its from-zero pass certified.  A second
+    # run repeats it, as no run keeps state.  The energy command guards its
+    # reference pass and, for alt, the companion's own from-zero pass, whose
+    # Norms the three sweep rows take
+    calls = _guard_nodes(monkeypatch)
     argv = ["verify", "--suite", "energy", "--n-pert", "1",
             "--out", str(tmp_path / "e.json")]
     assert main(argv) == 0
-    assert sorted(calls) == [1e-3, 0.05]
+    assert calls == [1e-3]
     assert main(argv) == 0
-    assert sorted(calls[2:]) == [1e-3, 0.05]
+    assert calls == [1e-3, 1e-3]
     for model, want in (("he", [1e-3]), ("alt", [1e-3, 1e-3])):
         calls.clear()
         assert main(["energy", "--model", model,
@@ -653,6 +662,69 @@ def test_package_imports_only_stdlib_and_numpy():
                 found.add((name, node.module.split(".")[0]))
     assert found, "no imports parsed"
     assert sorted(f for f in found if f[1] not in allowed) == []
+
+
+def _defaults_no_call_sets(src):
+    """(file, function, parameter) for each defaulted parameter of a function
+    or method defined with def in the package that no call in the package
+    sets, by keyword or by position.  A call is matched by the called name,
+    ``ClassName(...)`` calls ``__init__``, ``partial(f, ...)`` calls f, and
+    ``**mapping`` sets every keyword-only parameter."""
+    defs, calls = [], []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        owner = {}  # def -> the class it is a method of
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owner.update((item, node) for item in node.body
+                             if isinstance(item, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                cls = owner.get(node)
+                static = "staticmethod" in map(ast.unparse, node.decorator_list)
+                callee = cls.name if cls and node.name == "__init__" else node.name
+                defs.append((name, node, callee, int(bool(cls) and not static)))
+            elif isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                if ast.unparse(func) == "partial" and args:
+                    func, args = args[0], args[1:]
+                called = getattr(func, "id", getattr(func, "attr", None))
+                calls.append((called, args, node.keywords))
+
+    unset = []
+    for name, fn, callee, skip in defs:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        params = [(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+        params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None]
+        for param, at in params:
+            if not any(c == callee and _call_sets(args, kw, param, at)
+                       for c, args, kw in calls):
+                unset.append((name, fn.name, param))
+    return unset
+
+
+def _call_sets(args, keywords, param, at) -> bool:
+    """Whether a call's arguments set the parameter: by its keyword, by
+    ``**mapping`` when it is keyword-only (at is None), else by a positional
+    argument at index ``at`` or a ``*args`` at or before it."""
+    if any(k.arg == param or (k.arg is None and at is None) for k in keywords):
+        return True
+    return at is not None and (len(args) > at or any(
+        isinstance(x, ast.Starred) for x in args[:at + 1]))
+
+
+def test_every_default_is_set_by_some_call():
+    # a default that no call in the package overrides is a knob only tests
+    # turn: make it a constant.  main's argv is for in-process callers (the
+    # tests and the benchmark's tracer)
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "kwlab")
+    assert sorted(_defaults_no_call_sets(src)) == [("cli.py", "main", "argv")]
 
 
 def test_seeded_commands_do_not_load_numpy_random(tmp_path):
@@ -828,6 +900,28 @@ def test_plotdata_targets(tmp_path):
     emit_plotdata("integrands", str(tmp_path))
     header = (tmp_path / "integrands.csv").read_text().splitlines()[0]
     assert header == "y,F_sq,nabla_bar_sq,S_sq,phi_sq"
+
+
+def test_plotdata_eps_sweep_runs_on_a_certified_field(tmp_path, monkeypatch,
+                                                      capsys):
+    # the sweep integrates the field of a from-zero pass: one guard, and a
+    # non-solution is refused before any row is written
+    from kwlab import cli
+    from kwlab.profiles import InvariantField, scaled_matrix_profile
+
+    calls = _guard_nodes(monkeypatch)
+    argv = ["plotdata", "--target", "eps-sweep", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert calls == [1e-3]
+    (tmp_path / "eps-sweep.csv").unlink()
+    bad = InvariantField(scaled_matrix_profile(lambda jy: jy * 0 + 1.0, np.eye(3)),
+                         scaled_matrix_profile(lambda jy: 1 / jy, np.eye(3)))
+    monkeypatch.setattr(cli, "nahm_pole_invariant_solution", lambda: bad)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: not a solution: identity chain "
+                                       "does not apply\n")
+    assert calls == [1e-3, 1e-3]
+    assert not (tmp_path / "eps-sweep.csv").exists()
 
 
 def test_solve_command(tmp_path):

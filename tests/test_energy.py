@@ -17,7 +17,7 @@ from kwlab.energy import (
     c_decay,
     c_model,
     check_energy_identity,
-    cutoff_combination,
+    cutoff_rows,
     densities,
     density_fn,
     density_rows,
@@ -364,8 +364,8 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
     assert set(densities(conv, field, ys, ("phi_sq",))) == {"phi_sq"}
 
 
-def test_identity_checks_on_model(conv, quad_spec, model):
-    at_eps = field_norms(conv, model, quad_spec, CUTOFF_ROWS, 0.05)
+def test_identity_checks_on_model(conv, quad_spec, full_line):
+    at_eps = field_norms(conv, full_line, quad_spec, CUTOFF_ROWS, 0.05)
     for ident in ("first-order-balance", "square-completion",
                   "bulk-boundary-balance"):
         rep = check_energy_identity(conv, ident, at_eps=at_eps)
@@ -374,14 +374,13 @@ def test_identity_checks_on_model(conv, quad_spec, model):
         assert rep.extra["quad_error"] < 1e-6
 
 
-def test_identity_rejects_non_solutions(conv, quad_spec):
-    # the pass an identity reads refuses the field when it is built
+def test_identity_rejects_non_solutions(conv):
+    # the from-zero pass refuses the field when it is built; every pass an
+    # identity reads is that pass or integrates the field it certified
     bad = InvariantField(
         scaled_matrix_profile(lambda jy: jy * 0 + 1.0, I3),
         scaled_matrix_profile(lambda jy: 1 / jy, I3),
     )
-    with pytest.raises(ValueError, match="not a solution"):
-        field_norms(conv, bad, quad_spec, CUTOFF_ROWS, 0.05)
     with pytest.raises(ValueError, match="not a solution"):
         full_line_norms(conv, bad)
     with pytest.raises(ValueError, match="unknown identity"):
@@ -401,24 +400,34 @@ def test_cutoff_limit_and_route(conv, model, full_line, sweep):
     route = check_energy_identity(conv, "route-match", full_line=full_line,
                                   sweep=sweep)
     assert route.status == "pass" and route.computed <= 1e-6
-    # the sweep is the model's cutoff combination at each cutoff
-    for eps, row in zip(rep.extra["eps"], sweep.rows):
-        assert cutoff_combination(conv, model, eps)[:3] == row
+    # the sweep is the model's cutoff combination at each cutoff, each from
+    # its own one-row phi_sq pass, whose (value, error) its Norms keeps
+    for eps, norms, row in zip(rep.extra["eps"], sweep.passes, sweep.rows):
+        phi_sq = l2_norm_sq(density_fn(conv, model, ("phi_sq",)), eps)
+        two_phi = 2.0 * phi_sq[0]
+        mixed = boundary_terms(conv, model, eps)[1]
+        assert [x.hex() for x in row] == [
+            x.hex() for x in (two_phi, mixed, mixed - two_phi)]
+        assert norms.eps == eps and norms.rows == {"phi_sq": phi_sq}
 
 
-def test_divergence_cancellation_monotone(conv, model):
-    gaps = []
-    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+def test_divergence_cancellation_monotone(conv, model, full_line):
+    eps_list = (1e-1, 1e-2, 1e-3, 1e-4)
+    _, rows = cutoff_rows(conv, full_line, eps_list)
+    for eps, (two_phi, mixed, combo) in zip(eps_list, rows):
+        # the bulk energy above eps equals the combination
         bulk3, _ = l2_norm_sq(
             density_fn(conv, model, ("F_sq", "nabla_bar_sq", "S_sq")), eps)
-        _, _, combo, _ = cutoff_combination(conv, model, eps)
-        gaps.append(abs(bulk3 - combo))
-    assert all(g < 1e-8 for g in gaps)
+        assert abs(bulk3 - combo) < 1e-8
+        want = 2.0 * l2_norm_sq(density_fn(conv, model, ("phi_sq",)), eps)[0]
+        assert two_phi.hex() == want.hex()
+        assert mixed.hex() == boundary_terms(conv, model, eps)[1].hex()
+        assert combo.hex() == (mixed - want).hex()
 
 
-def test_c_model_finite_stable(conv, quad_spec, model, full_line):
+def test_c_model_finite_stable(conv, quad_spec, full_line):
     val, err, parts = c_model(full_line)
-    val2, _, _ = c_model(field_norms(conv, model, quad_spec.refined(),
+    val2, _, _ = c_model(field_norms(conv, full_line, quad_spec.refined(),
                                      C_MODEL_ROWS, 0.0))
     assert abs(val - val2) / val <= 1e-8
     assert parts["F_l2_sq"] > 0 and parts["S_l2_sq"] > 0
@@ -470,10 +479,10 @@ def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
     full_line = full_line_norms(conv, model)
     shared = {
         "full_line": full_line,
-        # the suite's refined pass takes the certified from-zero pass
+        # the suite's other passes integrate the from-zero pass's field
         "refined": field_norms(conv, full_line, spec.refined(), C_MODEL_ROWS,
                                0.0),
-        "at_eps": field_norms(conv, model, spec, CUTOFF_ROWS, eps),
+        "at_eps": field_norms(conv, full_line, spec, CUTOFF_ROWS, eps),
     }
     assert shared["at_eps"].eps == eps and shared["full_line"].eps == 0.0
     read = set()
@@ -549,17 +558,6 @@ def test_synthetic_perturbation_validation(conv, consts):
     assert abs(q[0, 0]) < 1e-6 and abs(dq[0, 0] - 0.3) < 1e-5
 
 
-def _blocked_chains(conv, rng, n, consts):
-    """n seeded chains, drawn and run BLOCK at a time as the energy suite
-    runs them; returns the reports and the directions."""
-    reports, directions = [], []
-    for start in range(0, n, BLOCK):
-        block = random_perturbations(rng, min(BLOCK, n - start))
-        directions.extend(block[2])
-        reports.extend(perturbation_chain(conv, *block, consts))
-    return reports, directions
-
-
 def test_chain_pure_v1_spec_case(conv, consts):
     (rep,) = perturbation_chain(conv, [1.0], [1.0], [I3], consts)
     assert rep.status == "pass"
@@ -591,9 +589,9 @@ def test_chain_weighted_derivative_is_exact(conv, consts):
     # for sgn = -1 the weighted-derivative step is an equality: the integral
     # of sgn * alpha' is the discarded boundary term b1 itself, so no seeded
     # chain of the acceptance seed may report a negative slack for it
-    rng = random.Random(42)
+    amps, rates, directions = random_perturbations(random.Random(42), 100)
     worst, negative = math.inf, 0
-    reports, directions = _blocked_chains(conv, rng, 100, consts)
+    reports = perturbation_chain(conv, amps, rates, directions, consts)
     for rep, m in zip(reports, directions):
         if np.trace(m) < 0:
             negative += 1
@@ -607,19 +605,38 @@ def _bits(d):
     return {k: float(v).hex() for k, v in d.items()}
 
 
+def _assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for rep, ref in zip(got, want):
+        assert _bits(rep.extra["steps"]) == _bits(ref.extra["steps"])
+        assert list(rep.extra["steps"]) == list(ref.extra["steps"])
+        assert _bits(rep.extra["constants"]) == _bits(ref.extra["constants"])
+        assert (rep.status, rep.computed) == (ref.status, ref.computed)
+
+
 @pytest.mark.parametrize("seed", [7, 42, 1234])
 def test_batched_chain_matches_per_perturbation_reference(conv, consts, seed):
     rng = random.Random(seed)
     want = [_ref_chain(conv, _ref_random(rng), consts)
             for _ in range(BLOCK + 1)]
     for n in (1, BLOCK - 1, BLOCK, BLOCK + 1):
-        got, _ = _blocked_chains(conv, random.Random(seed), n, consts)
-        assert len(got) == n
-        for rep, ref in zip(got, want):
-            assert _bits(rep.extra["steps"]) == _bits(ref.extra["steps"])
-            assert list(rep.extra["steps"]) == list(ref.extra["steps"])
-            assert _bits(rep.extra["constants"]) == _bits(ref.extra["constants"])
-            assert (rep.status, rep.computed) == (ref.status, ref.computed)
+        got = perturbation_chain(
+            conv, *random_perturbations(random.Random(seed), n), consts)
+        _assert_same_reports(got, want[:n])
+
+
+def test_chain_splits_its_perturbations_into_blocks(conv, consts):
+    # one call on 20 perturbations returns, bit for bit, the reports of
+    # per-block calls on the same draws made BLOCK at a time
+    got = perturbation_chain(
+        conv, *random_perturbations(random.Random(42), 20), consts)
+    rng, want = random.Random(42), []
+    for start in range(0, 20, BLOCK):
+        want += perturbation_chain(
+            conv, *random_perturbations(rng, min(BLOCK, 20 - start)), consts)
+    assert len(want) == 20
+    _assert_same_reports(got, want)
+    assert [r.detail for r in got] == [r.detail for r in want]
 
 
 def test_c24a_matches_closed_form_completed_square(consts):

@@ -462,9 +462,10 @@ def test_shooting_recovers_model(shot):
         assert abs(b * math.exp(2 * y) - 6.0) <= 0.05
 
 
-def test_shooting_rejects_bad_bracket(system, series):
+def test_shooting_rejects_bad_bracket(system, series, monkeypatch):
+    monkeypatch.setattr(reduced, "SHOOT_BRACKET", (-0.2, -0.1))
     with pytest.raises(ValueError, match="not bracketed"):
-        shoot_for_decay(system, series, y0=0.1, bracket=(-0.2, -0.1))
+        shoot_for_decay(system, series, y0=0.1)
     for y0 in (0.5, 0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="series initial data"):
             shoot_for_decay(system, series, y0=y0)
@@ -1110,8 +1111,8 @@ def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
 def test_final_run_resumes_the_chosen_ends_run_bitwise(system, series,
                                                       monkeypatch, y0):
     # the returned trajectory continues the chosen end's run from its
-    # last step below SHOOT_Y and y_end; it is the fresh run from the
-    # located state, knot for knot; y_end <= SHOOT_Y is the edge case
+    # last step below SHOOT_Y; it is the fresh run from the located state
+    # to SHOOT_Y_END, knot for knot
     starts = []
     resumed = reduced.integrate_ivp
 
@@ -1120,17 +1121,16 @@ def test_final_run_resumes_the_chosen_ends_run_bitwise(system, series,
         return resumed(sys, y, state, y1)
 
     monkeypatch.setattr(reduced, "integrate_ivp", recording)
-    for y_end in (6.0, 8.0, 12.0):
-        shot = shoot_for_decay(system, series, y0=y0, y_end=y_end)
-        fresh = integrate_ivp(system, y0, series.at(shot.param).state(y0),
-                              y_end)
-        got = shot.result
-        for x, y in ((got.knots, fresh.knots), (got.coeffs, fresh.coeffs),
-                     (got.end, fresh.end)):
-            assert _same_bits(x, y), (y0, y_end)
-        # the resumed run starts at a knot of the fresh one, past y0
-        assert y0 < starts[-1] < min(reduced.SHOOT_Y, y_end)
-        assert starts[-1] in fresh.knots
+    shot = shoot_for_decay(system, series, y0=y0)
+    fresh = integrate_ivp(system, y0, series.at(shot.param).state(y0),
+                          reduced.SHOOT_Y_END)
+    got = shot.result
+    for x, y in ((got.knots, fresh.knots), (got.coeffs, fresh.coeffs),
+                 (got.end, fresh.end)):
+        assert _same_bits(x, y), y0
+    # the resumed run starts at a knot of the fresh one, past y0
+    assert y0 < starts[-1] < reduced.SHOOT_Y
+    assert starts[-1] in fresh.knots
 
 
 def test_shot_work_counts(system, series, monkeypatch):
