@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import decomp, energy, halfspace, reduced, report, su2
+from . import decomp, energy, halfspace, quadrature, reduced, report, su2
 from .config import SUITES, SuiteConfig, build_config, load_config
 from .forms import calibrate, kw_residual_norm, ricci_check, taubes_lhs
 from .profiles import (
@@ -40,7 +40,7 @@ from .profiles import (
     pole_scalars,
     scaled_matrix_profile,
 )
-from .quadrature import QuadratureSpec, exp_nodes
+from .quadrature import exp_nodes
 from .report import make_check, write_checks_json, write_csv, write_energy_json
 
 _I3 = np.eye(3)
@@ -237,8 +237,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
     inputs = {
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
-            conv, full_line(), QuadratureSpec(), energy.CUTOFF_ROWS,
-            lo=energy.IDENTITY_EPS)),
+            conv, full_line(), energy.CUTOFF_ROWS, lo=energy.IDENTITY_EPS)),
         "sweep": _shared(lambda: energy.cutoff_sweep(conv, full_line())),
         "consts": _shared(lambda: energy.bound_constants(conv, full_line())),
     }
@@ -250,9 +249,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
 
     def stability():
         val, err, parts = energy.c_model(full_line())
-        val2, _, _ = energy.c_model(energy.field_norms(
-            conv, full_line(), QuadratureSpec().refined(), energy.C_MODEL_ROWS, lo=0.0))
-        rel = abs(val - val2) / val
+        rel = abs(val - energy.refined_c_model(conv, full_line())) / val
         return make_check(
             "c-model-stability",
             "model curvature constant, refined-quadrature agreement",
@@ -262,7 +259,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
 
     def envelope():
         fit = np.linspace(1.0, 5.0, 50)
-        grid = np.linspace(1.0, QuadratureSpec().y_max, 200)
+        grid = np.linspace(1.0, quadrature.Y_MAX, 200)
         # F_sq and S_sq as the two rows of one field evaluation per grid
         dens = energy.density_rows(conv, model, (("F_sq",), ("S_sq",)))
         k = [float(np.max(d * exp_nodes(4.0 * fit))) * 1.5 for d in dens(fit)]
@@ -278,7 +275,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
 
         q_val, q_err = energy.topological_charge(
             conv, scaled_matrix_profile(pole_a, _I3))
-        a0, a1 = (float(pole_scalars(y)[0]) for y in (1e-8, QuadratureSpec().y_max))
+        a0, a1 = (float(pole_scalars(y)[0]) for y in (1e-8, quadrature.Y_MAX))
         oracle = -1.5 * ((a1**3 / 3 - a1**2) - (a0**3 / 3 - a0**2))
         out = [make_check(
             "charge-model", "topological charge against the antiderivative oracle",

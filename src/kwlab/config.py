@@ -5,7 +5,7 @@ Config files hold one ``key = value`` pair per line (# comments allowed);
 unknown key is rejected at parse time, so that a typo does not pass
 silently.  No key or flag sets a tolerance, the quadrature layout or a
 cutoff: each gate's tolerance is a constant of its check, the layout is
-QuadratureSpec(), and each integral names its own lower limit.
+four constants of `quadrature`, and each integral names its lower limit.
 """
 
 from __future__ import annotations

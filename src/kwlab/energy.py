@@ -47,9 +47,9 @@ from .profiles import (
     pole_scalars,
     scaled_matrix_profile,
 )
+from . import quadrature
 from .quadrature import (
     VOL_S3,
-    QuadratureSpec,
     exp_nodes,
     integrate_halfline,
     integrate_interval,
@@ -137,12 +137,10 @@ _DENSITIES = {
     "dAstar_sq": _d_a_star_sq,
     "charge_density": lambda m: -0.5 * frob_inner(m.n_f, m.t_f),
 }
-DENSITY_KEYS = tuple(_DENSITIES)
 
 
-def densities(conv: GeometryConventions, field: InvariantField, y,
-              keys=DENSITY_KEYS) -> dict:
-    """The named pointwise densities at y (a node or an array of nodes), in
+def densities(conv: GeometryConventions, field: InvariantField, y, keys) -> dict:
+    """The densities named in keys at y (a node or an array of nodes), in
     float64."""
     m = FieldAt.of(conv, field, y, float)
     return {k: _DENSITIES[k](m) for k in keys}
@@ -196,8 +194,8 @@ def _require_solution(conv, field):
 Norms = namedtuple("Norms", "field eps rows")
 
 
-def _norms(conv, field, spec: QuadratureSpec, rows: dict, lo: float) -> Norms:
-    v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), lo, spec)
+def _norms(conv, field, rows: dict, lo: float) -> Norms:
+    v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), lo)
     return Norms(field, lo, dict(zip(rows, zip(v.tolist(), e.tolist()))))
 
 
@@ -206,15 +204,14 @@ def full_line_norms(conv, field) -> Norms:
     it refuses a field that does not solve the system on the range of every
     pass (_require_solution); every other pass integrates its field."""
     _require_solution(conv, field)
-    return _norms(conv, field, QuadratureSpec(), FULL_LINE_ROWS, 0.0)
+    return _norms(conv, field, FULL_LINE_ROWS, 0.0)
 
 
-def field_norms(conv, full_line: Norms, spec: QuadratureSpec, rows, lo) -> Norms:
+def field_norms(conv, full_line: Norms, rows, lo) -> Norms:
     """One pass from lo over the rows (name -> density keys) of the field
-    that a from-zero pass certified, on QuadratureSpec() or its refined()
-    layout (c-model-stability).  A row's floats do not depend on the other
-    rows, so a check that reads one by name gets the floats of its own pass."""
-    return _norms(conv, full_line.field, spec, rows, lo)
+    that a from-zero pass certified.  A row's floats do not depend on the
+    other rows, so a check reading one by name gets its own pass's floats."""
+    return _norms(conv, full_line.field, rows, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +244,17 @@ def c_model(full_line: Norms):
     err = 0.5 * (f_err / max(math.sqrt(f_sq), 1e-30)
                  + s_err / max(math.sqrt(s_sq), 1e-30))
     return val, err, {"F_l2_sq": f_sq, "S_l2_sq": s_sq}
+
+
+def refined_c_model(conv, full_line: Norms) -> float:
+    """c_model's value on the from-zero layout of 4 * PANELS panels, twice
+    the fine one of full_line (c-model-stability): only that layout, its
+    parts added left to right as in integrate_halfline, no error or tail."""
+    rows = density_rows(conv, full_line.field, tuple(C_MODEL_ROWS.values()))
+    v = sum(quadrature.integrate_panels(rows, edges, quadrature.NODES)
+            for edges in quadrature.halfline_edges(0.0, 4 * quadrature.PANELS))
+    f_sq, s_sq = (VOL_S3 * v).tolist()
+    return math.sqrt(f_sq) + math.sqrt(s_sq)
 
 
 def c_decay() -> float:
@@ -362,7 +370,7 @@ def eps_sweep_rows(conv, full_line: Norms, eps_list):
     rows = []
     for eps in eps_list:
         lhs, _ = _bulk_balance(
-            field_norms(conv, full_line, QuadratureSpec(), _BALANCE_ROWS, eps))
+            field_norms(conv, full_line, _BALANCE_ROWS, eps))
         rhs = boundary_terms(conv, full_line.field, eps)[1]
         rows.append((eps, lhs, rhs, lhs - rhs))
     return rows
@@ -372,8 +380,7 @@ def cutoff_rows(conv, full_line: Norms, cutoffs):
     """The phi_sq pass from each cutoff eps of a from-zero pass's field, and
     per pass (bulk 2|phi|^2 integral, mixed boundary term, stabilising
     combination); the first two diverge like 1/eps."""
-    passes = tuple(field_norms(conv, full_line, QuadratureSpec(), _PHI_ROWS, eps)
-                   for eps in cutoffs)
+    passes = tuple(field_norms(conv, full_line, _PHI_ROWS, eps) for eps in cutoffs)
     two_phi = [2.0 * p.rows["phi_sq"][0] for p in passes]
     mixed = [boundary_terms(conv, p.field, p.eps)[1] for p in passes]
     return passes, tuple((t, m, m - t) for t, m in zip(two_phi, mixed))
@@ -590,8 +597,7 @@ class BoundConstants(NamedTuple):
     solution's passes (Norms) and the values built from them, these
     constants and the CutoffSweep, are built once per run from its one
     certified from-zero pass, and every check that uses one takes that
-    value.  The one exception: the refined c-model-stability pass evaluates
-    the fine layout of the shared from-zero pass (48 panels) again."""
+    value."""
 
     c_decay: float
     c19: float

@@ -2,11 +2,11 @@
 
 Integrals over S^3 x {y > lo} of invariant densities reduce to
 vol(S^3) * int_lo^inf f(y) dy with vol(S^3) = 2 pi^2.  The lower limit lo
-picks the head of the layout on [lo, y_split]: uniform panels from lo = 0,
+picks the head of the layout on [lo, Y_SPLIT]: uniform panels from lo = 0,
 where the densities are continuous; a geometric panel ladder from a cutoff
-0 < lo < y_split (profiles behave like powers of y near the pole); none
-from lo >= y_split.  Uniform panels follow up to y_max, and an exponential
-tail beyond y_max is left out of the value and covered by a truncation
+0 < lo < Y_SPLIT (profiles behave like powers of y near the pole); none
+from lo >= Y_SPLIT.  Uniform panels follow up to Y_MAX, and an exponential
+tail beyond Y_MAX is left out of the value and covered by a truncation
 bound (densities of the reference solution fall off like e^{-4y}).
 
 Every integral returns (value, error_estimate); the estimate combines a
@@ -21,14 +21,15 @@ right.  So a row's float is the one its integrand alone would give, and
 integrands that share a layout are evaluated in one pass.  The energy
 suite keeps to that: each (field, layout) pair is integrated once per run,
 as one pass of all the rows its checks read (energy.full_line_norms, then
-energy.field_norms), with one exception: the refined c-model-stability
-pass evaluates the from-zero pass's fine layout (48 panels) a second time.
+energy.field_norms and energy.refined_c_model).  The layout is four
+constants, read at call time: Y_SPLIT and Y_MAX, where the head and the
+body end, and PANELS panels of NODES nodes in each part (twice as many
+panels in the fine layout).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -37,20 +38,10 @@ VOL_S3 = 2.0 * math.pi**2
 
 TAIL_RATE = 4.0  # exponential envelope rate used for the tail bound
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """A panel layout of the half-line from lo: `panels` panels of
-    `nodes_per_panel` nodes on the head [lo, y_split] and on the body up to
-    y_max.  The defaults are the lab's layout."""
-
-    y_split: float = 1.0
-    y_max: float = 30.0
-    panels: int = 24
-    nodes_per_panel: int = 16
-
-    def refined(self) -> "QuadratureSpec":
-        return replace(self, panels=self.panels * 2)
+Y_SPLIT = 1.0
+Y_MAX = 30.0
+PANELS = 24
+NODES = 16
 
 
 @lru_cache(maxsize=32)
@@ -105,50 +96,52 @@ def integrate_panels(f, edges, nodes: int):
     return _scalar(sum(np.moveaxis(half * total, -1, 0)))
 
 
-def _tail(f, spec: QuadratureSpec):
-    """Bound on the integral beyond y_max, which the value leaves out: the
+def _tail(f):
+    """Bound on the integral beyond Y_MAX, which the value leaves out: the
     envelope constant is estimated from samples, with a x1.5 safety."""
     rate = TAIL_RATE
-    ys = np.linspace(max(spec.y_split, spec.y_max - 5.0), spec.y_max, 16)
+    ys = np.linspace(max(Y_SPLIT, Y_MAX - 5.0), Y_MAX, 16)
     k = _scalar(np.max(np.abs(_values(f, ys)) * exp_nodes(rate * ys), axis=-1))
-    return 1.5 * k * math.exp(-rate * spec.y_max) / rate
+    return 1.5 * k * math.exp(-rate * Y_MAX) / rate
 
 
-def _doubled(f, layout, panels: int, nodes: int):
+def _doubled(f, layout, panels: int):
     """(fine, |fine - coarse|) for the rule on layout(2 * panels) against
     layout(panels).  layout(p) gives the edge arrays of consecutive parts,
     each with p panels; their integrals are added in that order."""
     def run(p: int):
-        return sum(integrate_panels(f, edges, nodes) for edges in layout(p))
+        return sum(integrate_panels(f, edges, NODES) for edges in layout(p))
 
     coarse = run(panels)
     fine = run(panels * 2)
     return fine, abs(fine - coarse)
 
 
-def integrate_halfline(f, lo: float, spec: QuadratureSpec = QuadratureSpec()):
-    """int_lo^inf f(y) dy on the layout of spec.  lo picks the head: uniform
-    from lo = 0, geometric from 0 < lo < y_split, none from lo >= y_split,
-    where the body starts at lo.  f takes an array of nodes and returns the
-    integrand at each."""
-    def layout(p: int):
-        body = np.linspace(max(lo, spec.y_split), spec.y_max, p + 1)
-        if lo >= spec.y_split:
-            return (body,)
-        head = np.geomspace if lo > 0 else np.linspace
-        return head(lo, spec.y_split, p + 1), body
+def halfline_edges(lo: float, panels: int):
+    """The edge arrays of the parts of the layout from lo, `panels` panels
+    each: the head on [lo, Y_SPLIT] that lo picks, then the body to Y_MAX."""
+    body = np.linspace(max(lo, Y_SPLIT), Y_MAX, panels + 1)
+    if lo >= Y_SPLIT:
+        return (body,)
+    head = np.geomspace if lo > 0 else np.linspace
+    return head(lo, Y_SPLIT, panels + 1), body
 
-    fine, err = _doubled(f, layout, spec.panels, spec.nodes_per_panel)
-    return fine, err + _tail(f, spec)
+
+def integrate_halfline(f, lo: float):
+    """int_lo^inf f(y) dy on the layout from lo (halfline_edges), at PANELS
+    against twice as many.  f takes an array of nodes and returns the
+    integrand at each."""
+    fine, err = _doubled(f, lambda p: halfline_edges(lo, p), PANELS)
+    return fine, err + _tail(f)
 
 
 def integrate_interval(f, lo: float, hi: float):
-    """int_lo^hi f dy on 64 uniform panels of 16 nodes, with the error
+    """int_lo^hi f dy on 64 uniform panels of NODES nodes, with the error
     estimate against 32 panels."""
-    return _doubled(f, lambda p: (np.linspace(lo, hi, p + 1),), 32, 16)
+    return _doubled(f, lambda p: (np.linspace(lo, hi, p + 1),), 32)
 
 
-def l2_norm_sq(density, lo: float, spec: QuadratureSpec = QuadratureSpec()):
+def l2_norm_sq(density, lo: float):
     """vol(S^3) * int_lo^inf density dy, density a pointwise norm^2."""
-    v, e = integrate_halfline(density, lo, spec)
+    v, e = integrate_halfline(density, lo)
     return VOL_S3 * v, VOL_S3 * e

@@ -67,7 +67,7 @@ class BlowUpError(RuntimeError):
     ``nonfinite``, a step from ``y_blow`` was not finite, which leaves no
     sign to read off, and ``state`` is the last finite one."""
 
-    def __init__(self, y_blow: float, state, nonfinite: bool = False):
+    def __init__(self, y_blow: float, state, nonfinite: bool):
         self.y_blow = y_blow
         self.state = tuple(float(s) for s in state)
         self.nonfinite = nonfinite
@@ -330,7 +330,7 @@ def taylor_workspace(dtype, k: int, order: int) -> tuple:
                         x[:-1, 6:11:2], x[:-1, 0:11:2], x[1:, 1:5]))
 
 
-def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
+def taylor_coefficients(matrix, a, b, order: int, work) -> np.ndarray:
     """Taylor coefficients to ``order`` of the solutions through the lane
     states (a, b) of a' = c_a . m, b' = c_b . m, where m are the monomials of
     _MONOMIALS and ``matrix`` stacks c_a and c_b; shape (2, k, order + 1).
@@ -338,7 +338,7 @@ def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
     With x(t) = sum_n x_n t^n, x_{n+1} is the t^n coefficient of
     c . m(a(t), b(t)) / (n + 1), whose products are Cauchy products of the
     lower coefficients.  ``work``, from ``taylor_workspace`` for this dtype,
-    lane count and order (made here when None), is time-major, (order + 1,
+    lane count and order, is time-major, (order + 1,
     11, k), and each order holds the rows (1|0, a, a, b, b, ., aa, ., ab, .,
     bb): its stride-2 rows are the monomials of _MONOMIALS, and rows 1-3 and
     2-4 over time are the Cauchy factors (a, a, b) and (a, b, b).  The rows
@@ -353,8 +353,6 @@ def taylor_coefficients(matrix, a, b, order: int, work=None) -> np.ndarray:
     Fractions it is exact.
 
     The result is a view of ``work``, valid until the next call on it."""
-    if work is None:
-        work = taylor_workspace(np.result_type(matrix, a, b), len(a), order)
     x, steps = work
     if x.shape != (order + 1, 11, len(a)):
         raise ValueError(f"workspace of shape {x.shape} for {len(a)} lanes "
@@ -475,7 +473,7 @@ def _certified_blowup(y, s, y_end) -> np.ndarray:
 
 
 def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
-                  steps=None, certify: bool = False) -> _LaneRun:
+                  steps, certify: bool = False) -> _LaneRun:
     """Advance k lanes (``states`` of shape (2, k)) from y0 to y1 with the
     order-TAYLOR_ORDER Taylor stepper, each lane with its own y and step.
 
@@ -488,8 +486,8 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
     non-finite, when its coefficients or the state they give are not finite
     or its step falls below _H_MIN, keeping its last finite state.  Per lane
     the arithmetic is that of a single trajectory, so a lane's result does
-    not depend on its batch.  ``steps`` (two lists, one-lane runs only)
-    collects the step boundaries and each step's coefficients.
+    not depend on its batch.  ``steps`` (two lists, one-lane runs only; or
+    None) collects the step boundaries and each step's coefficients.
     """
     if certify and (sys.coeffs_a, sys.coeffs_b) != LOCKED_COEFFS:
         raise ValueError("the blow-up certificate is proven only for the "
@@ -591,14 +589,14 @@ _U_SCALE = math.exp(-2.0 * SHOOT_Y)
 
 
 def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float,
-                    steps=None):
+                    steps):
     """One batched run from the (2, k) initial ``states``; per lane
     (outcome, sign, y, U): 'blow' with the sign of b at blow-up, 'reached'
     with U = (a - b)(y_end) e^{-2 y_end} and sign -sign(U), or 'non-finite'
     (no sign); y is where the lane's run ended (for a lane certified to
     blow up, where the certificate fired) and U is None unless the lane
-    reached y_end.  ``steps`` (one-lane runs only) collects the run's steps
-    as in ``_taylor_lanes``."""
+    reached y_end.  ``steps`` (one-lane runs only; or None) collects the
+    run's steps as in ``_taylor_lanes``."""
     run = _taylor_lanes(sys, y0, states, y_end, steps, certify=True)
     outcomes = []
     for lane, status in enumerate(run.status):
@@ -615,7 +613,7 @@ def _classify_lanes(sys: ReducedSystem, states, y0: float, y_end: float,
 
 
 def shoot_for_decay(sys: ReducedSystem, series: PoleSeries,
-                    y0: float = 0.1) -> ShootResult:
+                    y0: float) -> ShootResult:
     """Locate the free series coefficient p in SHOOT_BRACKET whose trajectory
     decays to the stationary point (0, 0), and integrate it to SHOOT_Y_END.
 
@@ -656,8 +654,8 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries,
     deterministic per lane, and neither run clipped them), so one
     ``integrate_ivp`` continues from the last of them, with the state
     there, the next step's zeroth coefficients.  A run that turns
-    non-finite has no sign and raises, as does a one-lane run that blows up
-    before SHOOT_Y.
+    non-finite has no sign and raises ValueError, as does a one-lane run
+    that blows up before SHOOT_Y or a final run before SHOOT_Y_END.
     The certificate is proven for the locked system only: on a system with
     other coefficients than LOCKED_COEFFS the first run raises ValueError.
     """
@@ -761,8 +759,12 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries,
         else (hi, s_hi, u_hi, w_hi))
 
     done = sum(y < SHOOT_Y for y in knots[1:])
-    tail = integrate_ivp(sys, knots[done],
-                         coeffs[done][:, 0] if done else s, SHOOT_Y_END)
+    try:
+        tail = integrate_ivp(sys, knots[done],
+                             coeffs[done][:, 0] if done else s, SHOOT_Y_END)
+    except BlowUpError as e:
+        raise ValueError(f"final run from y0 = {y0!r} at parameter {param!r}: "
+                         f"{e}, before y = {SHOOT_Y_END}") from None
     res = IvpResult(np.array([*knots[:done], *tail.knots]),
                     np.array([*coeffs[:done], *tail.coeffs]), tail.end)
     return ShootResult(param=param, result=res, trace=trace,

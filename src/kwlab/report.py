@@ -94,7 +94,7 @@ class EnergyEntry(NamedTuple):
 class EnergyReport(NamedTuple):
     entries: list
 
-    def add(self, name: str, value, error_estimate=0.0, note: str = ""):
+    def add(self, name: str, value, error_estimate, note: str = ""):
         self.entries.append(EnergyEntry(name, float(value), float(error_estimate), note))
 
     def get(self, name: str) -> EnergyEntry:
@@ -123,26 +123,26 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def checks_to_json(checks: list, meta: dict | None = None) -> str:
+def checks_to_json(checks: list, meta: dict) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "meta": meta or {},
+        "meta": meta,
         "checks": [vars(c) for c in checks],  # the fields, not copied
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def write_checks_json(path: str, checks: list, meta: dict | None = None) -> str:
+def write_checks_json(path: str, checks: list, meta: dict) -> str:
     """Write the report to ``path``; returns the text written."""
     text = checks_to_json(checks, meta)
     _atomic_write(path, text)
     return text
 
 
-def write_energy_json(path: str, rep: EnergyReport, meta: dict | None = None):
+def write_energy_json(path: str, rep: EnergyReport, meta: dict):
     write_json(path, {
         "schema_version": SCHEMA_VERSION,
-        "meta": meta or {},
+        "meta": meta,
         "entries": [e._asdict() for e in rep.entries],
     })
 

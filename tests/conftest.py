@@ -8,7 +8,6 @@ from kwlab.energy import bound_constants, cutoff_sweep, full_line_norms
 from kwlab.forms import calibrate
 from kwlab.jets import Jet
 from kwlab.profiles import nahm_pole_invariant_solution
-from kwlab.quadrature import QuadratureSpec
 
 _ACCEPTANCE_LINES = []
 
@@ -61,11 +60,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def conv():
     return calibrate()
-
-
-@pytest.fixture(scope="session")
-def quad_spec():
-    return QuadratureSpec()
 
 
 @pytest.fixture(scope="session")

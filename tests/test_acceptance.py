@@ -106,10 +106,10 @@ def test_criterion_03_decomposition_suite():
            f"{elapsed:.1f}s")
 
 
-def test_criterion_04_energy_balance(conv, quad_spec, full_line):
+def test_criterion_04_energy_balance(conv, full_line):
     rep = energy.check_energy_identity(
         conv, "bulk-boundary-balance", at_eps=energy.field_norms(
-            conv, full_line, quad_spec, energy.CUTOFF_ROWS, 0.05))
+            conv, full_line, energy.CUTOFF_ROWS, 0.05))
     ok = rep.status == "pass" and rep.computed <= 1e-6 and (
         "quad_error" in rep.extra)
     _check("criterion-04 bulk/boundary balance at eps=0.05", ok,
@@ -134,11 +134,10 @@ def test_criterion_05_cutoff_limit(conv, full_line, sweep):
            f"route gap {route.computed:.2e}")
 
 
-def test_criterion_06_model_constant(conv, quad_spec, full_line):
+def test_criterion_06_model_constant(conv, full_line):
     model = nahm_pole_invariant_solution()
     val, err, parts = energy.c_model(full_line)
-    val2, _, _ = energy.c_model(energy.field_norms(
-        conv, full_line, quad_spec.refined(), energy.C_MODEL_ROWS, 0.0))
+    val2 = energy.refined_c_model(conv, full_line)
     stable = abs(val - val2) / val <= 1e-8
     env_ok = True
     for key in ("F_sq", "S_sq"):

@@ -156,6 +156,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for y0 in ("0", "-0.1", "nan"):
         assert main(["solve", "--y0", y0, *outputs]) == 2
         assert "series initial data" in capsys.readouterr().err
+    # or one too small to locate the decay: from 1e-4 and 1e-5 the located
+    # end's final run blows up before SHOOT_Y_END
+    for y0, y_blow in (("1e-4", "11.87"), ("1e-5", "10.18")):
+        assert main(["solve", "--y0", y0, *outputs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: final run from y0 = {float(y0)!r} at ")
+        assert f"blew up near y = {y_blow}" in err
     # seeds and values are checked when the config is built, whichever
     # suite runs; the quadrature layout is a constant, so no key sets it
     cfg = tmp_path / "bad.cfg"
@@ -181,6 +188,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
     assert not (tmp_path / "e.json").exists()
     assert not (tmp_path / "l.json").exists()
+    assert not (tmp_path / "p.csv").exists()
     # a point file row with a non-finite coordinate, or y <= 0
     points = tmp_path / "points.csv"
     for row in ("0.5,0.5,0.5,nan", "inf,0.5,0.5,1", "0.5,0.5,0.5,inf",
@@ -484,17 +492,16 @@ def test_failed_sweep_fails_only_its_checks(tmp_path, monkeypatch):
 def test_failed_shared_pass_fails_only_its_readers(tmp_path, monkeypatch,
                                                    shared, readers):
     # a raise in the build of one of the reference solution's shared passes;
-    # the refined c_model pass and the cutoff sweep go through field_norms
-    # too and still run
+    # the cutoff sweep goes through field_norms too and still runs
     field_norms = energy.field_norms
 
     def boom(*args, **kwargs):
         raise ZeroDivisionError("no pass")
 
-    def at_eps_fails(conv, field, spec, rows, *args, **kwargs):
+    def at_eps_fails(conv, field, rows, *args, **kwargs):
         if rows is energy.CUTOFF_ROWS:
             boom()
-        return field_norms(conv, field, spec, rows, *args, **kwargs)
+        return field_norms(conv, field, rows, *args, **kwargs)
 
     if shared == "full_line":
         monkeypatch.setattr(energy, "full_line_norms", boom)
@@ -524,14 +531,16 @@ def _panel_calls(monkeypatch, argv) -> int:
 
 def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
     # 4 calls per half-line pass with a head (two parts at two panel
-    # counts), 2 per interval and per half-line from y_split on: the shared
-    # from-zero and at-eps passes, the three sweep cutoffs, the refined
-    # c_model pass, two charges, the constants' near interval and one chain
-    # block (interval and the far half-line from 1): 38 (64 when every check
-    # integrated its own pass and the far half-line had a head)
+    # counts), 2 per interval and per half-line from Y_SPLIT on: the shared
+    # from-zero and at-eps passes, the three sweep cutoffs, two charges, the
+    # constants' near interval and one chain block (interval and the far
+    # half-line from 1); and 2 for the refined c_model value, which
+    # integrates only its two parts at 4 * PANELS: 36 (38 when the refined
+    # pass integrated the from-zero pass's fine layout again, 64 when every
+    # check integrated its own pass and the far half-line had a head)
     argv = ["verify", "--suite", "energy", "--n-pert", "3",
             "--out", str(tmp_path / "r.json")]
-    assert _panel_calls(monkeypatch, argv) == 38
+    assert _panel_calls(monkeypatch, argv) == 36
 
 
 @pytest.mark.parametrize("model, calls", [("he", 22), ("alt", 26)])
@@ -664,12 +673,13 @@ def test_package_imports_only_stdlib_and_numpy():
     assert sorted(f for f in found if f[1] not in allowed) == []
 
 
-def _defaults_no_call_sets(src):
-    """(file, function, parameter) for each defaulted parameter of a function
-    or method defined with def in the package that no call in the package
-    sets, by keyword or by position.  A call is matched by the called name,
-    ``ClassName(...)`` calls ``__init__``, ``partial(f, ...)`` calls f, and
-    ``**mapping`` sets every keyword-only parameter."""
+def _package_defaults(src):
+    """The defaulted parameters of the functions and methods defined with def
+    in the package, as (file, function, parameter, callee, at), and its
+    calls, as (called name, positional args, keywords).  A call is matched
+    by the called name, ``ClassName(...)`` calls ``__init__`` and
+    ``partial(f, ...)`` calls f; ``at`` is the parameter's index among a
+    call's positional arguments, None for a keyword-only one."""
     defs, calls = [], []
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
@@ -694,37 +704,69 @@ def _defaults_no_call_sets(src):
                 called = getattr(func, "id", getattr(func, "attr", None))
                 calls.append((called, args, node.keywords))
 
-    unset = []
+    params = []
     for name, fn, callee, skip in defs:
         a = fn.args
         positional = a.posonlyargs + a.args
         first = len(positional) - len(a.defaults)
-        params = [(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
-        params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                   if d is not None]
-        for param, at in params:
-            if not any(c == callee and _call_sets(args, kw, param, at)
-                       for c, args, kw in calls):
-                unset.append((name, fn.name, param))
-    return unset
+        params += [(name, fn.name, p.arg, callee, i - skip)
+                   for i, p in enumerate(positional) if i >= first]
+        params += [(name, fn.name, p.arg, callee, None)
+                   for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return params, calls
 
 
-def _call_sets(args, keywords, param, at) -> bool:
-    """Whether a call's arguments set the parameter: by its keyword, by
-    ``**mapping`` when it is keyword-only (at is None), else by a positional
-    argument at index ``at`` or a ``*args`` at or before it."""
-    if any(k.arg == param or (k.arg is None and at is None) for k in keywords):
+def _call_sets(args, keywords, param, at, *, maybe: bool) -> bool:
+    """Whether a call's arguments set the parameter: by its keyword or by a
+    positional argument at index ``at``.  With ``maybe``, so do a
+    ``**mapping`` when it is keyword-only (at is None) and a ``*args`` at or
+    before ``at``, which may set it."""
+    if any(k.arg == param for k in keywords):
         return True
-    return at is not None and (len(args) > at or any(
-        isinstance(x, ast.Starred) for x in args[:at + 1]))
+    if at is None:
+        return maybe and any(k.arg is None for k in keywords)
+    if any(isinstance(x, ast.Starred) for x in args[:at + 1]):
+        return maybe
+    return len(args) > at
+
+
+def _defaults_no_call_sets(src):
+    """(file, function, parameter) for each defaulted parameter that no call
+    in the package sets, or may set."""
+    params, calls = _package_defaults(src)
+    return [(name, fn, param) for name, fn, param, callee, at in params
+            if not any(c == callee and _call_sets(args, kw, param, at, maybe=True)
+                       for c, args, kw in calls)]
+
+
+def _defaults_every_call_sets(src):
+    """(file, function, parameter) for each defaulted parameter that every
+    call in the package of its function sets, there being one; a call whose
+    ``*args`` or ``**mapping`` may set it counts as taking the default."""
+    params, calls = _package_defaults(src)
+    unused = []
+    for name, fn, param, callee, at in params:
+        mine = [(args, kw) for c, args, kw in calls if c == callee]
+        if mine and all(_call_sets(args, kw, param, at, maybe=False)
+                        for args, kw in mine):
+            unused.append((name, fn, param))
+    return unused
+
+
+_PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "kwlab")
 
 
 def test_every_default_is_set_by_some_call():
     # a default that no call in the package overrides is a knob only tests
     # turn: make it a constant.  main's argv is for in-process callers (the
     # tests and the benchmark's tracer)
-    src = os.path.join(os.path.dirname(__file__), "..", "src", "kwlab")
-    assert sorted(_defaults_no_call_sets(src)) == [("cli.py", "main", "argv")]
+    assert sorted(_defaults_no_call_sets(_PACKAGE)) == [("cli.py", "main", "argv")]
+
+
+def test_no_default_is_always_overridden():
+    # a default that every call in the package overrides serves only the
+    # tests: make the parameter required
+    assert sorted(_defaults_every_call_sets(_PACKAGE)) == []
 
 
 def test_seeded_commands_do_not_load_numpy_random(tmp_path):

@@ -11,7 +11,6 @@ from kwlab.energy import (
     BLOCK,
     C_MODEL_ROWS,
     CUTOFF_ROWS,
-    DENSITY_KEYS,
     OMEGA_NORM_SQ,
     boundary_terms,
     c_decay,
@@ -27,9 +26,11 @@ from kwlab.energy import (
     full_line_norms,
     perturbation_chain,
     random_perturbations,
+    refined_c_model,
     theorem_bound_report,
     topological_charge,
 )
+from kwlab import quadrature
 from kwlab.forms import EPS_TABLE, frob_inner, wedge_bracket_matrix
 from kwlab.jets import Jet
 from kwlab.profiles import (
@@ -45,7 +46,6 @@ from kwlab.profiles import (
 )
 from kwlab.quadrature import (
     VOL_S3,
-    QuadratureSpec,
     exp_nodes,
     integrate_halfline,
     integrate_interval,
@@ -243,7 +243,7 @@ def test_boundary_terms_divergences(conv, model):
 
 
 def test_model_densities_positive_and_bounded_at_pole(conv, model):
-    d = densities(conv, model, 1e-5)
+    d = densities(conv, model, 1e-5, ("F_sq", "nabla_bar_sq", "S_sq", "phi_sq"))
     for key in ("F_sq", "nabla_bar_sq", "S_sq"):
         assert 0 <= d[key] < 10.0
     # the Higgs norm itself carries the 1/y^2 divergence
@@ -254,7 +254,7 @@ def test_densities_refuse_boundary_evaluation(conv, model):
     # FieldAt.of refuses y <= 0 for every reader, as kw_residual does
     for y in (0.0, np.array([1.0, -0.5])):
         with pytest.raises(ValueError, match="boundary evaluation"):
-            densities(conv, model, y)
+            densities(conv, model, y, ("phi_sq",))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +344,10 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
     edges = _LAYOUTS[layout]
     ys = _panel_nodes(edges, 16)
     ref = [_scalar_densities(conv, field, float(y)) for y in ys]
-    got = densities(conv, field, ys)
-    assert tuple(got) == DENSITY_KEYS and len(DENSITY_KEYS) == 10
-    for key in DENSITY_KEYS:
+    all_keys = tuple(ref[0])
+    got = densities(conv, field, ys, all_keys)
+    assert tuple(got) == all_keys and len(all_keys) == 10
+    for key in all_keys:
         want = [d[key] for d in ref]
         assert got[key].tolist() == want, key
         assert (integrate_panels(density_fn(conv, field, (key,)), edges, 16)
@@ -364,8 +365,8 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
     assert set(densities(conv, field, ys, ("phi_sq",))) == {"phi_sq"}
 
 
-def test_identity_checks_on_model(conv, quad_spec, full_line):
-    at_eps = field_norms(conv, full_line, quad_spec, CUTOFF_ROWS, 0.05)
+def test_identity_checks_on_model(conv, full_line):
+    at_eps = field_norms(conv, full_line, CUTOFF_ROWS, 0.05)
     for ident in ("first-order-balance", "square-completion",
                   "bulk-boundary-balance"):
         rep = check_energy_identity(conv, ident, at_eps=at_eps)
@@ -425,10 +426,9 @@ def test_divergence_cancellation_monotone(conv, model, full_line):
         assert combo.hex() == (mixed - want).hex()
 
 
-def test_c_model_finite_stable(conv, quad_spec, full_line):
+def test_c_model_finite_stable(conv, full_line):
     val, err, parts = c_model(full_line)
-    val2, _, _ = c_model(field_norms(conv, full_line, quad_spec.refined(),
-                                     C_MODEL_ROWS, 0.0))
+    val2 = refined_c_model(conv, full_line)
     assert abs(val - val2) / val <= 1e-8
     assert parts["F_l2_sq"] > 0 and parts["S_l2_sq"] > 0
     # second summand equals the norm of the tangential curvature part:
@@ -440,58 +440,81 @@ def test_c_model_finite_stable(conv, quad_spec, full_line):
 
 
 _BULK = ("F_sq", "nabla_bar_sq", "S_sq")
-_ACCEPTANCE_SPEC = QuadratureSpec()
 
 
-def _per_producer_passes(conv, field, spec, eps):
+def _own_pass(conv, field, groups, lo):
+    """(value, error) per row of one producer's own pass of the groups."""
+    v, e = l2_norm_sq(density_rows(conv, field, groups), lo)
+    return list(zip(v.tolist(), e.tolist()))
+
+
+def _per_producer_passes(conv, field, eps):
     """Every row as each producer integrated it in its own pass, before the
     suite shared one pass per layout: (pass, row name, (value, error))."""
-    def own(groups, sp, lo):
-        v, e = l2_norm_sq(density_rows(conv, field, groups), lo, sp)
-        return list(zip(v.tolist(), e.tolist()))
+    def own(groups, lo):
+        return _own_pass(conv, field, groups, lo)
 
     out = [("full_line", "bulk",  # bound_constants' c_limit
-            l2_norm_sq(density_fn(conv, field, _BULK), 0.0, spec))]
+            l2_norm_sq(density_fn(conv, field, _BULK), 0.0))]
     out += zip(["full_line"], ("bulk",),  # route-match
-               own((_BULK,), spec, 0.0))
+               own((_BULK,), 0.0))
     out += zip(["full_line"] * 2, ("F_nabla", "S_sq"),  # weighted-bound
-               own((("F_sq", "nabla_bar_sq"), ("S_sq",)), spec, 0.0))
+               own((("F_sq", "nabla_bar_sq"), ("S_sq",)), 0.0))
     out += zip(["full_line"] * 2, ("F_sq", "S_sq"),  # c_model
-               own((("F_sq",), ("S_sq",)), spec, 0.0))
-    out += zip(["refined"] * 2, ("F_sq", "S_sq"),  # c_model, refined
-               own((("F_sq",), ("S_sq",)), spec.refined(), 0.0))
+               own((("F_sq",), ("S_sq",)), 0.0))
     out += zip(["full_line"] * 3,  # theorem_bound_report
                ("F_sq", "nabla_bar_sq", "S_sq"),
-               own((("F_sq",), ("nabla_bar_sq",), ("S_sq",)), spec, 0.0))
+               own((("F_sq",), ("nabla_bar_sq",), ("S_sq",)), 0.0))
     out.append(("at_eps", "first_order", l2_norm_sq(density_fn(  # first-order
-        conv, field, ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq")), eps, spec)))
+        conv, field, ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq")), eps)))
     out += zip(["at_eps"] * 2, ("full_grad", "completed"),  # square-completion
                own((("nabla_bar_sq", "dyphi_sq", "phi2_sq"),
-                    ("nabla_bar_sq", "S_sq")), spec, eps))
+                    ("nabla_bar_sq", "S_sq")), eps))
     out += zip(["at_eps"] * 2, ("bulk", "phi_sq"),  # bulk-boundary-balance
-               own((_BULK, ("phi_sq",)), spec, eps))
+               own((_BULK, ("phi_sq",)), eps))
     return out
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1])
-def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
-    spec = _ACCEPTANCE_SPEC
+def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps,
+                                                       monkeypatch):
     full_line = full_line_norms(conv, model)
     shared = {
         "full_line": full_line,
         # the suite's other passes integrate the from-zero pass's field
-        "refined": field_norms(conv, full_line, spec.refined(), C_MODEL_ROWS,
-                               0.0),
-        "at_eps": field_norms(conv, full_line, spec, CUTOFF_ROWS, eps),
+        "at_eps": field_norms(conv, full_line, CUTOFF_ROWS, eps),
     }
     assert shared["at_eps"].eps == eps and shared["full_line"].eps == 0.0
     read = set()
-    for pass_, name, (value, error) in _per_producer_passes(conv, model, spec, eps):
+    for pass_, name, (value, error) in _per_producer_passes(conv, model, eps):
         got = shared[pass_].rows[name]
         assert [x.hex() for x in got] == [value.hex(), error.hex()], (pass_, name)
         read.add((pass_, name))
     # every shared row is one that some producer integrated
     assert read == {(p, k) for p, n in shared.items() for k in n.rows}
+    # c-model-stability's refined value is c_model of the producer's own
+    # F_sq and S_sq pass on twice the layout's panels
+    refined = refined_c_model(conv, full_line)
+    monkeypatch.setattr(quadrature, "PANELS", 2 * quadrature.PANELS)
+    (f_sq, _), (s_sq, _) = _own_pass(conv, model, (("F_sq",), ("S_sq",)), 0.0)
+    assert refined.hex() == (math.sqrt(f_sq) + math.sqrt(s_sq)).hex()
+
+
+def test_refined_c_model_is_the_refined_pass_bitwise(conv, full_line,
+                                                     monkeypatch):
+    # the value of the old refined pass, c_model of a from-zero pass on
+    # twice the layout's panels, from only the fine half of that pass: one
+    # integrand call per part of the 4 * PANELS layout, no tail samples
+    nodes = []
+    engine = quadrature.integrate_panels
+    monkeypatch.setattr(quadrature, "integrate_panels", lambda f, edges, n: engine(
+        lambda y: nodes.append(y.size) or f(y), edges, n))
+    got = refined_c_model(conv, full_line)
+    assert nodes == [4 * quadrature.PANELS * quadrature.NODES] * 2
+    monkeypatch.setattr(quadrature, "integrate_panels", engine)
+    monkeypatch.setattr(quadrature, "PANELS", 2 * quadrature.PANELS)
+    want = c_model(field_norms(conv, full_line, C_MODEL_ROWS, 0.0))[0]
+    assert got.hex() == want.hex()
 
 
 def test_c_decay_envelope(conv):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from kwlab import quadrature
 from kwlab.quadrature import (
     VOL_S3,
-    QuadratureSpec,
+    halfline_edges,
     integrate_halfline,
     integrate_interval,
     integrate_panels,
@@ -24,7 +25,7 @@ def test_inverse_square_analytic():
     for eps in (0.1, 1e-2, 1e-3):
         val, err = l2_norm_sq(lambda y: 1.5 / (y * y), eps)
         want = 3 * math.pi**2 / eps
-        # the tail beyond y_max carries 3 pi^2 (1/y_max) relative to 1/eps
+        # the tail beyond Y_MAX carries 3 pi^2 (1/y_max) relative to 1/eps
         assert abs(val - (want - 3 * math.pi**2 / 30.0)) < 1e-8 * want
 
 
@@ -52,22 +53,27 @@ def test_exponential_envelope_oracle():
     assert err < 1e-8
 
 
-def test_truncate_bound_covers_remainder():
+def _layout(monkeypatch, **constants):
+    """Set quadrature layout constants (Y_MAX=8.0, ...) for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(quadrature, name, value)
+
+
+def test_truncate_bound_covers_remainder(monkeypatch):
     f = lambda y: np.exp(-4 * y)
-    spec = QuadratureSpec(y_max=8.0)  # visible tail
-    val, err = integrate_halfline(f, 0.0, spec)
+    _layout(monkeypatch, Y_MAX=8.0)  # visible tail
+    val, err = integrate_halfline(f, 0.0)
     remainder = 0.25 - val
     assert 0 < remainder <= err
 
 
-def test_refinement_shrinks_error_estimate():
+def test_refinement_shrinks_error_estimate(monkeypatch):
     # smooth integrand with the contractual exponential envelope
     f = lambda y: np.exp(-4 * y) * (1.0 + 10.0 * y * y) / (1.0 + y)
-    coarse = QuadratureSpec(y_split=2.0, y_max=12.0, panels=3,
-                            nodes_per_panel=2)
-    fine = coarse.refined()
-    _, e1 = integrate_halfline(f, 1e-3, coarse)
-    _, e2 = integrate_halfline(f, 1e-3, fine)
+    _layout(monkeypatch, Y_SPLIT=2.0, Y_MAX=12.0, PANELS=3, NODES=2)
+    _, e1 = integrate_halfline(f, 1e-3)
+    _layout(monkeypatch, PANELS=6)
+    _, e2 = integrate_halfline(f, 1e-3)
     assert e2 <= 0.5 * e1
 
 
@@ -79,10 +85,10 @@ def test_non_finite_sample_reported():
         integrate_halfline(bad, 1e-2)
 
 
-def test_geometric_head_handles_pole_density():
+def test_geometric_head_handles_pole_density(monkeypatch):
     # integrand ~ 1/y^2 near zero: geometric ladder keeps full accuracy
-    spec = QuadratureSpec(y_max=10.0)
-    val, err = integrate_halfline(lambda y: 1.0 / (y * y), 1e-4, spec)
+    _layout(monkeypatch, Y_MAX=10.0)
+    val, err = integrate_halfline(lambda y: 1.0 / (y * y), 1e-4)
     want = 1.0 / 1e-4 - 0.1
     assert math.isclose(val, want, rel_tol=1e-12)
 
@@ -111,15 +117,15 @@ def _bits(values):
 
 @pytest.mark.parametrize("rule", ["panels", "interval", "halfline-geometric",
                                   "halfline-no-head", "from-zero", "l2"])
-def test_rows_equal_one_row_calls_bitwise(rule):
-    spec = QuadratureSpec(y_max=12.0)  # the tail bound is not negligible
+def test_rows_equal_one_row_calls_bitwise(rule, monkeypatch):
+    _layout(monkeypatch, Y_MAX=12.0)  # the tail bound is not negligible
     run = {
         "panels": lambda f: (integrate_panels(f, np.geomspace(1e-3, 2.0, 9), 8), 0.0),
         "interval": lambda f: integrate_interval(f, 0.0, 1.0),
-        "halfline-geometric": lambda f: integrate_halfline(f, 1e-3, spec),
-        "halfline-no-head": lambda f: integrate_halfline(f, 1.0, spec),
-        "from-zero": lambda f: integrate_halfline(f, 0.0, spec),
-        "l2": lambda f: l2_norm_sq(f, 1e-3, spec),
+        "halfline-geometric": lambda f: integrate_halfline(f, 1e-3),
+        "halfline-no-head": lambda f: integrate_halfline(f, 1.0),
+        "from-zero": lambda f: integrate_halfline(f, 0.0),
+        "l2": lambda f: l2_norm_sq(f, 1e-3),
     }[rule]
     vals, errs = run(_rows)
     one = [run(f) for f in _ONE_ROW]
@@ -129,14 +135,15 @@ def test_rows_equal_one_row_calls_bitwise(rule):
         assert _bits(errs) == _bits([e for _, e in one])
 
 
-def test_rows_integrand_called_once_per_layout():
+def test_rows_integrand_called_once_per_layout(monkeypatch):
     shapes = []
 
     def f(y):
         shapes.append(y.shape)
         return _rows(y)
 
-    integrate_halfline(f, 0.05, QuadratureSpec(panels=4, nodes_per_panel=8))
+    _layout(monkeypatch, PANELS=4, NODES=8)
+    integrate_halfline(f, 0.05)
     # head and body at 4 and 8 panels, then the 16 tail samples
     assert shapes == [(32,), (32,), (64,), (64,), (16,)]
 
@@ -149,25 +156,27 @@ def _panel_nodes(edges, nodes: int):
 
 
 @pytest.mark.parametrize("lo, head, shapes", [
-    # a uniform head from zero, a geometric one from a cutoff below y_split
+    # a uniform head from zero, a geometric one from a cutoff below Y_SPLIT
     (0.0, np.linspace, [(32,), (32,), (64,), (64,), (16,)]),
     (0.05, np.geomspace, [(32,), (32,), (64,), (64,), (16,)]),
-    # no head from y_split on: the body starts at lo
+    # no head from Y_SPLIT on: the body starts at lo
     (1.0, None, [(32,), (64,), (16,)]),
     (2.5, None, [(32,), (64,), (16,)]),
 ])
-def test_lower_limit_picks_the_head(lo, head, shapes):
+def test_lower_limit_picks_the_head(lo, head, shapes, monkeypatch):
     seen = []
-    integrate_halfline(lambda y: seen.append(y) or np.ones_like(y), lo,
-                       QuadratureSpec(panels=4, nodes_per_panel=8))
+    _layout(monkeypatch, PANELS=4, NODES=8)
+    integrate_halfline(lambda y: seen.append(y) or np.ones_like(y), lo)
     assert [y.shape for y in seen] == shapes
     want = []
     for p in (4, 8):
-        if head is not None:
-            want.append(_panel_nodes(head(lo, 1.0, p + 1), 8))
-        want.append(_panel_nodes(np.linspace(max(lo, 1.0), 30.0, p + 1), 8))
+        edges = [] if head is None else [head(lo, 1.0, p + 1)]
+        edges.append(np.linspace(max(lo, 1.0), 30.0, p + 1))
+        assert all(np.array_equal(e, w)
+                   for e, w in zip(halfline_edges(lo, p), edges, strict=True))
+        want += [_panel_nodes(e, 8) for e in edges]
     want.append(np.linspace(25.0, 30.0, 16))  # the tail samples
-    assert all(np.array_equal(y, w) for y, w in zip(seen, want))
+    assert all(np.array_equal(y, w) for y, w in zip(seen, want, strict=True))
 
 
 def test_non_finite_row_entry_reported():

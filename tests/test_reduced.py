@@ -15,8 +15,8 @@ from kwlab.profiles import (
     pole_scalars,
     scaled_matrix_profile,
 )
-from kwlab.quadrature import QuadratureSpec, l2_norm_sq
-from kwlab import reduced
+from kwlab.quadrature import l2_norm_sq
+from kwlab import quadrature, reduced
 from kwlab.reduced import (
     BlowUpError,
     IndicialExpansion,
@@ -498,16 +498,16 @@ class _ShotProfile:
                 np.asarray(deriv)[..., None, None] * eye)
 
 
-def test_shot_profile_energy_consistency(conv, system, shot):
+def test_shot_profile_energy_consistency(conv, system, shot, monkeypatch):
     # feed the solver's own trajectory into the energy engine: curvature
     # energy within 1e-10 relative of the closed-form value on the common
     # range
     field = InvariantField(_ShotProfile(system, shot.result, 0),
                            _ShotProfile(system, shot.result, 1))
     model = nahm_pole_invariant_solution()
-    spec = QuadratureSpec(y_max=12.0)
-    got, _ = l2_norm_sq(density_fn(conv, field, ("F_sq",)), 0.1, spec)
-    want, _ = l2_norm_sq(density_fn(conv, model, ("F_sq",)), 0.1, spec)
+    monkeypatch.setattr(quadrature, "Y_MAX", 12.0)
+    got, _ = l2_norm_sq(density_fn(conv, field, ("F_sq",)), 0.1)
+    want, _ = l2_norm_sq(density_fn(conv, model, ("F_sq",)), 0.1)
     assert abs(got - want) / want <= 1e-10
 
 
@@ -537,13 +537,13 @@ def test_batched_outcomes_match_one_lane_runs(system, shot):
     params = [lo, hi] + interior + wider + near_root
     states = _series_states(system, params)
     batched = reduced._classify_lanes(system, np.array(states).T, 0.1,
-                                      reduced.SHOOT_Y)
+                                      reduced.SHOOT_Y, None)
     for p, state, got in zip(params, states, batched):
         # where a lane blew up: as where the lane blows up run alone at the
         # same threshold (a lane that reaches SHOOT_Y ends there)
         if got[0] == "blow":
             alone = reduced._classify_lanes(
-                system, np.array([state]).T, 0.1, reduced.SHOOT_Y)
+                system, np.array([state]).T, 0.1, reduced.SHOOT_Y, None)
             assert alone == [got], p
         else:
             assert got[2] == reduced.SHOOT_Y, p
@@ -759,7 +759,7 @@ def test_nan_state_is_nonfinite_without_sign(system, series, monkeypatch):
     assert exc.value.state == tuple(_knot_states(clean)[first])
     states = _series_states(system, [ROOT, -2.0 / 3.0])
     outcomes = reduced._classify_lanes(system, np.array(states).T, 0.1,
-                                       reduced.SHOOT_Y)
+                                       reduced.SHOOT_Y, None)
     assert [o[:2] for o in outcomes] == [("non-finite", 0.0)] * 2
     with pytest.raises(ValueError, match="non-finite"):
         shoot_for_decay(system, series, y0=0.1)
@@ -817,17 +817,16 @@ def test_taylor_recurrence_is_exact(system):
             (Fraction(-1), Fraction(1), Fraction(-1, 3), Fraction(2),
              Fraction(1), Fraction(-3)))
     for coeffs in ((system.coeffs_a, system.coeffs_b), full):
-        exact = reduced.taylor_coefficients(np.array(coeffs, dtype=object),
-                                            a, b, order // 2)
+        exact = _fresh_taylor(np.array(coeffs, dtype=object), a, b, order // 2)
         for lane, (pa, pb) in enumerate(points):
             assert exact[:, lane].tolist() == _lie_taylor(*coeffs, pa, pb,
                                                           order // 2)
             assert all(type(c) is Fraction for c in exact[:, lane].flat)
 
-    exact = reduced.taylor_coefficients(
+    exact = _fresh_taylor(
         np.array([system.coeffs_a, system.coeffs_b], dtype=object), a, b, order)
-    ld = reduced.taylor_coefficients(system._matrix, a.astype(np.longdouble),
-                                     b.astype(np.longdouble), order)
+    ld = _fresh_taylor(system._matrix, a.astype(np.longdouble),
+                       b.astype(np.longdouble), order)
     assert exact.shape == ld.shape == (2, len(points), order + 1)
     for lane, (pa, pb) in enumerate(points):
         want = _lie_taylor(system.coeffs_a, system.coeffs_b, pa, pb, order)
@@ -858,6 +857,12 @@ def _taylor_reference(matrix, a, b, order, work=None):
             mono[3:] = mono[3:] + x[left, :, j] * x[right, :, n - j]
         x[:, :, n + 1] = (matrix / (n + 1)) @ mono
     return x
+
+
+def _fresh_taylor(matrix, a, b, order):
+    """taylor_coefficients in a workspace made for this one call."""
+    work = reduced.taylor_workspace(np.result_type(matrix, a, b), len(a), order)
+    return reduced.taylor_coefficients(matrix, a, b, order, work)
 
 
 def _power_sum_reference_lanes(c, t):
@@ -898,7 +903,7 @@ def test_taylor_kernel_matches_reference_bitwise(system):
             with np.errstate(over="ignore", invalid="ignore"):
                 got = reduced.taylor_coefficients(matrix, ai, bi, order, work)
                 want = _taylor_reference(matrix, ai, bi, order)
-                fresh = reduced.taylor_coefficients(matrix, ai, bi, order)
+                fresh = _fresh_taylor(matrix, ai, bi, order)
                 h = rng.uniform(0.0, 0.3, size=k).astype(ld)
                 values = (reduced._power_sum(got, h),
                           _power_sum_reference_lanes(want, h))
@@ -925,7 +930,7 @@ def test_taylor_kernel_matches_reference_bitwise(system):
     for _ in range(2):
         assert reduced.taylor_coefficients(exact, a, b, order // 2,
                                            work).tolist() == want
-    assert reduced.taylor_coefficients(exact, a, b, order // 2).tolist() == want
+    assert _fresh_taylor(exact, a, b, order // 2).tolist() == want
 
 
 def test_dense_output_matches_reference_kernel(system, monkeypatch):
@@ -1075,7 +1080,7 @@ def test_certificate_needs_the_locked_system(system, series):
     with pytest.raises(ValueError, match="locked coefficients"):
         shoot_for_decay(other, series, y0=0.1)
     # the stepper itself runs any system; only the certificate is refused
-    reduced._taylor_lanes(other, 0.1, np.array([[1.0], [1.0]]), 0.2)
+    reduced._taylor_lanes(other, 0.1, np.array([[1.0], [1.0]]), 0.2, None)
 
 
 @pytest.mark.parametrize("y0", [0.05, 0.1, 0.15, 0.175, 0.18, 0.19, 0.2])
@@ -1092,8 +1097,8 @@ def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
     params = ([t[0] for t in shot.trace] + rng.uniform(-1.0, -0.3, 100).tolist()
               + [ROOT + s * 10.0**-k for k in range(1, 15) for s in (-1, 1)])
     states = np.array([series.at(p).state(y0) for p in params]).T
-    got = reduced._classify_lanes(system, states, y0, reduced.SHOOT_Y)
-    ref = reduced._taylor_lanes(system, y0, states, reduced.SHOOT_Y)
+    got = reduced._classify_lanes(system, states, y0, reduced.SHOOT_Y, None)
+    ref = reduced._taylor_lanes(system, y0, states, reduced.SHOOT_Y, None)
     for lane, (p, out) in enumerate(zip(params, got)):
         a, b = ref.states[:, lane]
         if ref.status[lane] == "blow":
