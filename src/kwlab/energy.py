@@ -240,21 +240,22 @@ def c_model(full_line: Norms):
     reference solution, both finite, from the F_sq and S_sq rows of its
     from-zero pass.  Returns (value, relative error estimate, parts)."""
     (f_sq, f_err), (s_sq, s_err) = full_line.rows["F_sq"], full_line.rows["S_sq"]
-    val = math.sqrt(f_sq) + math.sqrt(s_sq)
+    val = _c_value(f_sq, s_sq)
     err = 0.5 * (f_err / max(math.sqrt(f_sq), 1e-30)
                  + s_err / max(math.sqrt(s_sq), 1e-30))
     return val, err, {"F_l2_sq": f_sq, "S_l2_sq": s_sq}
 
 
+def _c_value(f_sq: float, s_sq: float) -> float:
+    return math.sqrt(f_sq) + math.sqrt(s_sq)
+
+
 def refined_c_model(conv, full_line: Norms) -> float:
     """c_model's value on the from-zero layout of 4 * PANELS panels, twice
-    the fine one of full_line (c-model-stability): only that layout, its
-    parts added left to right as in integrate_halfline, no error or tail."""
+    full_line's fine one (c-model-stability), with no error estimate or tail."""
     rows = density_rows(conv, full_line.field, tuple(C_MODEL_ROWS.values()))
-    v = sum(quadrature.integrate_panels(rows, edges, quadrature.NODES)
-            for edges in quadrature.halfline_edges(0.0, 4 * quadrature.PANELS))
-    f_sq, s_sq = (VOL_S3 * v).tolist()
-    return math.sqrt(f_sq) + math.sqrt(s_sq)
+    v = quadrature.integrate_layout(rows, 0.0, 4 * quadrature.PANELS)
+    return _c_value(*(VOL_S3 * v).tolist())
 
 
 def c_decay() -> float:

@@ -9,8 +9,9 @@ from lo >= Y_SPLIT.  Uniform panels follow up to Y_MAX, and an exponential
 tail beyond Y_MAX is left out of the value and covered by a truncation
 bound (densities of the reference solution fall off like e^{-4y}).
 
-Every integral returns (value, error_estimate); the estimate combines a
-panel-doubling comparison with the tail remainder.
+Every integral but integrate_layout (the one-layout sum that
+integrate_halfline doubles) returns (value, error_estimate); the estimate
+combines a panel-doubling comparison with the tail remainder.
 
 An integrand takes the 1-D array of the nodes of a layout.  It returns one
 value per node, or rows of them, shape (k, n): then every integral gives
@@ -22,9 +23,8 @@ integrands that share a layout are evaluated in one pass.  The energy
 suite keeps to that: each (field, layout) pair is integrated once per run,
 as one pass of all the rows its checks read (energy.full_line_norms, then
 energy.field_norms and energy.refined_c_model).  The layout is four
-constants, read at call time: Y_SPLIT and Y_MAX, where the head and the
-body end, and PANELS panels of NODES nodes in each part (twice as many
-panels in the fine layout).
+constants, read at call time: the head and the body end at Y_SPLIT and
+Y_MAX, with PANELS panels (twice as many when fine) of NODES nodes a part.
 """
 
 from __future__ import annotations
@@ -105,15 +105,9 @@ def _tail(f):
     return 1.5 * k * math.exp(-rate * Y_MAX) / rate
 
 
-def _doubled(f, layout, panels: int):
-    """(fine, |fine - coarse|) for the rule on layout(2 * panels) against
-    layout(panels).  layout(p) gives the edge arrays of consecutive parts,
-    each with p panels; their integrals are added in that order."""
-    def run(p: int):
-        return sum(integrate_panels(f, edges, NODES) for edges in layout(p))
-
-    coarse = run(panels)
-    fine = run(panels * 2)
+def _doubled(run, panels: int):
+    """(fine, |fine - coarse|) of fine = run(2 * panels), coarse = run(panels)."""
+    coarse, fine = run(panels), run(panels * 2)
     return fine, abs(fine - coarse)
 
 
@@ -127,18 +121,24 @@ def halfline_edges(lo: float, panels: int):
     return head(lo, Y_SPLIT, panels + 1), body
 
 
+def integrate_layout(f, lo: float, panels: int):
+    """int_lo^Y_MAX f(y) dy on halfline_edges(lo, panels): one rule per part,
+    the parts added left to right; no error estimate and no tail."""
+    return sum(integrate_panels(f, e, NODES) for e in halfline_edges(lo, panels))
+
+
 def integrate_halfline(f, lo: float):
-    """int_lo^inf f(y) dy on the layout from lo (halfline_edges), at PANELS
-    against twice as many.  f takes an array of nodes and returns the
-    integrand at each."""
-    fine, err = _doubled(f, lambda p: halfline_edges(lo, p), PANELS)
+    """int_lo^inf f(y) dy by integrate_layout from lo at PANELS against twice
+    as many.  f takes an array of nodes and returns the integrand at each."""
+    fine, err = _doubled(lambda p: integrate_layout(f, lo, p), PANELS)
     return fine, err + _tail(f)
 
 
 def integrate_interval(f, lo: float, hi: float):
     """int_lo^hi f dy on 64 uniform panels of NODES nodes, with the error
     estimate against 32 panels."""
-    return _doubled(f, lambda p: (np.linspace(lo, hi, p + 1),), 32)
+    return _doubled(
+        lambda p: integrate_panels(f, np.linspace(lo, hi, p + 1), NODES), 32)
 
 
 def l2_norm_sq(density, lo: float):

@@ -338,9 +338,8 @@ def taylor_coefficients(matrix, a, b, order: int, work) -> np.ndarray:
     With x(t) = sum_n x_n t^n, x_{n+1} is the t^n coefficient of
     c . m(a(t), b(t)) / (n + 1), whose products are Cauchy products of the
     lower coefficients.  ``work``, from ``taylor_workspace`` for this dtype,
-    lane count and order, is time-major, (order + 1,
-    11, k), and each order holds the rows (1|0, a, a, b, b, ., aa, ., ab, .,
-    bb): its stride-2 rows are the monomials of _MONOMIALS, and rows 1-3 and
+    lane count and order, is time-major, (order + 1, 11, k), and each order
+    holds the rows (1|0, a, a, b, b, ., aa, ., ab, ., bb): its stride-2 rows are the monomials of _MONOMIALS, and rows 1-3 and
     2-4 over time are the Cauchy factors (a, a, b) and (a, b, b).  The rows
     of ``matrix``, repeated as (a, a, b, b), are divided by n + 1 for every
     order at once, an (order, 4, 6) array; then per order two numpy calls
