@@ -40,7 +40,6 @@ from .profiles import (
     pole_scalars,
     scaled_matrix_profile,
 )
-from .quadrature import exp_nodes
 from .report import make_check, write_checks_json, write_csv, write_energy_json
 
 _I3 = np.eye(3)
@@ -262,8 +261,8 @@ def suite_energy(cfg: SuiteConfig) -> list:
         grid = np.linspace(1.0, quadrature.Y_MAX, 200)
         # F_sq and S_sq as the two rows of one field evaluation per grid
         dens = energy.density_rows(conv, model, (("F_sq",), ("S_sq",)))
-        k = [float(np.max(d * exp_nodes(4.0 * fit))) * 1.5 for d in dens(fit)]
-        env_ok = not any(np.any(d > kd * exp_nodes(-4.0 * grid))
+        k = [float(np.max(d * np.exp(4.0 * fit))) * 1.5 for d in dens(fit)]
+        env_ok = not any(np.any(d > kd * np.exp(-4.0 * grid))
                          for d, kd in zip(dens(grid), k))
         return make_check(
             "c-model-envelope",
@@ -424,7 +423,7 @@ def suite_solver(cfg: SuiteConfig) -> list:
             extra={"order": series.order, "y0": y0, "a_neglected": str(a8)}))
         ys = np.linspace(5.0, 7.0, 40)
         env = float(np.max(np.abs(
-            shot.result.at(ys)[1] * exp_nodes(2.0 * ys) - 6.0)))
+            shot.result.at(ys)[1] * np.exp(2.0 * ys) - 6.0)))
         out.append(make_check(
             "solver-decay-envelope",
             "recovered Higgs scalar keeps the exponential envelope constant",

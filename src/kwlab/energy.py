@@ -50,9 +50,8 @@ from .profiles import (
 from . import quadrature
 from .quadrature import (
     VOL_S3,
-    exp_nodes,
     integrate_halfline,
-    integrate_interval,
+    integrate_head,
     l2_norm_sq,
 )
 from .report import CheckReport, EnergyReport, make_check
@@ -264,7 +263,7 @@ def c_decay() -> float:
     pointwise on y > 1."""
     ys = np.linspace(1.0, 25.0, 400)
     b = pole_scalars(ys)[1]
-    sup = float(np.max(math.sqrt(OMEGA_NORM_SQ) * b * exp_nodes(2.0 * ys)))
+    sup = float(np.max(math.sqrt(OMEGA_NORM_SQ) * b * np.exp(2.0 * ys)))
     return sup * (1.0 + 1e-9)
 
 
@@ -407,12 +406,6 @@ def cutoff_sweep(conv: GeometryConventions, full_line: Norms) -> CutoffSweep:
 BLOCK = 8
 
 
-def _pow2(x):
-    """x ** 2 by libm pow, as Python squares a float.  numpy's x ** 2 is
-    x * x, which differs from it in the last bit for about 0.1 % of inputs."""
-    return np.float_power(x, 2)
-
-
 def exp_decay_q(amplitudes, rates, y):
     """(q, q') of the profiles q = amp * y * exp(-rate * y) at the nodes y,
     one row per (amplitude, rate).  The products are formed in the order of
@@ -445,7 +438,9 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
     |omega|^2 enters every chain line as w_sq, so for a pure-V1 direction
     the quadratic-projection slacks are exactly zero.  In each block of BLOCK
     perturbations the chain lines that share a quadrature layout are rows of
-    one integrand: the reference profiles are evaluated once per layout."""
+    one integrand: the reference profiles are evaluated once per layout.  The
+    near lines take the head of the from-zero layout, (0, 1], and the far
+    lines its body, from 1."""
     amp = np.asarray(amplitudes, dtype=float)
     rate = np.asarray(rates, dtype=float)
     m = np.asarray(directions, dtype=float)
@@ -483,43 +478,42 @@ def _chain_block(conv, amp, rate, m, consts: BoundConstants) -> list:
         return h, dh, q, dq, gamma * q, gamma * dq
 
     def abs_g(h, alpha, dalpha):  # |f^{-1} d_y (f alpha)|
-        return abs(dalpha + 2.0 * h * alpha + _pow2(alpha))
+        return abs(dalpha + 2.0 * h * alpha + alpha * alpha)
 
     # |c|, where c * omega is *3 d_y rho1 + [phi_model, rho1] + (rho ^ rho)^(1);
     # its norm is |c| * w_abs, so it enters the chain as |c| * w_sq
     def mid_norm(h, q, alpha, dalpha):
-        return abs(dalpha + 2.0 * h * alpha + _pow2(q) * w1)
+        return abs(dalpha + 2.0 * h * alpha + q * q * w1)
 
     def s_full_norm(h, dh, q, dq):  # |d_y phi + *3 phi^2| of the perturbed fields
         p = _I3[:, :, None, None] * h + mf[..., None] * q  # (3, 3, k, n)
         dp = _I3[:, :, None, None] * dh + mf[..., None] * dq
         return np.sqrt(_s_sq(FieldAt(conv, None, None, p, dp)))
 
-    def near_rows(y):  # the chain on (0, 1]
+    def near_rows(y):  # the chain on (0, 1], the head
         h, dh, q, dq, alpha, dalpha = profiles(y)
         s_full = s_full_norm(h, dh, q, dq)
         return np.stack([
             2.0 * abs(h * alpha) * w_sq,
             2.0 * h * abs(alpha) * w_sq,
-            _pow2(alpha) * w_sq,
-            (sgn * dalpha + 2.0 * h * abs(alpha) + sgn * _pow2(alpha)) * w_sq,
+            alpha * alpha * w_sq,
+            (sgn * dalpha + 2.0 * h * abs(alpha) + sgn * (alpha * alpha)) * w_sq,
             abs_g(h, alpha, dalpha) * w_sq,
-            0.5 * _pow2(q) * (n2 + n3),
+            0.5 * (q * q) * (n2 + n3),
             mid_norm(h, q, alpha, dalpha) * w_sq,
             s_full * w_abs,
-            _pow2(s_full),
-            _pow2(q) * (n1 + n2 + n3),
+            s_full * s_full,
+            q * q * (n1 + n2 + n3),
         ])
 
-    def far_rows(y):  # y > 1
+    def far_rows(y):  # y > 1, the body
         h, dh, q, dq, alpha, _ = profiles(y)
-        return np.stack([2.0 * abs(h * alpha) * w_sq, _pow2(alpha) * w_sq,
-                         _pow2(q) * (n1 + n2 + n3),
-                         _pow2(s_full_norm(h, dh, q, dq))])
+        s_full = s_full_norm(h, dh, q, dq)
+        return np.stack([2.0 * abs(h * alpha) * w_sq, alpha * alpha * w_sq,
+                         q * q * (n1 + n2 + n3), s_full * s_full])
 
     (line1, line2, rho1_sq_near, wd_int, g_l1, rho23_near, mid_l1, s_full_l1,
-     s_full_sq_near, rho_sq_near) = VOL_S3 * integrate_interval(
-        near_rows, 0.0, 1.0)[0]
+     s_full_sq_near, rho_sq_near) = VOL_S3 * integrate_head(near_rows)[0]
     b1 = VOL_S3 * abs(gamma * exp_decay_q(amp, rate, 1.0)[0])[:, 0] * w_sq
     # in line 3 the integral of sgn * alpha' is taken from its boundary
     # values: alpha(0) = 0 and sgn * alpha = |alpha|, so it is b1 itself and
@@ -532,7 +526,7 @@ def _chain_block(conv, amp, rate, m, consts: BoundConstants) -> list:
     ys = np.linspace(1e-4, 1.0, 200)
     h, _, q, _, alpha, dalpha = profiles(ys)
     min_slack_pointwise = np.min(
-        mid_norm(h, q, alpha, dalpha) * w_sq + 0.5 * _pow2(q) * (n2 + n3)
+        mid_norm(h, q, alpha, dalpha) * w_sq + 0.5 * (q * q) * (n2 + n3)
         - abs_g(h, alpha, dalpha) * w_sq, axis=1)
 
     # model-constant split and the Young step
@@ -546,7 +540,7 @@ def _chain_block(conv, amp, rate, m, consts: BoundConstants) -> list:
         far_rows, 1.0)[0]
     step_far_rhs = c19 + 0.5 * far_rho1
     ys = np.linspace(1.0, 12.0, 60)
-    env_slack = float(np.min(c2 * exp_nodes(-2.0 * ys) - w_abs * pole_scalars(ys)[1]))
+    env_slack = float(np.min(c2 * np.exp(-2.0 * ys) - w_abs * pole_scalars(ys)[1]))
 
     # assembled final inequality
     c1 = consts.c_pert
@@ -613,14 +607,15 @@ class BoundConstants(NamedTuple):
 def bound_constants(conv: GeometryConventions, full_line: Norms) -> BoundConstants:
     """Engine constants of the curvature-energy bound: the cutoff-limit
     constant of the model (the bulk row of its from-zero pass), the
-    perturbation constant, whose c24a reads the model's S_sq density on
-    (0, 1], and their combination C = c_limit + 2 c_pert."""
+    perturbation constant, whose c24a integrates the model's S_sq density
+    on (0, 1], the head of the from-zero layout, and their combination
+    C = c_limit + 2 c_pert."""
     direct, err = full_line.rows["bulk"]
     c2 = c_decay()
     c19 = 0.5 * VOL_S3 * c2 * c2 * math.exp(-4.0)
     w_abs = math.sqrt(OMEGA_NORM_SQ)
-    s_sq_near = VOL_S3 * integrate_interval(
-        density_fn(conv, full_line.field, ("S_sq",)), 0.0, 1.0)[0]
+    s_sq_near = VOL_S3 * integrate_head(
+        density_fn(conv, full_line.field, ("S_sq",)))[0]
     c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_sq_near)
     c24b = 0.5 * VOL_S3 * OMEGA_NORM_SQ
     c_pert = c19 + c24a + c24b

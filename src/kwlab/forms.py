@@ -228,9 +228,8 @@ def kw_residual(m: FieldAt):
 
 
 def _sqrt(x):
-    """x ** 0.5 in float64 as Python takes it of a float: libm pow, which
-    np.sqrt does not always match."""
-    return np.float_power(np.asarray(x, dtype=float), 0.5)[()]
+    """The float64 square root of x: a float for a scalar, else an array."""
+    return np.sqrt(np.asarray(x, dtype=float))[()]
 
 
 def kw_residual_norm(conv: GeometryConventions, field, y):

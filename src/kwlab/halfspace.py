@@ -42,10 +42,6 @@ from .forms import FieldAt, GeometryConventions, residual_norms
 # derivative stacks whatever the number of points
 BLOCK = 512
 
-# math.hypot per value: np.hypot can differ from it by one ulp
-_hypot = np.vectorize(math.hypot, otypes=[float])
-
-
 class FieldSample(NamedTuple):
     """Values and first partials of the coefficient fields at n points.
 
@@ -186,7 +182,7 @@ def kw_residual_flat(conv: GeometryConventions, fld: FlatModelField,
 def kw_residual_flat_combined(conv: GeometryConventions, fld: FlatModelField,
                               pts) -> np.ndarray:
     """hypot(eq1, eq2) per point, shape (n,)."""
-    return _hypot(*kw_residual_flat(conv, fld, pts))
+    return np.hypot(*kw_residual_flat(conv, fld, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +191,12 @@ def kw_residual_flat_combined(conv: GeometryConventions, fld: FlatModelField,
 
 def _text_lines(path: str, fh):
     """The lines of binary file fh as UTF-8 text, split as universal newlines
-    splits them; a line that is not UTF-8 raises, naming it."""
+    splits them, without the byte-order mark that may start line 1; a line
+    that is not UTF-8 raises, naming it."""
     lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
     for ln, raw in enumerate(lines, 1):
         try:
-            yield raw.decode("utf-8")
+            yield raw.decode("utf-8-sig" if ln == 1 else "utf-8")
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}:{ln}: not UTF-8 text: {e}") from None
 

@@ -9,9 +9,11 @@ from lo >= Y_SPLIT.  Uniform panels follow up to Y_MAX, and an exponential
 tail beyond Y_MAX is left out of the value and covered by a truncation
 bound (densities of the reference solution fall off like e^{-4y}).
 
-Every integral but integrate_layout (the one-layout sum that
-integrate_halfline doubles) returns (value, error_estimate); the estimate
-combines a panel-doubling comparison with the tail remainder.
+integrate_halfline and integrate_head (the head alone, [0, Y_SPLIT]) return
+(value, error_estimate): the estimate compares PANELS panels a part with
+twice as many, and integrate_halfline adds the tail remainder.  The rules
+they double, integrate_panels on one edge array and integrate_layout (the
+parts of a layout added left to right), return a bare value.
 
 An integrand takes the 1-D array of the nodes of a layout.  It returns one
 value per node, or rows of them, shape (k, n): then every integral gives
@@ -50,9 +52,6 @@ def _gl_nodes(n: int):
     return x, w
 
 
-_MATH_EXP = np.frompyfunc(math.exp, 1, 1)
-
-
 def _values(f, y):
     """f on the node array y as floats: y's shape, or rows of it when f
     returns a (k, n) array; f may return a constant."""
@@ -63,12 +62,6 @@ def _values(f, y):
 def _scalar(v):
     """A float for a lone integrand, the (k,) array for rows."""
     return float(v) if np.ndim(v) == 0 else v
-
-
-def exp_nodes(x):
-    """math.exp of every node of x.  np.exp differs from math.exp in the last
-    bit for some inputs, so envelope constants keep their scalar values."""
-    return _MATH_EXP(x).astype(float)
 
 
 def integrate_panels(f, edges, nodes: int):
@@ -101,7 +94,7 @@ def _tail(f):
     envelope constant is estimated from samples, with a x1.5 safety."""
     rate = TAIL_RATE
     ys = np.linspace(max(Y_SPLIT, Y_MAX - 5.0), Y_MAX, 16)
-    k = _scalar(np.max(np.abs(_values(f, ys)) * exp_nodes(rate * ys), axis=-1))
+    k = _scalar(np.max(np.abs(_values(f, ys)) * np.exp(rate * ys), axis=-1))
     return 1.5 * k * math.exp(-rate * Y_MAX) / rate
 
 
@@ -134,11 +127,11 @@ def integrate_halfline(f, lo: float):
     return fine, err + _tail(f)
 
 
-def integrate_interval(f, lo: float, hi: float):
-    """int_lo^hi f dy on 64 uniform panels of NODES nodes, with the error
-    estimate against 32 panels."""
+def integrate_head(f):
+    """int_0^Y_SPLIT f dy on the head of the from-zero layout,
+    halfline_edges(0.0, p)[0], at PANELS panels against twice as many."""
     return _doubled(
-        lambda p: integrate_panels(f, np.linspace(lo, hi, p + 1), NODES), 32)
+        lambda p: integrate_panels(f, halfline_edges(0.0, p)[0], NODES), PANELS)
 
 
 def l2_norm_sq(density, lo: float):

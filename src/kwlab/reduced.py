@@ -211,8 +211,14 @@ class IndicialExpansion(NamedTuple):
     b_coeffs: dict  # power -> Fraction, starting at -1
 
     def state(self, y: float):
-        a = sum(float(c) * y**k for k, c in self.a_coeffs.items())
-        b = sum(float(c) * y**k for k, c in self.b_coeffs.items())
+        """(a, b) at y in float64; ValueError where the pole term 1/y
+        overflows it, for y below about 5.6e-309."""
+        try:
+            a = sum(float(c) * y**k for k, c in self.a_coeffs.items())
+            b = sum(float(c) * y**k for k, c in self.b_coeffs.items())
+        except OverflowError:
+            raise ValueError(
+                f"series state at y0 = {y!r} overflows float64") from None
         return a, b
 
 
@@ -471,6 +477,9 @@ def _certified_blowup(y, s, y_end) -> np.ndarray:
     return np.array(out, dtype=bool)
 
 
+# a lane whose coefficients or state overflow leaves as non-finite, so
+# numpy's overflow and invalid warnings would only repeat that verdict
+@np.errstate(over="ignore", invalid="ignore")
 def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
                   steps, certify: bool = False) -> _LaneRun:
     """Advance k lanes (``states`` of shape (2, k)) from y0 to y1 with the

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert err.startswith(f"error: final run from y0 = {float(y0)!r} at ")
         y_blow = float(err.split("blew up near y = ")[1].split()[0].rstrip(",;:."))
         assert 0.0 < y_blow < reduced.SHOOT_Y_END
+    # or so small that the series state overflows float64, or the first run
+    # turns non-finite: one error line, and no numpy warning on the way
+    for y0 in ("5e-324", "1e-310", "2.2e-308", "1e-300", "1e-100", "1e-12"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--y0", y0, *outputs]) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(float(y0)) in err
     assert not (tmp_path / "p.csv").exists()
     assert not (tmp_path / "l.json").exists()
     # seeds and values are checked when the config is built, whichever
@@ -534,10 +545,10 @@ def _panel_calls(monkeypatch, argv) -> int:
 
 def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
     # 4 calls per half-line pass with a head (two parts at two panel
-    # counts), 2 per interval and per half-line from Y_SPLIT on: the shared
+    # counts), 2 per head alone and per half-line from Y_SPLIT on: the shared
     # from-zero and at-eps passes, the three sweep cutoffs, two charges, the
-    # constants' near interval and one chain block (interval and the far
-    # half-line from 1); and 2 for the refined c_model value, which
+    # constants' head and one chain block (the head and the far half-line
+    # from 1); and 2 for the refined c_model value, which
     # integrates only its two parts at 4 * PANELS: 36 (38 when the refined
     # pass integrated the from-zero pass's fine layout again, 64 when every
     # check integrated its own pass and the far half-line had a head)
@@ -549,7 +560,7 @@ def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("model, calls", [("he", 22), ("alt", 26)])
 def test_energy_command_integrates_each_layout_once(tmp_path, monkeypatch,
                                                     model, calls):
-    # the reference pass (4), the constants' near interval (2), the charge
+    # the reference pass (4), the constants' head pass (2), the charge
     # (4) and the three sweep rows (12); alt adds its own bound pass (4).
     # 42 for either model when the constants carried the cutoff sweep and
     # every producer integrated its own pass
@@ -656,17 +667,23 @@ def test_benchmark_trace_targets_exist():
     assert [row for row in rows if row[2] != "True"] == []
 
 
+_PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "kwlab")
+
+
+def _package_trees(src):
+    """(file name, parsed module) for each module of the package."""
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # numpy is the one declared runtime dependency; an import anywhere in the
     # package, a lazy one inside a function included, must not need more
     allowed = set(sys.stdlib_module_names) | {"numpy", "kwlab"}
-    src = os.path.join(os.path.dirname(__file__), "..", "src", "kwlab")
     found = set()
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _package_trees(_PACKAGE):
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 found.update((name, a.name.split(".")[0]) for a in node.names)
@@ -684,11 +701,7 @@ def _package_defaults(src):
     ``partial(f, ...)`` calls f; ``at`` is the parameter's index among a
     call's positional arguments, None for a keyword-only one."""
     defs, calls = [], []
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _package_trees(src):
         owner = {}  # def -> the class it is a method of
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
@@ -756,9 +769,6 @@ def _defaults_every_call_sets(src):
     return unused
 
 
-_PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "kwlab")
-
-
 def test_every_default_is_set_by_some_call():
     # a default that no call in the package overrides is a knob only tests
     # turn: make it a constant.  main's argv is for in-process callers (the
@@ -770,6 +780,22 @@ def test_no_default_is_always_overridden():
     # a default that every call in the package overrides serves only the
     # tests: make the parameter required
     assert sorted(_defaults_every_call_sets(_PACKAGE)) == []
+
+
+def _vectorised_shims(src):
+    """(file, call) for each call in the package of np.vectorize,
+    np.frompyfunc or np.float_power: Python's scalar math mapped over an
+    array, or a power where numpy's own square or root serves."""
+    shims = {"vectorize", "frompyfunc", "float_power"}
+    return [(name, ast.unparse(node.func))
+            for name, tree in _package_trees(src) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in shims]
+
+
+def test_no_scalar_math_mapped_over_arrays():
+    # the numeric kernels take and return arrays with numpy's own ufuncs
+    assert _vectorised_shims(_PACKAGE) == []
 
 
 def test_seeded_commands_do_not_load_numpy_random(tmp_path):
@@ -909,6 +935,18 @@ def test_residual_point_count_flag_then_file_then_default(tmp_path):
                         (["--config", str(cfg), "--n", "7"], 7), ([], 100)):
         assert main(["residual", *extra, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + rows, extra
+
+
+def test_residual_points_file_may_start_with_a_byte_order_mark(tmp_path):
+    # spreadsheet programs write a UTF-8 byte-order mark before line 1: the
+    # header's, or the first data row's
+    points, out = tmp_path / "points.csv", tmp_path / "res.csv"
+    for text in ("x1,x2,x3,y\n0.1,0.2,0.3,0.4\n", "0.1,0.2,0.3,0.4\n"):
+        points.write_text(text, encoding="utf-8-sig")
+        assert points.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["residual", "--points", str(points), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert [r.split(",")[:4] for r in rows[1:]] == [["0.1", "0.2", "0.3", "0.4"]]
 
 
 def test_residual_command_reads_the_configured_conventions(tmp_path):

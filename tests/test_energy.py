@@ -12,6 +12,7 @@ from kwlab.energy import (
     C_MODEL_ROWS,
     CUTOFF_ROWS,
     OMEGA_NORM_SQ,
+    bound_constants,
     boundary_terms,
     c_decay,
     c_model,
@@ -45,10 +46,12 @@ from kwlab.profiles import (
     scaled_matrix_profile,
 )
 from kwlab.quadrature import (
+    NODES,
+    PANELS,
     VOL_S3,
-    exp_nodes,
+    halfline_edges,
     integrate_halfline,
-    integrate_interval,
+    integrate_head,
     integrate_panels,
     l2_norm_sq,
 )
@@ -96,10 +99,6 @@ def _ref_random(rng):
     return _RefPerturbation(amp, rate, m, name=f"seeded-{amp:.3f}-{rate:.3f}")
 
 
-def _pow2(x):
-    return np.float_power(x, 2)
-
-
 def _ref_chain(conv, pert, consts):
     m = pert.direction
     gamma = float(np.trace(m)) / 3.0
@@ -128,7 +127,7 @@ def _ref_chain(conv, pert, consts):
         return gamma * pert.q(y)[1]
 
     def g_of(y):  # f^{-1} d_y (f alpha) = alpha' + 2 h alpha + alpha^2
-        return dalpha(y) + 2.0 * h_of(y) * alpha(y) + _pow2(alpha(y))
+        return dalpha(y) + 2.0 * h_of(y) * alpha(y) + alpha(y) * alpha(y)
 
     def s_full_norm(y):  # |d_y phi + *3 phi^2| of the perturbed field
         _, b_, _, db_ = pole_scalars(y)
@@ -142,37 +141,37 @@ def _ref_chain(conv, pert, consts):
     # |c|, where c * omega is *3 d_y rho1 + [phi_model, rho1] + (rho ^ rho)^(1);
     # its norm is |c| * w_abs, so it enters the chain as |c| * w_sq
     def mid_norm(y):
-        return abs(dalpha(y) + 2.0 * h_of(y) * alpha(y) + _pow2(q_of(y)) * w1)
+        return abs(dalpha(y) + 2.0 * h_of(y) * alpha(y) + q_of(y) * q_of(y) * w1)
 
     def near(f):
-        return V * integrate_interval(f, 0.0, 1.0)[0]
+        return V * integrate_head(f)[0]
 
     # chain on (0, 1]
     line1 = near(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
     line2 = near(lambda y: 2.0 * h_of(y) * abs(alpha(y)) * w_sq)
     b1 = V * abs(alpha(1.0)) * w_sq
-    rho1_sq_near = near(lambda y: _pow2(alpha(y)) * w_sq)
+    rho1_sq_near = near(lambda y: alpha(y) * alpha(y) * w_sq)
     wd_int = near(lambda y: (sgn * dalpha(y) + 2.0 * h_of(y) * abs(alpha(y))
-                             + sgn * _pow2(alpha(y))) * w_sq)
+                             + sgn * (alpha(y) * alpha(y))) * w_sq)
     # in line 3 the integral of sgn * alpha' is taken from its boundary
     # values: alpha(0) = 0 and sgn * alpha = |alpha|, so it is b1 itself and
     # cancels the discarded b1, and the step is exactly 0 for sgn = -1
     line3 = line2 + (1.0 + sgn) * rho1_sq_near
     line4 = wd_int + rho1_sq_near
     line5 = near(lambda y: abs(g_of(y)) * w_sq) + rho1_sq_near
-    rho23_near = near(lambda y: 0.5 * _pow2(q_of(y)) * (n2 + n3))
+    rho23_near = near(lambda y: 0.5 * (q_of(y) * q_of(y)) * (n2 + n3))
     mid_l1 = near(lambda y: mid_norm(y) * w_sq)
     line6 = mid_l1 + rho23_near + rho1_sq_near
 
     ys = np.linspace(1e-4, 1.0, 200)
     min_slack_pointwise = float(np.min(
-        mid_norm(ys) * w_sq + 0.5 * _pow2(q_of(ys)) * (n2 + n3) - abs(g_of(ys)) * w_sq
+        mid_norm(ys) * w_sq + 0.5 * (q_of(ys) * q_of(ys)) * (n2 + n3) - abs(g_of(ys)) * w_sq
     ))
 
     # model-constant split and the Young step
     c24a, c24b = consts.c24a, consts.c24b
     s_full_l1 = near(lambda y: s_full_norm(y) * w_abs)
-    s_full_sq_near = near(lambda y: _pow2(s_full_norm(y)))
+    s_full_sq_near = near(lambda y: s_full_norm(y) * s_full_norm(y))
     line7 = c24a + s_full_l1 + rho23_near + rho1_sq_near
     line8 = c24a + c24b + 0.5 * s_full_sq_near + rho23_near + rho1_sq_near
 
@@ -183,17 +182,17 @@ def _ref_chain(conv, pert, consts):
         return V * integrate_halfline(f, 1.0)[0]
 
     far_tr = far(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
-    far_rho1 = far(lambda y: _pow2(alpha(y)) * w_sq)
+    far_rho1 = far(lambda y: alpha(y) * alpha(y) * w_sq)
     step_far_rhs = c19 + 0.5 * far_rho1
     ys = np.linspace(1.0, 12.0, 60)
-    env_slack = float(np.min(c2 * exp_nodes(-2.0 * ys) - w_abs * h_of(ys)))
+    env_slack = float(np.min(c2 * np.exp(-2.0 * ys) - w_abs * h_of(ys)))
 
     # assembled final inequality
     c1 = consts.c_pert
     lhs_total = line1 + far_tr
-    rho_sq_total = (near(lambda y: _pow2(q_of(y)) * (n1 + n2 + n3))
-                    + far(lambda y: _pow2(q_of(y)) * (n1 + n2 + n3)))
-    s_full_sq = s_full_sq_near + far(lambda y: _pow2(s_full_norm(y)))
+    rho_sq_total = (near(lambda y: q_of(y) * q_of(y) * (n1 + n2 + n3))
+                    + far(lambda y: q_of(y) * q_of(y) * (n1 + n2 + n3)))
+    s_full_sq = s_full_sq_near + far(lambda y: s_full_norm(y) * s_full_norm(y))
     rhs_total = c1 + rho_sq_total + 0.5 * s_full_sq
 
     tol = 1e-9 * max(1.0, abs(line5))
@@ -540,8 +539,8 @@ def test_charge_oracles(conv):
 def _integrating_factor(h_fn, alpha_fn, y: float, y_max: float = 40.0) -> float:
     """f(y) = exp(-2 int_y^inf h + int_0^y alpha), the positive weight that
     turns d_y + 2h + alpha into f^{-1} d_y f on V1 profiles."""
-    tail, _ = integrate_interval(h_fn, y, y_max)
-    head, _ = integrate_interval(alpha_fn, 0.0, y)
+    tail = integrate_panels(h_fn, np.linspace(y, y_max, 65), NODES)
+    head = integrate_panels(alpha_fn, np.linspace(0.0, y, 65), NODES)
     return math.exp(-2.0 * tail + head)
 
 
@@ -663,9 +662,35 @@ def test_c24a_matches_closed_form_completed_square(consts):
         _, b, _, db = pole_scalars(y)
         return np.float_power(db + np.float_power(b, 2), 2) * OMEGA_NORM_SQ
 
-    s_near = VOL_S3 * integrate_interval(s_model_sq, 0.0, 1.0)[0]
+    s_near = VOL_S3 * integrate_head(s_model_sq)[0]
     want = math.sqrt(OMEGA_NORM_SQ) * math.sqrt(VOL_S3) * math.sqrt(s_near)
     assert consts.c24a.hex() == want.hex()
+
+
+def test_chain_and_c24a_integrate_the_parts_of_the_from_zero_layout(
+        conv, full_line, consts, monkeypatch):
+    # c24a's S_sq pass runs on the head of halfline_edges(0.0, p), and a
+    # chain block's near and far passes on its head and its body, each at
+    # PANELS panels and twice as many: no integral has a layout of its own
+    seen = []
+    engine = quadrature.integrate_panels
+
+    def record(f, edges, nodes):
+        seen.append((edges, nodes))
+        return engine(f, edges, nodes)
+
+    monkeypatch.setattr(quadrature, "integrate_panels", record)
+    head, body = zip(*(halfline_edges(0.0, p) for p in (PANELS, 2 * PANELS)))
+
+    def integrated():
+        got = [(list(edges), nodes) for edges, nodes in seen]
+        seen.clear()
+        return got
+
+    bound_constants(conv, full_line)
+    assert integrated() == [(list(e), NODES) for e in head]
+    perturbation_chain(conv, *random_perturbations(random.Random(1), 2), consts)
+    assert integrated() == [(list(e), NODES) for e in head + body]
 
 
 def test_theorem_bound_report(full_line, consts):

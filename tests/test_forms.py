@@ -245,9 +245,9 @@ def _scalar_residual_norm(conv, field, y):
     res_t = t_f - wedge_bracket_matrix(p, p) * 0.5 - dp * conv.s2
     res_n = da - (p * (-conv.c) + wedge_bracket_matrix(a, p)) * conv.s1
     div = sum(bracket(a[:, col], p[:, col]) for col in range(3))
-    res2 = float(sum(c * c for c in div) / 2) ** 0.5
+    res2 = math.sqrt(float(sum(c * c for c in div) / 2))
     norm_sq = (frob_inner(res_t, res_t) + frob_inner(res_n, res_n)) / 2
-    return float(norm_sq) ** 0.5 + res2
+    return math.sqrt(float(norm_sq)) + res2
 
 
 def test_array_residuals_match_scalar_reference(rng):

@@ -10,7 +10,7 @@ from kwlab.quadrature import (
     VOL_S3,
     halfline_edges,
     integrate_halfline,
-    integrate_interval,
+    integrate_head,
     integrate_panels,
     l2_norm_sq,
 )
@@ -31,7 +31,7 @@ def test_inverse_square_analytic():
 
 def test_constant_on_unit_interval():
     # constant |omega|^2 = 3/2 over [0, 1]: vol term only
-    val, err = integrate_interval(lambda y: 1.5, 0.0, 1.0)
+    val, err = integrate_head(lambda y: 1.5)
     assert math.isclose(VOL_S3 * val, 3 * math.pi**2, rel_tol=1e-14)
 
 
@@ -121,7 +121,7 @@ def test_rows_equal_one_row_calls_bitwise(rule, monkeypatch):
     _layout(monkeypatch, Y_MAX=12.0)  # the tail bound is not negligible
     run = {
         "panels": lambda f: (integrate_panels(f, np.geomspace(1e-3, 2.0, 9), 8), 0.0),
-        "interval": lambda f: integrate_interval(f, 0.0, 1.0),
+        "interval": integrate_head,
         "halfline-geometric": lambda f: integrate_halfline(f, 1e-3),
         "halfline-no-head": lambda f: integrate_halfline(f, 1.0),
         "from-zero": lambda f: integrate_halfline(f, 0.0),
