@@ -238,7 +238,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
         "at_eps": _shared(lambda: energy.field_norms(
             conv, full_line(), energy.CUTOFF_ROWS, lo=energy.IDENTITY_EPS)),
         "sweep": _shared(lambda: energy.cutoff_sweep(conv, full_line())),
-        "consts": _shared(lambda: energy.bound_constants(conv, full_line())),
+        "consts": _shared(lambda: energy.bound_constants(full_line())),
     }
 
     for ident, reads in energy.IDENTITY_INPUTS.items():
@@ -533,7 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(pe, "--out")
 
     ps = command("solve", help="shooting solver for the reduced system")
-    ps.add_argument("--y0", type=float, default=0.1)
+    ps.add_argument("--y0", type=float, default=0.1,
+                    help="start of the shot, 0 < y0 <= 0.2; the decay is "
+                         "located from 1.2e-4 up, and exits 2 from 1.1e-4 "
+                         "(the final run blows up near y = 11.7) and 1e-6 "
+                         "(the coarse phase stalls)")
     ps.add_argument("--out-profile", default="profile.csv")
     ps.add_argument("--out-log", default="solve-log.json")
 
@@ -601,7 +605,7 @@ def main(argv=None) -> int:
             # c_model and, for he, the bound report
             ref = energy.full_line_norms(conv, model)
             own = ref if field is model else energy.full_line_norms(conv, field)
-            rep = energy.theorem_bound_report(own, energy.bound_constants(conv, ref))
+            rep = energy.theorem_bound_report(own, energy.bound_constants(ref))
             cm, cm_err, _ = energy.c_model(ref)
             rep.add("c_model", cm, cm_err, "model curvature constant")
             q, q_err = energy.topological_charge(conv, field.connection)

@@ -50,9 +50,11 @@ from .profiles import (
 from . import quadrature
 from .quadrature import (
     VOL_S3,
+    doubled_sums,
+    halfline_total,
     integrate_halfline,
     integrate_head,
-    l2_norm_sq,
+    tail_bound,
 )
 from .report import CheckReport, EnergyReport, make_check
 from .su2 import bracket
@@ -187,30 +189,59 @@ def _require_solution(conv, field):
         raise ValueError("not a solution: identity chain does not apply")
 
 
-# l2_norm_sq of named density rows of one field, rows[name] = (value, error
-# estimate), all from one quadrature pass from eps (0: from zero); every pass
-# is of a field that full_line_norms certified, so a Norms certifies it solves
-Norms = namedtuple("Norms", "field eps rows")
+# the density groups whose body and tail the from-zero pass keeps for the
+# passes that share them
+_KEPT_GROUPS = tuple(dict.fromkeys((*FULL_LINE_ROWS.values(),
+                                    *CUTOFF_ROWS.values())))
 
 
-def _norms(conv, field, rows: dict, lo: float) -> Norms:
-    v, e = l2_norm_sq(density_rows(conv, field, tuple(rows.values())), lo)
-    return Norms(field, lo, dict(zip(rows, zip(v.tolist(), e.tolist()))))
+# l2_norm_sq of named density rows of one field from eps (0: from zero),
+# rows[name] = (value, error estimate), and the parts they add up from:
+# parts[density keys] = (head, body, tail), the doubled_sums of the head and
+# the body and the tail_bound.  The from-zero pass also keeps the body and
+# tail (head None) of each other _KEPT_GROUPS group.  Every pass is of a
+# field that full_line_norms certified, so a Norms certifies it solves
+Norms = namedtuple("Norms", "field eps rows parts")
+
+
+def _norms(conv, field, rows: dict, lo: float, kept: dict) -> Norms:
+    """The rows (name -> density keys) from lo < Y_SPLIT: one pass over their
+    head, each added to its group's body and tail in `kept`."""
+    if not lo < quadrature.Y_SPLIT:
+        raise ValueError(f"no head from {lo}: a pass adds its head to the "
+                         "body from Y_SPLIT")
+    groups = tuple(rows.values())
+    heads = doubled_sums(density_rows(conv, field, groups), lo, 0)
+    parts = {g: (head, *kept[g][1:]) for g, head in zip(groups, zip(*heads))}
+    out = {}
+    for name, g in rows.items():
+        value, err = halfline_total(parts[g][:2], parts[g][2])
+        out[name] = (float(VOL_S3 * value), float(VOL_S3 * err))
+    return Norms(field, lo, out, parts)
 
 
 def full_line_norms(conv, field) -> Norms:
     """The FULL_LINE_ROWS of the field from zero, and the one solution guard:
     it refuses a field that does not solve the system on the range of every
-    pass (_require_solution); every other pass integrates its field."""
+    pass (_require_solution); every other pass integrates its field.  The
+    body and tail are integrated once, on every _KEPT_GROUPS group, and
+    kept in the parts for field_norms."""
     _require_solution(conv, field)
-    return _norms(conv, field, FULL_LINE_ROWS, 0.0)
+    rows = density_rows(conv, field, _KEPT_GROUPS)
+    bodies = zip(*doubled_sums(rows, 0.0, -1))
+    kept = {g: (None, body, tail)
+            for g, body, tail in zip(_KEPT_GROUPS, bodies, tail_bound(rows))}
+    own = _norms(conv, field, FULL_LINE_ROWS, 0.0, kept)
+    return own._replace(parts={**kept, **own.parts})
 
 
 def field_norms(conv, full_line: Norms, rows, lo) -> Norms:
-    """One pass from lo over the rows (name -> density keys) of the field
-    that a from-zero pass certified.  A row's floats do not depend on the
+    """The rows (name -> density keys, groups of _KEPT_GROUPS) from
+    lo < Y_SPLIT of the field that a from-zero pass certified: one pass over
+    their head, each added to the body and tail that full_line keeps, as
+    integrate_halfline adds its parts.  A row's floats do not depend on the
     other rows, so a check reading one by name gets its own pass's floats."""
-    return _norms(conv, full_line.field, rows, lo)
+    return _norms(conv, full_line.field, rows, lo, full_line.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +618,11 @@ def _chain_block(conv, amp, rate, m, consts: BoundConstants) -> list:
 # ---------------------------------------------------------------------------
 
 class BoundConstants(NamedTuple):
-    """Engine constants of the curvature-energy bound.  A run integrates each
-    (field, lower limit) pair once on the lab's layout: the reference
-    solution's passes (Norms) and the values built from them, these
-    constants and the CutoffSweep, are built once per run from its one
-    certified from-zero pass, and every check that uses one takes that
+    """Engine constants of the curvature-energy bound.  A run integrates the
+    reference solution's body and tail once and each pass's head once on
+    the lab's layout: its passes (Norms) and the values built from them,
+    these constants and the CutoffSweep, are built once per run from its
+    one certified from-zero pass, and every check that uses one takes that
     value."""
 
     c_decay: float
@@ -604,18 +635,17 @@ class BoundConstants(NamedTuple):
     C: float              # c_limit + 2 c_pert
 
 
-def bound_constants(conv: GeometryConventions, full_line: Norms) -> BoundConstants:
+def bound_constants(full_line: Norms) -> BoundConstants:
     """Engine constants of the curvature-energy bound: the cutoff-limit
     constant of the model (the bulk row of its from-zero pass), the
-    perturbation constant, whose c24a integrates the model's S_sq density
-    on (0, 1], the head of the from-zero layout, and their combination
-    C = c_limit + 2 c_pert."""
+    perturbation constant, whose c24a is the model's S_sq density on
+    (0, 1] (the fine head sum of that pass's S_sq row), and their
+    combination C = c_limit + 2 c_pert."""
     direct, err = full_line.rows["bulk"]
     c2 = c_decay()
     c19 = 0.5 * VOL_S3 * c2 * c2 * math.exp(-4.0)
     w_abs = math.sqrt(OMEGA_NORM_SQ)
-    s_sq_near = VOL_S3 * integrate_head(
-        density_fn(conv, full_line.field, ("S_sq",)))[0]
+    s_sq_near = VOL_S3 * full_line.parts[FULL_LINE_ROWS["S_sq"]][0][1]
     c24a = w_abs * math.sqrt(VOL_S3) * math.sqrt(s_sq_near)
     c24b = 0.5 * VOL_S3 * OMEGA_NORM_SQ
     c_pert = c19 + c24a + c24b

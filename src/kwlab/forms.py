@@ -107,10 +107,10 @@ class GeometryConventions(NamedTuple):
 # the field engine: Kapustin-Witten blocks of coefficient matrices
 # ---------------------------------------------------------------------------
 
-def matrix_first(m, dtype=None):
-    """(..., 3, 3) -> (3, 3, ...) in dtype (None keeps m's): m[i][a] is then
-    entry (i, a) at every node, which is how the kernels index matrices."""
-    return np.moveaxis(np.asarray(m, dtype=dtype), (-2, -1), (0, 1))
+def matrix_first(m):
+    """(..., 3, 3) -> (3, 3, ...): m[i][a] is then entry (i, a) at every
+    node, which is how the kernels index matrices."""
+    return np.moveaxis(np.asarray(m), (-2, -1), (0, 1))
 
 
 # FieldAt's matrices by the profile whose value and derivative they are
@@ -168,7 +168,7 @@ class FieldAt:
         value, deriv = getattr(field, kind).eval(y)
         names = [k for k, v in _PROFILE_OF.items() if v == kind]
         for key, m in zip(names, (value, deriv)):
-            setattr(self, key, matrix_first(m, dtype))
+            setattr(self, key, np.asarray(m, dtype=dtype))
         return getattr(self, name)
 
     def under(self, conv: GeometryConventions) -> "FieldAt":

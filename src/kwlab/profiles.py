@@ -34,7 +34,8 @@ class MatrixProfile(NamedTuple):
     """Sum of scalar-profile * constant-matrix terms; eval -> (value, d/dy).
 
     y is a node or an array of nodes, taken in np.longdouble; value and
-    d/dy have shape y.shape + (3, 3)."""
+    d/dy have shape (3, 3) + y.shape, matrix axes first, as the kernels of
+    forms read them."""
 
     terms: tuple  # ((scalar_fn taking Jet, 3x3 matrix), ...)
 
@@ -44,8 +45,8 @@ class MatrixProfile(NamedTuple):
         der = None
         for fn, mat in self.terms:
             j = fn(jy)
-            v = j.f[..., None, None] * mat
-            d = j.d[..., None, None] * mat
+            v = np.multiply.outer(mat, j.f)
+            d = np.multiply.outer(mat, j.d)
             val = v if val is None else val + v
             der = d if der is None else der + d
         return val, der

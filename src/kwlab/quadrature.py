@@ -11,28 +11,35 @@ bound (densities of the reference solution fall off like e^{-4y}).
 
 integrate_halfline and integrate_head (the head alone, [0, Y_SPLIT]) return
 (value, error_estimate): the estimate compares PANELS panels a part with
-twice as many, and integrate_halfline adds the tail remainder.  The rules
-they double, integrate_panels on one edge array and integrate_layout (the
-parts of a layout added left to right), return a bare value.
+twice as many, and integrate_halfline adds the tail remainder.  They are
+built from parts that a caller may also keep and add itself:
+doubled_sums, the (coarse, fine) sums of one part of a layout, tail_bound,
+and halfline_total, which adds the parts of a layout left to right.
+integrate_panels, the rule on one edge array, and integrate_layout (the
+parts of a layout at one panel count) return a bare value.
 
 An integrand takes the 1-D array of the nodes of a layout.  It returns one
 value per node, or rows of them, shape (k, n): then every integral gives
 back (k,) values and (k,) error estimates.  Each row adds up in one fixed
-order: nodes in order within a panel, the panel totals left to right (as
-builtin sum, not the pairwise np.sum), then the parts of the layout left to
-right.  So a row's float is the one its integrand alone would give, and
-integrands that share a layout are evaluated in one pass.  The energy
-suite keeps to that: each (field, layout) pair is integrated once per run,
-as one pass of all the rows its checks read (energy.full_line_norms, then
-energy.field_norms and energy.refined_c_model).  The layout is four
-constants, read at call time: the head and the body end at Y_SPLIT and
-Y_MAX, with PANELS panels (twice as many when fine) of NODES nodes a part.
+order: nodes in order within a panel, the panel totals left to right, each
+sum from 0 (np.add.accumulate; np.sum would add pairwise), then the parts
+of the layout left to right.  So a row's float is the one its integrand
+alone would give, and integrands that share a layout are evaluated in one
+pass.  The energy suite keeps to that: the reference solution's body and
+tail are integrated once per run, on the rows of every pass that shares
+them (energy.full_line_norms), and each pass from a cutoff integrates only
+its own head and adds the kept body (energy.field_norms); only the refined
+c_model value (energy.refined_c_model) has a layout of its own.  The
+layout is three constants, read at call time: the head and the body end at
+Y_SPLIT and Y_MAX, with PANELS panels (twice as many when fine).  The rule
+is the 16-node Gauss-Legendre rule on each panel, a literal table equal to
+numpy.polynomial.legendre.leggauss(16) bit for bit, so that no run loads
+numpy.polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,13 +50,22 @@ TAIL_RATE = 4.0  # exponential envelope rate used for the tail bound
 Y_SPLIT = 1.0
 Y_MAX = 30.0
 PANELS = 24
-NODES = 16
 
-
-@lru_cache(maxsize=32)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+# the nonnegative half of the 16-node Gauss-Legendre rule on [-1, 1]:
+# (node, weight), nodes ascending; the rule is symmetric bit for bit
+_GL_HALF = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+])
+_GL_X = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_W = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
+NODES = len(_GL_X)  # the rule's nodes on each panel
 
 
 def _values(f, y):
@@ -65,43 +81,39 @@ def _scalar(v):
 
 
 def integrate_panels(f, edges, nodes: int):
-    """Gauss-Legendre rule with `nodes` points on each panel between
-    consecutive `edges`.  f is called once, on the 1-D array of every node
-    of every panel, and returns a value per node (a float comes back) or
-    (k, n) rows (a (k,) array comes back).  In each row, each panel sums
-    its nodes in order; the panel totals are then added left to right."""
-    x, w = _gl_nodes(nodes)
+    """The Gauss-Legendre rule with NODES points on each panel between
+    consecutive `edges`; any other `nodes` is refused.  f is called once, on
+    the 1-D array of every node of every panel, and returns a value per node
+    (a float comes back) or (k, n) rows (a (k,) array comes back).  In each
+    row, each panel sums its nodes in order; the panel totals are then added
+    left to right."""
+    if nodes != _GL_X.size:
+        raise ValueError(f"the rule has {_GL_X.size} nodes a panel, not {nodes}")
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    y = mid[:, None] + half[:, None] * x
+    y = mid[:, None] + half[:, None] * _GL_X
     v = _values(f, y.ravel())
     v = v.reshape(v.shape[:-1] + y.shape)
     bad = ~np.isfinite(v)
     if bad.any():
         raise ValueError(
             f"non-finite integrand at y={np.broadcast_to(y, v.shape)[bad][0]}")
-    total = np.zeros(v.shape[:-1])
-    for k in range(nodes):
-        total = total + w[k] * v[..., k]
-    # builtin sum over the panel axis adds left to right; np.sum would sum
-    # pairwise
-    return _scalar(sum(np.moveaxis(half * total, -1, 0)))
+    return _scalar(_running_sum(half * _running_sum(_GL_W * v)))
 
 
-def _tail(f):
+def _running_sum(a):
+    """a summed over its last axis from 0, left to right."""
+    return 0.0 + np.add.accumulate(a, axis=-1)[..., -1]
+
+
+def tail_bound(f):
     """Bound on the integral beyond Y_MAX, which the value leaves out: the
-    envelope constant is estimated from samples, with a x1.5 safety."""
+    envelope constant is estimated from 16 samples, with a x1.5 safety."""
     rate = TAIL_RATE
     ys = np.linspace(max(Y_SPLIT, Y_MAX - 5.0), Y_MAX, 16)
     k = _scalar(np.max(np.abs(_values(f, ys)) * np.exp(rate * ys), axis=-1))
     return 1.5 * k * math.exp(-rate * Y_MAX) / rate
-
-
-def _doubled(run, panels: int):
-    """(fine, |fine - coarse|) of fine = run(2 * panels), coarse = run(panels)."""
-    coarse, fine = run(panels), run(panels * 2)
-    return fine, abs(fine - coarse)
 
 
 def halfline_edges(lo: float, panels: int):
@@ -120,18 +132,34 @@ def integrate_layout(f, lo: float, panels: int):
     return sum(integrate_panels(f, e, NODES) for e in halfline_edges(lo, panels))
 
 
+def doubled_sums(f, lo: float, part: int):
+    """(coarse, fine): the rule on part `part` (0 the first, -1 the body) of
+    halfline_edges(lo, p) at p = PANELS and twice as many."""
+    return tuple(integrate_panels(f, halfline_edges(lo, p)[part], NODES)
+                 for p in (PANELS, 2 * PANELS))
+
+
+def halfline_total(parts, tail):
+    """(value, error estimate) of int_lo^inf from the doubled_sums of the
+    parts of the layout from lo, in order, and their tail_bound: the fine
+    parts added left to right, and |fine - coarse| plus the tail."""
+    coarse, fine = (sum(sums) for sums in zip(*parts))
+    return fine, abs(fine - coarse) + tail
+
+
 def integrate_halfline(f, lo: float):
-    """int_lo^inf f(y) dy by integrate_layout from lo at PANELS against twice
-    as many.  f takes an array of nodes and returns the integrand at each."""
-    fine, err = _doubled(lambda p: integrate_layout(f, lo, p), PANELS)
-    return fine, err + _tail(f)
+    """int_lo^inf f(y) dy on the layout from lo at PANELS panels a part
+    against twice as many.  f takes an array of nodes and returns the
+    integrand at each."""
+    parts = [doubled_sums(f, lo, i) for i in range(len(halfline_edges(lo, 1)))]
+    return halfline_total(parts, tail_bound(f))
 
 
 def integrate_head(f):
     """int_0^Y_SPLIT f dy on the head of the from-zero layout,
     halfline_edges(0.0, p)[0], at PANELS panels against twice as many."""
-    return _doubled(
-        lambda p: integrate_panels(f, halfline_edges(0.0, p)[0], NODES), PANELS)
+    coarse, fine = doubled_sums(f, 0.0, 0)
+    return fine, abs(fine - coarse)
 
 
 def l2_norm_sq(density, lo: float):

@@ -666,6 +666,11 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries,
     that blows up before SHOOT_Y or a final run before SHOOT_Y_END.
     The certificate is proven for the locked system only: on a system with
     other coefficients than LOCKED_COEFFS the first run raises ValueError.
+
+    y0 is accepted in (0, 0.2], where the series is trusted, but the decay
+    is located only from about 1.2e-4 up: from 1.1e-4 the final run blows
+    up near y = 11.7, and from 1e-6 the coarse phase stalls, each with a
+    ValueError (tried at 1.2e-4 to 0.2, 1.1e-4, 1e-4, 1e-5 and 1e-6).
     """
     if not (math.isfinite(y0) and 0 < y0 <= 0.2):
         raise ValueError("series initial data is only trusted for "

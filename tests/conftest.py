@@ -74,8 +74,8 @@ def sweep(conv, full_line):
 
 
 @pytest.fixture(scope="session")
-def consts(conv, full_line):
-    return bound_constants(conv, full_line)
+def consts(full_line):
+    return bound_constants(full_line)
 
 
 @pytest.fixture(scope="session")

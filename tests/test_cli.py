@@ -146,6 +146,25 @@ def test_verify_negative_control(tmp_path):
         assert by_id[cid]["status"] == "fail", cid
 
 
+def test_solve_below_the_located_range_exits_two(tmp_path):
+    # 1e-6 is inside the accepted range 0 < y0 <= 0.2 but far below where
+    # the decay is located: the coarse phase stalls, and the command says so
+    # in one line, with no traceback and no output files
+    root = os.path.join(os.path.dirname(__file__), "..")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kwlab.cli", "solve", "--y0", "1e-6",
+         "--out-profile", str(tmp_path / "p.csv"),
+         "--out-log", str(tmp_path / "l.json")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "error: coarse shooting phase stalled at parameter bracket [")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "p.csv").exists()
+    assert not (tmp_path / "l.json").exists()
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--suite", "not-a-suite"]) == 2
     # a tolerance is a constant of its check: no flag or key sets one
@@ -527,45 +546,60 @@ def test_failed_shared_pass_fails_only_its_readers(tmp_path, monkeypatch,
         assert c["detail"] == "check raised: no pass"
 
 
-def _panel_calls(monkeypatch, argv) -> int:
-    """integrate_panels calls made by one in-process command."""
+def _panel_calls(monkeypatch, argv) -> list:
+    """The (integrand, edges) of each integrate_panels call made by one
+    in-process command."""
     from kwlab import quadrature
 
-    calls = [0]
+    calls = []
     panels = quadrature.integrate_panels
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return panels(*args, **kwargs)
+    def recorded(f, edges, nodes):
+        calls.append((f, edges))
+        return panels(f, edges, nodes)
 
-    monkeypatch.setattr(quadrature, "integrate_panels", counted)
+    monkeypatch.setattr(quadrature, "integrate_panels", recorded)
     assert main(argv) == 0
-    return calls[0]
+    return calls
 
 
 def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
-    # 4 calls per half-line pass with a head (two parts at two panel
-    # counts), 2 per head alone and per half-line from Y_SPLIT on: the shared
-    # from-zero and at-eps passes, the three sweep cutoffs, two charges, the
-    # constants' head and one chain block (the head and the far half-line
-    # from 1); and 2 for the refined c_model value, which
-    # integrates only its two parts at 4 * PANELS: 36 (38 when the refined
-    # pass integrated the from-zero pass's fine layout again, 64 when every
-    # check integrated its own pass and the far half-line had a head)
+    # one call per part at each of two panel counts: 4 for the from-zero
+    # pass (the head, and the body it keeps for the passes that share it),
+    # 2 for the head alone of the at-eps pass and of each of the three sweep
+    # cutoffs, 4 for each charge, 4 for one chain block (the head and the far
+    # half-line from 1), and 2 for the refined c_model value, which
+    # integrates only its two parts at 4 * PANELS: 26 (36 when every pass
+    # integrated its own body and the constants their own head, 64 when
+    # every check integrated its own pass)
+    from kwlab import quadrature
+
+    made = []
+    rows = energy.density_rows
+    monkeypatch.setattr(energy, "density_rows",
+                        lambda *args: made.append(rows(*args)) or made[-1])
     argv = ["verify", "--suite", "energy", "--n-pert", "3",
             "--out", str(tmp_path / "r.json")]
-    assert _panel_calls(monkeypatch, argv) == 36
+    calls = _panel_calls(monkeypatch, argv)
+    assert len(calls) == 26
+    # the reference solution's density rows are integrated on each body
+    # edge array once: at PANELS and twice as many by the from-zero pass,
+    # at 4 * PANELS by the refined c_model value
+    bodies = [len(edges) - 1 for f, edges in calls
+              if any(f is g for g in made) and edges[0] == quadrature.Y_SPLIT]
+    p = quadrature.PANELS
+    assert sorted(bodies) == [p, 2 * p, 4 * p]
 
 
-@pytest.mark.parametrize("model, calls", [("he", 22), ("alt", 26)])
+@pytest.mark.parametrize("model, calls", [("he", 14), ("alt", 18)])
 def test_energy_command_integrates_each_layout_once(tmp_path, monkeypatch,
                                                     model, calls):
-    # the reference pass (4), the constants' head pass (2), the charge
-    # (4) and the three sweep rows (12); alt adds its own bound pass (4).
-    # 42 for either model when the constants carried the cutoff sweep and
-    # every producer integrated its own pass
+    # the reference pass (4), the charge (4) and the heads of the three
+    # sweep rows (6); alt adds its own bound pass (4).  22 and 26 when each
+    # sweep row integrated its own body and the constants their own head;
+    # 42 for either model when every producer integrated its own pass
     argv = ["energy", "--model", model, "--out", str(tmp_path / "e.json")]
-    assert _panel_calls(monkeypatch, argv) == calls
+    assert len(_panel_calls(monkeypatch, argv)) == calls
 
 
 def _guard_nodes(monkeypatch) -> list:
@@ -812,6 +846,29 @@ def test_seeded_commands_do_not_load_numpy_random(tmp_path):
         "                 '--out', out + '/' + suite + '.json']) == 0\n"
         "assert main(['residual', '--out', out + '/res.csv']) == 0\n"
         "print(sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_energy_commands_do_not_load_numpy_polynomial(tmp_path):
+    # the quadrature rule is a literal table: in a fresh process the energy
+    # suite, the energy command and the eps sweep leave numpy.polynomial
+    # (nine modules, loaded by the first leggauss call) unloaded
+    root = os.path.join(os.path.dirname(__file__), "..")
+    code = (
+        "import sys\n"
+        "from kwlab.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['verify', '--suite', 'energy', '--n-pert', '2',\n"
+        "             '--out', out + '/e.json']) == 0\n"
+        "assert main(['energy', '--model', 'he', '--out', out + '/r.json']) == 0\n"
+        "assert main(['plotdata', '--target', 'eps-sweep',\n"
+        "             '--out-dir', out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),

@@ -475,6 +475,15 @@ def _per_producer_passes(conv, field, eps):
     return out
 
 
+def test_pass_without_a_head_is_refused(conv, full_line):
+    # a pass adds its head on [lo, Y_SPLIT] to the body that the from-zero
+    # pass kept: from Y_SPLIT on there is no head, and the kept body would
+    # count a second time
+    for lo in (1.0, 2.5):
+        with pytest.raises(ValueError, match="no head from"):
+            field_norms(conv, full_line, CUTOFF_ROWS, lo)
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.1])
 def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
     full_line = full_line_norms(conv, model)
@@ -505,8 +514,10 @@ def test_refined_c_model_is_the_refined_pass_bitwise(conv, full_line,
     got = refined_c_model(conv, full_line)
     assert nodes == [4 * quadrature.PANELS * quadrature.NODES] * 2
     monkeypatch.setattr(quadrature, "integrate_panels", engine)
+    # the from-zero pass on twice the panels, built under that layout: a
+    # pass adds its head to the body that its from-zero pass kept
     monkeypatch.setattr(quadrature, "PANELS", 2 * quadrature.PANELS)
-    want = c_model(field_norms(conv, full_line, C_MODEL_ROWS, 0.0))[0]
+    want = c_model(full_line_norms(conv, full_line.field))[0]
     assert got.hex() == want.hex()
 
 
@@ -669,9 +680,10 @@ def test_c24a_matches_closed_form_completed_square(consts):
 
 def test_chain_and_c24a_integrate_the_parts_of_the_from_zero_layout(
         conv, full_line, consts, monkeypatch):
-    # c24a's S_sq pass runs on the head of halfline_edges(0.0, p), and a
-    # chain block's near and far passes on its head and its body, each at
-    # PANELS panels and twice as many: no integral has a layout of its own
+    # c24a reads the fine head sum of the from-zero pass's S_sq row and
+    # integrates nothing; a chain block's near and far passes run on the
+    # head of halfline_edges(0.0, p) and its body, each at PANELS panels and
+    # twice as many: no integral has a layout of its own
     seen = []
     engine = quadrature.integrate_panels
 
@@ -687,8 +699,8 @@ def test_chain_and_c24a_integrate_the_parts_of_the_from_zero_layout(
         seen.clear()
         return got
 
-    bound_constants(conv, full_line)
-    assert integrated() == [(list(e), NODES) for e in head]
+    assert bound_constants(full_line) == consts
+    assert integrated() == []
     perturbation_chain(conv, *random_perturbations(random.Random(1), 2), consts)
     assert integrated() == [(list(e), NODES) for e in head + body]
 

@@ -99,6 +99,20 @@ def test_field_of_evaluates_only_the_profiles_read(conv):
         full.not_a_block
 
 
+@pytest.mark.parametrize("dtype", [None, float])
+def test_field_of_hands_contiguous_matrix_first_arrays(conv, dtype):
+    # the kernels read m[i][a] at every node: each matrix comes from its
+    # profile as one C-contiguous (3, 3, n) block, not a strided view
+    model = nahm_pole_invariant_solution()
+    ys = np.geomspace(0.01, 5.0, 9)
+    m = FieldAt.of(conv, model, ys, dtype)
+    for name in ("a", "n_f", "p", "dp"):
+        mat = getattr(m, name)
+        assert mat.shape == (3, 3, 9) and mat.flags.c_contiguous, name
+        assert mat.dtype == (np.longdouble if dtype is None else np.float64)
+    assert m.p.strides[-1] == m.p.itemsize
+
+
 def _coframe_d(conv, u):
     """d of a constant-coefficient 1-form: the linear part of the tangential
     curvature, which is what FieldAt.t_f adds to the quadratic part."""

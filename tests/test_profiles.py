@@ -76,11 +76,13 @@ def test_array_evaluation_matches_each_node():
     ys = np.geomspace(1e-3, 20.0, 50)
     model = nahm_pole_invariant_solution()
     val, der = model.higgs.eval(ys)
-    assert val.shape == der.shape == (50, 3, 3)
+    # matrix axes first, node axis last
+    assert val.shape == der.shape == (3, 3, 50)
     stacked = pole_scalars(ys)
     for i, y in enumerate(ys):
         v, d = model.higgs.eval(float(y))
-        assert np.array_equal(val[i], v) and np.array_equal(der[i], d)
+        assert v.shape == d.shape == (3, 3)
+        assert np.array_equal(val[..., i], v) and np.array_equal(der[..., i], d)
         assert [x[i] for x in stacked] == list(pole_scalars(float(y)))
 
 

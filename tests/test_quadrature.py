@@ -7,6 +7,7 @@ import pytest
 
 from kwlab import quadrature
 from kwlab.quadrature import (
+    NODES,
     VOL_S3,
     halfline_edges,
     integrate_halfline,
@@ -42,9 +43,27 @@ def test_integrand_called_once_on_every_node():
         shapes.append(y.shape)
         return 3.0 * y * y
 
-    val = integrate_panels(f, [0.0, 0.5, 1.0, 2.0], 8)
-    assert shapes == [(24,)]
+    val = integrate_panels(f, [0.0, 0.5, 1.0, 2.0], NODES)
+    assert shapes == [(48,)]
     assert math.isclose(val, 8.0, rel_tol=1e-14)
+
+
+def test_rule_table_is_leggauss_bitwise():
+    # the literal table is numpy's own 16-node rule, every bit of it
+    x, w = np.polynomial.legendre.leggauss(NODES)
+    assert NODES == 16
+    assert quadrature._GL_X.tobytes() == x.tobytes()
+    assert quadrature._GL_W.tobytes() == w.tobytes()
+
+
+def test_other_node_counts_refused(monkeypatch):
+    # one rule, no fallback: any other node count raises, even through a
+    # patched NODES
+    with pytest.raises(ValueError, match="the rule has 16 nodes a panel, not 8"):
+        integrate_panels(lambda y: y, [0.0, 1.0], 8)
+    _layout(monkeypatch, NODES=8)
+    with pytest.raises(ValueError, match="not 8"):
+        integrate_halfline(lambda y: np.exp(-4 * y), 0.0)
 
 
 def test_exponential_envelope_oracle():
@@ -70,9 +89,9 @@ def test_truncate_bound_covers_remainder(monkeypatch):
 def test_refinement_shrinks_error_estimate(monkeypatch):
     # smooth integrand with the contractual exponential envelope
     f = lambda y: np.exp(-4 * y) * (1.0 + 10.0 * y * y) / (1.0 + y)
-    _layout(monkeypatch, Y_SPLIT=2.0, Y_MAX=12.0, PANELS=3, NODES=2)
+    _layout(monkeypatch, Y_SPLIT=2.0, Y_MAX=12.0, PANELS=1)
     _, e1 = integrate_halfline(f, 1e-3)
-    _layout(monkeypatch, PANELS=6)
+    _layout(monkeypatch, PANELS=2)
     _, e2 = integrate_halfline(f, 1e-3)
     assert e2 <= 0.5 * e1
 
@@ -120,7 +139,8 @@ def _bits(values):
 def test_rows_equal_one_row_calls_bitwise(rule, monkeypatch):
     _layout(monkeypatch, Y_MAX=12.0)  # the tail bound is not negligible
     run = {
-        "panels": lambda f: (integrate_panels(f, np.geomspace(1e-3, 2.0, 9), 8), 0.0),
+        "panels": lambda f: (integrate_panels(f, np.geomspace(1e-3, 2.0, 9), NODES),
+                             0.0),
         "interval": integrate_head,
         "halfline-geometric": lambda f: integrate_halfline(f, 1e-3),
         "halfline-no-head": lambda f: integrate_halfline(f, 1.0),
@@ -142,10 +162,10 @@ def test_rows_integrand_called_once_per_layout(monkeypatch):
         shapes.append(y.shape)
         return _rows(y)
 
-    _layout(monkeypatch, PANELS=4, NODES=8)
+    _layout(monkeypatch, PANELS=4)
     integrate_halfline(f, 0.05)
-    # head and body at 4 and 8 panels, then the 16 tail samples
-    assert shapes == [(32,), (32,), (64,), (64,), (16,)]
+    # the head, then the body, at 4 and 8 panels, then the 16 tail samples
+    assert shapes == [(64,), (128,), (64,), (128,), (16,)]
 
 
 def _panel_nodes(edges, nodes: int):
@@ -157,24 +177,24 @@ def _panel_nodes(edges, nodes: int):
 
 @pytest.mark.parametrize("lo, head, shapes", [
     # a uniform head from zero, a geometric one from a cutoff below Y_SPLIT
-    (0.0, np.linspace, [(32,), (32,), (64,), (64,), (16,)]),
-    (0.05, np.geomspace, [(32,), (32,), (64,), (64,), (16,)]),
+    (0.0, np.linspace, [(64,), (128,), (64,), (128,), (16,)]),
+    (0.05, np.geomspace, [(64,), (128,), (64,), (128,), (16,)]),
     # no head from Y_SPLIT on: the body starts at lo
-    (1.0, None, [(32,), (64,), (16,)]),
-    (2.5, None, [(32,), (64,), (16,)]),
+    (1.0, None, [(64,), (128,), (16,)]),
+    (2.5, None, [(64,), (128,), (16,)]),
 ])
 def test_lower_limit_picks_the_head(lo, head, shapes, monkeypatch):
     seen = []
-    _layout(monkeypatch, PANELS=4, NODES=8)
+    _layout(monkeypatch, PANELS=4)
     integrate_halfline(lambda y: seen.append(y) or np.ones_like(y), lo)
     assert [y.shape for y in seen] == shapes
-    want = []
-    for p in (4, 8):
-        edges = [] if head is None else [head(lo, 1.0, p + 1)]
+    parts = [[] if head is None else [head(lo, 1.0, p + 1)] for p in (4, 8)]
+    for p, edges in zip((4, 8), parts):
         edges.append(np.linspace(max(lo, 1.0), 30.0, p + 1))
         assert all(np.array_equal(e, w)
                    for e, w in zip(halfline_edges(lo, p), edges, strict=True))
-        want += [_panel_nodes(e, 8) for e in edges]
+    # each part at 4 panels, then at 8
+    want = [_panel_nodes(e, NODES) for part in zip(*parts) for e in part]
     want.append(np.linspace(25.0, 30.0, 16))  # the tail samples
     assert all(np.array_equal(y, w) for y, w in zip(seen, want, strict=True))
 

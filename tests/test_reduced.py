@@ -494,8 +494,8 @@ class _ShotProfile:
         value = state[self.index]
         deriv = self.system.rhs(*state)[self.index]
         eye = np.eye(3)
-        return (np.asarray(value)[..., None, None] * eye,
-                np.asarray(deriv)[..., None, None] * eye)
+        # matrix axes first, as MatrixProfile.eval returns them
+        return np.multiply.outer(eye, value), np.multiply.outer(eye, deriv)
 
 
 def test_shot_profile_energy_consistency(conv, system, shot, monkeypatch):
