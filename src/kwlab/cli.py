@@ -16,21 +16,31 @@ are deterministic for a fixed configuration (seed included) and written
 atomically.  `entry` is the `kwlab` command and the `python -m kwlab.cli`
 path: it runs `main`, whose outputs are closed when it returns, then exits
 without the interpreter's final garbage collection.
+
+Every command runs `config`, `forms`, `profiles`, `quadrature`, `report` and
+`su2`.  The suite modules run only where a command reads them: `decomp` for
+the decomposition suite; `energy` for the energy suite, the energy command
+and `plotdata --target integrands|eps-sweep`; `halfspace` for the models
+suite and `residual`; `reduced` (and `fractions`) for the solver suite and
+`solve`.  They are registered lazily (`_lazy`), not imported inside the
+functions that read them, because the benchmark's tracer finds the
+functions that it wraps in the modules that `import kwlab.cli` leaves in
+sys.modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from . import decomp, energy, halfspace, quadrature, reduced, report, su2
+from . import quadrature, report, su2
 from .config import SUITES, SuiteConfig, build_config, load_config
 from .forms import calibrate, kw_residual_norm, ricci_check, taubes_lhs
 from .profiles import (
@@ -41,6 +51,27 @@ from .profiles import (
     scaled_matrix_profile,
 )
 from .report import make_check, write_checks_json, write_csv, write_energy_json
+
+
+def _lazy(name: str):
+    """The package's module `name`, listed in sys.modules and set on the
+    package as `import` makes it, whose body runs when a command first reads
+    one of its names (importlib.util.LazyLoader); a module already imported
+    is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+decomp, energy, halfspace, reduced = map(
+    _lazy, ("decomp", "energy", "halfspace", "reduced"))
 
 _I3 = np.eye(3)
 
@@ -236,7 +267,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
     inputs = {
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
-            conv, full_line(), energy.CUTOFF_ROWS, lo=energy.IDENTITY_EPS)),
+            conv, full_line(), energy.CUTOFF_ROWS, lo=quadrature.IDENTITY_EPS)),
         "sweep": _shared(lambda: energy.cutoff_sweep(conv, full_line())),
         "consts": _shared(lambda: energy.bound_constants(full_line())),
     }
@@ -342,6 +373,8 @@ def _shot_counts(shot) -> dict:
 
 
 def suite_solver(cfg: SuiteConfig) -> list:
+    from fractions import Fraction  # the one suite that reads exact rationals
+
     conv = _active_conventions(cfg)
     checks = []
     sysr = reduced.derive_reduced_system(conv)
@@ -590,7 +623,7 @@ def main(argv=None) -> int:
             cfg = _config_from_args(args)
             checks, code = run_suite(cfg)
             meta = {"suite": cfg.suite, "seed": cfg.seed, "n": cfg.n,
-                    "n_pert": cfg.n_pert, "eps": energy.IDENTITY_EPS,
+                    "n_pert": cfg.n_pert, "eps": quadrature.IDENTITY_EPS,
                     "flip_star_sign": cfg.flip_star_sign}
             _emit(checks, cfg, meta)
             for c in checks:

@@ -5,12 +5,12 @@ Config files hold one ``key = value`` pair per line (# comments allowed);
 unknown key is rejected at parse time, so that a typo does not pass
 silently.  No key or flag sets a tolerance, the quadrature layout or a
 cutoff: each gate's tolerance is a constant of its check, the layout is
-four constants of `quadrature`, and each integral names its lower limit.
+three constants of `quadrature`, and each integral names its lower limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SUITES = ("algebra", "models", "decomposition", "energy", "solver", "all")
 
@@ -25,8 +25,7 @@ def _boolean(val: str) -> bool:
         raise ValueError(f"not a boolean: {val!r}") from None
 
 
-@dataclass
-class SuiteConfig:
+class _Settings(NamedTuple):
     suite: str = "all"
     seed: int = 42
     n: int = 10000
@@ -35,15 +34,23 @@ class SuiteConfig:
     json_out: bool = False
     flip_star_sign: bool = False
 
-    def __post_init__(self):
-        if self.suite not in SUITES:
-            raise ValueError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
-        if self.n < 1:
+
+class SuiteConfig(_Settings):
+    """The settings of one command, validated when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.suite not in SUITES:
+            raise ValueError(f"unknown suite {cfg.suite!r}; pick one of {SUITES}")
+        if cfg.n < 1:
             raise ValueError("n must be >= 1")
-        if self.n_pert < 1:
+        if cfg.n_pert < 1:
             raise ValueError("n_pert must be >= 1")
-        if self.seed < 0:
+        if cfg.seed < 0:
             raise ValueError("seed must be >= 0")
+        return cfg
 
 
 _KEY_TYPES = {

@@ -62,7 +62,6 @@ from .su2 import bracket
 OMEGA_NORM_SQ = 1.5
 _I3 = np.eye(3)
 
-IDENTITY_EPS = 0.05  # lower limit of the at_eps pass, which the balances read
 CUTOFF_EPS = (1e-2, 1e-3, 1e-4)  # cutoffs of the reference solution's sweep
 
 # What each identity reads, by keyword: the reference solution's pass above
@@ -195,7 +194,7 @@ _KEPT_GROUPS = tuple(dict.fromkeys((*FULL_LINE_ROWS.values(),
                                     *CUTOFF_ROWS.values())))
 
 
-# l2_norm_sq of named density rows of one field from eps (0: from zero),
+# vol(S^3) * int_eps^inf of named density rows of one field (eps 0: from zero),
 # rows[name] = (value, error estimate), and the parts they add up from:
 # parts[density keys] = (head, body, tail), the doubled_sums of the head and
 # the body and the tail_bound.  The from-zero pass also keeps the body and

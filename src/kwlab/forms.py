@@ -23,8 +23,9 @@ profiles for it.  The 3d and 4d Hodge
 stars act only inside ``kw_residual``, as these constants.  None of them is
 chosen by hand: ``calibrate`` searches the finite set c_struct in {+-1, +-2},
 s1, s2 in {+-1} for the unique choice that makes the Ricci curvature of the
-frame equal 2g exactly and annihilates the Kapustin-Witten residual of the
-closed-form reference solution.
+frame equal 2g exactly (on integers, at the scale 4 Ric = 8 delta) and
+annihilates the Kapustin-Witten residual of the closed-form reference
+solution.
 
 The kernels keep their input's arithmetic.  The exact tables of ``decomp``
 run them on int64 matrices at an integer scale: the bracket-wedge of integer
@@ -38,7 +39,6 @@ component phi_y along dy.  The maximum-principle combination for phi_y,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -62,15 +62,18 @@ def wedge_bracket_matrix(u, v):
     """Coefficient matrix of the bracket-wedge [u ^ v] of two tangential
     1-forms, expressed in the (t_m, hat{e}_c) basis:
     out[m][c] = sum eps_ijm eps_abc u[i][a] v[j][b], summed from 0 in
-    EPS_TABLE order into one preallocated array of the first term's dtype,
-    so integer input gives an integer result."""
+    EPS_TABLE order into one preallocated array of the first product's
+    dtype, so integer input gives an integer result.  Each product u[i][a]
+    v[j][b] is added to or subtracted from its entry in place, by the sign
+    eps_ijm eps_abc."""
     out = None
     for i, j, m, sij in EPS_TABLE:
         for a, b, c, sab in EPS_TABLE:
-            term = sij * sab * u[i][a] * v[j][b]
+            term = u[i][a] * v[j][b]
             if out is None:
                 out = np.zeros((3, 3) + np.shape(term), np.asarray(term).dtype)
-            out[m, c] += term
+            entry = out[m, c, ...]  # a view, also of a 0-d entry
+            (np.add if sij * sab > 0 else np.subtract)(entry, term, out=entry)
             del term  # so that only the next term's temporaries join out
     return out
 
@@ -277,31 +280,34 @@ def taubes_lhs(a, p, w, dw, ddw) -> float:
 # ---------------------------------------------------------------------------
 
 def ricci_tensor(c: int):
-    """Ricci tensor of the invariant metric, computed from the frame bracket
-    [E_a, E_b] = c eps_abc E_c through the Koszul formula; exact.  It
-    depends on the structure constant alone.  With g = 2 Gamma = c eps, the
-    bracket constants, 4 Ric is a sum of integers, divided by 4 once."""
+    """4 Ric: the Ricci tensor of the invariant metric at the integer scale
+    4, computed from the frame bracket [E_a, E_b] = c eps_abc E_c through
+    the Koszul formula; exact.  It depends on the structure constant alone.
+    With g = 2 Gamma = c eps, the bracket constants, 4 Ric is a sum of
+    integers, an int64 matrix; Ric = 2g reads 4 Ric = 8 delta."""
     g = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for i, j, k, s in EPS_TABLE:
         g[i][j][k] = c * s
     n = range(3)
-    return np.array([[Fraction(sum(
+    return np.array([[sum(
         g[b][cc][d] * g[a][d][a] - g[a][cc][d] * g[b][d][a]
-        - 2 * g[a][b][d] * g[d][cc][a] for a in n for d in n), 4)
-        for cc in n] for b in n], dtype=object)
+        - 2 * g[a][b][d] * g[d][cc][a] for a in n for d in n)
+        for cc in n] for b in n])
 
 
-def _is_twice_metric(ric) -> bool:
-    return all(ric[i][j] == (2 if i == j else 0) for i in range(3) for j in range(3))
+def _is_twice_metric(ric4) -> bool:
+    """Whether 4 Ric = 8 delta, that is Ric = 2g."""
+    return all(ric4[i][j] == (8 if i == j else 0)
+               for i in range(3) for j in range(3))
 
 
 def ricci_check(conv: GeometryConventions) -> CheckReport:
     """Assert Ric = 2g and report the ratio Ric(phi,phi)/|phi|^2 for phi = omega."""
-    ric = ricci_tensor(conv.c)
-    exact = _is_twice_metric(ric)
+    ric4 = ricci_tensor(conv.c)
+    exact = _is_twice_metric(ric4)
     # ratio Ric(phi,phi)/|phi|^2 for phi = omega: sum_a Ric_aa <t_a,t_a> / (3/2)
-    num = sum(ric[a][a] * Fraction(1, 2) for a in range(3))
-    ratio = float(num / Fraction(3, 2))
+    # = sum_a Ric_aa / 3 = trace(4 Ric) / 12, one correctly rounded division
+    ratio = int(np.trace(ric4)) / 12
     return make_check(
         "ricci",
         "Ricci of the invariant frame equals twice the metric",
@@ -330,9 +336,10 @@ CALIBRATION_TOL = 1e-10  # worst residual of the reference solution
 
 def calibrate() -> GeometryConventions:
     """Search the finite convention set for the unique (c_struct, s1, s2)
-    with exact Ric = 2g and vanishing residual on the reference solution.
-    The reference field is evaluated, and its convention-free brackets
-    formed, once for all the conventions tested."""
+    with exact Ric = 2g (4 Ric = 8 delta, on integers) and vanishing
+    residual on the reference solution.  The reference field is evaluated,
+    and its convention-free brackets formed, once for all the conventions
+    tested."""
     from .profiles import nahm_pole_invariant_solution
 
     field = FieldAt.of(None, nahm_pole_invariant_solution(),

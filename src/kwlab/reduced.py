@@ -41,7 +41,6 @@ On top of the system sit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple
@@ -103,25 +102,27 @@ def _quadratic_through_samples(f) -> tuple:
     return (f00, f10 - f00 - c20, f01 - f00 - c02, c20, f11 - f10 - f01 + f00, c02)
 
 
-@dataclass
 class ReducedSystem:
     """Autonomous system a' = f1(a, b), b' = f2(a, b) with exact-rational
-    quadratic coefficients over the monomials 1, a, b, a^2, ab, b^2."""
+    quadratic coefficients over the monomials 1, a, b, a^2, ab, b^2; equal
+    to another system with the same conventions and coefficients."""
 
-    conv: GeometryConventions
-    coeffs_a: tuple  # Fractions, monomial order as in _MONOMIALS
-    coeffs_b: tuple
-    # the same coefficients as floats, converted once, and stacked as a
-    # longdouble (2, 6) matrix for lane arrays
-    float_a: tuple = field(init=False, repr=False, compare=False)
-    float_b: tuple = field(init=False, repr=False, compare=False)
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.float_a = tuple(float(c) for c in self.coeffs_a)
-        self.float_b = tuple(float(c) for c in self.coeffs_b)
+    def __init__(self, conv: GeometryConventions, coeffs_a: tuple,
+                 coeffs_b: tuple):
+        self.conv = conv
+        self.coeffs_a = coeffs_a  # Fractions, monomial order as in _MONOMIALS
+        self.coeffs_b = coeffs_b
+        # the same coefficients as floats, converted once, and stacked as a
+        # longdouble (2, 6) matrix for lane arrays
+        self.float_a = tuple(float(c) for c in coeffs_a)
+        self.float_b = tuple(float(c) for c in coeffs_b)
         self._matrix = np.array([self.float_a, self.float_b],
                                 dtype=np.longdouble)
+
+    def __eq__(self, other):
+        return type(other) is ReducedSystem and (
+            (self.conv, self.coeffs_a, self.coeffs_b)
+            == (other.conv, other.coeffs_a, other.coeffs_b))
 
     def rhs(self, a, b):
         """(a', b') at scalars or, elementwise, at arrays."""

@@ -14,7 +14,6 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 SCHEMA_VERSION = 1
@@ -23,8 +22,7 @@ PROVENANCES = ("reference", "trivial", "derived")
 STATUSES = ("pass", "fail", "info")
 
 
-@dataclass
-class CheckReport:
+class _CheckFields(NamedTuple):
     check_id: str
     detail: str
     computed: float | None
@@ -32,13 +30,21 @@ class CheckReport:
     tolerance: float
     status: str
     provenance: str
-    extra: dict = field(default_factory=dict)
+    extra: dict = {}  # never written to: make_check gives each its own
 
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"bad provenance {self.provenance!r}")
+
+class CheckReport(_CheckFields):
+    """A check record, its status and provenance validated when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        check = super().__new__(cls, *args, **kwargs)
+        if check.status not in STATUSES:
+            raise ValueError(f"bad status {check.status!r}")
+        if check.provenance not in PROVENANCES:
+            raise ValueError(f"bad provenance {check.provenance!r}")
+        return check
 
     @property
     def gates(self) -> bool:
@@ -127,7 +133,7 @@ def checks_to_json(checks: list, meta: dict) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "meta": meta,
-        "checks": [vars(c) for c in checks],  # the fields, not copied
+        "checks": [c._asdict() for c in checks],
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 

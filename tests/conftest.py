@@ -8,6 +8,7 @@ from kwlab.energy import bound_constants, cutoff_sweep, full_line_norms
 from kwlab.forms import calibrate
 from kwlab.jets import Jet
 from kwlab.profiles import nahm_pole_invariant_solution
+from kwlab.quadrature import VOL_S3, integrate_halfline
 
 _ACCEPTANCE_LINES = []
 
@@ -39,6 +40,14 @@ def one_form_norm_sq(m):
     """|u|^2 for u = sum c_ia t_i e_a, (1/2) sum c_ia^2; a Fraction on
     Fraction entries."""
     return forms.half_of(forms.frob_inner(m, m))
+
+
+def l2_norm_sq(density, lo: float):
+    """vol(S^3) * int_lo^inf density dy, density a pointwise norm^2: one
+    density's whole pass, the reference that the energy suite's shared
+    passes are held to."""
+    v, e = integrate_halfline(density, lo)
+    return VOL_S3 * v, VOL_S3 * e
 
 
 def record_acceptance(name: str, passed: bool, detail: str = ""):

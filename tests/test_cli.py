@@ -832,6 +832,64 @@ def test_no_scalar_math_mapped_over_arrays():
     assert _vectorised_shims(_PACKAGE) == []
 
 
+def test_no_module_imports_dataclasses():
+    # the package's records are NamedTuples or plain classes: dataclasses
+    # (and the copy and inspect machinery it loads) would cost every command
+    # its start-up
+    found = [(name, ast.unparse(node))
+             for name, tree in _package_trees(_PACKAGE)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert found == []
+
+
+def test_verify_runs_only_its_suite_module(tmp_path):
+    # the four suite modules are in sys.modules from `import kwlab.cli` on,
+    # and a module whose body has run is a plain module: in a fresh process
+    # each suite runs its own module alone, and none loads fractions or
+    # dataclasses
+    root = os.path.join(os.path.dirname(__file__), "..")
+    code = (
+        "import sys, types\n"
+        "from kwlab.cli import main\n"
+        "assert main(['verify', '--suite', sys.argv[1], '--n', '300',\n"
+        "             '--n-pert', '2', '--out', sys.argv[2]]) == 0\n"
+        "ran = [m for m in ('decomp', 'energy', 'halfspace', 'reduced')\n"
+        "       if type(sys.modules['kwlab.' + m]) is types.ModuleType]\n"
+        "print(ran, [m for m in ('fractions', 'dataclasses') if m in sys.modules])\n")
+    for suite, ran in (("algebra", []), ("decomposition", ["decomp"]),
+                       ("models", ["halfspace"]), ("energy", ["energy"])):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, suite, str(tmp_path / "r.json")],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{ran} []", suite
+
+
+def test_lazy_suite_module_is_the_one_imported():
+    # a suite module imported before kwlab.cli is the one that cli reads (a
+    # second copy would leave a test's monkeypatch on the first unread), and
+    # one that cli registers is the package's attribute, its body not run
+    root = os.path.join(os.path.dirname(__file__), "..")
+    code = (
+        "import sys, types\n"
+        "import kwlab.reduced as first\n"
+        "import kwlab.cli\n"
+        "import kwlab\n"
+        "print(kwlab.cli.reduced is first is sys.modules['kwlab.reduced'],\n"
+        "      kwlab.cli.energy is kwlab.energy is sys.modules['kwlab.energy'],\n"
+        "      type(kwlab.energy) is types.ModuleType)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "False"]
+
+
 def test_seeded_commands_do_not_load_numpy_random(tmp_path):
     # every seeded sample comes from random.Random: in a fresh process the
     # sampling suites and the residual command leave numpy.random (and the

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import jet_exp
+from conftest import jet_exp, l2_norm_sq
 from kwlab.energy import (
     BLOCK,
     C_MODEL_ROWS,
@@ -53,7 +53,6 @@ from kwlab.quadrature import (
     integrate_halfline,
     integrate_head,
     integrate_panels,
-    l2_norm_sq,
 )
 from kwlab.report import make_check
 from kwlab.su2 import bracket

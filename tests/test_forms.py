@@ -50,7 +50,7 @@ def test_calibration_rejects_other_conventions(conv):
         if cand == conv:
             continue
         ric = ricci_tensor(cand.c)
-        ric_ok = all(ric[i][j] == (Fraction(2) if i == j else 0)
+        ric_ok = all(ric[i][j] == (8 if i == j else 0)
                      for i in range(3) for j in range(3))
         if not ric_ok:
             continue
@@ -145,6 +145,54 @@ def test_wedge_bracket_symmetric_bilinear():
     assert _exact_eq(wedge_bracket_matrix(u, ZERO), ZERO)
     # wedge(u, u) = half the bracket wedge
     assert _exact_eq(star_vv(u) * 2, wedge_bracket_matrix(u, u))
+
+
+def _wedge_term_by_term(u, v):
+    """The bracket-wedge summed as it was before the in-place ufuncs: each
+    term the sign times the product, added to its entry with +=."""
+    out = None
+    for i, j, m, sij in EPS_TABLE:
+        for a, b, c, sab in EPS_TABLE:
+            term = sij * sab * u[i][a] * v[j][b]
+            if out is None:
+                out = np.zeros((3, 3) + np.shape(term), np.asarray(term).dtype)
+            out[m, c] += term
+    return out
+
+
+def _wedge_inputs():
+    rng = np.random.default_rng(39)
+    floats = rng.standard_normal((4, 3, 3, 768))
+    special = rng.choice([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf], (2, 3, 3, 64))
+    big = np.iinfo(np.int64).max // 3
+    cases = {
+        "float64": (floats[0, ..., :384], floats[1, ..., :384]),
+        "longdouble": floats[2:].astype(np.longdouble),
+        "int64": rng.integers(-9, 10, (2, 3, 3, 1000)),
+        "int64-wrapping": rng.integers(big // 2, big, (2, 3, 3, 50)),
+        "fractions": (MU1 * 3 + OMEGA * Fraction(1, 2), OMEGA - MU1 / 7),
+        "lists": (floats[0, ..., 0].tolist(), floats[1, ..., 0].tolist()),
+        "broadcast": (floats[0, ..., None, :5], floats[1, ..., :7, None]),
+        "0-d": (floats[2, ..., 0], floats[3, ..., 0]),
+        "signed-zeros-inf": special,
+    }
+    return [pytest.param(u, v, id=kind) for kind, (u, v) in cases.items()]
+
+
+@pytest.mark.parametrize("u, v", _wedge_inputs())
+def test_wedge_bracket_matches_term_by_term_sum_bitwise(u, v):
+    # the same products, signs and left-to-right order, so the same bits:
+    # the dtype, the shape, every value, the sign of every zero, and the
+    # type of every exact entry; inf - inf makes the same NaN in both
+    with np.errstate(invalid="ignore"):
+        got, want = wedge_bracket_matrix(u, v), _wedge_term_by_term(u, v)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+        assert list(map(type, got.flat)) == list(map(type, want.flat))
+    else:
+        assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_star_eigen_examples(conv):
@@ -313,7 +361,7 @@ def test_ricci_check_calibrated_and_flat(conv):
     assert rep0.status == "fail" and rep0.computed == 0.0
     # Ricci is a multiple of the metric: same ratio on any direction
     ric = ricci_tensor(conv.c)
-    assert all(ric[i][i] == Fraction(2) for i in range(3))
+    assert all(ric[i][i] == 8 for i in range(3))  # 4 Ric = 8 delta
     assert all(ric[i][j] == 0 for i in range(3) for j in range(3) if i != j)
 
 

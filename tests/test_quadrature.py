@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import l2_norm_sq
 from kwlab import quadrature
 from kwlab.quadrature import (
     NODES,
@@ -13,7 +14,6 @@ from kwlab.quadrature import (
     integrate_halfline,
     integrate_head,
     integrate_panels,
-    l2_norm_sq,
 )
 
 

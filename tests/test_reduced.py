@@ -1,12 +1,12 @@
 """Reduced ODE: derivation, pole series, integration, shooting."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import l2_norm_sq
 from kwlab.energy import density_fn
 from kwlab.forms import FieldAt, kw_residual
 from kwlab.profiles import (
@@ -15,7 +15,6 @@ from kwlab.profiles import (
     pole_scalars,
     scaled_matrix_profile,
 )
-from kwlab.quadrature import l2_norm_sq
 from kwlab import quadrature, reduced
 from kwlab.reduced import (
     BlowUpError,
@@ -316,8 +315,8 @@ def _perturbed_systems(system):
         for d in (Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(1)):
             coeffs = list(system.coeffs_a + system.coeffs_b)
             coeffs[i] += d
-            out.append(dataclasses.replace(system, coeffs_a=tuple(coeffs[:6]),
-                                           coeffs_b=tuple(coeffs[6:])))
+            out.append(reduced.ReducedSystem(system.conv, tuple(coeffs[:6]),
+                                             tuple(coeffs[6:])))
     return out
 
 
@@ -1016,7 +1015,8 @@ def test_first_integral_drift_catches_a_coefficient_fault(system, row, col):
     # any longdouble coefficient of the stepper's matrix moved by 1e-6
     # after the derivation: H drifts 2.5e8 times its bound or more
     a0, b0, _, _ = pole_scalars(0.1, np.longdouble)
-    faulty = dataclasses.replace(system)
+    faulty = reduced.ReducedSystem(system.conv, system.coeffs_a,
+                                   system.coeffs_b)
     faulty._matrix[row, col] += 1e-6
     drift, bound = _first_integral_drift(
         integrate_ivp(faulty, 0.1, (a0, b0), 6.0))
