@@ -1,18 +1,10 @@
-"""Verification lab for Kapustin-Witten fields with Nahm pole data on S^3 x R+."""
+"""Verification lab for Kapustin-Witten fields with Nahm pole data on S^3 x R+.
 
-from .forms import GeometryConventions, calibrate
-from .profiles import (
-    InvariantField,
-    nahm_pole_invariant_solution,
-    nahm_pole_invariant_solution_alt,
-)
-
-__all__ = [
-    "GeometryConventions",
-    "calibrate",
-    "InvariantField",
-    "nahm_pole_invariant_solution",
-    "nahm_pole_invariant_solution_alt",
-]
+The package body imports nothing, so `import kwlab` loads neither numpy nor
+a kwlab module: `python -m kwlab.cli` imports the package before it runs
+`cli`, and `cli` pauses the garbage collector before its own imports (see
+`kwlab.cli`).  Import the modules by name: `kwlab.forms`, `kwlab.profiles`,
+`kwlab.cli` and the others.
+"""
 
 __version__ = "0.1.0"

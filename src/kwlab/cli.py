@@ -17,6 +17,20 @@ atomically.  `entry` is the `kwlab` command and the `python -m kwlab.cli`
 path: it runs `main`, whose outputs are closed when it returns, then exits
 without the interpreter's final garbage collection.
 
+Run as the main module (`python -m kwlab.cli`), this module turns the
+cyclic garbage collector off in its first statements, before it imports
+numpy and the rest of kwlab; the package's `__init__` imports nothing, so
+nothing is imported before that.  The collections it skips (32 to 34 per
+`verify` command, about 4 ms) would only walk objects that live until the
+process exits.
+`entry` then freezes the heap that the imports built (gc.freeze), so no
+later collection walks it, and turns the collector back on for `main`.
+The `kwlab` console script imports this module as `kwlab.cli` before it
+calls `entry`, so its imports run with the collector on and it gains only
+the freeze.  A module import (`import kwlab.cli`, the tests, perfbench's
+tracer) keeps the collector on and the heap unfrozen, and so does
+`main(argv)`.
+
 Every command runs `config`, `forms`, `profiles`, `quadrature`, `report` and
 `su2`.  The suite modules run only where a command reads them: `decomp` for
 the decomposition suite; `energy` for the energy suite, the energy command
@@ -28,10 +42,13 @@ functions that it wraps in the modules that `import kwlab.cli` leaves in
 sys.modules.
 """
 
-from __future__ import annotations
+import gc
+
+_AS_MAIN = __name__ == "__main__"  # python -m kwlab.cli: see the docstring
+if _AS_MAIN:
+    gc.disable()  # until entry() freezes what the imports below build
 
 import argparse
-import gc
 import importlib.util
 import math
 import os
@@ -50,7 +67,8 @@ from .profiles import (
     pole_scalars,
     scaled_matrix_profile,
 )
-from .report import make_check, write_checks_json, write_csv, write_energy_json
+from .report import (float_rows, make_check, write_checks_json, write_csv,
+                     write_energy_json)
 
 
 def _lazy(name: str):
@@ -504,16 +522,15 @@ def emit_plotdata(target: str, out_dir: str):
     if target == "profiles":
         ys = np.geomspace(1e-3, 12.0, 400)
         a, b, _, _ = pole_scalars(ys)
-        rows = [[repr(float(x)) for x in row] for row in zip(ys, a, b)]
-        write_csv(os.path.join(out_dir, "profiles.csv"), ["y", "a", "b"], rows)
+        write_csv(os.path.join(out_dir, "profiles.csv"), ["y", "a", "b"],
+                  float_rows(ys, a, b))
         return ["profiles.csv"]
     if target == "integrands":
         keys = ("F_sq", "nabla_bar_sq", "S_sq", "phi_sq")
         ys = np.geomspace(1e-3, 12.0, 400)
         d = energy.densities(conv, model, ys, keys)
-        rows = [[repr(float(x)) for x in row]
-                for row in zip(ys, *(d[k] for k in keys))]
-        write_csv(os.path.join(out_dir, "integrands.csv"), ["y", *keys], rows)
+        write_csv(os.path.join(out_dir, "integrands.csv"), ["y", *keys],
+                  float_rows(ys, *(d[k] for k in keys)))
         return ["integrands.csv"]
     if target == "eps-sweep":
         # the cutoff rows of the field that the from-zero pass certified
@@ -660,8 +677,7 @@ def main(argv=None) -> int:
                 y0=args.y0)
             ys = np.linspace(args.y0, 10.0, 500)
             a, b = shot.result.at(ys)
-            write_csv(args.out_profile, ["y", "a", "b"],
-                      [[repr(float(x)) for x in row] for row in zip(ys, a, b)])
+            write_csv(args.out_profile, ["y", "a", "b"], float_rows(ys, a, b))
             report.write_json(args.out_log, {
                 "schema_version": report.SCHEMA_VERSION,
                 "parameter": shot.param,
@@ -705,10 +721,16 @@ def main(argv=None) -> int:
 
 def entry():
     """Run `main` on the command line's arguments and exit with its code.
-    The heap is frozen first, so the interpreter's final collections skip
-    numpy's and kwlab's objects; stdout and stderr are still flushed and
-    atexit handlers still run.  `main(argv)` never freezes: a caller in its
-    own process keeps its heap."""
+
+    Before `main`, the heap that the imports built is frozen and the
+    collector turned on: under `python -m kwlab.cli` it was off from this
+    module's first statements, so no collection ever walks the imports.
+    After `main`, the heap is frozen again, so the interpreter's final
+    collections skip it too; stdout and stderr are still flushed and atexit
+    handlers still run.  `main(argv)` never freezes: a caller in its own
+    process keeps its heap."""
+    gc.freeze()
+    gc.enable()
     code = main()
     gc.freeze()
     raise SystemExit(code)

@@ -115,14 +115,15 @@ def _exact(check_id, holds: bool, note, provenance="reference") -> CheckReport:
 
 
 def omega_bracket_eigencheck() -> list:
-    """Exact eigenvalue table of *3[omega, . ] on all nine basis vectors."""
-    out = []
-    for i, (vecs, lam) in enumerate(zip(basis(), EIGENVALUES), 1):
-        for k, v in enumerate(vecs):
-            out.append(_exact(f"eigen-table-v{i}-{k}",
-                              np.array_equal(omega_bracket(v), lam * v),
-                              f"*3[omega, .] acts on V^{i} with eigenvalue {lam}"))
-    return out
+    """Exact eigenvalue table of *3[omega, . ] on all nine basis vectors,
+    from one omega_bracket call on their (3, 3, 9) stack."""
+    cases = [(i, k, v, lam) for i, (vecs, lam) in
+             enumerate(zip(basis(), EIGENVALUES), 1) for k, v in enumerate(vecs)]
+    images = omega_bracket(np.stack([v for _, _, v, _ in cases], axis=-1))
+    return [_exact(f"eigen-table-v{i}-{k}",
+                   np.array_equal(images[..., n], lam * v),
+                   f"*3[omega, .] acts on V^{i} with eigenvalue {lam}")
+            for n, (i, k, v, lam) in enumerate(cases)]
 
 
 def _te(i):
@@ -138,10 +139,33 @@ def appendix_star_table() -> list:
     with a global minus sign under the engine orientation (recorded here as
     a regression value, reported per entry), and the consequences that the
     quadratic-projection argument actually uses -- orthogonality to V1 and
-    the projection magnitude 1/3 |omega| -- are asserted exactly.
+    the projection magnitude 1/3 |omega| -- are asserted exactly.  The 36
+    brackets that the entries read are one wedge_bracket_matrix call on
+    (3, 3, 36) stacks, taken in the order of the entries.
     """
     checks = []
     zero = 0 * _I3
+    nu_cases = [(f"star-table-nu{k + 1}", NU[k], _te(k)) for k in range(3)]
+    nu_cases += [
+        ("star-table-nu12", NU_12, _te(2)),
+        ("star-table-nu13", NU_13, _te(1)),
+    ]
+    mu_cross = [(a, b) for a in range(3) for b in range(3) if a != b]
+    # cross brackets of *orthogonal* symmetric basis pairs are perpendicular
+    # to V1; the two diagonal vectors are not orthogonal to each other
+    # (<nu_12, nu_13> = 1/2) and their bracket picks up the V1 part that
+    # reconciles the quadratic-projection equality on non-orthogonal input.
+    sym = (NU[0], NU[1], NU[2], NU_12, NU_13)
+    nu_cross = [(a, b) for a in range(len(sym)) for b in range(len(sym))
+                if a != b and {a, b} != {3, 4}]
+    magnitudes = (("mu1", MU[0]), ("nu1", NU[0]), ("nu12", NU_12))
+    pairs = ([(m, m) for m in MU] + [(v, v) for _, v, _ in nu_cases]
+             + [(MU[a], MU[b]) for a, b in mu_cross]
+             + [(sym[a], sym[b]) for a, b in nu_cross] + [(NU_12, NU_13)]
+             + [(v, v) for _, v in magnitudes])
+    wedges = wedge_bracket_matrix(*(np.stack(side, axis=-1)
+                                    for side in zip(*pairs)))
+    bracket = iter(np.moveaxis(wedges, -1, 0))  # the pairs' brackets in turn
 
     def expect(check_id, got, want, note, provenance="reference"):
         checks.append(_exact(check_id, np.array_equal(got, want), note,
@@ -151,19 +175,14 @@ def appendix_star_table() -> list:
     for k in range(3):
         expect(
             f"star-table-mu{k + 1}",
-            wedge_bracket_matrix(MU[k], MU[k]),
+            next(bracket),
             2 * _te(k),
             f"*3(mu{k + 1} ^ mu{k + 1}) = t{k + 1} e{k + 1}",
         )
 
     # engine sign for the symmetric basis: *3(nu ^ nu) = -(t e) entrywise
-    nu_cases = [(f"star-table-nu{k + 1}", NU[k], _te(k)) for k in range(3)]
-    nu_cases += [
-        ("star-table-nu12", NU_12, _te(2)),
-        ("star-table-nu13", NU_13, _te(1)),
-    ]
-    for cid, v, te in nu_cases:
-        expect(cid, wedge_bracket_matrix(v, v), -2 * te,
+    for cid, _, te in nu_cases:
+        expect(cid, next(bracket), -2 * te,
                "quadratic star of a symmetric basis vector, engine sign -1",
                provenance="derived")
         checks.append(
@@ -177,34 +196,23 @@ def appendix_star_table() -> list:
         )
 
     # cross brackets leave no trace part
-    for a in range(3):
-        for b in range(3):
-            if a == b:
-                continue
-            expect(
-                f"star-table-mu{a + 1}{b + 1}-perp",
-                project6(1, wedge_bracket_matrix(MU[a], MU[b])),
-                zero,
-                "*3[mu_i, mu_j] is orthogonal to V1 for i != j",
-            )
-    # cross brackets of *orthogonal* symmetric basis pairs are perpendicular
-    # to V1; the two diagonal vectors are not orthogonal to each other
-    # (<nu_12, nu_13> = 1/2) and their bracket picks up the V1 part that
-    # reconciles the quadratic-projection equality on non-orthogonal input.
-    sym = (NU[0], NU[1], NU[2], NU_12, NU_13)
-    for a in range(len(sym)):
-        for b in range(len(sym)):
-            if a == b or {a, b} == {3, 4}:
-                continue
-            expect(
-                f"star-table-nu-bracket-{a}{b}-perp",
-                project6(1, wedge_bracket_matrix(sym[a], sym[b])),
-                zero,
-                "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs",
-            )
+    for a, b in mu_cross:
+        expect(
+            f"star-table-mu{a + 1}{b + 1}-perp",
+            project6(1, next(bracket)),
+            zero,
+            "*3[mu_i, mu_j] is orthogonal to V1 for i != j",
+        )
+    for a, b in nu_cross:
+        expect(
+            f"star-table-nu-bracket-{a}{b}-perp",
+            project6(1, next(bracket)),
+            zero,
+            "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs",
+        )
     # V1 part -(1/3) omega, times 6
     expect("star-table-nu-diag-bracket-v1",
-           project6(1, wedge_bracket_matrix(NU_12, NU_13)), -2 * _I3,
+           project6(1, next(bracket)), -2 * _I3,
            "V1 part of *3[nu_12, nu_13] (non-orthogonal pair), engine value "
            "-(1/3) omega", provenance="derived")
 
@@ -219,10 +227,10 @@ def appendix_star_table() -> list:
     # projection magnitudes used by the quadratic-projection equalities:
     # |omega/3|^2 = 1/6, so the 12-fold projection of [v ^ v] has entries
     # whose squares sum to 2 * 144 / 6 = 48
-    for name, v in (("mu1", MU[0]), ("nu1", NU[0]), ("nu12", NU_12)):
+    for name, _ in magnitudes:
         checks.append(_exact(
             f"star-table-{name}-v1-magnitude",
-            _sum_sq(project6(1, wedge_bracket_matrix(v, v))) == 48,
+            _sum_sq(project6(1, next(bracket))) == 48,
             "projection of the quadratic star onto V1 has magnitude |omega|/3"))
     return checks
 

@@ -227,8 +227,8 @@ def read_points_csv(path: str) -> np.ndarray:
 
 def write_residuals_csv(path: str, conv: GeometryConventions,
                         fld: FlatModelField, pts):
-    from .report import write_csv
+    from .report import float_rows, write_csv
 
-    rows = [[repr(float(v)) for v in col]
-            for col in np.vstack([pts, kw_residual_flat(conv, fld, pts)]).T]
-    write_csv(path, ["x1", "x2", "x3", "y", "res_eq1", "res_eq2"], rows)
+    pts = np.asarray(pts, dtype=float)
+    write_csv(path, ["x1", "x2", "x3", "y", "res_eq1", "res_eq2"],
+              float_rows(*pts, *kw_residual_flat(conv, fld, pts)))

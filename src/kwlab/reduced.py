@@ -225,25 +225,43 @@ class IndicialExpansion(NamedTuple):
 
 class PoleSeries(NamedTuple):
     """The pole series with its free coefficient p open: each coefficient is
-    a polynomial in p, a tuple of Fractions from the constant term up."""
+    a polynomial in p with rational coefficients, stored on integers as
+    (numerators from the constant term up, their common denominator)."""
 
     order: int
     a_polys: dict  # power, as in IndicialExpansion -> polynomial in p
     b_polys: dict
 
     def at(self, p) -> IndicialExpansion:
-        """The series at one value of p, exactly (Horner on Fractions)."""
-        p = Fraction(p)
+        """The series at one value of p (a float, an int or a Fraction),
+        exactly.  With p = m / q (``as_integer_ratio``: q is a power of 2
+        for a float), Horner's rule on integers gives
+        sum n_i m^i q^(k - i) for the polynomial sum (n_i / d) p^i of
+        degree k, and the coefficient is that over d q^k: one Fraction, and
+        so one gcd, per coefficient."""
+        m, q = p.as_integer_ratio()
 
-        def value(c):
-            out = c[-1]
-            for x in c[-2::-1]:
-                out = out * p + x
-            return out
+        def value(poly):
+            nums, d = poly
+            out, scale = 0, 1  # scale is q^(k - i) at n_i
+            for n in reversed(nums):
+                out = out * m + n * scale
+                scale *= q
+            return Fraction(out, d * scale // q)
 
         return IndicialExpansion(
             self.order, {k: value(c) for k, c in self.a_polys.items()},
             {k: value(c) for k, c in self.b_polys.items()})
+
+
+def _on_integers(polys: dict) -> dict:
+    """Each polynomial's Fraction coefficients as (numerators, d) over their
+    least common denominator d."""
+    out = {}
+    for k, c in polys.items():
+        d = math.lcm(*(x.denominator for x in c))
+        out[k] = (tuple(x.numerator * (d // x.denominator) for x in c), d)
+    return out
 
 
 def _poly_add(u: tuple, v: tuple) -> tuple:
@@ -301,7 +319,7 @@ def indicial_expand(sys: ReducedSystem, order: int) -> PoleSeries:
         # k + 1 - 2 c_b[5] = k + 3 > 0
         b[k + 1] = tuple(x / (k + 1 - 2 * sys.coeffs_b[5])
                          for x in known_part(sys.coeffs_b, k))
-    return PoleSeries(order, a, b)
+    return PoleSeries(order, _on_integers(a), _on_integers(b))
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,16 @@ def write_json(path: str, payload: dict):
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def float_rows(*columns) -> list:
+    """CSV rows of equal-length numpy columns, each cell the repr of a
+    Python float: the bytes that repr(float(x)) gives per cell, from one
+    ``tolist`` per column.  A column is cast to float64 first (a no-op on
+    float64), as float() would round it: ``tolist`` on a longdouble column
+    keeps longdouble scalars, whose repr differs."""
+    return [[repr(x) for x in row] for row in
+            zip(*(c.astype(float, copy=False).tolist() for c in columns))]
+
+
 def write_csv(path: str, header: list, rows: list):
     import csv
 

@@ -32,7 +32,13 @@ from kwlab.config import (
     build_config,
     parse_config_text,
 )
-from kwlab.report import CheckReport, checks_to_json, make_check, write_checks_json
+from kwlab.report import (
+    CheckReport,
+    checks_to_json,
+    float_rows,
+    make_check,
+    write_checks_json,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +81,17 @@ def test_atomic_write_and_readback(tmp_path):
     assert data["checks"][0]["check_id"] == "ricci"
     assert not [p for p in os.listdir(tmp_path / "sub")
                 if p.startswith(".tmp-")]
+
+
+def test_float_rows_are_the_repr_of_each_float():
+    # one tolist per column gives the bytes of repr(float(x)) per cell; a
+    # longdouble column is rounded first, as float() rounds it
+    cols = (np.array([0.1, -0.0, 1e-300, np.inf, np.nan, 2.0 / 3.0]),
+            np.arange(1, 7, dtype=np.longdouble) / 3,
+            np.geomspace(1e-3, 12.0, 6))
+    rows = float_rows(*cols)
+    assert rows == [[repr(float(x)) for x in row] for row in zip(*cols)]
+    assert rows[1][:2] == ["-0.0", "0.6666666666666666"]
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +1004,67 @@ def test_console_script_is_the_main_module_entry():
                  and ast.unparse(node.test) == "__name__ == '__main__'")
     assert module == "kwlab.cli"
     assert [ast.unparse(stmt) for stmt in guard.body] == [f"{func}()"]
+
+
+def test_main_module_imports_run_no_collection(tmp_path):
+    # run as `python -m kwlab.cli` does, from cli's bytecode as an installed
+    # copy has it (compiling the source would itself collect, before cli's
+    # first statement): no collection starts before entry's first freeze
+    root = os.path.join(os.path.dirname(__file__), "..")
+    src = os.path.join(root, "src")
+    code = ("import atexit, gc, os, py_compile, runpy, sys\n"
+            "for name in ('__init__.py', 'cli.py'):\n"
+            "    py_compile.compile(os.path.join(sys.argv[1], 'kwlab', name))\n"
+            "starts = []\n"
+            "gc.collect()\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
+            "                    and starts.append(gc.get_freeze_count()))\n"
+            "def report():\n"
+            "    gc.collect()  # after the freeze: the hook must see it\n"
+            "    print(starts.count(0), len(starts) > 0)\n"
+            "atexit.register(report)\n"
+            "sys.argv = ['kwlab', *sys.argv[2:]]\n"
+            "runpy.run_module('kwlab.cli', run_name='__main__', alter_sys=True)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=src, PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src, "verify", "--suite", "algebra",
+         "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # none before the freeze; the hook saw the one at exit
+    assert proc.stdout.split() == ["0", "True"]
+    # a module import, as here, leaves the collector on and the heap unfrozen
+    import kwlab.cli  # noqa: F401
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_import_kwlab_loads_nothing():
+    # `python -m kwlab.cli` imports the package before cli's first line
+    root = os.path.join(os.path.dirname(__file__), "..")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kwlab\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m == 'numpy' or m.startswith('kwlab.')))"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def test_only_cli_pauses_the_collector_before_its_imports():
+    # cli turns the collector off before any import but gc's, and no other
+    # module calls gc: an importer of any other module keeps its collector
+    calls = {name: [ast.unparse(node) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and ast.unparse(node.func).startswith("gc.")]
+             for name, tree in _package_trees(_PACKAGE)}
+    assert {name for name, found in calls.items() if found} == {"cli.py"}
+    tree = next(tree for name, tree in _package_trees(_PACKAGE)
+                if name == "cli.py")
+    first = [ast.unparse(stmt) for stmt in tree.body[1:4]]
+    assert first == ["import gc", "_AS_MAIN = __name__ == '__main__'",
+                     "if _AS_MAIN:\n    gc.disable()"]
 
 
 def test_parser_covers_documented_commands():

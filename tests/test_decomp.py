@@ -260,6 +260,23 @@ def test_appendix_star_table_all_pass():
     assert signs and all(c.computed == -1.0 for c in signs)
 
 
+def test_tables_bracket_each_stack_once(monkeypatch):
+    # each table's pairs go through the engine as one (3, 3, k) int64 stack;
+    # test_integer_tables_match_fraction_oracle checks the entries one by one
+    calls = []
+    wedge = decomp.wedge_bracket_matrix
+
+    def counted(u, v):
+        calls.append((np.shape(u), np.shape(v), np.result_type(u, v)))
+        return wedge(u, v)
+
+    monkeypatch.setattr(decomp, "wedge_bracket_matrix", counted)
+    omega_bracket_eigencheck()
+    appendix_star_table()
+    assert calls == [((3, 3), (3, 3, 9), np.int64),
+                     ((3, 3, 36), (3, 3, 36), np.int64)]
+
+
 def test_star_table_values():
     t1e1 = _exact([[Fraction(1), 0, 0], [0, 0, 0], [0, 0, 0]])
     assert _eq(star_vv(_form(MU[0])), t1e1)
@@ -599,8 +616,9 @@ def test_decomposition_and_algebra_suites_stay_off_object_arrays(monkeypatch,
     for suite in ("decomposition", "algebra"):
         assert cli.main(["verify", "--suite", suite, "--n", "300",
                          "--out", str(tmp_path / f"{suite}.json")]) == 0
-    # every kernel is seen; the algebra suite's samples are (3, n) stacks,
-    # so a few hundred calls cover both suites
+    # every kernel is seen; the algebra suite's samples are (3, n) stacks and
+    # each decomposition table brackets its pairs as one stack, so 75 calls
+    # (225 dtypes) cover both suites
     assert set(seen) == {"wedge_bracket_matrix", "project6", "bracket", "inner"}
     dtypes = [d for ds in seen.values() for d in ds]
-    assert len(dtypes) > 300 and np.dtype(object) not in dtypes
+    assert len(dtypes) > 200 and np.dtype(object) not in dtypes

@@ -351,6 +351,19 @@ def test_pole_series_matches_rational_matching(system, order):
                           "series matching inconsistent at order 1"}
 
 
+def test_pole_series_at_a_float_is_exact(system, series):
+    # the shooter classifies float parameters: the series at a float is the
+    # matcher's at that float's exact rational value, Fractions throughout
+    floats = [ROOT, -2.0 / 3.0, 0.5, -0.0, 3.0, 2.0**-1074, -1e300,
+              ROOT * (1 + 2**-52), -0.6666666782307249]
+    for p in floats:
+        got = series.at(p)
+        assert got == _matched_expansion(system, reduced.SHOOT_ORDER, Fraction(p))
+        assert all(type(c) is Fraction for c in
+                   (*got.a_coeffs.values(), *got.b_coeffs.values()))
+        assert got == series.at(Fraction(p))
+
+
 def test_indicial_zero_parameter_is_cotangent(system):
     # a == 1 collapses the system to b' = -1 - b^2, i.e. b = cot y
     exp = indicial_expand(system, 6).at(Fraction(0))
