@@ -139,99 +139,89 @@ def appendix_star_table() -> list:
     with a global minus sign under the engine orientation (recorded here as
     a regression value, reported per entry), and the consequences that the
     quadratic-projection argument actually uses -- orthogonality to V1 and
-    the projection magnitude 1/3 |omega| -- are asserted exactly.  The 36
-    brackets that the entries read are one wedge_bracket_matrix call on
-    (3, 3, 36) stacks, taken in the order of the entries.
+    the projection magnitude 1/3 |omega| -- are asserted exactly.  Each
+    entry is one row naming its pair; the 36 pairs are one
+    wedge_bracket_matrix call on (3, 3, 36) stacks, and the entries read
+    their brackets in one pass over rows and brackets together.
     """
-    checks = []
-    zero = 0 * _I3
+    rows = []  # (check id, u, v, read, want, note, provenance, then)
+
+    def row(check_id, u, v, read, want, note, provenance="reference",
+            then=()):
+        """The entry read([u ^ v]) == want; the checks in then follow it."""
+        rows.append((check_id, u, v, read, want, note, provenance, then))
+
+    same = lambda w: w
+    v1 = lambda w: project6(1, w)
+
+    # [v ^ v] = 2 *3(v ^ v)
+    for k, m in enumerate(MU):
+        row(f"star-table-mu{k + 1}", m, m, same, 2 * _te(k),
+            f"*3(mu{k + 1} ^ mu{k + 1}) = t{k + 1} e{k + 1}")
+
+    # engine sign for the symmetric basis: *3(nu ^ nu) = -(t e) entrywise
     nu_cases = [(f"star-table-nu{k + 1}", NU[k], _te(k)) for k in range(3)]
     nu_cases += [
         ("star-table-nu12", NU_12, _te(2)),
         ("star-table-nu13", NU_13, _te(1)),
     ]
-    mu_cross = [(a, b) for a in range(3) for b in range(3) if a != b]
+    for cid, v, te in nu_cases:
+        sign = make_check(
+            cid + "-sign",
+            "sign relative to the displayed table (orientation artifact)",
+            computed=-1.0,
+            info=True,
+            provenance="derived",
+        )
+        row(cid, v, v, same, -2 * te,
+            "quadratic star of a symmetric basis vector, engine sign -1",
+            provenance="derived", then=(sign,))
+
+    # cross brackets leave no trace part
+    zero = 0 * _I3
+    for a in range(3):
+        for b in range(3):
+            if a != b:
+                row(f"star-table-mu{a + 1}{b + 1}-perp", MU[a], MU[b], v1,
+                    zero, "*3[mu_i, mu_j] is orthogonal to V1 for i != j")
     # cross brackets of *orthogonal* symmetric basis pairs are perpendicular
     # to V1; the two diagonal vectors are not orthogonal to each other
     # (<nu_12, nu_13> = 1/2) and their bracket picks up the V1 part that
     # reconciles the quadratic-projection equality on non-orthogonal input.
     sym = (NU[0], NU[1], NU[2], NU_12, NU_13)
-    nu_cross = [(a, b) for a in range(len(sym)) for b in range(len(sym))
-                if a != b and {a, b} != {3, 4}]
-    magnitudes = (("mu1", MU[0]), ("nu1", NU[0]), ("nu12", NU_12))
-    pairs = ([(m, m) for m in MU] + [(v, v) for _, v, _ in nu_cases]
-             + [(MU[a], MU[b]) for a, b in mu_cross]
-             + [(sym[a], sym[b]) for a, b in nu_cross] + [(NU_12, NU_13)]
-             + [(v, v) for _, v in magnitudes])
-    wedges = wedge_bracket_matrix(*(np.stack(side, axis=-1)
-                                    for side in zip(*pairs)))
-    bracket = iter(np.moveaxis(wedges, -1, 0))  # the pairs' brackets in turn
-
-    def expect(check_id, got, want, note, provenance="reference"):
-        checks.append(_exact(check_id, np.array_equal(got, want), note,
-                             provenance))
-
-    # [v ^ v] = 2 *3(v ^ v)
-    for k in range(3):
-        expect(
-            f"star-table-mu{k + 1}",
-            next(bracket),
-            2 * _te(k),
-            f"*3(mu{k + 1} ^ mu{k + 1}) = t{k + 1} e{k + 1}",
-        )
-
-    # engine sign for the symmetric basis: *3(nu ^ nu) = -(t e) entrywise
-    for cid, _, te in nu_cases:
-        expect(cid, next(bracket), -2 * te,
-               "quadratic star of a symmetric basis vector, engine sign -1",
-               provenance="derived")
-        checks.append(
-            make_check(
-                cid + "-sign",
-                "sign relative to the displayed table (orientation artifact)",
-                computed=-1.0,
-                info=True,
-                provenance="derived",
-            )
-        )
-
-    # cross brackets leave no trace part
-    for a, b in mu_cross:
-        expect(
-            f"star-table-mu{a + 1}{b + 1}-perp",
-            project6(1, next(bracket)),
-            zero,
-            "*3[mu_i, mu_j] is orthogonal to V1 for i != j",
-        )
-    for a, b in nu_cross:
-        expect(
-            f"star-table-nu-bracket-{a}{b}-perp",
-            project6(1, next(bracket)),
-            zero,
-            "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs",
-        )
-    # V1 part -(1/3) omega, times 6
-    expect("star-table-nu-diag-bracket-v1",
-           project6(1, next(bracket)), -2 * _I3,
-           "V1 part of *3[nu_12, nu_13] (non-orthogonal pair), engine value "
-           "-(1/3) omega", provenance="derived")
-
-    # resolution of a diagonal coefficient form in the omega/nu basis, times 3
-    expect(
+    for a in range(len(sym)):
+        for b in range(len(sym)):
+            if a != b and {a, b} != {3, 4}:
+                row(f"star-table-nu-bracket-{a}{b}-perp", sym[a], sym[b], v1,
+                    zero,
+                    "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs")
+    # V1 part -(1/3) omega, times 6; then the resolution of a diagonal
+    # coefficient form in the omega/nu basis, times 3
+    te_decomposition = _exact(
         "star-table-te-decomposition",
-        3 * _te(0),
-        _I3 + NU_12 + NU_13,
+        np.array_equal(3 * _te(0), _I3 + NU_12 + NU_13),
         "t1 e1 = (omega + nu_12 + nu_13)/3",
     )
+    row("star-table-nu-diag-bracket-v1", NU_12, NU_13, v1, -2 * _I3,
+        "V1 part of *3[nu_12, nu_13] (non-orthogonal pair), engine value "
+        "-(1/3) omega", provenance="derived", then=(te_decomposition,))
 
     # projection magnitudes used by the quadratic-projection equalities:
     # |omega/3|^2 = 1/6, so the 12-fold projection of [v ^ v] has entries
     # whose squares sum to 2 * 144 / 6 = 48
-    for name, _ in magnitudes:
-        checks.append(_exact(
-            f"star-table-{name}-v1-magnitude",
-            _sum_sq(project6(1, next(bracket))) == 48,
-            "projection of the quadratic star onto V1 has magnitude |omega|/3"))
+    for name, v in (("mu1", MU[0]), ("nu1", NU[0]), ("nu12", NU_12)):
+        row(f"star-table-{name}-v1-magnitude", v, v,
+            lambda w: _sum_sq(project6(1, w)), 48,
+            "projection of the quadratic star onto V1 has magnitude |omega|/3")
+
+    _, us, vs, *_ = zip(*rows)
+    wedges = wedge_bracket_matrix(np.stack(us, axis=-1), np.stack(vs, axis=-1))
+    checks = []
+    for (cid, _, _, read, want, note, provenance, then), w in zip(
+            rows, np.moveaxis(wedges, -1, 0)):
+        checks.append(_exact(cid, np.array_equal(read(w), want), note,
+                             provenance))
+        checks.extend(then)
     return checks
 
 

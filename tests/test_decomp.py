@@ -598,15 +598,15 @@ def test_decomposition_and_algebra_suites_stay_off_object_arrays(monkeypatch,
     # every kernel call of the two suites takes and returns numeric arrays
     from kwlab import cli, su2
 
-    seen = {}
+    seen, calls = [], {}
 
     def watch(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args):
             out = fn(*args)
-            seen.setdefault(name, []).extend(
-                np.asarray(x).dtype for x in (*args[-2:], out))
+            seen.extend(np.asarray(x).dtype for x in (*args[-2:], out))
+            calls[name] = calls.get(name, 0) + 1
             return out
         monkeypatch.setattr(module, name, wrapper)
 
@@ -616,9 +616,9 @@ def test_decomposition_and_algebra_suites_stay_off_object_arrays(monkeypatch,
     for suite in ("decomposition", "algebra"):
         assert cli.main(["verify", "--suite", suite, "--n", "300",
                          "--out", str(tmp_path / f"{suite}.json")]) == 0
-    # every kernel is seen; the algebra suite's samples are (3, n) stacks and
-    # each decomposition table brackets its pairs as one stack, so 75 calls
-    # (225 dtypes) cover both suites
-    assert set(seen) == {"wedge_bracket_matrix", "project6", "bracket", "inner"}
-    dtypes = [d for ds in seen.values() for d in ds]
-    assert len(dtypes) > 200 and np.dtype(object) not in dtypes
+    # every kernel call is seen, each exactly as often as the two suites
+    # make it: the algebra suite's samples are (3, n) stacks and each
+    # decomposition table brackets its pairs as one stack
+    assert calls == {"wedge_bracket_matrix": 7, "project6": 40,
+                     "bracket": 15, "inner": 13}
+    assert len(seen) == 3 * 75 and np.dtype(object) not in seen
