@@ -21,9 +21,9 @@ On top of the system sit
     a batch of trajectories ("lanes") together, its coefficients from one
     Cauchy-product recurrence over all lanes, filled into a time-major
     workspace that the stepper reuses from step to step (made again only
-    when lanes leave) in two numpy calls per order; a single initial-value
-    run is its one-lane case, and its step coefficients are the dense
-    output, and
+    when lanes leave) by one np.vecdot and one np.dot per order, each
+    lane's verdict set in one Python pass per step; a single initial-value
+    run is its one-lane case, its step coefficients the dense output, and
   * a shooting solver selecting the decaying trajectory (a, b) -> (0, 0):
     a sign k-section over lanes, the bracket ends batched with its first
     pass, until the bracket reaches the smooth regime of the unstable mode,
@@ -214,13 +214,18 @@ class IndicialExpansion(NamedTuple):
     def state(self, y: float):
         """(a, b) at y in float64; ValueError where the pole term 1/y
         overflows it, for y below about 5.6e-309."""
-        try:
-            a = sum(float(c) * y**k for k, c in self.a_coeffs.items())
-            b = sum(float(c) * y**k for k, c in self.b_coeffs.items())
-        except OverflowError:
-            raise ValueError(
-                f"series state at y0 = {y!r} overflows float64") from None
-        return a, b
+        return _float_state(self.a_coeffs, self.b_coeffs, float, y)
+
+
+def _float_state(a: dict, b: dict, value, y: float) -> tuple:
+    """sum value(c) y^k over the (power k, coefficient c) of a and of b, in
+    float64; ValueError where a term overflows it."""
+    try:
+        return (sum(value(c) * y**k for k, c in a.items()),
+                sum(value(c) * y**k for k, c in b.items()))
+    except OverflowError:
+        raise ValueError(
+            f"series state at y0 = {y!r} overflows float64") from None
 
 
 class PoleSeries(NamedTuple):
@@ -232,13 +237,13 @@ class PoleSeries(NamedTuple):
     a_polys: dict  # power, as in IndicialExpansion -> polynomial in p
     b_polys: dict
 
-    def at(self, p) -> IndicialExpansion:
-        """The series at one value of p (a float, an int or a Fraction),
-        exactly.  With p = m / q (``as_integer_ratio``: q is a power of 2
-        for a float), Horner's rule on integers gives
-        sum n_i m^i q^(k - i) for the polynomial sum (n_i / d) p^i of
-        degree k, and the coefficient is that over d q^k: one Fraction, and
-        so one gcd, per coefficient."""
+    def _ratios(self, p) -> tuple:
+        """Each coefficient at one value of p (a float, an int or a
+        Fraction), exactly, as (numerator, denominator) integers.  With
+        p = m / q (``as_integer_ratio``: q is a power of 2 for a float),
+        Horner's rule on integers gives sum n_i m^i q^(k - i) for the
+        polynomial sum (n_i / d) p^i of degree k, and the coefficient is that
+        over d q^k."""
         m, q = p.as_integer_ratio()
 
         def value(poly):
@@ -247,11 +252,20 @@ class PoleSeries(NamedTuple):
             for n in reversed(nums):
                 out = out * m + n * scale
                 scale *= q
-            return Fraction(out, d * scale // q)
+            return out, d * scale // q
 
-        return IndicialExpansion(
-            self.order, {k: value(c) for k, c in self.a_polys.items()},
-            {k: value(c) for k, c in self.b_polys.items()})
+        return tuple({k: value(c) for k, c in polys.items()}
+                     for polys in (self.a_polys, self.b_polys))
+
+    def at(self, p) -> IndicialExpansion:
+        """The series at p, exactly: one Fraction (one gcd) per coefficient."""
+        return IndicialExpansion(self.order, *(
+            {k: Fraction(*v) for k, v in r.items()} for r in self._ratios(p)))
+
+    def state(self, p, y: float) -> tuple:
+        """``at(p).state(y)`` bit for bit, without the Fractions: int / int
+        is correctly rounded, as a Fraction's float is."""
+        return _float_state(*self._ratios(p), lambda v: v[0] / v[1], y)
 
 
 def _on_integers(polys: dict) -> dict:
@@ -346,13 +360,14 @@ def taylor_workspace(dtype, k: int, order: int) -> tuple:
     """The array ``taylor_coefficients`` fills for k lanes to ``order`` in
     dtype, and its views of it for each order n < ``order``: (the factors
     (a, a, b) over times 0..n, the factors (a, b, b) over times n..0, where
-    their sums go, the monomials at n, the rows at n + 1)."""
+    their sums go, the monomials at n, the rows at n + 1); and a list that
+    keeps the last matrix called with and its scaled rows."""
     x = np.zeros((order + 1, 11, k), dtype=dtype)
     x[0, 0] = 1
     t = x.transpose(1, 2, 0)
     return x, tuple(zip([t[1:4, :, :n + 1] for n in range(order)],
                         [t[2:5, :, n::-1] for n in range(order)],
-                        x[:-1, 6:11:2], x[:-1, 0:11:2], x[1:, 1:5]))
+                        x[:-1, 6:11:2], x[:-1, 0:11:2], x[1:, 1:5])), []
 
 
 def taylor_coefficients(matrix, a, b, order: int, work) -> np.ndarray:
@@ -364,29 +379,31 @@ def taylor_coefficients(matrix, a, b, order: int, work) -> np.ndarray:
     c . m(a(t), b(t)) / (n + 1), whose products are Cauchy products of the
     lower coefficients.  ``work``, from ``taylor_workspace`` for this dtype,
     lane count and order, is time-major, (order + 1, 11, k), and each order
-    holds the rows (1|0, a, a, b, b, ., aa, ., ab, ., bb): its stride-2 rows are the monomials of _MONOMIALS, and rows 1-3 and
-    2-4 over time are the Cauchy factors (a, a, b) and (a, b, b).  The rows
-    of ``matrix``, repeated as (a, a, b, b), are divided by n + 1 for every
-    order at once, an (order, 4, 6) array; then per order two numpy calls
-    fill the workspace: one ``np.vecdot`` of the factors over time into aa,
-    ab, bb, and one matmul with that order's rows into the next order.  Per
-    lane the arithmetic does not depend on the batch: vecdot is a gufunc,
-    and for longdouble it has no BLAS kernel, so each row's sum is its own,
-    taken sequentially from time 0 (strided or not); numpy's longdouble
-    matmul likewise sums c*m from 0 in monomial order.  On object arrays of
-    Fractions it is exact.
+    holds the rows (1|0, a, a, b, b, ., aa, ., ab, ., bb): its stride-2 rows
+    are the monomials of _MONOMIALS, and rows 1-3 and 2-4 over time are the
+    Cauchy factors (a, a, b) and (a, b, b).  The rows of ``matrix``, repeated
+    as (a, a, b, b) and divided by n + 1, an (order, 4, 6) array, are made
+    once per workspace and matrix object (which must not change in place
+    meanwhile); then per order two numpy calls fill the workspace: one
+    ``np.vecdot`` of the factors over time into aa, ab, bb, and one
+    ``np.dot`` with that order's rows into the next order, a C-contiguous
+    ``out``.  Per lane the arithmetic does not depend on the batch: for
+    longdouble neither has a BLAS kernel, and each output is its own sum,
+    taken sequentially from index 0 (strided or not), for dot as in
+    matmul's loop.  On object arrays of Fractions it is exact.
 
     The result is a view of ``work``, valid until the next call on it."""
-    x, steps = work
+    x, steps, memo = work
     if x.shape != (order + 1, 11, len(a)):
         raise ValueError(f"workspace of shape {x.shape} for {len(a)} lanes "
                          f"to order {order}")
     x[0, 1:5] = a, a, b, b
-    rows = (matrix[[0, 0, 1, 1]]
-            / np.arange(1, order + 1).astype(x.dtype)[:, None, None])
-    for (left, right, sums, mono, nxt), scaled in zip(steps, rows):
+    if not memo or memo[0] is not matrix:
+        memo[:] = matrix, (matrix[[0, 0, 1, 1]] / np.arange(
+            1, order + 1).astype(x.dtype)[:, None, None])
+    for (left, right, sums, mono, nxt), scaled in zip(steps, memo[1]):
         np.vecdot(left, right, out=sums)
-        np.matmul(scaled, mono, out=nxt)
+        np.dot(scaled, mono, out=nxt)
     return x[:, 1:4:2].transpose(1, 2, 0)
 
 
@@ -408,14 +425,15 @@ def _step_sizes(c) -> list:
     n = c.shape[-1] - 1
     ends = c[:, :, [0, n - 1, n]]
     mag = (np.abs(ends[0]) + np.abs(ends[1])).astype(float)
+    e1, e2 = 1.0 / (n - 1), 1.0 / n
     out = []
     # Python's float ** per lane: numpy's vectorised power may round
     # differently, and the step sequence must not depend on the batch
-    for m0, *last in mag.tolist():
+    for m0, m1, m2 in mag.tolist():
         tol = TAYLOR_EPS * max(1.0, m0)
-        out.append(min((tol / m) ** (1.0 / j) if m else math.inf
-                       for j, m in zip((n - 1, n), last))
-                   if all(map(math.isfinite, last)) else math.nan)
+        out.append(min((tol / m1) ** e1 if m1 else math.inf,
+                       (tol / m2) ** e2 if m2 else math.inf)
+                   if math.isfinite(m1) and math.isfinite(m2) else math.nan)
     return out
 
 
@@ -465,9 +483,9 @@ _SQRT2 = math.sqrt(2.0)
 _CERT_MARGIN = 1e-9
 
 
-def _certified_blowup(y, s, y_end) -> np.ndarray:
-    """Per lane, whether the locked system's flow from the state s (shape
-    (2, k)) at y provably blows up before y_end, with the sign of b fixed.
+def _certified_blowup(y: float, a: float, b: float, y_end: float) -> bool:
+    """Whether the locked system's flow from the state (a, b) at y provably
+    blows up before y_end, with the sign of b fixed.
 
     With c = a - 1 and z = c + i b the system reads z' = i (conj(z)^2 - 1),
     so in polar form rho' = rho^2 sin 3theta - sin theta and theta' =
@@ -478,22 +496,18 @@ def _certified_blowup(y, s, y_end) -> np.ndarray:
     rho' >= rho^2 / 2 - 1 holds from then on, and rho reaches infinity
     before y + T(rho), T(rho) = ln((rho + sqrt 2) / (rho - sqrt 2)) / sqrt 2,
     while b keeps its sign: negative around 3 pi/2, positive in the other
-    two.  A lane is certified when rho > sqrt 2, Im z^3 = 3 c^2 b - b^3 >=
+    two.  The state is certified when rho > sqrt 2, Im z^3 = 3 c^2 b - b^3 >=
     rho^3 / 2 (that is sin 3theta >= 1/2) and y + T(rho) < y_end, each by
-    _CERT_MARGIN.  Per lane in Python floats, so that the verdict does not
-    depend on the batch."""
-    out = []
-    for yl, a, b in zip(y.astype(float).tolist(), *s.astype(float).tolist()):
-        c = a - 1.0
-        r2 = c * c + b * b
-        if (r2 > 2.0 * (1.0 + _CERT_MARGIN) and b * (3.0 * c * c - b * b)
-                >= (0.5 + _CERT_MARGIN) * r2 * math.sqrt(r2)):
-            rho = math.sqrt(r2)
-            t = math.log((rho + _SQRT2) / (rho - _SQRT2)) / _SQRT2
-            out.append(yl + t * (1.0 + _CERT_MARGIN) < y_end)
-        else:
-            out.append(False)
-    return np.array(out, dtype=bool)
+    _CERT_MARGIN.  In Python floats, per lane of ``_taylor_lanes``' verdict
+    pass, so that the verdict does not depend on the batch."""
+    c = a - 1.0
+    r2 = c * c + b * b
+    if not (r2 > 2.0 * (1.0 + _CERT_MARGIN) and b * (3.0 * c * c - b * b)
+            >= (0.5 + _CERT_MARGIN) * r2 * math.sqrt(r2)):
+        return False
+    rho = math.sqrt(r2)
+    t = math.log((rho + _SQRT2) / (rho - _SQRT2)) / _SQRT2
+    return y + t * (1.0 + _CERT_MARGIN) < y_end
 
 
 # a lane whose coefficients or state overflow leaves as non-finite, so
@@ -506,15 +520,16 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
 
     All live lanes advance in one array step; the coefficients come from
     ``taylor_coefficients`` on the system's longdouble matrix, in one
-    workspace that serves every step until a lane leaves.  A lane
-    leaves the batch when it reaches y1; as blown, when its |a| + |b|
-    crosses BLOWUP_THRESHOLD or, with ``certify`` (the locked system only),
-    when ``_certified_blowup`` proves that it cannot reach y1; or, as
-    non-finite, when its coefficients or the state they give are not finite
-    or its step falls below _H_MIN, keeping its last finite state.  Per lane
-    the arithmetic is that of a single trajectory, so a lane's result does
-    not depend on its batch.  ``steps`` (two lists, one-lane runs only; or
-    None) collects the step boundaries and each step's coefficients.
+    workspace that serves every step until a lane leaves.  After each step
+    one Python pass sets each lane's verdict, the first that holds: non-finite
+    when its coefficients or the state they give are not finite (in
+    longdouble) or its step falls below _H_MIN, keeping its last finite
+    state; blown when its float64 |a| + |b| crosses BLOWUP_THRESHOLD or,
+    with ``certify`` (the locked system only), ``_certified_blowup`` proves
+    that it cannot reach y1; reached when its y is y1; live otherwise.  Per
+    lane the arithmetic is that of a single trajectory, so a lane's result
+    does not depend on its batch.  ``steps`` (two lists, one-lane runs only;
+    or None) collects the step boundaries and each step's coefficients.
     """
     if certify and (sys.coeffs_a, sys.coeffs_b) != LOCKED_COEFFS:
         raise ValueError("the blow-up certificate is proven only for the "
@@ -527,14 +542,14 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
     y = np.full(k, ld(y0))
     out = _LaneRun(np.empty(k), np.empty((2, k), dtype=ld), [_REACHED] * k)
     lanes = np.arange(k)  # batch index of each live lane
-    live = y < y_end
+    live = (y < y_end).tolist()
     work = None
     while True:
-        if not live.all():
-            gone = lanes[~live]
-            out.ys[gone] = y[~live]
-            out.states[:, gone] = s[:, ~live]
-            lanes, y, s = lanes[live], y[live], s[:, live]
+        if False in live:
+            keep = np.array(live)
+            gone = lanes[~keep]
+            out.ys[gone], out.states[:, gone] = y[~keep], s[:, ~keep]
+            lanes, y, s = lanes[keep], y[keep], s[:, keep]
             work = None
         if not lanes.size:
             return out
@@ -544,24 +559,28 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
         h = np.array(_step_sizes(c), dtype=ld)
         # a step clipped to the end point lands on it exactly: y + (y_end - y)
         # may round below y_end
-        last = h >= y_end - y
-        h = np.where(last, y_end - y, h)
+        rest = y_end - y
+        last = h >= rest
+        h = np.where(last, rest, h)
         s_new = _power_sum(c, h)
-        nonfinite = ~((h >= _H_MIN) & np.isfinite(s_new).all(0))
-        y = np.where(nonfinite, y, np.where(last, y_end, y + h))
-        s = np.where(nonfinite, s, s_new)
-        if steps is not None and not nonfinite[0]:
+        fine = (h >= _H_MIN) & np.isfinite(s_new).all(0)
+        y = np.where(fine, np.where(last, y_end, y + h), y)
+        s = np.where(fine, s_new, s)
+        if steps is not None and fine[0]:
             steps[0].append(y[0])
             steps[1].append(c[:, 0].copy())  # c is overwritten next step
 
-        sf = s.astype(float)
-        blown = np.abs(sf[0]) + np.abs(sf[1]) > BLOWUP_THRESHOLD
-        if certify:
-            blown |= _certified_blowup(y, s, y1)
-        for mask, status in ((blown, _BLOWN), (nonfinite, _NONFINITE)):
-            for lane in lanes[mask]:
-                out.status[lane] = status
-        live = ~(blown | nonfinite) & (y < y_end)
+        # the verdict pass; a lane's status is _REACHED until it leaves
+        live = []
+        for lane, ok, on, yl, a, b in zip(
+                lanes.tolist(), fine.tolist(), (y < y_end).tolist(),
+                y.astype(float).tolist(), *s.astype(float).tolist()):
+            if not ok:
+                out.status[lane] = _NONFINITE
+            elif abs(a) + abs(b) > BLOWUP_THRESHOLD or (
+                    certify and _certified_blowup(yl, a, b, y1)):
+                out.status[lane] = _BLOWN
+            live.append(on and out.status[lane] == _REACHED)
 
 
 def integrate_ivp(sys: ReducedSystem, y0: float, state, y1: float) -> IvpResult:
@@ -697,7 +716,7 @@ def shoot_for_decay(sys: ReducedSystem, series: PoleSeries,
     trace = []
 
     def state(p):
-        return series.at(p).state(y0)
+        return series.state(p, y0)
 
     def record(params, outcomes):
         for p, out in zip(params, outcomes):

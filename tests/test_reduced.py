@@ -364,6 +364,42 @@ def test_pole_series_at_a_float_is_exact(system, series):
         assert got == series.at(Fraction(p))
 
 
+def _state_bits(fn):
+    """The float64 bits of the state fn() gives, or its ValueError's text."""
+    try:
+        return tuple(x.hex() for x in fn())
+    except ValueError as e:
+        return str(e)
+
+
+def test_pole_series_state_is_the_exact_series_state(system, series):
+    # PoleSeries.state(p, y) makes no Fraction, yet gives at(p).state(y)
+    # bit for bit: at float, int and Fraction p; at every point the shots
+    # from the five y0 of the first-integral test classify; and the same
+    # ValueError where float64 overflows (the pole term at a tiny y, or a
+    # coefficient at a huge p)
+    points = [(p, y) for p in (ROOT, -2.0 / 3.0, -0.0, 2.0**-1074, -1e300,
+                               1e300, 3, -7, 10**400, Fraction(-2, 3),
+                               Fraction(10**9 + 1, 3), Fraction(-10**320, 7))
+              for y in (0.1, 0.05, 1e-300, 5e-324, 2.0**-1074 * 3)]
+    for y0 in (0.05, 0.0731, 0.1, 0.137, 0.2):
+        points += [(t[0], y0) for t in shoot_for_decay(system, series, y0).trace]
+    assert len(points) > 400
+    series8 = indicial_expand(system, 8)
+    points8 = [(p, 0.2) for p in (ROOT, 5, Fraction(1, 3), 1e200)]
+    overflows = set()
+    for s, (p, y) in [(series, pt) for pt in points] + [(series8, pt)
+                                                       for pt in points8]:
+        want = _state_bits(lambda: s.at(p).state(y))
+        assert _state_bits(lambda: s.state(p, y)) == want, (p, y)
+        if isinstance(want, str):
+            assert want == f"series state at y0 = {y!r} overflows float64"
+            overflows.add((p, y))
+    # a tiny y, a huge float, int or Fraction p: each overflows
+    assert {(ROOT, 5e-324), (-1e300, 0.1), (10**400, 0.1),
+            (Fraction(-10**320, 7), 0.1), (1e200, 0.2)} <= overflows
+
+
 def test_indicial_zero_parameter_is_cotangent(system):
     # a == 1 collapses the system to b' = -1 - b^2, i.e. b = cot y
     exp = indicial_expand(system, 6).at(Fraction(0))
@@ -945,6 +981,45 @@ def test_taylor_kernel_matches_reference_bitwise(system):
     assert _fresh_taylor(exact, a, b, order // 2).tolist() == want
 
 
+def test_dot_sums_as_matmul_on_the_workspace_views(system):
+    # the kernel's np.dot stands in for the matmul it replaced because, on
+    # longdouble and object arrays, both sum each output from index 0; a
+    # numpy whose two loops differ fails here before it moves the solver.
+    # Each order's scaled rows against that order's strided monomial view
+    # of a filled workspace, into a C-contiguous out as the kernel writes
+    rng = np.random.default_rng(41)
+    ld = np.longdouble
+    order = reduced.TAYLOR_ORDER
+    full = np.array([[1.0, -2.0, 3.0, 0.5, -1.0, 2.0],
+                     [-1.0, 1.0, -1.0 / 3.0, 2.0, 1.0, -3.0]], dtype=ld)
+    cases = [(ld, k, matrix) for k in (1, 2, 15, 17)
+             for matrix in (system._matrix, full)]
+    cases.append((object, 3, np.array([system.coeffs_a, system.coeffs_b],
+                                      dtype=object)))
+    for dtype, k, matrix in cases:
+        n = order if dtype is ld else order // 2
+        if dtype is ld:
+            a = (rng.normal(size=k) * np.logspace(-2, 2, k)).astype(ld)
+            b = (rng.normal(size=k) * np.logspace(1, -3, k)).astype(ld)
+        else:
+            a = np.array([Fraction(-3, 2), Fraction(1, 4), Fraction(2)], dtype=object)
+            b = np.array([Fraction(5, 8), Fraction(-7, 16), Fraction(0)], dtype=object)
+        work = reduced.taylor_workspace(dtype, k, n)
+        reduced.taylor_coefficients(matrix, a, b, n, work)
+        rows = matrix[[0, 0, 1, 1]] / np.arange(1, n + 1).astype(dtype)[:, None, None]
+        for (_, _, _, mono, nxt), scaled in zip(work[1], rows):
+            assert not mono.flags.c_contiguous and nxt.flags.c_contiguous
+            got = np.empty_like(nxt)
+            np.dot(scaled, mono, out=got)
+            want = np.matmul(scaled, mono)
+            if dtype is ld:
+                assert _same_bits(got, want), k
+                assert _same_bits(nxt, want), k  # what the kernel wrote
+            else:
+                assert got.tolist() == want.tolist() == nxt.tolist()
+                assert all(type(x) is Fraction for x in got.flat)
+
+
 def test_dense_output_matches_reference_kernel(system, monkeypatch):
     # a run and its dense output on arrays, with the new kernel and with the
     # reference kernel in its place: the same knots, steps and values
@@ -1055,10 +1130,8 @@ def test_certified_states_blow_up_before_their_bound(system):
         y = rng.uniform(0.05, 6.0)
         a, b = 1.0 + rho * math.cos(theta), rho * math.sin(theta)
         bound = y + _certificate_time(a, b)
-        state = np.array([[a], [b]], dtype=np.longdouble)
-        at = np.array([y], dtype=np.longdouble)
-        assert reduced._certified_blowup(at, state, bound * (1 + 1e-6))[0]
-        assert not reduced._certified_blowup(at, state, bound * (1 - 1e-6))[0]
+        assert reduced._certified_blowup(y, a, b, bound * (1 + 1e-6))
+        assert not reduced._certified_blowup(y, a, b, bound * (1 - 1e-6))
         with pytest.raises(BlowUpError) as exc:
             integrate_ivp(system, y, (a, b), bound + 1.0)
         assert not exc.value.nonfinite
@@ -1070,20 +1143,17 @@ def test_certified_states_blow_up_before_their_bound(system):
 def test_certificate_refuses_pole_and_edge_states():
     # the pole direction (theta near pi/2, b ~ 1/y: sin 3theta near -1), a
     # sector's edge just outside it, and rho at sqrt 2: never certified
-    ys = np.full(4, 0.1, dtype=np.longdouble)
+    def certified(a, b):
+        return any(reduced._certified_blowup(0.1, ai, bi, 1e9)
+                   for ai, bi in zip(np.atleast_1d(a), np.atleast_1d(b)))
+
     for rho in (10.0, 1e3, 1e6):
         theta = np.pi / 2 + np.array([-0.2, -0.05, 0.05, 0.2])
-        states = np.array([1.0 + rho * np.cos(theta), rho * np.sin(theta)],
-                          dtype=np.longdouble)
-        assert not reduced._certified_blowup(ys, states, 1e9).any()
+        assert not certified(1.0 + rho * np.cos(theta), rho * np.sin(theta))
     edge = np.pi / 18 * np.array([1 - 1e-6, 5 + 1e-6, 13 - 1e-6, 29 + 1e-6])
-    states = np.array([1.0 + 50 * np.cos(edge), 50 * np.sin(edge)],
-                      dtype=np.longdouble)
-    assert not reduced._certified_blowup(ys, states, 1e9).any()
-    states = np.array([[1.0 + math.sqrt(2.0) * math.cos(math.pi / 6)],
-                       [math.sqrt(2.0) * math.sin(math.pi / 6)]],
-                      dtype=np.longdouble)
-    assert not reduced._certified_blowup(ys[:1], states, 1e9).any()
+    assert not certified(1.0 + 50 * np.cos(edge), 50 * np.sin(edge))
+    assert not certified(1.0 + math.sqrt(2.0) * math.cos(math.pi / 6),
+                         math.sqrt(2.0) * math.sin(math.pi / 6))
 
 
 def test_certificate_needs_the_locked_system(system, series):
@@ -1171,3 +1241,203 @@ def test_shot_work_counts(system, series, monkeypatch):
     shot = shoot_for_decay(system, series, y0=0.1)
     assert calls == {"_taylor_lanes": 9, "taylor_coefficients": 264}
     assert (shot.coarse_passes, shot.falsi_runs, len(shot.trace)) == (6, 3, 80)
+
+
+# The step-size loop the current one replaced, kept as its reference: star
+# unpacking, a generator per lane and all(map(...)), the same ** per lane.
+def _step_sizes_reference(c):
+    n = c.shape[-1] - 1
+    ends = c[:, :, [0, n - 1, n]]
+    mag = (np.abs(ends[0]) + np.abs(ends[1])).astype(float)
+    out = []
+    for m0, *last in mag.tolist():
+        tol = reduced.TAYLOR_EPS * max(1.0, m0)
+        out.append(min((tol / m) ** (1.0 / j) if m else math.inf
+                       for j, m in zip((n - 1, n), last))
+                   if all(map(math.isfinite, last)) else math.nan)
+    return out
+
+
+def test_step_sizes_match_the_replaced_loop():
+    # zero, tied, subnormal, NaN and inf last terms, in a or in b, and a
+    # zeroth term that is zero, huge, inf or NaN: the same floats, NaN where
+    # it was
+    ld = np.longdouble
+    n = reduced.TAYLOR_ORDER
+    rng = np.random.default_rng(3)
+    lanes = []
+    for m0 in (0.0, 0.7, 3e5, np.inf, np.nan):
+        for m1, m2 in ((0.0, 0.0), (0.0, 1e-9), (1e-9, 0.0), (1e-9, 1e-9),
+                       (2.0**-30, 2.0**-30), (np.nan, 1e-9), (1e-9, np.nan),
+                       (np.inf, 0.0), (0.0, -np.inf), (np.inf, np.nan),
+                       (1e-4950, 1e-4000), (1e-310, 5e-324), (ld("1e4000"), 1e-9)):
+            lanes.append((m0, m1, m2))
+    # tied candidate steps: (tol / m1)^(1/27) = (tol / m2)^(1/28) = 1/2
+    tol = reduced.TAYLOR_EPS
+    lanes.append((0.5, tol * 2.0**27, tol * 2.0**28))
+    c = rng.normal(size=(2, len(lanes), n + 1)).astype(ld)
+    for lane, (m0, m1, m2) in enumerate(lanes):
+        for col, m in ((0, m0), (n - 1, m1), (n, m2)):
+            # the magnitude on a, or split over a and b, or on b with a sign
+            c[:, lane, col] = [(m, 0.0), (m / 2, -m / 2), (0.0, -m)][lane % 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = reduced._step_sizes(c), _step_sizes_reference(c)
+    assert len(got) == len(lanes)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert any(math.isnan(x) for x in got) and math.inf in got
+    assert got[-1] == 0.5
+    # per lane, as in a one-lane call
+    for lane in range(len(lanes)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            (alone,) = reduced._step_sizes(c[:, lane:lane + 1])
+        assert alone.hex() == got[lane].hex()
+
+
+# The stepper's bookkeeping as it was before the one-pass verdicts, kept as
+# their reference: masks over the batch, the certificate over arrays, the
+# statuses set by two loops over lane masks (non-finite last, so it wins).
+def _certified_blowup_reference(y, s, y_end):
+    out = []
+    margin, sqrt2 = reduced._CERT_MARGIN, math.sqrt(2.0)
+    for yl, a, b in zip(y.astype(float).tolist(), *s.astype(float).tolist()):
+        c = a - 1.0
+        r2 = c * c + b * b
+        if (r2 > 2.0 * (1.0 + margin) and b * (3.0 * c * c - b * b)
+                >= (0.5 + margin) * r2 * math.sqrt(r2)):
+            rho = math.sqrt(r2)
+            t = math.log((rho + sqrt2) / (rho - sqrt2)) / sqrt2
+            out.append(yl + t * (1.0 + margin) < y_end)
+        else:
+            out.append(False)
+    return np.array(out, dtype=bool)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _taylor_lanes_reference(sys, y0, states, y1, steps, certify=False):
+    ld = np.longdouble
+    s = np.array(states, dtype=ld)
+    k = s.shape[1]
+    y_end = ld(y1)
+    y = np.full(k, ld(y0))
+    out = reduced._LaneRun(np.empty(k), np.empty((2, k), dtype=ld),
+                           ["reached"] * k)
+    lanes = np.arange(k)
+    live = y < y_end
+    work = None
+    while True:
+        if not live.all():
+            gone = lanes[~live]
+            out.ys[gone] = y[~live]
+            out.states[:, gone] = s[:, ~live]
+            lanes, y, s = lanes[live], y[live], s[:, live]
+            work = None
+        if not lanes.size:
+            return out
+        if work is None:
+            work = reduced.taylor_workspace(ld, lanes.size, reduced.TAYLOR_ORDER)
+        c = reduced.taylor_coefficients(sys._matrix, s[0], s[1],
+                                        reduced.TAYLOR_ORDER, work)
+        h = np.array(reduced._step_sizes(c), dtype=ld)
+        last = h >= y_end - y
+        h = np.where(last, y_end - y, h)
+        s_new = reduced._power_sum(c, h)
+        nonfinite = ~((h >= reduced._H_MIN) & np.isfinite(s_new).all(0))
+        y = np.where(nonfinite, y, np.where(last, y_end, y + h))
+        s = np.where(nonfinite, s, s_new)
+        if steps is not None and not nonfinite[0]:
+            steps[0].append(y[0])
+            steps[1].append(c[:, 0].copy())
+        sf = s.astype(float)
+        blown = np.abs(sf[0]) + np.abs(sf[1]) > reduced.BLOWUP_THRESHOLD
+        if certify:
+            blown |= _certified_blowup_reference(y, s, y1)
+        for mask, status in ((blown, "blow"), (nonfinite, "non-finite")):
+            for lane in lanes[mask]:
+                out.status[lane] = status
+        live = ~(blown | nonfinite) & (y < y_end)
+
+
+def _same_runs(system, states, y0, certify):
+    """The stepper's run of a batch against the replaced bookkeeping's, and
+    each lane's against its one-lane run, with its steps against the
+    replaced bookkeeping's one-lane steps; the batch run."""
+    ld, y1 = np.longdouble, reduced.SHOOT_Y
+    s = np.array(states, dtype=ld).T
+    got = reduced._taylor_lanes(system, y0, s, y1, None, certify)
+    want = _taylor_lanes_reference(system, y0, s, y1, None, certify)
+    assert got.status == want.status, certify
+    assert _same_bits(got.ys, want.ys) and _same_bits(got.states, want.states)
+    for lane in range(s.shape[1]):
+        steps, ref = ([ld(y0)], []), ([ld(y0)], [])
+        alone = reduced._taylor_lanes(system, y0, s[:, lane:lane + 1], y1,
+                                      steps, certify)
+        _taylor_lanes_reference(system, y0, s[:, lane:lane + 1], y1, ref,
+                                certify)
+        assert alone.status == [got.status[lane]], (certify, lane)
+        assert alone.ys[0] == got.ys[lane]
+        assert _same_bits(alone.states[:, 0], got.states[:, lane])
+        for x, y in zip(steps, ref):
+            assert _same_bits(np.array(x), np.array(y)), (certify, lane)
+    return got
+
+
+def test_verdict_pass_matches_the_replaced_bookkeeping(system, series,
+                                                       monkeypatch):
+    # one batch of lanes that reach SHOOT_Y, are certified, cross the
+    # threshold, turn non-finite while over the threshold, or step to a
+    # state that is finite in longdouble but not in float64; and a lane that
+    # steps to one longdouble ulp below SHOOT_Y, which float64 rounds to
+    # SHOOT_Y.  The stepper against the replaced bookkeeping, and each lane
+    # against its one-lane run, with and without the certificate
+    ld = np.longdouble
+    y1 = reduced.SHOOT_Y
+    big, near = (0.5, 0.25), (0.0, 0.0)  # marked by their state at a step
+    power_sum, step_sizes = reduced._power_sum, reduced._step_sizes
+
+    def marked(c, state):
+        return (c[0, :, 0] == state[0]) & (c[1, :, 0] == state[1])
+
+    def huge_state(c, h):
+        out = power_sum(c, h)
+        out[0, marked(c, big)] = ld("1e400")
+        return out
+
+    def near_step(c):
+        # the stationary lane (0, 0) steps by 2 - 2^-52: from y = 6 to one
+        # longdouble ulp below y1
+        out = step_sizes(c)
+        for lane in np.flatnonzero(marked(c, near)):
+            out[lane] = 2.0 - 2.0**-52
+        return out
+
+    monkeypatch.setattr(reduced, "_power_sum", huge_state)
+    monkeypatch.setattr(reduced, "_step_sizes", near_step)
+    states = [series.state(ROOT, 0.1), series.state(ROOT + 1e-9, 0.1),
+              series.state(-1.0, 0.1), series.state(-0.3, 0.1),
+              (1e9, 0.0), (1e300, 1e300), (ld("1e400"), 1.0), big]
+    runs = {certify: _same_runs(system, states, 0.1, certify)
+            for certify in (True, False)}
+    # the certificate calls the bracket ends blown before the threshold
+    # does; a lane non-finite while over the threshold, or over float64
+    # from its start, is non-finite; the state beyond float64 is blown
+    assert runs[True].status == ["reached", "reached", "blow", "blow", "blow",
+                                 "non-finite", "non-finite", "blow"]
+    assert runs[False].status == runs[True].status
+    assert (runs[True].ys[2:4] < runs[False].ys[2:4]).all()
+    assert runs[True].ys[5] == runs[True].ys[6] == 0.1
+    assert np.isfinite(runs[True].states[0, 7])
+    with np.errstate(over="ignore"):
+        assert np.isinf(runs[True].states[0, 7].astype(float))
+
+    # from y = 6 the lane (0, 0) steps to one ulp below y1, still live in
+    # longdouble though float64 rounds its y to y1; its next step, clipped
+    # to y1, is below _H_MIN, so it leaves there as non-finite.  (2, 0) is
+    # stationary too, and reaches y1 in one step
+    below = ld(6.0) + ld(2.0 - 2.0**-52)
+    assert below < y1 and float(below) == y1
+    for certify in (True, False):
+        run = _same_runs(system, [near, (2.0, 0.0)], 6.0, certify)
+        assert run.status == ["non-finite", "reached"]
+    steps = ([ld(6.0)], [])
+    reduced._taylor_lanes(system, 6.0, np.array([near], dtype=ld).T, y1, steps)
+    assert steps[0] == [6.0, below]
