@@ -64,8 +64,9 @@ from .profiles import (
     higgs_scale_check,
     nahm_pole_invariant_solution,
     nahm_pole_invariant_solution_alt,
+    pole_a,
+    pole_scalar,
     pole_scalars,
-    scaled_matrix_profile,
 )
 from .report import (float_rows, make_check, write_checks_json, write_csv,
                      write_energy_json)
@@ -90,9 +91,6 @@ def _lazy(name: str):
 
 decomp, energy, halfspace, reduced = map(
     _lazy, ("decomp", "energy", "halfspace", "reduced"))
-
-_I3 = np.eye(3)
-
 
 def _active_conventions(cfg: SuiteConfig):
     conv = calibrate()
@@ -279,9 +277,10 @@ def suite_energy(cfg: SuiteConfig) -> list:
     model = nahm_pole_invariant_solution()
     checks = []
     # the reference solution's passes and the values built from them, once
-    # per run; every pass integrates the field that the from-zero pass
-    # certified, and a failed build fails, through _guard, only its readers
-    full_line = _shared(lambda: energy.full_line_norms(conv, model))
+    # per run; the charge reads the from-zero pass, every other pass the
+    # field it certified; a failed build fails, via _guard, only its readers
+    zero = _shared(lambda: energy.from_zero_pass(conv, model))
+    full_line = _shared(lambda: energy.certified(conv, zero()))
     inputs = {
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
@@ -308,22 +307,21 @@ def suite_energy(cfg: SuiteConfig) -> list:
     def envelope():
         fit = np.linspace(1.0, 5.0, 50)
         grid = np.linspace(1.0, quadrature.Y_MAX, 200)
-        # F_sq and S_sq as the two rows of one field evaluation per grid
-        dens = energy.density_rows(conv, model, (("F_sq",), ("S_sq",)))
-        k = [float(np.max(d * np.exp(4.0 * fit))) * 1.5 for d in dens(fit)]
+        # F_sq and S_sq as the two rows of one field evaluation on both grids
+        rows = energy.density_rows(conv, model, (("F_sq",), ("S_sq",)))
+        dens = np.split(rows(np.concatenate((fit, grid))), [fit.size], axis=1)
+        k = [float(np.max(d * np.exp(4.0 * fit))) * 1.5 for d in dens[0]]
         env_ok = not any(np.any(d > kd * np.exp(-4.0 * grid))
-                         for d, kd in zip(dens(grid), k))
+                         for d, kd in zip(dens[1], k))
         return make_check(
             "c-model-envelope",
             "model energy densities under the exponential envelope for y >= 1",
             computed=max(0.0, *k), ok=env_ok, provenance="derived")
 
     def charges():
-        from .profiles import pole_a, pole_a_alt
-
-        q_val, q_err = energy.topological_charge(
-            conv, scaled_matrix_profile(pole_a, _I3))
-        a0, a1 = (float(pole_scalars(y)[0]) for y in (1e-8, quadrature.Y_MAX))
+        q_val, q_err = energy.charge(zero())  # densities only: no certificate
+        a0, a1 = (float(pole_scalar(pole_a, y)[0])
+                  for y in (1e-8, quadrature.Y_MAX))
         oracle = -1.5 * ((a1**3 / 3 - a1**2) - (a0**3 / 3 - a0**2))
         out = [make_check(
             "charge-model", "topological charge against the antiderivative oracle",
@@ -331,7 +329,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
             tolerance=1e-8, provenance="derived",
             extra={"quad_error": q_err})]
         q_alt, _ = energy.topological_charge(
-            conv, scaled_matrix_profile(pole_a_alt, _I3))
+            conv, nahm_pole_invariant_solution_alt().connection)
         out.append(make_check(
             "charge-model-alt", "companion charge is the opposite of the model's",
             computed=q_alt, expected=-q_val,
@@ -652,13 +650,13 @@ def main(argv=None) -> int:
             model = nahm_pole_invariant_solution()
             field = model if args.model == "he" else nahm_pole_invariant_solution_alt()
             # the reference solution's from-zero pass serves the constants,
-            # c_model and, for he, the bound report
+            # c_model and, for he, the bound report and the charge
             ref = energy.full_line_norms(conv, model)
             own = ref if field is model else energy.full_line_norms(conv, field)
             rep = energy.theorem_bound_report(own, energy.bound_constants(ref))
             cm, cm_err, _ = energy.c_model(ref)
             rep.add("c_model", cm, cm_err, "model curvature constant")
-            q, q_err = energy.topological_charge(conv, field.connection)
+            q, q_err = energy.charge(own)
             rep.add("topological_charge", q, q_err)
             path = args.out or "energy-report.json"
             write_energy_json(path, rep, {"model": args.model})

@@ -44,7 +44,8 @@ from .profiles import (
     InvariantField,
     MatrixProfile,
     loglog_slope,
-    pole_scalars,
+    pole_b,
+    pole_scalar,
     scaled_matrix_profile,
 )
 from . import quadrature
@@ -91,20 +92,19 @@ _BALANCES = {  # the identities on the cutoff pass: lhs = rhs
 # ---------------------------------------------------------------------------
 
 def _nabla_bar_sq(m: FieldAt):
-    """|tangential covariant derivative of phi|^2 from the frame connection."""
-    a, p = m.a, m.p
-    total = 0.0
+    """|tangential covariant derivative of phi|^2 from the frame connection:
+    vec[:, i, j] = [a column i, p column j], every pair in one cross product,
+    less the frame term on EPS_TABLE's pairs; half of each |vec[:, i, j]|^2
+    is added from 0 in row-major order of (i, j)."""
+    p = m.p
+    vec = bracket(m.a[:, :, None], p[:, None])
     half_c = 0.5 * m.conv.c
-    for ai in range(3):
-        for b in range(3):
-            vec = bracket(a[:, ai], p[:, b])
-            for i, j, k, s in EPS_TABLE:
-                if i == ai and j == b:
-                    vec = vec - half_c * s * p[:, k]
-            # np.vecdot runs np.dot's BLAS kernel (fused multiply-adds) at
-            # each node; a plain sum of products rounds differently
-            total += 0.5 * np.vecdot(vec, vec, axis=0)
-    return total
+    for i, j, k, s in EPS_TABLE:
+        vec[:, i, j] = vec[:, i, j] - half_c * s * p[:, k]
+    # np.vecdot runs np.dot's BLAS kernel (fused multiply-adds) at each
+    # node; a plain sum of products rounds differently
+    sq = 0.5 * np.vecdot(vec, vec, axis=0)
+    return np.add.accumulate(sq.reshape(9, *sq.shape[2:]))[-1]
 
 
 def _f_minus_phi2_sq(m: FieldAt):
@@ -177,61 +177,74 @@ CUTOFF_ROWS = {"first_order": ("F_minus_phi2_sq", "dAphi_sq", "dAstar_sq"),
                "completed": ("nabla_bar_sq", "S_sq"), "bulk": _BULK,
                "phi_sq": ("phi_sq",)}
 _BALANCE_ROWS = {k: CUTOFF_ROWS[k] for k in ("bulk", "phi_sq")}
+_CHARGE = ("charge_density",)  # the from-zero pass's group that charge() reads
 _PHI_ROWS = {k: CUTOFF_ROWS[k] for k in ("phi_sq",)}
-
-
-def _require_solution(conv, field):
-    """Raise unless the field's residual is below 1e-8 at 24 nodes from 1e-3
-    to 10, which covers the range of every pass of the field."""
-    grid = np.geomspace(1e-3, 10.0, 24)
-    if not np.max(kw_residual_norm(conv, field, grid)) <= 1e-8:
-        raise ValueError("not a solution: identity chain does not apply")
 
 
 # the density groups whose body and tail the from-zero pass keeps for the
 # passes that share them
-_KEPT_GROUPS = tuple(dict.fromkeys((*FULL_LINE_ROWS.values(),
+_KEPT_GROUPS = tuple(dict.fromkeys((*FULL_LINE_ROWS.values(), _CHARGE,
                                     *CUTOFF_ROWS.values())))
 
 
 # vol(S^3) * int_eps^inf of named density rows of one field (eps 0: from zero),
 # rows[name] = (value, error estimate), and the parts they add up from:
 # parts[density keys] = (head, body, tail), the doubled_sums of the head and
-# the body and the tail_bound.  The from-zero pass also keeps the body and
-# tail (head None) of each other _KEPT_GROUPS group.  Every pass is of a
-# field that full_line_norms certified, so a Norms certifies it solves
-Norms = namedtuple("Norms", "field eps rows parts")
+# the body and the tail_bound (a from-zero pass keeps every _KEPT_GROUPS
+# group, the head None but for its rows' groups and the charge's), and
+# boundary_terms at eps (None from zero).  A cutoff pass's field is certified
+Norms = namedtuple("Norms", "field eps rows parts boundary")
 
 
-def _norms(conv, field, rows: dict, lo: float, kept: dict) -> Norms:
-    """The rows (name -> density keys) from lo < Y_SPLIT: one pass over their
-    head, each added to its group's body and tail in `kept`."""
+def _norms(conv, field, rows: dict, lo, kept: dict, heads_of=()) -> Norms:
+    """The rows (name -> density keys) from lo < Y_SPLIT: one pass over the
+    head of their groups and heads_of, each added to its group's body and
+    tail in `kept`."""
     if not lo < quadrature.Y_SPLIT:
         raise ValueError(f"no head from {lo}: a pass adds its head to the "
                          "body from Y_SPLIT")
-    groups = tuple(rows.values())
+    groups = tuple(dict.fromkeys((*rows.values(), *heads_of)))
     heads = doubled_sums(density_rows(conv, field, groups), lo, 0)
     parts = {g: (head, *kept[g][1:]) for g, head in zip(groups, zip(*heads))}
     out = {}
     for name, g in rows.items():
         value, err = halfline_total(parts[g][:2], parts[g][2])
         out[name] = (float(VOL_S3 * value), float(VOL_S3 * err))
-    return Norms(field, lo, out, parts)
+    return Norms(field, lo, out, parts,
+                 boundary_terms(conv, field, lo) if lo > 0 else None)
 
 
-def full_line_norms(conv, field) -> Norms:
-    """The FULL_LINE_ROWS of the field from zero, and the one solution guard:
-    it refuses a field that does not solve the system on the range of every
-    pass (_require_solution); every other pass integrates its field.  The
-    body and tail are integrated once, on every _KEPT_GROUPS group, and
-    kept in the parts for field_norms."""
-    _require_solution(conv, field)
+def from_zero_pass(conv, field) -> Norms:
+    """The FULL_LINE_ROWS and the charge of the field from zero, uncertified
+    (the charge needs no solution).  The body and tail are integrated once,
+    on every _KEPT_GROUPS group, and kept in the parts for field_norms."""
     rows = density_rows(conv, field, _KEPT_GROUPS)
     bodies = zip(*doubled_sums(rows, 0.0, -1))
     kept = {g: (None, body, tail)
             for g, body, tail in zip(_KEPT_GROUPS, bodies, tail_bound(rows))}
-    own = _norms(conv, field, FULL_LINE_ROWS, 0.0, kept)
+    own = _norms(conv, field, FULL_LINE_ROWS, 0.0, kept, (_CHARGE,))
     return own._replace(parts={**kept, **own.parts})
+
+
+def certified(conv, from_zero: Norms) -> Norms:
+    """The from-zero pass, once the solution guard passes: its field's residual
+    is below 1e-8 at 24 nodes from 1e-3 to 10, every pass's range."""
+    grid = np.geomspace(1e-3, 10.0, 24)
+    if not np.max(kw_residual_norm(conv, from_zero.field, grid)) <= 1e-8:
+        raise ValueError("not a solution: identity chain does not apply")
+    return from_zero
+
+
+def full_line_norms(conv, field) -> Norms:
+    """The field's from-zero pass, certified."""
+    return certified(conv, from_zero_pass(conv, field))
+
+
+def charge(from_zero: Norms):
+    """(value, error) of the charge of a from-zero pass's field, unscaled: as
+    a row's floats do not depend on the other rows, topological_charge's."""
+    head, body, tail = from_zero.parts[_CHARGE]
+    return tuple(map(float, halfline_total((head, body), tail)))
 
 
 def field_norms(conv, full_line: Norms, rows, lo) -> Norms:
@@ -292,14 +305,14 @@ def c_decay() -> float:
     [1, 25], slightly inflated so |phi_model| <= c_decay e^{-2y} holds
     pointwise on y > 1."""
     ys = np.linspace(1.0, 25.0, 400)
-    b = pole_scalars(ys)[1]
+    b = pole_scalar(pole_b, ys)[0]
     sup = float(np.max(math.sqrt(OMEGA_NORM_SQ) * b * np.exp(2.0 * ys)))
     return sup * (1.0 + 1e-9)
 
 
 def topological_charge(conv: GeometryConventions, a_profile: MatrixProfile):
-    """(1 / 4 pi^2) int tr(F_A)^2 by quadrature.  For scalar profiles the
-    integrand is a total derivative, which tests use as the oracle."""
+    """(1 / 4 pi^2) int tr(F_A)^2 of a connection alone, by quadrature.  For
+    scalar profiles the integrand is a total derivative, the tests' oracle."""
     field = InvariantField(a_profile, scaled_matrix_profile(lambda jy: jy * 0, _I3))
 
     return integrate_halfline(density_fn(conv, field, ("charge_density",)), 0.0)
@@ -332,7 +345,7 @@ def check_energy_identity(conv: GeometryConventions, ident: str, *,
 
     if ident in _BALANCES:
         rows = at_eps.rows
-        cubic, mixed = boundary_terms(conv, at_eps.field, at_eps.eps)
+        cubic, mixed = at_eps.boundary
         if ident == "first-order-balance":
             (lhs, err), rhs = rows["first_order"], cubic + mixed
         elif ident == "square-completion":
@@ -399,9 +412,8 @@ def eps_sweep_rows(conv, full_line: Norms, eps_list):
     on the field of a from-zero pass, whose build certified it a solution."""
     rows = []
     for eps in eps_list:
-        lhs, _ = _bulk_balance(
-            field_norms(conv, full_line, _BALANCE_ROWS, eps))
-        rhs = boundary_terms(conv, full_line.field, eps)[1]
+        norms = field_norms(conv, full_line, _BALANCE_ROWS, eps)
+        lhs, rhs = _bulk_balance(norms)[0], norms.boundary[1]
         rows.append((eps, lhs, rhs, lhs - rhs))
     return rows
 
@@ -412,7 +424,7 @@ def cutoff_rows(conv, full_line: Norms, cutoffs):
     combination); the first two diverge like 1/eps."""
     passes = tuple(field_norms(conv, full_line, _PHI_ROWS, eps) for eps in cutoffs)
     two_phi = [2.0 * p.rows["phi_sq"][0] for p in passes]
-    mixed = [boundary_terms(conv, p.field, p.eps)[1] for p in passes]
+    mixed = [p.boundary[1] for p in passes]
     return passes, tuple((t, m, m - t) for t, m in zip(two_phi, mixed))
 
 
@@ -479,11 +491,15 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
         raise ValueError("perturbation must vanish at the boundary (rho = O(y))")
     if not np.all(np.abs(q_ends[:, 1]) <= 1e-6):
         raise ValueError("perturbation must decay toward infinity")
+    ys = np.linspace(1.0, 12.0, 60)  # the far envelope: the model's alone
+    env_slack = float(np.min(consts.c_decay * np.exp(-2.0 * ys) - math.sqrt(
+        OMEGA_NORM_SQ) * pole_scalar(pole_b, ys)[0]))
     return [rep for s in range(0, len(amp), BLOCK) for rep in _chain_block(
-        conv, amp[s:s + BLOCK], rate[s:s + BLOCK], m[s:s + BLOCK], consts)]
+        conv, amp[s:s + BLOCK], rate[s:s + BLOCK], m[s:s + BLOCK], consts,
+        env_slack)]
 
 
-def _chain_block(conv, amp, rate, m, consts: BoundConstants) -> list:
+def _chain_block(conv, amp, rate, m, consts: BoundConstants, env_slack) -> list:
     """perturbation_chain's reports on one block of perturbations."""
     # per-perturbation constants as (k, 1) columns against (k, n) node rows
     trace = np.trace(m, axis1=1, axis2=2)
@@ -503,7 +519,7 @@ def _chain_block(conv, amp, rate, m, consts: BoundConstants) -> list:
 
     def profiles(y):
         """h = b and b' of the model, (n,); q, q', alpha and alpha', (k, n)."""
-        _, h, _, dh = pole_scalars(y)
+        h, dh = pole_scalar(pole_b, y)
         q, dq = exp_decay_q(amp, rate, y)
         return h, dh, q, dq, gamma * q, gamma * dq
 
@@ -569,8 +585,6 @@ def _chain_block(conv, amp, rate, m, consts: BoundConstants) -> list:
     far_tr, far_rho1, rho_sq_far, s_full_sq_far = VOL_S3 * integrate_halfline(
         far_rows, 1.0)[0]
     step_far_rhs = c19 + 0.5 * far_rho1
-    ys = np.linspace(1.0, 12.0, 60)
-    env_slack = float(np.min(c2 * np.exp(-2.0 * ys) - w_abs * pole_scalars(ys)[1]))
 
     # assembled final inequality
     c1 = consts.c_pert

@@ -53,7 +53,8 @@ class MatrixProfile(NamedTuple):
 
 
 def scaled_matrix_profile(fn, mat) -> MatrixProfile:
-    return MatrixProfile(((fn, np.asarray(mat, dtype=float)),))
+    """fn times mat, stored in longdouble (exact) as eval's products take it."""
+    return MatrixProfile(((fn, np.asarray(mat, dtype=np.longdouble)),))
 
 
 class InvariantField(NamedTuple):
@@ -106,15 +107,18 @@ def nahm_pole_invariant_solution_alt() -> InvariantField:
     )
 
 
+def pole_scalar(fn, y, dtype=float):
+    """(value, d/dy) of the reference solution's scalar fn (pole_a, pole_b) at
+    y (a node or nodes), in longdouble rounded to dtype.  Residual checks take
+    longdouble: near the pole their cancellations exceed float64's."""
+    j = fn(Jet.var(np.longdouble(y)))
+    return tuple(np.asarray(x, dtype=dtype)[()] for x in (j.f, j.d))
+
+
 def pole_scalars(y, dtype=float):
-    """(a, b, a', b') of the reference solution at y (a node or an array of
-    nodes), evaluated in extended precision and rounded to dtype.  Residual
-    checks take np.longdouble: near the pole their cancellations exceed
-    float64 resolution."""
-    jy = Jet.var(np.longdouble(y))
-    ja = pole_a(jy)
-    jb = pole_b(jy)
-    return tuple(np.asarray(x, dtype=dtype)[()] for x in (ja.f, jb.f, ja.d, jb.d))
+    """(a, b, a', b') of the reference solution at y, as pole_scalar gives them."""
+    (a, da), (b, db) = (pole_scalar(fn, y, dtype) for fn in (pole_a, pole_b))
+    return a, b, da, db
 
 
 def loglog_slope(xs, ys) -> float:

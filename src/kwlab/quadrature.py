@@ -27,9 +27,10 @@ of the layout left to right.  So a row's float is the one its integrand
 alone would give, and integrands that share a layout are evaluated in one
 pass.  The energy suite keeps to that: the reference solution's body and
 tail are integrated once per run, on the rows of every pass that shares
-them (energy.full_line_norms), and each pass from a cutoff integrates only
-its own head and adds the kept body (energy.field_norms); only the refined
-c_model value (energy.refined_c_model) has a layout of its own.  The
+them and on the model's charge (energy.from_zero_pass), and each pass from
+a cutoff integrates only its own head and adds the kept body
+(energy.field_norms); only the refined c_model value
+(energy.refined_c_model) has a layout of its own.  The
 layout is three constants, read at call time: the head and the body end at
 Y_SPLIT and Y_MAX, with PANELS panels (twice as many when fine).  The rule
 is the 16-node Gauss-Legendre rule on each panel, a literal table equal to

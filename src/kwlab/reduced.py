@@ -350,7 +350,7 @@ def indicial_expand(sys: ReducedSystem, order: int) -> PoleSeries:
 # order reaches y = 8 in a few dozen steps.
 TAYLOR_ORDER = 28
 TAYLOR_EPS = 1e-20  # size of the last two terms, relative to max(1, |a| + |b|)
-_H_MIN = 1e-12  # a lane whose step falls below this leaves as non-finite
+_H_MIN = 1e-12  # a step short of y1 below this leaves its lane non-finite
 
 # how a lane leaves the stepper
 _REACHED, _BLOWN, _NONFINITE = "reached", "blow", "non-finite"
@@ -523,11 +523,11 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
     workspace that serves every step until a lane leaves.  After each step
     one Python pass sets each lane's verdict, the first that holds: non-finite
     when its coefficients or the state they give are not finite (in
-    longdouble) or its step falls below _H_MIN, keeping its last finite
-    state; blown when its float64 |a| + |b| crosses BLOWUP_THRESHOLD or,
-    with ``certify`` (the locked system only), ``_certified_blowup`` proves
-    that it cannot reach y1; reached when its y is y1; live otherwise.  Per
-    lane the arithmetic is that of a single trajectory, so a lane's result
+    longdouble) or its step falls below _H_MIN short of y1, keeping its last
+    finite state; blown when its float64 |a| + |b| crosses BLOWUP_THRESHOLD
+    or, with ``certify`` (the locked system only), ``_certified_blowup``
+    proves that it cannot reach y1; reached when its y is y1; live otherwise.
+    Per lane the arithmetic is that of a single trajectory, so a lane's result
     does not depend on its batch.  ``steps`` (two lists, one-lane runs only;
     or None) collects the step boundaries and each step's coefficients.
     """
@@ -563,7 +563,7 @@ def _taylor_lanes(sys: ReducedSystem, y0: float, states, y1: float,
         last = h >= rest
         h = np.where(last, rest, h)
         s_new = _power_sum(c, h)
-        fine = (h >= _H_MIN) & np.isfinite(s_new).all(0)
+        fine = ((h >= _H_MIN) | last) & np.isfinite(s_new).all(0)
         y = np.where(fine, np.where(last, y_end, y + h), y)
         s = np.where(fine, s_new, s)
         if steps is not None and fine[0]:

@@ -494,14 +494,14 @@ def test_guard_reports_exception_detail(tmp_path, monkeypatch, capsys):
     assert f"c-model-stability: ZeroDivisionError raised at {where}: boom" in err
 
 
-def _energy_failures(tmp_path):
+def _energy_failures(tmp_path, checks=12):
     """Check id -> entry of each check that failed in an energy run, which
-    must keep all twelve checks."""
+    must keep `checks` checks: all twelve, unless a producer of two raised."""
     out = tmp_path / "r.json"
     assert main(["verify", "--suite", "energy", "--n-pert", "1",
                  "--out", str(out)]) == 1
     by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
-    assert len(by_id) == 12
+    assert len(by_id) == checks
     return {cid: c for cid, c in by_id.items() if c["status"] == "fail"}
 
 
@@ -528,16 +528,24 @@ def test_failed_sweep_fails_only_its_checks(tmp_path, monkeypatch):
         assert c["detail"] == "check raised: no sweep"
 
 
+_CERTIFIED_READERS = {
+    "energy-route-match", "energy-weighted-bound", "energy-cutoff-limit",
+    "c-model-stability", "theorem-bound", "perturbation-chain",
+    "energy-first-order-balance", "energy-square-completion",
+    "energy-bulk-boundary-balance"}
+
+
 @pytest.mark.parametrize("shared, readers", [
-    # the at-eps pass, bound_constants and the cutoff sweep read the
-    # from-zero pass (the at-eps pass integrates the field it certified),
-    # so their readers fail too
-    ("full_line", {"energy-route-match", "energy-weighted-bound",
-                   "energy-cutoff-limit", "c-model-stability", "theorem-bound",
-                   "perturbation-chain", "energy-first-order-balance",
-                   "energy-square-completion", "energy-bulk-boundary-balance"}),
+    # the certificate of the from-zero pass: the at-eps pass,
+    # bound_constants and the cutoff sweep read the certified pass (the
+    # at-eps pass integrates the field it certified), so their readers fail
+    # too; the charges read the pass before its certificate and still run
+    ("full_line", _CERTIFIED_READERS),
     ("at_eps", {"energy-first-order-balance", "energy-square-completion",
                 "energy-bulk-boundary-balance"}),
+    # the from-zero pass itself: its certificate and the model's charge,
+    # whose producer then makes no charge-model-alt
+    ("from_zero", _CERTIFIED_READERS | {"charge-model"}),
 ])
 def test_failed_shared_pass_fails_only_its_readers(tmp_path, monkeypatch,
                                                    shared, readers):
@@ -554,10 +562,12 @@ def test_failed_shared_pass_fails_only_its_readers(tmp_path, monkeypatch,
         return field_norms(conv, field, rows, *args, **kwargs)
 
     if shared == "full_line":
-        monkeypatch.setattr(energy, "full_line_norms", boom)
+        monkeypatch.setattr(energy, "certified", boom)
+    elif shared == "from_zero":
+        monkeypatch.setattr(energy, "from_zero_pass", boom)
     else:
         monkeypatch.setattr(energy, "field_norms", at_eps_fails)
-    failed = _energy_failures(tmp_path)
+    failed = _energy_failures(tmp_path, 11 if shared == "from_zero" else 12)
     assert set(failed) == readers
     for c in failed.values():
         assert c["detail"] == "check raised: no pass"
@@ -582,13 +592,14 @@ def _panel_calls(monkeypatch, argv) -> list:
 
 def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
     # one call per part at each of two panel counts: 4 for the from-zero
-    # pass (the head, and the body it keeps for the passes that share it),
-    # 2 for the head alone of the at-eps pass and of each of the three sweep
-    # cutoffs, 4 for each charge, 4 for one chain block (the head and the far
-    # half-line from 1), and 2 for the refined c_model value, which
-    # integrates only its two parts at 4 * PANELS: 26 (36 when every pass
-    # integrated its own body and the constants their own head, 64 when
-    # every check integrated its own pass)
+    # pass (the head, and the body it keeps for the passes that share it,
+    # the model's charge among its rows), 2 for the head alone of the at-eps
+    # pass and of each of the three sweep cutoffs, 4 for the companion's
+    # charge, 4 for one chain block (the head and the far half-line from 1),
+    # and 2 for the refined c_model value, which integrates only its two
+    # parts at 4 * PANELS: 22 (26 when the model's charge had a pass of its
+    # own, 36 when every pass integrated its own body and the constants
+    # their own head, 64 when every check integrated its own pass)
     from kwlab import quadrature
 
     made = []
@@ -598,7 +609,7 @@ def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
     argv = ["verify", "--suite", "energy", "--n-pert", "3",
             "--out", str(tmp_path / "r.json")]
     calls = _panel_calls(monkeypatch, argv)
-    assert len(calls) == 26
+    assert len(calls) == 22
     # the reference solution's density rows are integrated on each body
     # edge array once: at PANELS and twice as many by the from-zero pass,
     # at 4 * PANELS by the refined c_model value
@@ -608,13 +619,15 @@ def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
     assert sorted(bodies) == [p, 2 * p, 4 * p]
 
 
-@pytest.mark.parametrize("model, calls", [("he", 14), ("alt", 18)])
+@pytest.mark.parametrize("model, calls", [("he", 10), ("alt", 14)])
 def test_energy_command_integrates_each_layout_once(tmp_path, monkeypatch,
                                                     model, calls):
-    # the reference pass (4), the charge (4) and the heads of the three
-    # sweep rows (6); alt adds its own bound pass (4).  22 and 26 when each
-    # sweep row integrated its own body and the constants their own head;
-    # 42 for either model when every producer integrated its own pass
+    # the reference pass (4) and the heads of the three sweep rows (6); alt
+    # adds its own bound pass (4).  The charge is read from the field's own
+    # from-zero pass: 14 and 18 when it had a pass of its own, 22 and 26
+    # when each sweep row integrated its own body and the constants their
+    # own head; 42 for either model when every producer integrated its own
+    # pass
     argv = ["energy", "--model", model, "--out", str(tmp_path / "e.json")]
     assert len(_panel_calls(monkeypatch, argv)) == calls
 

@@ -16,6 +16,8 @@ from kwlab.energy import (
     boundary_terms,
     c_decay,
     c_model,
+    certified,
+    charge,
     check_energy_identity,
     cutoff_rows,
     densities,
@@ -24,6 +26,7 @@ from kwlab.energy import (
     eps_sweep_rows,
     exp_decay_q,
     field_norms,
+    from_zero_pass,
     full_line_norms,
     perturbation_chain,
     random_perturbations,
@@ -32,7 +35,7 @@ from kwlab.energy import (
     topological_charge,
 )
 from kwlab import energy, quadrature
-from kwlab.forms import EPS_TABLE, frob_inner, wedge_bracket_matrix
+from kwlab.forms import EPS_TABLE, FieldAt, frob_inner, wedge_bracket_matrix
 from kwlab.jets import Jet
 from kwlab.profiles import (
     InvariantField,
@@ -492,6 +495,9 @@ def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
         "at_eps": field_norms(conv, full_line, CUTOFF_ROWS, eps),
     }
     assert shared["at_eps"].eps == eps and shared["full_line"].eps == 0.0
+    # the at-eps pass carries the boundary terms that its balances read
+    assert shared["at_eps"].boundary == boundary_terms(conv, model, eps)
+    assert shared["full_line"].boundary is None
     read = set()
     for pass_, name, (value, error) in _per_producer_passes(conv, model, eps):
         got = shared[pass_].rows[name]
@@ -499,6 +505,25 @@ def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
         read.add((pass_, name))
     # every shared row is one that some producer integrated
     assert read == {(p, k) for p, n in shared.items() for k in n.rows}
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_charge_group_equals_topological_charge_bitwise(conv, flip):
+    # the charge_density group of the from-zero pass, read unscaled, is the
+    # charge of the field's connection alone, value and error; it needs no
+    # certificate, so under the flipped star sign, which the guard refuses,
+    # the uncertified pass still gives it
+    conv = conv.flipped() if flip else conv
+    for field, a_fn in ((nahm_pole_invariant_solution(), pole_a),
+                        (nahm_pole_invariant_solution_alt(), pole_a_alt)):
+        zero = from_zero_pass(conv, field)
+        want = topological_charge(conv, scaled_matrix_profile(a_fn, I3))
+        assert [x.hex() for x in charge(zero)] == [x.hex() for x in want]
+        if flip:
+            with pytest.raises(ValueError, match="not a solution"):
+                certified(conv, zero)
+        else:
+            assert certified(conv, zero) is zero
 
 
 def test_refined_c_model_is_the_refined_pass_bitwise(conv, full_line,
@@ -518,6 +543,36 @@ def test_refined_c_model_is_the_refined_pass_bitwise(conv, full_line,
     monkeypatch.setattr(quadrature, "PANELS", 2 * quadrature.PANELS)
     want = c_model(full_line_norms(conv, full_line.field))[0]
     assert got.hex() == want.hex()
+
+
+def _nabla_bar_sq_per_pair(m):
+    """The tangential gradient density as it was written before the stacked
+    bracket: one bracket and one np.vecdot per pair of columns."""
+    a, p = m.a, m.p
+    total = 0.0
+    half_c = 0.5 * m.conv.c
+    for ai in range(3):
+        for b in range(3):
+            vec = bracket(a[:, ai], p[:, b])
+            for i, j, k, s in EPS_TABLE:
+                if i == ai and j == b:
+                    vec = vec - half_c * s * p[:, k]
+            total += 0.5 * np.vecdot(vec, vec, axis=0)
+    return total
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (768,), (4, 5)])
+def test_stacked_nabla_bar_sq_matches_the_per_pair_loop(conv, shape):
+    # seeded non-scalar matrices, under both star signs: the stacked cross
+    # product and its one vecdot give the per-pair loop's floats
+    rng = np.random.default_rng(17)
+    a, p = (rng.normal(size=(3, 3, *shape)) * 10.0 ** rng.integers(
+        -3, 4, size=(3, 3, *shape)) for _ in range(2))
+    for cv in (conv, conv.flipped()):
+        m = FieldAt(cv, a, None, p, None)
+        got, want = energy._nabla_bar_sq(m), _nabla_bar_sq_per_pair(m)
+        assert np.shape(got) == np.shape(want) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_c_decay_envelope(conv):

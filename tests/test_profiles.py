@@ -8,10 +8,16 @@ from conftest import jet_exp
 from kwlab import jets
 from kwlab.jets import Jet
 from kwlab.profiles import (
+    MatrixProfile,
     higgs_scale_check,
     loglog_slope,
     nahm_pole_invariant_solution,
+    pole_a,
+    pole_a_alt,
+    pole_b,
+    pole_scalar,
     pole_scalars,
+    scaled_matrix_profile,
 )
 
 
@@ -84,6 +90,51 @@ def test_array_evaluation_matches_each_node():
         assert v.shape == d.shape == (3, 3)
         assert np.array_equal(val[..., i], v) and np.array_equal(der[..., i], d)
         assert [x[i] for x in stacked] == list(pole_scalars(float(y)))
+
+
+def _same_bits(got, want):
+    """Equal shape, dtype, value and sign per entry (longdouble's padding
+    bytes are not part of its value)."""
+    return all(
+        g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w)
+        and np.array_equal(np.signbit(g), np.signbit(w))
+        for g, w in zip(map(np.asarray, got), map(np.asarray, want), strict=True))
+
+
+def test_pole_scalar_is_pole_scalars_entry_bitwise():
+    # one scalar's (value, d/dy) are the floats pole_scalars gives it, and
+    # those of both jets rounded to dtype as pole_scalars formed them before
+    # it was built from pole_scalar, in float64 and longdouble, at a node
+    # and on an array of nodes
+    ys = np.geomspace(1e-8, 30.0, 97)
+    for y in (ys, 1e-4, 0.7, 12.0):
+        jy = Jet.var(np.longdouble(y))
+        ja, jb = pole_a(jy), pole_b(jy)
+        for dtype in (float, np.longdouble):
+            want = tuple(np.asarray(x, dtype=dtype)[()]
+                         for x in (ja.f, ja.d, jb.f, jb.d))
+            a, b, da, db = pole_scalars(y, dtype)
+            got = pole_scalar(pole_a, y, dtype) + pole_scalar(pole_b, y, dtype)
+            assert [x.dtype for x in got] == [np.dtype(dtype)] * 4
+            assert _same_bits(got, want) and _same_bits((a, da, b, db), want)
+
+
+def test_longdouble_matrix_profile_equals_float64_matrix_product():
+    # scaled_matrix_profile stores its matrix in longdouble; eval gives the
+    # bits of the float64 matrix's products, for the identity and a rotated
+    # non-identity matrix, alone and in a sum of terms
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    mat = rot @ np.diag([1.5, -0.25, 3.0]) @ rot.T
+    ys = np.geomspace(1e-3, 20.0, 768)
+    for fn, m in ((pole_b, np.eye(3)), (pole_a_alt, mat), (pole_a, rot)):
+        prof = scaled_matrix_profile(fn, m)
+        assert prof.terms[0][1].dtype == np.longdouble
+        two = MatrixProfile(prof.terms + ((pole_b, m),))
+        for y in (ys, 0.37):
+            assert _same_bits(prof.eval(y), MatrixProfile(((fn, m),)).eval(y))
+            assert _same_bits(two.eval(y), MatrixProfile(
+                ((fn, m), (pole_b, m))).eval(y))
 
 
 def test_scaling_limit_rate():

@@ -1341,7 +1341,9 @@ def _taylor_lanes_reference(sys, y0, states, y1, steps, certify=False):
         last = h >= y_end - y
         h = np.where(last, y_end - y, h)
         s_new = reduced._power_sum(c, h)
-        nonfinite = ~((h >= reduced._H_MIN) & np.isfinite(s_new).all(0))
+        # a step clipped to y1 is fine however short
+        nonfinite = ~(((h >= reduced._H_MIN) | last)
+                      & np.isfinite(s_new).all(0))
         y = np.where(nonfinite, y, np.where(last, y_end, y + h))
         s = np.where(nonfinite, s, s_new)
         if steps is not None and not nonfinite[0]:
@@ -1431,13 +1433,13 @@ def test_verdict_pass_matches_the_replaced_bookkeeping(system, series,
 
     # from y = 6 the lane (0, 0) steps to one ulp below y1, still live in
     # longdouble though float64 rounds its y to y1; its next step, clipped
-    # to y1, is below _H_MIN, so it leaves there as non-finite.  (2, 0) is
+    # to y1, is below _H_MIN and still fine, so it reaches y1.  (2, 0) is
     # stationary too, and reaches y1 in one step
     below = ld(6.0) + ld(2.0 - 2.0**-52)
     assert below < y1 and float(below) == y1
     for certify in (True, False):
         run = _same_runs(system, [near, (2.0, 0.0)], 6.0, certify)
-        assert run.status == ["non-finite", "reached"]
+        assert run.status == ["reached", "reached"]
     steps = ([ld(6.0)], [])
     reduced._taylor_lanes(system, 6.0, np.array([near], dtype=ld).T, y1, steps)
-    assert steps[0] == [6.0, below]
+    assert steps[0] == [6.0, below, y1]
