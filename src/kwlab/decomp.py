@@ -32,6 +32,10 @@ L(u, v) = 3 tr [u ^ v] - 2 tr u tr v and B(u, v) = 3 <u, v>_F - tr u tr v:
 6 (B - L) = Gram(P_3) and 6 (B + L) = Gram(P_2), P_i = project6(i, .), so
 B -+ L >= 0, with |L| = B exactly where P_3 v = 0 or P_2 v = 0.
 
+The tables return rows (check id, whether it holds, note, provenance) and
+the seeded suite its numbers; ``cli.suite_decomposition`` turns them into
+report entries.
+
 The seeded suite exercises the engine on that claim: it draws small integer
 vectors and checks them a block at a time as int64 stacks, under the
 overflow bound stated above ENTRY_BOUND.  A block's entries are drawn in
@@ -51,7 +55,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import wedge_bracket_matrix
-from .report import CheckReport, make_check
 
 MU = (
     np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),   # t2 e3 - t3 e2
@@ -68,6 +71,7 @@ NU_13 = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]])  # t1 e1 - t3 e3
 
 
 EIGENVALUES = (2, 1, -1)  # of *3[omega, . ] on V1, V2, V3
+NU_SIGN = -1  # of *3(nu ^ nu) under the engine orientation, against the table
 _I3 = np.eye(3, dtype=np.int64)  # omega's coefficients as integers
 
 
@@ -107,22 +111,15 @@ def omega_bracket(v):
     return wedge_bracket_matrix(_I3, v)
 
 
-def _exact(check_id, holds: bool, note, provenance="reference") -> CheckReport:
-    """An exact table entry: computed 1 if it holds, else 0, against 1 at
-    zero tolerance."""
-    return make_check(check_id, note, computed=1.0 if holds else 0.0,
-                      expected=1.0, tolerance=0.0, provenance=provenance)
-
-
 def omega_bracket_eigencheck() -> list:
     """Exact eigenvalue table of *3[omega, . ] on all nine basis vectors,
-    from one omega_bracket call on their (3, 3, 9) stack."""
+    from one omega_bracket call on their (3, 3, 9) stack, as rows (check
+    id, whether it holds, note, provenance)."""
     cases = [(i, k, v, lam) for i, (vecs, lam) in
              enumerate(zip(basis(), EIGENVALUES), 1) for k, v in enumerate(vecs)]
     images = omega_bracket(np.stack([v for _, _, v, _ in cases], axis=-1))
-    return [_exact(f"eigen-table-v{i}-{k}",
-                   np.array_equal(images[..., n], lam * v),
-                   f"*3[omega, .] acts on V^{i} with eigenvalue {lam}")
+    return [(f"eigen-table-v{i}-{k}", np.array_equal(images[..., n], lam * v),
+             f"*3[omega, .] acts on V^{i} with eigenvalue {lam}", "reference")
             for n, (i, k, v, lam) in enumerate(cases)]
 
 
@@ -136,20 +133,21 @@ def appendix_star_table() -> list:
     at the scales stated in the module docstring.
 
     mu entries match the displayed table on the nose; nu entries come out
-    with a global minus sign under the engine orientation (recorded here as
-    a regression value, reported per entry), and the consequences that the
-    quadratic-projection argument actually uses -- orthogonality to V1 and
-    the projection magnitude 1/3 |omega| -- are asserted exactly.  Each
-    entry is one row naming its pair; the 36 pairs are one
-    wedge_bracket_matrix call on (3, 3, 36) stacks, and the entries read
-    their brackets in one pass over rows and brackets together.
+    with the global sign NU_SIGN under the engine orientation (recorded as a
+    regression value: a row per entry, after it, whose holds is None), and
+    the consequences that the quadratic-projection argument actually uses
+    -- orthogonality to V1 and the projection magnitude 1/3 |omega| -- are
+    asserted exactly.  The rows are (check id, whether it holds, note,
+    provenance); the 36 pairs are one wedge_bracket_matrix call on
+    (3, 3, 36) stacks, and the rows read their brackets in one pass over
+    pairs and brackets together.
     """
-    rows = []  # (check id, u, v, read, want, note, provenance, then)
+    pairs = []  # (check id, u, v, read, want, note, provenance, then)
 
     def row(check_id, u, v, read, want, note, provenance="reference",
             then=()):
-        """The entry read([u ^ v]) == want; the checks in then follow it."""
-        rows.append((check_id, u, v, read, want, note, provenance, then))
+        """The row read([u ^ v]) == want; the rows in then follow it."""
+        pairs.append((check_id, u, v, read, want, note, provenance, then))
 
     same = lambda w: w
     v1 = lambda w: project6(1, w)
@@ -159,21 +157,17 @@ def appendix_star_table() -> list:
         row(f"star-table-mu{k + 1}", m, m, same, 2 * _te(k),
             f"*3(mu{k + 1} ^ mu{k + 1}) = t{k + 1} e{k + 1}")
 
-    # engine sign for the symmetric basis: *3(nu ^ nu) = -(t e) entrywise
+    # engine sign for the symmetric basis: *3(nu ^ nu) = NU_SIGN t e
     nu_cases = [(f"star-table-nu{k + 1}", NU[k], _te(k)) for k in range(3)]
     nu_cases += [
         ("star-table-nu12", NU_12, _te(2)),
         ("star-table-nu13", NU_13, _te(1)),
     ]
     for cid, v, te in nu_cases:
-        sign = make_check(
-            cid + "-sign",
-            "sign relative to the displayed table (orientation artifact)",
-            computed=-1.0,
-            info=True,
-            provenance="derived",
-        )
-        row(cid, v, v, same, -2 * te,
+        sign = (cid + "-sign", None,
+                "sign relative to the displayed table (orientation artifact)",
+                "derived")
+        row(cid, v, v, same, 2 * NU_SIGN * te,
             "quadratic star of a symmetric basis vector, engine sign -1",
             provenance="derived", then=(sign,))
 
@@ -197,11 +191,9 @@ def appendix_star_table() -> list:
                     "*3[nu_a, nu_b] is orthogonal to V1 for orthogonal pairs")
     # V1 part -(1/3) omega, times 6; then the resolution of a diagonal
     # coefficient form in the omega/nu basis, times 3
-    te_decomposition = _exact(
-        "star-table-te-decomposition",
-        np.array_equal(3 * _te(0), _I3 + NU_12 + NU_13),
-        "t1 e1 = (omega + nu_12 + nu_13)/3",
-    )
+    te_decomposition = ("star-table-te-decomposition",
+                        np.array_equal(3 * _te(0), _I3 + NU_12 + NU_13),
+                        "t1 e1 = (omega + nu_12 + nu_13)/3", "reference")
     row("star-table-nu-diag-bracket-v1", NU_12, NU_13, v1, -2 * _I3,
         "V1 part of *3[nu_12, nu_13] (non-orthogonal pair), engine value "
         "-(1/3) omega", provenance="derived", then=(te_decomposition,))
@@ -214,22 +206,22 @@ def appendix_star_table() -> list:
             lambda w: _sum_sq(project6(1, w)), 48,
             "projection of the quadratic star onto V1 has magnitude |omega|/3")
 
-    _, us, vs, *_ = zip(*rows)
+    _, us, vs, *_ = zip(*pairs)
     wedges = wedge_bracket_matrix(np.stack(us, axis=-1), np.stack(vs, axis=-1))
-    checks = []
+    rows = []
     for (cid, _, _, read, want, note, provenance, then), w in zip(
-            rows, np.moveaxis(wedges, -1, 0)):
-        checks.append(_exact(cid, np.array_equal(read(w), want), note,
-                             provenance))
-        checks.extend(then)
-    return checks
+            pairs, np.moveaxis(wedges, -1, 0)):
+        rows.append((cid, np.array_equal(read(w), want), note, provenance))
+        rows.extend(then)
+    return rows
 
 
 def basis_identities() -> list:
-    """The splitting's claims as exact 9 x 9 integer identities, one entry
-    each: the engine's kernels run on the nine unit matrices, stacked as
-    one (3, 3, 9) array, and a kernel's output on the stack, reshaped to
-    (9, 9), is its matrix on row-major coefficients."""
+    """The splitting's claims as exact 9 x 9 integer identities, one row
+    (check id, whether it holds, note, provenance) each: the engine's
+    kernels run on the nine unit matrices, stacked as one (3, 3, 9) array,
+    and a kernel's output on the stack, reshaped to (9, 9), is its matrix
+    on row-major coefficients."""
     e = np.eye(9, dtype=np.int64).reshape(3, 3, 9)
     gram = lambda p: np.einsum("ack,acl->kl", p, p)  # <p_k, p_l>_F
     parts = [project6(i, e) for i in (1, 2, 3)]
@@ -238,32 +230,30 @@ def basis_identities() -> list:
     # L and B on all 81 pairs of unit matrices
     wedge = wedge_bracket_matrix(e[:, :, :, None], e[:, :, None, :])
     l, b = 3 * np.trace(wedge) - 2 * tr_e, 3 * gram(e) - tr_e
-    return [
-        _exact("decomposition-completeness",
-               np.array_equal(sum(parts), 6 * e),
-               "P_1 + P_2 + P_3 = 6 for P_i = project6(i, .)"),
-        _exact("decomposition-idempotence",
-               all(np.array_equal(twice[i][i], 6 * p)
-                   for i, p in enumerate(parts)),
-               "P_i P_i = 6 P_i"),
-        _exact("decomposition-orthogonality",
-               not any(twice[i][j].any()
-                       for i in range(3) for j in range(3) if j != i),
-               "P_j P_i = 0 for j != i"),
-        _exact("decomposition-self-adjoint",
-               all(np.array_equal(m, m.T) for m in
-                   (p.reshape(9, 9) for p in parts)),
-               "each P_i is symmetric; with orthogonality, Pythagoras"),
-        _exact("decomposition-eigen-relation",
-               all(np.array_equal(omega_bracket(p), lam * p)
-                   for p, lam in zip(parts, EIGENVALUES)),
-               "*3[omega, P_i v] = lambda_i P_i v"),
-        _exact("decomposition-lemma-gram",
-               np.array_equal(6 * (b - l), gram(parts[2]))
-               and np.array_equal(6 * (b + l), gram(parts[1])),
-               "6 (B - L) = Gram(P_3) and 6 (B + L) = Gram(P_2), so "
-               "|L(v, v)| <= B(v, v) for every v"),
-    ]
+    return [(check_id, holds, note, "reference") for check_id, holds, note in (
+        ("decomposition-completeness",
+         np.array_equal(sum(parts), 6 * e),
+         "P_1 + P_2 + P_3 = 6 for P_i = project6(i, .)"),
+        ("decomposition-idempotence",
+         all(np.array_equal(twice[i][i], 6 * p) for i, p in enumerate(parts)),
+         "P_i P_i = 6 P_i"),
+        ("decomposition-orthogonality",
+         not any(twice[i][j].any()
+                 for i in range(3) for j in range(3) if j != i),
+         "P_j P_i = 0 for j != i"),
+        ("decomposition-self-adjoint",
+         all(np.array_equal(m, m.T) for m in (p.reshape(9, 9) for p in parts)),
+         "each P_i is symmetric; with orthogonality, Pythagoras"),
+        ("decomposition-eigen-relation",
+         all(np.array_equal(omega_bracket(p), lam * p)
+             for p, lam in zip(parts, EIGENVALUES)),
+         "*3[omega, P_i v] = lambda_i P_i v"),
+        ("decomposition-lemma-gram",
+         np.array_equal(6 * (b - l), gram(parts[2]))
+         and np.array_equal(6 * (b + l), gram(parts[1])),
+         "6 (B - L) = Gram(P_3) and 6 (B + L) = Gram(P_2), so "
+         "|L(v, v)| <= B(v, v) for every v"),
+    )]
 
 
 # The seeded suite on int64 blocks.  Overflow bound for |v| <= B =
@@ -361,15 +351,17 @@ def quadratic_projection_slack_sq(v) -> tuple:
     return lhs_scaled_sq, bound_scaled_sq
 
 
-def decomposition_suite(seed: int, n: int) -> CheckReport:
+def decomposition_suite(seed: int, n: int) -> tuple:
     """Monte-Carlo exercise of the engine on the quadratic-projection claim,
     which ``basis_identities`` proves for every v.
 
     Every vector goes through the engine's wedge bracket and the exact
     comparison of quadratic_projection_slack_sq: equality on pure types,
-    the bound on mixed vectors, whose least slack is reported (a pure
-    vector's slack is 0).  The vectors are drawn and checked BLOCK at a
-    time as int64 stacks; a failure reports the first failing vector.
+    the bound on mixed vectors (a pure vector's slack is 0).  The vectors
+    are drawn and checked BLOCK at a time as int64 stacks.  Returns
+    (least slack of the mixed vectors, None below n = 3; their count; None)
+    or, at the first failing vector, (None, None, (its index, whether it is
+    mixed: it broke the bound, not a pure type's equality)).
     Vector k has kind pure2, pure3 or mixed by k % 3, and its entries are
     the values of ``random.Random(seed).randint(-27, 27)`` in order, read in
     bulk from the generator's words (see _draw_values).
@@ -383,22 +375,7 @@ def decomposition_suite(seed: int, n: int) -> CheckReport:
         failed = np.where(mixed, lhs_sq > bound_sq, lhs_sq != bound_sq)
         if failed.any():
             k = np.flatnonzero(failed)[0]
-            return make_check(
-                "decomposition-suite",
-                ("projection bound violated" if mixed[k]
-                 else "pure-type equality failed") + f" at vector {ks[k]}",
-                computed=float(ks[k]), ok=False)
+            return None, None, (int(ks[k]), bool(mixed[k]))
         slack.append((bound_sq - lhs_sq)[mixed])
     slack = np.concatenate(slack)
-    worst = int(slack.min()) if slack.size else None  # none mixed below n = 3
-    return make_check(
-        "decomposition-suite",
-        f"{n} seeded vectors through the engine wedge bracket and the "
-        f"quadratic projection claim; least slack of the {slack.size} mixed "
-        "vectors",
-        computed=worst,
-        ok=True,
-        provenance="derived",
-        extra={"n": n, "seed": seed,
-               "worst_slack_sq": None if worst is None else str(worst)},
-    )
+    return (int(slack.min()) if slack.size else None), slack.size, None

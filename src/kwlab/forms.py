@@ -25,7 +25,9 @@ chosen by hand: ``calibrate`` searches the finite set c_struct in {+-1, +-2},
 s1, s2 in {+-1} for the unique choice that makes the Ricci curvature of the
 frame equal 2g exactly (on integers, at the scale 4 Ric = 8 delta) and
 annihilates the Kapustin-Witten residual of the closed-form reference
-solution.
+solution.  ``ricci_tensor`` and ``is_twice_metric`` also serve the models
+suite's ``ricci`` entry, which ``cli`` builds: like every engine module,
+this one returns numbers and arrays, and builds no report entry.
 
 The kernels keep their input's arithmetic.  The exact tables of ``decomp``
 run them on int64 matrices at an integer scale: the bracket-wedge of integer
@@ -44,7 +46,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .report import CheckReport, make_check
 from .su2 import bracket
 
 # nonzero entries of the permutation symbol: (i, j, k, sign)
@@ -295,28 +296,10 @@ def ricci_tensor(c: int):
         for cc in n] for b in n])
 
 
-def _is_twice_metric(ric4) -> bool:
+def is_twice_metric(ric4) -> bool:
     """Whether 4 Ric = 8 delta, that is Ric = 2g."""
     return all(ric4[i][j] == (8 if i == j else 0)
                for i in range(3) for j in range(3))
-
-
-def ricci_check(conv: GeometryConventions) -> CheckReport:
-    """Assert Ric = 2g and report the ratio Ric(phi,phi)/|phi|^2 for phi = omega."""
-    ric4 = ricci_tensor(conv.c)
-    exact = _is_twice_metric(ric4)
-    # ratio Ric(phi,phi)/|phi|^2 for phi = omega: sum_a Ric_aa <t_a,t_a> / (3/2)
-    # = sum_a Ric_aa / 3 = trace(4 Ric) / 12, one correctly rounded division
-    ratio = int(np.trace(ric4)) / 12
-    return make_check(
-        "ricci",
-        "Ricci of the invariant frame equals twice the metric",
-        computed=ratio,
-        expected=2.0,
-        tolerance=0.0,
-        provenance="reference",
-        extra={"exact": exact},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +327,7 @@ def calibrate() -> GeometryConventions:
 
     field = FieldAt.of(None, nahm_pole_invariant_solution(),
                        np.geomspace(1e-3, 20.0, 40))
-    ricci_ok = {c: _is_twice_metric(ricci_tensor(c))
+    ricci_ok = {c: is_twice_metric(ricci_tensor(c))
                 for c in dict.fromkeys(conv.c for conv in CONVENTION_SET)}
     winners = [conv for conv in CONVENTION_SET if ricci_ok[conv.c]
                and np.max(_residual_norm(field.under(conv))) < CALIBRATION_TOL]

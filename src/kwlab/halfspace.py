@@ -186,7 +186,7 @@ def kw_residual_flat_combined(conv: GeometryConventions, fld: FlatModelField,
 
 
 # ---------------------------------------------------------------------------
-# CSV interfaces: points in (x1,x2,x3,y), residuals out
+# CSV interface: points in (x1,x2,x3,y)
 # ---------------------------------------------------------------------------
 
 def _text_lines(path: str, fh):
@@ -224,11 +224,3 @@ def read_points_csv(path: str) -> np.ndarray:
             raise ValueError(f"{path}:{rd.line_num}: {e}") from None
     return np.array(pts, dtype=float).reshape(-1, 4).T
 
-
-def write_residuals_csv(path: str, conv: GeometryConventions,
-                        fld: FlatModelField, pts):
-    from .report import float_rows, write_csv
-
-    pts = np.asarray(pts, dtype=float)
-    write_csv(path, ["x1", "x2", "x3", "y", "res_eq1", "res_eq2"],
-              float_rows(*pts, *kw_residual_flat(conv, fld, pts)))

@@ -75,10 +75,9 @@ NODES = len(_GL_X)  # the rule's nodes on each panel
 
 
 def _values(f, y):
-    """f on the node array y as floats: y's shape, or rows of it when f
-    returns a (k, n) array; f may return a constant."""
-    v = np.asarray(f(y), dtype=float)
-    return np.broadcast_to(v, v.shape[:-1] + y.shape if v.ndim > 1 else y.shape)
+    """f on the node array y as floats: a value per node, or rows of them
+    when f returns a (k, n) array."""
+    return np.asarray(f(y), dtype=float)
 
 
 def _scalar(v):

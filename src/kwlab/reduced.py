@@ -211,22 +211,6 @@ class IndicialExpansion(NamedTuple):
     a_coeffs: dict  # power -> Fraction, starting at 0
     b_coeffs: dict  # power -> Fraction, starting at -1
 
-    def state(self, y: float):
-        """(a, b) at y in float64; ValueError where the pole term 1/y
-        overflows it, for y below about 5.6e-309."""
-        return _float_state(self.a_coeffs, self.b_coeffs, float, y)
-
-
-def _float_state(a: dict, b: dict, value, y: float) -> tuple:
-    """sum value(c) y^k over the (power k, coefficient c) of a and of b, in
-    float64; ValueError where a term overflows it."""
-    try:
-        return (sum(value(c) * y**k for k, c in a.items()),
-                sum(value(c) * y**k for k, c in b.items()))
-    except OverflowError:
-        raise ValueError(
-            f"series state at y0 = {y!r} overflows float64") from None
-
 
 class PoleSeries(NamedTuple):
     """The pole series with its free coefficient p open: each coefficient is
@@ -263,9 +247,17 @@ class PoleSeries(NamedTuple):
             {k: Fraction(*v) for k, v in r.items()} for r in self._ratios(p)))
 
     def state(self, p, y: float) -> tuple:
-        """``at(p).state(y)`` bit for bit, without the Fractions: int / int
-        is correctly rounded, as a Fraction's float is."""
-        return _float_state(*self._ratios(p), lambda v: v[0] / v[1], y)
+        """(a, b) at p and y in float64: sum (n / d) y^k over each
+        coefficient's integers, without a Fraction (int / int is correctly
+        rounded, as a Fraction's float is); ValueError where a term
+        overflows float64, as the pole term 1/y does for y below about
+        5.6e-309."""
+        try:
+            return tuple(sum(n / d * y**k for k, (n, d) in r.items())
+                         for r in self._ratios(p))
+        except OverflowError:
+            raise ValueError(
+                f"series state at y0 = {y!r} overflows float64") from None
 
 
 def _on_integers(polys: dict) -> dict:

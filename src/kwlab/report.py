@@ -4,6 +4,8 @@ A CheckReport is one verified statement: what was computed, what was
 expected, at which tolerance, and how the expected value was obtained
 (provenance "reference" = closed-form reference model or displayed constant,
 "trivial" = immediate algebra, "derived" = independently computed oracle).
+``cli``'s suite functions build every one from the numbers that the engine
+modules return; no engine module imports this one.
 JSON output is deterministic for fixed inputs: sorted keys, no timestamps,
 atomic writes.
 """
@@ -90,31 +92,6 @@ def make_check(
     )
 
 
-class EnergyEntry(NamedTuple):
-    name: str
-    value: float
-    error_estimate: float
-    note: str = ""
-
-
-class EnergyReport(NamedTuple):
-    entries: list
-
-    def add(self, name: str, value, error_estimate, note: str = ""):
-        self.entries.append(EnergyEntry(name, float(value), float(error_estimate), note))
-
-    def get(self, name: str) -> EnergyEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def validate_nonnegative(self):
-        for e in self.entries:
-            if e.name.endswith("_sq") and e.value < 0:
-                raise ValueError(f"norm-squared entry {e.name} is negative: {e.value}")
-
-
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
@@ -145,11 +122,15 @@ def write_checks_json(path: str, checks: list, meta: dict) -> str:
     return text
 
 
-def write_energy_json(path: str, rep: EnergyReport, meta: dict):
+def write_energy_json(path: str, rows: list, meta: dict):
+    """Write the energy report: one entry per row (name, value, error
+    estimate, note)."""
     write_json(path, {
         "schema_version": SCHEMA_VERSION,
         "meta": meta,
-        "entries": [e._asdict() for e in rep.entries],
+        "entries": [{"name": name, "value": float(value),
+                     "error_estimate": float(error), "note": note}
+                    for name, value, error, note in rows],
     })
 
 

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from kwlab import decomp, energy, halfspace, reduced
-from kwlab.cli import run_suite
+from kwlab import energy, halfspace, reduced
+from kwlab.cli import _identity_entry, run_suite, suite_decomposition
 from kwlab.config import build_config, load_config
 from kwlab.forms import calibrate, kw_residual_norm
 from kwlab.profiles import (
@@ -87,14 +87,17 @@ def test_criterion_02_calibration_unique():
            == (2, 1, 1), f"locked golden value {(conv.c, conv.s1, conv.s2)}")
 
 
-def test_criterion_03_decomposition_suite():
+def test_criterion_03_decomposition_suite(acceptance_cfg):
+    assert (acceptance_cfg.seed, acceptance_cfg.n) == (42, 10000)
     t0 = time.time()
-    eig = decomp.omega_bracket_eigencheck()
-    table = decomp.appendix_star_table()
-    identities = decomp.basis_identities()
-    suite = decomp.decomposition_suite(seed=42, n=10000)
+    checks = suite_decomposition(acceptance_cfg)
     elapsed = time.time() - t0
-    ok = (all(c.status == "pass" for c in eig)
+    eig = [c for c in checks if c.check_id.startswith("eigen-table-")]
+    table = [c for c in checks if c.check_id.startswith("star-table-")]
+    identities = [c for c in checks if c.check_id.startswith("decomposition-")
+                  and c.check_id != "decomposition-suite"]
+    (suite,) = [c for c in checks if c.check_id == "decomposition-suite"]
+    ok = (len(eig) == 9 and all(c.status == "pass" for c in eig)
           and all(c.passed for c in table)
           and len(identities) == 6
           and all(c.status == "pass" for c in identities)
@@ -107,9 +110,9 @@ def test_criterion_03_decomposition_suite():
 
 
 def test_criterion_04_energy_balance(conv, full_line):
-    rep = energy.check_energy_identity(
+    rep = _identity_entry("bulk-boundary-balance", *energy.check_energy_identity(
         conv, "bulk-boundary-balance", at_eps=energy.field_norms(
-            conv, full_line, energy.CUTOFF_ROWS, 0.05))
+            conv, full_line, energy.CUTOFF_ROWS, 0.05)))
     ok = rep.status == "pass" and rep.computed <= 1e-6 and (
         "quad_error" in rep.extra)
     _check("criterion-04 bulk/boundary balance at eps=0.05", ok,
@@ -118,16 +121,17 @@ def test_criterion_04_energy_balance(conv, full_line):
 
 
 def test_criterion_05_cutoff_limit(conv, full_line, sweep):
-    rep = energy.check_energy_identity(conv, "cutoff-limit", sweep=sweep)
+    rep = _identity_entry("cutoff-limit", *energy.check_energy_identity(
+        conv, "cutoff-limit", sweep=sweep))
     combos = rep.extra["combos"]
     inc1 = abs(combos[1] - combos[0])
     inc2 = abs(combos[2] - combos[1])
     cauchy_linear = 0.05 <= inc2 / inc1 <= 0.2
     slopes_ok = all(abs(s + 1.0) <= 0.05 for s in rep.extra["summand_slopes"])
-    route = energy.check_energy_identity(conv, "route-match",
-                                         full_line=full_line, sweep=sweep)
+    route = _identity_entry("route-match", *energy.check_energy_identity(
+        conv, "route-match", full_line=full_line, sweep=sweep))
     ok = rep.status == "pass" and cauchy_linear and slopes_ok and \
-        route.computed <= 1e-6
+        route.status == "pass" and route.computed <= 1e-6
     _check("criterion-05 divergence cancellation / constant routes", ok,
            f"increment ratio {inc2 / inc1:.3f}, slopes "
            f"{[round(s, 4) for s in rep.extra['summand_slopes']]}, "
@@ -152,14 +156,13 @@ def test_criterion_06_model_constant(conv, full_line):
 
 
 def test_criterion_07_bound_instance(conv, full_line, consts):
-    rep = energy.theorem_bound_report(full_line, consts)
-    f_sq = rep.get("curvature_l2_sq").value
-    c_limit = rep.get("c_limit").value
-    other = (rep.get("tangential_gradient_l2_sq").value
-             + rep.get("completed_square_l2_sq").value)
+    rows = {name: value for name, value, _, _ in
+            energy.theorem_bound_report(full_line, consts)}
+    f_sq, c_limit = rows["curvature_l2_sq"], rows["c_limit"]
+    other = rows["tangential_gradient_l2_sq"] + rows["completed_square_l2_sq"]
     slack = c_limit - f_sq
-    weighted = energy.check_energy_identity(conv, "weighted-bound",
-                                            full_line=full_line, consts=consts)
+    weighted = _identity_entry("weighted-bound", *energy.check_energy_identity(
+        conv, "weighted-bound", full_line=full_line, consts=consts))
     ok = (slack > 0 and abs(slack - other) <= 1e-6 * c_limit
           and weighted.status == "pass")
     _check("criterion-07 curvature-energy bound instance", ok,

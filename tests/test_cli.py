@@ -684,10 +684,12 @@ def test_energy_suite_negative_control_fails_every_pass_reader(tmp_path):
 def test_benchmark_trace_hooks_resolve(tmp_path):
     # the benchmark's traced run finds its hooks by name; a renamed function
     # would leave its per-layer metrics silently at zero; the energy run
-    # reaches the batched chain and binds integrate_panels' edges and nodes
+    # reaches the batched chain and binds integrate_panels' edges and nodes,
+    # and the decomposition run binds decomposition_suite's n
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    for suite, extra in (("algebra", []), ("energy", ["--n-pert", "2"])):
+    for suite, extra in (("algebra", []), ("energy", ["--n-pert", "2"]),
+                         ("decomposition", ["--n", "30"])):
         dump = tmp_path / f"{suite}.json"
         proc = subprocess.run(
             [sys.executable, os.path.join(root, "perfbench", "tracing.py"),
@@ -701,6 +703,9 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
     names = {span[0] for span in traced["spans"]}
     assert {"energy.perturbation_chain", "quadrature.integrate_panels"} <= names
     assert traced["counts"]["quadrature.integrand_evals"] > 0
+    traced = json.loads((tmp_path / "decomposition.json").read_text())
+    assert "decomp.decomposition_suite" in {span[0] for span in traced["spans"]}
+    assert traced["counts"]["decomp.vectors"] == 30
 
 
 def test_benchmark_trace_targets_exist():
@@ -755,6 +760,31 @@ def test_package_imports_only_stdlib_and_numpy():
                 found.add((name, node.module.split(".")[0]))
     assert found, "no imports parsed"
     assert sorted(f for f in found if f[1] not in allowed) == []
+
+
+def test_only_the_check_layer_builds_report_entries():
+    # the engine modules return numbers, arrays and plain records: cli's
+    # suite functions build every report entry from them, with the records
+    # that report defines, and no other module imports report or names one
+    entries = {"make_check", "CheckReport", "EnergyReport"}
+    found = set()
+    for name, tree in _package_trees(_PACKAGE):
+        if name in ("cli.py", "report.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update((name, a.name) for a in node.names
+                             if a.name.split(".")[-1] == "report")
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[-1] == "report":
+                    found.add((name, node.module))
+                found.update((name, a.name) for a in node.names
+                             if a.name == "report" or a.name in entries)
+            elif isinstance(node, ast.Name) and node.id in entries:
+                found.add((name, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in entries:
+                found.add((name, node.attr))
+    assert sorted(found) == []
 
 
 def _package_defaults(src):

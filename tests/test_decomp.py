@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import OMEGA, one_form_norm_sq, star_vv, exact_form as _form
 from kwlab import decomp, forms
+from kwlab.cli import _table_entries, suite_decomposition
+from kwlab.config import build_config
 from kwlab.decomp import (
     MU,
     NU,
@@ -134,7 +136,7 @@ def reference_slack_sq(rows) -> tuple:
     return (3 * tr_s - 2 * tr_v * tr_v) ** 2, (3 * fro - tr_v * tr_v) ** 2
 
 
-def reference_suite(seed: int, n: int) -> CheckReport:
+def reference_suite(seed: int, n: int) -> tuple:
     """decomposition_suite one vector at a time, in Python integers."""
     if n < 1:
         raise ValueError("empty suite")
@@ -145,27 +147,12 @@ def reference_suite(seed: int, n: int) -> CheckReport:
         lhs_sq, bound_sq = reference_slack_sq(_random_int_matrix(rng, kind))
         if kind in ("pure2", "pure3"):
             if lhs_sq != bound_sq:
-                return make_check("decomposition-suite",
-                                  f"pure-type equality failed at vector {k}",
-                                  computed=float(k), ok=False)
+                return None, None, (k, False)  # the pure-type equality
         elif lhs_sq > bound_sq:
-            return make_check("decomposition-suite",
-                              f"projection bound violated at vector {k}",
-                              computed=float(k), ok=False)
+            return None, None, (k, True)  # the projection bound
         else:
             slack.append(bound_sq - lhs_sq)
-    worst = min(slack, default=None)
-    return make_check(
-        "decomposition-suite",
-        f"{n} seeded vectors through the engine wedge bracket and the "
-        f"quadratic projection claim; least slack of the {len(slack)} mixed "
-        "vectors",
-        computed=worst,
-        ok=True,
-        provenance="derived",
-        extra={"n": n, "seed": seed,
-               "worst_slack_sq": None if worst is None else str(worst)},
-    )
+    return min(slack, default=None), len(slack), None
 
 
 def test_basis_dimensions_and_norms():
@@ -239,7 +226,7 @@ def test_projection_against_gram_oracle():
 
 
 def test_eigencheck_table():
-    checks = omega_bracket_eigencheck()
+    checks = _table_entries(omega_bracket_eigencheck())
     assert len(checks) == 9
     assert all(c.status == "pass" for c in checks)
 
@@ -252,7 +239,7 @@ def test_eigen_examples():
 
 
 def test_appendix_star_table_all_pass():
-    checks = appendix_star_table()
+    checks = _table_entries(appendix_star_table())
     gating = [c for c in checks if c.status != "info"]
     assert all(c.status == "pass" for c in gating)
     # the engine's recorded orientation signs for the symmetric entries
@@ -366,8 +353,9 @@ def test_suite_draws_in_bulk(monkeypatch):
     monkeypatch.setattr(random.Random, "randint", per_value_draw)
     monkeypatch.setattr(random.Random, "getrandbits",
                         lambda rng, k: calls.append(k) or getrandbits(rng, k))
-    # the reference_suite(42, 3001) report, computed once
-    assert decomposition_suite(42, 3001) == make_check(
+    # the reference_suite(42, 3001) entry, computed once
+    checks = suite_decomposition(build_config({}, {"seed": 42, "n": 3001}))
+    assert checks[-1] == make_check(
         "decomposition-suite",
         "3001 seeded vectors through the engine wedge bracket and the "
         "quadratic projection claim; least slack of the 1000 mixed vectors",
@@ -381,9 +369,9 @@ def test_suite_draws_in_bulk(monkeypatch):
 
 
 def test_suite_runs_and_rejects_empty():
-    rep = decomposition_suite(seed=42, n=300)
-    assert rep.status == "pass"
-    assert Fraction(rep.extra["worst_slack_sq"]) >= 0
+    least, mixed, failed = decomposition_suite(seed=42, n=300)
+    assert failed is None
+    assert least >= 0 and mixed == 100
     with pytest.raises(ValueError, match="empty suite"):
         decomposition_suite(seed=1, n=0)
 
@@ -587,8 +575,8 @@ def test_integer_tables_match_fraction_oracle(monkeypatch, fault):
     tables = ((appendix_star_table(), fraction_star_table()),
               (omega_bracket_eigencheck(), fraction_eigen_table()),
               (basis_identities(), fraction_basis_identities()))
-    for checks, oracle in tables:
-        assert _table_verdicts(checks) == oracle
+    for rows, oracle in tables:
+        assert _table_verdicts(_table_entries(rows)) == oracle
     verdicts = [ok for _, oracle in tables for ok in oracle.values()]
     assert all(verdicts) == (fault == "none")
 

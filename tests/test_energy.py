@@ -35,6 +35,7 @@ from kwlab.energy import (
     topological_charge,
 )
 from kwlab import energy, quadrature
+from kwlab.cli import _chain_verdict, _identity_entry
 from kwlab.forms import EPS_TABLE, FieldAt, frob_inner, wedge_bracket_matrix
 from kwlab.jets import Jet
 from kwlab.profiles import (
@@ -57,7 +58,6 @@ from kwlab.quadrature import (
     integrate_head,
     integrate_panels,
 )
-from kwlab.report import make_check
 from kwlab.su2 import bracket
 
 I3 = np.eye(3)
@@ -71,8 +71,8 @@ def model():
 # ---------------------------------------------------------------------------
 # per-perturbation reference: the chain as it ran before the batched one,
 # one perturbation at a time, q through its second-order jet and one
-# quadrature call per chain line; the batched chain must reproduce it bit
-# for bit
+# quadrature call per chain line; the batched chain must reproduce its step
+# slacks and line 5 bit for bit
 # ---------------------------------------------------------------------------
 
 class _RefPerturbation:
@@ -197,7 +197,6 @@ def _ref_chain(conv, pert, consts):
     s_full_sq = s_full_sq_near + far(lambda y: s_full_norm(y) * s_full_norm(y))
     rhs_total = c1 + rho_sq_total + 0.5 * s_full_sq
 
-    tol = 1e-9 * max(1.0, abs(line5))
     steps = {
         "cauchy_schwarz_near": line2 - line1,
         "weighted_derivative": line3 - line2,
@@ -212,19 +211,7 @@ def _ref_chain(conv, pert, consts):
         "far_envelope_min": env_slack,
         "final": rhs_total - lhs_total,
     }
-    bad = {k: v for k, v in steps.items()
-           if k != "discarded_boundary_term" and v < -tol}
-    ok = not bad and steps["discarded_boundary_term"] <= tol
-    return make_check(
-        "perturbation-chain",
-        f"weighted-bound chain on {pert.name}: slack of every step",
-        computed=float(min(v for k, v in steps.items()
-                           if k != "discarded_boundary_term")),
-        ok=bool(ok),
-        extra={"steps": steps,
-               "constants": {"c19": c19, "c24a": c24a, "c24b": c24b,
-                             "c1": c1, "c_decay": c2}},
-    )
+    return steps, line5
 
 
 def test_boundary_terms_zero_field(conv):
@@ -367,11 +354,12 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
     assert set(densities(conv, field, ys, ("phi_sq",))) == {"phi_sq"}
 
 
-def test_identity_checks_on_model(conv, full_line):
+def test_identity_entrys_on_model(conv, full_line):
     at_eps = field_norms(conv, full_line, CUTOFF_ROWS, 0.05)
     for ident in ("first-order-balance", "square-completion",
                   "bulk-boundary-balance"):
-        rep = check_energy_identity(conv, ident, at_eps=at_eps)
+        rep = _identity_entry(ident, *check_energy_identity(
+            conv, ident, at_eps=at_eps))
         assert rep.status == "pass", rep
         assert rep.computed <= 1e-6
         assert rep.extra["quad_error"] < 1e-6
@@ -391,7 +379,8 @@ def test_identity_rejects_non_solutions(conv):
 
 
 def test_cutoff_limit_and_route(conv, model, full_line, sweep):
-    rep = check_energy_identity(conv, "cutoff-limit", sweep=sweep)
+    rep = _identity_entry("cutoff-limit", *check_energy_identity(
+        conv, "cutoff-limit", sweep=sweep))
     assert rep.status == "pass"
     combos = rep.extra["combos"]
     inc1 = abs(combos[1] - combos[0])
@@ -400,8 +389,8 @@ def test_cutoff_limit_and_route(conv, model, full_line, sweep):
     for slope in rep.extra["summand_slopes"]:
         assert abs(slope + 1.0) <= 0.05
 
-    route = check_energy_identity(conv, "route-match", full_line=full_line,
-                                  sweep=sweep)
+    route = _identity_entry("route-match", *check_energy_identity(
+        conv, "route-match", full_line=full_line, sweep=sweep))
     assert route.status == "pass" and route.computed <= 1e-6
     # the sweep is the model's cutoff combination at each cutoff, each from
     # its own one-row phi_sq pass, whose (value, error) its Norms keeps
@@ -640,9 +629,8 @@ def test_synthetic_perturbation_validation(conv, consts):
 
 
 def test_chain_pure_v1_spec_case(conv, consts):
-    (rep,) = perturbation_chain(conv, [1.0], [1.0], [I3], consts)
-    assert rep.status == "pass"
-    steps = rep.extra["steps"]
+    ((steps, line5),) = perturbation_chain(conv, [1.0], [1.0], [I3], consts)
+    assert _chain_verdict(steps, line5)[1]
     assert steps["quadratic_projection_integrated"] == 0.0  # no V2/V3 part
     assert steps["quadratic_projection_pointwise_min"] == 0.0
     assert steps["discarded_boundary_term"] <= 0.0
@@ -653,17 +641,17 @@ def test_chain_mixed_direction_spec_case(conv, consts):
     m = np.zeros((3, 3))
     m[1, 2], m[2, 1] = 1.0, -1.0        # antisymmetric part
     m[2, 0], m[0, 2] = 1.0, 1.0        # symmetric traceless part
-    (rep,) = perturbation_chain(conv, [1.0], [1.0], [m], consts)
-    assert rep.status == "pass"
-    assert rep.extra["steps"]["quadratic_projection_pointwise_min"] >= 0.0
+    ((steps, line5),) = perturbation_chain(conv, [1.0], [1.0], [m], consts)
+    assert _chain_verdict(steps, line5)[1]
+    assert steps["quadratic_projection_pointwise_min"] >= 0.0
 
 
 def test_chain_seeded(conv, consts):
     rng = random.Random(42)
-    reports = perturbation_chain(conv, *random_perturbations(rng, 8), consts)
-    assert len(reports) == 8
-    for rep in reports:
-        assert rep.status == "pass", rep.extra["steps"]
+    chains = perturbation_chain(conv, *random_perturbations(rng, 8), consts)
+    assert len(chains) == 8
+    for steps, line5 in chains:
+        assert _chain_verdict(steps, line5)[1], steps
 
 
 def test_chain_weighted_derivative_is_exact(conv, consts):
@@ -672,12 +660,12 @@ def test_chain_weighted_derivative_is_exact(conv, consts):
     # chain of the acceptance seed may report a negative slack for it
     amps, rates, directions = random_perturbations(random.Random(42), 100)
     worst, negative = math.inf, 0
-    reports = perturbation_chain(conv, amps, rates, directions, consts)
-    for rep, m in zip(reports, directions):
+    chains = perturbation_chain(conv, amps, rates, directions, consts)
+    for (steps, line5), m in zip(chains, directions):
         if np.trace(m) < 0:
             negative += 1
-            assert rep.extra["steps"]["weighted_derivative"] == 0.0
-        worst = min(worst, rep.computed)
+            assert steps["weighted_derivative"] == 0.0
+        worst = min(worst, _chain_verdict(steps, line5)[0])
     assert negative > 0
     assert worst >= 0.0
 
@@ -686,13 +674,13 @@ def _bits(d):
     return {k: float(v).hex() for k, v in d.items()}
 
 
-def _assert_same_reports(got, want):
+def _assert_same_chains(got, want):
     assert len(got) == len(want)
-    for rep, ref in zip(got, want):
-        assert _bits(rep.extra["steps"]) == _bits(ref.extra["steps"])
-        assert list(rep.extra["steps"]) == list(ref.extra["steps"])
-        assert _bits(rep.extra["constants"]) == _bits(ref.extra["constants"])
-        assert (rep.status, rep.computed) == (ref.status, ref.computed)
+    for (steps, line5), (ref_steps, ref_line5) in zip(got, want):
+        assert _bits(steps) == _bits(ref_steps)
+        assert list(steps) == list(ref_steps)
+        assert line5.hex() == ref_line5.hex()
+        assert _chain_verdict(steps, line5) == _chain_verdict(ref_steps, ref_line5)
 
 
 @pytest.mark.parametrize("seed", [7, 42, 1234])
@@ -703,11 +691,11 @@ def test_batched_chain_matches_per_perturbation_reference(conv, consts, seed):
     for n in (1, BLOCK - 1, BLOCK, BLOCK + 1):
         got = perturbation_chain(
             conv, *random_perturbations(random.Random(seed), n), consts)
-        _assert_same_reports(got, want[:n])
+        _assert_same_chains(got, want[:n])
 
 
 def test_chain_splits_its_perturbations_into_blocks(conv, consts):
-    # one call on 20 perturbations returns, bit for bit, the reports of
+    # one call on 20 perturbations returns, bit for bit, the step slacks of
     # per-block calls on the same draws made BLOCK at a time
     got = perturbation_chain(
         conv, *random_perturbations(random.Random(42), 20), consts)
@@ -716,8 +704,7 @@ def test_chain_splits_its_perturbations_into_blocks(conv, consts):
         want += perturbation_chain(
             conv, *random_perturbations(rng, min(BLOCK, 20 - start)), consts)
     assert len(want) == 20
-    _assert_same_reports(got, want)
-    assert [r.detail for r in got] == [r.detail for r in want]
+    _assert_same_chains(got, want)
 
 
 def test_c24a_matches_closed_form_completed_square(consts):
@@ -760,19 +747,18 @@ def test_chain_and_c24a_integrate_the_parts_of_the_from_zero_layout(
 
 
 def test_theorem_bound_report(full_line, consts):
-    rep = theorem_bound_report(full_line, consts)
-    f_sq = rep.get("curvature_l2_sq").value
-    c_limit = rep.get("c_limit").value
-    bound = rep.get("bound_constant").value
+    rows = theorem_bound_report(full_line, consts)
+    rep = {name: value for name, value, _, _ in rows}
+    f_sq, c_limit, bound = (rep[k] for k in ("curvature_l2_sq", "c_limit",
+                                             "bound_constant"))
     assert 0 < f_sq <= c_limit <= bound
     # slack against the limit constant equals the other route terms
-    other = (rep.get("tangential_gradient_l2_sq").value
-             + rep.get("completed_square_l2_sq").value)
+    other = rep["tangential_gradient_l2_sq"] + rep["completed_square_l2_sq"]
     assert math.isclose(c_limit - f_sq, other, rel_tol=1e-9)
-    assert rep.get("bound_slack").value > 0
+    assert rep["bound_slack"] > 0
     # the weighted variant stays below the bound with the half coefficient
-    assert rep.get("weighted_total").value <= bound
-    assert rep.get("route_total").value == pytest.approx(c_limit, rel=1e-9)
+    assert rep["weighted_total"] <= bound
+    assert rep["route_total"] == pytest.approx(c_limit, rel=1e-9)
 
 
 def test_theorem_bound_flat_endpoint(conv, consts):
@@ -780,14 +766,15 @@ def test_theorem_bound_flat_endpoint(conv, consts):
         scaled_matrix_profile(lambda jy: jy * 0 + 2.0, I3),
         scaled_matrix_profile(lambda jy: jy * 0, I3),
     )
-    rep = theorem_bound_report(full_line_norms(conv, flat), consts)
-    assert rep.get("curvature_l2_sq").value <= 1e-20
-    assert rep.get("bound_constant").value > 0
+    rep = {name: value for name, value, _, _ in
+           theorem_bound_report(full_line_norms(conv, flat), consts)}
+    assert rep["curvature_l2_sq"] <= 1e-20
+    assert rep["bound_constant"] > 0
 
 
 def test_weighted_bound_identity(conv, full_line, consts):
-    rep = check_energy_identity(conv, "weighted-bound", full_line=full_line,
-                                consts=consts)
+    rep = _identity_entry("weighted-bound", *check_energy_identity(
+        conv, "weighted-bound", full_line=full_line, consts=consts))
     assert rep.status == "pass"
     assert rep.extra["lhs"] <= rep.extra["bound"]
 

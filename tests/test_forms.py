@@ -16,7 +16,6 @@ from kwlab.forms import (
     frob_inner,
     kw_residual,
     kw_residual_norm,
-    ricci_check,
     ricci_tensor,
     taubes_lhs,
     wedge_bracket_matrix,
@@ -353,12 +352,24 @@ def test_residual_gauge_covariance(conv, rng):
         assert np.all(np.abs(base - after) <= 1e-12)
 
 
-def test_ricci_check_calibrated_and_flat(conv):
-    rep = ricci_check(conv)
+def _ricci_entry(monkeypatch, conv):
+    """The models suite's ricci entry, the suite run under conv."""
+    from kwlab import cli
+    from kwlab.config import build_config
+
+    monkeypatch.setattr(cli, "_active_conventions", lambda cfg: conv)
+    (rep,) = [c for c in cli.suite_models(build_config({}, {}))
+              if c.check_id == "ricci"]
+    return rep
+
+
+def test_ricci_check_calibrated_and_flat(conv, monkeypatch):
+    rep = _ricci_entry(monkeypatch, conv)
     assert rep.status == "pass" and rep.extra["exact"]
     flat = GeometryConventions(0, 1, 1)
-    rep0 = ricci_check(flat)
+    rep0 = _ricci_entry(monkeypatch, flat)
     assert rep0.status == "fail" and rep0.computed == 0.0
+    assert rep0.extra["exact"] is False
     # Ricci is a multiple of the metric: same ratio on any direction
     ric = ricci_tensor(conv.c)
     assert all(ric[i][i] == 8 for i in range(3))  # 4 Ric = 8 delta

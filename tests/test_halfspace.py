@@ -22,7 +22,6 @@ from kwlab.halfspace import (
     read_points_csv,
     sample_points,
     scale_pullback,
-    write_residuals_csv,
 )
 from kwlab.jets import Jet, sqrt
 from kwlab.su2 import bracket
@@ -483,18 +482,26 @@ def test_curvature_bracket_fault_fails_only_calibrate(monkeypatch, tmp_path,
 # ---------------------------------------------------------------------------
 
 def test_points_csv_roundtrip(conv, tmp_path):
-    pts = np.hstack([_col(0.1, 0.2, 0.3, 0.4), _col(-1, 2, -3, 1.5)])
-    out = tmp_path / "residuals.csv"
-    write_residuals_csv(str(out), conv, nahm_pole_field(), pts)
-    text = out.read_text().splitlines()
-    assert text[0] == "x1,x2,x3,y,res_eq1,res_eq2"
-    assert len(text) == 3
-    assert text[2].startswith("-1.0,2.0,-3.0,1.5,")
+    # the residual command reads the points file and writes each point with
+    # its two residuals, every cell the repr of a float
+    from kwlab import cli
 
+    pts = np.hstack([_col(0.1, 0.2, 0.3, 0.4), _col(-1, 2, -3, 1.5)])
     pts_file = tmp_path / "points.csv"
     pts_file.write_text("x1,x2,x3,y\n0.1,0.2,0.3,0.4\n-1,2,-3,1.5\n")
     back = read_points_csv(str(pts_file))
     assert back.shape == (4, 2) and np.array_equal(back, pts)
+
+    out = tmp_path / "residuals.csv"
+    assert cli.main(["residual", "--points", str(pts_file),
+                     "--out", str(out)]) == 0
+    text = out.read_text().splitlines()
+    assert text[0] == "x1,x2,x3,y,res_eq1,res_eq2"
+    assert len(text) == 3
+    assert text[2].startswith("-1.0,2.0,-3.0,1.5,")
+    res = kw_residual_flat(conv, nahm_pole_field(), pts)
+    assert text[1:] == [",".join(map(repr, row))
+                        for row in zip(*pts.tolist(), *res.tolist())]
 
 
 @pytest.mark.parametrize("row", ["0,0,0,nan", "inf,0,0,1", "0,0,0,inf",

@@ -32,7 +32,7 @@ def test_inverse_square_analytic():
 
 def test_constant_on_unit_interval():
     # constant |omega|^2 = 3/2 over [0, 1]: vol term only
-    val, err = integrate_head(lambda y: 1.5)
+    val, err = integrate_head(lambda y: np.full_like(y, 1.5))
     assert math.isclose(VOL_S3 * val, 3 * math.pi**2, rel_tol=1e-14)
 
 
@@ -127,7 +127,7 @@ def _rows(y):
     return np.stack([_row(c)(y) for c in _COEFS] + [np.full(y.shape, 1.5)])
 
 
-_ONE_ROW = [_row(c) for c in _COEFS] + [lambda y: 1.5]
+_ONE_ROW = [_row(c) for c in _COEFS] + [lambda y: np.full_like(y, 1.5)]
 
 
 def _bits(values):

@@ -176,9 +176,9 @@ def test_indicial_series_coefficients(system):
 
 def test_indicial_series_against_closed_form(system):
     # numeric oracle: the closed form itself at small y
-    exp = indicial_expand(system, 6).at(Fraction(-2, 3))
+    series = indicial_expand(system, 6)
     for y in (1e-3, 3e-3, 1e-2):
-        a_ser, b_ser = exp.state(y)
+        a_ser, b_ser = series.state(Fraction(-2, 3), y)
         a, b, _, _ = pole_scalars(y)
         # truncation plus float rounding of the 1/y pole evaluation
         assert abs(a_ser - a) < 20 * y**7 + 1e-13
@@ -344,7 +344,7 @@ def test_pole_series_matches_rational_matching(system, order):
             assert list(got.b_coeffs) == list(want.b_coeffs)
             assert all(type(c) is Fraction for c in
                        (*got.a_coeffs.values(), *got.b_coeffs.values()))
-            assert got.state(0.1) == want.state(0.1)
+            assert series.state(p, 0.1) == _series_state(want, 0.1)
     if order in (4, 6, 8):
         # a moved b^2 coefficient of b', or a nonzero rest at the resonance
         assert errors == {"series matching inconsistent at order -2 (pole weight)",
@@ -364,6 +364,18 @@ def test_pole_series_at_a_float_is_exact(system, series):
         assert got == series.at(Fraction(p))
 
 
+def _series_state(exp, y: float) -> tuple:
+    """(a, b) of an exact expansion at y: the float64 sum of each Fraction
+    coefficient's float times y^k, as the series state was formed before it
+    was read from integers; the same ValueError where a term overflows."""
+    try:
+        return tuple(sum(float(c) * y**k for k, c in coeffs.items())
+                     for coeffs in (exp.a_coeffs, exp.b_coeffs))
+    except OverflowError:
+        raise ValueError(
+            f"series state at y0 = {y!r} overflows float64") from None
+
+
 def _state_bits(fn):
     """The float64 bits of the state fn() gives, or its ValueError's text."""
     try:
@@ -373,8 +385,8 @@ def _state_bits(fn):
 
 
 def test_pole_series_state_is_the_exact_series_state(system, series):
-    # PoleSeries.state(p, y) makes no Fraction, yet gives at(p).state(y)
-    # bit for bit: at float, int and Fraction p; at every point the shots
+    # PoleSeries.state(p, y) makes no Fraction, yet gives the float64 sum
+    # over at(p)'s Fractions bit for bit: at float, int and Fraction p; at every point the shots
     # from the five y0 of the first-integral test classify; and the same
     # ValueError where float64 overflows (the pole term at a tiny y, or a
     # coefficient at a huge p)
@@ -390,7 +402,7 @@ def test_pole_series_state_is_the_exact_series_state(system, series):
     overflows = set()
     for s, (p, y) in [(series, pt) for pt in points] + [(series8, pt)
                                                        for pt in points8]:
-        want = _state_bits(lambda: s.at(p).state(y))
+        want = _state_bits(lambda: _series_state(s.at(p), y))
         assert _state_bits(lambda: s.state(p, y)) == want, (p, y)
         if isinstance(want, str):
             assert want == f"series state at y0 = {y!r} overflows float64"
@@ -402,12 +414,13 @@ def test_pole_series_state_is_the_exact_series_state(system, series):
 
 def test_indicial_zero_parameter_is_cotangent(system):
     # a == 1 collapses the system to b' = -1 - b^2, i.e. b = cot y
-    exp = indicial_expand(system, 6).at(Fraction(0))
+    series = indicial_expand(system, 6)
+    exp = series.at(Fraction(0))
     assert exp.b_coeffs[1] == Fraction(-1, 3)
     assert exp.b_coeffs[3] == Fraction(-1, 45)
     assert exp.b_coeffs[5] == Fraction(-2, 945)
     for y in (0.05, 0.1):
-        _, b_ser = exp.state(y)
+        _, b_ser = series.state(Fraction(0), y)
         assert math.isclose(b_ser, 1.0 / math.tan(y), rel_tol=1e-8)
 
 
@@ -490,9 +503,10 @@ def test_ivp_argument_validation(system):
 
 
 def test_blowup_detected_with_location(system):
-    exp = indicial_expand(system, 5).at(Fraction(-2, 3) + Fraction(1, 100))
+    state = indicial_expand(system, 5).state(Fraction(-2, 3) + Fraction(1, 100),
+                                             0.1)
     with pytest.raises(BlowUpError) as exc:
-        integrate_ivp(system, 0.1, exp.state(0.1), 30.0)
+        integrate_ivp(system, 0.1, state, 30.0)
     assert exc.value.y_blow < 10.0
 
 
@@ -561,7 +575,7 @@ def test_shot_profile_energy_consistency(conv, system, shot, monkeypatch):
 
 def _series_states(system, params, y0=0.1):
     series = indicial_expand(system, 6)
-    return [series.at(p).state(y0) for p in params]
+    return [series.state(p, y0) for p in params]
 
 
 def _one_lane_outcome(system, state, y0=0.1):
@@ -655,8 +669,8 @@ def test_shot_keeps_the_initial_state(system, shot):
     # the series state is formed in float64, and the root step returns a
     # parameter with the initial state of the certified root below, so the
     # same trajectory
-    exp = indicial_expand(system, 6).at(Fraction(-0.6666666782308599))
-    assert tuple(_knot_states(shot.result)[0]) == exp.state(0.1)
+    state = indicial_expand(system, 6).state(Fraction(-0.6666666782308599), 0.1)
+    assert tuple(_knot_states(shot.result)[0]) == state
 
 
 def _first_integral_root(series, y0):
@@ -743,8 +757,7 @@ def test_root_step_outside_the_bracket_takes_the_illinois_point(
         assert (shot.falsi_runs, len(shot.trace)) == (6, 83)
     else:
         assert steps[1] == calls[1][-1]
-    exp = series.at(Fraction(ROOT))
-    assert tuple(_knot_states(shot.result)[0]) == exp.state(0.1)
+    assert tuple(_knot_states(shot.result)[0]) == series.state(Fraction(ROOT), 0.1)
 
 
 def test_located_state_is_certified_by_mpmath(system, shot):
@@ -754,14 +767,14 @@ def test_located_state_is_certified_by_mpmath(system, shot):
     # the shot's state has the smallest |U|
     mpmath = pytest.importorskip("mpmath")
     series = indicial_expand(system, 6)
-    state = series.at(shot.param).state(0.1)
+    state = series.state(shot.param, 0.1)
     assert tuple(_knot_states(shot.result)[0]) == state
 
     def neighbour(direction):
         p = shot.param
-        while series.at(p).state(0.1) == state:
+        while series.state(p, 0.1) == state:
             p = math.nextafter(p, direction)
-        return series.at(p).state(0.1)
+        return series.state(p, 0.1)
 
     def u_of(s):
         with mpmath.workdps(30):
@@ -1179,7 +1192,7 @@ def test_early_blowup_keeps_status_sign_and_u(system, series, shot, y0):
     rng = np.random.default_rng(100)
     params = ([t[0] for t in shot.trace] + rng.uniform(-1.0, -0.3, 100).tolist()
               + [ROOT + s * 10.0**-k for k in range(1, 15) for s in (-1, 1)])
-    states = np.array([series.at(p).state(y0) for p in params]).T
+    states = np.array([series.state(p, y0) for p in params]).T
     got = reduced._classify_lanes(system, states, y0, reduced.SHOOT_Y, None)
     ref = reduced._taylor_lanes(system, y0, states, reduced.SHOOT_Y, None)
     for lane, (p, out) in enumerate(zip(params, got)):
@@ -1210,7 +1223,7 @@ def test_final_run_resumes_the_chosen_ends_run_bitwise(system, series,
 
     monkeypatch.setattr(reduced, "integrate_ivp", recording)
     shot = shoot_for_decay(system, series, y0=y0)
-    fresh = integrate_ivp(system, y0, series.at(shot.param).state(y0),
+    fresh = integrate_ivp(system, y0, series.state(shot.param, y0),
                           reduced.SHOOT_Y_END)
     got = shot.result
     for x, y in ((got.knots, fresh.knots), (got.coeffs, fresh.coeffs),
