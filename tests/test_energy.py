@@ -354,7 +354,7 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
     assert set(densities(conv, field, ys, ("phi_sq",))) == {"phi_sq"}
 
 
-def test_identity_entrys_on_model(conv, full_line):
+def test_identity_checks_on_model(conv, full_line):
     at_eps = field_norms(conv, full_line, CUTOFF_ROWS, 0.05)
     for ident in ("first-order-balance", "square-completion",
                   "bulk-boundary-balance"):
