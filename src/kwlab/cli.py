@@ -368,23 +368,23 @@ def suite_energy(cfg: SuiteConfig) -> list:
     # per run; the charge reads the from-zero pass, every other pass the
     # field it certified; a failed build fails, via _guard, only its readers
     zero = _shared(lambda: energy.from_zero_pass(conv, model))
-    full_line = _shared(lambda: energy.certified(conv, zero()))
+    full_line = _shared(lambda: energy.certified(zero()))
     inputs = {
         "full_line": full_line,
         "at_eps": _shared(lambda: energy.field_norms(
-            conv, full_line(), energy.CUTOFF_ROWS, lo=quadrature.IDENTITY_EPS)),
-        "sweep": _shared(lambda: energy.cutoff_sweep(conv, full_line())),
+            full_line(), energy.CUTOFF_ROWS, lo=quadrature.IDENTITY_EPS)),
+        "sweep": _shared(lambda: energy.cutoff_sweep(full_line())),
         "consts": _shared(lambda: energy.bound_constants(full_line())),
     }
 
     for ident, reads in energy.IDENTITY_INPUTS.items():
         _guard(checks, f"energy-{ident}", lambda ident=ident, reads=reads: (
             _identity_entry(ident, *energy.check_energy_identity(
-                conv, ident, **{k: inputs[k]() for k in reads}))))
+                ident, **{k: inputs[k]() for k in reads}))))
 
     def stability():
         val, err, parts = energy.c_model(full_line())
-        rel = abs(val - energy.refined_c_model(conv, full_line())) / val
+        rel = abs(val - energy.refined_c_model(full_line())) / val
         return make_check(
             "c-model-stability",
             "model curvature constant, refined-quadrature agreement",
@@ -427,7 +427,7 @@ def suite_energy(cfg: SuiteConfig) -> list:
     def chains():
         draws = energy.random_perturbations(random.Random(cfg.seed), cfg.n_pert)
         verdicts = [_chain_verdict(*chain) for chain in energy.perturbation_chain(
-            conv, *draws, inputs["consts"]())]
+            *draws, inputs["consts"]())]
         n_fail = sum(not ok for _, ok in verdicts)
         return make_check(
             "perturbation-chain",
@@ -619,7 +619,7 @@ def emit_plotdata(target: str, out_dir: str):
     if target == "eps-sweep":
         # the cutoff rows of the field that the from-zero pass certified
         eps_list = np.geomspace(1e-4, 1e-1, 16).tolist()
-        _, sweep = energy.cutoff_rows(conv, energy.full_line_norms(conv, model), eps_list)
+        _, sweep = energy.cutoff_rows(energy.full_line_norms(conv, model), eps_list)
         rows = [[repr(x) for x in (eps, *row)] for eps, row in zip(eps_list, sweep)]
         write_csv(os.path.join(out_dir, "eps-sweep.csv"),
                   ["eps", "two_phi_bulk", "mixed_boundary", "combination"], rows)
@@ -697,9 +697,8 @@ def _config_from_args(args) -> SuiteConfig:
     file_values = {"n": 100} if args.command == "residual" else {}
     file_values.update(load_config(args.config) if args.config else {})
     # each command has only the flags it reads; an absent flag is None
-    cli_values = {key: getattr(args, key) for key in (
-        "suite", "seed", "out", "json_out", "n", "n_pert", "flip_star_sign")
-        if hasattr(args, key)}
+    cli_values = {key: getattr(args, key) for key in SuiteConfig._fields
+                  if hasattr(args, key)}
     return build_config(file_values, cli_values)
 
 
@@ -746,7 +745,7 @@ def main(argv=None) -> int:
                      ("topological_charge", q, q_err, "")]
             path = args.out or "energy-report.json"
             write_energy_json(path, rows, {"model": args.model})
-            sweep = energy.eps_sweep_rows(conv, own, (1e-1, 1e-2, 1e-3))
+            sweep = energy.eps_sweep_rows(own, (1e-1, 1e-2, 1e-3))
             sweep_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                       "identity-sweep.csv")
             write_csv(sweep_path, ["eps", "lhs", "rhs", "gap"],

@@ -53,15 +53,10 @@ class SuiteConfig(_Settings):
         return cfg
 
 
-_KEY_TYPES = {
-    "suite": str,
-    "seed": int,
-    "n": int,
-    "n_pert": int,
-    "out": str,
-    "json_out": _boolean,
-    "flip_star_sign": _boolean,
-}
+# each key's parser, from its default's type: a bool default gives
+# _boolean, an int default int, anything else str
+_KEY_TYPES = {key: {bool: _boolean, int: int}.get(type(default), str)
+              for key, default in _Settings._field_defaults.items()}
 
 
 _TYPE_NAMES = {int: "an integer", _boolean: "a boolean"}

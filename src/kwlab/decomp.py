@@ -368,7 +368,8 @@ def decomposition_suite(seed: int, n: int) -> tuple:
     """
     if n < 1:
         raise ValueError("empty suite")
-    slack = []
+    # the least slack and the count, kept per block: memory does not grow with n
+    least, count = np.iinfo(np.int64).max, 0
     for ks, v in _vector_blocks(seed, n):
         lhs_sq, bound_sq = quadratic_projection_slack_sq(v)
         mixed = ks % 3 == 2
@@ -376,6 +377,6 @@ def decomposition_suite(seed: int, n: int) -> tuple:
         if failed.any():
             k = np.flatnonzero(failed)[0]
             return None, None, (int(ks[k]), bool(mixed[k]))
-        slack.append((bound_sq - lhs_sq)[mixed])
-    slack = np.concatenate(slack)
-    return (int(slack.min()) if slack.size else None), slack.size, None
+        slack = (bound_sq - lhs_sq)[mixed]
+        least, count = int(slack.min(initial=least)), count + slack.size
+    return (least if count else None), count, None

@@ -18,6 +18,10 @@ the numbers of the energy suite's checks, whose entries and pass rules
     reference solution (slack of every intermediate step), and
   * the resulting curvature-energy bound with explicit engine constants.
 
+Each pass over a field (Norms) is built under one set of conventions and
+carries them, so the functions that continue a pass read them from it;
+only the functions that build a pass or evaluate a field take conventions.
+
 Displayed constants that depend on a volume normalisation are never
 asserted; the engine computes its own sharp constants (vol(S^3) = 2 pi^2)
 and returns them, which the reports carry with their provenance.
@@ -56,7 +60,6 @@ from .quadrature import (
     doubled_sums,
     halfline_total,
     integrate_halfline,
-    integrate_head,
     tail_bound,
 )
 from .su2 import bracket
@@ -179,13 +182,14 @@ _KEPT_GROUPS = tuple(dict.fromkeys((*FULL_LINE_ROWS.values(), _CHARGE,
                                     *CUTOFF_ROWS.values())))
 
 
-# vol(S^3) * int_eps^inf of named density rows of one field (eps 0: from zero),
-# rows[name] = (value, error estimate), and the parts they add up from:
-# parts[density keys] = (head, body, tail), the doubled_sums of the head and
-# the body and the tail_bound (a from-zero pass keeps every _KEPT_GROUPS
-# group, the head None but for its rows' groups and the charge's), and
-# boundary_terms at eps (None from zero).  A cutoff pass's field is certified
-Norms = namedtuple("Norms", "field eps rows parts boundary")
+# vol(S^3) * int_eps^inf of named density rows of one field (eps 0: from zero)
+# under the conventions conv that built the pass: rows[name] = (value, error
+# estimate), and the parts they add up from: parts[density keys] = (head,
+# body, tail), the doubled_sums of the head and the body and the tail_bound
+# (a from-zero pass keeps every _KEPT_GROUPS group, the head None but for its
+# rows' groups and the charge's), and boundary_terms at eps (None from zero).
+# A cutoff pass's field is certified
+Norms = namedtuple("Norms", "conv field eps rows parts boundary")
 
 
 def _norms(conv, field, rows: dict, lo, kept: dict, heads_of=()) -> Norms:
@@ -202,7 +206,7 @@ def _norms(conv, field, rows: dict, lo, kept: dict, heads_of=()) -> Norms:
     for name, g in rows.items():
         value, err = halfline_total(parts[g][:2], parts[g][2])
         out[name] = (float(VOL_S3 * value), float(VOL_S3 * err))
-    return Norms(field, lo, out, parts,
+    return Norms(conv, field, lo, out, parts,
                  boundary_terms(conv, field, lo) if lo > 0 else None)
 
 
@@ -218,18 +222,18 @@ def from_zero_pass(conv, field) -> Norms:
     return own._replace(parts={**kept, **own.parts})
 
 
-def certified(conv, from_zero: Norms) -> Norms:
+def certified(from_zero: Norms) -> Norms:
     """The from-zero pass, once the solution guard passes: its field's residual
     is below 1e-8 at 24 nodes from 1e-3 to 10, every pass's range."""
     grid = np.geomspace(1e-3, 10.0, 24)
-    if not np.max(kw_residual_norm(conv, from_zero.field, grid)) <= 1e-8:
+    if not np.max(kw_residual_norm(from_zero.conv, from_zero.field, grid)) <= 1e-8:
         raise ValueError("not a solution: identity chain does not apply")
     return from_zero
 
 
 def full_line_norms(conv, field) -> Norms:
     """The field's from-zero pass, certified."""
-    return certified(conv, from_zero_pass(conv, field))
+    return certified(from_zero_pass(conv, field))
 
 
 def charge(from_zero: Norms):
@@ -239,13 +243,13 @@ def charge(from_zero: Norms):
     return tuple(map(float, halfline_total((head, body), tail)))
 
 
-def field_norms(conv, full_line: Norms, rows, lo) -> Norms:
+def field_norms(full_line: Norms, rows, lo) -> Norms:
     """The rows (name -> density keys, groups of _KEPT_GROUPS) from
     lo < Y_SPLIT of the field that a from-zero pass certified: one pass over
     their head, each added to the body and tail that full_line keeps, as
     integrate_halfline adds its parts.  A row's floats do not depend on the
     other rows, so a check reading one by name gets its own pass's floats."""
-    return _norms(conv, full_line.field, rows, lo, full_line.parts)
+    return _norms(full_line.conv, full_line.field, rows, lo, full_line.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +264,8 @@ def boundary_terms(conv: GeometryConventions, field: InvariantField, eps: float)
         mixed term  -2  int_{S^3} tr(phi ^ F_A)   -> -2 pi^2 <p, T_F>(eps).
     """
     m = FieldAt.of(conv, field, eps, float)
-    cubic = 2.0 * math.pi**2 * float(det3(m.p))
-    mixed = -2.0 * math.pi**2 * float(frob_inner(m.p, m.t_f))
+    cubic = VOL_S3 * float(det3(m.p))
+    mixed = -VOL_S3 * float(frob_inner(m.p, m.t_f))
     return cubic, mixed
 
 
@@ -284,10 +288,10 @@ def _c_value(f_sq: float, s_sq: float) -> float:
     return math.sqrt(f_sq) + math.sqrt(s_sq)
 
 
-def refined_c_model(conv, full_line: Norms) -> float:
+def refined_c_model(full_line: Norms) -> float:
     """c_model's value on the from-zero layout of 4 * PANELS panels, twice
     full_line's fine one (c-model-stability), with no error estimate or tail."""
-    rows = density_rows(conv, full_line.field, tuple(C_MODEL_ROWS.values()))
+    rows = density_rows(full_line.conv, full_line.field, tuple(C_MODEL_ROWS.values()))
     v = quadrature.integrate_layout(rows, 0.0, 4 * quadrature.PANELS)
     return _c_value(*(VOL_S3 * v).tolist())
 
@@ -324,7 +328,7 @@ def _neville_to_zero(xs, ys):
     return t[0]
 
 
-def check_energy_identity(conv: GeometryConventions, ident: str, *,
+def check_energy_identity(ident: str, *,
                           at_eps: Norms | None = None,
                           full_line: Norms | None = None,
                           sweep: CutoffSweep | None = None,
@@ -376,22 +380,22 @@ def _bulk_balance(norms: Norms):
     return lhs + 2.0 * two_phi, err + 2 * e2
 
 
-def eps_sweep_rows(conv, full_line: Norms, eps_list):
+def eps_sweep_rows(full_line: Norms, eps_list):
     """Rows (eps, lhs, rhs, gap) of the bulk/boundary balance for CSV export,
     on the field of a from-zero pass, whose build certified it a solution."""
     rows = []
     for eps in eps_list:
-        norms = field_norms(conv, full_line, _BALANCE_ROWS, eps)
+        norms = field_norms(full_line, _BALANCE_ROWS, eps)
         lhs, rhs = _bulk_balance(norms)[0], norms.boundary[1]
         rows.append((eps, lhs, rhs, lhs - rhs))
     return rows
 
 
-def cutoff_rows(conv, full_line: Norms, cutoffs):
+def cutoff_rows(full_line: Norms, cutoffs):
     """The phi_sq pass from each cutoff eps of a from-zero pass's field, and
     per pass (bulk 2|phi|^2 integral, mixed boundary term, stabilising
     combination); the first two diverge like 1/eps."""
-    passes = tuple(field_norms(conv, full_line, _PHI_ROWS, eps) for eps in cutoffs)
+    passes = tuple(field_norms(full_line, _PHI_ROWS, eps) for eps in cutoffs)
     two_phi = [2.0 * p.rows["phi_sq"][0] for p in passes]
     mixed = [p.boundary[1] for p in passes]
     return passes, tuple((t, m, m - t) for t, m in zip(two_phi, mixed))
@@ -402,9 +406,9 @@ def cutoff_rows(conv, full_line: Norms, cutoffs):
 CutoffSweep = namedtuple("CutoffSweep", "passes rows limit")
 
 
-def cutoff_sweep(conv: GeometryConventions, full_line: Norms) -> CutoffSweep:
+def cutoff_sweep(full_line: Norms) -> CutoffSweep:
     """The CUTOFF_EPS sweep of a from-zero pass's field, once per run."""
-    passes, rows = cutoff_rows(conv, full_line, CUTOFF_EPS)
+    passes, rows = cutoff_rows(full_line, CUTOFF_EPS)
     return CutoffSweep(passes, rows, _neville_to_zero(CUTOFF_EPS, [r[2] for r in rows]))
 
 
@@ -439,7 +443,7 @@ def random_perturbations(rng: random.Random, k: int):
     return draws[:, 0], draws[:, 1], draws[:, 2:].reshape(k, 3, 3)
 
 
-def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
+def perturbation_chain(amplitudes, rates, directions,
                        consts: BoundConstants) -> list:
     """Every intermediate inequality of the weighted-bound chain on the
     synthetic fields phi = phi_model + q(y) m, q = amp * y * exp(-rate * y),
@@ -465,11 +469,11 @@ def perturbation_chain(conv: GeometryConventions, amplitudes, rates, directions,
     env_slack = float(np.min(consts.c_decay * np.exp(-2.0 * ys) - math.sqrt(
         OMEGA_NORM_SQ) * pole_scalar(pole_b, ys)[0]))
     return [out for s in range(0, len(amp), BLOCK) for out in _chain_block(
-        conv, amp[s:s + BLOCK], rate[s:s + BLOCK], m[s:s + BLOCK], consts,
+        amp[s:s + BLOCK], rate[s:s + BLOCK], m[s:s + BLOCK], consts,
         env_slack)]
 
 
-def _chain_block(conv, amp, rate, m, consts: BoundConstants, env_slack) -> list:
+def _chain_block(amp, rate, m, consts: BoundConstants, env_slack) -> list:
     """perturbation_chain's (steps, line 5) on one block of perturbations."""
     # per-perturbation constants as (k, 1) columns against (k, n) node rows
     trace = np.trace(m, axis1=1, axis2=2)
@@ -504,7 +508,7 @@ def _chain_block(conv, amp, rate, m, consts: BoundConstants, env_slack) -> list:
     def s_full_norm(h, dh, q, dq):  # |d_y phi + *3 phi^2| of the perturbed fields
         p = _I3[:, :, None, None] * h + mf[..., None] * q  # (3, 3, k, n)
         dp = _I3[:, :, None, None] * dh + mf[..., None] * dq
-        return np.sqrt(_s_sq(FieldAt(conv, None, None, p, dp)))
+        return np.sqrt(_s_sq(FieldAt(None, None, None, p, dp)))
 
     def near_rows(y):  # the chain on (0, 1], the head
         h, dh, q, dq, alpha, dalpha = profiles(y)
@@ -529,7 +533,7 @@ def _chain_block(conv, amp, rate, m, consts: BoundConstants, env_slack) -> list:
                          q * q * (n1 + n2 + n3), s_full * s_full])
 
     (line1, line2, rho1_sq_near, wd_int, g_l1, rho23_near, mid_l1, s_full_l1,
-     s_full_sq_near, rho_sq_near) = VOL_S3 * integrate_head(near_rows)[0]
+     s_full_sq_near, rho_sq_near) = VOL_S3 * doubled_sums(near_rows, 0.0, 0)[1]
     b1 = VOL_S3 * abs(gamma * exp_decay_q(amp, rate, 1.0)[0])[:, 0] * w_sq
     # in line 3 the integral of sgn * alpha' is taken from its boundary
     # values: alpha(0) = 0 and sgn * alpha = |alpha|, so it is b1 itself and

@@ -58,7 +58,6 @@ class FieldSample(NamedTuple):
 
 
 class FlatModelField(NamedTuple):
-    name: str
     evaluator: object
     scale: float = 1.0  # dilation parameter of a pullback wrapper
 
@@ -113,20 +112,20 @@ def _singular_eval(pts) -> FieldSample:
 
 def nahm_pole_field() -> FlatModelField:
     """A = 0, phi = sum_i t_i dx_i / y: the basic boundary model."""
-    return FlatModelField("nahm-pole", _nahm_pole_eval)
+    return FlatModelField(_nahm_pole_eval)
 
 
 def nahm_singular_field() -> FlatModelField:
     """The simplest knot-singular model: pole weight 2 t3 along the x3-axis
     (f3 -> 2 t3 as r -> 0), abelian connection winding about the axis."""
-    return FlatModelField("nahm-singular", _singular_eval)
+    return FlatModelField(_singular_eval)
 
 
 def scale_pullback(fld: FlatModelField, s: float) -> FlatModelField:
     """Dilation pullback (s A(s p), s phi(s p)); degree -1 fields are fixed."""
     if s <= 0:
         raise ValueError("scale factor must be positive")
-    return FlatModelField(fld.name, fld.evaluator, scale=fld.scale * s)
+    return FlatModelField(fld.evaluator, scale=fld.scale * s)
 
 
 def sample_points(rng: random.Random, n: int, width: float = 3.0,

@@ -9,14 +9,16 @@ from lo >= Y_SPLIT.  Uniform panels follow up to Y_MAX, and an exponential
 tail beyond Y_MAX is left out of the value and covered by a truncation
 bound (densities of the reference solution fall off like e^{-4y}).
 
-integrate_halfline and integrate_head (the head alone, [0, Y_SPLIT]) return
-(value, error_estimate): the estimate compares PANELS panels a part with
-twice as many, and integrate_halfline adds the tail remainder.  They are
-built from parts that a caller may also keep and add itself:
-doubled_sums, the (coarse, fine) sums of one part of a layout, tail_bound,
-and halfline_total, which adds the parts of a layout left to right.
-integrate_panels, the rule on one edge array, and integrate_layout (the
-parts of a layout at one panel count) return a bare value.
+integrate_halfline returns (value, error_estimate): the estimate compares
+PANELS panels a part with twice as many and adds the tail remainder.  It is
+built from parts that a caller may also keep and add itself: doubled_sums,
+the (coarse, fine) sums of one part of a layout, tail_bound, and
+halfline_total, which adds the parts of a layout left to right and is the
+one place that forms the estimate |fine - coarse| + tail.  A caller that
+needs only a value reads the fine sum of doubled_sums (the perturbation
+chain's head on [0, Y_SPLIT]).  integrate_panels, the rule on one edge
+array, and integrate_layout (the parts of a layout at one panel count)
+return a bare value.
 
 An integrand takes the 1-D array of the nodes of a layout.  It returns one
 value per node, or rows of them, shape (k, n): then every integral gives
@@ -158,10 +160,3 @@ def integrate_halfline(f, lo: float):
     integrand at each."""
     parts = [doubled_sums(f, lo, i) for i in range(len(halfline_edges(lo, 1)))]
     return halfline_total(parts, tail_bound(f))
-
-
-def integrate_head(f):
-    """int_0^Y_SPLIT f dy on the head of the from-zero layout,
-    halfline_edges(0.0, p)[0], at PANELS panels against twice as many."""
-    coarse, fine = doubled_sums(f, 0.0, 0)
-    return fine, abs(fine - coarse)

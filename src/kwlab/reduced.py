@@ -104,8 +104,7 @@ def _quadratic_through_samples(f) -> tuple:
 
 class ReducedSystem:
     """Autonomous system a' = f1(a, b), b' = f2(a, b) with exact-rational
-    quadratic coefficients over the monomials 1, a, b, a^2, ab, b^2; equal
-    to another system with the same conventions and coefficients."""
+    quadratic coefficients over the monomials 1, a, b, a^2, ab, b^2."""
 
     def __init__(self, conv: GeometryConventions, coeffs_a: tuple,
                  coeffs_b: tuple):
@@ -118,11 +117,6 @@ class ReducedSystem:
         self.float_b = tuple(float(c) for c in coeffs_b)
         self._matrix = np.array([self.float_a, self.float_b],
                                 dtype=np.longdouble)
-
-    def __eq__(self, other):
-        return type(other) is ReducedSystem and (
-            (self.conv, self.coeffs_a, self.coeffs_b)
-            == (other.conv, other.coeffs_a, other.coeffs_b))
 
     def rhs(self, a, b):
         """(a', b') at scalars or, elementwise, at arrays."""

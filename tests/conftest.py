@@ -78,8 +78,8 @@ def full_line(conv):
 
 
 @pytest.fixture(scope="session")
-def sweep(conv, full_line):
-    return cutoff_sweep(conv, full_line)
+def sweep(full_line):
+    return cutoff_sweep(full_line)
 
 
 @pytest.fixture(scope="session")

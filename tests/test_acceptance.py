@@ -109,10 +109,10 @@ def test_criterion_03_decomposition_suite(acceptance_cfg):
            f"{elapsed:.1f}s")
 
 
-def test_criterion_04_energy_balance(conv, full_line):
+def test_criterion_04_energy_balance(full_line):
     rep = _identity_entry("bulk-boundary-balance", *energy.check_energy_identity(
-        conv, "bulk-boundary-balance", at_eps=energy.field_norms(
-            conv, full_line, energy.CUTOFF_ROWS, 0.05)))
+        "bulk-boundary-balance", at_eps=energy.field_norms(
+            full_line, energy.CUTOFF_ROWS, 0.05)))
     ok = rep.status == "pass" and rep.computed <= 1e-6 and (
         "quad_error" in rep.extra)
     _check("criterion-04 bulk/boundary balance at eps=0.05", ok,
@@ -120,16 +120,16 @@ def test_criterion_04_energy_balance(conv, full_line):
            f"error budget {rep.extra['quad_error']:.2e}")
 
 
-def test_criterion_05_cutoff_limit(conv, full_line, sweep):
+def test_criterion_05_cutoff_limit(full_line, sweep):
     rep = _identity_entry("cutoff-limit", *energy.check_energy_identity(
-        conv, "cutoff-limit", sweep=sweep))
+        "cutoff-limit", sweep=sweep))
     combos = rep.extra["combos"]
     inc1 = abs(combos[1] - combos[0])
     inc2 = abs(combos[2] - combos[1])
     cauchy_linear = 0.05 <= inc2 / inc1 <= 0.2
     slopes_ok = all(abs(s + 1.0) <= 0.05 for s in rep.extra["summand_slopes"])
     route = _identity_entry("route-match", *energy.check_energy_identity(
-        conv, "route-match", full_line=full_line, sweep=sweep))
+        "route-match", full_line=full_line, sweep=sweep))
     ok = rep.status == "pass" and cauchy_linear and slopes_ok and \
         route.status == "pass" and route.computed <= 1e-6
     _check("criterion-05 divergence cancellation / constant routes", ok,
@@ -141,7 +141,7 @@ def test_criterion_05_cutoff_limit(conv, full_line, sweep):
 def test_criterion_06_model_constant(conv, full_line):
     model = nahm_pole_invariant_solution()
     val, err, parts = energy.c_model(full_line)
-    val2 = energy.refined_c_model(conv, full_line)
+    val2 = energy.refined_c_model(full_line)
     stable = abs(val - val2) / val <= 1e-8
     env_ok = True
     for key in ("F_sq", "S_sq"):
@@ -155,14 +155,14 @@ def test_criterion_06_model_constant(conv, full_line):
            f"{abs(val - val2) / val:.2e}, envelope ok")
 
 
-def test_criterion_07_bound_instance(conv, full_line, consts):
+def test_criterion_07_bound_instance(full_line, consts):
     rows = {name: value for name, value, _, _ in
             energy.theorem_bound_report(full_line, consts)}
     f_sq, c_limit = rows["curvature_l2_sq"], rows["c_limit"]
     other = rows["tangential_gradient_l2_sq"] + rows["completed_square_l2_sq"]
     slack = c_limit - f_sq
     weighted = _identity_entry("weighted-bound", *energy.check_energy_identity(
-        conv, "weighted-bound", full_line=full_line, consts=consts))
+        "weighted-bound", full_line=full_line, consts=consts))
     ok = (slack > 0 and abs(slack - other) <= 1e-6 * c_limit
           and weighted.status == "pass")
     _check("criterion-07 curvature-energy bound instance", ok,

@@ -556,10 +556,10 @@ def test_failed_shared_pass_fails_only_its_readers(tmp_path, monkeypatch,
     def boom(*args, **kwargs):
         raise ZeroDivisionError("no pass")
 
-    def at_eps_fails(conv, field, rows, *args, **kwargs):
+    def at_eps_fails(full_line, rows, *args, **kwargs):
         if rows is energy.CUTOFF_ROWS:
             boom()
-        return field_norms(conv, field, rows, *args, **kwargs)
+        return field_norms(full_line, rows, *args, **kwargs)
 
     if shared == "full_line":
         monkeypatch.setattr(energy, "certified", boom)
@@ -874,6 +874,32 @@ def test_no_default_is_always_overridden():
     # a default that every call in the package overrides serves only the
     # tests: make the parameter required
     assert sorted(_defaults_every_call_sets(_PACKAGE)) == []
+
+
+def _unread_parameters(src):
+    """(file, function, parameter) for each parameter of a def or lambda in
+    the package that its body never reads (self and cls aside); a read in a
+    nested function or lambda counts."""
+    unread = []
+    for name, tree in _package_trees(src):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unread += [(name, getattr(fn, "name", "<lambda>"), p)
+                       for p in params if p not in read | {"self", "cls"}]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is an input that changes
+    # nothing: callers pass it in vain, or believe it takes effect
+    assert sorted(_unread_parameters(_PACKAGE)) == []
 
 
 def _vectorised_shims(src):

@@ -53,9 +53,9 @@ from kwlab.quadrature import (
     NODES,
     PANELS,
     VOL_S3,
+    doubled_sums,
     halfline_edges,
     integrate_halfline,
-    integrate_head,
     integrate_panels,
 )
 from kwlab.su2 import bracket
@@ -146,7 +146,7 @@ def _ref_chain(conv, pert, consts):
         return abs(dalpha(y) + 2.0 * h_of(y) * alpha(y) + q_of(y) * q_of(y) * w1)
 
     def near(f):
-        return V * integrate_head(f)[0]
+        return V * doubled_sums(f, 0.0, 0)[1]
 
     # chain on (0, 1]
     line1 = near(lambda y: 2.0 * abs(h_of(y) * alpha(y)) * w_sq)
@@ -354,12 +354,12 @@ def test_array_densities_match_scalar_reference(conv, field_name, layout):
     assert set(densities(conv, field, ys, ("phi_sq",))) == {"phi_sq"}
 
 
-def test_identity_checks_on_model(conv, full_line):
-    at_eps = field_norms(conv, full_line, CUTOFF_ROWS, 0.05)
+def test_identity_checks_on_model(full_line):
+    at_eps = field_norms(full_line, CUTOFF_ROWS, 0.05)
     for ident in ("first-order-balance", "square-completion",
                   "bulk-boundary-balance"):
         rep = _identity_entry(ident, *check_energy_identity(
-            conv, ident, at_eps=at_eps))
+            ident, at_eps=at_eps))
         assert rep.status == "pass", rep
         assert rep.computed <= 1e-6
         assert rep.extra["quad_error"] < 1e-6
@@ -375,12 +375,12 @@ def test_identity_rejects_non_solutions(conv):
     with pytest.raises(ValueError, match="not a solution"):
         full_line_norms(conv, bad)
     with pytest.raises(ValueError, match="unknown identity"):
-        check_energy_identity(conv, "nope")
+        check_energy_identity("nope")
 
 
 def test_cutoff_limit_and_route(conv, model, full_line, sweep):
     rep = _identity_entry("cutoff-limit", *check_energy_identity(
-        conv, "cutoff-limit", sweep=sweep))
+        "cutoff-limit", sweep=sweep))
     assert rep.status == "pass"
     combos = rep.extra["combos"]
     inc1 = abs(combos[1] - combos[0])
@@ -390,7 +390,7 @@ def test_cutoff_limit_and_route(conv, model, full_line, sweep):
         assert abs(slope + 1.0) <= 0.05
 
     route = _identity_entry("route-match", *check_energy_identity(
-        conv, "route-match", full_line=full_line, sweep=sweep))
+        "route-match", full_line=full_line, sweep=sweep))
     assert route.status == "pass" and route.computed <= 1e-6
     # the sweep is the model's cutoff combination at each cutoff, each from
     # its own one-row phi_sq pass, whose (value, error) its Norms keeps
@@ -405,7 +405,7 @@ def test_cutoff_limit_and_route(conv, model, full_line, sweep):
 
 def test_divergence_cancellation_monotone(conv, model, full_line):
     eps_list = (1e-1, 1e-2, 1e-3, 1e-4)
-    _, rows = cutoff_rows(conv, full_line, eps_list)
+    _, rows = cutoff_rows(full_line, eps_list)
     for eps, (two_phi, mixed, combo) in zip(eps_list, rows):
         # the bulk energy above eps equals the combination
         bulk3, _ = l2_norm_sq(
@@ -417,9 +417,9 @@ def test_divergence_cancellation_monotone(conv, model, full_line):
         assert combo.hex() == (mixed - want).hex()
 
 
-def test_c_model_finite_stable(conv, full_line):
+def test_c_model_finite_stable(full_line):
     val, err, parts = c_model(full_line)
-    val2 = refined_c_model(conv, full_line)
+    val2 = refined_c_model(full_line)
     assert abs(val - val2) / val <= 1e-8
     assert parts["F_l2_sq"] > 0 and parts["S_l2_sq"] > 0
     # second summand equals the norm of the tangential curvature part:
@@ -466,13 +466,13 @@ def _per_producer_passes(conv, field, eps):
     return out
 
 
-def test_pass_without_a_head_is_refused(conv, full_line):
+def test_pass_without_a_head_is_refused(full_line):
     # a pass adds its head on [lo, Y_SPLIT] to the body that the from-zero
     # pass kept: from Y_SPLIT on there is no head, and the kept body would
     # count a second time
     for lo in (1.0, 2.5):
         with pytest.raises(ValueError, match="no head from"):
-            field_norms(conv, full_line, CUTOFF_ROWS, lo)
+            field_norms(full_line, CUTOFF_ROWS, lo)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1])
@@ -481,7 +481,7 @@ def test_shared_rows_equal_per_producer_passes_bitwise(conv, model, eps):
     shared = {
         "full_line": full_line,
         # the suite's other passes integrate the from-zero pass's field
-        "at_eps": field_norms(conv, full_line, CUTOFF_ROWS, eps),
+        "at_eps": field_norms(full_line, CUTOFF_ROWS, eps),
     }
     assert shared["at_eps"].eps == eps and shared["full_line"].eps == 0.0
     # the at-eps pass carries the boundary terms that its balances read
@@ -510,9 +510,9 @@ def test_charge_group_equals_topological_charge_bitwise(conv, flip):
         assert [x.hex() for x in charge(zero)] == [x.hex() for x in want]
         if flip:
             with pytest.raises(ValueError, match="not a solution"):
-                certified(conv, zero)
+                certified(zero)
         else:
-            assert certified(conv, zero) is zero
+            assert certified(zero) is zero
 
 
 def test_refined_c_model_is_the_refined_pass_bitwise(conv, full_line,
@@ -524,7 +524,7 @@ def test_refined_c_model_is_the_refined_pass_bitwise(conv, full_line,
     engine = quadrature.integrate_panels
     monkeypatch.setattr(quadrature, "integrate_panels", lambda f, edges, n: engine(
         lambda y: nodes.append(y.size) or f(y), edges, n))
-    got = refined_c_model(conv, full_line)
+    got = refined_c_model(full_line)
     assert nodes == [4 * quadrature.PANELS * quadrature.NODES] * 2
     monkeypatch.setattr(quadrature, "integrate_panels", engine)
     # the from-zero pass on twice the panels, built under that layout: a
@@ -617,19 +617,19 @@ def test_weighted_derivative_identity_fd():
             assert abs(lhs - rhs) < 1e-6
 
 
-def test_synthetic_perturbation_validation(conv, consts):
+def test_synthetic_perturbation_validation(consts):
     with pytest.raises(ValueError, match="vanish at the boundary"):
-        perturbation_chain(conv, [1e3], [1.0], [I3], consts)
+        perturbation_chain([1e3], [1.0], [I3], consts)
     with pytest.raises(ValueError, match="vanish at the boundary"):
-        perturbation_chain(conv, [float("nan")], [1.0], [I3], consts)
+        perturbation_chain([float("nan")], [1.0], [I3], consts)
     with pytest.raises(ValueError, match="decay toward infinity"):
-        perturbation_chain(conv, [0.3, 0.1], [1.2, 0.0], [I3, I3], consts)
+        perturbation_chain([0.3, 0.1], [1.2, 0.0], [I3, I3], consts)
     q, dq = exp_decay_q([0.3], [1.2], np.array([1e-6]))
     assert abs(q[0, 0]) < 1e-6 and abs(dq[0, 0] - 0.3) < 1e-5
 
 
-def test_chain_pure_v1_spec_case(conv, consts):
-    ((steps, line5),) = perturbation_chain(conv, [1.0], [1.0], [I3], consts)
+def test_chain_pure_v1_spec_case(consts):
+    ((steps, line5),) = perturbation_chain([1.0], [1.0], [I3], consts)
     assert _chain_verdict(steps, line5)[1]
     assert steps["quadratic_projection_integrated"] == 0.0  # no V2/V3 part
     assert steps["quadratic_projection_pointwise_min"] == 0.0
@@ -637,30 +637,30 @@ def test_chain_pure_v1_spec_case(conv, consts):
     assert steps["final"] > 0.0
 
 
-def test_chain_mixed_direction_spec_case(conv, consts):
+def test_chain_mixed_direction_spec_case(consts):
     m = np.zeros((3, 3))
     m[1, 2], m[2, 1] = 1.0, -1.0        # antisymmetric part
     m[2, 0], m[0, 2] = 1.0, 1.0        # symmetric traceless part
-    ((steps, line5),) = perturbation_chain(conv, [1.0], [1.0], [m], consts)
+    ((steps, line5),) = perturbation_chain([1.0], [1.0], [m], consts)
     assert _chain_verdict(steps, line5)[1]
     assert steps["quadratic_projection_pointwise_min"] >= 0.0
 
 
-def test_chain_seeded(conv, consts):
+def test_chain_seeded(consts):
     rng = random.Random(42)
-    chains = perturbation_chain(conv, *random_perturbations(rng, 8), consts)
+    chains = perturbation_chain(*random_perturbations(rng, 8), consts)
     assert len(chains) == 8
     for steps, line5 in chains:
         assert _chain_verdict(steps, line5)[1], steps
 
 
-def test_chain_weighted_derivative_is_exact(conv, consts):
+def test_chain_weighted_derivative_is_exact(consts):
     # for sgn = -1 the weighted-derivative step is an equality: the integral
     # of sgn * alpha' is the discarded boundary term b1 itself, so no seeded
     # chain of the acceptance seed may report a negative slack for it
     amps, rates, directions = random_perturbations(random.Random(42), 100)
     worst, negative = math.inf, 0
-    chains = perturbation_chain(conv, amps, rates, directions, consts)
+    chains = perturbation_chain(amps, rates, directions, consts)
     for (steps, line5), m in zip(chains, directions):
         if np.trace(m) < 0:
             negative += 1
@@ -690,19 +690,19 @@ def test_batched_chain_matches_per_perturbation_reference(conv, consts, seed):
             for _ in range(BLOCK + 1)]
     for n in (1, BLOCK - 1, BLOCK, BLOCK + 1):
         got = perturbation_chain(
-            conv, *random_perturbations(random.Random(seed), n), consts)
+            *random_perturbations(random.Random(seed), n), consts)
         _assert_same_chains(got, want[:n])
 
 
-def test_chain_splits_its_perturbations_into_blocks(conv, consts):
+def test_chain_splits_its_perturbations_into_blocks(consts):
     # one call on 20 perturbations returns, bit for bit, the step slacks of
     # per-block calls on the same draws made BLOCK at a time
     got = perturbation_chain(
-        conv, *random_perturbations(random.Random(42), 20), consts)
+        *random_perturbations(random.Random(42), 20), consts)
     rng, want = random.Random(42), []
     for start in range(0, 20, BLOCK):
         want += perturbation_chain(
-            conv, *random_perturbations(rng, min(BLOCK, 20 - start)), consts)
+            *random_perturbations(rng, min(BLOCK, 20 - start)), consts)
     assert len(want) == 20
     _assert_same_chains(got, want)
 
@@ -714,13 +714,13 @@ def test_c24a_matches_closed_form_completed_square(consts):
         _, b, _, db = pole_scalars(y)
         return np.float_power(db + np.float_power(b, 2), 2) * OMEGA_NORM_SQ
 
-    s_near = VOL_S3 * integrate_head(s_model_sq)[0]
+    s_near = VOL_S3 * doubled_sums(s_model_sq, 0.0, 0)[1]
     want = math.sqrt(OMEGA_NORM_SQ) * math.sqrt(VOL_S3) * math.sqrt(s_near)
     assert consts.c24a.hex() == want.hex()
 
 
 def test_chain_and_c24a_integrate_the_parts_of_the_from_zero_layout(
-        conv, full_line, consts, monkeypatch):
+        full_line, consts, monkeypatch):
     # c24a reads the fine head sum of the from-zero pass's S_sq row and
     # integrates nothing; a chain block's near and far passes run on the
     # head of halfline_edges(0.0, p) and its body, each at PANELS panels and
@@ -742,7 +742,7 @@ def test_chain_and_c24a_integrate_the_parts_of_the_from_zero_layout(
 
     assert bound_constants(full_line) == consts
     assert integrated() == []
-    perturbation_chain(conv, *random_perturbations(random.Random(1), 2), consts)
+    perturbation_chain(*random_perturbations(random.Random(1), 2), consts)
     assert integrated() == [(list(e), NODES) for e in head + body]
 
 
@@ -772,15 +772,15 @@ def test_theorem_bound_flat_endpoint(conv, consts):
     assert rep["bound_constant"] > 0
 
 
-def test_weighted_bound_identity(conv, full_line, consts):
+def test_weighted_bound_identity(full_line, consts):
     rep = _identity_entry("weighted-bound", *check_energy_identity(
-        conv, "weighted-bound", full_line=full_line, consts=consts))
+        "weighted-bound", full_line=full_line, consts=consts))
     assert rep.status == "pass"
     assert rep.extra["lhs"] <= rep.extra["bound"]
 
 
-def test_eps_sweep_rows(conv, full_line):
-    rows = eps_sweep_rows(conv, full_line, (1e-1, 1e-2))
+def test_eps_sweep_rows(full_line):
+    rows = eps_sweep_rows(full_line, (1e-1, 1e-2))
     assert len(rows) == 2
     for eps, lhs, rhs, gap in rows:
         assert abs(gap) <= 1e-6 * abs(rhs)

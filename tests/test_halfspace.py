@@ -292,7 +292,7 @@ def test_residual_homogeneity_under_pullback(conv):
         # break the equation, keep homogeneity
         return smp._replace(phi=smp.phi * 1.1, dphi=smp.dphi * 1.1)
 
-    fld = FlatModelField("perturbed", perturbed)
+    fld = FlatModelField(perturbed)
     rng = np.random.default_rng(17)
     for _ in range(20):
         s = float(rng.uniform(0.3, 2.5))
@@ -318,7 +318,7 @@ def test_perturbed_pole_field_matches_finite_differences(conv):
         smp.dphi[0, 0, 3] += 1.0
         return smp
 
-    fld = FlatModelField("pole-plus-linear", perturbed)
+    fld = FlatModelField(perturbed)
 
     h = 1e-5
 
@@ -338,7 +338,7 @@ def test_perturbed_pole_field_matches_finite_differences(conv):
                             - np.asarray(sm.A, float)) / (2 * h)
         return smp._replace(dphi=dphi, dA=dA)
 
-    fd_field = FlatModelField("fd", fd_eval)
+    fd_field = FlatModelField(fd_eval)
     pts, _ = sample_points(random.Random(5), 5, width=1.0,
                            y_range=(0.5, 1.5))
     r_exact = kw_residual_flat_combined(conv, fld, pts)
@@ -365,12 +365,12 @@ def test_residual_gauge_covariance_flat(conv):
         return np.einsum("ij,j...->i...", rot, np.asarray(v, float))
 
     pts = np.hstack([_col(0.8, -0.5, 1.1, 0.6), _col(-1.2, 0.9, 0.0, 1.4)])
-    for fld in (base, FlatModelField("spoiled", spoiled)):
+    for fld in (base, FlatModelField(spoiled)):
         def rotated(pts, fld=fld):
             smp = fld.eval(pts)
             return type(smp)(act(smp.A), act(smp.dA), act(smp.phi), act(smp.dphi))
 
-        rfld = FlatModelField("rotated", rotated)
+        rfld = FlatModelField(rotated)
         for a, b in zip(kw_residual_flat_combined(conv, fld, pts),
                         kw_residual_flat_combined(conv, rfld, pts)):
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-14)
@@ -386,7 +386,7 @@ def _constant_nonabelian_residual(conv):
         zero = np.zeros((3, 3, 4, n), dtype=np.longdouble)
         return halfspace.FieldSample(A, zero, np.zeros_like(A), zero)
 
-    return kw_residual_flat(conv, FlatModelField("constant", constant),
+    return kw_residual_flat(conv, FlatModelField(constant),
                             np.hstack([_col(0.3, 0.1, -2.0, 0.9),
                                        _col(1.0, 1.0, 1.0, 1.0)]))
 

@@ -10,9 +10,10 @@ from kwlab import quadrature
 from kwlab.quadrature import (
     NODES,
     VOL_S3,
+    doubled_sums,
     halfline_edges,
+    halfline_total,
     integrate_halfline,
-    integrate_head,
     integrate_panels,
 )
 
@@ -32,7 +33,8 @@ def test_inverse_square_analytic():
 
 def test_constant_on_unit_interval():
     # constant |omega|^2 = 3/2 over [0, 1]: vol term only
-    val, err = integrate_head(lambda y: np.full_like(y, 1.5))
+    val, err = halfline_total(
+        [doubled_sums(lambda y: np.full_like(y, 1.5), 0.0, 0)], 0.0)
     assert math.isclose(VOL_S3 * val, 3 * math.pi**2, rel_tol=1e-14)
 
 
@@ -141,7 +143,7 @@ def test_rows_equal_one_row_calls_bitwise(rule, monkeypatch):
     run = {
         "panels": lambda f: (integrate_panels(f, np.geomspace(1e-3, 2.0, 9), NODES),
                              0.0),
-        "interval": integrate_head,
+        "interval": lambda f: halfline_total([doubled_sums(f, 0.0, 0)], 0.0),
         "halfline-geometric": lambda f: integrate_halfline(f, 1e-3),
         "halfline-no-head": lambda f: integrate_halfline(f, 1.0),
         "from-zero": lambda f: integrate_halfline(f, 0.0),
