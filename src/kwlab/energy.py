@@ -454,9 +454,9 @@ def perturbation_chain(amplitudes, rates, directions,
     |omega|^2 enters every chain line as w_sq, so for a pure-V1 direction
     the quadratic-projection slacks are exactly zero.  In each block of BLOCK
     perturbations the chain lines that share a quadrature layout are rows of
-    one integrand: the reference profiles are evaluated once per layout.  The
-    near lines take the head of the from-zero layout, (0, 1], and the far
-    lines its body, from 1."""
+    one integrand.  The near lines take the head of the from-zero layout,
+    (0, 1], and the far lines its body, from 1, both at 2 * PANELS panels
+    (the chain reads no error estimate), and the model's h once per layout."""
     amp = np.asarray(amplitudes, dtype=float)
     rate = np.asarray(rates, dtype=float)
     m = np.asarray(directions, dtype=float)
@@ -468,12 +468,13 @@ def perturbation_chain(amplitudes, rates, directions,
     ys = np.linspace(1.0, 12.0, 60)  # the far envelope: the model's alone
     env_slack = float(np.min(consts.c_decay * np.exp(-2.0 * ys) - math.sqrt(
         OMEGA_NORM_SQ) * pole_scalar(pole_b, ys)[0]))
+    model = {}  # the model's (h, h') on the nodes of each layout of a block
     return [out for s in range(0, len(amp), BLOCK) for out in _chain_block(
         amp[s:s + BLOCK], rate[s:s + BLOCK], m[s:s + BLOCK], consts,
-        env_slack)]
+        env_slack, model)]
 
 
-def _chain_block(amp, rate, m, consts: BoundConstants, env_slack) -> list:
+def _chain_block(amp, rate, m, consts: BoundConstants, env_slack, model) -> list:
     """perturbation_chain's (steps, line 5) on one block of perturbations."""
     # per-perturbation constants as (k, 1) columns against (k, n) node rows
     trace = np.trace(m, axis1=1, axis2=2)
@@ -491,9 +492,9 @@ def _chain_block(amp, rate, m, consts: BoundConstants, env_slack) -> list:
     w_sq = OMEGA_NORM_SQ
     w_abs = math.sqrt(w_sq)
 
-    def profiles(y):
-        """h = b and b' of the model, (n,); q, q', alpha and alpha', (k, n)."""
-        h, dh = pole_scalar(pole_b, y)
+    def profiles(y, layout):
+        """h = b, b' (n,), once per layout; q, q', alpha and alpha' (k, n)."""
+        h, dh = model[layout] = model.get(layout) or pole_scalar(pole_b, y)
         q, dq = exp_decay_q(amp, rate, y)
         return h, dh, q, dq, gamma * q, gamma * dq
 
@@ -511,7 +512,7 @@ def _chain_block(amp, rate, m, consts: BoundConstants, env_slack) -> list:
         return np.sqrt(_s_sq(FieldAt(None, None, None, p, dp)))
 
     def near_rows(y):  # the chain on (0, 1], the head
-        h, dh, q, dq, alpha, dalpha = profiles(y)
+        h, dh, q, dq, alpha, dalpha = profiles(y, "near")
         s_full = s_full_norm(h, dh, q, dq)
         return np.stack([
             2.0 * abs(h * alpha) * w_sq,
@@ -527,13 +528,15 @@ def _chain_block(amp, rate, m, consts: BoundConstants, env_slack) -> list:
         ])
 
     def far_rows(y):  # y > 1, the body
-        h, dh, q, dq, alpha, _ = profiles(y)
+        h, dh, q, dq, alpha, _ = profiles(y, "far")
         s_full = s_full_norm(h, dh, q, dq)
         return np.stack([2.0 * abs(h * alpha) * w_sq, alpha * alpha * w_sq,
                          q * q * (n1 + n2 + n3), s_full * s_full])
 
+    near, far = quadrature.halfline_edges(0.0, 2 * quadrature.PANELS)
     (line1, line2, rho1_sq_near, wd_int, g_l1, rho23_near, mid_l1, s_full_l1,
-     s_full_sq_near, rho_sq_near) = VOL_S3 * doubled_sums(near_rows, 0.0, 0)[1]
+     s_full_sq_near, rho_sq_near) = VOL_S3 * quadrature.integrate_panels(
+        near_rows, near, quadrature.NODES)
     b1 = VOL_S3 * abs(gamma * exp_decay_q(amp, rate, 1.0)[0])[:, 0] * w_sq
     # in line 3 the integral of sgn * alpha' is taken from its boundary
     # values: alpha(0) = 0 and sgn * alpha = |alpha|, so it is b1 itself and
@@ -544,7 +547,7 @@ def _chain_block(amp, rate, m, consts: BoundConstants, env_slack) -> list:
     line6 = mid_l1 + rho23_near + rho1_sq_near
 
     ys = np.linspace(1e-4, 1.0, 200)
-    h, _, q, _, alpha, dalpha = profiles(ys)
+    h, _, q, _, alpha, dalpha = profiles(ys, "grid")
     min_slack_pointwise = np.min(
         mid_norm(h, q, alpha, dalpha) * w_sq + 0.5 * (q * q) * (n2 + n3)
         - abs_g(h, alpha, dalpha) * w_sq, axis=1)
@@ -556,8 +559,8 @@ def _chain_block(amp, rate, m, consts: BoundConstants, env_slack) -> list:
 
     # far part (y > 1)
     c19 = consts.c19
-    far_tr, far_rho1, rho_sq_far, s_full_sq_far = VOL_S3 * integrate_halfline(
-        far_rows, 1.0)[0]
+    far_tr, far_rho1, rho_sq_far, s_full_sq_far = (
+        VOL_S3 * quadrature.integrate_panels(far_rows, far, quadrature.NODES))
     step_far_rhs = c19 + 0.5 * far_rho1
 
     # assembled final inequality

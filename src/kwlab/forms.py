@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .profiles import MatrixProfile, NodeJet
 from .su2 import bracket
 
 # nonzero entries of the permutation symbol: (i, j, k, sign)
@@ -155,11 +156,13 @@ class FieldAt:
         them to float64 (the energy densities).  Each profile is evaluated
         on the first read of one of its matrices, so a reader of the Higgs
         field alone never evaluates the connection, and the other way
-        round."""
+        round.  MatrixProfiles share one NodeJet of y and round themselves;
+        any other profile is an object whose eval(y) gives (value, d/dy)."""
         if np.any(np.asarray(y) <= 0):
             raise ValueError("boundary evaluation")
         m = cls.__new__(cls)
-        m.conv, m._pending = conv, (field, y, dtype)
+        m.conv = conv
+        m._pending = (field, y, NodeJet.var(np.longdouble(y)), dtype)
         return m
 
     def __getattr__(self, name):
@@ -168,10 +171,11 @@ class FieldAt:
         pending, kind = self.__dict__.get("_pending"), _PROFILE_OF.get(name)
         if pending is None or kind is None:
             raise AttributeError(name)
-        field, y, dtype = pending
-        value, deriv = getattr(field, kind).eval(y)
+        field, y, jy, dtype = pending
+        profile = getattr(field, kind)
+        at = (jy, dtype) if isinstance(profile, MatrixProfile) else (y,)
         names = [k for k, v in _PROFILE_OF.items() if v == kind]
-        for key, m in zip(names, (value, deriv)):
+        for key, m in zip(names, profile.eval(*at)):
             setattr(self, key, np.asarray(m, dtype=dtype))
         return getattr(self, name)
 

@@ -25,9 +25,9 @@ class Jet:
         self.f = f
         self.d = d
 
-    @staticmethod
-    def var(y):
-        return Jet(y, y * 0 + 1)
+    @classmethod
+    def var(cls, y):
+        return cls(y, y * 0 + 1)
 
     @staticmethod
     def vars(*xs):

@@ -14,14 +14,16 @@ The closed-form reference solution has scalar profiles
 times omega.  It carries the Nahm pole b ~ 1/y at y = 0 and decays like
 6 e^{-2y} toward the trivial flat connection; the alternate variant shares b
 but has a -> 2, landing on a gauge image of the flat connection instead.
-Profiles are evaluated in extended precision (np.longdouble) by default:
-near y ~ 1e-3 the residual algebra cancels terms of size b^2 ~ 1e6, which
-float64 rounding alone would contaminate at the 1e-10 level.
+Profiles are evaluated in extended precision (np.longdouble), and rounded
+once for a float64 reader (MatrixProfile.eval): near y ~ 1e-3 the residual
+algebra cancels terms of size b^2 ~ 1e6, which float64 rounding alone would
+contaminate at the 1e-10 level.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,25 +33,25 @@ from .jets import Jet
 
 
 class MatrixProfile(NamedTuple):
-    """Sum of scalar-profile * constant-matrix terms; eval -> (value, d/dy).
-
-    y is a node or an array of nodes, taken in np.longdouble; value and
-    d/dy have shape (3, 3) + y.shape, matrix axes first, as the kernels of
-    forms read them."""
+    """Sum of scalar-profile * constant-matrix terms; eval -> (value, d/dy)
+    at y (nodes, or the NodeJet that a field's profiles share), matrix axes
+    first, in longdouble or rounded to dtype: a lone term of -1, 0 and 1
+    rounds its scalar first, as its products are then exact (the same bits,
+    signed zeros too, while they round to finite floats); other sums once."""
 
     terms: tuple  # ((scalar_fn taking Jet, 3x3 matrix), ...)
 
-    def eval(self, y):
-        jy = Jet.var(np.longdouble(y))
-        val = None
-        der = None
+    def eval(self, y, dtype=None):
+        jy = y if isinstance(y, Jet) else NodeJet.var(np.longdouble(y))
+        (_, lone), *more = self.terms
+        first = None if more or not {*np.ravel(lone)} <= {-1, 0, 1} else dtype
+        sums = None
         for fn, mat in self.terms:
             j = fn(jy)
-            v = np.multiply.outer(mat, j.f)
-            d = np.multiply.outer(mat, j.d)
-            val = v if val is None else val + v
-            der = d if der is None else der + d
-        return val, der
+            new = [np.multiply.outer(np.asarray(mat, first),
+                                     np.asarray(x, first)) for x in (j.f, j.d)]
+            sums = new if sums is None else [s + t for s, t in zip(sums, new)]
+        return tuple(np.asarray(s, dtype) for s in sums)
 
 
 def scaled_matrix_profile(fn, mat) -> MatrixProfile:
@@ -68,21 +70,34 @@ class InvariantField(NamedTuple):
 # closed-form reference solutions
 # ---------------------------------------------------------------------------
 
+class NodeJet(Jet):
+    """A jet of y that the profiles of one field share, with v = expm1(2y)."""
+
+    @cached_property
+    def v(self):
+        return jets.expm1(2 * self)
+
+
+def _v(jy):
+    """The jet of v = expm1(2y) from the jet of y: a NodeJet's own, once."""
+    return jy.v if isinstance(jy, NodeJet) else jets.expm1(2 * jy)
+
+
 def pole_a(jy):
     """Connection scalar of the reference solution."""
-    v = jets.expm1(2 * jy)
+    v = _v(jy)
     return 6 * (1 + v) / (v * v + 6 * v + 6)
 
 
 def pole_b(jy):
     """Higgs scalar of the reference solution; simple pole 1/y at y = 0."""
-    v = jets.expm1(2 * jy)
+    v = _v(jy)
     return 6 * (1 + v) * (2 + v) / (v * (v * v + 6 * v + 6))
 
 
 def pole_a_alt(jy):
     """Connection scalar of the alternate solution (a -> 2 at infinity)."""
-    v = jets.expm1(2 * jy)
+    v = _v(jy)
     return 2 * (v * v + 3 * v + 3) / (v * v + 6 * v + 6)
 
 
@@ -138,10 +153,7 @@ def higgs_scale_check() -> dict:
     """Profile-level scaling-limit check: s * b(s y) at fixed y = 1 converges
     to the pole profile 1/y = 1 with rate O(s^2), for s in HIGGS_SCALES.
     Returns the relative errors and the fitted log-log slope."""
-    errs = []
-    for s in HIGGS_SCALES:
-        jy = Jet.var(np.longdouble(s))
-        val = float(s * pole_b(jy).f)
-        errs.append(abs(val - 1.0))
+    errs = [abs(float(s * pole_scalar(pole_b, s, np.longdouble)[0]) - 1.0)
+            for s in HIGGS_SCALES]
     return {"scales": list(HIGGS_SCALES), "errors": errs,
             "slope": loglog_slope(HIGGS_SCALES, errs)}

@@ -15,10 +15,10 @@ built from parts that a caller may also keep and add itself: doubled_sums,
 the (coarse, fine) sums of one part of a layout, tail_bound, and
 halfline_total, which adds the parts of a layout left to right and is the
 one place that forms the estimate |fine - coarse| + tail.  A caller that
-needs only a value reads the fine sum of doubled_sums (the perturbation
-chain's head on [0, Y_SPLIT]).  integrate_panels, the rule on one edge
-array, and integrate_layout (the parts of a layout at one panel count)
-return a bare value.
+needs only a value integrates the fine layout alone, with no coarse sum and
+no tail: integrate_panels on the edges of one part (the perturbation
+chain's head and body), integrate_layout on all of them; both return a bare
+value.
 
 An integrand takes the 1-D array of the nodes of a layout.  It returns one
 value per node, or rows of them, shape (k, n): then every integral gives

@@ -5,16 +5,19 @@ The full committed configuration (configs/acceptance.cfg) drives criterion
 12 and supplies the heavyweight suite run reused by several others.
 """
 
+import json
 import math
 import os
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from test_golden import GOLDEN, longdouble_format
 from kwlab import energy, halfspace, reduced
 from kwlab.cli import _identity_entry, run_suite, suite_decomposition
 from kwlab.config import build_config, load_config
@@ -284,3 +287,25 @@ def test_gate_tolerances_are_pinned(full_run):
     named = {cid: tol for cid, tol in gating.items() if cid not in rows}
     assert named == GATE_TOLERANCES
     assert len(rows) == TABLE_ROWS and set(rows.values()) == {0.0}
+
+
+def test_report_matches_golden(full_run):
+    # the acceptance run against tests/golden/acceptance.json, entry by entry
+    # and by repr, so bit for bit, and byte for byte as the report file; on
+    # another longdouble (see test_golden.py) the statuses alone
+    with open(os.path.join(GOLDEN, "acceptance.json")) as fh:
+        text = fh.read()
+    with open(os.path.join(GOLDEN, "outputs.json")) as fh:
+        exact = json.load(fh)["longdouble"] == longdouble_format()
+    want = json.loads(text)
+    got = json.loads(checks_to_json(full_run["checks"], want["meta"]))
+
+    def entry(c):
+        return repr(c if exact else (c.get("check_id"), c.get("status")))
+
+    pairs = zip_longest(got["checks"], want["checks"], fillvalue={})
+    moved = [g.get("check_id", w.get("check_id"))
+             for g, w in pairs if entry(g) != entry(w)]
+    assert moved == [], f"report entries that moved: {moved}"
+    if exact:
+        assert checks_to_json(full_run["checks"], want["meta"]) == text

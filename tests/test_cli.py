@@ -595,11 +595,13 @@ def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
     # pass (the head, and the body it keeps for the passes that share it,
     # the model's charge among its rows), 2 for the head alone of the at-eps
     # pass and of each of the three sweep cutoffs, 4 for the companion's
-    # charge, 4 for one chain block (the head and the far half-line from 1),
-    # and 2 for the refined c_model value, which integrates only its two
-    # parts at 4 * PANELS: 22 (26 when the model's charge had a pass of its
-    # own, 36 when every pass integrated its own body and the constants
-    # their own head, 64 when every check integrated its own pass)
+    # charge; 2 for one chain block, which integrates the head and the body
+    # from 1 at 2 * PANELS only, and 2 for the refined c_model value, which
+    # integrates only its two parts at 4 * PANELS: 20 (22 when the chain also
+    # integrated the coarse layout and the tail it dropped, 26 when the
+    # model's charge had a pass of its own, 36 when every pass integrated
+    # its own body and the constants their own head, 64 when every check
+    # integrated its own pass)
     from kwlab import quadrature
 
     made = []
@@ -609,7 +611,7 @@ def test_energy_suite_integrates_each_layout_once(tmp_path, monkeypatch):
     argv = ["verify", "--suite", "energy", "--n-pert", "3",
             "--out", str(tmp_path / "r.json")]
     calls = _panel_calls(monkeypatch, argv)
-    assert len(calls) == 22
+    assert len(calls) == 20
     # the reference solution's density rows are integrated on each body
     # edge array once: at PANELS and twice as many by the from-zero pass,
     # at 4 * PANELS by the refined c_model value

@@ -723,8 +723,9 @@ def test_chain_and_c24a_integrate_the_parts_of_the_from_zero_layout(
         full_line, consts, monkeypatch):
     # c24a reads the fine head sum of the from-zero pass's S_sq row and
     # integrates nothing; a chain block's near and far passes run on the
-    # head of halfline_edges(0.0, p) and its body, each at PANELS panels and
-    # twice as many: no integral has a layout of its own
+    # head of halfline_edges(0.0, p) and its body, each at 2 * PANELS panels
+    # only, the fine sums that the chain reads: no integral has a layout of
+    # its own
     seen = []
     engine = quadrature.integrate_panels
 
@@ -743,7 +744,7 @@ def test_chain_and_c24a_integrate_the_parts_of_the_from_zero_layout(
     assert bound_constants(full_line) == consts
     assert integrated() == []
     perturbation_chain(*random_perturbations(random.Random(1), 2), consts)
-    assert integrated() == [(list(e), NODES) for e in head + body]
+    assert integrated() == [(list(e), NODES) for e in (head[1], body[1])]
 
 
 def test_theorem_bound_report(full_line, consts):

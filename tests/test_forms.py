@@ -8,6 +8,7 @@ import pytest
 
 from conftest import OMEGA, jet_exp, one_form_norm_sq, star_vv
 from kwlab.decomp import omega_bracket
+from kwlab.jets import Jet
 from kwlab.forms import (
     CONVENTION_SET,
     EPS_TABLE,
@@ -96,6 +97,60 @@ def test_field_of_evaluates_only_the_profiles_read(conv):
         connection_only.p
     with pytest.raises(AttributeError):
         full.not_a_block
+
+
+def _energy_suite_nodes():
+    """Every node array that the energy suite integrates on: the from-zero
+    head and body at PANELS, 2 * PANELS and 4 * PANELS panels, the
+    geometric heads from IDENTITY_EPS and each CUTOFF_EPS at PANELS and
+    twice as many, the tail samples, and one lone node."""
+    from kwlab import quadrature
+    from kwlab.energy import CUTOFF_EPS
+
+    seen = []
+    p = quadrature.PANELS
+    layouts = [e for n in (p, 2 * p, 4 * p)
+               for e in quadrature.halfline_edges(0.0, n)]
+    layouts += [quadrature.halfline_edges(eps, n)[0] for n in (p, 2 * p)
+                for eps in (quadrature.IDENTITY_EPS, *CUTOFF_EPS)]
+    for edges in layouts:
+        quadrature.integrate_panels(lambda y: seen.append(y) or y * 0, edges,
+                                    quadrature.NODES)
+    quadrature.tail_bound(lambda y: seen.append(y) or y * 0 + 1)
+    return seen + [0.37]
+
+
+def test_float_field_rounds_each_scalar_to_the_old_bits(conv, monkeypatch):
+    # FieldAt.of(..., float) rounds a lone scalar jet and multiplies by its
+    # matrix of -1, 0 and 1 in float64: the bits, signed zeros too, of the
+    # longdouble np.multiply.outer products rounded to float64, on the
+    # reference solution, its companion and topological_charge's zero-Higgs
+    # field, at every node array of the energy suite; and one jets.expm1
+    # for both profiles of one evaluation
+    from kwlab import jets
+
+    def old(profile, y):
+        (fn, mat), = profile.terms
+        j = fn(Jet.var(np.longdouble(y)))
+        return [np.asarray(np.multiply.outer(mat, x), dtype=float)
+                for x in (j.f, j.d)]
+
+    model = nahm_pole_invariant_solution()
+    alt = nahm_pole_invariant_solution_alt()
+    zero_higgs = InvariantField(alt.connection,
+                                scaled_matrix_profile(lambda jy: jy * 0, I3))
+    calls = []
+    expm1 = jets.expm1
+    monkeypatch.setattr(jets, "expm1", lambda x: calls.append(x) or expm1(x))
+    for y in _energy_suite_nodes():
+        for field in (model, alt, zero_higgs):
+            calls.clear()
+            m = FieldAt.of(conv, field, y, float)
+            got = [m.a, m.n_f, m.p, m.dp]
+            assert len(calls) == 1
+            want = old(field.connection, y) + old(field.higgs, y)
+            assert [g.dtype for g in got] == [np.dtype(float)] * 4
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("dtype", [None, float])
