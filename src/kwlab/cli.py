@@ -75,8 +75,7 @@ from .profiles import (
     pole_scalar,
     pole_scalars,
 )
-from .report import (float_rows, make_check, write_checks_json, write_csv,
-                     write_energy_json)
+from .report import make_check, write_checks_json, write_csv, write_energy_json
 
 
 def _lazy(name: str):
@@ -606,23 +605,22 @@ def emit_plotdata(target: str, out_dir: str):
     if target == "profiles":
         ys = np.geomspace(1e-3, 12.0, 400)
         a, b, _, _ = pole_scalars(ys)
-        write_csv(os.path.join(out_dir, "profiles.csv"), ["y", "a", "b"],
-                  float_rows(ys, a, b))
+        write_csv(os.path.join(out_dir, "profiles.csv"), ["y", "a", "b"], ys, a, b)
         return ["profiles.csv"]
     if target == "integrands":
         keys = ("F_sq", "nabla_bar_sq", "S_sq", "phi_sq")
         ys = np.geomspace(1e-3, 12.0, 400)
         d = energy.densities(conv, model, ys, keys)
         write_csv(os.path.join(out_dir, "integrands.csv"), ["y", *keys],
-                  float_rows(ys, *(d[k] for k in keys)))
+                  ys, *(d[k] for k in keys))
         return ["integrands.csv"]
     if target == "eps-sweep":
         # the cutoff rows of the field that the from-zero pass certified
         eps_list = np.geomspace(1e-4, 1e-1, 16).tolist()
         _, sweep = energy.cutoff_rows(energy.full_line_norms(conv, model), eps_list)
-        rows = [[repr(x) for x in (eps, *row)] for eps, row in zip(eps_list, sweep)]
         write_csv(os.path.join(out_dir, "eps-sweep.csv"),
-                  ["eps", "two_phi_bulk", "mixed_boundary", "combination"], rows)
+                  ["eps", "two_phi_bulk", "mixed_boundary", "combination"],
+                  eps_list, *zip(*sweep))
         return ["eps-sweep.csv"]
     raise ValueError(f"unknown plotdata target {target!r}")
 
@@ -748,8 +746,7 @@ def main(argv=None) -> int:
             sweep = energy.eps_sweep_rows(own, (1e-1, 1e-2, 1e-3))
             sweep_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                                       "identity-sweep.csv")
-            write_csv(sweep_path, ["eps", "lhs", "rhs", "gap"],
-                      [[repr(float(x)) for x in row] for row in sweep])
+            write_csv(sweep_path, ["eps", "lhs", "rhs", "gap"], *zip(*sweep))
             print(f"wrote {path}, {sweep_path}")
             return 0
 
@@ -760,7 +757,7 @@ def main(argv=None) -> int:
                 y0=args.y0)
             ys = np.linspace(args.y0, 10.0, 500)
             a, b = shot.result.at(ys)
-            write_csv(args.out_profile, ["y", "a", "b"], float_rows(ys, a, b))
+            write_csv(args.out_profile, ["y", "a", "b"], ys, a, b)
             report.write_json(args.out_log, {
                 "schema_version": report.SCHEMA_VERSION,
                 "parameter": shot.param,
@@ -785,7 +782,7 @@ def main(argv=None) -> int:
                 pts = pts[:, kept]
             out = cfg.out or "residuals.csv"
             write_csv(out, ["x1", "x2", "x3", "y", "res_eq1", "res_eq2"],
-                      float_rows(*pts, *halfspace.kw_residual_flat(conv, fld, pts)))
+                      *pts, *halfspace.kw_residual_flat(conv, fld, pts))
             print(f"wrote {out}")
             return 0
 

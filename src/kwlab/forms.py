@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .profiles import MatrixProfile, NodeJet
+from .profiles import NodeJet
 from .su2 import bracket
 
 # nonzero entries of the permutation symbol: (i, j, k, sign)
@@ -156,13 +156,14 @@ class FieldAt:
         them to float64 (the energy densities).  Each profile is evaluated
         on the first read of one of its matrices, so a reader of the Higgs
         field alone never evaluates the connection, and the other way
-        round.  MatrixProfiles share one NodeJet of y and round themselves;
-        any other profile is an object whose eval(y) gives (value, d/dy)."""
+        round.  Every profile is read through one protocol: eval(jy, dtype)
+        gives (value, d/dy) at the NodeJet jy of y that the field's profiles
+        share, matrix axes first, rounded to dtype by the profile itself."""
         if np.any(np.asarray(y) <= 0):
             raise ValueError("boundary evaluation")
         m = cls.__new__(cls)
         m.conv = conv
-        m._pending = (field, y, NodeJet.var(np.longdouble(y)), dtype)
+        m._pending = (field, NodeJet.var(np.longdouble(y)), dtype)
         return m
 
     def __getattr__(self, name):
@@ -171,12 +172,10 @@ class FieldAt:
         pending, kind = self.__dict__.get("_pending"), _PROFILE_OF.get(name)
         if pending is None or kind is None:
             raise AttributeError(name)
-        field, y, jy, dtype = pending
-        profile = getattr(field, kind)
-        at = (jy, dtype) if isinstance(profile, MatrixProfile) else (y,)
+        field, jy, dtype = pending
         names = [k for k, v in _PROFILE_OF.items() if v == kind]
-        for key, m in zip(names, profile.eval(*at)):
-            setattr(self, key, np.asarray(m, dtype=dtype))
+        for key, m in zip(names, getattr(field, kind).eval(jy, dtype)):
+            setattr(self, key, m)
         return getattr(self, name)
 
     def under(self, conv: GeometryConventions) -> "FieldAt":

@@ -7,16 +7,17 @@ expected, at which tolerance, and how the expected value was obtained
 ``cli``'s suite functions build every one from the numbers that the engine
 modules return; no engine module imports this one.
 JSON output is deterministic for fixed inputs: sorted keys, no timestamps,
-atomic writes.
+atomic writes.  ``write_csv`` is the one writer of CSV files.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tempfile
 from typing import NamedTuple
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -138,21 +139,12 @@ def write_json(path: str, payload: dict):
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def float_rows(*columns) -> list:
-    """CSV rows of equal-length numpy columns, each cell the repr of a
-    Python float: the bytes that repr(float(x)) gives per cell, from one
-    ``tolist`` per column.  A column is cast to float64 first (a no-op on
-    float64), as float() would round it: ``tolist`` on a longdouble column
-    keeps longdouble scalars, whose repr differs."""
-    return [[repr(x) for x in row] for row in
-            zip(*(c.astype(float, copy=False).tolist() for c in columns))]
-
-
-def write_csv(path: str, header: list, rows: list):
-    import csv
-
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+def write_csv(path: str, header: list, *columns):
+    """Write equal-length numeric columns (numpy arrays, longdouble too, or
+    lists of floats) under ``header``: comma-separated, CRLF line ends, each
+    cell the repr of its float64 value.  A column is cast to float64 once,
+    as float() would round each cell; a float repr never needs quoting, so
+    these are the bytes that csv.writer writes for such rows."""
+    cells = (np.asarray(c, dtype=float).tolist() for c in columns)
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in zip(*cells))]
+    _atomic_write(path, "\r\n".join(lines) + "\r\n")

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -35,9 +36,9 @@ from kwlab.config import (
 from kwlab.report import (
     CheckReport,
     checks_to_json,
-    float_rows,
     make_check,
     write_checks_json,
+    write_csv,
 )
 
 
@@ -83,15 +84,23 @@ def test_atomic_write_and_readback(tmp_path):
                 if p.startswith(".tmp-")]
 
 
-def test_float_rows_are_the_repr_of_each_float():
-    # one tolist per column gives the bytes of repr(float(x)) per cell; a
-    # longdouble column is rounded first, as float() rounds it
-    cols = (np.array([0.1, -0.0, 1e-300, np.inf, np.nan, 2.0 / 3.0]),
-            np.arange(1, 7, dtype=np.longdouble) / 3,
-            np.geomspace(1e-3, 12.0, 6))
-    rows = float_rows(*cols)
-    assert rows == [[repr(float(x)) for x in row] for row in zip(*cols)]
-    assert rows[1][:2] == ["-0.0", "0.6666666666666666"]
+def test_write_csv_writes_csv_writer_bytes_of_float_reprs(tmp_path):
+    # each cell is the repr of its float64 value, a longdouble column rounded
+    # as float() rounds it; the bytes are csv.writer's over those reprs
+    specials = [-0.0, np.inf, np.nan, 1e-300, 5e-324]
+    cols = (np.array([*specials, 2.0 / 3.0]),
+            np.array([*specials, np.longdouble(2) / 3], dtype=np.longdouble),
+            np.geomspace(1e-3, 12.0, 6).tolist())
+    header = ["f64", "longdouble", "list"]
+    path = tmp_path / "out.csv"
+    write_csv(str(path), header, *cols)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) for x in row] for row in zip(*cols))
+    got = path.read_bytes()
+    assert got == want.getvalue().encode()
+    assert got.split(b"\r\n")[6].startswith(b"0.6666666666666666,0.6666666666666666,")
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +796,20 @@ def test_only_the_check_layer_builds_report_entries():
             elif isinstance(node, ast.Attribute) and node.attr in entries:
                 found.add((name, node.attr))
     assert sorted(found) == []
+
+
+def test_only_halfspace_imports_csv():
+    # report.write_csv is the one path from numbers to CSV text; the csv
+    # module stays for reading a user's points file, so no second writer
+    # can grow beside it
+    found = set()
+    for name, tree in _package_trees(_PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(name for a in node.names if a.name == "csv")
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.add(name)
+    assert sorted(found) == ["halfspace.py"]
 
 
 def _package_defaults(src):

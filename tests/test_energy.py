@@ -780,6 +780,20 @@ def test_weighted_bound_identity(full_line, consts):
     assert rep.extra["lhs"] <= rep.extra["bound"]
 
 
+def test_weighted_bound_estimate_covers_the_closed_form(full_line, consts):
+    # the reference solution's energies in closed form, L = ln(2 + sqrt 3):
+    # ||F||^2 = pi^2 (12 - sqrt3 L) / 2, ||nabla_bar phi||^2 = pi^2 (3 - sqrt3 L)
+    # and ||S||^2 = (3 sqrt3 / 2) pi^2 L, so F + nabla_bar + S / 2 is
+    # 9 pi^2 - (3 sqrt3 / 4) pi^2 L; the weighted total's error estimate
+    # must cover its gap to that value
+    ell, pi_sq = math.log(2 + math.sqrt(3)), math.pi ** 2
+    exact = 9 * pi_sq - 0.75 * math.sqrt(3) * pi_sq * ell
+    assert exact == pytest.approx(71.94173267905862, rel=1e-15)
+    lhs, rep = check_energy_identity("weighted-bound", full_line=full_line,
+                                     consts=consts)
+    assert abs(lhs - exact) <= rep["quad_error"]
+
+
 def test_eps_sweep_rows(full_line):
     rows = eps_sweep_rows(full_line, (1e-1, 1e-2))
     assert len(rows) == 2

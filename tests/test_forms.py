@@ -76,7 +76,7 @@ def test_shared_field_matches_one_field_per_convention():
 class _Unread:
     """A profile that must not be evaluated."""
 
-    def eval(self, y):
+    def eval(self, jy, dtype):
         raise AssertionError("profile evaluated")
 
 
@@ -345,11 +345,12 @@ class _FDProfile:
         self.base = base
         self.h = h
 
-    def eval(self, y, dtype=float):
+    def eval(self, jy, dtype):
+        y = jy.f
         v, _ = self.base.eval(y)
         vp, _ = self.base.eval(y + self.h)
         vm, _ = self.base.eval(y - self.h)
-        return v, (vp - vm) / (2 * self.h)
+        return np.asarray(v, dtype), np.asarray((vp - vm) / (2 * self.h), dtype)
 
 
 def _scalar_residual_norm(conv, field, y):

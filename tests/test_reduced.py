@@ -551,13 +551,14 @@ class _ShotProfile:
     def __init__(self, system, result, index):
         self.system, self.result, self.index = system, result, index
 
-    def eval(self, y):
-        state = self.result.at(y)
+    def eval(self, jy, dtype):
+        state = self.result.at(jy.f)
         value = state[self.index]
         deriv = self.system.rhs(*state)[self.index]
         eye = np.eye(3)
-        # matrix axes first, as MatrixProfile.eval returns them
-        return np.multiply.outer(eye, value), np.multiply.outer(eye, deriv)
+        # matrix axes first, rounded to dtype, as MatrixProfile.eval returns them
+        return (np.asarray(np.multiply.outer(eye, value), dtype),
+                np.asarray(np.multiply.outer(eye, deriv), dtype))
 
 
 def test_shot_profile_energy_consistency(conv, system, shot, monkeypatch):
